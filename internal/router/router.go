@@ -1,9 +1,10 @@
 // Package router is the client half of the network serving plane: a
 // range-partitioned view over several lix-server nodes. It owns a key→node
-// range map (fence keys, exactly like serve.Store's shard bounds), splits
-// each probe batch across nodes the way internal/serve splits across
-// shards — sort once, slice by fence — fans the per-node sub-batches out
-// concurrently over the wire, and merges the answers back into probe
+// range map (fence keys, exactly like serve.Store's shard bounds), buckets
+// each probe batch by owner node without sorting it (each server sorts only
+// its own share), scatters the per-node sub-batches over the wire — every
+// request is written before the first answer is awaited, all from the
+// calling goroutine — and gathers the answers straight back into probe
 // order. Range reads prune nodes whose fences cannot intersect the range
 // (the data-skipping idea applied at the partition level), and cross-node
 // scans merge per-node pages through internal/scan's loser tree.
@@ -22,7 +23,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -107,8 +108,8 @@ func (o Options) withDefaults() Options {
 // Stats is a point-in-time snapshot of the router's own counters — the
 // client-side mirror of the server's lix_server_* series.
 type Stats struct {
-	// RPCs counts every RPC issued (including retried attempts' first
-	// tries; each do() call counts each attempt).
+	// RPCs counts every RPC attempt put on a connection: the first try of
+	// each node RPC and every retry of it.
 	RPCs int64
 	// Retries counts RPC attempts after the first.
 	Retries int64
@@ -266,10 +267,14 @@ func (e *endpoint) release(c *server.Client) {
 // backoff against a fresh connection each time. Safe because every router
 // RPC is idempotent. A store-level RemoteError is deterministic — it
 // surfaces immediately with the connection kept.
-func (e *endpoint) do(fn func(*server.Client) error) error {
+func (e *endpoint) do(fn func(*server.Client) error) error { return e.retry(0, nil, fn) }
+
+// retry is do from the given attempt number on: scatter makes attempt 0
+// itself, split-phase, and hands only a failed node here with the error
+// that failed it.
+func (e *endpoint) retry(attempt int, lastErr error, fn func(*server.Client) error) error {
 	backoff := e.rt.opt.RetryBackoff
-	var lastErr error
-	for attempt := 0; attempt < e.rt.opt.RetryAttempts; attempt++ {
+	for ; attempt < e.rt.opt.RetryAttempts; attempt++ {
 		if attempt > 0 {
 			e.rt.retries.Add(1)
 			time.Sleep(backoff)
@@ -282,21 +287,34 @@ func (e *endpoint) do(fn func(*server.Client) error) error {
 			lastErr = err
 			continue
 		}
-		e.rt.rpcs.Add(1)
-		e.rt.nodeRPCs[e.idx].Add(1)
-		if err = fn(c); err == nil {
-			e.release(c)
-			return nil
-		}
-		var re *server.RemoteError
-		if errors.As(err, &re) {
-			e.release(c)
+		e.countRPC()
+		if err = e.settle(c, fn(c)); err == nil || isRemote(err) {
 			return err
 		}
-		c.Close()
 		lastErr = err
 	}
 	return fmt.Errorf("router: %s: %w", e.addr, lastErr)
+}
+
+func (e *endpoint) countRPC() {
+	e.rt.rpcs.Add(1)
+	e.rt.nodeRPCs[e.idx].Add(1)
+}
+
+// settle disposes of c after an RPC that returned err: back to the pool
+// when the connection is still healthy, closed after a transport fault.
+func (e *endpoint) settle(c *server.Client, err error) error {
+	if err == nil || isRemote(err) {
+		e.release(c)
+	} else {
+		c.Close()
+	}
+	return err
+}
+
+func isRemote(err error) bool {
+	var re *server.RemoteError
+	return errors.As(err, &re)
 }
 
 // readEndpoint picks where a read RPC for node n goes: a lag-bounded
@@ -345,229 +363,241 @@ func (e *endpoint) freshFollower() bool {
 	return st.Follower && st.Connected && st.LagFrames <= e.rt.opt.MaxFollowerLag
 }
 
-// ---- batch splitting (serve's sort-once, slice-by-fence, one level up) ----
+// ---- batch splitting: bucket by fence, scatter, gather ----
 
-// sortWithPerm returns the probes in ascending order plus the permutation
-// mapping sorted index back to probe index, mirroring serve.sortProbes.
-func sortWithPerm[K cmp.Ordered](probes []K) (sorted []K, perm []int32) {
-	perm = make([]int32, len(probes))
-	for i := range perm {
-		perm[i] = int32(i)
+// owner returns the node owning key: the number of fences at or below it.
+func owner[K cmp.Ordered](fences []K, key K) int {
+	lo, hi := 0, len(fences)
+	for lo < hi {
+		if mid := int(uint(lo+hi) >> 1); fences[mid] <= key {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
 	}
-	sort.SliceStable(perm, func(a, b int) bool { return probes[perm[a]] < probes[perm[b]] })
-	sorted = make([]K, len(probes))
-	for i, p := range perm {
-		sorted[i] = probes[p]
-	}
-	return sorted, perm
+	return lo
 }
 
-func lowerBound[K cmp.Ordered](s []K, key K) int {
-	return sort.Search(len(s), func(i int) bool { return s[i] >= key })
+// buckets is a batch grouped by owner node — a stable counting scatter, so
+// nothing is sorted here: each server sorts only its own share. Node i's
+// keys are keys[start[i]:start[i+1]] in batch order, and idx maps each
+// back to its slot in the caller's batch.
+type buckets[K cmp.Ordered] struct {
+	keys  []K
+	idx   []int32
+	start []int
 }
 
-// splitRuns slices sorted into one contiguous [start, end) run per node:
-// run i holds the keys node i owns under fences. Empty runs mean the node
-// is not involved (and range reads skip it).
-func splitRuns[K cmp.Ordered](sorted, fences []K) [][2]int {
-	runs := make([][2]int, len(fences)+1)
-	start := 0
-	for i, f := range fences {
-		end := start + lowerBound(sorted[start:], f)
-		runs[i] = [2]int{start, end}
-		start = end
+func bucket[K cmp.Ordered](batch, fences []K) buckets[K] {
+	n := len(batch)
+	ints := make([]int32, 2*n)
+	own, idx := ints[:n], ints[n:]
+	// Counts land two slots up, so that after the prefix sum start[o+1] is
+	// where node o's run begins; the scatter advances it to where the run
+	// ends, which is where node o+1's begins: start[o] is then node o's.
+	start := make([]int, len(fences)+3)
+	for i, k := range batch {
+		o := owner(fences, k)
+		own[i] = int32(o)
+		start[o+2]++
 	}
-	runs[len(fences)] = [2]int{start, len(sorted)}
-	return runs
+	for o := 2; o < len(start); o++ {
+		start[o] += start[o-1]
+	}
+	keys := make([]K, n)
+	for i, k := range batch {
+		at := start[own[i]+1]
+		start[own[i]+1]++
+		keys[at], idx[at] = k, int32(i)
+	}
+	return buckets[K]{keys, idx, start[:len(fences)+2]}
 }
 
-// tallyFanout bumps the batch counters: every operation is a batch, one
-// touching ≥2 nodes is a fan-out, and untouched nodes count as pruned
-// when pruned is true (range reads skip them; lookups must still fetch
-// every node's length).
-func (r *Router) tallyFanout(contacted, total int, pruned bool) {
+func (b *buckets[K]) node(i int) []K      { return b.keys[b.start[i]:b.start[i+1]] }
+func (b *buckets[K]) nonEmpty(i int) bool { return b.start[i+1] > b.start[i] }
+
+// used counts the nodes that own at least one key of the batch.
+func (b *buckets[K]) used() (n int) {
+	for i := range b.start[1:] {
+		if b.nonEmpty(i) {
+			n++
+		}
+	}
+	return n
+}
+
+// clip intersects [lo, hi) — [lo, ∞) when bounded is false — with node i's
+// fence range; ok reports a non-empty intersection.
+func clip[K cmp.Ordered](lo, hi K, bounded bool, fences []K, i int) (clo, chi K, cbounded, ok bool) {
+	if i > 0 && fences[i-1] > lo {
+		lo = fences[i-1]
+	}
+	if i < len(fences) && (!bounded || fences[i] < hi) {
+		hi, bounded = fences[i], true
+	}
+	return lo, hi, bounded, !bounded || lo < hi
+}
+
+// scatter runs one operation as a split-phase RPC on every involved node,
+// entirely on the calling goroutine: start(i, c) puts node i's request on
+// connection c, and only when every node's request is on the wire does
+// finish(i, c) collect the answers, in node order — the nodes work
+// concurrently, the caller spawns nothing. finish runs at most once to
+// success per node. A node whose attempt fails on a transport fault is
+// retried alone, with backoff, through endpoint.retry; a RemoteError is
+// final. The involved count and the joined per-node errors are returned.
+func (r *Router) scatter(read bool, involved func(i int) bool, start, finish func(i int, c *server.Client) error) (int, error) {
+	type call struct {
+		ep  *endpoint      // nil: node not involved
+		c   *server.Client // nil: the request was not started, because of err
+		err error
+	}
+	calls := make([]call, len(r.nodes))
+	contacted := 0
+	for i, nd := range r.nodes {
+		if !involved(i) {
+			continue
+		}
+		contacted++
+		cl := &calls[i]
+		cl.ep = nd.primary
+		if read {
+			cl.ep = r.readEndpoint(nd)
+		}
+		c, err := cl.ep.acquire()
+		if err == nil {
+			cl.ep.countRPC()
+			if err = start(i, c); err != nil {
+				c.Close()
+				c = nil
+			}
+		}
+		cl.c, cl.err = c, err
+	}
+	// Every request is on the wire. Yield once before blocking in the first
+	// read: the scheduler gets to poll the network and run whoever the
+	// requests woke (a co-located server, another caller) on a processor
+	// this call would otherwise hold for one failed read per connection.
+	runtime.Gosched()
+	var errs []error
+	for i := range calls {
+		cl := &calls[i]
+		if cl.ep == nil {
+			continue
+		}
+		err := cl.err
+		if cl.c != nil {
+			err = cl.ep.settle(cl.c, finish(i, cl.c))
+		}
+		if err != nil && !isRemote(err) {
+			err = cl.ep.retry(1, err, func(c *server.Client) error {
+				if err := start(i, c); err != nil {
+					return err
+				}
+				return finish(i, c)
+			})
+		}
+		if err != nil {
+			errs = append(errs, err)
+		}
+	}
+	return contacted, errors.Join(errs...)
+}
+
+// tally bumps the batch counters: every operation is a batch, one touching
+// ≥2 nodes is a fan-out, and untouched nodes count as pruned when pruned is
+// true (range reads skip them; lookups must still fetch every node's
+// length).
+func (r *Router) tally(contacted int, pruned bool) {
 	r.batches.Add(1)
 	if contacted >= 2 {
 		r.fanout.Add(1)
 	}
-	if pruned && total > contacted {
-		r.pruned.Add(int64(total - contacted))
+	if pruned && len(r.nodes) > contacted {
+		r.pruned.Add(int64(len(r.nodes) - contacted))
 	}
 }
 
-// ---- uint64 operations ----
+// ---- operations, once for both key modes ----
 
-// LookupBatch answers the global lower-bound position of every probe, in
-// probe order, over the partitioned keyspace: each node reports positions
-// local to its partition plus its length, and the router adds the prefix
-// sum of preceding node lengths — the cross-node version of how a store
-// sums shard snapshot lengths. Every node is contacted (a probe-less node
-// still contributes its length to the offsets).
-func (r *Router) LookupBatch(probes []uint64) ([]int, error) {
-	r.mustU64()
-	sorted, perm := sortWithPerm(probes)
-	runs := splitRuns(sorted, r.opt.Fences)
-	lens := make([]int, len(r.nodes))
-	posPer := make([][]int, len(r.nodes))
-	errs := make([]error, len(r.nodes))
-	var wg sync.WaitGroup
-	contacted := 0
-	for i := range r.nodes {
-		if runs[i][1] > runs[i][0] {
-			contacted++
-		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sub := sorted[runs[i][0]:runs[i][1]]
-			errs[i] = r.readEndpoint(r.nodes[i]).do(func(c *server.Client) error {
-				pos, n, err := c.LookupBatch(sub)
-				if err == nil {
-					posPer[i], lens[i] = pos, n
-				}
-				return err
-			})
-		}(i)
-	}
-	wg.Wait()
-	r.tallyFanout(contacted, len(r.nodes), false)
-	if err := errors.Join(errs...); err != nil {
-		return nil, err
-	}
+func lookupBatch[K server.Key](r *Router, probes, fences []K) ([]int, error) {
+	b := bucket(probes, fences)
 	out := make([]int, len(probes))
 	off := 0
-	for i, run := range runs {
-		for j, p := range posPer[i] {
-			out[perm[run[0]+j]] = p + off
-		}
-		off += lens[i]
-	}
-	return out, nil
-}
-
-// ContainsBatch answers Contains for every probe in probe order. Only the
-// nodes owning at least one probe are contacted.
-func (r *Router) ContainsBatch(probes []uint64) ([]bool, error) {
-	r.mustU64()
-	sorted, perm := sortWithPerm(probes)
-	runs := splitRuns(sorted, r.opt.Fences)
-	out := make([]bool, len(probes))
-	errs := make([]error, len(r.nodes))
-	var wg sync.WaitGroup
-	contacted := 0
-	for i := range r.nodes {
-		if runs[i][1] == runs[i][0] {
-			continue
-		}
-		contacted++
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			run := runs[i]
-			sub := sorted[run[0]:run[1]]
-			errs[i] = r.readEndpoint(r.nodes[i]).do(func(c *server.Client) error {
-				bs, err := c.ContainsBatch(sub)
-				if err != nil {
-					return err
-				}
-				for j, b := range bs {
-					out[perm[run[0]+j]] = b
-				}
-				return nil
-			})
-		}(i)
-	}
-	wg.Wait()
-	r.tallyFanout(contacted, len(r.nodes), true)
-	if err := errors.Join(errs...); err != nil {
+	_, err := r.scatter(true,
+		func(int) bool { return true },
+		func(i int, c *server.Client) error { return server.StartLookupBatch(c, b.node(i)) },
+		func(i int, c *server.Client) error {
+			pos, n, err := c.FinishLookupBatch()
+			if err != nil {
+				return err
+			}
+			for j, p := range pos {
+				out[b.idx[b.start[i]+j]] = p + off
+			}
+			off += n
+			return nil
+		})
+	r.tally(b.used(), false)
+	if err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-// InsertDurable routes each key to its owner node's group-commit durable
-// write path; nil means every key is fsync-durable on its node. Duplicate
-// keys are no-ops (set semantics), so a partially failed call is safe to
-// retry verbatim.
-func (r *Router) InsertDurable(keys ...uint64) error {
-	r.mustU64()
-	sorted, _ := sortWithPerm(keys)
-	runs := splitRuns(sorted, r.opt.Fences)
-	errs := make([]error, len(r.nodes))
-	var wg sync.WaitGroup
-	contacted := 0
-	for i := range r.nodes {
-		if runs[i][1] == runs[i][0] {
-			continue
-		}
-		contacted++
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sub := sorted[runs[i][0]:runs[i][1]]
-			errs[i] = r.nodes[i].primary.do(func(c *server.Client) error {
-				return c.Insert(sub)
-			})
-		}(i)
+func containsBatch[K server.Key](r *Router, probes, fences []K) ([]bool, error) {
+	b := bucket(probes, fences)
+	out := make([]bool, len(probes))
+	contacted, err := r.scatter(true, b.nonEmpty,
+		func(i int, c *server.Client) error { return server.StartContainsBatch(c, b.node(i)) },
+		func(i int, c *server.Client) error {
+			bs, err := c.FinishContainsBatch()
+			for j, v := range bs {
+				out[b.idx[b.start[i]+j]] = v
+			}
+			return err
+		})
+	r.tally(contacted, true)
+	if err != nil {
+		return nil, err
 	}
-	wg.Wait()
-	r.tallyFanout(contacted, len(r.nodes), true)
-	return errors.Join(errs...)
+	return out, nil
 }
 
-// CountRange returns the exact number of keys in [lo, hi) by summing
-// per-node counts over the range clipped to each node's fences; nodes
-// whose range cannot intersect are never contacted.
-func (r *Router) CountRange(lo, hi uint64) (int, error) {
-	r.mustU64()
-	if hi <= lo {
+func insertDurable[K server.Key](r *Router, keys, fences []K) error {
+	b := bucket(keys, fences)
+	contacted, err := r.scatter(false, b.nonEmpty,
+		func(i int, c *server.Client) error { return server.StartInsert(c, b.node(i)) },
+		func(i int, c *server.Client) error { return c.FinishInsert() })
+	r.tally(contacted, true)
+	return err
+}
+
+func countRange[K server.Key](r *Router, lo, hi K, bounded bool, fences []K) (int, error) {
+	if bounded && hi <= lo {
 		r.batches.Add(1)
 		return 0, nil
 	}
-	counts := make([]int, len(r.nodes))
-	errs := make([]error, len(r.nodes))
-	var wg sync.WaitGroup
-	contacted := 0
-	for i := range r.nodes {
-		clo, chi, ok := clipRange(lo, hi, r.opt.Fences, i)
-		if !ok {
-			continue
-		}
-		contacted++
-		wg.Add(1)
-		go func(i int, clo, chi uint64) {
-			defer wg.Done()
-			errs[i] = r.readEndpoint(r.nodes[i]).do(func(c *server.Client) error {
-				n, err := c.CountRange(clo, chi, true)
-				if err == nil {
-					counts[i] = n
-				}
-				return err
-			})
-		}(i, clo, chi)
-	}
-	wg.Wait()
-	r.tallyFanout(contacted, len(r.nodes), true)
-	if err := errors.Join(errs...); err != nil {
+	total := 0
+	contacted, err := r.scatter(true,
+		func(i int) bool {
+			_, _, _, ok := clip(lo, hi, bounded, fences, i)
+			return ok
+		},
+		func(i int, c *server.Client) error {
+			clo, chi, cbounded, _ := clip(lo, hi, bounded, fences, i)
+			return server.StartCountRange(c, clo, chi, cbounded)
+		},
+		func(i int, c *server.Client) error {
+			n, err := c.FinishCountRange()
+			total += n
+			return err
+		})
+	r.tally(contacted, true)
+	if err != nil {
 		return 0, err
 	}
-	total := 0
-	for _, n := range counts {
-		total += n
-	}
 	return total, nil
-}
-
-// clipRange intersects [lo, hi) with node i's fence range, reporting ok
-// when the intersection is non-empty.
-func clipRange[K cmp.Ordered](lo, hi K, fences []K, i int) (K, K, bool) {
-	if i > 0 && fences[i-1] > lo {
-		lo = fences[i-1]
-	}
-	if i < len(fences) && fences[i] < hi {
-		hi = fences[i]
-	}
-	return lo, hi, lo < hi
 }
 
 func (r *Router) mustU64() {
@@ -582,171 +612,67 @@ func (r *Router) mustStr() {
 	}
 }
 
-// ---- string operations (twins, mirroring serve.Store's mode split) ----
+// LookupBatch answers the global lower-bound position of every probe, in
+// probe order, over the partitioned keyspace: each node reports positions
+// local to its partition plus its length, and the router adds the prefix
+// sum of preceding node lengths — the cross-node version of how a store
+// sums shard snapshot lengths. Every node is contacted (a probe-less node
+// still contributes its length to the offsets).
+func (r *Router) LookupBatch(probes []uint64) ([]int, error) {
+	r.mustU64()
+	return lookupBatch(r, probes, r.opt.Fences)
+}
 
 // LookupBatchString is LookupBatch for a string-keyed router.
 func (r *Router) LookupBatchString(probes []string) ([]int, error) {
 	r.mustStr()
-	sorted, perm := sortWithPerm(probes)
-	runs := splitRuns(sorted, r.opt.FencesStr)
-	lens := make([]int, len(r.nodes))
-	posPer := make([][]int, len(r.nodes))
-	errs := make([]error, len(r.nodes))
-	var wg sync.WaitGroup
-	contacted := 0
-	for i := range r.nodes {
-		if runs[i][1] > runs[i][0] {
-			contacted++
-		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sub := sorted[runs[i][0]:runs[i][1]]
-			errs[i] = r.readEndpoint(r.nodes[i]).do(func(c *server.Client) error {
-				pos, n, err := c.LookupBatchString(sub)
-				if err == nil {
-					posPer[i], lens[i] = pos, n
-				}
-				return err
-			})
-		}(i)
-	}
-	wg.Wait()
-	r.tallyFanout(contacted, len(r.nodes), false)
-	if err := errors.Join(errs...); err != nil {
-		return nil, err
-	}
-	out := make([]int, len(probes))
-	off := 0
-	for i, run := range runs {
-		for j, p := range posPer[i] {
-			out[perm[run[0]+j]] = p + off
-		}
-		off += lens[i]
-	}
-	return out, nil
+	return lookupBatch(r, probes, r.opt.FencesStr)
+}
+
+// ContainsBatch answers Contains for every probe in probe order. Only the
+// nodes owning at least one probe are contacted.
+func (r *Router) ContainsBatch(probes []uint64) ([]bool, error) {
+	r.mustU64()
+	return containsBatch(r, probes, r.opt.Fences)
 }
 
 // ContainsBatchString is ContainsBatch for a string-keyed router.
 func (r *Router) ContainsBatchString(probes []string) ([]bool, error) {
 	r.mustStr()
-	sorted, perm := sortWithPerm(probes)
-	runs := splitRuns(sorted, r.opt.FencesStr)
-	out := make([]bool, len(probes))
-	errs := make([]error, len(r.nodes))
-	var wg sync.WaitGroup
-	contacted := 0
-	for i := range r.nodes {
-		if runs[i][1] == runs[i][0] {
-			continue
-		}
-		contacted++
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			run := runs[i]
-			sub := sorted[run[0]:run[1]]
-			errs[i] = r.readEndpoint(r.nodes[i]).do(func(c *server.Client) error {
-				bs, err := c.ContainsBatchString(sub)
-				if err != nil {
-					return err
-				}
-				for j, b := range bs {
-					out[perm[run[0]+j]] = b
-				}
-				return nil
-			})
-		}(i)
-	}
-	wg.Wait()
-	r.tallyFanout(contacted, len(r.nodes), true)
-	if err := errors.Join(errs...); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return containsBatch(r, probes, r.opt.FencesStr)
+}
+
+// InsertDurable routes each key to its owner node's group-commit durable
+// write path; nil means every key is fsync-durable on its node. Duplicate
+// keys are no-ops (set semantics), so a partially failed call is safe to
+// retry verbatim.
+func (r *Router) InsertDurable(keys ...uint64) error {
+	r.mustU64()
+	return insertDurable(r, keys, r.opt.Fences)
 }
 
 // InsertDurableString is InsertDurable for a string-keyed router.
 func (r *Router) InsertDurableString(keys ...string) error {
 	r.mustStr()
-	sorted, _ := sortWithPerm(keys)
-	runs := splitRuns(sorted, r.opt.FencesStr)
-	errs := make([]error, len(r.nodes))
-	var wg sync.WaitGroup
-	contacted := 0
-	for i := range r.nodes {
-		if runs[i][1] == runs[i][0] {
-			continue
-		}
-		contacted++
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sub := sorted[runs[i][0]:runs[i][1]]
-			errs[i] = r.nodes[i].primary.do(func(c *server.Client) error {
-				return c.InsertString(sub)
-			})
-		}(i)
-	}
-	wg.Wait()
-	r.tallyFanout(contacted, len(r.nodes), true)
-	return errors.Join(errs...)
+	return insertDurable(r, keys, r.opt.FencesStr)
+}
+
+// CountRange returns the exact number of keys in [lo, hi) by summing
+// per-node counts over the range clipped to each node's fences; nodes
+// whose range cannot intersect are never contacted.
+func (r *Router) CountRange(lo, hi uint64) (int, error) {
+	r.mustU64()
+	return countRange(r, lo, hi, true, r.opt.Fences)
 }
 
 // CountRangeString is CountRange for a string-keyed router.
 func (r *Router) CountRangeString(lo, hi string) (int, error) {
 	r.mustStr()
-	if hi <= lo {
-		r.batches.Add(1)
-		return 0, nil
-	}
-	return r.countStr(lo, hi, true)
+	return countRange(r, lo, hi, true, r.opt.FencesStr)
 }
 
 // CountFromString counts every key >= lo.
 func (r *Router) CountFromString(lo string) (int, error) {
 	r.mustStr()
-	return r.countStr(lo, "", false)
-}
-
-func (r *Router) countStr(lo, hi string, bounded bool) (int, error) {
-	counts := make([]int, len(r.nodes))
-	errs := make([]error, len(r.nodes))
-	var wg sync.WaitGroup
-	contacted := 0
-	for i := range r.nodes {
-		clo := lo
-		if i > 0 && r.opt.FencesStr[i-1] > clo {
-			clo = r.opt.FencesStr[i-1]
-		}
-		chi, cbounded := hi, bounded
-		if i < len(r.opt.FencesStr) && (!cbounded || r.opt.FencesStr[i] < chi) {
-			chi, cbounded = r.opt.FencesStr[i], true
-		}
-		if cbounded && clo >= chi {
-			continue
-		}
-		contacted++
-		wg.Add(1)
-		go func(i int, clo, chi string, cbounded bool) {
-			defer wg.Done()
-			errs[i] = r.readEndpoint(r.nodes[i]).do(func(c *server.Client) error {
-				n, err := c.CountRangeString(clo, chi, cbounded)
-				if err == nil {
-					counts[i] = n
-				}
-				return err
-			})
-		}(i, clo, chi, cbounded)
-	}
-	wg.Wait()
-	r.tallyFanout(contacted, len(r.nodes), true)
-	if err := errors.Join(errs...); err != nil {
-		return 0, err
-	}
-	total := 0
-	for _, n := range counts {
-		total += n
-	}
-	return total, nil
+	return countRange(r, lo, "", false, r.opt.FencesStr)
 }

@@ -93,114 +93,34 @@ func (s *RangeScan[K]) Err() error { return s.err }
 // Close releases the merge iterator and its cursors.
 func (s *RangeScan[K]) Close() { s.it.Close() }
 
-// Scan streams every key in [lo, hi) across all nodes in ascending order,
-// merging per-node pages through the loser tree. Nodes whose fence range
-// cannot intersect [lo, hi) are pruned. Check Err after the stream ends.
-func (r *Router) Scan(lo, hi uint64) *RangeScan[uint64] {
-	r.mustU64()
-	rs := &RangeScan[uint64]{it: scan.Get[uint64]()}
+// rangeScan opens the merged stream over [lo, hi) — [lo, ∞) when bounded is
+// false — for either key mode; succ is the key mode's successor, which is
+// where a node's next page resumes.
+func rangeScan[K server.Key](r *Router, lo, hi K, bounded bool, fences []K, succ func(K) (K, bool)) *RangeScan[K] {
+	rs := &RangeScan[K]{it: scan.Get[K]()}
 	contacted := 0
 	for i := range r.nodes {
-		clo, chi, ok := clipRange(lo, hi, r.opt.Fences, i)
+		clo, chi, cbounded, ok := clip(lo, hi, bounded, fences, i)
 		if !ok {
 			continue
 		}
 		contacted++
 		ep := r.readEndpoint(r.nodes[i])
-		cur := &remoteCursor[uint64]{
-			limit: r.opt.ScanPageKeys,
-			errp:  &rs.err,
-			succ: func(k uint64) (uint64, bool) {
-				if k == math.MaxUint64 {
-					return 0, false
-				}
-				return k + 1, true
-			},
-		}
-		cur.fetch = func(from uint64, limit int) ([]uint64, bool, error) {
+		cur := &remoteCursor[K]{limit: r.opt.ScanPageKeys, errp: &rs.err, succ: succ}
+		cur.fetch = func(from K, limit int) (page []K, more bool, err error) {
 			if from < clo {
 				from = clo
 			}
-			var page []uint64
-			var more bool
-			err := ep.do(func(c *server.Client) error {
+			err = ep.do(func(c *server.Client) error {
 				var e error
-				page, more, e = c.Scan(from, chi, true, limit)
+				page, more, e = server.ScanPage(c, from, chi, cbounded, limit)
 				return e
 			})
 			return page, more, err
 		}
 		rs.it.Add(cur)
 	}
-	r.tallyFanout(contacted, len(r.nodes), true)
-	rs.it.Start(lo, hi, nil)
-	return rs
-}
-
-// ScanBatch appends every key in [lo, hi) to dst in ascending order and
-// returns it, or the first node failure.
-func (r *Router) ScanBatch(lo, hi uint64, dst []uint64) ([]uint64, error) {
-	s := r.Scan(lo, hi)
-	defer s.Close()
-	for s.Next() {
-		dst = append(dst, s.Key())
-	}
-	return dst, s.Err()
-}
-
-// ScanString streams every key in [lo, hi) of a string-keyed router.
-func (r *Router) ScanString(lo, hi string) *RangeScan[string] {
-	r.mustStr()
-	return r.scanStr(lo, hi, true)
-}
-
-// ScanStringFrom streams every key >= lo of a string-keyed router.
-func (r *Router) ScanStringFrom(lo string) *RangeScan[string] {
-	r.mustStr()
-	return r.scanStr(lo, "", false)
-}
-
-func (r *Router) scanStr(lo, hi string, bounded bool) *RangeScan[string] {
-	rs := &RangeScan[string]{it: scan.Get[string]()}
-	contacted := 0
-	for i := range r.nodes {
-		clo := lo
-		if i > 0 && r.opt.FencesStr[i-1] > clo {
-			clo = r.opt.FencesStr[i-1]
-		}
-		chi, cbounded := hi, bounded
-		if i < len(r.opt.FencesStr) && (!cbounded || r.opt.FencesStr[i] < chi) {
-			chi, cbounded = r.opt.FencesStr[i], true
-		}
-		if cbounded && clo >= chi {
-			continue
-		}
-		contacted++
-		ep := r.readEndpoint(r.nodes[i])
-		cur := &remoteCursor[string]{
-			limit: r.opt.ScanPageKeys,
-			errp:  &rs.err,
-			// The successor of a string under lower-bound resume is the
-			// same string with a NUL appended: the smallest strictly
-			// greater key.
-			succ: func(k string) (string, bool) { return k + "\x00", true },
-		}
-		cur.fetch = func(from string, limit int) ([]string, bool, error) {
-			if from < clo {
-				from = clo
-			}
-			var page []string
-			var more bool
-			err := ep.do(func(c *server.Client) error {
-				var e error
-				page, more, e = c.ScanString(from, chi, cbounded, limit)
-				return e
-			})
-			return page, more, err
-		}
-		rs.it.Add(cur)
-	}
-	r.tallyFanout(contacted, len(r.nodes), true)
+	r.tally(contacted, true)
 	if bounded {
 		rs.it.Start(lo, hi, nil)
 	} else {
@@ -209,10 +129,45 @@ func (r *Router) scanStr(lo, hi string, bounded bool) *RangeScan[string] {
 	return rs
 }
 
+// Scan streams every key in [lo, hi) across all nodes in ascending order,
+// merging per-node pages through the loser tree. Nodes whose fence range
+// cannot intersect [lo, hi) are pruned. Check Err after the stream ends.
+func (r *Router) Scan(lo, hi uint64) *RangeScan[uint64] {
+	r.mustU64()
+	return rangeScan(r, lo, hi, true, r.opt.Fences, func(k uint64) (uint64, bool) {
+		return k + 1, k != math.MaxUint64
+	})
+}
+
+// ScanBatch appends every key in [lo, hi) to dst in ascending order and
+// returns it, or the first node failure.
+func (r *Router) ScanBatch(lo, hi uint64, dst []uint64) ([]uint64, error) {
+	return drain(r.Scan(lo, hi), dst)
+}
+
+// strSucc: the successor of a string under lower-bound resume is the same
+// string with a NUL appended, the smallest strictly greater key.
+func strSucc(k string) (string, bool) { return k + "\x00", true }
+
+// ScanString streams every key in [lo, hi) of a string-keyed router.
+func (r *Router) ScanString(lo, hi string) *RangeScan[string] {
+	r.mustStr()
+	return rangeScan(r, lo, hi, true, r.opt.FencesStr, strSucc)
+}
+
+// ScanStringFrom streams every key >= lo of a string-keyed router.
+func (r *Router) ScanStringFrom(lo string) *RangeScan[string] {
+	r.mustStr()
+	return rangeScan(r, lo, "", false, r.opt.FencesStr, strSucc)
+}
+
 // ScanBatchString appends every key in [lo, hi) to dst in ascending order
 // and returns it, or the first node failure.
 func (r *Router) ScanBatchString(lo, hi string, dst []string) ([]string, error) {
-	s := r.ScanString(lo, hi)
+	return drain(r.ScanString(lo, hi), dst)
+}
+
+func drain[K cmp.Ordered](s *RangeScan[K], dst []K) ([]K, error) {
 	defer s.Close()
 	for s.Next() {
 		dst = append(dst, s.Key())

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math/rand"
 	"slices"
 	"testing"
@@ -53,7 +54,7 @@ func buildWireStream(seed int64, count int, strMode bool) ([]byte, []wmsg) {
 			m.kind = msgPositions
 			m.storeLen = uint64(rng.Intn(1 << 20))
 			for j := rng.Intn(6); j > 0; j-- {
-				m.keys = append(m.keys, uint64(rng.Intn(1<<20)))
+				m.pos = append(m.pos, rng.Intn(1<<20))
 			}
 		case 4:
 			m.kind = msgContainsBatch
@@ -114,7 +115,7 @@ func wmsgEq(a, b wmsg) bool {
 		a.limit == b.limit && a.count == b.count &&
 		a.applied == b.applied && a.durable == b.durable &&
 		a.lag == b.lag && a.epoch == b.epoch && a.storeLen == b.storeLen &&
-		slices.Equal(a.keys, b.keys) && slices.Equal(a.strs, b.strs) &&
+		slices.Equal(a.keys, b.keys) && slices.Equal(a.strs, b.strs) && slices.Equal(a.pos, b.pos) &&
 		slices.Equal(a.bools, b.bools) && a.errMsg == b.errMsg
 }
 
@@ -123,11 +124,11 @@ func wmsgEq(a, b wmsg) bool {
 // test.
 func decodeAllWire(stream []byte, strMode bool, limit int) []wmsg {
 	r := bytes.NewReader(stream)
-	var buf []byte
+	var in frameReader
 	var out []wmsg
 	for len(out) < limit {
 		var m wmsg
-		if err := readWmsg(r, &buf, strMode, &m); err != nil {
+		if err := in.read(r, strMode, &m); err != nil {
 			break
 		}
 		out = append(out, m)
@@ -175,4 +176,136 @@ func FuzzServerDecode(f *testing.F) {
 			}
 		}
 	})
+}
+
+// chunkReader delivers data in reads whose sizes come from sizes (cycled):
+// 1-byte reads, frames straddling reads, several frames in one read. With
+// no sizes every read takes all that fits.
+type chunkReader struct {
+	data  []byte
+	sizes []byte
+	i     int
+}
+
+func (r *chunkReader) Read(p []byte) (int, error) {
+	if len(r.data) == 0 {
+		return 0, io.EOF
+	}
+	n := len(p)
+	if len(r.sizes) > 0 {
+		n = min(n, 1+int(r.sizes[r.i%len(r.sizes)]))
+		r.i++
+	}
+	n = copy(p[:n], r.data)
+	r.data = r.data[n:]
+	return n, nil
+}
+
+// decodeChunked decodes stream to its first error, which it returns too.
+func decodeChunked(stream, sizes []byte, strMode bool) ([]wmsg, error) {
+	r := &chunkReader{data: stream, sizes: sizes}
+	var in frameReader
+	var out []wmsg
+	for {
+		var m wmsg
+		if err := in.read(r, strMode, &m); err != nil {
+			return out, err
+		}
+		out = append(out, m)
+	}
+}
+
+func wmsgsEq(a, b []wmsg) bool { return slices.EqualFunc(a, b, wmsgEq) }
+
+// FuzzFrameReaderChunking: how a stream is cut into reads must not matter.
+// A valid stream decodes to its messages under any chunking; cut anywhere
+// it yields exactly the messages that arrived whole and then an error;
+// with one bit flipped it yields the messages before the flip and then —
+// unless the flip turned one kind byte into another valid kind, which the
+// payload checksum does not cover — an error, identically under every
+// chunking. Never a panic, never a message that is not in the stream.
+func FuzzFrameReaderChunking(f *testing.F) {
+	f.Add(int64(1), uint8(9), false, []byte{0}, uint16(0), uint32(0))            // 1-byte reads
+	f.Add(int64(2), uint8(15), true, []byte{3, 0, 40, 7}, uint16(77), uint32(9)) // straddling reads
+	f.Add(int64(3), uint8(12), false, []byte{255}, uint16(301), uint32(4000))    // several frames per read
+	f.Add(int64(4), uint8(6), true, []byte{}, uint16(5), uint32(70))             // everything at once
+	f.Add(int64(5), uint8(1), false, []byte{8, 1}, uint16(9), uint32(1<<31))     // cut inside a header
+	f.Fuzz(func(t *testing.T, seed int64, n uint8, strMode bool, sizes []byte, cut uint16, flip uint32) {
+		stream, want := buildWireStream(seed, int(n%16), strMode)
+		ends := make([]int, len(want)) // ends[i]: offset just past message i
+		for i := range want {
+			ends[i] = len(appendWmsg(stream[:0:0], &want[i]))
+			if i > 0 {
+				ends[i] += ends[i-1]
+			}
+		}
+		whole := func(upto int) int { // messages that end at or before upto
+			k, _ := slices.BinarySearch(ends, upto+1)
+			return k
+		}
+
+		got, err := decodeChunked(stream, sizes, strMode)
+		if !wmsgsEq(got, want) || err != io.EOF {
+			t.Fatalf("intact stream: %d of %d messages, then %v", len(got), len(want), err)
+		}
+
+		cutAt := int(cut) % (len(stream) + 1)
+		got, err = decodeChunked(stream[:cutAt], sizes, strMode)
+		k := whole(cutAt)
+		wantErr := io.ErrUnexpectedEOF
+		if cutAt == 0 || k > 0 && ends[k-1] == cutAt {
+			wantErr = io.EOF
+		}
+		if !wmsgsEq(got, want[:k]) || err != wantErr {
+			t.Fatalf("cut at %d of %d: %d messages then %v, want %d then %v", cutAt, len(stream), len(got), err, k, wantErr)
+		}
+
+		if len(stream) == 0 {
+			return
+		}
+		bit := int(flip) % (len(stream) * 8)
+		bad := slices.Clone(stream)
+		bad[bit/8] ^= 1 << (bit % 8)
+		got, err = decodeChunked(bad, sizes, strMode)
+		atOnce, errOnce := decodeChunked(bad, nil, strMode)
+		if !wmsgsEq(got, atOnce) || err.Error() != errOnce.Error() {
+			t.Fatalf("flipped bit %d: chunked decode gave %d messages then %v, at-once %d then %v", bit, len(got), err, len(atOnce), errOnce)
+		}
+		k = whole(bit / 8)
+		hitKind := bit/8 == 0 || k > 0 && ends[k-1] == bit/8
+		if len(got) < k || !wmsgsEq(got[:k], want[:k]) || len(got) > k && !hitKind {
+			t.Fatalf("flipped bit %d in message %d: decoded %d messages then %v", bit, k, len(got), err)
+		}
+	})
+}
+
+// TestFrameReaderBufferBounds: the buffers a connection reuses grow to fit a
+// large message and do not stay large after it.
+func TestFrameReaderBufferBounds(t *testing.T) {
+	big := wmsg{kind: msgKeys}
+	for i := 0; i < 150_000; i++ {
+		big.keys = append(big.keys, 1<<62+uint64(i))
+	}
+	small := wmsg{kind: msgCount, count: 7}
+	stream := appendWmsg(appendWmsg(appendWmsg(nil, &small), &big), &small)
+	if len(stream) < maxReuseFrame || len(big.keys) < maxReuseKeys {
+		t.Fatalf("test message too small: %d bytes, %d keys", len(stream), len(big.keys))
+	}
+	r := &chunkReader{data: stream, sizes: []byte{200}}
+	var in frameReader
+	var m wmsg
+	for i, want := range []*wmsg{&small, &big, &small} {
+		if err := in.read(r, false, &m); err != nil || !wmsgEq(m, *want) {
+			t.Fatalf("message %d: err %v, kind %d with %d keys", i, err, m.kind, len(m.keys))
+		}
+	}
+	if cap(m.keys) > maxReuseKeys {
+		t.Fatalf("decode slices keep %d keys of capacity after a small message", cap(m.keys))
+	}
+	if err := in.read(r, false, &m); err != io.EOF {
+		t.Fatalf("end of stream: %v", err)
+	}
+	if len(in.buf) > maxReuseFrame {
+		t.Fatalf("frame buffer still holds %d bytes after the large frame was consumed", len(in.buf))
+	}
 }

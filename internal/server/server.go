@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"learnedindex/internal/obs"
@@ -24,7 +25,9 @@ type Options struct {
 	// sends no request for this long is closed (default 2m). Enforced by
 	// a watchdog that closes the connection rather than by transport
 	// deadlines, so TCP, the in-memory transport, and FaultNet all behave
-	// identically (repl.Conn has no deadline surface by design).
+	// identically (repl.Conn has no deadline surface by design). The
+	// watchdog is one lazy timer per connection (see watchdog), not a
+	// timer per request.
 	IdleTimeout time.Duration
 	// WriteTimeout bounds each response write the same way (default 30s):
 	// a client that stops draining its socket loses the connection, not
@@ -65,9 +68,11 @@ func (o Options) withDefaults() Options {
 // serverMetrics is the lix_server_* series, registered on the store's own
 // registry so one scrape sees the store and its wire front end together.
 type serverMetrics struct {
-	conns      *obs.Gauge   // lix_server_conns: open connections
-	accepts    *obs.Counter // lix_server_accepts_total
-	requests   map[byte]*obs.Counter
+	conns   *obs.Gauge   // lix_server_conns: open connections
+	accepts *obs.Counter // lix_server_accepts_total
+	// requests is lix_server_requests_total by request kind; nil marks a
+	// kind that is not a request.
+	requests   [msgStatusInfo + 1]*obs.Counter
 	errors     *obs.Counter // lix_server_errors_total: respErr sent
 	wireErrors *obs.Counter // lix_server_wire_errors_total: corrupt/broken conns
 	timeouts   *obs.Counter // lix_server_timeouts_total: watchdog closes
@@ -89,7 +94,6 @@ func newServerMetrics(reg *obs.Registry) serverMetrics {
 	m := serverMetrics{
 		conns:      reg.Gauge("lix_server_conns"),
 		accepts:    reg.Counter("lix_server_accepts_total"),
-		requests:   make(map[byte]*obs.Counter, len(opNames)),
 		errors:     reg.Counter("lix_server_errors_total"),
 		wireErrors: reg.Counter("lix_server_wire_errors_total"),
 		timeouts:   reg.Counter("lix_server_timeouts_total"),
@@ -119,7 +123,7 @@ type Server struct {
 	mu     sync.Mutex
 	ln     repl.Listener
 	conns  map[repl.Conn]struct{}
-	closed bool
+	closed atomic.Bool // set under mu; the request path reads it without
 }
 
 // NewServer wraps st; it does not listen until Serve.
@@ -142,7 +146,7 @@ func (s *Server) Serve(t repl.Transport, addr string) error {
 		return err
 	}
 	s.mu.Lock()
-	if s.closed {
+	if s.closed.Load() {
 		s.mu.Unlock()
 		ln.Close()
 		return errors.New("server: closed")
@@ -177,7 +181,7 @@ func (s *Server) acceptLoop(ln repl.Listener) {
 			return // listener closed
 		}
 		s.mu.Lock()
-		if s.closed {
+		if s.closed.Load() {
 			s.mu.Unlock()
 			c.Close()
 			return
@@ -196,11 +200,11 @@ func (s *Server) acceptLoop(ln repl.Listener) {
 // close the store.
 func (s *Server) Close() error {
 	s.mu.Lock()
-	if s.closed {
+	if s.closed.Load() {
 		s.mu.Unlock()
 		return nil
 	}
-	s.closed = true
+	s.closed.Store(true)
 	ln := s.ln
 	s.mu.Unlock()
 	if ln != nil {
@@ -237,47 +241,55 @@ func (s *Server) dropConn(c repl.Conn) {
 }
 
 // handleConn runs the handshake and then the request/response loop. The
-// read watchdog enforces IdleTimeout and the write watchdog WriteTimeout,
-// both by closing the connection (never deadlines — see Options).
+// connection's watchdog enforces IdleTimeout while waiting for a request
+// and WriteTimeout while writing a response, both by closing the connection
+// (never deadlines — see Options); a request executing against the store
+// is not on any clock.
 func (s *Server) handleConn(c repl.Conn) {
 	defer s.connWG.Done()
 	defer s.dropConn(c)
 
-	var timedOut sync.Once
-	timeout := func() {
-		timedOut.Do(func() { s.m.timeouts.Inc() })
+	var wd watchdog
+	wd.start(min(s.opt.IdleTimeout, s.opt.WriteTimeout), func() {
+		s.m.timeouts.Inc()
 		c.Close()
-	}
+	})
+	defer wd.stop()
+
 	strMode := s.st.StringKeys()
 	var req, resp wmsg
-	rbuf := make([]byte, 0, 4096)
-	wbuf := make([]byte, 0, 4096)
+	in := frameReader{buf: make([]byte, wireBufLen)}
+	wbuf := make([]byte, 0, wireBufLen)
+	respond := func(now int64) bool {
+		wd.arm(now, s.opt.WriteTimeout)
+		err := writeWmsg(c, &wbuf, &resp)
+		if err != nil {
+			s.m.wireErrors.Inc()
+		}
+		return err == nil
+	}
 
 	// Handshake: the client leads with hello; a key-mode mismatch is
 	// answered with an explicit error (the one respErr a client can get
 	// before serverHello) so the operator sees "wrong mode", not EOF.
-	wd := time.AfterFunc(s.opt.IdleTimeout, timeout)
-	err := readWmsg(c, &rbuf, strMode, &req)
-	wd.Stop()
-	if err != nil || req.kind != msgHello {
+	wd.arm(monoNow(), s.opt.IdleTimeout)
+	if err := in.read(c, strMode, &req); err != nil || req.kind != msgHello {
 		s.m.wireErrors.Inc()
 		return
 	}
 	if req.strMode != strMode {
 		resp = wmsg{kind: msgErr, errMsg: fmt.Sprintf("server: key mode mismatch: client strings=%v, store strings=%v", req.strMode, strMode)}
-		s.writeResp(c, &wbuf, &resp)
+		respond(monoNow())
 		return
 	}
 	resp = wmsg{kind: msgServerHello, strMode: strMode, follower: s.st.IsFollower()}
-	if !s.writeResp(c, &wbuf, &resp) {
+	if !respond(monoNow()) {
 		return
 	}
 
 	for {
-		wd := time.AfterFunc(s.opt.IdleTimeout, timeout)
-		err := readWmsg(c, &rbuf, strMode, &req)
-		wd.Stop()
-		if err != nil {
+		wd.arm(monoNow(), s.opt.IdleTimeout)
+		if err := in.read(c, strMode, &req); err != nil {
 			// A bare io.EOF means the client hung up on a frame boundary —
 			// a normal disconnect, not a corrupt conn. Mid-frame EOF
 			// surfaces as ErrUnexpectedEOF and still counts.
@@ -286,29 +298,27 @@ func (s *Server) handleConn(c repl.Conn) {
 			}
 			return
 		}
-		s.mu.Lock()
-		closing := s.closed
-		s.mu.Unlock()
-		if closing {
+		wd.disarm()
+		if s.closed.Load() {
 			return
 		}
-		ctr, ok := s.m.requests[req.kind]
-		if !ok {
+		if int(req.kind) >= len(s.m.requests) || s.m.requests[req.kind] == nil {
 			s.m.wireErrors.Inc()
 			return // request kind unknown or a response kind: protocol abuse
 		}
-		ctr.Inc()
+		s.m.requests[req.kind].Inc()
 
 		// The semaphore bounds store work across all connections; the
 		// reqWG makes Close wait for the response flush, not just the
 		// store call.
 		s.inflight <- struct{}{}
 		s.reqWG.Add(1)
-		start := time.Now()
+		start := monoNow()
 		s.handle(&req, &resp)
-		s.m.reqNs.ObserveDuration(time.Since(start))
+		end := monoNow()
+		s.m.reqNs.ObserveDuration(time.Duration(end - start))
 		<-s.inflight
-		okWrite := s.writeResp(c, &wbuf, &resp)
+		okWrite := respond(end)
 		s.reqWG.Done()
 		if !okWrite {
 			return
@@ -316,58 +326,34 @@ func (s *Server) handleConn(c repl.Conn) {
 	}
 }
 
-func (s *Server) writeResp(c repl.Conn, wbuf *[]byte, m *wmsg) bool {
-	wd := time.AfterFunc(s.opt.WriteTimeout, func() {
-		s.m.timeouts.Inc()
-		c.Close()
-	})
-	err := writeWmsg(c, wbuf, m)
-	wd.Stop()
-	if err != nil {
-		s.m.wireErrors.Inc()
-		return false
-	}
-	return true
-}
-
-// handle executes one request against the store and fills resp. Store-level
-// failures become respErr (connection stays healthy); only wire-level
-// failures kill the connection.
+// handle executes one request against the store and fills resp, reusing
+// resp's slices. Store-level failures become respErr (connection stays
+// healthy); only wire-level failures kill the connection.
 func (s *Server) handle(req, resp *wmsg) {
 	strMode := req.strMode
+	s.m.keysIn.Add(int64(len(req.keys) + len(req.strs)))
 	switch req.kind {
 	case msgLookupBatch:
-		var pos []uint64
+		resp.reset(msgPositions, strMode)
 		if strMode {
-			s.m.keysIn.Add(int64(len(req.strs)))
-			pos = make([]uint64, len(req.strs))
-			for i, k := range req.strs {
-				pos[i] = uint64(s.st.LookupString(k))
+			for _, k := range req.strs {
+				resp.pos = append(resp.pos, s.st.LookupString(k))
 			}
 		} else {
-			s.m.keysIn.Add(int64(len(req.keys)))
-			ps := s.st.LookupBatch(req.keys)
-			pos = make([]uint64, len(ps))
-			for i, p := range ps {
-				pos[i] = uint64(p)
-			}
+			resp.pos = s.st.LookupBatch(req.keys)
 		}
-		*resp = wmsg{kind: msgPositions, strMode: strMode, storeLen: uint64(s.st.Len()), keys: pos}
-		s.m.keysOut.Add(int64(len(pos)))
+		resp.storeLen = uint64(s.st.Len())
+		s.m.keysOut.Add(int64(len(resp.pos)))
 	case msgContainsBatch:
-		var bs []bool
+		resp.reset(msgBools, strMode)
 		if strMode {
-			s.m.keysIn.Add(int64(len(req.strs)))
-			bs = make([]bool, len(req.strs))
-			for i, k := range req.strs {
-				bs[i] = s.st.ContainsString(k)
+			for _, k := range req.strs {
+				resp.bools = append(resp.bools, s.st.ContainsString(k))
 			}
 		} else {
-			s.m.keysIn.Add(int64(len(req.keys)))
-			bs = s.st.ContainsBatch(req.keys)
+			resp.bools = s.st.ContainsBatch(req.keys)
 		}
-		*resp = wmsg{kind: msgBools, strMode: strMode, bools: bs}
-		s.m.keysOut.Add(int64(len(bs)))
+		s.m.keysOut.Add(int64(len(resp.bools)))
 	case msgScan:
 		s.handleScan(req, resp)
 	case msgCountRange:
@@ -388,38 +374,36 @@ func (s *Server) handle(req, resp *wmsg) {
 				n++
 			}
 		}
-		*resp = wmsg{kind: msgCount, strMode: strMode, count: uint64(n)}
+		resp.reset(msgCount, strMode)
+		resp.count = uint64(n)
 	case msgInsert:
 		var err error
 		if strMode {
-			s.m.keysIn.Add(int64(len(req.strs)))
 			err = s.st.InsertDurableString(req.strs...)
 		} else {
-			s.m.keysIn.Add(int64(len(req.keys)))
 			err = s.st.InsertDurable(req.keys...)
 		}
 		if err != nil {
 			s.m.errors.Inc()
-			*resp = wmsg{kind: msgErr, strMode: strMode, errMsg: err.Error()}
+			resp.reset(msgErr, strMode)
+			resp.errMsg = err.Error()
 			return
 		}
-		*resp = wmsg{kind: msgOK, strMode: strMode}
+		resp.reset(msgOK, strMode)
 	case msgStatus:
 		fs, isFollower := s.st.FollowerStatus()
-		*resp = wmsg{
-			kind:      msgStatusInfo,
-			strMode:   strMode,
-			follower:  isFollower,
-			connected: fs.Connected,
-			applied:   fs.AppliedSeq,
-			durable:   fs.PrimaryDurableSeq,
-			lag:       fs.LagFrames,
-			epoch:     fs.MaxEpoch,
-			storeLen:  uint64(s.st.Len()),
-		}
+		resp.reset(msgStatusInfo, strMode)
+		resp.follower = isFollower
+		resp.connected = fs.Connected
+		resp.applied = fs.AppliedSeq
+		resp.durable = fs.PrimaryDurableSeq
+		resp.lag = fs.LagFrames
+		resp.epoch = fs.MaxEpoch
+		resp.storeLen = uint64(s.st.Len())
 	default:
 		s.m.errors.Inc()
-		*resp = wmsg{kind: msgErr, strMode: strMode, errMsg: "server: unhandled request kind"}
+		resp.reset(msgErr, strMode)
+		resp.errMsg = "server: unhandled request kind"
 	}
 }
 
@@ -432,6 +416,7 @@ func (s *Server) handleScan(req, resp *wmsg) {
 	if limit <= 0 || limit > s.opt.MaxScanKeys {
 		limit = s.opt.MaxScanKeys
 	}
+	resp.reset(msgKeys, req.strMode)
 	if req.strMode {
 		var it *scan.Iterator[string]
 		if req.bounded {
@@ -439,46 +424,38 @@ func (s *Server) handleScan(req, resp *wmsg) {
 		} else {
 			it = s.st.ScanStringFrom(req.loS)
 		}
-		keys := make([]string, 0, limit)
-		more := false
 		for it.Next() {
-			if len(keys) == limit {
-				more = true
+			if len(resp.strs) == limit {
+				resp.more = true
 				break
 			}
-			keys = append(keys, it.Key())
+			resp.strs = append(resp.strs, it.Key())
 		}
 		it.Close()
-		*resp = wmsg{kind: msgKeys, strMode: true, more: more, strs: keys}
-		s.m.keysOut.Add(int64(len(keys)))
+		s.m.keysOut.Add(int64(len(resp.strs)))
 		return
 	}
-	var hi uint64
+	hi := ^uint64(0)
 	if req.bounded {
 		hi = req.hi
-	} else {
-		hi = ^uint64(0)
 	}
 	it := s.st.Scan(req.lo, hi)
-	keys := make([]uint64, 0, limit)
-	more := false
 	for it.Next() {
-		if len(keys) == limit {
-			more = true
+		if len(resp.keys) == limit {
+			resp.more = true
 			break
 		}
-		keys = append(keys, it.Key())
+		resp.keys = append(resp.keys, it.Key())
 	}
 	it.Close()
 	// Mirror the CountRange patch: the open-ended uint64 form includes the
 	// maximum key, which Scan's exclusive hi cannot reach.
-	if !req.bounded && !more && s.st.Contains(^uint64(0)) {
-		if len(keys) < limit {
-			keys = append(keys, ^uint64(0))
+	if !req.bounded && !resp.more && s.st.Contains(^uint64(0)) {
+		if len(resp.keys) < limit {
+			resp.keys = append(resp.keys, ^uint64(0))
 		} else {
-			more = true
+			resp.more = true
 		}
 	}
-	*resp = wmsg{kind: msgKeys, strMode: false, more: more, keys: keys}
-	s.m.keysOut.Add(int64(len(keys)))
+	s.m.keysOut.Add(int64(len(resp.keys)))
 }

@@ -6,10 +6,15 @@
 // bounded decoding through binenc, and exactly one Write call per message
 // so transport faults (torn writes, reorders) operate on whole messages.
 //
-// The protocol is strict request/response on one connection: the client
-// sends a request, the server sends exactly one response. Concurrency comes
-// from multiple connections (the router keeps a per-node pool), which keeps
-// the wire grammar trivial to reason about under fault injection.
+// The protocol is split-phase with one request in flight per connection:
+// the client starts a request (one Write) and finishes it later (reads the
+// one response), so a caller holding several connections puts every request
+// on the wire before it waits for the first answer. There are no request
+// ids: a connection never carries a second request before the first is
+// answered, which keeps the wire grammar trivial to reason about under
+// fault injection (a reordered message can stall a connection, never
+// mis-pair an answer). Concurrency comes from multiple connections (the
+// router keeps a per-node pool).
 package server
 
 import (
@@ -55,6 +60,14 @@ const (
 	// maxWireKeys bounds a single message's key count so a hostile count
 	// can never size an allocation.
 	maxWireKeys = 1 << 21
+	// wireBufLen is the initial size of a connection's frame and encode
+	// buffers; both grow to the largest message seen.
+	wireBufLen = 4096
+	// maxReuseKeys and maxReuseFrame cap what a connection keeps between
+	// messages: one huge batch must not pin its memory for the
+	// connection's lifetime.
+	maxReuseKeys  = 1 << 16
+	maxReuseFrame = 1 << 20
 )
 
 // errWire covers every malformed-input path in the decoder: truncated
@@ -65,9 +78,10 @@ var errWire = errors.New("server: corrupt wire frame")
 var wireCRC = crc32.MakeTable(crc32.Castagnoli)
 
 // wmsg is the decoded form of every wire message; kind selects which fields
-// are meaningful. One struct (rather than one type per kind) keeps the
-// decoder allocation-light on the request path. strMode is the session key
-// mode (fixed by the handshake) and selects the key and bound grammar.
+// are meaningful. One struct (rather than one type per kind) lets a
+// connection decode every message into the same slices (see reset).
+// strMode is the session key mode (fixed by the handshake) and selects the
+// key and bound grammar.
 type wmsg struct {
 	kind      byte
 	strMode   bool
@@ -84,10 +98,30 @@ type wmsg struct {
 	lag       uint64   // statusInfo: frames behind primary
 	epoch     uint64   // statusInfo: max replication epoch seen
 	storeLen  uint64   // positions/statusInfo: visible key count
-	keys      []uint64 // key payloads (uint64 mode) and positions (both modes)
+	keys      []uint64 // key payloads, uint64 mode
 	strs      []string // key payloads, string mode
+	pos       []int    // positions response (both modes)
 	bools     []bool   // bools response
 	errMsg    string   // err response
+}
+
+// reset clears m for reuse as a message of the given kind, keeping the
+// backing arrays of its slices so steady-state decoding and answering
+// allocate nothing per message. Whatever m's slices held is overwritten by
+// the next message: callers copy out anything they keep.
+func (m *wmsg) reset(kind byte, strMode bool) {
+	clear(m.strs) // a reused array must not pin the previous message's key bytes
+	*m = wmsg{
+		kind: kind, strMode: strMode,
+		keys: reuse(m.keys), strs: reuse(m.strs), pos: reuse(m.pos), bools: reuse(m.bools),
+	}
+}
+
+func reuse[T any](s []T) []T {
+	if cap(s) > maxReuseKeys {
+		return nil
+	}
+	return s[:0]
 }
 
 // appendWmsg encodes m as one wire message appended to dst.
@@ -106,9 +140,9 @@ func appendWmsg(dst []byte, m *wmsg) []byte {
 		dst = appendKeyPayload(dst, m)
 	case msgPositions:
 		dst = binenc.AppendUvarint(dst, m.storeLen)
-		dst = binenc.AppendUvarint(dst, uint64(len(m.keys)))
-		for _, p := range m.keys {
-			dst = binenc.AppendUvarint(dst, p)
+		dst = binenc.AppendUvarint(dst, uint64(len(m.pos)))
+		for _, p := range m.pos {
+			dst = binenc.AppendUvarint(dst, uint64(p))
 		}
 	case msgBools:
 		dst = binenc.AppendUvarint(dst, uint64(len(m.bools)))
@@ -209,11 +243,12 @@ func appendKeyPayload(dst []byte, m *wmsg) []byte {
 }
 
 // decodePayload decodes one message payload into m (kind comes from the
-// wire header, strMode from the handshake). Panic-free by construction:
-// every read goes through the latching binenc.Reader, counts are bounded
-// before any allocation, and trailing garbage is an error.
+// wire header, strMode from the handshake), reusing m's slices. Panic-free
+// by construction: every read goes through the latching binenc.Reader,
+// counts are bounded before any allocation, and trailing garbage is an
+// error. Nothing in m aliases payload afterwards.
 func decodePayload(kind byte, strMode bool, payload []byte, m *wmsg) error {
-	*m = wmsg{kind: kind, strMode: strMode}
+	m.reset(kind, strMode)
 	r := binenc.NewReader(payload)
 	switch kind {
 	case msgHello, msgServerHello:
@@ -234,12 +269,8 @@ func decodePayload(kind byte, strMode bool, payload []byte, m *wmsg) error {
 	case msgPositions:
 		m.storeLen = r.Uvarint()
 		n := r.Count(maxWireKeys, 1)
-		if r.Err() == nil {
-			pos := make([]uint64, 0, n)
-			for i := 0; i < n; i++ {
-				pos = append(pos, r.Uvarint())
-			}
-			m.keys = pos
+		for i := 0; i < n; i++ {
+			m.pos = append(m.pos, int(r.Uvarint()))
 		}
 	case msgBools:
 		n := r.Uvarint()
@@ -248,11 +279,9 @@ func decodePayload(kind byte, strMode bool, payload []byte, m *wmsg) error {
 		}
 		raw := r.Take(int(n+7) / 8)
 		if r.Err() == nil {
-			bs := make([]bool, n)
-			for i := range bs {
-				bs[i] = raw[i>>3]&(1<<(i&7)) != 0
+			for i := 0; i < int(n); i++ {
+				m.bools = append(m.bools, raw[i>>3]&(1<<(i&7)) != 0)
 			}
-			m.bools = bs
 		}
 	case msgScan:
 		if !decodeRange(r, strMode, m) {
@@ -325,27 +354,16 @@ func decodeRange(r *binenc.Reader, strMode bool, m *wmsg) bool {
 }
 
 func decodeKeyPayload(r *binenc.Reader, strMode bool, m *wmsg) {
+	n := r.Count(maxWireKeys, 1) // 0 once r has failed
 	if strMode {
-		n := r.Count(maxWireKeys, 1)
-		if r.Err() != nil {
-			return
-		}
-		strs := make([]string, 0, n)
 		for i := 0; i < n; i++ {
-			strs = append(strs, string(r.Bytes()))
+			m.strs = append(m.strs, string(r.Bytes()))
 		}
-		m.strs = strs
 		return
 	}
-	n := r.Count(maxWireKeys, 1)
-	if r.Err() != nil {
-		return
-	}
-	keys := make([]uint64, 0, n)
 	for i := 0; i < n; i++ {
-		keys = append(keys, r.Uvarint())
+		m.keys = append(m.keys, r.Uvarint())
 	}
-	m.keys = keys
 }
 
 // writeWmsg encodes m into *buf and writes it as ONE Write call, so a
@@ -358,30 +376,71 @@ func writeWmsg(w io.Writer, buf *[]byte, m *wmsg) error {
 	return err
 }
 
-// readWmsg reads and decodes one message. Any malformed input — short
-// read, oversized length, checksum mismatch, grammar violation — returns
-// an error (errWire or the transport's); never a panic, never a partial m.
-// The payload buffer *buf is reused across calls.
-func readWmsg(r io.Reader, buf *[]byte, strMode bool, m *wmsg) error {
-	var hdr [wireHeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return err
+// frameReader reads whole messages from a connection through one buffer it
+// owns: each fill is a single Read of whatever the transport has, header
+// and payload are checked and decoded in place, and bytes past the frame
+// stay buffered for the next call — one read syscall per frame where a
+// header-then-payload reader pays two.
+type frameReader struct {
+	buf  []byte
+	r, w int // buf[r:w] is received and not yet decoded
+}
+
+// read decodes the next message from src into m. Any malformed input —
+// short read, oversized length, checksum mismatch, grammar violation —
+// returns an error (errWire or the transport's); never a panic, and m is
+// meaningful only when the error is nil. A clean end of stream on a frame
+// boundary is io.EOF; inside a frame it is io.ErrUnexpectedEOF.
+func (f *frameReader) read(src io.Reader, strMode bool, m *wmsg) error {
+	need := wireHeaderLen
+	for {
+		if f.w-f.r >= wireHeaderLen {
+			plen := u32(f.buf[f.r+1:])
+			if plen > maxWirePayload {
+				return errWire
+			}
+			need = wireHeaderLen + int(plen)
+		}
+		if f.w-f.r >= need {
+			break
+		}
+		f.reserve(need)
+		n, err := src.Read(f.buf[f.w:])
+		f.w += n
+		if n == 0 && err != nil { // an error delivered with data resurfaces on the next Read
+			if err == io.EOF && f.w > f.r {
+				return io.ErrUnexpectedEOF
+			}
+			return err
+		}
 	}
-	kind := hdr[0]
-	plen := uint32(hdr[1]) | uint32(hdr[2])<<8 | uint32(hdr[3])<<16 | uint32(hdr[4])<<24
-	want := uint32(hdr[5]) | uint32(hdr[6])<<8 | uint32(hdr[7])<<16 | uint32(hdr[8])<<24
-	if plen > maxWirePayload {
+	frame := f.buf[f.r : f.r+need]
+	if f.r += need; f.r == f.w {
+		f.r, f.w = 0, 0
+	}
+	payload := frame[wireHeaderLen:]
+	if crc32.Checksum(payload, wireCRC) != u32(frame[5:]) {
 		return errWire
 	}
-	if cap(*buf) < int(plen) {
-		*buf = make([]byte, plen)
+	return decodePayload(frame[0], strMode, payload, m)
+}
+
+// reserve makes room for a frame of need bytes starting at f.r. The buffer
+// grows only when the frame cannot fit and drops back to wireBufLen once an
+// outsized frame has been consumed; otherwise the unread tail moves to the
+// front.
+func (f *frameReader) reserve(need int) {
+	switch {
+	case need > len(f.buf), f.r == f.w && len(f.buf) > maxReuseFrame:
+		buf := make([]byte, max(need, wireBufLen))
+		f.w = copy(buf, f.buf[f.r:f.w])
+		f.r, f.buf = 0, buf
+	case len(f.buf)-f.r < need:
+		f.w = copy(f.buf, f.buf[f.r:f.w])
+		f.r = 0
 	}
-	payload := (*buf)[:plen]
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return err
-	}
-	if crc32.Checksum(payload, wireCRC) != want {
-		return errWire
-	}
-	return decodePayload(kind, strMode, payload, m)
+}
+
+func u32(b []byte) uint32 {
+	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
 }
