@@ -16,6 +16,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"math/bits"
 )
 
 // ErrCorrupt is the latched decode error for any malformed input.
@@ -25,6 +26,9 @@ var ErrCorrupt = errors.New("binenc: corrupt or truncated input")
 func AppendUvarint(b []byte, v uint64) []byte {
 	return binary.AppendUvarint(b, v)
 }
+
+// UvarintLen is the number of bytes AppendUvarint writes for v.
+func UvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
 // AppendVarint appends v as a zigzag varint.
 func AppendVarint(b []byte, v int64) []byte {

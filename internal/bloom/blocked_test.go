@@ -131,3 +131,43 @@ func TestBlockedDecodeCorrupt(t *testing.T) {
 		}
 	}
 }
+
+// TestHashOnceEquivalence: hashing a key once and handing the pair to
+// AddHash/MayContainHash is the keyed API exactly — same bits set, same
+// answers for members and non-members, both layouts, both key kinds — so a
+// caller walking many filters with one key may hash it once. EncodedLen is
+// the length of the encoding it sizes.
+func TestHashOnceEquivalence(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for _, mk := range []func() *Filter{
+		func() *Filter { return NewBlocked(4000, 0.01) },
+		func() *Filter { return New(4000, 0.01) },
+	} {
+		keyed, hashed := mk(), mk()
+		for i := 0; i < 2000; i++ {
+			k := rng.Uint64()
+			keyed.AddUint64(k)
+			hashed.AddHash(HashUint64(k))
+			s := string(binenc.AppendUvarint([]byte("key/"), rng.Uint64()))
+			keyed.Add(s)
+			hashed.AddHash(HashString(s))
+		}
+		enc := keyed.AppendBinary(nil)
+		if string(enc) != string(hashed.AppendBinary(nil)) {
+			t.Fatalf("blocked=%v: AddHash built a different filter than Add/AddUint64", keyed.Blocked())
+		}
+		if keyed.EncodedLen() != len(enc) {
+			t.Fatalf("blocked=%v: EncodedLen %d, encoding is %d bytes", keyed.Blocked(), keyed.EncodedLen(), len(enc))
+		}
+		for i := 0; i < 20_000; i++ { // mostly non-members: false positives must agree too
+			k := rng.Uint64()
+			if keyed.MayContainUint64(k) != keyed.MayContainHash(HashUint64(k)) {
+				t.Fatalf("blocked=%v: MayContainHash disagrees with MayContainUint64 on %d", keyed.Blocked(), k)
+			}
+			s := string(binenc.AppendUvarint([]byte("key/"), k))
+			if keyed.MayContain(s) != keyed.MayContainHash(HashString(s)) {
+				t.Fatalf("blocked=%v: MayContainHash disagrees with MayContain on %q", keyed.Blocked(), s)
+			}
+		}
+	}
+}

@@ -139,10 +139,28 @@ func (f *Filter) mayContainBlocked(h1, h2 uint64) bool {
 	return true
 }
 
-// Add inserts key.
-func (f *Filter) Add(key string) {
-	h1 := hashfn.HashString(key, 0x9e3779b97f4a7c15)
-	h2 := hashfn.HashString(key, 0xc2b2ae3d27d4eb4f) | 1
+// Double-hashing seeds: every key is reduced to one (h1, h2) pair, from
+// which both layouts derive all k probe positions.
+const (
+	seed1 = 0x9e3779b97f4a7c15
+	seed2 = 0xc2b2ae3d27d4eb4f
+)
+
+// HashUint64 returns the hash pair of an integer key. The pair does not
+// depend on any filter, so a caller probing many filters with one key —
+// the storage engine walking its segment list — hashes once and probes
+// each filter with MayContainHash.
+func HashUint64(key uint64) (h1, h2 uint64) {
+	return hashfn.Hash64(key, seed1), hashfn.Hash64(key, seed2) | 1
+}
+
+// HashString is HashUint64 for a string key.
+func HashString(key string) (h1, h2 uint64) {
+	return hashfn.HashString(key, seed1), hashfn.HashString(key, seed2) | 1
+}
+
+// AddHash inserts the key whose hash pair is (h1, h2).
+func (f *Filter) AddHash(h1, h2 uint64) {
 	if f.blocked {
 		f.addBlocked(h1, h2)
 		return
@@ -154,11 +172,9 @@ func (f *Filter) Add(key string) {
 	f.n++
 }
 
-// MayContain reports whether key may be in the set (false positives
-// possible, false negatives impossible).
-func (f *Filter) MayContain(key string) bool {
-	h1 := hashfn.HashString(key, 0x9e3779b97f4a7c15)
-	h2 := hashfn.HashString(key, 0xc2b2ae3d27d4eb4f) | 1
+// MayContainHash reports whether the key whose hash pair is (h1, h2) may
+// be in the set (false positives possible, false negatives impossible).
+func (f *Filter) MayContainHash(h1, h2 uint64) bool {
 	if f.blocked {
 		return f.mayContainBlocked(h1, h2)
 	}
@@ -170,37 +186,18 @@ func (f *Filter) MayContain(key string) bool {
 	}
 	return true
 }
+
+// Add inserts key.
+func (f *Filter) Add(key string) { f.AddHash(HashString(key)) }
+
+// MayContain reports whether key may be in the set.
+func (f *Filter) MayContain(key string) bool { return f.MayContainHash(HashString(key)) }
 
 // AddUint64 inserts an integer key.
-func (f *Filter) AddUint64(key uint64) {
-	h1 := hashfn.Hash64(key, 0x9e3779b97f4a7c15)
-	h2 := hashfn.Hash64(key, 0xc2b2ae3d27d4eb4f) | 1
-	if f.blocked {
-		f.addBlocked(h1, h2)
-		return
-	}
-	for i := 0; i < f.k; i++ {
-		p := (h1 + uint64(i)*h2) % f.m
-		f.bits[p>>6] |= 1 << (p & 63)
-	}
-	f.n++
-}
+func (f *Filter) AddUint64(key uint64) { f.AddHash(HashUint64(key)) }
 
 // MayContainUint64 reports whether the integer key may be in the set.
-func (f *Filter) MayContainUint64(key uint64) bool {
-	h1 := hashfn.Hash64(key, 0x9e3779b97f4a7c15)
-	h2 := hashfn.Hash64(key, 0xc2b2ae3d27d4eb4f) | 1
-	if f.blocked {
-		return f.mayContainBlocked(h1, h2)
-	}
-	for i := 0; i < f.k; i++ {
-		p := (h1 + uint64(i)*h2) % f.m
-		if f.bits[p>>6]&(1<<(p&63)) == 0 {
-			return false
-		}
-	}
-	return true
-}
+func (f *Filter) MayContainUint64(key uint64) bool { return f.MayContainHash(HashUint64(key)) }
 
 // Blocked reports whether the filter uses the register-blocked layout.
 func (f *Filter) Blocked() bool { return f.blocked }

@@ -35,6 +35,17 @@ func (f *Filter) AppendBinary(b []byte) []byte {
 	return b
 }
 
+// EncodedLen returns len(f.AppendBinary(nil)) without encoding, so a caller
+// framing the filter as a length-prefixed block can size its buffer once
+// and encode in place.
+func (f *Filter) EncodedLen() int {
+	n := binenc.UvarintLen(f.m) + binenc.UvarintLen(uint64(f.k)) + binenc.UvarintLen(uint64(f.n)) + 8*len(f.bits)
+	if f.blocked {
+		n += binenc.UvarintLen(blockedFormatTag)
+	}
+	return n
+}
+
 // Decode reads one filter from r, validating that the bit array matches m
 // exactly; corrupt input yields an error, never a panic.
 func Decode(r *binenc.Reader) (*Filter, error) {

@@ -237,6 +237,22 @@ func (d *Dict) AppendBinary(b []byte) []byte {
 	return b
 }
 
+// EncodedLen returns len(d.AppendBinary(nil)) without encoding, so a caller
+// framing the dictionary as a length-prefixed block can size its buffer
+// once and encode in place.
+func (d *Dict) EncodedLen() int {
+	n := binenc.UvarintLen(uint64(len(d.strs))) + binenc.UvarintLen(uint64(len(d.collIdx)))
+	prev := int32(-1)
+	for j, ci := range d.collIdx {
+		n += binenc.UvarintLen(uint64(ci-prev)) + binenc.UvarintLen(uint64(d.collCum[j+1]-d.collCum[j]))
+		prev = ci
+	}
+	for _, s := range d.strs {
+		n += binenc.UvarintLen(uint64(len(s))) + max(0, len(s)-PrefixLen)
+	}
+	return n
+}
+
 // DecodeDict decodes a dictionary serialized by AppendBinary against the
 // already-decoded prefix array, reconstructing and validating the exact
 // keys: every key's prefix must match its group's, the keys must be

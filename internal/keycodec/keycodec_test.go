@@ -227,6 +227,9 @@ func TestDictRoundTrip(t *testing.T) {
 		keys := buildRandomKeys(rng, n)
 		prefixes, d := BuildDict(keys)
 		blob := d.AppendBinary(nil)
+		if d.EncodedLen() != len(blob) {
+			t.Fatalf("n=%d: EncodedLen %d, encoding is %d bytes", n, d.EncodedLen(), len(blob))
+		}
 		got, err := DecodeDict(binenc.NewReader(blob), prefixes)
 		if err != nil {
 			t.Fatalf("n=%d: DecodeDict: %v", n, err)

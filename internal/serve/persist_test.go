@@ -5,6 +5,7 @@ import (
 	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"learnedindex/internal/core"
 	"learnedindex/internal/data"
@@ -174,6 +175,63 @@ func TestPersistentStoreInitialKeysIdempotent(t *testing.T) {
 		}
 		if err := st.Close(); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// TestStaleMergeSignalDoesNotFlush: a merge token queued while a flush was
+// running used to flush whatever had trickled in since — a sliver of a
+// segment, straight after a full one, that every later read had to visit.
+// k thresholds of keys through InsertDurable must produce at most k
+// background flushes, none of them below the threshold (compaction is
+// parked so that a flush and a segment are the same thing).
+func TestStaleMergeSignalDoesNotFlush(t *testing.T) {
+	const thresh, k, batch = 1024, 12, 64
+	st, err := Open(nil, core.Config{}, Options{Dir: t.TempDir(), MergeThreshold: thresh, CompactFanout: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			keys := make([]uint64, batch)
+			for b := 0; b < k*thresh/batch/2; b++ {
+				for i := range keys {
+					keys[i] = uint64((b*batch+i)*2 + w)
+				}
+				if err := st.InsertDurable(keys...); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	// The merger may still be flushing the last full threshold; it must
+	// come to rest with less than one threshold pending, not zero by force.
+	for deadline := time.Now().Add(10 * time.Second); st.Pending() >= thresh; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("merger never drained: %d pending", st.Pending())
+		}
+	}
+	stats, _ := st.StorageStats()
+	if stats.Flushes > k || stats.Segments != stats.Flushes {
+		t.Fatalf("%d flushes, %d segments for %d thresholds of keys", stats.Flushes, stats.Segments, k)
+	}
+	sn := st.eng.AcquireSnapshot()
+	defer sn.Release()
+	for i := 0; i < sn.NumSegments(); i++ {
+		n := 0
+		c := sn.SegmentCursor(i, 0, ^uint64(0))
+		for ok := c.Seek(0); ok; ok = c.Next() {
+			n++
+		}
+		c.Release()
+		if n < thresh/2 {
+			t.Fatalf("segment %d of %d holds %d keys, threshold %d", i, sn.NumSegments(), n, thresh)
 		}
 	}
 }

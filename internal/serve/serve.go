@@ -101,9 +101,9 @@ type Options struct {
 	// BloomFPR is the per-segment Bloom filter false-positive rate of a
 	// persistent Store (default 0.01). Ignored when Dir is empty.
 	BloomFPR float64
-	// CompactFanout is how many contiguous similar-sized segments trigger
-	// a background merge in a persistent Store (default 4). Ignored when
-	// Dir is empty.
+	// CompactFanout is how many segments of one size class, contiguous but
+	// for smaller segments between them, trigger a background merge in a
+	// persistent Store (default 4). Ignored when Dir is empty.
 	CompactFanout int
 	// MetricsAddr, when non-empty, starts a debug HTTP listener on that
 	// address serving the Store's metrics plane: /metrics (Prometheus
@@ -643,7 +643,12 @@ func (s *Store) merger() {
 // hot shards.
 func (s *Store) dispatchDrain(i int) {
 	if s.eng != nil {
-		s.drain(0)
+		// A merge token can outlive the flush it asked for (it was queued
+		// while that flush ran): re-check, or each stale token publishes a
+		// sliver of a segment that every later read has to visit.
+		if s.eng.PendingLen() >= s.thresh {
+			s.drain(0)
+		}
 		return
 	}
 	if s.strKeys {
@@ -678,9 +683,7 @@ func (s *Store) dispatchDrain(i int) {
 // for those shards.
 func (s *Store) sweep() {
 	if s.eng != nil {
-		if s.eng.PendingLen() >= s.thresh {
-			s.drain(0)
-		}
+		s.dispatchDrain(0)
 		return
 	}
 	if s.strKeys {
@@ -1097,9 +1100,9 @@ func (s *Store) ContainsBatch(probes []uint64) []bool {
 	}
 	if s.eng != nil {
 		// One captured segment list for the whole batch (the consistent
-		// view promised above); per-key membership is already cheap on the
-		// engine — min/max fences and Bloom filters prune almost every
-		// probe before a model runs.
+		// view promised above), walked segment by segment: the engine hashes
+		// each probe once and runs fence and Bloom filter for the whole
+		// batch per segment before any model runs.
 		s.eng.ContainsBatch(probes, out)
 		return out
 	}

@@ -62,6 +62,17 @@ func checkStringStoreOracle(t *testing.T, s *Store, oracle []string, rng *rand.R
 			}
 		}
 	}
+	// The batch form answers like the per-key form, hits and misses mixed.
+	var batch []string
+	for i := 0; i < 300; i++ {
+		k := oracle[rng.Intn(len(oracle))]
+		batch = append(batch, k, k+"\x00")
+	}
+	for i, has := range s.ContainsBatchString(batch) {
+		if has != s.ContainsString(batch[i]) {
+			t.Fatalf("ContainsBatchString[%d] (%q)=%v, ContainsString disagrees", i, batch[i], has)
+		}
+	}
 	for i := 0; i < 60; i++ {
 		a := oracle[rng.Intn(len(oracle))]
 		b := oracle[rng.Intn(len(oracle))]
@@ -253,6 +264,7 @@ func TestStringStoreModePanics(t *testing.T) {
 	mustPanic("InsertString", func() { su.InsertString("x") })
 	mustPanic("LookupString", func() { su.LookupString("x") })
 	mustPanic("ContainsString", func() { su.ContainsString("x") })
+	mustPanic("ContainsBatchString", func() { su.ContainsBatchString([]string{"x"}) })
 	mustPanic("ScanString", func() { su.ScanString("a", "b") })
 	mustPanic("CountRangeString", func() { su.CountRangeString("a", "b") })
 	ss := NewString([]string{"a", "b"}, core.Config{}, Options{Shards: 2})

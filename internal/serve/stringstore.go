@@ -411,6 +411,25 @@ func (s *Store) ContainsString(key string) bool {
 	return s.shardsS[s.shardForString(key)].snap.Load().idx.Contains(key)
 }
 
+// ContainsBatchString reports membership for every probe, in probe order.
+// A persistent store answers the whole batch against one captured segment
+// list, like ContainsBatch; an in-memory string store has no batch plan and
+// answers each probe against its shard's current snapshot.
+func (s *Store) ContainsBatchString(probes []string) []bool {
+	if !s.strKeys {
+		panic("serve: string read on a uint64-keyed store")
+	}
+	out := make([]bool, len(probes))
+	if s.eng != nil {
+		s.eng.ContainsBatchString(probes, out)
+		return out
+	}
+	for i, k := range probes {
+		out[i] = s.shardsS[s.shardForString(k)].snap.Load().idx.Contains(k)
+	}
+	return out
+}
+
 // mergeDedupStr is mergeDedup in the string domain.
 func mergeDedupStr(base, extra []string) []string {
 	merged := make([]string, 0, len(base)+len(extra))

@@ -347,9 +347,7 @@ func (s *Server) handle(req, resp *wmsg) {
 	case msgContainsBatch:
 		resp.reset(msgBools, strMode)
 		if strMode {
-			for _, k := range req.strs {
-				resp.bools = append(resp.bools, s.st.ContainsString(k))
-			}
+			resp.bools = s.st.ContainsBatchString(req.strs)
 		} else {
 			resp.bools = s.st.ContainsBatch(req.keys)
 		}

@@ -149,7 +149,8 @@ func (e *Engine) maybeBackpressure() {
 	if e.bpDebt <= 0 || e.opts.NoCompactor {
 		return
 	}
-	if compactionDebt(*e.segs.Load(), e.opts.CompactFanout) < e.bpDebt {
+	// Debt counts segments, so a list shorter than the threshold is under it.
+	if segs := *e.segs.Load(); len(segs) < e.bpDebt || compactionDebt(segs, e.opts.CompactFanout) < e.bpDebt {
 		return
 	}
 	delay := backpressureBase

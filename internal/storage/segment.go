@@ -147,31 +147,52 @@ func parseSegmentFileName(name string) (seqLo, seqHi uint64, ok bool) {
 	return lo, hi, true
 }
 
+// newSegmentImage starts a file image: it sizes the whole image once —
+// magic, the count-prefixed delta-varint block of keys (measured exactly,
+// because the block directory keeps aliasing these bytes for the segment's
+// lifetime), rest more body bytes, checksum — and encodes the key block in
+// place, returning its [keyStart, keyEnd) bounds. The caller appends
+// exactly rest bytes of sections and seals the image.
+func newSegmentImage(magic [8]byte, keys []uint64, rest int) (img []byte, keyStart, keyEnd int) {
+	block := binenc.UvarintLen(keys[0])
+	for i := 1; i < len(keys); i++ {
+		block += binenc.UvarintLen(keys[i] - keys[i-1])
+	}
+	img = make([]byte, 0, len(magic)+binenc.UvarintLen(uint64(len(keys)))+block+rest+4)
+	img = append(img, magic[:]...)
+	img = binenc.AppendUvarint(img, uint64(len(keys)))
+	keyStart = len(img)
+	img = binenc.AppendUvarint(img, keys[0])
+	for i := 1; i < len(keys); i++ {
+		img = binenc.AppendUvarint(img, keys[i]-keys[i-1])
+	}
+	return img, keyStart, len(img)
+}
+
+// sealSegmentImage appends the checksum of the body (everything after the
+// magic).
+func sealSegmentImage(img []byte) []byte {
+	return binary.LittleEndian.AppendUint32(img, crc32.Checksum(img[len(segMagic):], crcTable))
+}
+
+// blockLen is the size of an n-byte length-prefixed block.
+func blockLen(n int) int { return binenc.UvarintLen(uint64(n)) + n }
+
 // encodeSegment builds the full file image (magic + body + checksum) for
 // sorted unique non-empty keys with their trained index and filter, and
 // returns the [keyStart, keyEnd) bounds of the delta-varint key block
 // within the image so the write path can build the lazy-scan block
 // directory over the exact bytes it is about to commit.
 func encodeSegment(keys []uint64, rmi *core.RMI, filter *bloom.Filter) (img []byte, keyStart, keyEnd int, err error) {
-	body := binenc.AppendUvarint(nil, uint64(len(keys)))
-	kStart := len(body)
-	body = binenc.AppendUvarint(body, keys[0])
-	for i := 1; i < len(keys); i++ {
-		body = binenc.AppendUvarint(body, keys[i]-keys[i-1])
-	}
-	kEnd := len(body)
 	rb, err := rmi.AppendBinary(nil)
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	body = binenc.AppendBytes(body, rb)
-	body = binenc.AppendBytes(body, filter.AppendBinary(nil))
-
-	out := make([]byte, 0, len(segMagic)+len(body)+4)
-	out = append(out, segMagic[:]...)
-	out = append(out, body...)
-	out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(body, crcTable))
-	return out, len(segMagic) + kStart, len(segMagic) + kEnd, nil
+	fl := filter.EncodedLen()
+	img, keyStart, keyEnd = newSegmentImage(segMagic, keys, blockLen(len(rb))+blockLen(fl))
+	img = binenc.AppendBytes(img, rb)
+	img = filter.AppendBinary(binenc.AppendUvarint(img, uint64(fl)))
+	return sealSegmentImage(img), keyStart, keyEnd, nil
 }
 
 // decodeSegment parses a full file image. All errors are reported, never
@@ -313,27 +334,20 @@ func openSegmentFile(fs vfs.FS, path string, seqLo, seqHi uint64) (*segment, err
 }
 
 // encodeStringSegment builds the v2 file image for a codec index over
-// sorted unique non-empty string keys plus a Bloom filter over those keys.
+// sorted unique non-empty string keys plus a Bloom filter over those keys,
+// sized once and encoded in place like the v1 image.
 func encodeStringSegment(si *core.StringIndex, filter *bloom.Filter) ([]byte, error) {
-	prefixes := si.Prefixes()
-	body := binenc.AppendUvarint(nil, uint64(len(prefixes)))
-	body = binenc.AppendUvarint(body, prefixes[0])
-	for i := 1; i < len(prefixes); i++ {
-		body = binenc.AppendUvarint(body, prefixes[i]-prefixes[i-1])
-	}
 	rb, err := si.RMI().AppendBinary(nil)
 	if err != nil {
 		return nil, err
 	}
-	body = binenc.AppendBytes(body, rb)
-	body = binenc.AppendBytes(body, filter.AppendBinary(nil))
-	body = binenc.AppendBytes(body, si.Dict().AppendBinary(nil))
-
-	out := make([]byte, 0, len(segMagic2)+len(body)+4)
-	out = append(out, segMagic2[:]...)
-	out = append(out, body...)
-	out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(body, crcTable))
-	return out, nil
+	dict := si.Dict()
+	fl, dl := filter.EncodedLen(), dict.EncodedLen()
+	img, _, _ := newSegmentImage(segMagic2, si.Prefixes(), blockLen(len(rb))+blockLen(fl)+blockLen(dl))
+	img = binenc.AppendBytes(img, rb)
+	img = filter.AppendBinary(binenc.AppendUvarint(img, uint64(fl)))
+	img = dict.AppendBinary(binenc.AppendUvarint(img, uint64(dl)))
+	return sealSegmentImage(img), nil
 }
 
 // decodeStringSegment parses a v2 file image, mirroring decodeSegment's

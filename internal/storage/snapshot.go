@@ -191,17 +191,10 @@ func (sn *Snapshot) SegmentStrings(i int, lo, hi string, bounded bool) ([]string
 	return s.strs, s.sindex
 }
 
-// Contains reports whether key is in one of the snapshot's segments
-// (fence → Bloom → plan, newest segment first). The pending delta is NOT
-// consulted — this is the segment-membership primitive CountRange uses to
-// correct for delta keys already served.
+// Contains reports whether key is in one of the snapshot's segments. The
+// pending delta is NOT consulted.
 func (sn *Snapshot) Contains(key uint64) bool {
-	return containsIn(sn.segs, key)
-}
-
-// ContainsString is Contains for a string-keyed snapshot's segments.
-func (sn *Snapshot) ContainsString(key string) bool {
-	return containsInStr(sn.segs, key)
+	return containsBatchIn(sn.segs, &u64Ops, []uint64{key}, nil) > 0
 }
 
 // CountRange returns the exact number of distinct keys k in [lo, hi)
@@ -231,12 +224,9 @@ func (sn *Snapshot) CountRange(lo, hi uint64) int {
 		total += b - a
 	}
 	p := sn.pending
-	for i := search.Binary(p, lo, 0, len(p)); i < len(p) && p[i] < hi; i++ {
-		if !containsIn(sn.segs, p[i]) {
-			total++
-		}
-	}
-	return total
+	p = p[search.Binary(p, lo, 0, len(p)):]
+	p = p[:search.Binary(p, hi, 0, len(p))]
+	return total + len(p) - containsBatchIn(sn.segs, &u64Ops, p, nil)
 }
 
 // CountRangeStr is CountRange for string keys: exact distinct-key count
@@ -263,12 +253,11 @@ func (sn *Snapshot) CountRangeStr(lo, hi string, bounded bool) int {
 		total += b - a
 	}
 	p := sn.pendingS
-	for i := sort.SearchStrings(p, lo); i < len(p) && (!bounded || p[i] < hi); i++ {
-		if !containsInStr(sn.segs, p[i]) {
-			total++
-		}
+	p = p[sort.SearchStrings(p, lo):]
+	if bounded {
+		p = p[:sort.SearchStrings(p, hi)]
 	}
-	return total
+	return total + len(p) - containsBatchIn(sn.segs, &strOps, p, nil)
 }
 
 // CountRange is Snapshot.CountRange over a throwaway range-restricted

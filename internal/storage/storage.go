@@ -11,8 +11,10 @@
 //   - crash recovery that replays the intact WAL tail over the newest
 //     segments, truncates torn records, and garbage-collects segment
 //     files orphaned by a crashed compaction;
-//   - background size-tiered compaction that merges contiguous runs of
-//     similar-sized segments oldest-first and deletes the inputs.
+//   - background size-tiered compaction that merges, smallest size class
+//     and oldest run first, a contiguous run holding CompactFanout segments
+//     of one class plus any smaller stragglers between them (pickRun), and
+//     deletes the inputs — so a read visits O(log n) segments.
 //
 // # Consistency and durability model
 //
@@ -29,15 +31,18 @@
 // present in older segments, live segments always hold disjoint key sets,
 // which is what makes Len and global lower-bound Lookup exact sums.
 //
-// Reads (Contains, Lookup, LookupBatchSorted, Len) are lock-free against
-// an atomically published segment list; writes (Append, Sync, Flush) are
-// serialized by an internal mutex and may be called concurrently with
-// reads and with background compaction. I/O errors latch: once a write
-// fails, the error is sticky and returned by every subsequent
-// Append/Sync/Flush/Close so an ack can never be trusted past a failure.
+// Reads (Contains, ContainsBatch, Lookup, LookupBatchSorted, Len) are
+// lock-free against an atomically published segment list — every
+// membership read and the flush dedupe share one segment-major kernel
+// (contains.go); writes (Append, Sync, Flush) are serialized by an
+// internal mutex and may be called concurrently with reads and with
+// background compaction. I/O errors latch: once a write fails, the error
+// is sticky and returned by every subsequent Append/Sync/Flush/Close so an
+// ack can never be trusted past a failure.
 package storage
 
 import (
+	"cmp"
 	"fmt"
 	"log"
 	"math/bits"
@@ -50,6 +55,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"learnedindex/internal/binenc"
 	"learnedindex/internal/core"
 	"learnedindex/internal/obs"
 	"learnedindex/internal/slicepool"
@@ -64,8 +70,9 @@ type Options struct {
 	// BloomFPR is the per-segment Bloom filter false-positive rate
 	// (default 0.01).
 	BloomFPR float64
-	// CompactFanout is how many contiguous same-size-class segments
-	// trigger a merge (default 4; minimum 2).
+	// CompactFanout is how many segments of one size class, contiguous but
+	// for smaller segments between them, trigger a merge (default 4;
+	// minimum 2). See pickRun.
 	CompactFanout int
 	// NoCompactor disables the background compaction goroutine. Compact
 	// can still be called explicitly.
@@ -345,7 +352,7 @@ func Open(dir string, opts Options) (*Engine, error) {
 			recovered = append(recovered, keys...)
 		}
 		if len(recovered) > 0 {
-			if _, err := e.materializeStrings(recovered, false); err != nil {
+			if _, err := materialize(e, &strOps, recovered, false); err != nil {
 				return nil, err
 			}
 		}
@@ -360,7 +367,7 @@ func Open(dir string, opts Options) (*Engine, error) {
 			recovered = append(recovered, keys...)
 		}
 		if len(recovered) > 0 {
-			if _, err := e.materialize(recovered, false); err != nil {
+			if _, err := materialize(e, &u64Ops, recovered, false); err != nil {
 				return nil, err
 			}
 		}
@@ -818,16 +825,7 @@ const maxStringChunkBytes = 1 << 22
 func encodedStringsSize(keys []string) int {
 	n := 0
 	for _, k := range keys {
-		n += len(k) + uvarintLen(uint64(len(k)))
-	}
-	return n
-}
-
-func uvarintLen(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
+		n += len(k) + binenc.UvarintLen(uint64(len(k)))
 	}
 	return n
 }
@@ -839,7 +837,7 @@ func uvarintLen(v uint64) int {
 func stringChunkEnd(keys []string, lo int) (hi, size int) {
 	hi = lo
 	for hi < len(keys) {
-		sz := len(keys[hi]) + uvarintLen(uint64(len(keys[hi])))
+		sz := len(keys[hi]) + binenc.UvarintLen(uint64(len(keys[hi])))
 		if hi > lo && size+sz > maxStringChunkBytes {
 			break
 		}
@@ -1004,9 +1002,9 @@ func (e *Engine) Flush() error {
 	var published bool
 	var merr error
 	if e.opts.StringKeys {
-		published, merr = e.materializeStrings(snapS, true)
+		published, merr = materialize(e, &strOps, snapS, true)
 	} else {
-		published, merr = e.materialize(snap, true)
+		published, merr = materialize(e, &u64Ops, snap, true)
 	}
 	if merr != nil {
 		// Keep the frozen log file on disk — it is the only durable home
@@ -1076,13 +1074,12 @@ func putPendingStrBuf(b []string) {
 // flush). With countFlush, the flush counter is bumped under segMu
 // together with the publication, so a concurrent Stats never observes the
 // segment without its flush.
-func (e *Engine) materialize(keys []uint64, countFlush bool) (bool, error) {
+func materialize[K cmp.Ordered](e *Engine, ops *keyOps[K], keys []K, countFlush bool) (bool, error) {
 	fresh := slices.Clone(keys)
 	slices.Sort(fresh)
 	fresh = slices.Compact(fresh)
 	// Segment disjointness: drop keys already served by an older segment.
-	segs := *e.segs.Load()
-	fresh = slices.DeleteFunc(fresh, func(k uint64) bool { return containsIn(segs, k) })
+	fresh = dropServed(*e.segs.Load(), ops, fresh)
 	if len(fresh) == 0 {
 		return false, nil
 	}
@@ -1090,41 +1087,7 @@ func (e *Engine) materialize(keys []uint64, countFlush bool) (bool, error) {
 	var seg *segment
 	err := e.retryIO(func() error {
 		var werr error
-		seg, werr = writeSegment(e.fs, e.m.ioErrors, e.dir, seq, seq, fresh, e.opts.Config, e.opts.BloomFPR)
-		return werr
-	})
-	if err != nil {
-		return false, err
-	}
-	e.nextSeq = seq + 1
-	e.segMu.Lock()
-	next := append(slices.Clone(*e.segs.Load()), seg)
-	e.segs.Store(&next)
-	e.m.modelsTrained.Inc()
-	if countFlush {
-		e.m.flushes.Inc()
-	}
-	e.segMu.Unlock()
-	return true, nil
-}
-
-// materializeStrings is materialize for string keys: dedupe against the
-// served v2 segments, train a prefix index over the novel remainder, and
-// publish it as one new segment.
-func (e *Engine) materializeStrings(keys []string, countFlush bool) (bool, error) {
-	fresh := slices.Clone(keys)
-	slices.Sort(fresh)
-	fresh = slices.Compact(fresh)
-	segs := *e.segs.Load()
-	fresh = slices.DeleteFunc(fresh, func(k string) bool { return containsInStr(segs, k) })
-	if len(fresh) == 0 {
-		return false, nil
-	}
-	seq := e.nextSeq
-	var seg *segment
-	err := e.retryIO(func() error {
-		var werr error
-		seg, werr = writeStringSegment(e.fs, e.m.ioErrors, e.dir, seq, seq, fresh, e.opts.Config, e.opts.BloomFPR)
+		seg, werr = ops.write(e, seq, seq, fresh)
 		return werr
 	})
 	if err != nil {
@@ -1188,71 +1151,12 @@ func scanWALFiles(fs vfs.FS, dir string, strMode bool) (seqs []uint64, paths []s
 	return seqs, paths, otherKind, nil
 }
 
-// containsIn answers membership over a segment list, newest first so the
-// most recently flushed (often hottest) runs are consulted early. The
-// min/max fence and the Bloom filter prune almost every miss before any
-// model or key block is touched.
-func containsIn(segs []*segment, key uint64) bool {
-	for i := len(segs) - 1; i >= 0; i-- {
-		s := segs[i]
-		if key < s.minKey() || key > s.maxKey() {
-			continue
-		}
-		// Bloom funnel (probe → pass → hit): pass−hit is the false
-		// positives actually paid, and the collector derives the observed
-		// FPR from the three counts. Compiled out under -tags noobs.
-		if obs.Enabled {
-			s.bloomProbes.Add(1)
-		}
-		if !s.filter.MayContainUint64(key) {
-			continue
-		}
-		if obs.Enabled {
-			s.bloomPass.Add(1)
-		}
-		if s.plan.Contains(key) {
-			if obs.Enabled {
-				s.bloomHits.Add(1)
-			}
-			return true
-		}
-	}
-	return false
-}
-
-// containsInStr is containsIn over string-keyed segments: min/max fence,
-// then the Bloom filter over the exact keys, then the codec index.
-func containsInStr(segs []*segment, key string) bool {
-	for i := len(segs) - 1; i >= 0; i-- {
-		s := segs[i]
-		if key < s.minStr() || key > s.maxStr() {
-			continue
-		}
-		if obs.Enabled {
-			s.bloomProbes.Add(1)
-		}
-		if !s.filter.MayContain(key) {
-			continue
-		}
-		if obs.Enabled {
-			s.bloomPass.Add(1)
-		}
-		if s.sindex.Contains(key) {
-			if obs.Enabled {
-				s.bloomHits.Add(1)
-			}
-			return true
-		}
-	}
-	return false
-}
-
 // Contains reports whether key is served (flushed). Lock-free.
 func (e *Engine) Contains(key uint64) bool {
 	if e.opts.StringKeys {
 		panic("storage: uint64 read on a string-keyed engine")
 	}
-	return containsIn(*e.segs.Load(), key)
+	return containsBatchIn(*e.segs.Load(), &u64Ops, []uint64{key}, nil) > 0
 }
 
 // ContainsString reports whether a string key is served (flushed).
@@ -1261,7 +1165,7 @@ func (e *Engine) ContainsString(key string) bool {
 	if !e.opts.StringKeys {
 		panic("storage: string read on a uint64-keyed engine")
 	}
-	return containsInStr(*e.segs.Load(), key)
+	return containsBatchIn(*e.segs.Load(), &strOps, []string{key}, nil) > 0
 }
 
 // LookupString returns the global lower-bound position of key over all
@@ -1294,10 +1198,15 @@ func (e *Engine) ContainsBatch(probes []uint64, out []bool) {
 	if e.opts.StringKeys {
 		panic("storage: uint64 read on a string-keyed engine")
 	}
-	segs := *e.segs.Load()
-	for i, k := range probes {
-		out[i] = containsIn(segs, k)
+	containsBatchIn(*e.segs.Load(), &u64Ops, probes, out)
+}
+
+// ContainsBatchString is ContainsBatch for a string-keyed engine.
+func (e *Engine) ContainsBatchString(probes []string, out []bool) {
+	if !e.opts.StringKeys {
+		panic("storage: string read on a uint64-keyed engine")
 	}
+	containsBatchIn(*e.segs.Load(), &strOps, probes, out)
 }
 
 // Lookup returns the global lower-bound position of key over all served
@@ -1539,22 +1448,18 @@ func (e *Engine) collect(s *obs.Snapshot) {
 }
 
 // compactionDebt counts the segments sitting in merge-eligible runs: how
-// much work the size-tiered compactor has queued up. Zero means every tier
-// is under its fanout.
+// much work the size-tiered compactor has queued up, found by the same
+// pickRun the compactor merges by. Zero means nothing is eligible.
 func compactionDebt(segs []*segment, fanout int) int {
 	debt := 0
-	for i := 0; i < len(segs); {
-		c := sizeClass(segs[i].diskBytes)
-		j := i
-		for j < len(segs) && sizeClass(segs[j].diskBytes) == c {
-			j++
+	for {
+		start, n := pickRun(segs, fanout)
+		if n == 0 {
+			return debt
 		}
-		if j-i >= fanout {
-			debt += j - i
-		}
-		i = j
+		debt += n
+		segs = segs[start+n:]
 	}
-	return debt
 }
 
 // Dir returns the engine's root directory.
@@ -1611,12 +1516,43 @@ func sizeClass(bytes int64) int {
 	return bits.Len64(uint64(bytes)) / 2
 }
 
-// compactOnce merges one eligible run: the lowest size class (smallest
-// segments first) holding a contiguous run of at least CompactFanout
-// same-class segments, oldest run first, capped at 2x fanout inputs. The
-// merge trains the replacement off the segment lock; publication swaps
-// the list atomically and the input files are deleted afterwards —
-// recovery's containment rule covers a crash anywhere in between.
+// pickRun chooses the next compaction input, segs[start:start+n); n is 0
+// when nothing is eligible. For a size class c, a candidate is a maximal
+// contiguous run of segments of class <= c; it is eligible when at least
+// fanout of its members are of class exactly c. The lowest class wins
+// (smallest merges first), then the oldest run, capped at 2x fanout inputs.
+//
+// Smaller segments inside the run ride along rather than split it. Flushes
+// are not all one size — a Close, an explicit Flush or a follower's timer
+// publishes whatever is pending — and under a rule that only merges runs
+// of one exact class, every such straggler permanently separates its
+// same-class neighbours, so the list grows with the number of flushes
+// instead of its logarithm. Larger segments still end a run: the members
+// of class c set the price of the merge, and a segment of a higher class
+// is only rewritten once fanout of its own class have gathered.
+func pickRun(segs []*segment, fanout int) (start, n int) {
+	for c := 0; c <= 32; c++ { // every class an int64 size can fall in
+		for i := 0; i < len(segs); i++ {
+			j, members := i, 0
+			for ; j < len(segs) && sizeClass(segs[j].diskBytes) <= c; j++ {
+				if sizeClass(segs[j].diskBytes) == c {
+					members++
+				}
+			}
+			if members >= fanout {
+				return i, min(j-i, 2*fanout)
+			}
+			i = j // segs[j], if any, is of a higher class: skip it
+		}
+	}
+	return 0, 0
+}
+
+// compactOnce merges the run pickRun chooses. The merge trains the
+// replacement off the segment lock; publication swaps the list atomically
+// and the input files are deleted afterwards — the run is contiguous in
+// sequence order, so recovery's containment rule covers a crash anywhere
+// in between.
 func (e *Engine) compactOnce() (bool, error) {
 	e.compactMu.Lock()
 	defer e.compactMu.Unlock()
@@ -1628,25 +1564,12 @@ func (e *Engine) compactOnce() (bool, error) {
 	}
 	e.segMu.Lock()
 	segs := *e.segs.Load()
-	fanout := e.opts.CompactFanout
-	bestStart, bestLen, bestClass := -1, 0, int(^uint(0)>>1)
-	for i := 0; i < len(segs); {
-		c := sizeClass(segs[i].diskBytes)
-		j := i
-		for j < len(segs) && sizeClass(segs[j].diskBytes) == c {
-			j++
-		}
-		if j-i >= fanout && c < bestClass {
-			bestStart, bestLen, bestClass = i, min(j-i, 2*fanout), c
-		}
-		i = j
-	}
-	if bestStart < 0 {
-		e.segMu.Unlock()
-		return false, nil
-	}
+	bestStart, bestLen := pickRun(segs, e.opts.CompactFanout)
 	run := segs[bestStart : bestStart+bestLen]
 	e.segMu.Unlock()
+	if bestLen == 0 {
+		return false, nil
+	}
 
 	// Heavy work off the lock: merge the disjoint sorted runs and train
 	// the replacement. Readers keep serving the old list meanwhile.
@@ -1655,11 +1578,9 @@ func (e *Engine) compactOnce() (bool, error) {
 	err := e.retryIO(func() error {
 		var werr error
 		if e.opts.StringKeys {
-			merged := mergeRunsStr(run)
-			seg, werr = writeStringSegment(e.fs, e.m.ioErrors, e.dir, run[0].seqLo, run[len(run)-1].seqHi, merged, e.opts.Config, e.opts.BloomFPR)
+			seg, werr = mergeRun(e, &strOps, run)
 		} else {
-			merged := mergeRuns(run)
-			seg, werr = writeSegment(e.fs, e.m.ioErrors, e.dir, run[0].seqLo, run[len(run)-1].seqHi, merged, e.opts.Config, e.opts.BloomFPR)
+			seg, werr = mergeRun(e, &u64Ops, run)
 		}
 		return werr
 	})
@@ -1702,85 +1623,37 @@ func (e *Engine) compactOnce() (bool, error) {
 	return true, nil
 }
 
-// mergeRuns k-way merges disjoint sorted key arrays into one fresh
-// array: a head-comparison merge (the run count is capped at 2x the
-// compaction fanout, so the linear head scan beats a heap) instead of
-// concatenate-and-sort — no O(total log total) sort, no sort scratch,
-// just the exact-size output that the new segment retains.
-func mergeRuns(run []*segment) []uint64 {
+// mergeRun k-way merges the disjoint sorted key arrays of run into one
+// fresh array and commits it as the segment covering run's sequence range:
+// a head-comparison merge (the run count is capped at 2x the compaction
+// fanout, so the linear head scan beats a heap) instead of
+// concatenate-and-sort — no O(total log total) sort, no sort scratch, just
+// the exact-size output that the new segment retains.
+func mergeRun[K cmp.Ordered](e *Engine, ops *keyOps[K], run []*segment) (*segment, error) {
+	srcs := make([][]K, len(run))
 	total := 0
-	for _, s := range run {
-		total += len(s.keys)
+	for i, s := range run {
+		srcs[i] = ops.keys(s)
+		total += len(srcs[i])
 	}
-	out := make([]uint64, 0, total)
-	var heads [16]int
-	var hs []int
-	if len(run) <= len(heads) {
-		hs = heads[:len(run)]
-	} else {
-		hs = make([]int, len(run))
-	}
+	out := make([]K, 0, total)
 	for {
 		best := -1
-		var bk uint64
-		for s, h := range hs {
-			if h >= len(run[s].keys) {
-				continue
-			}
-			if k := run[s].keys[h]; best < 0 || k < bk {
-				best, bk = s, k
+		var k K
+		for s, src := range srcs {
+			if len(src) > 0 && (best < 0 || src[0] < k) {
+				best, k = s, src[0]
 			}
 		}
 		if best < 0 {
-			return out
+			return ops.write(e, run[0].seqLo, run[len(run)-1].seqHi, out)
 		}
-		hs[best]++
+		srcs[best] = srcs[best][1:]
 		// Runs are disjoint by the segment invariant; the adjacency check
 		// keeps a violated invariant from ever minting duplicate keys.
-		if n := len(out); n > 0 && out[n-1] == bk {
-			continue
+		if n := len(out); n == 0 || out[n-1] != k {
+			out = append(out, k)
 		}
-		out = append(out, bk)
-	}
-}
-
-// mergeRunsStr is mergeRuns over string-keyed segments: the same capped
-// head-comparison k-way merge, producing the exact sorted unique key set
-// the replacement segment retains.
-func mergeRunsStr(run []*segment) []string {
-	total := 0
-	for _, s := range run {
-		total += len(s.strs)
-	}
-	out := make([]string, 0, total)
-	var heads [16]int
-	var hs []int
-	if len(run) <= len(heads) {
-		hs = heads[:len(run)]
-	} else {
-		hs = make([]int, len(run))
-	}
-	for {
-		best := -1
-		var bk string
-		for s, h := range hs {
-			if h >= len(run[s].strs) {
-				continue
-			}
-			if k := run[s].strs[h]; best < 0 || k < bk {
-				best, bk = s, k
-			}
-		}
-		if best < 0 {
-			return out
-		}
-		hs[best]++
-		// Runs are disjoint by the segment invariant; the adjacency check
-		// keeps a violated invariant from ever minting duplicate keys.
-		if n := len(out); n > 0 && out[n-1] == bk {
-			continue
-		}
-		out = append(out, bk)
 	}
 }
 

@@ -191,9 +191,8 @@ func TestEngineCompaction(t *testing.T) {
 	}
 }
 
-// TestEngineCompactionWideRun compacts a run wider than mergeRuns' inline
-// heads array (2 x fanout 9 = up to 18 inputs): the merge must fall back
-// to a heap-allocated head list instead of slicing past the array.
+// TestEngineCompactionWideRun compacts the widest run a fanout of 9 allows
+// (2 x fanout = 18 inputs): the k-way merge must handle any input count.
 func TestEngineCompactionWideRun(t *testing.T) {
 	dir := t.TempDir()
 	e := openT(t, dir, Options{NoCompactor: true, CompactFanout: 9})
