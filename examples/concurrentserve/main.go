@@ -4,8 +4,9 @@
 // structures (§3.1); this scenario runs one through the serving layer
 // (internal/serve, exported as learnedindex.Store): range-sharded,
 // lock-free RCU-style reads, buffered inserts merged and retrained by a
-// background goroutine, and batched lookups that sort each probe batch
-// once so the model prunes every search range before a key is touched.
+// background goroutine, and batched lookups that run a whole probe batch,
+// in the order it arrived, through one lockstep search across all shards
+// so its cache misses overlap.
 //
 // The run: 2M keys, 8 shards, reader goroutines issuing 512-probe batches
 // while writer goroutines stream fresh keys in, then a Flush barrier and a

@@ -27,6 +27,14 @@ import (
 //     model-biased kind, branchless bisection for plain binary) instead
 //     of a per-lookup switch.
 //
+// Batches go through one kernel (LookupBatch, below): any set of plans, a
+// per-probe plan selector, probes in any order. It runs the models for a
+// 64-probe tile, then one lockstep branchless bisection across the tile —
+// whichever key array each probe lives in — so the tile's cache misses
+// overlap instead of queueing behind each other. The Plan methods
+// LookupBatch, LookupBatchSorted and ContainsBatch are its one-plan case;
+// the serving layer passes all its shards' plans at once.
+//
 // A Plan is immutable and safe for concurrent use. Results are
 // bit-identical to the interpreted path (pinned by the equivalence oracle
 // tests): every strategy resolves the true global lower bound, and folded
@@ -301,8 +309,7 @@ func (p *Plan) Lookup(key uint64) int {
 	if lf.flags&leafHybrid != 0 {
 		return p.src.lookupHybrid(key, p.hybrid[idx])
 	}
-	rawPred := int(lf.a*x + lf.b)
-	lo, hi := clampWindow(rawPred+int(lf.minErr), rawPred+int(lf.maxErr)+1, p.n)
+	rawPred, lo, hi := p.window(lf, x)
 	pred := clampInt(rawPred, 0, p.n-1)
 	pos := p.search(p.keys, key, lo, hi, pred, int(lf.sigma))
 	if obs.Enabled && obs.SampleKey(key) {
@@ -351,126 +358,145 @@ func (p *Plan) RangeScan(loKey, hiKey uint64) (start, end int) {
 	return p.Lookup(loKey), p.Lookup(hiKey)
 }
 
-// batchGroup is the interleaving width of the batch executors: each
-// pipeline stage (predict, route, window, search) runs for a group of this
-// many keys before the next stage starts, so the group's independent cache
-// misses overlap instead of serializing — the software analogue of the
-// memory-level parallelism FAST schedules explicitly (internal/fast).
-// 16 keys keep every per-group scratch array in registers/L1 while giving
-// the memory system a deep enough window of independent loads.
-const batchGroup = 16
+// batchTile is the width of the batch kernel's lockstep tile. On a key
+// array larger than cache a lookup's price is its misses, and a dependent
+// miss costs an order of magnitude more than an independent one, so the
+// kernel's one job is memory-level parallelism: every stage runs for the
+// whole tile before the next starts, and the tile is the caller's batch as
+// it arrived — any probe order, any mix of plans — never a per-plan run
+// cut out of it. 64 probes keep the tile's state (~3 KB) in L1 and put a
+// serving batch in one tile.
+const batchTile = 64
 
-// LookupBatch answers Lookup for every probe (any order), writing the
-// lower-bound positions into out (len(out) must equal len(probes)).
-// Execution is group-interleaved: predict×G → route×G → window×G →
-// search×G. The search stage runs all G branchless lower-bound searches in
-// lockstep — one halving step for every key in the group before the next
-// step — so the group keeps G independent key-array loads in flight where
-// a per-key loop would serialize its dependent cache misses (the software
-// analogue of the memory-level parallelism FAST schedules explicitly).
-// Results are bit-identical to per-key Lookup for every SearchKind: each
-// search resolves the true global lower bound, and the lockstep window
-// search plus boundary expansion resolves exactly the same bound.
-func (p *Plan) LookupBatch(probes []uint64, out []int) {
-	if p.n == 0 {
-		for i := range out {
-			out[i] = 0
-		}
-		return
+// planZero selects plans[0] for every probe of a tile: the one-plan case.
+var planZero [batchTile]int32
+
+// tileSel returns the plan selectors of probes [start, end).
+func tileSel(sel []int32, start, end int) []int32 {
+	if sel == nil {
+		return planZero[:end-start]
 	}
-	for start := 0; start < len(probes); start += batchGroup {
-		g := len(probes) - start
-		if g > batchGroup {
-			g = batchGroup
-		}
-		p.lookupGroup(probes[start:start+g], out[start:start+g])
+	return sel[start:end]
+}
+
+// LookupBatch is the batch kernel: out[i] = plans[sel[i]].Lookup(probes[i])
+// for every probe, in probe order. len(sel) and len(out) must equal
+// len(probes); a nil sel sends every probe to plans[0]. Probes need no
+// order and no grouping by plan. Results are bit-identical to per-key
+// Lookup for every SearchKind: each per-key strategy resolves the true
+// global lower bound, and so does the kernel's lockstep window search plus
+// certificate/expansion epilogue.
+func LookupBatch(plans []*Plan, sel []int32, probes []uint64, out []int) {
+	for start := 0; start < len(probes); start += batchTile {
+		end := min(start+batchTile, len(probes))
+		lookupTile(plans, tileSel(sel, start, end), probes[start:end], out[start:end])
 	}
 }
 
-// lookupGroup runs the full pipeline for one group of at most batchGroup
-// probes: predict×G → route×G → window×G → search×G. The search stage is
-// a lockstep branchless bisection: every round issues one independent
-// key-array load per still-active key and narrows its window with a
-// conditional move — no data-dependent branch, no dependence between the
-// group's loads — so the group keeps up to G misses in flight where a
-// per-key loop would serialize its dependent chains (the software
-// analogue of the memory-level parallelism FAST schedules explicitly,
-// internal/fast).
+// ContainsBatch is LookupBatch's membership form: out[i] reports whether
+// plans[sel[i]] stores probes[i].
+func ContainsBatch(plans []*Plan, sel []int32, probes []uint64, out []bool) {
+	var pos [batchTile]int
+	for start := 0; start < len(probes); start += batchTile {
+		end := min(start+batchTile, len(probes))
+		ts := tileSel(sel, start, end)
+		lookupTile(plans, ts, probes[start:end], pos[:end-start])
+		for i, q := range pos[:end-start] {
+			p := plans[ts[i]]
+			out[start+i] = q < p.n && p.keys[q] == probes[start+i]
+		}
+	}
+}
+
+// lookupTile runs the kernel for one tile of at most batchTile probes.
 //
-// Results are bit-identical to per-key Lookup for every SearchKind: each
-// per-key strategy resolves the true global lower bound, and the lockstep
-// search's certificate/expansion epilogue resolves exactly the same bound.
-func (p *Plan) lookupGroup(group []uint64, out []int) {
-	g := len(group)
-	var xs [batchGroup]float64
-	var idx [batchGroup]int32
-	var lo, hi [batchGroup]int
-	// Stage 1: float conversion + full model route for the group.
+// Stage 1 runs each probe's model — route, packed leaf record, clamped
+// error window — against its own plan. Stage 2 is one lockstep branchless
+// bisection across the tile, whichever key array each probe lives in:
+// every round issues one independent load per unresolved probe and narrows
+// its window with a conditional move, so the tile keeps its misses in
+// flight together where a per-key loop would serialize each probe's
+// dependent chain (the software analogue of the memory-level parallelism
+// FAST schedules explicitly, internal/fast). The epilogue is per probe:
+// certificate or §3.4 expansion (rare: absent probes whose window
+// missed), the hybrid-leaf descent, and at most one model-health sample.
+func lookupTile(plans []*Plan, sel []int32, probes []uint64, out []int) {
+	g := len(probes)
+	var (
+		ks   [batchTile][]uint64 // each probe's key array
+		base [batchTile]int      // window start, then the search's cursor
+		cnt  [batchTile]int      // window length still unresolved
+		leaf [batchTile]int32
+	)
+	// off marks probes the search does not answer: hybrid leaves, whose
+	// B-Tree descent is its own pipeline, and empty plans.
+	off := uint64(0)
+	// The sampled slot is picked by key hash, so it is unbiased in key
+	// order whatever order the probes arrive in.
+	sample := -1
 	for i := 0; i < g; i++ {
-		xs[i] = float64(group[i])
-	}
-	for i := 0; i < g; i++ {
-		idx[i] = int32(p.route(xs[i]))
-	}
-	// Stage 2: leaf windows (one packed record load per key). Hybrid
-	// leaves are resolved in the epilogue — their descent is its own
-	// pipeline.
-	hybridMask := uint32(0)
-	for i := 0; i < g; i++ {
-		lf := &p.leaves[idx[i]]
-		rawPred := int(lf.a*xs[i] + lf.b)
-		wlo, whi := clampWindow(rawPred+int(lf.minErr), rawPred+int(lf.maxErr)+1, p.n)
-		lo[i], hi[i] = wlo, whi
-		hybridMask |= uint32(lf.flags&leafHybrid) << i
-	}
-	// Stage 3: lockstep branchless bisection across the group. Every
-	// round issues up to G independent loads; rounds continue until the
-	// widest window is resolved.
-	for {
-		active := false
-		for i := 0; i < g; i++ {
-			n := hi[i] - lo[i]
-			if n <= 1 {
-				continue
-			}
-			half := n >> 1
-			base := lo[i]
-			// Compiled to CMOV: no branch on key data.
-			if p.keys[base+half-1] < group[i] {
-				base += half
-			}
-			lo[i] = base
-			hi[i] = base + (n - half)
-			if n-half > 1 {
-				active = true
-			}
-		}
-		if !active {
-			break
-		}
-	}
-	// Epilogue: final element test, then certificate or §3.4 expansion
-	// (rare: non-stored probes whose window missed), and hybrid fallbacks.
-	for i := 0; i < g; i++ {
-		if hybridMask&(1<<i) != 0 {
-			out[i] = p.src.lookupHybrid(group[i], p.hybrid[idx[i]])
+		p := plans[sel[i]]
+		if p.n == 0 {
+			off |= 1 << i
 			continue
 		}
-		pos := lo[i]
-		if pos < hi[i] && p.keys[pos] < group[i] {
-			pos++
+		x := float64(probes[i])
+		idx := p.route(x)
+		lf := &p.leaves[idx]
+		_, lo, hi := p.window(lf, x)
+		ks[i], base[i], cnt[i], leaf[i] = p.keys, lo, hi-lo, int32(idx)
+		off |= uint64(lf.flags&leafHybrid) << i
+		if obs.Enabled && obs.SampleKey(probes[i]) {
+			sample = i
 		}
-		out[i] = p.resolveBoundary(group[i], pos)
 	}
-	// Model health: sample the group's first key (the bisection consumed
-	// the window bounds, so the sampled key's leaf window is recomputed —
-	// one extra packed-record load on 1-in-64 of groups).
-	if obs.Enabled && hybridMask&1 == 0 && obs.SampleKey(group[0]) {
-		lf := &p.leaves[idx[0]]
-		rawPred := int(lf.a*xs[0] + lf.b)
-		wlo, whi := clampWindow(rawPred+int(lf.minErr), rawPred+int(lf.maxErr)+1, p.n)
-		p.observe(out[0], rawPred, whi-wlo)
+	for left := 1; left != 0; {
+		left = 0
+		for i := 0; i < g; i++ {
+			n := cnt[i]
+			if n == 0 {
+				continue
+			}
+			// Halving rounds up, so a probe's last round is its final
+			// element test and its cursor ends on the window's lower bound
+			// with no data-dependent branch left for the epilogue.
+			half := (n + 1) >> 1
+			b := base[i]
+			// Compiled to CMOV: no branch on key data.
+			if ks[i][b+half-1] < probes[i] {
+				b += half
+			}
+			n -= half
+			base[i], cnt[i] = b, n
+			left |= n
+		}
 	}
+	for i := 0; i < g; i++ {
+		p := plans[sel[i]]
+		if off&(1<<i) != 0 {
+			out[i] = 0
+			if p.n != 0 {
+				out[i] = p.src.lookupHybrid(probes[i], p.hybrid[leaf[i]])
+			}
+			continue
+		}
+		out[i] = p.resolveBoundary(probes[i], base[i])
+	}
+	// Model health: the bisection consumed the window, so the sampled
+	// probe's is recomputed — one packed-record load on a sampled tile.
+	if obs.Enabled && sample >= 0 && off&(1<<sample) == 0 {
+		p := plans[sel[sample]]
+		rawPred, lo, hi := p.window(&p.leaves[leaf[sample]], float64(probes[sample]))
+		p.observe(out[sample], rawPred, hi-lo)
+	}
+}
+
+// window evaluates a leaf model at x: the raw (unclamped) prediction and
+// the §3.3 error window around it, clamped into the key array.
+func (p *Plan) window(lf *planLeaf, x float64) (rawPred, lo, hi int) {
+	rawPred = int(lf.a*x + lf.b)
+	lo, hi = clampWindow(rawPred+int(lf.minErr), rawPred+int(lf.maxErr)+1, p.n)
+	return rawPred, lo, hi
 }
 
 // resolveBoundary finishes one lockstep search: windows are per-leaf error
@@ -497,58 +523,21 @@ func (p *Plan) resolveBoundary(key uint64, pos int) int {
 	return search.BranchlessWithExpansion(p.keys, key, pos, pos)
 }
 
-// LookupBatchSorted answers Lookup for an ascending probe batch, writing
-// into out (len(out) must equal len(probes)). Identical group-interleaved
-// pipeline to LookupBatch — ascending probes additionally give the search
-// stage natural left-to-right locality — plus a skip for batches entirely
-// past the last key. Results are identical to per-key Lookup.
-func (p *Plan) LookupBatchSorted(probes []uint64, out []int) {
-	if p.n == 0 {
-		for i := range out {
-			out[i] = 0
-		}
-		return
-	}
-	last := p.keys[p.n-1]
-	for start := 0; start < len(probes); start += batchGroup {
-		g := len(probes) - start
-		if g > batchGroup {
-			g = batchGroup
-		}
-		if probes[start] > last {
-			// Ascending batch: every remaining probe is past the last key.
-			for i := start; i < len(probes); i++ {
-				out[i] = p.n
-			}
-			return
-		}
-		p.lookupGroup(probes[start:start+g], out[start:start+g])
-	}
+// LookupBatch answers Lookup for every probe (any order), writing the
+// lower-bound positions into out (len(out) must equal len(probes)): the
+// one-plan case of the batch kernel.
+func (p *Plan) LookupBatch(probes []uint64, out []int) {
+	LookupBatch([]*Plan{p}, nil, probes, out)
 }
 
+// LookupBatchSorted is LookupBatch under the name ascending callers use;
+// the kernel neither needs nor exploits probe order.
+func (p *Plan) LookupBatchSorted(probes []uint64, out []int) { p.LookupBatch(probes, out) }
+
 // ContainsBatch reports membership for every probe (any order), writing
-// into out (len(out) must equal len(probes)). Group-interleaved like
-// LookupBatch.
+// into out (len(out) must equal len(probes)).
 func (p *Plan) ContainsBatch(probes []uint64, out []bool) {
-	if p.n == 0 {
-		for i := range out {
-			out[i] = false
-		}
-		return
-	}
-	var pos [batchGroup]int
-	for start := 0; start < len(probes); start += batchGroup {
-		g := len(probes) - start
-		if g > batchGroup {
-			g = batchGroup
-		}
-		group := probes[start : start+g]
-		p.LookupBatch(group, pos[:g])
-		for i := 0; i < g; i++ {
-			q := pos[i]
-			out[start+i] = q < p.n && p.keys[q] == group[i]
-		}
-	}
+	ContainsBatch([]*Plan{p}, nil, probes, out)
 }
 
 // Len returns the number of indexed keys.

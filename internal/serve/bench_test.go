@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"flag"
 	"slices"
 	"sync/atomic"
 	"testing"
@@ -83,4 +84,27 @@ func BenchmarkStoreLookupBatchParallel(b *testing.B) {
 			bStore.LookupBatch(bProbes[off : off+512])
 		}
 	})
+}
+
+// uniformKeys sizes BenchmarkStoreLookupBatchUniform. The default fits CI;
+// -serve.uniformkeys=8000000 is the shape of the repo benchmark's mem-read
+// workload, where the key array is far larger than cache and every probe
+// misses.
+var uniformKeys = flag.Int("serve.uniformkeys", 1<<20, "key count of BenchmarkStoreLookupBatchUniform")
+
+// BenchmarkStoreLookupBatchUniform is the batch kernel's local loop: σ=2
+// lognormal keys behind package-default options, uniform stored probes in
+// 64-key batches, a fresh batch every call so no probe finds its lines
+// warm. Not a gate — bash benchmark/run.sh is the measurement.
+func BenchmarkStoreLookupBatchUniform(b *testing.B) {
+	keys := data.Lognormal(*uniformKeys, 0, 2, 1<<58, 1)
+	st := New(keys, core.Config{}, Options{})
+	defer st.Close()
+	probes := data.SampleExisting(keys, 1<<20, 2)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		off := (i * 64) & (1<<20 - 1)
+		st.LookupBatch(probes[off : off+64])
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*64), "ns/key")
 }

@@ -8,19 +8,30 @@
 //
 // Keys are range-partitioned across N shards with boundaries picked from
 // the initial sorted key space, so every shard serves a contiguous key
-// range and a sorted probe batch decomposes into contiguous per-shard runs.
-// Each shard holds an immutable snapshot — its sorted key array, the RMI
-// trained over it, and the RMI's compiled inference plan (core.Plan),
-// which every read on the snapshot executes — behind an atomic.Pointer. Readers load the pointer
-// and never take a lock. Inserts append to a small per-shard buffer under a
-// mutex; when the buffer passes the merge threshold, the background merger
-// dispatches a drain: sort, dedup against the snapshot, merge into a fresh
-// key array, retrain the RMI off the hot path, and atomically publish the
-// new snapshot (classic read-copy-update). Drains of *different* shards
-// run concurrently — per-shard merge state plus a retrain semaphore
-// bounded by GOMAXPROCS — and each retrain itself uses core's parallel
-// trainer, so a burst that fills many shards produces segments as fast as
-// the cores allow instead of queueing behind one serial merge loop.
+// range and a key finds its shard with one branchless search of the split
+// keys. Each shard holds an immutable snapshot — its sorted key array, the
+// RMI trained over it, and the RMI's compiled inference plan (core.Plan),
+// which every read on the snapshot executes — behind an atomic.Pointer.
+// Readers load the pointer and never take a lock.
+//
+// A batch read captures every shard's plan once and hands the whole batch,
+// in the order it arrived, to core's batch kernel (core.LookupBatch). The
+// batch is never sorted or cut into per-shard runs: the model has already
+// narrowed each probe to a window of a few cache lines, so what is left to
+// buy on a key array larger than cache is memory-level parallelism, and
+// one lockstep search across all 64 probes keeps eight times the misses in
+// flight that eight per-shard runs of 8 do. Answers land in probe order;
+// there is nothing to un-permute and no scratch to pool.
+//
+// Inserts append to a small per-shard buffer under a mutex; when the
+// buffer passes the merge threshold, the background merger dispatches a
+// drain: sort, dedup against the snapshot, merge into a fresh key array,
+// retrain the RMI off the hot path, and atomically publish the new
+// snapshot (classic read-copy-update). Drains of *different* shards run
+// concurrently — per-shard merge state plus a retrain semaphore bounded by
+// GOMAXPROCS — and each retrain itself uses core's parallel trainer, so a
+// burst that fills many shards produces segments as fast as the cores
+// allow instead of queueing behind one serial merge loop.
 //
 // # Consistency model
 //
@@ -70,7 +81,6 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -487,10 +497,26 @@ func newInMemory(keys []uint64, cfg core.Config, opt Options) (*Store, error) {
 	return s, nil
 }
 
-// shardFor routes a key to its range partition: the shard whose
-// [bounds[i-1], bounds[i]) window contains it.
+// shardFor routes a key to its range partition — the shard whose
+// [bounds[i-1], bounds[i]) window contains it, i.e. the number of split
+// keys <= key. It is the store's one shard-select routine, scalar and
+// batch: a bisection whose trip count depends only on the shard count and
+// whose data-dependent step is arithmetic on a 0/1 flag (the compiler
+// materializes le with SETcc; it will not emit a conditional move for a
+// value that feeds the next load's address), so a batch of uniform probes
+// has no branch to mispredict on it.
 func (s *Store) shardFor(key uint64) int {
-	return sort.Search(len(s.bounds), func(i int) bool { return key < s.bounds[i] })
+	base, n := 0, len(s.bounds)
+	for n > 0 {
+		half := (n + 1) >> 1 // rounds up: the last round tests the last candidate
+		le := 0
+		if s.bounds[base+half-1] <= key {
+			le = 1
+		}
+		base += half & -le
+		n -= half
+	}
+	return base
 }
 
 // Insert buffers a key for its shard and wakes the merger once the buffer
@@ -843,13 +869,6 @@ func (s *Store) Close() error {
 	return nil
 }
 
-// view is a point-in-time capture of every shard's published snapshot plus
-// the global position offset of each shard's first key.
-type view struct {
-	snaps []*snapshot
-	offs  []int
-}
-
 // Lookup returns the global lower-bound position of key over the committed
 // view: the index of the first committed key >= key. Allocation-free: it
 // captures only the snapshots it reads (one atomic load per shard). On a
@@ -1030,12 +1049,12 @@ func (s *Store) DebugAddr() string {
 }
 
 // LookupBatch answers Lookup for every probe, in probe order, against one
-// consistent captured view. The batch is sorted once; contiguous runs of
-// sorted probes route to their shard with a single boundary search per run,
-// and within a run the compiled plan executes the group-interleaved batch
-// pipeline (core.Plan.LookupBatchSorted) — the model prunes each probe's
-// search range before any key is touched, and the group keeps its search
-// misses overlapped.
+// consistent captured view. In memory the batch is neither sorted nor
+// split: each probe picks its shard with a branchless compare against the
+// split keys and the whole batch goes through core's batch kernel as it
+// arrived, so one lockstep search keeps the misses of every probe — across
+// all shards — in flight together, and the answers land in probe order
+// with nothing to un-permute.
 func (s *Store) LookupBatch(probes []uint64) []int {
 	if s.strKeys {
 		panic("serve: uint64 read on a string-keyed store")
@@ -1072,19 +1091,23 @@ func (s *Store) lookupBatch(probes []uint64) []int {
 				out[o] = pos[j]
 			}
 		}
-		sc.release()
+		scratchPool.Put(sc)
 		return out
 	}
-	sc := scratchPool.Get().(*batchScratch)
-	_, _, pos, perm := s.batchPositions(probes, sc)
-	if perm == nil {
-		copy(out, pos)
-	} else {
-		for j, o := range perm {
-			out[o] = pos[j]
-		}
+	var pbuf [stackShards]*core.Plan
+	var sbuf [stackProbes]int32
+	plans, sel := s.captureBatch(pbuf[:0], sbuf[:0], probes)
+	core.LookupBatch(plans, sel, probes, out)
+	// Shard-local to global: add the key count of the shards before.
+	var obuf [stackShards]int
+	offs, total := obuf[:0], 0
+	for _, p := range plans {
+		offs = append(offs, total)
+		total += p.Len()
 	}
-	sc.release()
+	for i, si := range sel {
+		out[i] += offs[si]
+	}
 	return out
 }
 
@@ -1106,66 +1129,43 @@ func (s *Store) ContainsBatch(probes []uint64) []bool {
 		s.eng.ContainsBatch(probes, out)
 		return out
 	}
-	sc := scratchPool.Get().(*batchScratch)
-	v, skeys, pos, perm := s.batchPositions(probes, sc)
-	defer sc.release()
-	si := 0
-	for j, k := range skeys { // sorted order: the shard index only advances
-		for si < len(s.bounds) && k >= s.bounds[si] {
-			si++
-		}
-		p := pos[j] - v.offs[si]
-		ks := v.snaps[si].keys
-		hit := p >= 0 && p < len(ks) && ks[p] == k
-		if perm == nil {
-			out[j] = hit
-		} else {
-			out[perm[j]] = hit
-		}
-	}
+	var pbuf [stackShards]*core.Plan
+	var sbuf [stackProbes]int32
+	plans, sel := s.captureBatch(pbuf[:0], sbuf[:0], probes)
+	core.ContainsBatch(plans, sel, probes, out)
 	return out
 }
 
-// batchPositions is the shared batch engine: sort the probes once
-// (carrying the original indexes), capture the view, split the sorted
-// probes into per-shard runs, and resolve each run with the amortized
-// batch lookup. skeys and pos are in ascending probe order; perm maps a
-// sorted slot back to its original probe index, and is nil when the input
-// was already ascending (the scan-shaped fast path — then pos is directly
-// in probe order). All working memory comes from sc, so a steady-state
-// batch costs one allocation (the caller's result slice).
-func (s *Store) batchPositions(probes []uint64, sc *batchScratch) (v view, skeys []uint64, pos []int, perm []int32) {
-	n := len(probes)
-	skeys, perm = sortProbes(probes, sc)
-	v = view{snaps: grow(&sc.snaps, len(s.shards)), offs: grow(&sc.offs, len(s.shards))}
-	total := 0
-	for i, sh := range s.shards {
-		v.snaps[i] = sh.snap.Load()
-		v.offs[i] = total
-		total += len(v.snaps[i].keys)
+// stackShards and stackProbes size the buffers an in-memory batch read
+// keeps on its own stack: up to this many shards and probes, the call's
+// only allocation is its result.
+const (
+	stackShards = 16
+	stackProbes = 64
+)
+
+// captureBatch is the in-memory batch prologue: it appends every shard's
+// published plan to plans — one atomic load per shard, taken once, the
+// consistent view of the call — and each probe's shard to sel.
+func (s *Store) captureBatch(plans []*core.Plan, sel []int32, probes []uint64) ([]*core.Plan, []int32) {
+	for _, sh := range s.shards {
+		plans = append(plans, sh.snap.Load().plan)
 	}
-	pos = grow(&sc.pos, n)
-	start := 0
-	for start < n {
-		si := s.shardFor(skeys[start])
-		end := n
-		if si < len(s.bounds) {
-			end = search.Binary(skeys, s.bounds[si], start, n)
-		}
-		v.snaps[si].plan.LookupBatchSorted(skeys[start:end], pos[start:end])
-		for j := start; j < end; j++ {
-			pos[j] += v.offs[si]
-		}
-		start = end
+	if len(probes) > cap(sel) {
+		sel = make([]int32, len(probes))
 	}
-	return v, skeys, pos, perm
+	sel = sel[:len(probes)]
+	for i, k := range probes {
+		sel[i] = int32(s.shardFor(k))
+	}
+	return plans, sel
 }
 
-// sortProbes is the shared batch prologue: sort the probes ascending while
-// carrying their original indexes, using sc's pooled buffers. perm maps a
-// sorted slot back to its original probe index and is nil when the input
-// was already ascending (the scan-shaped fast path, where skeys aliases
-// probes directly).
+// sortProbes is the persistent batch prologue: sort the probes ascending
+// while carrying their original indexes, using sc's pooled buffers. perm
+// maps a sorted slot back to its original probe index and is nil when the
+// input was already ascending (the scan-shaped fast path, where skeys
+// aliases probes directly).
 func sortProbes(probes []uint64, sc *batchScratch) (skeys []uint64, perm []int32) {
 	n := len(probes)
 	if slices.IsSorted(probes) {
@@ -1199,28 +1199,17 @@ type probeSlot struct {
 	i int32
 }
 
-// batchScratch is the reusable working memory of one batch call: sort
-// pairs, sorted keys, permutation, positions, and the captured view. The
-// pool keeps steady-state batches at a single allocation (the result).
+// batchScratch is the reusable working memory of one persistent batch
+// lookup: sort pairs, sorted keys, permutation and positions. The pool
+// keeps steady-state batches at a single allocation (the result).
 type batchScratch struct {
 	pairs []probeSlot
 	skeys []uint64
 	perm  []int32
 	pos   []int
-	snaps []*snapshot
-	offs  []int
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
-
-// release drops snapshot references (so a pooled scratch never pins
-// superseded shard arrays) and returns the scratch to the pool.
-func (sc *batchScratch) release() {
-	for i := range sc.snaps {
-		sc.snaps[i] = nil
-	}
-	scratchPool.Put(sc)
-}
 
 // grow returns buf resized to n, reallocating only when capacity is short.
 func grow[T any](buf *[]T, n int) []T {

@@ -96,8 +96,9 @@ type (
 	// Store is the thread-safe sharded serving layer: range-partitioned
 	// shards, lock-free RCU-style reads, buffered inserts merged and
 	// retrained concurrently across shards (bounded by a GOMAXPROCS
-	// retrain semaphore), and batched lookups that amortize model routing
-	// across a sorted probe batch. See the package comment of
+	// retrain semaphore), and batched lookups that overlap a whole probe
+	// batch's cache misses in one lockstep search across every shard, in
+	// probe order. See the package comment of
 	// internal/serve for the consistency model. With StoreOptions.Dir set
 	// (open with OpenStore) the Store is persistent: WAL-backed inserts
 	// with a Sync durability barrier and a group-committed InsertDurable
