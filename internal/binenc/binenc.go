@@ -72,6 +72,10 @@ func (r *Reader) Err() error { return r.err }
 // Remaining returns how many undecoded bytes are left.
 func (r *Reader) Remaining() int { return len(r.b) - r.off }
 
+// Rest returns the undecoded bytes without consuming them, sharing the
+// underlying array.
+func (r *Reader) Rest() []byte { return r.b[r.off:] }
+
 // fail latches the corrupt-input error.
 func (r *Reader) fail() {
 	if r.err == nil {

@@ -82,7 +82,13 @@ func AssembleStringIndex(rmi *RMI, dict *keycodec.Dict) *StringIndex {
 // keys: the index of the first key >= key in bytes order.
 func (si *StringIndex) Lookup(key string) int {
 	p := keycodec.Prefix(key)
-	pi := si.plan.Lookup(p)
+	return si.resolve(key, p, si.plan.Lookup(p))
+}
+
+// resolve is the second level of the descent, shared by Lookup and the
+// batch kernel: it turns pi, the rank of key's prefix p over the deduped
+// prefix array, into key's exact lower bound.
+func (si *StringIndex) resolve(key string, p uint64, pi int) int {
 	if pi >= len(si.prefixes) || si.prefixes[pi] != p {
 		// Prefix miss: the rank bridge is exact.
 		return si.dict.Start(pi)
@@ -109,6 +115,38 @@ func (si *StringIndex) Lookup(key string) int {
 		return pos
 	}
 	return search.StringBinary(si.dict.Strings(), key, s, e)
+}
+
+// stackIndexes is how many indexes LookupBatchStrings gathers prefix plans
+// for on its own stack; a larger index set allocates the plan list.
+const stackIndexes = 16
+
+// LookupBatchStrings is the batch kernel for string keys: out[i] =
+// indexes[sel[i]].Lookup(probes[i]) for every probe, in probe order, with
+// bit-identical results. len(sel) and len(out) must equal len(probes); a nil
+// sel sends every probe to indexes[0]. Each probe is reduced to its prefix
+// once, a tile's prefixes run the uint64 kernel together over the indexes'
+// prefix plans — so the prefix arrays' misses overlap whichever index each
+// probe lives in — and then each probe resolves inside its collision group
+// exactly as Lookup does.
+func LookupBatchStrings(indexes []*StringIndex, sel []int32, probes []string, out []int) {
+	var pbuf [stackIndexes]*Plan
+	plans := pbuf[:0]
+	for _, si := range indexes {
+		plans = append(plans, si.plan)
+	}
+	var pfx [batchTile]uint64
+	for start := 0; start < len(probes); start += batchTile {
+		end := min(start+batchTile, len(probes))
+		ts, tile, pos := tileSel(sel, start, end), probes[start:end], out[start:end]
+		for i, k := range tile {
+			pfx[i] = keycodec.Prefix(k)
+		}
+		lookupTile(plans, ts, pfx[:len(tile)], pos)
+		for i, k := range tile {
+			pos[i] = indexes[ts[i]].resolve(k, pfx[i], pos[i])
+		}
+	}
 }
 
 // Contains reports whether key is stored.

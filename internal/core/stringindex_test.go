@@ -125,3 +125,80 @@ func TestStringIndexEmpty(t *testing.T) {
 		t.Fatal("empty RangeScan misbehaves")
 	}
 }
+
+// TestLookupBatchStringsOracle pins the string batch kernel bit-identical
+// to per-key StringIndex.Lookup: singleton and collision groups, the
+// StringRMI tie-break, an assembled (never-trained) index, keys shorter
+// than the prefix, an empty index, probes sent to indexes that never stored
+// them, the nil selector, and batch sizes around the tile width.
+func TestLookupBatchStringsOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	mixed := stringIndexKeys(rng, 20000)
+	var heavy []string
+	for i := 0; i < 12000; i++ {
+		heavy = append(heavy, fmt.Sprintf("http://%c/%06d", 'a'+i%4, i*7))
+	}
+	sort.Strings(heavy)
+	short := []string{"", "\x00", "\x00\x00", "a", "a\x00", "ab", "abcdefg", "abcdefgh", "abcdefgh\x00", "b"}
+	asmKeys := stringIndexKeys(rng, 8000)
+	prefixes, dict := keycodec.BuildDict(asmKeys)
+	keysets := [][]string{mixed, heavy, short, asmKeys, nil}
+	indexes := []*StringIndex{
+		NewStringIndex(mixed, DefaultConfig(64)),
+		NewStringIndex(heavy, DefaultConfig(32)),
+		NewStringIndex(short, DefaultConfig(4)),
+		AssembleStringIndex(New(prefixes, DefaultConfig(32)), dict),
+		NewStringIndex(nil, DefaultConfig(16)),
+	}
+	if !indexes[1].HasTieBreakModel() || indexes[0].Dict().NumCollisions() == 0 {
+		t.Fatal("setup: no tie-break model or no collision group to resolve")
+	}
+	probesFor := func(n int) (probes []string, sel []int32) {
+		for len(probes) < n {
+			from := rng.Intn(len(keysets) - 1) // a key set that has keys
+			k := keysets[from][rng.Intn(len(keysets[from]))]
+			switch rng.Intn(5) {
+			case 0:
+				k += "\x00"
+			case 1:
+				k = k[:len(k)/2]
+			case 2:
+				k += "zz"
+			}
+			to := from
+			if rng.Intn(4) == 0 {
+				to = rng.Intn(len(keysets)) // another index's key, or the empty index
+			}
+			probes, sel = append(probes, k), append(sel, int32(to))
+		}
+		return probes, sel
+	}
+	check := func(name string, idx []*StringIndex, sel []int32, probes []string) {
+		t.Helper()
+		got := make([]int, len(probes))
+		for i := range got {
+			got[i] = -1
+		}
+		LookupBatchStrings(idx, sel, probes, got)
+		for i, k := range probes {
+			si := idx[0]
+			if sel != nil {
+				si = idx[sel[i]]
+			}
+			if want := si.Lookup(k); got[i] != want {
+				t.Fatalf("%s: probe %d (%q): batch = %d, Lookup = %d", name, i, k, got[i], want)
+			}
+		}
+	}
+	for _, n := range []int{0, 1, 63, 64, 65, 1000} {
+		probes, sel := probesFor(n)
+		check(fmt.Sprintf("multi-index/%d", n), indexes, sel, probes)
+		for j := range indexes {
+			check(fmt.Sprintf("index %d, nil selector/%d", j, n), indexes[j:j+1], nil, probes)
+		}
+	}
+	edge := []string{"", "\x00", "\xff\xff\xff\xff\xff\xff\xff\xff\xff", "http://", "http://a", "http://a/", "abcdefgh", "abcdefg"}
+	for j := range indexes {
+		check(fmt.Sprintf("index %d, edge probes", j), indexes[j:j+1], nil, edge)
+	}
+}

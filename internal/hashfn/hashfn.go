@@ -53,10 +53,7 @@ func HashString(s string, seed uint64) uint64 {
 	h := seed
 	i := 0
 	for ; i+8 <= len(s); i += 8 {
-		var k uint64
-		for j := 0; j < 8; j++ {
-			k |= uint64(s[i+j]) << (8 * j)
-		}
+		k := le64(s[i : i+8])
 		k *= c1
 		k = bits.RotateLeft64(k, 31)
 		k *= c2
@@ -64,9 +61,15 @@ func HashString(s string, seed uint64) uint64 {
 		h = bits.RotateLeft64(h, 27)
 		h = h*5 + 0x52dce729
 	}
+	// The tail is the last len(s)-i < 8 bytes, little-endian. A string of
+	// at least one block reads them out of its last whole word.
 	var tail uint64
-	for j := 0; i+j < len(s); j++ {
-		tail |= uint64(s[i+j]) << (8 * j)
+	if rem := len(s) - i; rem > 0 && len(s) >= 8 {
+		tail = le64(s[len(s)-8:]) >> (8 * uint(8-rem))
+	} else {
+		for j := 0; j < rem; j++ {
+			tail |= uint64(s[i+j]) << (8 * j)
+		}
 	}
 	if tail != 0 {
 		tail *= c1
@@ -76,6 +79,14 @@ func HashString(s string, seed uint64) uint64 {
 	}
 	h ^= uint64(len(s))
 	return Mix64(h)
+}
+
+// le64 loads the first 8 bytes of b as a little-endian word; the compiler
+// fuses the byte loads into one.
+func le64(b string) uint64 {
+	_ = b[7]
+	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
+		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
 }
 
 // Reduce maps a 64-bit hash onto [0, n) without the modulo bias of h % n.

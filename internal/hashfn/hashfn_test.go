@@ -1,6 +1,7 @@
 package hashfn
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
 	"math/rand"
@@ -127,6 +128,94 @@ func TestHashStringEmptyAndLong(t *testing.T) {
 	// 8-byte-aligned vs unaligned lengths must both work.
 	if HashString("12345678", 1) == HashString("1234567", 1) {
 		t.Fatal("aligned/unaligned collision")
+	}
+}
+
+// hashStringByteLoop is HashString as it was first written, one byte at a
+// time: the reference the word-load form must match bit for bit, because
+// every stored Bloom filter was built with these values.
+func hashStringByteLoop(s string, seed uint64) uint64 {
+	const (
+		c1 = 0x87c37b91114253d5
+		c2 = 0x4cf5ad432745937f
+	)
+	h := seed
+	i := 0
+	for ; i+8 <= len(s); i += 8 {
+		var k uint64
+		for j := 0; j < 8; j++ {
+			k |= uint64(s[i+j]) << (8 * j)
+		}
+		k *= c1
+		k = bits.RotateLeft64(k, 31)
+		k *= c2
+		h ^= k
+		h = bits.RotateLeft64(h, 27)
+		h = h*5 + 0x52dce729
+	}
+	var tail uint64
+	for j := 0; i+j < len(s); j++ {
+		tail |= uint64(s[i+j]) << (8 * j)
+	}
+	if tail != 0 {
+		tail *= c1
+		tail = bits.RotateLeft64(tail, 31)
+		tail *= c2
+		h ^= tail
+	}
+	h ^= uint64(len(s))
+	return Mix64(h)
+}
+
+func TestHashStringMatchesByteLoop(t *testing.T) {
+	// Golden values, computed before the word-load rewrite.
+	for _, g := range []struct {
+		s    string
+		want uint64
+	}{
+		{"", 0x9ca066f1a4ab2eea},
+		{"abc", 0x322251b5f4fac019},
+		{"12345678", 0x2d0a79c40a438dbf},
+		{"hello world", 0xad5bf091a6b4095e},
+		{"DOC-000000000042-en", 0xdb75091321119f62},
+	} {
+		if got := HashString(g.s, 0x9e3779b97f4a7c15); got != g.want {
+			t.Fatalf("HashString(%q) = %#x, golden %#x", g.s, got, g.want)
+		}
+	}
+	buf := make([]byte, 40)
+	for round := 0; round < 200; round++ {
+		for i := range buf {
+			buf[i] = byte(Mix64(uint64(round*len(buf) + i)))
+		}
+		if round == 0 {
+			clear(buf) // all-zero bytes: a zero tail is skipped, only the length tells
+		}
+		for n := 0; n <= len(buf); n++ {
+			s := string(buf[:n])
+			for _, seed := range []uint64{0, 1, 0xdeadbeefcafef00d} {
+				if got, want := HashString(s, seed), hashStringByteLoop(s, seed); got != want {
+					t.Fatalf("len %d seed %#x: HashString = %#x, byte loop = %#x", n, seed, got, want)
+				}
+			}
+		}
+	}
+}
+
+func BenchmarkHashString(b *testing.B) {
+	for _, n := range []int{15, 28} {
+		keys := make([]string, 1024)
+		for i := range keys {
+			keys[i] = fmt.Sprintf("%0*d", n, i)
+		}
+		b.Run(fmt.Sprintf("len%d", n), func(b *testing.B) {
+			var s uint64
+			for i := 0; i < b.N; i++ {
+				k := keys[i&1023]
+				s += HashString(k, 1) + HashString(k, 2) // one Bloom (h1, h2) pair
+			}
+			sinkU64 = s
+		})
 	}
 }
 

@@ -349,6 +349,38 @@ func TestRouterAllocsPerCall(t *testing.T) {
 	for i := range probes {
 		probes[i] = uint64(rng.Intn(3_000_000))
 	}
+
+	// The string twin: the same cluster shape over string stores. A node
+	// decodes a read request's keys with one copy of the key region, so the
+	// string calls pay a fixed handful over the uint64 ones, not one
+	// allocation per key.
+	strKey := func(k uint64) string { return fmt.Sprintf("doc-%010d", k) }
+	skeys := make([]string, len(keys))
+	for i, k := range keys {
+		skeys[i] = strKey(k)
+	}
+	slices.Sort(skeys)
+	skeys = slices.Compact(skeys)
+	sfences := []string{strKey(fences[0]), strKey(fences[1])}
+	for i, run := range splitRuns(skeys, sfences) {
+		st := serve.NewString(slices.Clone(skeys[run[0]:run[1]]), core.Config{}, serve.Options{Shards: 2})
+		defer st.Close()
+		srv := server.NewServer(st, server.Options{})
+		if err := srv.Serve(tr, fmt.Sprintf("s%d", i)); err != nil {
+			t.Fatalf("serve string node %d: %v", i, err)
+		}
+		defer srv.Close()
+	}
+	srt, err := New([]Node{{Addr: "s0"}, {Addr: "s1"}, {Addr: "s2"}}, Options{Transport: tr, StringKeys: true, FencesStr: sfences})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srt.Close()
+	sprobes := make([]string, len(probes))
+	for i, k := range probes {
+		sprobes[i] = strKey(k)
+	}
+
 	for _, tc := range []struct {
 		name string
 		max  float64
@@ -356,6 +388,8 @@ func TestRouterAllocsPerCall(t *testing.T) {
 	}{
 		{"LookupBatch", 20, func() error { _, err := rt.LookupBatch(probes); return err }},
 		{"ContainsBatch", 16, func() error { _, err := rt.ContainsBatch(probes); return err }},
+		{"LookupBatchString", 16, func() error { _, err := srt.LookupBatchString(sprobes); return err }},
+		{"ContainsBatchString", 16, func() error { _, err := srt.ContainsBatchString(sprobes); return err }},
 	} {
 		for i := 0; i < 10; i++ { // warm pools, buffers and scratch
 			if err := tc.call(); err != nil {

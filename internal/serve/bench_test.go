@@ -2,6 +2,7 @@ package serve
 
 import (
 	"flag"
+	"math/rand"
 	"slices"
 	"sync/atomic"
 	"testing"
@@ -105,6 +106,34 @@ func BenchmarkStoreLookupBatchUniform(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		off := (i * 64) & (1<<20 - 1)
 		st.LookupBatch(probes[off : off+64])
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*64), "ns/key")
+}
+
+// BenchmarkStoreLookupBatchStringPersistent is the string rank kernel's
+// local loop, the shape of the repo benchmark's cluster-mixed-str nodes:
+// DocID keys on a persistent store in a few flushed segments that all span
+// the key range, stored probes in 64-key batches, a fresh batch every
+// call. Not a gate — bash benchmark/run.sh is the measurement.
+func BenchmarkStoreLookupBatchStringPersistent(b *testing.B) {
+	keys := []string(data.DocIDs(200_000, 1))
+	rng := rand.New(rand.NewSource(2))
+	rng.Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
+	st, err := OpenString(keys[:170_000], core.Config{}, Options{Dir: b.TempDir()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer st.Close()
+	for _, part := range [][]string{keys[170_000:190_000], keys[190_000:198_000], keys[198_000:]} {
+		for _, k := range part {
+			st.InsertString(k)
+		}
+		st.Flush()
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		off := (i * 64) % (len(keys) - 64)
+		st.LookupBatchString(keys[off : off+64])
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*64), "ns/key")
 }

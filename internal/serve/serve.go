@@ -21,7 +21,11 @@
 // buy on a key array larger than cache is memory-level parallelism, and
 // one lockstep search across all 64 probes keeps eight times the misses in
 // flight that eight per-shard runs of 8 do. Answers land in probe order;
-// there is nothing to un-permute and no scratch to pool.
+// there is nothing to un-permute and no scratch to pool. String stores
+// batch the same way through core.LookupBatchStrings, and a persistent
+// store of either key kind hands the batch, still in arrival order, to the
+// storage engine's rank kernel: one captured segment list, a fence test per
+// (probe, segment), and the same core kernel over the pairs that are left.
 //
 // Inserts append to a small per-shard buffer under a mutex; when the
 // buffer passes the merge threshold, the background merger dispatches a
@@ -1049,11 +1053,14 @@ func (s *Store) DebugAddr() string {
 }
 
 // LookupBatch answers Lookup for every probe, in probe order, against one
-// consistent captured view. In memory the batch is neither sorted nor
-// split: each probe picks its shard with a branchless compare against the
+// consistent captured view. The batch is neither sorted nor split. In
+// memory each probe picks its shard with a branchless compare against the
 // split keys and the whole batch goes through core's batch kernel as it
 // arrived, so one lockstep search keeps the misses of every probe — across
-// all shards — in flight together, and the answers land in probe order
+// all shards — in flight together. A persistent store hands the batch to
+// the engine's rank kernel, which fences every probe against every segment
+// of one captured list and runs only the in-fence (probe, segment) pairs
+// through the same core kernel. Either way the answers land in probe order
 // with nothing to un-permute.
 func (s *Store) LookupBatch(probes []uint64) []int {
 	if s.strKeys {
@@ -1080,18 +1087,7 @@ func (s *Store) lookupBatch(probes []uint64) []int {
 		return out
 	}
 	if s.eng != nil {
-		sc := scratchPool.Get().(*batchScratch)
-		skeys, perm := sortProbes(probes, sc)
-		pos := grow(&sc.pos, len(probes))
-		s.eng.LookupBatchSorted(skeys, pos)
-		if perm == nil {
-			copy(out, pos)
-		} else {
-			for j, o := range perm {
-				out[o] = pos[j]
-			}
-		}
-		scratchPool.Put(sc)
+		s.eng.LookupBatch(probes, out)
 		return out
 	}
 	var pbuf [stackShards]*core.Plan
@@ -1159,64 +1155,6 @@ func (s *Store) captureBatch(plans []*core.Plan, sel []int32, probes []uint64) (
 		sel[i] = int32(s.shardFor(k))
 	}
 	return plans, sel
-}
-
-// sortProbes is the persistent batch prologue: sort the probes ascending
-// while carrying their original indexes, using sc's pooled buffers. perm
-// maps a sorted slot back to its original probe index and is nil when the
-// input was already ascending (the scan-shaped fast path, where skeys
-// aliases probes directly).
-func sortProbes(probes []uint64, sc *batchScratch) (skeys []uint64, perm []int32) {
-	n := len(probes)
-	if slices.IsSorted(probes) {
-		return probes, nil
-	}
-	pairs := grow(&sc.pairs, n)
-	for i, k := range probes {
-		pairs[i] = probeSlot{k: k, i: int32(i)}
-	}
-	slices.SortFunc(pairs, func(a, b probeSlot) int {
-		switch {
-		case a.k < b.k:
-			return -1
-		case a.k > b.k:
-			return 1
-		}
-		return 0
-	})
-	skeys = grow(&sc.skeys, n)
-	perm = grow(&sc.perm, n)
-	for j := range pairs {
-		skeys[j] = pairs[j].k
-		perm[j] = pairs[j].i
-	}
-	return skeys, perm
-}
-
-// probeSlot carries a probe and its original batch index through the sort.
-type probeSlot struct {
-	k uint64
-	i int32
-}
-
-// batchScratch is the reusable working memory of one persistent batch
-// lookup: sort pairs, sorted keys, permutation and positions. The pool
-// keeps steady-state batches at a single allocation (the result).
-type batchScratch struct {
-	pairs []probeSlot
-	skeys []uint64
-	perm  []int32
-	pos   []int
-}
-
-var scratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
-
-// grow returns buf resized to n, reallocating only when capacity is short.
-func grow[T any](buf *[]T, n int) []T {
-	if cap(*buf) < n {
-		*buf = make([]T, n)
-	}
-	return (*buf)[:n]
 }
 
 // dedupSorted removes adjacent duplicates in place.

@@ -68,9 +68,15 @@ func checkStringStoreOracle(t *testing.T, s *Store, oracle []string, rng *rand.R
 		k := oracle[rng.Intn(len(oracle))]
 		batch = append(batch, k, k+"\x00")
 	}
+	batch = append(batch, "", "\x00", "\xff\xff\xff\xff\xff\xff\xff\xff\xff")
 	for i, has := range s.ContainsBatchString(batch) {
 		if has != s.ContainsString(batch[i]) {
 			t.Fatalf("ContainsBatchString[%d] (%q)=%v, ContainsString disagrees", i, batch[i], has)
+		}
+	}
+	for i, pos := range s.LookupBatchString(batch) {
+		if want := sort.SearchStrings(oracle, batch[i]); pos != want {
+			t.Fatalf("LookupBatchString[%d] (%q)=%d, want %d", i, batch[i], pos, want)
 		}
 	}
 	for i := 0; i < 60; i++ {

@@ -411,21 +411,99 @@ func (s *Store) ContainsString(key string) bool {
 	return s.shardsS[s.shardForString(key)].snap.Load().idx.Contains(key)
 }
 
-// ContainsBatchString reports membership for every probe, in probe order.
-// A persistent store answers the whole batch against one captured segment
-// list, like ContainsBatch; an in-memory string store has no batch plan and
-// answers each probe against its shard's current snapshot.
+// LookupBatchString is LookupBatch for a string-keyed store: every probe,
+// in probe order, against one consistent captured view, through the same
+// kernels — core.LookupBatchStrings over every shard's codec index in
+// memory, the engine's rank kernel over one captured segment list on a
+// persistent store — and counted in the same batch metrics.
+func (s *Store) LookupBatchString(probes []string) []int {
+	if !s.strKeys {
+		panic("serve: string read on a uint64-keyed store")
+	}
+	s.m.batches.Inc()
+	s.m.batchLen.Observe(uint64(len(probes)))
+	if obs.Enabled && s.m.sampler.Tick() {
+		start := time.Now()
+		out := s.lookupBatchStr(probes)
+		s.m.batchNs.ObserveDuration(time.Since(start))
+		return out
+	}
+	return s.lookupBatchStr(probes)
+}
+
+func (s *Store) lookupBatchStr(probes []string) []int {
+	out := make([]int, len(probes))
+	if len(probes) == 0 {
+		return out
+	}
+	if s.eng != nil {
+		s.eng.LookupBatchString(probes, out)
+		return out
+	}
+	var ibuf [stackShards]*core.StringIndex
+	var sbuf [stackProbes]int32
+	idx, sel := s.captureBatchStr(ibuf[:0], sbuf[:0], probes)
+	core.LookupBatchStrings(idx, sel, probes, out)
+	// Shard-local to global: add the key count of the shards before.
+	var obuf [stackShards]int
+	offs, total := obuf[:0], 0
+	for _, si := range idx {
+		offs = append(offs, total)
+		total += si.Len()
+	}
+	for i, sh := range sel {
+		out[i] += offs[sh]
+	}
+	return out
+}
+
+// captureBatchStr is captureBatch in the string domain: every shard's
+// published codec index, one atomic load each, taken once, and each
+// probe's shard.
+func (s *Store) captureBatchStr(idx []*core.StringIndex, sel []int32, probes []string) ([]*core.StringIndex, []int32) {
+	for _, sh := range s.shardsS {
+		idx = append(idx, sh.snap.Load().idx)
+	}
+	if len(probes) > cap(sel) {
+		sel = make([]int32, len(probes))
+	}
+	sel = sel[:len(probes)]
+	for i, k := range probes {
+		sel[i] = int32(s.shardForString(k))
+	}
+	return idx, sel
+}
+
+// ContainsBatchString reports membership for every probe, in probe order,
+// against one consistent captured view, like ContainsBatch: a persistent
+// store walks one captured segment list; an in-memory store ranks the
+// batch through core.LookupBatchStrings and tests each answer against its
+// shard's keys.
 func (s *Store) ContainsBatchString(probes []string) []bool {
 	if !s.strKeys {
 		panic("serve: string read on a uint64-keyed store")
 	}
 	out := make([]bool, len(probes))
+	if len(probes) == 0 {
+		return out
+	}
 	if s.eng != nil {
 		s.eng.ContainsBatchString(probes, out)
 		return out
 	}
+	var ibuf [stackShards]*core.StringIndex
+	var sbuf [stackProbes]int32
+	var pbuf [stackProbes]int
+	idx, sel := s.captureBatchStr(ibuf[:0], sbuf[:0], probes)
+	pos := pbuf[:]
+	if len(probes) > len(pos) {
+		pos = make([]int, len(probes))
+	}
+	pos = pos[:len(probes)]
+	core.LookupBatchStrings(idx, sel, probes, pos)
 	for i, k := range probes {
-		out[i] = s.shardsS[s.shardForString(k)].snap.Load().idx.Contains(k)
+		strs := idx[sel[i]].Strings()
+		out[i] = pos[i] < len(strs) && strs[pos[i]] == k
 	}
 	return out
 }

@@ -2,7 +2,9 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"math/rand"
 	"slices"
@@ -19,7 +21,18 @@ func buildWireStream(seed int64, count int, strMode bool) ([]byte, []wmsg) {
 	randKeys := func(m *wmsg) {
 		for j := rng.Intn(6); j > 0; j-- {
 			if strMode {
-				m.strs = append(m.strs, fmt.Sprintf("k%04d", rng.Intn(10000)))
+				// Empty keys, short keys, binary keys and keys long enough for
+				// a two-byte length prefix.
+				k := fmt.Sprintf("k%04d", rng.Intn(10000))
+				switch rng.Intn(6) {
+				case 0:
+					k = ""
+				case 1:
+					b := make([]byte, rng.Intn(300))
+					rng.Read(b)
+					k = string(b)
+				}
+				m.strs = append(m.strs, k)
 			} else {
 				m.keys = append(m.keys, uint64(rng.Intn(1_000_000)))
 			}
@@ -107,6 +120,57 @@ func buildWireStream(seed int64, count int, strMode bool) ([]byte, []wmsg) {
 	return out, msgs
 }
 
+// rawFrame wraps an arbitrary payload in a valid header, so a malformed
+// grammar reaches the payload decoder instead of dying on the checksum.
+func rawFrame(kind byte, payload []byte) []byte {
+	m := wmsg{kind: msgOK}
+	frame := appendWmsg(nil, &m)
+	frame[0] = kind
+	frame = append(frame, payload...)
+	binary.LittleEndian.PutUint32(frame[1:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[5:], crc32.Checksum(payload, wireCRC))
+	return frame
+}
+
+// TestDecodeReadKeysOneCopy pins the read-request key decode, whose keys
+// are substrings of one copy of the key region (the allocation count is
+// guarded end to end by the router's TestRouterAllocsPerCall): every key
+// comes out exact, nothing aliases the frame, and every malformed region is
+// still an error.
+func TestDecodeReadKeysOneCopy(t *testing.T) {
+	req := wmsg{kind: msgLookupBatch, strMode: true}
+	for i := 0; i < 64; i++ {
+		req.strs = append(req.strs, fmt.Sprintf("doc-%011d", i*i))
+	}
+	req.strs[7], req.strs[40] = "", string(make([]byte, 200))
+	frame := appendWmsg(nil, &req)
+	payload := frame[wireHeaderLen:]
+	var m wmsg
+	for _, kind := range []byte{msgLookupBatch, msgContainsBatch} {
+		work := slices.Clone(payload)
+		if err := decodePayload(kind, true, work, &m); err != nil || !slices.Equal(m.strs, req.strs) {
+			t.Fatalf("kind %d: err %v, %d keys", kind, err, len(m.strs))
+		}
+		for i := range work {
+			work[i] = 0xee // the frame buffer moves on to the next message
+		}
+		if !slices.Equal(m.strs, req.strs) {
+			t.Fatalf("kind %d: decoded keys alias the frame buffer", kind)
+		}
+	}
+	for name, bad := range map[string][]byte{
+		"length past the region": {2, 1, 'a', 200, 1, 'b', 'c'},
+		"count past the region":  {9, 1, 'a'},
+		"trailing byte":          {1, 1, 'a', 0},
+		"truncated key":          {1, 5, 'a', 'b'},
+		"no count":               {},
+	} {
+		if err := decodePayload(msgLookupBatch, true, bad, &m); err == nil {
+			t.Fatalf("%s: decoded as %q", name, m.strs)
+		}
+	}
+}
+
 func wmsgEq(a, b wmsg) bool {
 	return a.kind == b.kind && a.strMode == b.strMode &&
 		a.follower == b.follower && a.connected == b.connected &&
@@ -147,6 +211,13 @@ func FuzzServerDecode(f *testing.F) {
 	valid, _ := buildWireStream(99, 3, false)
 	f.Add(int64(4), uint8(2), false, valid) // valid bytes as the "junk" tail
 	f.Add(int64(5), uint8(9), true, []byte{msgBools, 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0})
+	// String read requests whose keys share one copy of the key region: a
+	// key length past the region, a count the region cannot hold, bytes
+	// after the last key, and a well-formed one as the junk tail.
+	f.Add(int64(6), uint8(3), true, rawFrame(msgLookupBatch, []byte{2, 1, 'a', 200, 1, 'b', 'c'}))
+	f.Add(int64(7), uint8(5), true, rawFrame(msgContainsBatch, []byte{9, 1, 'a'}))
+	f.Add(int64(8), uint8(1), true, rawFrame(msgLookupBatch, []byte{1, 1, 'a', 0}))
+	f.Add(int64(9), uint8(8), true, rawFrame(msgContainsBatch, []byte{3, 0, 2, 'a', 'b', 1, 'c'}))
 	f.Fuzz(func(t *testing.T, seed int64, n uint8, strMode bool, tail []byte) {
 		count := int(n % 16)
 		prefix, want := buildWireStream(seed, count, strMode)

@@ -336,9 +336,7 @@ func (s *Server) handle(req, resp *wmsg) {
 	case msgLookupBatch:
 		resp.reset(msgPositions, strMode)
 		if strMode {
-			for _, k := range req.strs {
-				resp.pos = append(resp.pos, s.st.LookupString(k))
-			}
+			resp.pos = s.st.LookupBatchString(req.strs)
 		} else {
 			resp.pos = s.st.LookupBatch(req.keys)
 		}

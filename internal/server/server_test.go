@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"learnedindex/internal/core"
+	"learnedindex/internal/obs"
 	"learnedindex/internal/repl"
 	"learnedindex/internal/serve"
 )
@@ -137,6 +138,16 @@ func TestServerRoundTripString(t *testing.T) {
 	}
 	if n != st.Len() {
 		t.Fatalf("storeLen = %d, want %d", n, st.Len())
+	}
+	// The server answers a string lookup as one batch: counted once in the
+	// batch series, sized by its probes, and not as len(probes) single-key
+	// lookups.
+	m := st.Metrics()
+	if b, l := m.Counter("lix_serve_lookup_batches_total"), m.Counter("lix_serve_lookups_total"); b != 1 || l != 0 {
+		t.Fatalf("one wire lookup counted %d batches and %d single-key lookups, want 1 and 0", b, l)
+	}
+	if h := m.Histogram("lix_serve_lookup_batch_probes"); obs.Enabled && h.Count != 1 {
+		t.Fatalf("batch size histogram observed %d batches, want 1", h.Count)
 	}
 	for i, p := range probes {
 		if pos[i] != st.LookupString(p) {

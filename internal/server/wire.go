@@ -264,8 +264,10 @@ func decodePayload(kind byte, strMode bool, payload []byte, m *wmsg) error {
 				return errWire
 			}
 		}
-	case msgLookupBatch, msgContainsBatch, msgInsert:
-		decodeKeyPayload(r, strMode, m)
+	case msgLookupBatch, msgContainsBatch:
+		decodeKeyPayload(r, strMode, true, m)
+	case msgInsert:
+		decodeKeyPayload(r, strMode, false, m)
 	case msgPositions:
 		m.storeLen = r.Uvarint()
 		n := r.Count(maxWireKeys, 1)
@@ -293,7 +295,7 @@ func decodePayload(kind byte, strMode bool, payload []byte, m *wmsg) error {
 		if m.more, ok = decodeBool(r); !ok {
 			return errWire
 		}
-		decodeKeyPayload(r, strMode, m)
+		decodeKeyPayload(r, strMode, false, m)
 	case msgCountRange:
 		if !decodeRange(r, strMode, m) {
 			return errWire
@@ -353,16 +355,36 @@ func decodeRange(r *binenc.Reader, strMode bool, m *wmsg) bool {
 	return true
 }
 
-func decodeKeyPayload(r *binenc.Reader, strMode bool, m *wmsg) {
+// decodeKeyPayload decodes a key payload into m. String keys are copied out
+// of the frame buffer either way. The read requests, whose keys nobody
+// keeps past the answer, take one copy of the whole key region and hand out
+// substrings of it — one allocation per message — while keys the receiver
+// retains (an insert's, a scan page's) get a copy each, so that keeping one
+// never pins the rest of its message.
+func decodeKeyPayload(r *binenc.Reader, strMode, oneCopy bool, m *wmsg) {
 	n := r.Count(maxWireKeys, 1) // 0 once r has failed
-	if strMode {
+	if !strMode {
+		for i := 0; i < n; i++ {
+			m.keys = append(m.keys, r.Uvarint())
+		}
+		return
+	}
+	if !oneCopy {
 		for i := 0; i < n; i++ {
 			m.strs = append(m.strs, string(r.Bytes()))
 		}
 		return
 	}
+	if n == 0 {
+		return
+	}
+	region := string(r.Rest())
 	for i := 0; i < n; i++ {
-		m.keys = append(m.keys, r.Uvarint())
+		// Every length is still checked by the reader; a key's place in the
+		// region is where the reader found it.
+		k := r.Bytes()
+		end := len(region) - r.Remaining()
+		m.strs = append(m.strs, region[end-len(k):end])
 	}
 }
 

@@ -5,56 +5,111 @@ import (
 	"sync"
 
 	"learnedindex/internal/bloom"
+	"learnedindex/internal/core"
 	"learnedindex/internal/obs"
 )
 
 // keyOps is the key-kind seam of the segment planes that exist once for
 // both modes: how a uint64 or a string key hashes for the Bloom filters,
-// where a segment's fence sits, how a segment answers exact membership,
-// which array holds its keys, and how a sorted unique key run becomes a
-// committed segment.
+// where a segment's fence sits, which array holds its keys, how a set of
+// segments ranks a run of (probe, segment) pairs, and how a sorted unique
+// key run becomes a committed segment. Membership has no entry of its own:
+// it is rank plus one equality test against keys.
 type keyOps[K cmp.Ordered] struct {
 	hash  func(K) (h1, h2 uint64)
 	fence func(*segment) (lo, hi K)
-	has   func(*segment, K) bool
 	keys  func(*segment) []K
+	// rank writes pos[j] = the lower-bound position of probes[j] inside
+	// segs[sel[j]] (nil sel = segs[0]) through core's batch kernel: any
+	// probe order, any mix of segments, one lockstep search per tile.
+	rank  func(segs []*segment, sel []int32, probes []K, pos []int)
 	write func(e *Engine, seqLo, seqHi uint64, keys []K) (*segment, error)
+	pool  *sync.Pool // of *readScratch[K]
 }
+
+// stackSegs is how many segments' plans a rank call gathers on its own
+// stack — size-tiered compaction keeps the live list at O(log n), well
+// under it; a longer list allocates the plan set.
+const stackSegs = 16
 
 var (
 	u64Ops = keyOps[uint64]{
 		hash:  bloom.HashUint64,
 		fence: func(s *segment) (uint64, uint64) { return s.minKey(), s.maxKey() },
-		has:   func(s *segment, k uint64) bool { return s.plan.Contains(k) },
 		keys:  func(s *segment) []uint64 { return s.keys },
+		rank: func(segs []*segment, sel []int32, probes []uint64, pos []int) {
+			var buf [stackSegs]*core.Plan
+			plans := buf[:0]
+			for _, s := range segs {
+				plans = append(plans, s.plan)
+			}
+			core.LookupBatch(plans, sel, probes, pos)
+		},
 		write: func(e *Engine, seqLo, seqHi uint64, keys []uint64) (*segment, error) {
 			return writeSegment(e.fs, e.m.ioErrors, e.dir, seqLo, seqHi, keys, e.opts.Config, e.opts.BloomFPR)
 		},
+		pool: &sync.Pool{New: func() any { return new(readScratch[uint64]) }},
 	}
 	strOps = keyOps[string]{
 		hash:  bloom.HashString,
 		fence: func(s *segment) (string, string) { return s.minStr(), s.maxStr() },
-		has:   func(s *segment, k string) bool { return s.sindex.Contains(k) },
 		keys:  func(s *segment) []string { return s.strs },
+		rank: func(segs []*segment, sel []int32, probes []string, pos []int) {
+			var buf [stackSegs]*core.StringIndex
+			idx := buf[:0]
+			for _, s := range segs {
+				idx = append(idx, s.sindex)
+			}
+			core.LookupBatchStrings(idx, sel, probes, pos)
+		},
 		write: func(e *Engine, seqLo, seqHi uint64, keys []string) (*segment, error) {
 			return writeStringSegment(e.fs, e.m.ioErrors, e.dir, seqLo, seqHi, keys, e.opts.Config, e.opts.BloomFPR)
 		},
+		pool: &sync.Pool{New: func() any { return new(readScratch[string]) }},
 	}
 )
 
-// containsChunk is how many probes the membership kernel resolves at a
-// time: the scratch below is sized by it, so a batch of any length costs a
-// fixed ~5 KB of pooled working memory.
+// containsChunk is how many probes the read kernels resolve at a time, and
+// how many (probe, segment) pairs they hand core's batch kernel in one
+// call: the scratch below is sized by it, so a batch of any length over
+// any number of segments costs a fixed 10–13 KB of pooled working memory.
 const containsChunk = 256
 
-type containsScratch struct {
+// readScratch is the pooled working memory of one read-kernel call.
+type readScratch[K cmp.Ordered] struct {
 	hash [containsChunk][2]uint64 // each probe's Bloom hash pair, computed once
 	live [containsChunk]uint16    // chunk indexes no segment has claimed yet
-	pass [containsChunk]uint16    // live indexes that passed one segment's filter
 	hit  [containsChunk]bool
+
+	// The pair buffer: the probes one rank call resolves — a segment's
+	// Bloom passers, or a run of in-fence (probe, segment) pairs.
+	keys [containsChunk]K
+	sel  [containsChunk]int32  // the pair's segment
+	slot [containsChunk]uint16 // the pair's probe, as a chunk index
+	pos  [containsChunk]int
+	used int // high-water mark of keys, cleared on release
 }
 
-var containsPool = sync.Pool{New: func() any { return new(containsScratch) }}
+// release returns sc to its pool. A pooled scratch must not pin the key
+// bytes of the last batch it served.
+func (sc *readScratch[K]) release(pool *sync.Pool) {
+	clear(sc.keys[:sc.used])
+	sc.used = 0
+	pool.Put(sc)
+}
+
+// rankPairs resolves the first n buffered (probe, segment) pairs in one
+// kernel call and adds each pair's rank to its probe's slot of out.
+func (sc *readScratch[K]) rankPairs(segs []*segment, ops *keyOps[K], n int, out []int) {
+	if n == 0 {
+		return
+	}
+	sc.used = max(sc.used, n)
+	ops.rank(segs, sc.sel[:n], sc.keys[:n], sc.pos[:n])
+	for j, p := range sc.pos[:n] {
+		out[sc.slot[j]] += p
+	}
+}
 
 // containsBatchIn is the one membership kernel: every Contains of the
 // engine, batched or single, and the flush dedupe run through it. It
@@ -67,8 +122,10 @@ var containsPool = sync.Pool{New: func() any { return new(containsScratch) }}
 // tight loop takes every still-unresolved probe through the segment's
 // min/max fence and Bloom filter — independent loads, one cache line per
 // probe with the blocked layout — and only the passers run the segment's
-// model. A probe leaves the live list at its first hit (segments are
-// disjoint), so the walk ends early once a batch of hits is resolved.
+// model, together: one rank call, then one equality test each against the
+// segment's key array. A probe leaves the live list at its first hit
+// (segments are disjoint), so the walk ends early once a batch of hits is
+// resolved.
 //
 // The Bloom funnel (probe → pass → hit; pass−hit is the false positives
 // actually paid) is counted per segment per chunk, not per key. Compiled
@@ -78,7 +135,7 @@ func containsBatchIn[K cmp.Ordered](segs []*segment, ops *keyOps[K], probes []K,
 		clear(out)
 		return 0
 	}
-	sc := containsPool.Get().(*containsScratch)
+	sc := ops.pool.Get().(*readScratch[K])
 	for base := 0; base < len(probes); base += containsChunk {
 		chunk := probes[base:min(base+containsChunk, len(probes))]
 		hit, live := sc.hit[:len(chunk)], sc.live[:len(chunk)]
@@ -92,19 +149,26 @@ func containsBatchIn[K cmp.Ordered](segs []*segment, ops *keyOps[K], probes []K,
 			lo, hi := ops.fence(s)
 			probed, passed, found := 0, 0, 0
 			for _, i := range live {
-				if k := chunk[i]; k < lo || k > hi {
+				k := chunk[i]
+				if k < lo || k > hi {
 					continue
 				}
 				probed++
 				if s.filter.MayContainHash(sc.hash[i][0], sc.hash[i][1]) {
-					sc.pass[passed] = i
+					sc.keys[passed], sc.slot[passed] = k, i
 					passed++
 				}
 			}
-			for _, i := range sc.pass[:passed] {
-				if ops.has(s, chunk[i]) {
-					hit[i] = true
-					found++
+			if passed > 0 {
+				sc.used = max(sc.used, passed)
+				pass, pos := sc.keys[:passed], sc.pos[:passed]
+				ops.rank(segs[si:si+1], nil, pass, pos)
+				stored := ops.keys(s)
+				for j, p := range pos {
+					if p < len(stored) && stored[p] == pass[j] {
+						hit[sc.slot[j]] = true
+						found++
+					}
 				}
 			}
 			if obs.Enabled && probed > 0 {
@@ -128,8 +192,57 @@ func containsBatchIn[K cmp.Ordered](segs []*segment, ops *keyOps[K], probes []K,
 			copy(out[base:], hit)
 		}
 	}
-	containsPool.Put(sc)
+	sc.release(ops.pool)
 	return hits
+}
+
+// rankBatchIn is the one rank kernel: out[i] = the number of keys < probes[i]
+// served by segs, for probes in any order (len(out) == len(probes)). Live
+// segments hold disjoint key sets, so a global rank is the exact sum of
+// per-segment ranks.
+//
+// The walk is segment-major over one chunk of probes at a time. The fence
+// is the skipping sketch: a probe at or below a segment's minimum adds 0,
+// one above its maximum adds the segment's key count — two comparisons, no
+// model — and only what is left becomes a (probe, segment) pair. The pairs
+// run core's batch kernel together, the segments' plans as the plan set
+// and the segment index as the selector; because pairs are emitted
+// segment-major, a tile of the lockstep search is mostly one segment, and
+// the big base segment's misses are in flight together. The pair buffer is
+// fixed: it runs the kernel whenever it fills, whatever the batch length
+// or segment count.
+func rankBatchIn[K cmp.Ordered](segs []*segment, ops *keyOps[K], probes []K, out []int) {
+	clear(out)
+	if len(segs) == 0 || len(probes) == 0 {
+		return
+	}
+	sc := ops.pool.Get().(*readScratch[K])
+	for base := 0; base < len(probes); base += containsChunk {
+		chunk := probes[base:min(base+containsChunk, len(probes))]
+		cout := out[base : base+len(chunk)]
+		n := 0
+		for si, s := range segs {
+			lo, hi := ops.fence(s)
+			count := s.numKeys()
+			for i, k := range chunk {
+				switch {
+				case k <= lo:
+					// contributes 0
+				case k > hi:
+					cout[i] += count
+				default:
+					if n == containsChunk {
+						sc.rankPairs(segs, ops, n, cout)
+						n = 0
+					}
+					sc.keys[n], sc.sel[n], sc.slot[n] = k, int32(si), uint16(i)
+					n++
+				}
+			}
+		}
+		sc.rankPairs(segs, ops, n, cout)
+	}
+	sc.release(ops.pool)
 }
 
 // dropServed removes from keys every key a segment of segs already serves,

@@ -31,10 +31,16 @@
 // present in older segments, live segments always hold disjoint key sets,
 // which is what makes Len and global lower-bound Lookup exact sums.
 //
-// Reads (Contains, ContainsBatch, Lookup, LookupBatchSorted, Len) are
-// lock-free against an atomically published segment list — every
-// membership read and the flush dedupe share one segment-major kernel
-// (contains.go); writes (Append, Sync, Flush) are serialized by an
+// Reads (Contains, ContainsBatch, Lookup, LookupBatch, Len and their
+// string twins) are lock-free against an atomically published segment
+// list, and a batch answers every probe against the one list it captured.
+// Two segment-major kernels, each written once for both key kinds
+// (contains.go), do the batched work: every membership read and the flush
+// dedupe share one, every batched rank read the other — probes in any
+// order, fenced per segment, and only the in-fence (probe, segment) pairs
+// run a model, together through core's batch kernel. The scalar Lookup and
+// LookupString loops are the per-key reference the oracles compare them
+// against. Writes (Append, Sync, Flush) are serialized by an
 // internal mutex and may be called concurrently with reads and with
 // background compaction. I/O errors latch: once a write fails, the error
 // is sticky and returned by every subsequent Append/Sync/Flush/Close so an
@@ -1233,47 +1239,23 @@ func (e *Engine) Lookup(key uint64) int {
 	return total
 }
 
-// posScratch pools the per-segment position buffer of LookupBatchSorted
-// so the batched read path stays allocation-free in steady state (the
-// serving layer above already promises one allocation per batch).
-var posScratch = sync.Pool{New: func() any { return new([]int) }}
-
-// LookupBatchSorted answers Lookup for an ascending probe batch, writing
-// into out (len(out) must equal len(probes)). Each segment resolves the
-// whole batch with its amortized sorted-batch primitive.
-func (e *Engine) LookupBatchSorted(probes []uint64, out []int) {
+// LookupBatch answers Lookup for every probe, in any order, against one
+// captured segment list — a single consistent view even when a flush or a
+// compaction publishes mid-batch — writing into out (len(out) must equal
+// len(probes)). See rankBatchIn.
+func (e *Engine) LookupBatch(probes []uint64, out []int) {
 	if e.opts.StringKeys {
 		panic("storage: uint64 read on a string-keyed engine")
 	}
-	for i := range out {
-		out[i] = 0
+	rankBatchIn(*e.segs.Load(), &u64Ops, probes, out)
+}
+
+// LookupBatchString is LookupBatch for a string-keyed engine.
+func (e *Engine) LookupBatchString(probes []string, out []int) {
+	if !e.opts.StringKeys {
+		panic("storage: string read on a uint64-keyed engine")
 	}
-	if len(probes) == 0 {
-		return
-	}
-	tp := posScratch.Get().(*[]int)
-	if cap(*tp) < len(probes) {
-		*tp = make([]int, len(probes))
-	}
-	tmp := (*tp)[:len(probes)]
-	for _, s := range *e.segs.Load() {
-		// Fence the sorted batch once per segment: probes at or below the
-		// segment minimum contribute 0, probes above its maximum
-		// contribute the full count; only the in-range middle runs the
-		// model.
-		lo := sort.Search(len(probes), func(i int) bool { return probes[i] > s.minKey() })
-		hi := sort.Search(len(probes), func(i int) bool { return probes[i] > s.maxKey() })
-		if lo < hi {
-			s.plan.LookupBatchSorted(probes[lo:hi], tmp[lo:hi])
-			for i := lo; i < hi; i++ {
-				out[i] += tmp[i]
-			}
-		}
-		for i := hi; i < len(probes); i++ {
-			out[i] += len(s.keys)
-		}
-	}
-	posScratch.Put(tp)
+	rankBatchIn(*e.segs.Load(), &strOps, probes, out)
 }
 
 // Len returns the number of served (flushed) distinct keys, in either

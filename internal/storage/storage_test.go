@@ -101,7 +101,7 @@ func TestEngineColdOpenDeserializesModels(t *testing.T) {
 	probes := append(data.SampleExisting(keys, 1000, 11), data.SampleMissing(keys, 1000, 12)...)
 	slices.Sort(probes)
 	out := make([]int, len(probes))
-	e2.LookupBatchSorted(probes, out)
+	e2.LookupBatch(probes, out)
 	for i, k := range probes {
 		if want := e2.Lookup(k); out[i] != want {
 			t.Fatalf("batch[%d] for key %d = %d, per-key %d", i, k, out[i], want)
