@@ -1,120 +1,65 @@
 package core
 
-import (
-	"learnedindex/internal/keycodec"
-	"learnedindex/internal/search"
-)
+import "learnedindex/internal/keycodec"
 
 // StringIndex is the string-keyed read path built on the key codec
 // (internal/keycodec): a compiled uint64 RMI plan over the sorted
 // deduplicated 8-byte prefixes, plus the suffix dictionary for exact
-// disambiguation, plus — when the key set is collision-heavy — a StringRMI
-// trained over the exact keys as the last-mile tie-break model.
+// disambiguation. It holds no string — the keys live in the dictionary's
+// pointer-free block — so an index trained in memory, one decoded from a
+// segment file and one replayed on a follower are the same structure.
 //
 // A lookup is a two-level descent:
 //
 //  1. the probe's prefix runs through the uint64 plan, yielding the prefix
 //     rank pi (lower bound over the deduped prefix array);
-//  2. the dictionary's collision directory converts pi to a string range:
-//     a prefix miss maps straight to Start(pi) (every key in earlier groups
+//  2. the dictionary turns pi into the exact answer (keycodec.Dict.Find): a
+//     prefix miss maps straight to Start(pi) (every key in earlier groups
 //     is < probe, every key from Start(pi) on is > probe); a prefix hit
 //     narrows to the group [Start(pi), Start(pi+1)) of keys sharing the
-//     prefix, where the tie-break resolves the exact lower bound — a single
-//     compare for the common singleton group, stringsearch's bounded binary
-//     for small groups, or the StringRMI (clamped into the group) when one
-//     was trained.
+//     prefix, where the probe's tail is compared against the contiguous
+//     suffix bytes — one compare for the common singleton group, a binary
+//     search over however many keys share the prefix otherwise.
 //
 // The result is a true lower bound over the exact keys in bytes order, with
 // the same semantics as RMI.Lookup over uint64 keys.
 type StringIndex struct {
-	prefixes []uint64
-	dict     *keycodec.Dict
-	rmi      *RMI
-	plan     *Plan
-	srmi     *StringRMI // nil unless the key set is collision-heavy
+	dict *keycodec.Dict
+	rmi  *RMI
+	plan *Plan
 }
 
-// Collision-heaviness thresholds: a StringRMI tie-break model is worth its
-// training time only when binary search inside collision groups would be a
-// real cost — a huge group (URL corpora sharing "http://…" heads) or a
-// large collided fraction.
-const (
-	srmiMaxGroup      = 64 // largest group a bounded binary search absorbs
-	srmiCollideFrac   = 8  // train srmi when collisions > len/srmiCollideFrac
-	srmiMinCollisions = 4096
-)
-
-// NewStringIndex builds a StringIndex over sorted unique keys.
+// NewStringIndex builds a StringIndex over sorted unique keys. The key
+// bytes are copied into the index; keys is not retained.
 func NewStringIndex(keys []string, cfg Config) *StringIndex {
 	return NewStringIndexWorkers(keys, cfg, trainingWorkers(len(keys)))
 }
 
 // NewStringIndexWorkers builds like NewStringIndex with an explicit
 // stage-training worker count for the prefix RMI (1 = sequential;
-// serialized results are bit-identical for every count).
+// serialized results are bit-identical for every count). It panics on a
+// key set too large for one dictionary (keycodec.BuildDict).
 func NewStringIndexWorkers(keys []string, cfg Config, workers int) *StringIndex {
-	prefixes, dict := keycodec.BuildDict(keys)
-	si := &StringIndex{
-		prefixes: prefixes,
-		dict:     dict,
-		rmi:      NewWithTrainWorkers(prefixes, cfg, workers),
+	prefixes, dict, err := keycodec.BuildDict(keys)
+	if err != nil {
+		panic("core: " + err.Error())
 	}
-	si.plan = si.rmi.Plan()
-	if nc := dict.NumCollisions(); dict.MaxGroup() > srmiMaxGroup ||
-		(nc >= srmiMinCollisions && nc > len(keys)/srmiCollideFrac) {
-		scfg := DefaultStringConfig(defaultLeafCount(len(keys)))
-		scfg.Seed = cfg.Seed
-		si.srmi = NewString(keys, scfg)
-	}
-	return si
+	return AssembleStringIndex(NewWithTrainWorkers(prefixes, cfg, workers), dict)
 }
 
-// AssembleStringIndex wires a StringIndex from an already-decoded prefix
-// RMI and dictionary (the segment-open path). It never trains anything —
-// cold-opening a persistent store deserializes models, it does not retrain
-// — so the tie-break inside collision groups is always the bounded binary
-// search here; the prefix plan still does all the positioning work.
+// AssembleStringIndex wires a StringIndex from a prefix RMI and the
+// dictionary over the same prefixes: the segment-open path, which
+// deserializes models and never trains one, and the tail of every build.
 func AssembleStringIndex(rmi *RMI, dict *keycodec.Dict) *StringIndex {
-	return &StringIndex{prefixes: rmi.Keys(), dict: dict, rmi: rmi, plan: rmi.Plan()}
+	return &StringIndex{dict: dict, rmi: rmi, plan: rmi.Plan()}
 }
 
 // Lookup returns the lower-bound position of key over the exact string
 // keys: the index of the first key >= key in bytes order.
 func (si *StringIndex) Lookup(key string) int {
 	p := keycodec.Prefix(key)
-	return si.resolve(key, p, si.plan.Lookup(p))
-}
-
-// resolve is the second level of the descent, shared by Lookup and the
-// batch kernel: it turns pi, the rank of key's prefix p over the deduped
-// prefix array, into key's exact lower bound.
-func (si *StringIndex) resolve(key string, p uint64, pi int) int {
-	if pi >= len(si.prefixes) || si.prefixes[pi] != p {
-		// Prefix miss: the rank bridge is exact.
-		return si.dict.Start(pi)
-	}
-	s, e := si.dict.Group(pi)
-	if e-s == 1 {
-		// Singleton group: one compare resolves the tie.
-		if si.dict.Strings()[s] < key {
-			return s + 1
-		}
-		return s
-	}
-	if si.srmi != nil {
-		pos := si.srmi.Lookup(key)
-		// The model answers over the full key array; a correct lower bound
-		// for a key with this prefix always lands inside [s, e] — clamp
-		// defensively so a model bug can't leak an out-of-group position.
-		if pos < s {
-			pos = s
-		}
-		if pos > e {
-			pos = e
-		}
-		return pos
-	}
-	return search.StringBinary(si.dict.Strings(), key, s, e)
+	pos, _ := si.dict.Find(key, p, si.plan.Lookup(p))
+	return pos
 }
 
 // stackIndexes is how many indexes LookupBatchStrings gathers prefix plans
@@ -144,16 +89,16 @@ func LookupBatchStrings(indexes []*StringIndex, sel []int32, probes []string, ou
 		}
 		lookupTile(plans, ts, pfx[:len(tile)], pos)
 		for i, k := range tile {
-			pos[i] = indexes[ts[i]].resolve(k, pfx[i], pos[i])
+			pos[i], _ = indexes[ts[i]].dict.Find(k, pfx[i], pos[i])
 		}
 	}
 }
 
 // Contains reports whether key is stored.
 func (si *StringIndex) Contains(key string) bool {
-	pos := si.Lookup(key)
-	strs := si.dict.Strings()
-	return pos < len(strs) && strs[pos] == key
+	p := keycodec.Prefix(key)
+	_, found := si.dict.Find(key, p, si.plan.Lookup(p))
+	return found
 }
 
 // RangeScan returns the position range [start, end) of stored keys in
@@ -169,13 +114,10 @@ func (si *StringIndex) RangeScan(loKey, hiKey string) (start, end int) {
 // Len returns the number of stored keys.
 func (si *StringIndex) Len() int { return si.dict.Len() }
 
-// Strings returns the sorted stored keys. Shared, read-only.
-func (si *StringIndex) Strings() []string { return si.dict.Strings() }
-
 // Prefixes returns the sorted deduplicated prefix array. Shared, read-only.
-func (si *StringIndex) Prefixes() []uint64 { return si.prefixes }
+func (si *StringIndex) Prefixes() []uint64 { return si.rmi.Keys() }
 
-// Dict returns the suffix dictionary.
+// Dict returns the suffix dictionary, which holds the keys.
 func (si *StringIndex) Dict() *keycodec.Dict { return si.dict }
 
 // RMI returns the prefix-level RMI (for serialization).
@@ -186,5 +128,64 @@ func (si *StringIndex) RMI() *RMI { return si.rmi }
 // would compile a fresh plan with empty observations.)
 func (si *StringIndex) Plan() *Plan { return si.plan }
 
-// HasTieBreakModel reports whether a StringRMI tie-break model was trained.
-func (si *StringIndex) HasTieBreakModel() bool { return si.srmi != nil }
+// stringPage bounds how many keys a StringCursor materializes at a time.
+// Pages start small — most of a merge's cursors are left after a few keys —
+// and double while the scan keeps reading from the same index.
+const (
+	stringPageMin = 16
+	stringPageMax = 256
+)
+
+// StringCursor streams a StringIndex's keys in order for the scan
+// subsystem (it satisfies internal/scan.Cursor[string]). Seek enters at the
+// index's own lower bound; keys are materialized out of the dictionary a
+// page at a time, one allocation per page, so a scan that stops early never
+// pays for the keys it did not reach. The zero value is unusable; call
+// Reset first.
+type StringCursor struct {
+	si   *StringIndex
+	page []string // keys [base, base+len(page))
+	base int
+	i    int // current key, as an index into page
+	size int // next page's length
+}
+
+// Reset points the cursor at an index.
+func (c *StringCursor) Reset(si *StringIndex) {
+	c.si, c.page, c.base, c.i, c.size = si, c.page[:0], 0, 0, stringPageMin
+}
+
+// load materializes the page that starts at key index at.
+func (c *StringCursor) load(at int) bool {
+	clear(c.page)
+	end := min(at+c.size, c.si.Len())
+	c.page, c.base, c.i = c.si.dict.AppendKeys(c.page[:0], at, end), at, 0
+	c.size = min(2*c.size, stringPageMax)
+	return at < end
+}
+
+// Seek positions at the first key >= key.
+func (c *StringCursor) Seek(key string) bool {
+	pos := c.si.Lookup(key)
+	if pos >= c.base && pos < c.base+len(c.page) {
+		c.i = pos - c.base
+		return true
+	}
+	return c.load(pos)
+}
+
+// Next advances to the following key.
+func (c *StringCursor) Next() bool {
+	c.i++
+	return c.i < len(c.page) || c.load(c.base+len(c.page))
+}
+
+// Key returns the current key.
+func (c *StringCursor) Key() string { return c.page[c.i] }
+
+// Release drops the index and the page's strings, keeping the page's
+// capacity for the next scan.
+func (c *StringCursor) Release() {
+	clear(c.page)
+	c.si, c.page = nil, c.page[:0]
+}

@@ -57,30 +57,13 @@ type sleaf struct {
 // is only approximately monotone, lookups verify window boundaries and
 // expand when needed, so lower-bound semantics always hold.
 //
-// Integration contract (the prefix-collision tie-break path): inside the
-// stack, StringRMI is the last-mile model of a StringIndex — the key codec
-// (internal/keycodec) routes every probe's fixed-width 8-byte prefix
-// through the compiled uint64 plan, and only when the probe's prefix
-// *collides* (multiple stored keys share it, so PrefixScalar alone cannot
-// order them) does the exact-string machinery here run, resolving the
-// lower bound within the collision group [s, e). The contract StringIndex
-// relies on:
-//
-//   - Lookup(key) is a true lower bound over the full key array: the index
-//     of the first stored key >= key in bytes order. In particular, for a
-//     probe whose prefix matches a stored group, the result always lands in
-//     [s, e] — every key before s is < probe and every key from e on is >
-//     probe — which is why StringIndex may clamp the answer into the group
-//     without changing correct results.
-//   - Lookup never reads keys outside the window it verified: boundary
-//     checks expand via StringBoundedWithExpansion rather than trusting
-//     the (approximately monotone) model, so collision groups whose
-//     PrefixScalar values are identical still resolve exactly.
-//   - A StringIndex trains a StringRMI only for collision-heavy key sets
-//     (huge shared-prefix groups, e.g. URL corpora); otherwise the
-//     tie-break is a bounded binary search and this type is bypassed.
-//     Segment decode never trains one (AssembleStringIndex), so StringRMI
-//     appears on the read path only for memory-resident shard snapshots.
+// StringRMI keeps its own resident []string and is the model of the
+// paper's Figure 6, nothing more: the serving stack's string read path is
+// StringIndex, whose keys live in the codec dictionary's arena and whose
+// tie-break inside a prefix-collision group is a search over contiguous
+// suffix bytes — the same structure whether it was trained in memory,
+// decoded from a segment file or replayed on a follower, none of which
+// could carry a second copy of the keys for a model to search.
 type StringRMI struct {
 	keys      []string
 	cfg       StringConfig

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"os"
 	"sort"
 	"time"
 
@@ -31,7 +32,10 @@ type StringKeysRow struct {
 //   - lower-bound lookup: sort.SearchStrings vs the codec index's
 //     compiled prefix-plan Lookup, standalone and through the store;
 //   - range scan throughput: slicing the sorted array (the streaming
-//     floor) vs Store.ScanBatchString's loser-tree merge;
+//     floor) vs Store.ScanBatchString's loser-tree merge, in memory and
+//     over a persistent store of several v2 segments — no string layer
+//     holds strings, so what a scan pays per key is 8 prefix bytes plus the
+//     suffix copied into a page;
 //   - learned COUNT: CountRangeString position arithmetic vs opening the
 //     scan and counting.
 //
@@ -46,6 +50,15 @@ func StringKeys(o Options) []StringKeysRow {
 	idx := core.NewStringIndex(keys, core.Config{})
 	st := serve.NewString(keys, core.Config{}, serve.Options{Shards: 4, MergeThreshold: 1 << 30})
 	defer st.Close()
+	// The persistent twin: the same keys as a base segment plus three
+	// flushed runs, reopened cold so every index is a decoded one.
+	dir, err := os.MkdirTemp(o.Dir, "lix-stringkeys-*")
+	if err != nil {
+		panic(err)
+	}
+	defer os.RemoveAll(dir)
+	pst := openPersistentStrings(dir, keys)
+	defer pst.Close()
 	set := make(map[string]struct{}, n)
 	for _, k := range keys {
 		set[k] = struct{}{}
@@ -122,6 +135,8 @@ func StringKeys(o Options) []StringKeysRow {
 	add("lookup/stringindex", dIdx, 0, float64(dSort)/float64(dIdx),
 		map[string]float64{"speedup_vs_sorted_slice": float64(dSort) / float64(dIdx)})
 	add("lookup/store", dSt, 0, float64(dSort)/float64(dSt), nil)
+	dPst := timeOp(func(k string) { sink += pst.LookupString(k) })
+	add("lookup/store-persistent", dPst, 0, float64(dSort)/float64(dPst), nil)
 	_ = sink
 
 	// --- Range scan throughput -----------------------------------------
@@ -134,7 +149,7 @@ func StringKeys(o Options) []StringKeysRow {
 		}
 		return keys[p]
 	}
-	var dCopy, dScan time.Duration
+	var dCopy, dScan, dPScan time.Duration
 	var produced int
 	buf := make([]string, 0, width+16)
 	for rd := 0; rd < o.Rounds; rd++ {
@@ -149,6 +164,9 @@ func StringKeys(o Options) []StringKeysRow {
 			buf = st.ScanBatchString(lo, hi, buf[:0])
 			dScan += time.Since(start)
 			produced += len(buf)
+			start = time.Now()
+			buf = pst.ScanBatchString(lo, hi, buf[:0])
+			dPScan += time.Since(start)
 		}
 	}
 	ops := o.Rounds * len(starts)
@@ -157,6 +175,9 @@ func StringKeys(o Options) []StringKeysRow {
 		add("scan/store", dScan/time.Duration(ops), dScan/time.Duration(produced),
 			float64(dCopy)/float64(dScan),
 			map[string]float64{"keys_per_sec": float64(produced) / dScan.Seconds()})
+		add("scan/store-persistent", dPScan/time.Duration(ops), dPScan/time.Duration(produced),
+			float64(dCopy)/float64(dPScan),
+			map[string]float64{"keys_per_sec": float64(produced) / dPScan.Seconds()})
 	}
 
 	// --- Learned COUNT vs iterate-and-count ----------------------------
@@ -187,4 +208,28 @@ func StringKeys(o Options) []StringKeysRow {
 	render(o, t)
 	emitJSON(o, rep)
 	return rows
+}
+
+// openPersistentStrings loads keys into a persistent string store under
+// dir as four segments of interleaved keys — every segment spans the whole
+// range, as flushes of a live store do — and reopens it.
+func openPersistentStrings(dir string, keys []string) *serve.Store {
+	opt := serve.Options{Dir: dir}
+	st, err := serve.OpenString(nil, core.Config{}, opt)
+	if err != nil {
+		panic(err)
+	}
+	for part := 0; part < 4; part++ {
+		for i := part; i < len(keys); i += 4 {
+			st.InsertString(keys[i])
+		}
+		st.Flush()
+	}
+	if err := st.Close(); err != nil {
+		panic(err)
+	}
+	if st, err = serve.OpenString(nil, core.Config{}, opt); err != nil {
+		panic(err)
+	}
+	return st
 }

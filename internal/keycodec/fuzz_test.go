@@ -78,7 +78,7 @@ func FuzzDictRoundTrip(f *testing.F) {
 			keys = append(keys, s)
 		}
 		sort.Strings(keys)
-		prefixes, d := BuildDict(keys)
+		prefixes, d := mustBuild(t, keys)
 		blob := d.AppendBinary(nil)
 		got, err := DecodeDict(binenc.NewReader(blob), prefixes)
 		if err != nil {
@@ -87,7 +87,7 @@ func FuzzDictRoundTrip(f *testing.F) {
 		if got.Len() != len(keys) {
 			t.Fatalf("decoded %d keys, want %d", got.Len(), len(keys))
 		}
-		for i, s := range got.Strings() {
+		for i, s := range allKeys(got) {
 			if s != keys[i] {
 				t.Fatalf("key %d: %q != %q", i, s, keys[i])
 			}
@@ -101,7 +101,7 @@ func FuzzDictRoundTrip(f *testing.F) {
 // prefix array.
 func FuzzDictDecode(f *testing.F) {
 	keys := []string{"aa", "aardvark1", "aardvark2", "bb"}
-	prefixes, d := BuildDict(keys)
+	prefixes, d := mustBuild(f, keys)
 	f.Add(d.AppendBinary(nil), uint64(len(prefixes)))
 	f.Add([]byte{}, uint64(0))
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff}, uint64(3))
@@ -118,7 +118,7 @@ func FuzzDictDecode(f *testing.F) {
 		if got.Len() < len(pfx) {
 			t.Fatalf("accepted dict with %d keys for %d prefixes", got.Len(), len(pfx))
 		}
-		strs := got.Strings()
+		strs := allKeys(got)
 		for i := 1; i < len(strs); i++ {
 			if strs[i-1] >= strs[i] {
 				t.Fatal("accepted unsorted dict")

@@ -135,6 +135,19 @@ func TestSplitCompositeRejects(t *testing.T) {
 	}
 }
 
+// mustBuild is BuildDict for key sets that fit a dictionary.
+func mustBuild(t testing.TB, keys []string) ([]uint64, *Dict) {
+	t.Helper()
+	prefixes, d, err := BuildDict(keys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return prefixes, d
+}
+
+// allKeys materializes every key of d.
+func allKeys(d *Dict) []string { return d.AppendKeys(nil, 0, d.Len()) }
+
 // buildRandomKeys returns n sorted unique keys with a mix of collision-heavy
 // shared prefixes, short keys, and embedded NULs.
 func buildRandomKeys(rng *rand.Rand, n int) []string {
@@ -173,7 +186,7 @@ func buildRandomKeys(rng *rand.Rand, n int) []string {
 func TestBuildDictInvariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	keys := buildRandomKeys(rng, 5000)
-	prefixes, d := BuildDict(keys)
+	prefixes, d := mustBuild(t, keys)
 
 	if !sort.SliceIsSorted(prefixes, func(i, j int) bool { return prefixes[i] < prefixes[j] }) {
 		t.Fatal("prefixes not sorted")
@@ -225,7 +238,7 @@ func TestDictRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for _, n := range []int{0, 1, 2, 100, 3000} {
 		keys := buildRandomKeys(rng, n)
-		prefixes, d := BuildDict(keys)
+		prefixes, d := mustBuild(t, keys)
 		blob := d.AppendBinary(nil)
 		if d.EncodedLen() != len(blob) {
 			t.Fatalf("n=%d: EncodedLen %d, encoding is %d bytes", n, d.EncodedLen(), len(blob))
@@ -237,7 +250,7 @@ func TestDictRoundTrip(t *testing.T) {
 		if got.Len() != len(keys) {
 			t.Fatalf("n=%d: decoded %d keys", n, got.Len())
 		}
-		for i, s := range got.Strings() {
+		for i, s := range allKeys(got) {
 			if s != keys[i] {
 				t.Fatalf("n=%d: key %d = %q, want %q", n, i, s, keys[i])
 			}
@@ -255,7 +268,7 @@ func TestDictRoundTrip(t *testing.T) {
 func TestDecodeDictRejectsCorruption(t *testing.T) {
 	keys := []string{"aa", "aardvark1", "aardvark2", "bb", "cc"}
 	sort.Strings(keys)
-	prefixes, d := BuildDict(keys)
+	prefixes, d := mustBuild(t, keys)
 	blob := d.AppendBinary(nil)
 
 	// Truncations at every length must error, never panic.
@@ -274,7 +287,7 @@ func TestDecodeDictRejectsCorruption(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		strs := got.Strings()
+		strs := allKeys(got)
 		for k, s := range strs {
 			if k > 0 && strs[k-1] >= s {
 				t.Fatalf("flip at %d produced unsorted keys", i)

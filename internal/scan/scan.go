@@ -9,9 +9,10 @@
 //
 // The engine is generic over the key type (any cmp.Ordered): the uint64
 // instantiation is the native read path, and the string instantiation is
-// the codec-backed string-key path (internal/keycodec), where a
-// *core.StringIndex is the Positioner and segment dictionaries supply the
-// sorted sources. Both share every line of the merge machinery.
+// the codec-backed string-key path (internal/keycodec), whose learned
+// layers hold no strings and stream through core.StringCursor — keys
+// materialized out of a dictionary a page at a time. Both share every line
+// of the merge machinery.
 //
 // # Loser tree
 //
@@ -26,9 +27,9 @@
 // # Model-biased entry
 //
 // A cursor over a learned layer seeks with the layer's own index: the
-// KeysCursor takes a Positioner (satisfied by *core.Plan for uint64 keys,
-// *core.StringIndex for strings) and enters at the predicted-and-corrected
-// lower-bound position instead of binary-searching the array. On a 1M-key
+// KeysCursor takes a Positioner (satisfied by *core.Plan) and enters at the
+// predicted-and-corrected lower-bound position instead of binary-searching
+// the array; core.StringCursor does the same through its StringIndex. On a 1M-key
 // layer that is the difference between one model inference (~100ns) and
 // ~20 dependent cache misses.
 //

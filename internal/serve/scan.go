@@ -8,9 +8,12 @@ package serve
 // and (b) one cursor per shard base array, entered at the position the
 // shard's compiled plan predicts for the range start (model-biased seek,
 // not binary search). A persistent Store's scan merges the engine's
-// unflushed WAL delta with one lazy block-decoding cursor per on-disk
-// segment, pruned by min/max fences and pinned against compaction for the
-// scan's lifetime (storage.Snapshot).
+// unflushed WAL delta with one cursor per on-disk segment — over the
+// segment's resident key array, entered through its plan — pruned by
+// min/max fences and pinned against compaction for the scan's lifetime
+// (storage.Snapshot). String layers, in memory or on disk, hold no strings:
+// their cursor (core.StringCursor) materializes the keys it streams out of
+// the layer's dictionary a page at a time.
 //
 // # Consistency
 //
@@ -33,10 +36,12 @@ package serve
 // (asserted by TestScanAllocs).
 
 import (
+	"cmp"
 	"slices"
 	"sync"
 	"time"
 
+	"learnedindex/internal/core"
 	"learnedindex/internal/obs"
 	"learnedindex/internal/scan"
 	"learnedindex/internal/storage"
@@ -51,10 +56,12 @@ type scanState struct {
 	snaps []*snapshot
 	delta []uint64
 	kcs   []scan.KeysCursor[uint64]
-	// String-mode twins; only one trio is populated per scan.
-	ssnaps []*strSnapshot
+	// String-mode twins; only one set is populated per scan. sdc streams
+	// the sorted delta copy, scs the captured indexes.
+	ssnaps []*core.StringIndex
 	sdelta []string
-	scs    []scan.KeysCursor[string]
+	sdc    scan.KeysCursor[string]
+	scs    []core.StringCursor
 }
 
 var scanStatePool = sync.Pool{New: func() any { return new(scanState) }}
@@ -67,20 +74,14 @@ func (st *scanState) CloseScan() {
 		st.snap.Release()
 		st.snap = nil
 	}
-	for i := range st.snaps {
-		st.snaps[i] = nil
-	}
+	clear(st.snaps)
 	st.snaps = st.snaps[:0]
 	st.kcs = st.kcs[:0] // cursor Release already dropped the key refs
-	for i := range st.ssnaps {
-		st.ssnaps[i] = nil
-	}
+	clear(st.ssnaps)
 	st.ssnaps = st.ssnaps[:0]
 	// Zero the delta's string entries: the pooled backing array must not
 	// pin key bytes from a finished scan.
-	for i := range st.sdelta {
-		st.sdelta[i] = ""
-	}
+	clear(st.sdelta)
 	st.sdelta = st.sdelta[:0]
 	st.scs = st.scs[:0]
 	scanStatePool.Put(st)
@@ -130,42 +131,35 @@ func (s *Store) Scan(lo, hi uint64) *scan.Iterator[uint64] {
 	it := scan.Get[uint64]()
 	it.SetObs(s.m.scanKeys)
 	st := scanStatePool.Get().(*scanState)
+	// Fill the concrete cursor array completely before taking pointers:
+	// delta first (the newest layer wins merge ties), then every segment or
+	// shard whose fence overlaps the range.
+	st.kcs = st.kcs[:0]
+	add := func(keys []uint64, pos scan.Positioner[uint64]) {
+		st.kcs = append(st.kcs, scan.KeysCursor[uint64]{})
+		st.kcs[len(st.kcs)-1].Reset(keys, pos)
+	}
 	if s.eng != nil {
 		sn := s.eng.AcquireSnapshotRange(lo, hi)
 		st.snap = sn
 		if p := sn.Pending(); len(p) > 0 {
-			st.kcs = append(st.kcs[:0], scan.KeysCursor[uint64]{})
-			st.kcs[0].Reset(p, nil)
-			it.Add(&st.kcs[0]) // the delta is the newest layer: it wins ties
+			add(p, nil)
 		}
 		for i := 0; i < sn.NumSegments(); i++ {
-			if c := sn.SegmentCursor(i, lo, hi); c != nil {
-				it.Add(c)
+			if ks, plan := sn.SegmentKeys(i, lo, hi); ks != nil {
+				add(ks, plan)
 			}
 		}
-		it.Start(lo, hi, st)
-		if obs.Enabled {
-			s.m.scanOpen.ObserveDuration(time.Since(start))
+	} else {
+		st.captureInMemory(s, lo, hi)
+		if len(st.delta) > 0 {
+			add(st.delta, nil)
 		}
-		return it
-	}
-	st.captureInMemory(s, lo, hi)
-	// Fill the concrete cursor array completely before taking pointers:
-	// delta first (newest layer wins merge ties), then every shard whose
-	// snapshot overlaps the range — shards are range-disjoint, so the fence
-	// check prunes all but the covering ones.
-	st.kcs = st.kcs[:0]
-	if len(st.delta) > 0 {
-		st.kcs = append(st.kcs, scan.KeysCursor[uint64]{})
-		st.kcs[len(st.kcs)-1].Reset(st.delta, nil)
-	}
-	for _, sn := range st.snaps {
-		ks := sn.keys
-		if len(ks) == 0 || ks[0] >= hi || ks[len(ks)-1] < lo {
-			continue
+		for _, sn := range st.snaps { // shards are range-disjoint: the fence prunes all but the covering ones
+			if ks := sn.keys; len(ks) > 0 && ks[0] < hi && ks[len(ks)-1] >= lo {
+				add(ks, sn.plan)
+			}
 		}
-		st.kcs = append(st.kcs, scan.KeysCursor[uint64]{})
-		st.kcs[len(st.kcs)-1].Reset(ks, sn.plan)
 	}
 	for i := range st.kcs {
 		it.Add(&st.kcs[i])
@@ -181,7 +175,11 @@ func (s *Store) Scan(lo, hi uint64) *scan.Iterator[uint64] {
 // returns it, growing dst as needed. The drain runs through the iterator's
 // batched fill, so the per-key cost is the amortized tournament pop.
 func (s *Store) ScanBatch(lo, hi uint64, dst []uint64) []uint64 {
-	it := s.Scan(lo, hi)
+	return drainScan(s.Scan(lo, hi), dst)
+}
+
+// drainScan appends everything it streams to dst and closes it.
+func drainScan[K cmp.Ordered](it *scan.Iterator[K], dst []K) []K {
 	defer it.Close()
 	for {
 		if len(dst) == cap(dst) {

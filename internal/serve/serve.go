@@ -82,6 +82,7 @@
 package serve
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
 	"slices"
@@ -338,9 +339,7 @@ func (s *Store) collect(snap *obs.Snapshot) {
 			sh.mu.Unlock()
 			snap.SetGauge(obs.L("lix_serve_queue_depth", "shard", strconv.Itoa(i)), float64(d))
 			pending += d
-			if sn := sh.snap.Load(); sn.idx != nil {
-				health(i, sn.idx.Plan())
-			}
+			health(i, sh.snap.Load().Plan())
 		}
 	} else {
 		for i, sh := range s.shards {
@@ -932,7 +931,7 @@ func (s *Store) Len() int {
 	total := 0
 	if s.strKeys {
 		for _, sh := range s.shardsS {
-			total += len(sh.snap.Load().keys)
+			total += sh.snap.Load().Len()
 		}
 		return total
 	}
@@ -1173,8 +1172,8 @@ func dedupSorted(ks []uint64) []uint64 {
 
 // mergeDedup merges sorted base with sorted, deduped extra, skipping extra
 // keys already in base. The result is a fresh array (base stays immutable).
-func mergeDedup(base, extra []uint64) []uint64 {
-	merged := make([]uint64, 0, len(base)+len(extra))
+func mergeDedup[K cmp.Ordered](base, extra []K) []K {
+	merged := make([]K, 0, len(base)+len(extra))
 	i, j := 0, 0
 	for i < len(base) && j < len(extra) {
 		switch {

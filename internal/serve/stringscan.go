@@ -11,6 +11,7 @@ import (
 	"slices"
 	"time"
 
+	"learnedindex/internal/core"
 	"learnedindex/internal/obs"
 	"learnedindex/internal/scan"
 )
@@ -65,46 +66,31 @@ func (s *Store) openStringScan(lo, hi string, bounded bool) *scan.Iterator[strin
 	it := scan.Get[string]()
 	it.SetObs(s.m.scanKeys)
 	st := scanStatePool.Get().(*scanState)
+	// Either way the layers are one sorted delta copy plus the codec indexes
+	// whose fence overlaps the range.
+	var delta []string
+	st.scs = st.scs[:0]
 	if s.eng != nil {
 		sn := s.eng.AcquireSnapshotRangeStr(lo, hi, bounded)
 		st.snap = sn
-		st.scs = st.scs[:0]
-		if p := sn.PendingStrings(); len(p) > 0 {
-			st.scs = append(st.scs, scan.KeysCursor[string]{})
-			st.scs[0].Reset(p, nil)
-		}
+		delta = sn.PendingStrings()
 		for i := 0; i < sn.NumSegments(); i++ {
-			if ks, pos := sn.SegmentStrings(i, lo, hi, bounded); ks != nil {
-				st.scs = append(st.scs, scan.KeysCursor[string]{})
-				st.scs[len(st.scs)-1].Reset(ks, pos)
+			if si := sn.SegmentStrings(i, lo, hi, bounded); si != nil {
+				st.addStrCursor(si)
 			}
 		}
-		for i := range st.scs {
-			it.Add(&st.scs[i]) // delta first: the newest layer wins ties
+	} else {
+		st.captureInMemoryStr(s, lo, hi, bounded)
+		delta = st.sdelta
+		for _, si := range st.ssnaps {
+			if !strFenceOut(si, lo, hi, bounded) {
+				st.addStrCursor(si)
+			}
 		}
-		if bounded {
-			it.Start(lo, hi, st)
-		} else {
-			it.StartFrom(lo, st)
-		}
-		if obs.Enabled {
-			s.m.scanOpen.ObserveDuration(time.Since(start))
-		}
-		return it
 	}
-	st.captureInMemoryStr(s, lo, hi, bounded)
-	st.scs = st.scs[:0]
-	if len(st.sdelta) > 0 {
-		st.scs = append(st.scs, scan.KeysCursor[string]{})
-		st.scs[len(st.scs)-1].Reset(st.sdelta, nil)
-	}
-	for _, sn := range st.ssnaps {
-		ks := sn.keys
-		if len(ks) == 0 || (bounded && ks[0] >= hi) || ks[len(ks)-1] < lo {
-			continue
-		}
-		st.scs = append(st.scs, scan.KeysCursor[string]{})
-		st.scs[len(st.scs)-1].Reset(ks, sn.idx)
+	if len(delta) > 0 {
+		st.sdc.Reset(delta, nil)
+		it.Add(&st.sdc) // delta first: the newest layer wins ties
 	}
 	for i := range st.scs {
 		it.Add(&st.scs[i])
@@ -120,22 +106,28 @@ func (s *Store) openStringScan(lo, hi string, bounded bool) *scan.Iterator[strin
 	return it
 }
 
+// addStrCursor points the next cursor of the pooled array at si. A slot is
+// reused as it was left, so its page keeps the capacity earlier scans grew.
+func (st *scanState) addStrCursor(si *core.StringIndex) {
+	if len(st.scs) < cap(st.scs) {
+		st.scs = st.scs[:len(st.scs)+1]
+	} else {
+		st.scs = append(st.scs, core.StringCursor{})
+	}
+	st.scs[len(st.scs)-1].Reset(si)
+}
+
+// strFenceOut reports whether a shard's published index holds no key of the
+// range ([lo, hi) when bounded, keys >= lo otherwise): the in-memory fence.
+func strFenceOut(si *core.StringIndex, lo, hi string, bounded bool) bool {
+	d := si.Dict()
+	return d.Len() == 0 || (bounded && d.Min() >= hi) || d.Max() < lo
+}
+
 // ScanBatchString appends every string key in [lo, hi) — same view as
 // ScanString — to dst and returns it.
 func (s *Store) ScanBatchString(lo, hi string, dst []string) []string {
-	it := s.ScanString(lo, hi)
-	defer it.Close()
-	for {
-		if len(dst) == cap(dst) {
-			dst = slices.Grow(dst, max(256, cap(dst)))
-		}
-		free := dst[len(dst):cap(dst)]
-		n := it.NextBatch(free)
-		dst = dst[:len(dst)+n]
-		if n < len(free) {
-			return dst
-		}
-	}
+	return drainScan(s.ScanString(lo, hi), dst)
 }
 
 // CountRangeString returns the exact number of distinct string keys in
@@ -143,59 +135,38 @@ func (s *Store) ScanBatchString(lo, hi string, dst []string) []string {
 // by codec-index position arithmetic plus the delta correction, without
 // iterating.
 func (s *Store) CountRangeString(lo, hi string) int {
-	if !s.strKeys {
-		panic("serve: string scan on a uint64-keyed store")
-	}
 	if hi <= lo {
 		return 0
 	}
-	if s.eng != nil {
-		return s.eng.CountRangeStr(lo, hi, true)
-	}
-	st := scanStatePool.Get().(*scanState)
-	st.captureInMemoryStr(s, lo, hi, true)
-	total := 0
-	for _, sn := range st.ssnaps {
-		if ks := sn.keys; len(ks) == 0 || ks[0] >= hi || ks[len(ks)-1] < lo {
-			continue
-		}
-		a, b := sn.idx.RangeScan(lo, hi)
-		total += b - a
-	}
-	for _, k := range st.sdelta { // already restricted to [lo, hi)
-		if !st.ssnaps[s.shardForString(k)].idx.Contains(k) {
-			total++
-		}
-	}
-	st.CloseScan()
-	return total
+	return s.countStr(lo, hi, true)
 }
 
 // CountFromString is CountRangeString without an upper bound: the number
 // of distinct committed string keys >= lo.
-func (s *Store) CountFromString(lo string) int {
+func (s *Store) CountFromString(lo string) int { return s.countStr(lo, "", false) }
+
+func (s *Store) countStr(lo, hi string, bounded bool) int {
 	if !s.strKeys {
 		panic("serve: string scan on a uint64-keyed store")
 	}
 	if s.eng != nil {
-		return s.eng.CountRangeStr(lo, "", false)
+		return s.eng.CountRangeStr(lo, hi, bounded)
 	}
 	st := scanStatePool.Get().(*scanState)
-	st.captureInMemoryStr(s, lo, "", false)
+	st.captureInMemoryStr(s, lo, hi, bounded)
 	total := 0
-	for _, sn := range st.ssnaps {
-		ks := sn.keys
-		if len(ks) == 0 || ks[len(ks)-1] < lo {
+	for _, si := range st.ssnaps {
+		if strFenceOut(si, lo, hi, bounded) {
 			continue
 		}
-		a := 0
-		if lo > ks[0] {
-			a = sn.idx.Lookup(lo)
+		end := si.Len()
+		if bounded {
+			end = si.Lookup(hi)
 		}
-		total += len(ks) - a
+		total += end - si.Lookup(lo)
 	}
-	for _, k := range st.sdelta { // already restricted to keys >= lo
-		if !st.ssnaps[s.shardForString(k)].idx.Contains(k) {
+	for _, k := range st.sdelta { // already restricted to the range
+		if !st.ssnaps[s.shardForString(k)].Contains(k) {
 			total++
 		}
 	}

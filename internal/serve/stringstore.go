@@ -2,13 +2,13 @@ package serve
 
 // String-keyed serving: the same range-sharded RCU architecture as the
 // uint64 store, generalized over the order-preserving key codec
-// (internal/keycodec). Each shard's snapshot holds its sorted string keys
-// behind a core.StringIndex — the prefix RMI plus suffix dictionary, with
-// the StringRMI tie-break model trained only when the prefix space is
-// collision-heavy — and shard boundaries are split *strings* picked from
-// the initial key space, so routing stays a binary search over the bounds
-// in key order (Prefix is order-preserving, so prefix order and string
-// order agree wherever routing needs them to).
+// (internal/keycodec). Each shard's published snapshot is a
+// core.StringIndex — the prefix RMI plus the suffix dictionary, whose
+// pointer-free arena is the only place the shard's keys live — and shard
+// boundaries are split *strings* picked from the initial key space, so
+// routing stays a binary search over the bounds in key order (Prefix is
+// order-preserving, so prefix order and string order agree wherever routing
+// needs them to).
 //
 // The consistency model, drain machinery, and scan capture discipline are
 // the uint64 store's, unchanged; only the key domain differs. A persistent
@@ -29,28 +29,20 @@ import (
 	"learnedindex/internal/storage"
 )
 
-// strSnapshot is one string shard's immutable published state.
-type strSnapshot struct {
-	keys []string
-	idx  *core.StringIndex
-}
-
-// newStrSnapshot publishes keys behind a freshly trained codec index.
-// workers follows newSnapshot's budget discipline.
-func newStrSnapshot(keys []string, cfg core.Config, workers int) *strSnapshot {
-	var idx *core.StringIndex
+// newStrSnapshot trains the codec index a string shard publishes as its
+// immutable state; the key bytes are copied into it. workers follows
+// newSnapshot's budget discipline.
+func newStrSnapshot(keys []string, cfg core.Config, workers int) *core.StringIndex {
 	if workers > 0 {
-		idx = core.NewStringIndexWorkers(keys, cfg, workers)
-	} else {
-		idx = core.NewStringIndex(keys, cfg)
+		return core.NewStringIndexWorkers(keys, cfg, workers)
 	}
-	return &strSnapshot{keys: keys, idx: idx}
+	return core.NewStringIndex(keys, cfg)
 }
 
 // strShard mirrors shard in the string domain; see shard for the field
 // contracts (buf/draining visibility, merge gating).
 type strShard struct {
-	snap     atomic.Pointer[strSnapshot]
+	snap     atomic.Pointer[core.StringIndex]
 	mergeMu  sync.Mutex
 	merging  atomic.Bool
 	mu       sync.Mutex
@@ -345,9 +337,11 @@ func (s *Store) drainStr(i int) {
 	work := append(getStrShardBuf(), buf...)
 	slices.Sort(work)
 	deduped := slices.Compact(work)
+	// The published keys become strings only for this merge: one run out of
+	// the dictionary's arena, let go once the new index has copied it.
 	cur := sh.snap.Load()
-	merged := mergeDedupStr(cur.keys, deduped)
-	if len(merged) == len(cur.keys) {
+	merged := mergeDedup(cur.Dict().AppendKeys(nil, 0, cur.Len()), deduped)
+	if len(merged) == cur.Len() {
 		release(work)
 		return
 	}
@@ -395,9 +389,9 @@ func (s *Store) lookupStrPos(key string) int {
 	i := s.shardForString(key)
 	total := 0
 	for j := 0; j < i; j++ {
-		total += len(s.shardsS[j].snap.Load().keys)
+		total += s.shardsS[j].snap.Load().Len()
 	}
-	return total + s.shardsS[i].snap.Load().idx.Lookup(key)
+	return total + s.shardsS[i].snap.Load().Lookup(key)
 }
 
 // ContainsString reports whether a string key is committed.
@@ -408,7 +402,7 @@ func (s *Store) ContainsString(key string) bool {
 	if s.eng != nil {
 		return s.eng.ContainsString(key)
 	}
-	return s.shardsS[s.shardForString(key)].snap.Load().idx.Contains(key)
+	return s.shardsS[s.shardForString(key)].snap.Load().Contains(key)
 }
 
 // LookupBatchString is LookupBatch for a string-keyed store: every probe,
@@ -462,7 +456,7 @@ func (s *Store) lookupBatchStr(probes []string) []int {
 // probe's shard.
 func (s *Store) captureBatchStr(idx []*core.StringIndex, sel []int32, probes []string) ([]*core.StringIndex, []int32) {
 	for _, sh := range s.shardsS {
-		idx = append(idx, sh.snap.Load().idx)
+		idx = append(idx, sh.snap.Load())
 	}
 	if len(probes) > cap(sel) {
 		sel = make([]int32, len(probes))
@@ -477,8 +471,8 @@ func (s *Store) captureBatchStr(idx []*core.StringIndex, sel []int32, probes []s
 // ContainsBatchString reports membership for every probe, in probe order,
 // against one consistent captured view, like ContainsBatch: a persistent
 // store walks one captured segment list; an in-memory store ranks the
-// batch through core.LookupBatchStrings and tests each answer against its
-// shard's keys.
+// batch through core.LookupBatchStrings and tests each answer against the
+// key at that position of its shard's dictionary.
 func (s *Store) ContainsBatchString(probes []string) []bool {
 	if !s.strKeys {
 		panic("serve: string read on a uint64-keyed store")
@@ -502,31 +496,7 @@ func (s *Store) ContainsBatchString(probes []string) []bool {
 	pos = pos[:len(probes)]
 	core.LookupBatchStrings(idx, sel, probes, pos)
 	for i, k := range probes {
-		strs := idx[sel[i]].Strings()
-		out[i] = pos[i] < len(strs) && strs[pos[i]] == k
+		out[i] = idx[sel[i]].Dict().Equal(pos[i], k)
 	}
 	return out
-}
-
-// mergeDedupStr is mergeDedup in the string domain.
-func mergeDedupStr(base, extra []string) []string {
-	merged := make([]string, 0, len(base)+len(extra))
-	i, j := 0, 0
-	for i < len(base) && j < len(extra) {
-		switch {
-		case base[i] < extra[j]:
-			merged = append(merged, base[i])
-			i++
-		case base[i] > extra[j]:
-			merged = append(merged, extra[j])
-			j++
-		default:
-			merged = append(merged, base[i])
-			i++
-			j++
-		}
-	}
-	merged = append(merged, base[i:]...)
-	merged = append(merged, extra[j:]...)
-	return merged
 }

@@ -11,14 +11,21 @@ import (
 
 // keyOps is the key-kind seam of the segment planes that exist once for
 // both modes: how a uint64 or a string key hashes for the Bloom filters,
-// where a segment's fence sits, which array holds its keys, how a set of
-// segments ranks a run of (probe, segment) pairs, and how a sorted unique
-// key run becomes a committed segment. Membership has no entry of its own:
-// it is rank plus one equality test against keys.
+// where a segment's fence sits, whether the key at a position is a given
+// key, how a set of segments ranks a run of (probe, segment) pairs, and how
+// a sorted unique key run — a segment's own, for a merge — becomes a
+// committed segment. Membership has no entry of its own: it is rank plus
+// one equality test by position.
 type keyOps[K cmp.Ordered] struct {
 	hash  func(K) (h1, h2 uint64)
 	fence func(*segment) (lo, hi K)
-	keys  func(*segment) []K
+	// at reports whether the segment's key at position pos (which may be
+	// the key count) is k.
+	at func(s *segment, pos int, k K) bool
+	// keys returns the segment's sorted keys for a merge to read: a uint64
+	// segment's own array, a string segment's run materialized for the call
+	// (one allocation for the bytes, one for the headers).
+	keys func(*segment) []K
 	// rank writes pos[j] = the lower-bound position of probes[j] inside
 	// segs[sel[j]] (nil sel = segs[0]) through core's batch kernel: any
 	// probe order, any mix of segments, one lockstep search per tile.
@@ -36,6 +43,7 @@ var (
 	u64Ops = keyOps[uint64]{
 		hash:  bloom.HashUint64,
 		fence: func(s *segment) (uint64, uint64) { return s.minKey(), s.maxKey() },
+		at:    func(s *segment, pos int, k uint64) bool { return pos < len(s.keys) && s.keys[pos] == k },
 		keys:  func(s *segment) []uint64 { return s.keys },
 		rank: func(segs []*segment, sel []int32, probes []uint64, pos []int) {
 			var buf [stackSegs]*core.Plan
@@ -53,7 +61,8 @@ var (
 	strOps = keyOps[string]{
 		hash:  bloom.HashString,
 		fence: func(s *segment) (string, string) { return s.minStr(), s.maxStr() },
-		keys:  func(s *segment) []string { return s.strs },
+		at:    func(s *segment, pos int, k string) bool { return s.sindex.Dict().Equal(pos, k) },
+		keys:  func(s *segment) []string { return s.sindex.Dict().AppendKeys(nil, 0, s.numKeys()) },
 		rank: func(segs []*segment, sel []int32, probes []string, pos []int) {
 			var buf [stackSegs]*core.StringIndex
 			idx := buf[:0]
@@ -123,9 +132,9 @@ func (sc *readScratch[K]) rankPairs(segs []*segment, ops *keyOps[K], n int, out 
 // min/max fence and Bloom filter — independent loads, one cache line per
 // probe with the blocked layout — and only the passers run the segment's
 // model, together: one rank call, then one equality test each against the
-// segment's key array. A probe leaves the live list at its first hit
-// (segments are disjoint), so the walk ends early once a batch of hits is
-// resolved.
+// segment's key at that position. A probe leaves the live list at its first
+// hit (segments are disjoint), so the walk ends early once a batch of hits
+// is resolved.
 //
 // The Bloom funnel (probe → pass → hit; pass−hit is the false positives
 // actually paid) is counted per segment per chunk, not per key. Compiled
@@ -163,9 +172,8 @@ func containsBatchIn[K cmp.Ordered](segs []*segment, ops *keyOps[K], probes []K,
 				sc.used = max(sc.used, passed)
 				pass, pos := sc.keys[:passed], sc.pos[:passed]
 				ops.rank(segs[si:si+1], nil, pass, pos)
-				stored := ops.keys(s)
 				for j, p := range pos {
-					if p < len(stored) && stored[p] == pass[j] {
+					if ops.at(s, p, pass[j]) {
 						hit[sc.slot[j]] = true
 						found++
 					}

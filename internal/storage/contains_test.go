@@ -339,7 +339,7 @@ func TestReplayedWALDedupesInChunks(t *testing.T) {
 // TestSegmentImageBytesUnchanged pins the in-place encoders to the format:
 // the image sized once and encoded in place must equal, byte for byte, the
 // append-built reference (the encoder this replaced), with no slack left in
-// the buffer the segment retains.
+// the buffer.
 func TestSegmentImageBytesUnchanged(t *testing.T) {
 	reference := func(magic [8]byte, keys []uint64, sections ...[]byte) []byte {
 		body := binenc.AppendUvarint(nil, uint64(len(keys)))
@@ -361,7 +361,7 @@ func TestSegmentImageBytesUnchanged(t *testing.T) {
 			t.Fatal(err)
 		}
 		rb, _ := seg.rmi.AppendBinary(nil)
-		img, _, _, err := encodeSegment(keys, seg.rmi, seg.filter)
+		img, err := encodeSegment(keys, seg.rmi, seg.filter)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -8,16 +8,20 @@ import (
 	"learnedindex/internal/bloom"
 	"learnedindex/internal/core"
 	"learnedindex/internal/data"
+	"learnedindex/internal/scan"
 	"learnedindex/internal/vfs"
 )
 
 // FuzzSegmentDecode asserts the segment decoder never panics on arbitrary
 // bytes, and that anything it does accept is internally coherent enough to
-// serve lookups without panicking either.
+// serve without panicking either: lookups across the whole key range, and
+// a scan — the cursor the serving layer puts over the decoded key array,
+// entered through the decoded plan — that reproduces exactly the decoded
+// keys, strictly increasing, from Seek(0) and from any key.
 func FuzzSegmentDecode(f *testing.F) {
-	f.Add([]byte{})
-	f.Add(segMagic[:])
-	f.Add(bytes.Repeat([]byte{0xff}, 64))
+	f.Add([]byte{}, uint16(0))
+	f.Add(segMagic[:], uint16(1))
+	f.Add(bytes.Repeat([]byte{0xff}, 64), uint16(2))
 	// A valid segment as seed so mutation explores the deep decode paths.
 	keys := data.Uniform(2_000, 1_000_000, 1)
 	rmi := core.New(keys, core.DefaultConfig(32))
@@ -25,21 +29,30 @@ func FuzzSegmentDecode(f *testing.F) {
 	for _, k := range keys {
 		filter.AddUint64(k)
 	}
-	img, _, _, err := encodeSegment(keys, rmi, filter)
+	img, err := encodeSegment(keys, rmi, filter)
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(img)
-	f.Add(img[:len(img)-5])
+	f.Add(img, uint16(7))
+	f.Add(img[:len(img)-5], uint16(9))
+	// Malformed key blocks behind a good checksum, so the decode reaches
+	// them: unterminated varints, a zero delta, a delta that wraps uint64.
+	for _, block := range [][]byte{
+		append([]byte{40}, bytes.Repeat([]byte{0x80}, 40)...),
+		{3, 5, 0, 1},
+		{2, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 1},
+	} {
+		f.Add(sealSegmentImage(append(segMagic[:len(segMagic):len(segMagic)], block...)), uint16(0))
+	}
 
-	f.Fuzz(func(t *testing.T, in []byte) {
-		ks, r, bf, bi, err := decodeSegment(in) // must never panic
+	f.Fuzz(func(t *testing.T, in []byte, seekSel uint16) {
+		ks, r, bf, err := decodeSegment(in) // must never panic
 		if err != nil {
 			return
 		}
 		// Accepted input: the decoded structures must serve without
 		// panicking across the whole key range.
-		if len(ks) == 0 || r == nil || bf == nil || bi == nil {
+		if len(ks) == 0 || r == nil || bf == nil {
 			t.Fatalf("nil-but-no-error decode")
 		}
 		for _, k := range []uint64{0, ks[0], ks[len(ks)-1], ks[len(ks)/2] + 1, ^uint64(0)} {
@@ -47,70 +60,23 @@ func FuzzSegmentDecode(f *testing.F) {
 			_ = r.Contains(k)
 			_ = bf.MayContainUint64(k)
 		}
-	})
-}
-
-// FuzzSegmentBlockIterator asserts two properties of the lazy block
-// decoder on arbitrary bytes: buildBlockIndex never panics (it errors on
-// anything malformed), and whenever the eager whole-segment decode accepts
-// an input, the lazy block-by-block walk — including model-biased Seek
-// entry at every position — reproduces exactly the same key sequence.
-func FuzzSegmentBlockIterator(f *testing.F) {
-	keys := data.Uniform(1_500, 1_000_000, 3)
-	rmi := core.New(keys, core.DefaultConfig(32))
-	filter := bloom.New(len(keys), 0.01)
-	for _, k := range keys {
-		filter.AddUint64(k)
-	}
-	img, _, _, err := encodeSegment(keys, rmi, filter)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(img, uint16(0))
-	f.Add(img[:len(img)-3], uint16(7))
-	f.Add([]byte{}, uint16(1))
-	f.Add(bytes.Repeat([]byte{0x80}, 40), uint16(9)) // unterminated varints
-
-	f.Fuzz(func(t *testing.T, in []byte, seekSel uint16) {
-		// Raw-bytes path: the builder must reject or accept without
-		// panicking, for any claimed key count.
-		n := 1
-		if len(in) > 0 {
-			n = int(in[0])%2000 + 1
-		}
-		if bi, err := buildBlockIndex(in, n); err == nil {
-			// Anything accepted must decode every block coherently.
-			buf := make([]uint64, 0, scanBlockKeys)
-			total := 0
-			for b := 0; b < bi.numBlocks(); b++ {
-				buf = bi.decodeBlock(b, buf)
-				total += len(buf)
-			}
-			if total != n {
-				t.Fatalf("lazy decode produced %d keys, claimed %d", total, n)
-			}
-		}
-
-		// Whole-segment path: lazy must agree with eager.
-		ks, r, _, bi, err := decodeSegment(in)
-		if err != nil {
-			return
-		}
-		seg := &segment{keys: ks, rmi: r, plan: r.Plan(), blocks: bi}
-		c := getSegmentCursor(seg)
-		defer c.Release()
+		var c scan.KeysCursor[uint64]
+		c.Reset(ks, r.Plan())
 		if !c.Seek(0) {
 			t.Fatalf("Seek(0) exhausted on a %d-key segment", len(ks))
 		}
 		for i, want := range ks {
+			if i > 0 && ks[i-1] >= want {
+				t.Fatalf("accepted key block not strictly increasing at %d", i)
+			}
 			if got := c.Key(); got != want {
-				t.Fatalf("lazy walk[%d] = %d, eager = %d", i, got, want)
+				t.Fatalf("scan[%d] = %d, decoded %d", i, got, want)
 			}
 			if adv := c.Next(); adv != (i+1 < len(ks)) {
 				t.Fatalf("Next at %d = %v", i, adv)
 			}
 		}
-		// Model-biased entry at an arbitrary position agrees with eager.
+		// Model-biased entry at an arbitrary position lands exactly.
 		pos := int(seekSel) % len(ks)
 		if !c.Seek(ks[pos]) || c.Key() != ks[pos] {
 			t.Fatalf("Seek(%d) landed wrong", ks[pos])

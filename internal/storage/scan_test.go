@@ -8,7 +8,6 @@ import (
 
 	"learnedindex/internal/data"
 	"learnedindex/internal/scan"
-	"learnedindex/internal/search"
 )
 
 // drainSnapshot merges a snapshot's delta + segment cursors through the
@@ -21,7 +20,9 @@ func drainSnapshot(sn *Snapshot, lo, hi uint64) []uint64 {
 		it.Add(c) // newest layer first
 	}
 	for i := 0; i < sn.NumSegments(); i++ {
-		if c := sn.SegmentCursor(i, lo, hi); c != nil {
+		if ks, plan := sn.SegmentKeys(i, lo, hi); ks != nil {
+			c := new(scan.KeysCursor[uint64])
+			c.Reset(ks, plan)
 			it.Add(c)
 		}
 	}
@@ -144,53 +145,6 @@ func TestSnapshotPinsCompactionInputs(t *testing.T) {
 	}
 	if deleted == 0 {
 		t.Fatal("release swept no compacted-away files")
-	}
-}
-
-// TestBlockIteratorAgreesWithEagerDecode walks a real written-and-reopened
-// segment lazily and compares every key (plus random seeks) against the
-// eagerly decoded array.
-func TestBlockIteratorAgreesWithEagerDecode(t *testing.T) {
-	dir := t.TempDir()
-	e := openT(t, dir, Options{NoCompactor: true})
-	keys := data.LognormalPaper(40_000, 17)
-	e.Append(keys...)
-	if err := e.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Close(); err != nil {
-		t.Fatal(err)
-	}
-	re := openT(t, dir, Options{NoCompactor: true})
-	defer re.Close()
-	sn := re.AcquireSnapshot()
-	defer sn.Release()
-	if sn.NumSegments() != 1 {
-		t.Fatalf("want 1 segment, got %d", sn.NumSegments())
-	}
-	seg := sn.segs[0]
-	c := getSegmentCursor(seg)
-	defer c.Release()
-	if !c.Seek(0) {
-		t.Fatal("Seek(0) exhausted")
-	}
-	for i, want := range seg.keys {
-		if got := c.Key(); got != want {
-			t.Fatalf("lazy[%d] = %d, eager %d", i, got, want)
-		}
-		c.Next()
-	}
-	rng := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 2_000; trial++ {
-		probe := rng.Uint64() % (seg.maxKey() + 1000)
-		pos := search.Binary(seg.keys, probe, 0, len(seg.keys))
-		ok := c.Seek(probe)
-		if ok != (pos < len(seg.keys)) {
-			t.Fatalf("Seek(%d) valid=%v, want %v", probe, ok, pos < len(seg.keys))
-		}
-		if ok && c.Key() != seg.keys[pos] {
-			t.Fatalf("Seek(%d) = %d, want %d", probe, c.Key(), seg.keys[pos])
-		}
 	}
 }
 

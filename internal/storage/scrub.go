@@ -49,8 +49,7 @@ func encodeLiveSegment(s *segment) ([]byte, error) {
 	if s.isString() {
 		return encodeStringSegment(s.sindex, s.filter)
 	}
-	img, _, _, err := encodeSegment(s.keys, s.rmi, s.filter)
-	return img, err
+	return encodeSegment(s.keys, s.rmi, s.filter)
 }
 
 // Scrub re-verifies every live segment file's checksum and rewrites any

@@ -26,9 +26,9 @@ import (
 //	  length-prefixed serialized bloom.Filter
 //	crc32c(body) (4 bytes LE)
 //
-// Delta-varint coding exploits sortedness (dense runs cost ~1–2 bytes per
-// key); the trailing checksum makes any torn or bit-flipped file fail to
-// open instead of serving wrong answers. A segment is written once —
+// Delta-varint coding exploits sortedness (a few bytes per key against the
+// 8 of the decoded array); the trailing checksum makes any torn or
+// bit-flipped file fail to open instead of serving wrong answers. A segment is written once —
 // temp file, fsync, rename, directory fsync — and never modified;
 // compaction writes a replacement and deletes the inputs.
 //
@@ -53,7 +53,14 @@ import (
 // The prefix block reuses the uint64 delta-varint coding over the sorted
 // *deduplicated* 8-byte prefixes; the dictionary reconstructs the exact
 // keys from the prefixes plus per-key length+suffix, so long keys never
-// store their first 8 bytes twice. Version tags make the formats
+// store their first 8 bytes twice.
+//
+// A resident key is stored once. The file image is dropped as soon as it is
+// decoded (or written): a v1 segment is its decoded key array, which point
+// reads search and scans iterate; a v2 segment is the prefix array plus the
+// dictionary's key block (keycodec.Dict) — no string per key — and the
+// strings a scan, a merge or a Keys reply needs are materialized for that
+// call and let go. Version tags make the formats
 // self-describing: a v1 file decodes under v1 rules forever, and an engine
 // opened in the wrong mode rejects the directory instead of misreading it.
 var (
@@ -72,22 +79,13 @@ type segment struct {
 	// written or opened so cold-start reads execute the flat plan — the
 	// multi-segment read pipeline is fence check → Bloom filter → plan,
 	// pruning before any model runs.
-	plan   *core.Plan
-	filter *bloom.Filter
-	// blocks is the lazy-scan directory over the raw delta-varint key
-	// block (blockiter.go): range scans decode keys block-by-block from it
-	// instead of touching the eagerly decoded array. The raw bytes alias
-	// the file image, which is cheap to retain — the key block is the bulk
-	// of a segment and costs ~1–2 bytes per key against the 8 the decoded
-	// array already holds.
-	blocks    *blockIndex
+	plan      *core.Plan
+	filter    *bloom.Filter
 	diskBytes int64
 
-	// String-keyed (v2) segments only: the exact sorted keys and the codec
-	// read path over them (prefix plan + suffix dictionary). strs is
-	// materialized eagerly at open, like the v1 key array — a string point
-	// lookup must not pay a block decode per probe — and blocks stays nil.
-	strs   []string
+	// sindex is the codec read path of a string-keyed (v2) segment: the
+	// prefix plan over keys plus the suffix dictionary that holds the exact
+	// keys. Nil on a v1 segment.
 	sindex *core.StringIndex
 
 	// pins counts open scan snapshots holding this segment; zombie marks a
@@ -117,17 +115,16 @@ func (s *segment) name() string {
 func (s *segment) minKey() uint64 { return s.keys[0] }
 func (s *segment) maxKey() uint64 { return s.keys[len(s.keys)-1] }
 
-// isString reports the segment's format: v2 segments always hold at least
-// one key, so a non-nil strs is the discriminator.
-func (s *segment) isString() bool { return s.strs != nil }
+// isString reports the segment's format.
+func (s *segment) isString() bool { return s.sindex != nil }
 
-func (s *segment) minStr() string { return s.strs[0] }
-func (s *segment) maxStr() string { return s.strs[len(s.strs)-1] }
+func (s *segment) minStr() string { return s.sindex.Dict().Min() }
+func (s *segment) maxStr() string { return s.sindex.Dict().Max() }
 
 // numKeys returns the segment's exact key count in its native domain.
 func (s *segment) numKeys() int {
 	if s.isString() {
-		return len(s.strs)
+		return s.sindex.Len()
 	}
 	return len(s.keys)
 }
@@ -148,25 +145,22 @@ func parseSegmentFileName(name string) (seqLo, seqHi uint64, ok bool) {
 }
 
 // newSegmentImage starts a file image: it sizes the whole image once —
-// magic, the count-prefixed delta-varint block of keys (measured exactly,
-// because the block directory keeps aliasing these bytes for the segment's
-// lifetime), rest more body bytes, checksum — and encodes the key block in
-// place, returning its [keyStart, keyEnd) bounds. The caller appends
-// exactly rest bytes of sections and seals the image.
-func newSegmentImage(magic [8]byte, keys []uint64, rest int) (img []byte, keyStart, keyEnd int) {
+// magic, the count-prefixed delta-varint block of keys (measured exactly),
+// rest more body bytes, checksum — and encodes the key block in place. The
+// caller appends exactly rest bytes of sections and seals the image.
+func newSegmentImage(magic [8]byte, keys []uint64, rest int) []byte {
 	block := binenc.UvarintLen(keys[0])
 	for i := 1; i < len(keys); i++ {
 		block += binenc.UvarintLen(keys[i] - keys[i-1])
 	}
-	img = make([]byte, 0, len(magic)+binenc.UvarintLen(uint64(len(keys)))+block+rest+4)
+	img := make([]byte, 0, len(magic)+binenc.UvarintLen(uint64(len(keys)))+block+rest+4)
 	img = append(img, magic[:]...)
 	img = binenc.AppendUvarint(img, uint64(len(keys)))
-	keyStart = len(img)
 	img = binenc.AppendUvarint(img, keys[0])
 	for i := 1; i < len(keys); i++ {
 		img = binenc.AppendUvarint(img, keys[i]-keys[i-1])
 	}
-	return img, keyStart, len(img)
+	return img
 }
 
 // sealSegmentImage appends the checksum of the body (everything after the
@@ -179,80 +173,84 @@ func sealSegmentImage(img []byte) []byte {
 func blockLen(n int) int { return binenc.UvarintLen(uint64(n)) + n }
 
 // encodeSegment builds the full file image (magic + body + checksum) for
-// sorted unique non-empty keys with their trained index and filter, and
-// returns the [keyStart, keyEnd) bounds of the delta-varint key block
-// within the image so the write path can build the lazy-scan block
-// directory over the exact bytes it is about to commit.
-func encodeSegment(keys []uint64, rmi *core.RMI, filter *bloom.Filter) (img []byte, keyStart, keyEnd int, err error) {
+// sorted unique non-empty keys with their trained index and filter.
+func encodeSegment(keys []uint64, rmi *core.RMI, filter *bloom.Filter) ([]byte, error) {
 	rb, err := rmi.AppendBinary(nil)
 	if err != nil {
-		return nil, 0, 0, err
+		return nil, err
 	}
 	fl := filter.EncodedLen()
-	img, keyStart, keyEnd = newSegmentImage(segMagic, keys, blockLen(len(rb))+blockLen(fl))
+	img := newSegmentImage(segMagic, keys, blockLen(len(rb))+blockLen(fl))
 	img = binenc.AppendBytes(img, rb)
 	img = filter.AppendBinary(binenc.AppendUvarint(img, uint64(fl)))
-	return sealSegmentImage(img), keyStart, keyEnd, nil
+	return sealSegmentImage(img), nil
 }
 
-// decodeSegment parses a full file image. All errors are reported, never
-// panicked, including on adversarial input: checksum first, then strictly
-// validated key deltas, then the model and filter decoders (which bind the
-// RMI to the decoded key block and cross-check its key count).
-func decodeSegment(data []byte) (keys []uint64, rmi *core.RMI, filter *bloom.Filter, blocks *blockIndex, err error) {
-	if len(data) < len(segMagic)+4 || [8]byte(data[:8]) != segMagic {
-		return nil, nil, nil, nil, fmt.Errorf("storage: bad segment magic: %w", binenc.ErrCorrupt)
+// decodeKeyBlock opens a file image of the given version: magic, then the
+// checksum of the body — so a torn or bit-flipped file fails before
+// anything is decoded from it — then the count-prefixed delta-varint key
+// block, every delta strictly positive and free of uint64 wrap. It returns
+// the keys and the reader positioned at the sections that follow.
+func decodeKeyBlock(data []byte, magic [8]byte) (*binenc.Reader, []uint64, error) {
+	if len(data) < len(magic)+4 || [8]byte(data[:8]) != magic {
+		return nil, nil, fmt.Errorf("storage: bad segment magic: %w", binenc.ErrCorrupt)
 	}
-	body := data[len(segMagic) : len(data)-4]
-	sum := binary.LittleEndian.Uint32(data[len(data)-4:])
-	if crc32.Checksum(body, crcTable) != sum {
-		return nil, nil, nil, nil, fmt.Errorf("storage: segment checksum mismatch: %w", binenc.ErrCorrupt)
+	body := data[len(magic) : len(data)-4]
+	if crc32.Checksum(body, crcTable) != binary.LittleEndian.Uint32(data[len(data)-4:]) {
+		return nil, nil, fmt.Errorf("storage: segment checksum mismatch: %w", binenc.ErrCorrupt)
 	}
 	r := binenc.NewReader(body)
 	n := r.Count(len(body), 1)
 	if r.Err() != nil || n < 1 {
-		return nil, nil, nil, nil, binenc.ErrCorrupt
+		return nil, nil, binenc.ErrCorrupt
 	}
-	keyStart := len(body) - r.Remaining()
-	keys = make([]uint64, n)
+	keys := make([]uint64, n)
 	keys[0] = r.Uvarint()
 	for i := 1; i < n; i++ {
 		d := r.Uvarint()
 		k := keys[i-1] + d
 		if d < 1 || k < keys[i-1] { // zero delta or uint64 wrap
-			return nil, nil, nil, nil, binenc.ErrCorrupt
+			return nil, nil, binenc.ErrCorrupt
 		}
 		keys[i] = k
 	}
+	return r, keys, r.Err()
+}
+
+// endOfBody closes an exact decode, like WAL records: trailing bytes mean
+// the file was written by something newer or buggier than this decoder —
+// reject it at open rather than serving it partially.
+func endOfBody(r *binenc.Reader) error {
 	if r.Err() != nil {
-		return nil, nil, nil, nil, r.Err()
+		return r.Err()
 	}
-	keyEnd := len(body) - r.Remaining()
-	rmi, err = core.DecodeRMI(r.Bytes(), keys)
-	if err != nil {
-		return nil, nil, nil, nil, err
-	}
-	filter, err = bloom.Decode(binenc.NewReader(r.Bytes()))
-	if err != nil {
-		return nil, nil, nil, nil, err
-	}
-	if r.Err() != nil {
-		return nil, nil, nil, nil, r.Err()
-	}
-	// Exact decode, like WAL records: trailing bytes mean the file was
-	// written by something newer or buggier than this decoder — reject it
-	// at open rather than serving it partially.
 	if r.Remaining() != 0 {
-		return nil, nil, nil, nil, fmt.Errorf("storage: %d trailing bytes after segment body: %w", r.Remaining(), binenc.ErrCorrupt)
+		return fmt.Errorf("storage: %d trailing bytes after segment body: %w", r.Remaining(), binenc.ErrCorrupt)
 	}
-	// The lazy-scan directory over the exact key-block bytes: its
-	// validating pass mirrors the loop above, so success here is
-	// guaranteed for anything the eager decode accepted.
-	blocks, err = buildBlockIndex(body[keyStart:keyEnd], n)
+	return nil
+}
+
+// decodeSegment parses a full v1 file image. All errors are reported, never
+// panicked, including on adversarial input: checksum first, then strictly
+// validated key deltas, then the model and filter decoders (which bind the
+// RMI to the decoded key block and cross-check its key count).
+func decodeSegment(data []byte) ([]uint64, *core.RMI, *bloom.Filter, error) {
+	r, keys, err := decodeKeyBlock(data, segMagic)
 	if err != nil {
-		return nil, nil, nil, nil, err
+		return nil, nil, nil, err
 	}
-	return keys, rmi, filter, blocks, nil
+	rmi, err := core.DecodeRMI(r.Bytes(), keys)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	filter, err := bloom.Decode(binenc.NewReader(r.Bytes()))
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	if err := endOfBody(r); err != nil {
+		return nil, nil, nil, err
+	}
+	return keys, rmi, filter, nil
 }
 
 // writeSegment trains an RMI and Bloom filter over keys (sorted, unique,
@@ -267,13 +265,9 @@ func writeSegment(fs vfs.FS, ioc *obs.Counter, dir string, seqLo, seqHi uint64, 
 	for _, k := range keys {
 		filter.AddUint64(k)
 	}
-	img, keyStart, keyEnd, err := encodeSegment(keys, rmi, filter)
+	img, err := encodeSegment(keys, rmi, filter)
 	if err != nil {
 		return nil, err
-	}
-	blocks, err := buildBlockIndex(img[keyStart:keyEnd], len(keys))
-	if err != nil {
-		return nil, err // unreachable for our own encoding; defensive
 	}
 	final := filepath.Join(dir, segmentFileName(seqLo, seqHi))
 	if err := commitSegmentFile(fs, ioc, dir, final, img); err != nil {
@@ -282,7 +276,7 @@ func writeSegment(fs vfs.FS, ioc *obs.Counter, dir string, seqLo, seqHi uint64, 
 	return &segment{
 		seqLo: seqLo, seqHi: seqHi, path: final,
 		keys: keys, rmi: rmi, plan: rmi.Plan(), filter: filter,
-		blocks: blocks, diskBytes: int64(len(img)),
+		diskBytes: int64(len(img)),
 	}, nil
 }
 
@@ -318,18 +312,18 @@ func openSegmentFile(fs vfs.FS, path string, seqLo, seqHi uint64) (*segment, err
 		}
 		return &segment{
 			seqLo: seqLo, seqHi: seqHi, path: path,
-			keys: si.Prefixes(), rmi: si.RMI(), plan: si.RMI().Plan(), filter: filter,
-			strs: si.Strings(), sindex: si, diskBytes: int64(len(data)),
+			keys: si.Prefixes(), rmi: si.RMI(), plan: si.Plan(), filter: filter,
+			sindex: si, diskBytes: int64(len(data)),
 		}, nil
 	}
-	keys, rmi, filter, blocks, err := decodeSegment(data)
+	keys, rmi, filter, err := decodeSegment(data)
 	if err != nil {
 		return nil, fmt.Errorf("storage: segment %s: %w", filepath.Base(path), err)
 	}
 	return &segment{
 		seqLo: seqLo, seqHi: seqHi, path: path,
 		keys: keys, rmi: rmi, plan: rmi.Plan(), filter: filter,
-		blocks: blocks, diskBytes: int64(len(data)),
+		diskBytes: int64(len(data)),
 	}, nil
 }
 
@@ -343,50 +337,26 @@ func encodeStringSegment(si *core.StringIndex, filter *bloom.Filter) ([]byte, er
 	}
 	dict := si.Dict()
 	fl, dl := filter.EncodedLen(), dict.EncodedLen()
-	img, _, _ := newSegmentImage(segMagic2, si.Prefixes(), blockLen(len(rb))+blockLen(fl)+blockLen(dl))
+	img := newSegmentImage(segMagic2, si.Prefixes(), blockLen(len(rb))+blockLen(fl)+blockLen(dl))
 	img = binenc.AppendBytes(img, rb)
 	img = filter.AppendBinary(binenc.AppendUvarint(img, uint64(fl)))
 	img = dict.AppendBinary(binenc.AppendUvarint(img, uint64(dl)))
 	return sealSegmentImage(img), nil
 }
 
-// decodeStringSegment parses a v2 file image, mirroring decodeSegment's
-// guarantees: errors, never panics, on adversarial input; checksum first;
-// strictly validated prefix deltas; exact decode with trailing bytes
-// rejected; the dictionary decoder cross-checks every reconstructed key's
-// prefix and ordering.
-func decodeStringSegment(data []byte) (si *core.StringIndex, filter *bloom.Filter, err error) {
-	if len(data) < len(segMagic2)+4 || [8]byte(data[:8]) != segMagic2 {
-		return nil, nil, fmt.Errorf("storage: bad segment magic: %w", binenc.ErrCorrupt)
-	}
-	body := data[len(segMagic2) : len(data)-4]
-	sum := binary.LittleEndian.Uint32(data[len(data)-4:])
-	if crc32.Checksum(body, crcTable) != sum {
-		return nil, nil, fmt.Errorf("storage: segment checksum mismatch: %w", binenc.ErrCorrupt)
-	}
-	r := binenc.NewReader(body)
-	n := r.Count(len(body), 1)
-	if r.Err() != nil || n < 1 {
-		return nil, nil, binenc.ErrCorrupt
-	}
-	prefixes := make([]uint64, n)
-	prefixes[0] = r.Uvarint()
-	for i := 1; i < n; i++ {
-		d := r.Uvarint()
-		k := prefixes[i-1] + d
-		if d < 1 || k < prefixes[i-1] {
-			return nil, nil, binenc.ErrCorrupt
-		}
-		prefixes[i] = k
-	}
-	if r.Err() != nil {
-		return nil, nil, r.Err()
+// decodeStringSegment parses a v2 file image with decodeSegment's
+// guarantees; the dictionary decoder cross-checks every key's prefix and
+// ordering against the decoded prefix block.
+func decodeStringSegment(data []byte) (*core.StringIndex, *bloom.Filter, error) {
+	r, prefixes, err := decodeKeyBlock(data, segMagic2)
+	if err != nil {
+		return nil, nil, err
 	}
 	rmi, err := core.DecodeRMI(r.Bytes(), prefixes)
 	if err != nil {
 		return nil, nil, err
 	}
-	filter, err = bloom.Decode(binenc.NewReader(r.Bytes()))
+	filter, err := bloom.Decode(binenc.NewReader(r.Bytes()))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -394,11 +364,8 @@ func decodeStringSegment(data []byte) (si *core.StringIndex, filter *bloom.Filte
 	if err != nil {
 		return nil, nil, err
 	}
-	if r.Err() != nil {
-		return nil, nil, r.Err()
-	}
-	if r.Remaining() != 0 {
-		return nil, nil, fmt.Errorf("storage: %d trailing bytes after segment body: %w", r.Remaining(), binenc.ErrCorrupt)
+	if err := endOfBody(r); err != nil {
+		return nil, nil, err
 	}
 	return core.AssembleStringIndex(rmi, dict), filter, nil
 }
@@ -406,11 +373,13 @@ func decodeStringSegment(data []byte) (si *core.StringIndex, filter *bloom.Filte
 // writeStringSegment is writeSegment for string keys (sorted, unique,
 // non-empty): derive the codec pair, train the prefix RMI, build a Bloom
 // filter over the exact keys, and commit the v2 image crash-safely. The
-// write path assembles the index the same way decode does (no StringRMI
-// tie-break training) so a segment reads identically before and after a
-// restart.
+// key bytes are copied into the dictionary's arena; keys is not retained,
+// and the segment is the same structure a reopen decodes from the file.
 func writeStringSegment(fs vfs.FS, ioc *obs.Counter, dir string, seqLo, seqHi uint64, keys []string, cfg core.Config, fpr float64) (*segment, error) {
-	prefixes, dict := keycodec.BuildDict(keys)
+	prefixes, dict, err := keycodec.BuildDict(keys)
+	if err != nil {
+		return nil, err
+	}
 	rmi := core.New(prefixes, cfg)
 	si := core.AssembleStringIndex(rmi, dict)
 	filter := bloom.NewBlocked(len(keys), fpr)
@@ -427,8 +396,8 @@ func writeStringSegment(fs vfs.FS, ioc *obs.Counter, dir string, seqLo, seqHi ui
 	}
 	return &segment{
 		seqLo: seqLo, seqHi: seqHi, path: final,
-		keys: prefixes, rmi: rmi, plan: rmi.Plan(), filter: filter,
-		strs: keys, sindex: si, diskBytes: int64(len(img)),
+		keys: prefixes, rmi: rmi, plan: si.Plan(), filter: filter,
+		sindex: si, diskBytes: int64(len(img)),
 	}, nil
 }
 

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"sync"
 
+	"learnedindex/internal/core"
 	"learnedindex/internal/scan"
 	"learnedindex/internal/search"
 )
@@ -57,9 +58,15 @@ func (e *Engine) AcquireSnapshotRange(lo, hi uint64) *Snapshot {
 	e.mu.Unlock()
 	slices.Sort(sn.pending)
 	sn.pending = slices.Compact(sn.pending)
+	sn.pinSegments()
+	return sn
+}
 
-	// Pin under segMu: publication and retirement both hold it, so a
-	// segment cannot be retired between the list load and its pin.
+// pinSegments captures and pins the live segment list. Pinning happens
+// under segMu: publication and retirement both hold it, so a segment cannot
+// be retired between the list load and its pin.
+func (sn *Snapshot) pinSegments() {
+	e := sn.eng
 	e.segMu.Lock()
 	segs := *e.segs.Load()
 	for _, s := range segs {
@@ -67,7 +74,6 @@ func (e *Engine) AcquireSnapshotRange(lo, hi uint64) *Snapshot {
 	}
 	sn.segs = append(sn.segs[:0], segs...)
 	e.segMu.Unlock()
-	return sn
 }
 
 // AcquireSnapshotRangeStr is AcquireSnapshotRange for a string-keyed
@@ -90,14 +96,7 @@ func (e *Engine) AcquireSnapshotRangeStr(lo, hi string, bounded bool) *Snapshot 
 	e.mu.Unlock()
 	slices.Sort(sn.pendingS)
 	sn.pendingS = slices.Compact(sn.pendingS)
-
-	e.segMu.Lock()
-	segs := *e.segs.Load()
-	for _, s := range segs {
-		s.pins.Add(1)
-	}
-	sn.segs = append(sn.segs[:0], segs...)
-	e.segMu.Unlock()
+	sn.pinSegments()
 	return sn
 }
 
@@ -160,35 +159,35 @@ func (sn *Snapshot) Pending() []uint64 { return sn.pending }
 // NumSegments returns how many segments the snapshot pinned.
 func (sn *Snapshot) NumSegments() int { return len(sn.segs) }
 
-// SegmentCursor returns a pooled lazy-decode cursor over segment i when the
-// segment's [min, max] key fence overlaps [lo, hi), and nil otherwise — the
-// fence check is the scan subsystem's data skipping: a pruned segment
-// contributes nothing and costs two comparisons. Cursors are released by
-// the scan iterator's Close.
-func (sn *Snapshot) SegmentCursor(i int, lo, hi uint64) *SegmentCursor {
+// SegmentKeys returns segment i's sorted key array plus its compiled plan
+// as the learned entry positioner when the segment's [min, max] key fence
+// overlaps [lo, hi), and (nil, nil) otherwise — the fence check is the scan
+// subsystem's data skipping: a pruned segment contributes nothing and costs
+// two comparisons. The array is the one point reads search; the scan layer
+// wraps the pair in a scan.KeysCursor. Shared, read-only.
+func (sn *Snapshot) SegmentKeys(i int, lo, hi uint64) ([]uint64, scan.Positioner[uint64]) {
 	s := sn.segs[i]
 	if hi <= s.minKey() || lo > s.maxKey() {
-		return nil
+		return nil, nil
 	}
-	return getSegmentCursor(s)
+	return s.keys, s.plan
 }
 
 // PendingStrings returns the snapshot's sorted, deduplicated unflushed
 // string keys. Shared, read-only.
 func (sn *Snapshot) PendingStrings() []string { return sn.pendingS }
 
-// SegmentStrings returns segment i's sorted string keys plus the codec
-// index as a learned entry positioner when the segment's [min, max] fence
-// overlaps the scan range ([lo, hi) when bounded, keys >= lo otherwise),
-// and (nil, nil) when the fence prunes it. String segments materialize
-// their keys eagerly, so the scan layer wraps the returned pair in a
-// KeysCursor — no lazy block decode exists (or is needed) in this mode.
-func (sn *Snapshot) SegmentStrings(i int, lo, hi string, bounded bool) ([]string, scan.Positioner[string]) {
+// SegmentStrings returns segment i's codec index when the segment's
+// [min, max] fence overlaps the scan range ([lo, hi) when bounded, keys >=
+// lo otherwise), and nil when the fence prunes it. A string segment holds
+// no strings: the scan layer points a core.StringCursor at the index, which
+// materializes the keys it streams a page at a time.
+func (sn *Snapshot) SegmentStrings(i int, lo, hi string, bounded bool) *core.StringIndex {
 	s := sn.segs[i]
 	if (bounded && hi <= s.minStr()) || lo > s.maxStr() {
-		return nil, nil
+		return nil
 	}
-	return s.strs, s.sindex
+	return s.sindex
 }
 
 // Contains reports whether key is in one of the snapshot's segments. The
@@ -246,7 +245,7 @@ func (sn *Snapshot) CountRangeStr(lo, hi string, bounded bool) int {
 		if lo > s.minStr() {
 			a = s.sindex.Lookup(lo)
 		}
-		b := len(s.strs)
+		b := s.numKeys()
 		if bounded && hi <= s.maxStr() {
 			b = s.sindex.Lookup(hi)
 		}

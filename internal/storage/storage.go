@@ -348,35 +348,12 @@ func Open(dir string, opts Options) (*Engine, error) {
 			dir, otherKind, opts.StringKeys)
 	}
 	if opts.StringKeys {
-		var recovered []string
-		for _, p := range walPaths {
-			data, err := e.fs.ReadFile(p)
-			if err != nil {
-				return nil, err
-			}
-			keys, _ := replayWALStrings(data)
-			recovered = append(recovered, keys...)
-		}
-		if len(recovered) > 0 {
-			if _, err := materialize(e, &strOps, recovered, false); err != nil {
-				return nil, err
-			}
-		}
+		err = recoverLogs(e, &strOps, walPaths, replayWALStrings)
 	} else {
-		var recovered []uint64
-		for _, p := range walPaths {
-			data, err := e.fs.ReadFile(p)
-			if err != nil {
-				return nil, err
-			}
-			keys, _ := replayWAL(data)
-			recovered = append(recovered, keys...)
-		}
-		if len(recovered) > 0 {
-			if _, err := materialize(e, &u64Ops, recovered, false); err != nil {
-				return nil, err
-			}
-		}
+		err = recoverLogs(e, &u64Ops, walPaths, replayWAL)
+	}
+	if err != nil {
+		return nil, err
 	}
 	for _, p := range walPaths {
 		// Best-effort: a log that survives its own retirement is replayed
@@ -404,6 +381,25 @@ func Open(dir string, opts Options) (*Engine, error) {
 		go e.compactor()
 	}
 	return e, nil
+}
+
+// recoverLogs replays the intact prefix of every log of paths and
+// materializes the keys they held as one segment.
+func recoverLogs[K cmp.Ordered](e *Engine, ops *keyOps[K], paths []string, replay func([]byte) ([]K, int64)) error {
+	var recovered []K
+	for _, p := range paths {
+		data, err := e.fs.ReadFile(p)
+		if err != nil {
+			return err
+		}
+		keys, _ := replay(data)
+		recovered = append(recovered, keys...)
+	}
+	if len(recovered) == 0 {
+		return nil
+	}
+	_, err := materialize(e, ops, recovered, false)
+	return err
 }
 
 // quarantineSuffix marks a segment file that failed its checksum or
@@ -964,11 +960,11 @@ func (e *Engine) Flush() error {
 	var snapS []string
 	if e.opts.StringKeys {
 		snapS = e.pendingS
-		e.pendingS = getPendingStrBuf()
+		e.pendingS = pendingStrPool.Get()
 		e.flushingS = snapS
 	} else {
 		snap = e.pending
-		e.pending = getPendingBuf()
+		e.pending = pendingPool.Get()
 		e.flushing = snap
 	}
 	frozen := e.wal
@@ -1036,11 +1032,8 @@ func (e *Engine) Flush() error {
 	e.flushingS = nil
 	e.replTrimLocked(replTrimTo)
 	e.mu.Unlock()
-	if e.opts.StringKeys {
-		putPendingStrBuf(snapS)
-	} else {
-		putPendingBuf(snap)
-	}
+	recyclePending(&pendingPool, snap)
+	recyclePending(&pendingStrPool, snapS)
 	if !published {
 		// Everything deduplicated away: no segment, so the count cannot
 		// ride a publication — it lands here. (Publishing flushes are
@@ -1052,25 +1045,32 @@ func (e *Engine) Flush() error {
 	return nil
 }
 
-// pendingPool recycles the engine's pending-key buffers across flushes:
-// every freeze hands its snapshot to materialize (which clones what it
-// needs) and takes a recycled buffer for the next fill, so sustained
-// ingest stops re-growing a fresh pending slice per flush cycle.
-var pendingPool slicepool.Pool[uint64]
+// The pending pools recycle the engines' pending-key buffers across
+// flushes: every freeze hands its snapshot to materialize (which clones
+// what it needs) and takes a recycled buffer for the next fill, so
+// sustained ingest stops re-growing a fresh pending slice per flush cycle.
+// They are shared by every engine of the process, and a buffer taken at a
+// freeze is held until that engine's next one, so only buffers of a few
+// flush cycles' size go back: a bulk preload's buffer, recycled, would be
+// pinned by whichever engine froze next for as long as that engine lives.
+// The engine has no flush threshold of its own to size the bound by — its
+// owner decides when to flush, the serving layer at 4096 pending keys by
+// default — and re-growing a longer buffer is noise beside training the
+// segment it fed.
+var (
+	pendingPool    slicepool.Pool[uint64]
+	pendingStrPool slicepool.Pool[string]
+)
 
-func getPendingBuf() []uint64  { return pendingPool.Get() }
-func putPendingBuf(b []uint64) { pendingPool.Put(b) }
+const maxPooledPending = 4 * 4096 // keys
 
-// pendingStrPool is pendingPool for the string mode. Entries are zeroed
-// before recycling so a pooled buffer never pins flushed key bytes.
-var pendingStrPool slicepool.Pool[string]
-
-func getPendingStrBuf() []string { return pendingStrPool.Get() }
-func putPendingStrBuf(b []string) {
-	for i := range b {
-		b[i] = ""
+// recyclePending returns a flushed pending buffer to its pool, zeroed so a
+// pooled buffer never pins flushed key bytes.
+func recyclePending[K any](pool *slicepool.Pool[K], b []K) {
+	if cap(b) <= maxPooledPending {
+		clear(b)
+		pool.Put(b)
 	}
-	pendingStrPool.Put(b)
 }
 
 // materialize dedupes keys against the served segments and commits the
@@ -1189,7 +1189,7 @@ func (e *Engine) LookupString(key string) int {
 		case key <= s.minStr():
 			// contributes 0
 		case key > s.maxStr():
-			total += len(s.strs)
+			total += s.numKeys()
 		default:
 			total += s.sindex.Lookup(key)
 		}
@@ -1298,19 +1298,14 @@ func (e *Engine) Keys() []uint64 {
 }
 
 // KeysStrings returns all served string keys, sorted ascending — a fresh
-// merged copy.
+// merged copy, materialized one segment run at a time.
 func (e *Engine) KeysStrings() []string {
 	if !e.opts.StringKeys {
 		panic("storage: string read on a uint64-keyed engine")
 	}
-	segs := *e.segs.Load()
-	total := 0
-	for _, s := range segs {
-		total += len(s.strs)
-	}
-	out := make([]string, 0, total)
-	for _, s := range segs {
-		out = append(out, s.strs...)
+	out := make([]string, 0, e.Len())
+	for _, s := range *e.segs.Load() {
+		out = s.sindex.Dict().AppendKeys(out, 0, s.numKeys())
 	}
 	slices.Sort(out)
 	return out

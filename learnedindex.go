@@ -78,12 +78,13 @@ type (
 	StringConfig = core.StringConfig
 	// StringIndex is the codec-backed string index: a compiled prefix-RMI
 	// plan over order-preserving 8-byte key prefixes plus a suffix
-	// dictionary for exact tie-breaks (with a StringRMI revived as the
-	// last-mile model when prefixes collide heavily). The building block of
-	// the string-keyed Store and of version-2 segment files.
+	// dictionary for exact tie-breaks inside a prefix-collision group. The
+	// building block of the string-keyed Store and of version-2 segment
+	// files.
 	StringIndex = core.StringIndex
-	// KeyDict is the codec's suffix dictionary: exact keys reconstructible
-	// from the deduplicated prefix array plus per-key length and suffix.
+	// KeyDict is the codec's suffix dictionary: the exact keys, held as the
+	// deduplicated prefix array plus per-key length and suffix bytes in one
+	// pointer-free arena, materialized as strings only on request.
 	KeyDict = keycodec.Dict
 
 	// DeltaIndex adds insert support through the buffered-merge strategy of
