@@ -63,8 +63,8 @@ func kernelProbes(rng *rand.Rand, keysets [][]uint64, n int) (probes []uint64, s
 }
 
 // TestBatchKernelOracle is the batch kernel's contract: for any set of
-// plans — every SearchKind x TopKind, hybrid leaves, a multi-stage plan, an
-// empty plan, tiny plans — any selector and any probe order, LookupBatch
+// plans — every SearchKind x TopKind, hybrid leaves, a multi-stage plan, the
+// self-sized zero Config, an empty plan, tiny plans — any selector and any probe order, LookupBatch
 // and ContainsBatch answer exactly what per-key Plan.Lookup and
 // Plan.Contains answer, at every batch size around the tile width.
 func TestBatchKernelOracle(t *testing.T) {
@@ -97,6 +97,15 @@ func TestBatchKernelOracle(t *testing.T) {
 	staged := DefaultConfig(0)
 	staged.StageSizes = []int{8, 80, 800}
 	add(data.Lognormal(25_000, 0, 2, 1_000_000_000, 1), staged)
+	// The zero Config, which sizes itself: with the sampled inner stage
+	// (skewed keys) and without (uniform keys, tiny sets).
+	add(data.Lognormal(25_000, 0, 2, 1_000_000_000, 2), Config{})
+	if ss := plans[len(plans)-1].src.Config().StageSizes; len(ss) != 2 {
+		t.Fatalf("zero Config over lognormal keys trained stages %v, want an inner stage", ss)
+	}
+	add(data.Uniform(25_000, 1<<40, 3), Config{})
+	add(nil, Config{})
+	add([]uint64{9}, Config{})
 	add(nil, DefaultConfig(4))
 	add([]uint64{9}, DefaultConfig(4))
 	add([]uint64{3, 7}, DefaultConfig(4))

@@ -8,6 +8,8 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 
 	"learnedindex/internal/ml"
 	"learnedindex/internal/search"
@@ -85,7 +87,8 @@ type Config struct {
 	// StageSizes are the model counts of stages 2..M. The common
 	// configuration is a single entry (the 2-stage RMI of §3.7.1); more
 	// entries build deeper recursive indexes. The last entry is the leaf
-	// count.
+	// count. Empty means sized by rule from the key count and the keys'
+	// skew (sizeStages); the trained index reports what the rule chose.
 	StageSizes []int
 	// Search selects the last-mile strategy.
 	Search SearchKind
@@ -102,7 +105,9 @@ type Config struct {
 }
 
 // DefaultConfig returns the paper's default 2-stage shape: linear top,
-// numLeaves linear leaf models, model-biased binary search.
+// numLeaves linear leaf models, model-biased binary search. Like every
+// explicit StageSizes it trains exactly that shape; the zero Config is the
+// one that sizes itself (see leafCount and sizeStages).
 func DefaultConfig(numLeaves int) Config {
 	return Config{Top: TopLinear, StageSizes: []int{numLeaves}, Search: SearchModelBiased, Seed: 1}
 }
@@ -226,12 +231,17 @@ func NewWithTrainWorkers(keys []uint64, cfg Config, workers int) *RMI {
 	if workers < 1 {
 		workers = 1
 	}
-	if len(cfg.StageSizes) == 0 {
-		cfg.StageSizes = []int{defaultLeafCount(len(keys))}
-	}
-	for i, s := range cfg.StageSizes {
-		if s < 1 {
-			cfg.StageSizes[i] = 1
+	// The trainer owns its stage sizes: callers share one Config across
+	// concurrent retrains, so theirs is never written through.
+	byRule := len(cfg.StageSizes) == 0
+	if byRule {
+		cfg.StageSizes = []int{leafCount(len(keys))} // sizeStages may add the inner stage
+	} else {
+		cfg.StageSizes = slices.Clone(cfg.StageSizes)
+		for i, s := range cfg.StageSizes {
+			if s < 1 {
+				cfg.StageSizes[i] = 1
+			}
 		}
 	}
 	if cfg.HybridPageSize <= 0 {
@@ -244,8 +254,11 @@ func NewWithTrainWorkers(keys []uint64, cfg Config, workers int) *RMI {
 		r.plan = r.compile()
 		return r
 	}
+	xs, ys := r.trainTop()
+	if byRule {
+		r.sizeStages(xs, ys)
+	}
 	r.initRouteMul()
-	r.trainTop()
 	if workers > 1 {
 		r.trainStagesParallel(workers)
 	} else {
@@ -266,19 +279,71 @@ func (r *RMI) initRouteMul() {
 	}
 }
 
-func defaultLeafCount(n int) int {
-	// The paper's sweet spot is roughly 1k–20k keys per leaf model at 200M
-	// keys; default to ~1k keys per leaf, clamped below.
-	l := n / 1000
-	if l < 16 {
-		l = 16
+// Stage sizing for the zero Config (empty StageSizes): the rule every
+// serving plane trains under, since in-memory shards, segment writers,
+// compactions, followers and the string prefix index all pass it.
+//
+// Leaves: one per leafKeys keys (the paper's sweet spot is ~1k–20k keys per
+// leaf at 200M keys), at least minLeaves.
+//
+// Inner stage: a linear top routes by key *value*, so on a skewed CDF most
+// keys land in a handful of leaves and a leaf's error window is as wide as
+// its population (§3.3: stages exist so no one model covers a skewed CDF).
+// When the top's own training sample shows a leaf holding more than
+// balanceSlack times its share, one inner linear stage of
+// clamp(n/innerKeys, minInner, maxInner) models is fit on that sample
+// (§3.6: upper models converge long before a full scan) and re-routes by
+// predicted *position*, which is equal-population routing: every leaf then
+// fits ~leafKeys keys, and on lognormal keys a lookup's last-mile window is
+// ~2^5–2^6 keys instead of 2^10–2^14 (TestZeroConfigSizingContract has the
+// other shapes). It costs 16 B per inner model (≤ 0.0625 B/key from 4k keys
+// up) and one more multiply-add per lookup. Keys the top already balances
+// (uniform, dense) keep the two-stage shape.
+const (
+	leafKeys     = 1000
+	minLeaves    = 16
+	innerKeys    = 256
+	minInner     = 16
+	maxInner     = 1024
+	balanceSlack = 4
+)
+
+// leafCount is the zero Config's last-stage size for n keys.
+func leafCount(n int) int {
+	return max(n/leafKeys, minLeaves)
+}
+
+// sizeStages applies the zero-Config rule above after trainTop: (xs, ys) is
+// the top model's (key, position) sample and cfg.StageSizes holds the leaf
+// count. When the sampled leaf populations are skewed it fits the inner
+// stage and puts it in front.
+func (r *RMI) sizeStages(xs, ys []float64) {
+	leaves := r.cfg.StageSizes[0]
+	pop := make([]int32, leaves)
+	mul := float64(leaves) / r.nf
+	worst := int32(0)
+	for _, x := range xs {
+		j := scaleByMul(r.top.Predict(x), mul, leaves)
+		pop[j]++
+		worst = max(worst, pop[j])
 	}
-	return l
+	if int(worst)*leaves <= balanceSlack*len(xs) {
+		return
+	}
+	inner := min(max(len(r.keys)/innerKeys, minInner), maxInner)
+	mul = float64(inner) / r.nf
+	accs := make([]regAcc, inner)
+	for i, x := range xs {
+		accs[scaleByMul(r.top.Predict(x), mul, inner)].add(x, ys[i], int32(ys[i]))
+	}
+	r.stages = [][]linmod{fitModels(accs)}
+	r.cfg.StageSizes = []int{inner, leaves}
 }
 
 // trainTop fits the stage-1 model on (key, position) pairs, subsampled per
-// §3.6 with an even stride so the sample covers the whole CDF.
-func (r *RMI) trainTop() {
+// §3.6 with an even stride so the sample covers the whole CDF, and returns
+// the sample.
+func (r *RMI) trainTop() (xs, ys []float64) {
 	n := len(r.keys)
 	max := r.cfg.SubsampleTop
 	if max <= 0 {
@@ -289,8 +354,8 @@ func (r *RMI) trainTop() {
 		stride = n / max
 	}
 	m := (n + stride - 1) / stride
-	xs := make([]float64, 0, m)
-	ys := make([]float64, 0, m)
+	xs = make([]float64, 0, m)
+	ys = make([]float64, 0, m)
 	for i := 0; i < n; i += stride {
 		xs = append(xs, float64(r.keys[i]))
 		ys = append(ys, float64(i))
@@ -305,6 +370,7 @@ func (r *RMI) trainTop() {
 	default:
 		r.top = ml.FitLinear(xs, ys)
 	}
+	return xs, ys
 }
 
 // routeTo runs the trained model prefix and returns the model index of
@@ -346,9 +412,11 @@ func scaleByMul(p, mul float64, size int) int {
 func (r *RMI) trainStages() {
 	n := len(r.keys)
 	nStages := len(r.cfg.StageSizes)
-	route := make([]int32, n) // leaf routing, reused by the error pass
+	rp := getRoute(n) // leaf routing, reused by the error pass
+	defer routePool.Put(rp)
+	route := *rp
 
-	for s := 0; s < nStages; s++ {
+	for s := len(r.stages); s < nStages; s++ { // sizeStages may have fit the inner stage
 		size := r.cfg.StageSizes[s]
 		accs := make([]regAcc, size)
 		for i := 0; i < n; i++ {
@@ -357,12 +425,7 @@ func (r *RMI) trainStages() {
 			route[i] = int32(idx)
 			accs[idx].add(x, float64(i), int32(i))
 		}
-		models := make([]linmod, size)
-		for j := range models {
-			models[j] = accs[j].fit()
-		}
-		repairEmpty(models, accs)
-
+		models := fitModels(accs)
 		if s < nStages-1 {
 			r.stages = append(r.stages, models)
 			continue
@@ -377,6 +440,16 @@ func (r *RMI) trainStages() {
 			r.applyHybrid(route)
 		}
 	}
+}
+
+// fitModels turns one stage's accumulators into its models.
+func fitModels(accs []regAcc) []linmod {
+	models := make([]linmod, len(accs))
+	for j := range models {
+		models[j] = accs[j].fit()
+	}
+	repairEmpty(models, accs)
+	return models
 }
 
 // repairEmpty fills models that received no training keys with constants
@@ -454,8 +527,7 @@ func finalizeLeafErrors(leaves []leaf, errs []leafErrAcc) {
 // standard error used by biased quaternary search.
 func (r *RMI) computeLeafErrors(route []int32) {
 	errs := newLeafErrAccs(len(r.leaves))
-	var gsum float64
-	gmax := 0
+	var g globalErr
 	for i, k := range r.keys {
 		j := route[i]
 		pred := int(r.leaves[j].m.predict(float64(k)))
@@ -463,19 +535,50 @@ func (r *RMI) computeLeafErrors(route []int32) {
 		// [pred+minErr, pred+maxErr].
 		d := i - pred
 		errs[j].add(d)
-		if d < 0 {
-			d = -d
-		}
-		gsum += float64(d)
-		if d > gmax {
-			gmax = d
-		}
+		g.add(d)
 	}
 	finalizeLeafErrors(r.leaves, errs)
-	if len(r.keys) > 0 {
-		r.meanAbsErr = gsum / float64(len(r.keys))
+	r.setGlobalErr(g)
+}
+
+// globalErr accumulates the index-wide error stats. The sum of |d| is kept
+// as an integer, so it is exact and order-free: the parallel trainer's
+// workers each fold their own keys and merge, and the mean still comes out
+// bit-identical to the sequential trainer's.
+type globalErr struct {
+	sum uint64
+	max int
+}
+
+func (g *globalErr) add(d int) {
+	if d < 0 {
+		d = -d
 	}
-	r.maxAbsErr = gmax
+	g.sum += uint64(d)
+	if d > g.max {
+		g.max = d
+	}
+}
+
+func (r *RMI) setGlobalErr(g globalErr) {
+	r.meanAbsErr = float64(g.sum) / float64(len(r.keys))
+	r.maxAbsErr = g.max
+}
+
+// routePool recycles the per-train leaf-routing scratch (4 B/key): every
+// flush, compaction and shard merge retrains, and a fresh slice per train
+// is page-faulted heap the collector then has to take back.
+var routePool sync.Pool
+
+// getRoute returns an n-entry routing scratch; every entry is written by
+// the leaf stage's routing pass before it is read.
+func getRoute(n int) *[]int32 {
+	if p, _ := routePool.Get().(*[]int32); p != nil && cap(*p) >= n {
+		*p = (*p)[:n]
+		return p
+	}
+	s := make([]int32, n)
+	return &s
 }
 
 // applyHybrid swaps leaves whose max absolute error exceeds the threshold

@@ -111,7 +111,7 @@ func NewString(keys []string, cfg StringConfig) *StringRMI {
 		cfg.MaxLen = 64
 	}
 	if cfg.NumLeaves < 1 {
-		cfg.NumLeaves = defaultLeafCount(len(keys))
+		cfg.NumLeaves = leafCount(len(keys))
 	}
 	if cfg.HybridPageSize <= 0 {
 		cfg.HybridPageSize = 32

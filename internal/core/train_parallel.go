@@ -24,8 +24,7 @@ import (
 //     the key order the sequential loop would have produced.
 //   - The leaf error pass works the same way per leaf, and the global
 //     mean-absolute-error — the one sum the sequential loop interleaves
-//     across leaves — is reconstructed by a sequential fold over a
-//     per-key scratch array, reproducing the original addition order.
+//     across leaves — is an integer sum, exact in any order.
 
 const (
 	// parallelTrainMinKeys is the key count below which New always picks
@@ -89,9 +88,11 @@ func parallelChunks(n, workers int, fn func(lo, hi int)) {
 func (r *RMI) trainStagesParallel(workers int) {
 	n := len(r.keys)
 	nStages := len(r.cfg.StageSizes)
-	route := make([]int32, n) // leaf routing, reused by the error pass
+	rp := getRoute(n) // leaf routing, reused by the error pass
+	defer routePool.Put(rp)
+	route := *rp
 
-	for s := 0; s < nStages; s++ {
+	for s := len(r.stages); s < nStages; s++ { // sizeStages may have fit the inner stage
 		size := r.cfg.StageSizes[s]
 
 		// Routing pass: pure reads of the trained prefix, so key chunks
@@ -138,57 +139,30 @@ func (r *RMI) trainStagesParallel(workers int) {
 
 // computeLeafErrorsParallel is computeLeafErrors over model-range workers.
 // Per-leaf accumulators see their keys in ascending order (bit-identical
-// to sequential); the global mean absolute error is rebuilt by a
-// sequential fold over the per-key |d| scratch so its float64 additions
-// happen in the exact order of the sequential loop. The worst error is an
-// integer max — order-free — and combines across workers directly.
+// to sequential); the index-wide stats are integers (globalErr), so each
+// worker folds its own leaves' keys and the merge order does not matter.
 func (r *RMI) computeLeafErrorsParallel(route []int32, workers int) {
 	n := len(r.keys)
 	errs := newLeafErrAccs(len(r.leaves))
-	absd := make([]float64, n) // |actual - predicted| per key, filled by exactly one worker each
-	nl := len(r.leaves)
-	gmaxes := make([]int, workers)
-	var widx int32
-	var widxMu sync.Mutex
-	parallelChunks(nl, workers, func(jlo, jhi int) {
-		widxMu.Lock()
-		w := widx
-		widx++
-		widxMu.Unlock()
-		gmax := 0
+	var mu sync.Mutex
+	var total globalErr
+	parallelChunks(len(r.leaves), workers, func(jlo, jhi int) {
+		var g globalErr
 		lo32, hi32 := int32(jlo), int32(jhi)
 		for i := 0; i < n; i++ {
 			j := route[i]
 			if j < lo32 || j >= hi32 {
 				continue
 			}
-			pred := int(r.leaves[j].m.predict(float64(r.keys[i])))
-			d := i - pred
+			d := i - int(r.leaves[j].m.predict(float64(r.keys[i])))
 			errs[j].add(d)
-			if d < 0 {
-				d = -d
-			}
-			absd[i] = float64(d)
-			if d > gmax {
-				gmax = d
-			}
+			g.add(d)
 		}
-		gmaxes[w] = gmax
+		mu.Lock()
+		total.sum += g.sum
+		total.max = max(total.max, g.max)
+		mu.Unlock()
 	})
 	finalizeLeafErrors(r.leaves, errs)
-
-	var gsum float64
-	for _, ad := range absd {
-		gsum += ad
-	}
-	gmax := 0
-	for _, g := range gmaxes {
-		if g > gmax {
-			gmax = g
-		}
-	}
-	if n > 0 {
-		r.meanAbsErr = gsum / float64(n)
-	}
-	r.maxAbsErr = gmax
+	r.setGlobalErr(total)
 }

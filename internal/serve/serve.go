@@ -359,10 +359,14 @@ func (s *Store) collect(snap *obs.Snapshot) {
 
 // New builds a Store over the initial keys (any order; duplicates are
 // dropped) and starts the background merger. cfg configures every shard's
-// RMI; leave cfg.StageSizes empty to let each shard size its leaf stage to
-// its own key count — a fixed leaf count is shared by all shards and all
-// retrains, which is rarely what a growing shard wants. With opt.Dir set
-// New panics on an engine error; call Open to handle it instead.
+// RMI (and, with opt.Dir set, every segment's); leave cfg.StageSizes empty
+// and every train sizes itself to its own key count and shape — ~1k keys
+// per leaf, plus one sampled inner stage where the keys are skewed, so a
+// lookup's last-mile window stays ~2^5–2^6 keys on a skewed key set (see
+// core's zero-Config sizing rule). Explicit StageSizes are shared by all
+// shards and all retrains, which is rarely what a growing shard wants.
+// With opt.Dir set New panics on an engine error; call Open to handle it
+// instead.
 func New(keys []uint64, cfg core.Config, opt Options) *Store {
 	s, err := Open(keys, cfg, opt)
 	if err != nil {
@@ -450,18 +454,6 @@ func newInMemory(keys []uint64, cfg core.Config, opt Options) (*Store, error) {
 	sorted := append([]uint64(nil), keys...)
 	slices.Sort(sorted)
 	sorted = dedupSorted(sorted)
-
-	// Sanitize the stage-size slice once so concurrent retrains share a
-	// read-only copy (core.New clamps entries < 1 in place).
-	if len(cfg.StageSizes) > 0 {
-		ss := append([]int(nil), cfg.StageSizes...)
-		for i := range ss {
-			if ss[i] < 1 {
-				ss[i] = 1
-			}
-		}
-		cfg.StageSizes = ss
-	}
 
 	s := &Store{
 		cfg:        cfg,

@@ -134,16 +134,6 @@ func newInMemoryStr(keys []string, cfg core.Config, opt Options) (*Store, error)
 	slices.Sort(sorted)
 	sorted = slices.Compact(sorted)
 
-	if len(cfg.StageSizes) > 0 {
-		ss := slices.Clone(cfg.StageSizes)
-		for i := range ss {
-			if ss[i] < 1 {
-				ss[i] = 1
-			}
-		}
-		cfg.StageSizes = ss
-	}
-
 	s := &Store{
 		strKeys:    true,
 		cfg:        cfg,

@@ -1,0 +1,113 @@
+package storage
+
+import (
+	"math/rand"
+	"slices"
+	"testing"
+
+	"learnedindex/internal/core"
+	"learnedindex/internal/data"
+)
+
+// engineAnswers is everything a reader can ask of an engine, for one probe
+// set: batched ranks, batched membership, and the full scan.
+type engineAnswers[K comparable] struct {
+	rank []int
+	has  []bool
+	scan []K
+}
+
+// TestOldShapeSegmentsReopenUnderZeroConfig is the compatibility contract of
+// core's zero-Config sizing rule. Segments written with the two-stage shape
+// the zero Config used to train (explicit StageSizes{n/1000}) reopen under
+// the zero Config with their models loaded, not retrained; they keep
+// serving the shape they were written with; the first compaction retrains
+// under the rule (the merged segment gains the inner stage); and every
+// answer is the same before and after.
+func TestOldShapeSegmentsReopenUnderZeroConfig(t *testing.T) {
+	const runs, perRun = 4, 6_000 // CompactFanout similar-sized segments: one compaction
+	t.Run("uint64", func(t *testing.T) {
+		keys := data.LognormalPaper(runs*perRun, 31)
+		shuffled := slices.Clone([]uint64(keys))
+		rand.New(rand.NewSource(1)).Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+		probes := append(data.SampleExisting(keys, 500, 2), data.SampleMissing(keys, 500, 3)...)
+		checkOldShapeReopen(t, Options{}, shuffled, perRun, (*Engine).AppendBatch,
+			func(e *Engine) engineAnswers[uint64] {
+				a := engineAnswers[uint64]{rank: make([]int, len(probes)), has: make([]bool, len(probes)), scan: e.Keys()}
+				e.LookupBatch(probes, a.rank)
+				e.ContainsBatch(probes, a.has)
+				return a
+			})
+	})
+	t.Run("string", func(t *testing.T) {
+		keys := data.DocIDs(runs*perRun, 32)
+		shuffled := slices.Clone([]string(keys))
+		rand.New(rand.NewSource(1)).Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+		probes := data.SampleExistingStrings(keys, 500, 2)
+		for _, k := range probes[:250] {
+			probes = append(probes, k+"~", k[:len(k)-1])
+		}
+		checkOldShapeReopen(t, Options{StringKeys: true}, shuffled, perRun, (*Engine).AppendStringBatch,
+			func(e *Engine) engineAnswers[string] {
+				a := engineAnswers[string]{rank: make([]int, len(probes)), has: make([]bool, len(probes)), scan: e.KeysStrings()}
+				e.LookupBatchString(probes, a.rank)
+				e.ContainsBatchString(probes, a.has)
+				return a
+			})
+	})
+}
+
+func checkOldShapeReopen[K comparable](t *testing.T, opts Options, keys []K, perRun int,
+	appendBatch func(*Engine, []K) error, ask func(*Engine) engineAnswers[K]) {
+	same := func(a, b engineAnswers[K]) bool {
+		return slices.Equal(a.rank, b.rank) && slices.Equal(a.has, b.has) && slices.Equal(a.scan, b.scan)
+	}
+	dir := t.TempDir()
+	opts.NoCompactor = true
+
+	old := opts
+	old.Config = core.Config{StageSizes: []int{perRun / 1000}}
+	e := openT(t, dir, old)
+	for at := 0; at < len(keys); at += perRun {
+		if err := appendBatch(e, keys[at:at+perRun]); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := ask(e)
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	e = openT(t, dir, opts) // the zero Config
+	defer e.Close()
+	st := e.Stats()
+	if st.Segments != len(keys)/perRun || st.ModelsLoaded != st.Segments || st.ModelsTrained != 0 {
+		t.Fatalf("reopen under the zero Config: %d segments, %d models loaded, %d trained; want all loaded, none trained",
+			st.Segments, st.ModelsLoaded, st.ModelsTrained)
+	}
+	for _, s := range *e.segs.Load() {
+		if ss := s.rmi.Config().StageSizes; len(ss) != 1 {
+			t.Fatalf("loaded segment has stages %v, want the two-stage shape it was written with", ss)
+		}
+	}
+	if !same(ask(e), want) {
+		t.Fatal("answers changed across reopen")
+	}
+
+	if err := e.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	st = e.Stats()
+	if st.Segments != 1 || st.ModelsTrained != 1 {
+		t.Fatalf("after compaction: %d segments, %d models trained; want 1 and 1", st.Segments, st.ModelsTrained)
+	}
+	if ss := (*e.segs.Load())[0].rmi.Config().StageSizes; len(ss) != 2 {
+		t.Fatalf("compacted segment trained stages %v, want the rule's inner stage", ss)
+	}
+	if !same(ask(e), want) {
+		t.Fatal("answers changed across the compaction that retrained under the zero Config")
+	}
+}

@@ -216,7 +216,12 @@ func containsBatchIn[K cmp.Ordered](segs []*segment, ops *keyOps[K], probes []K,
 // run core's batch kernel together, the segments' plans as the plan set
 // and the segment index as the selector; because pairs are emitted
 // segment-major, a tile of the lockstep search is mostly one segment, and
-// the big base segment's misses are in flight together. The pair buffer is
+// the big base segment's misses are in flight together. A pair costs its
+// plan's route plus one lockstep round per halving of its leaf's error
+// window. Under core's zero Config that is ~6 rounds on skewed uint64 keys
+// whatever the segment's size (8–10 on base-36 string prefixes, whose CDF
+// is a staircase); a two-stage plan written before that rule searches
+// 2^8–2^14 keys on the same data, 8–14 rounds. The pair buffer is
 // fixed: it runs the kernel whenever it fills, whatever the batch length
 // or segment count.
 func rankBatchIn[K cmp.Ordered](segs []*segment, ops *keyOps[K], probes []K, out []int) {

@@ -71,7 +71,8 @@ import (
 // Options configures an Engine.
 type Options struct {
 	// Config is the RMI configuration used for every trained segment
-	// index. Leave StageSizes empty to size leaves per segment.
+	// index. Leave StageSizes empty and each segment sizes its own stages
+	// (core's zero-Config rule).
 	Config core.Config
 	// BloomFPR is the per-segment Bloom filter false-positive rate
 	// (default 0.01).
@@ -119,11 +120,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.CompactFanout < 2 {
 		o.CompactFanout = 4
-	}
-	// core.New clamps StageSizes entries in place; segments must not share
-	// a mutable backing array with the caller.
-	if len(o.Config.StageSizes) > 0 {
-		o.Config.StageSizes = slices.Clone(o.Config.StageSizes)
 	}
 	if o.FS == nil {
 		o.FS = vfs.OS
