@@ -97,8 +97,8 @@ func TestBatchKernelOracle(t *testing.T) {
 	staged := DefaultConfig(0)
 	staged.StageSizes = []int{8, 80, 800}
 	add(data.Lognormal(25_000, 0, 2, 1_000_000_000, 1), staged)
-	// The zero Config, which sizes itself: with the sampled inner stage
-	// (skewed keys) and without (uniform keys, tiny sets).
+	// The zero Config, which sizes itself: a sampled inner stage in front
+	// of the leaves, down to empty and one-key sets.
 	add(data.Lognormal(25_000, 0, 2, 1_000_000_000, 2), Config{})
 	if ss := plans[len(plans)-1].src.Config().StageSizes; len(ss) != 2 {
 		t.Fatalf("zero Config over lognormal keys trained stages %v, want an inner stage", ss)

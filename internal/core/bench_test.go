@@ -8,7 +8,7 @@ import (
 // BenchmarkTrainZeroConfig trains the zero Config over 1M lognormal keys —
 // the retrain every flush, compaction and shard merge pays — and reports
 // what the sizing rule bought (mean_abs_err) for what (index B/key). It
-// guards the rule and the trainer's pooled scratch together.
+// guards the rule and the trainer's scratch (B/op) together.
 func BenchmarkTrainZeroConfig(b *testing.B) {
 	keys := benchLognormal(1_000_000, 1)
 	var r *RMI

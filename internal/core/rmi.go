@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
 
 	"learnedindex/internal/ml"
 	"learnedindex/internal/search"
@@ -87,8 +86,8 @@ type Config struct {
 	// StageSizes are the model counts of stages 2..M. The common
 	// configuration is a single entry (the 2-stage RMI of §3.7.1); more
 	// entries build deeper recursive indexes. The last entry is the leaf
-	// count. Empty means sized by rule from the key count and the keys'
-	// skew (sizeStages); the trained index reports what the rule chose.
+	// count. Empty means sized by rule from the key count (innerCount,
+	// leafCount); the trained index reports what the rule chose.
 	StageSizes []int
 	// Search selects the last-mile strategy.
 	Search SearchKind
@@ -107,7 +106,7 @@ type Config struct {
 // DefaultConfig returns the paper's default 2-stage shape: linear top,
 // numLeaves linear leaf models, model-biased binary search. Like every
 // explicit StageSizes it trains exactly that shape; the zero Config is the
-// one that sizes itself (see leafCount and sizeStages).
+// one that sizes itself (see innerCount and leafCount).
 func DefaultConfig(numLeaves int) Config {
 	return Config{Top: TopLinear, StageSizes: []int{numLeaves}, Search: SearchModelBiased, Seed: 1}
 }
@@ -235,7 +234,7 @@ func NewWithTrainWorkers(keys []uint64, cfg Config, workers int) *RMI {
 	// concurrent retrains, so theirs is never written through.
 	byRule := len(cfg.StageSizes) == 0
 	if byRule {
-		cfg.StageSizes = []int{leafCount(len(keys))} // sizeStages may add the inner stage
+		cfg.StageSizes = []int{innerCount(len(keys)), leafCount(len(keys))}
 	} else {
 		cfg.StageSizes = slices.Clone(cfg.StageSizes)
 		for i, s := range cfg.StageSizes {
@@ -256,7 +255,7 @@ func NewWithTrainWorkers(keys []uint64, cfg Config, workers int) *RMI {
 	}
 	xs, ys := r.trainTop()
 	if byRule {
-		r.sizeStages(xs, ys)
+		r.fitSampledInner(xs, ys)
 	}
 	r.initRouteMul()
 	if workers > 1 {
@@ -289,23 +288,22 @@ func (r *RMI) initRouteMul() {
 // Inner stage: a linear top routes by key *value*, so on a skewed CDF most
 // keys land in a handful of leaves and a leaf's error window is as wide as
 // its population (§3.3: stages exist so no one model covers a skewed CDF).
-// When the top's own training sample shows a leaf holding more than
-// balanceSlack times its share, one inner linear stage of
-// clamp(n/innerKeys, minInner, maxInner) models is fit on that sample
-// (§3.6: upper models converge long before a full scan) and re-routes by
-// predicted *position*, which is equal-population routing: every leaf then
-// fits ~leafKeys keys, and on lognormal keys a lookup's last-mile window is
-// ~2^5–2^6 keys instead of 2^10–2^14 (TestZeroConfigSizingContract has the
-// other shapes). It costs 16 B per inner model (≤ 0.0625 B/key from 4k keys
-// up) and one more multiply-add per lookup. Keys the top already balances
-// (uniform, dense) keep the two-stage shape.
+// One inner linear stage of clamp(n/innerKeys, minInner, maxInner) models,
+// fit on the top's own training sample (§3.6: upper models converge long
+// before a full scan), re-routes by predicted *position*, which is
+// equal-population routing: every leaf then fits ~leafKeys keys. Measured on
+// σ=2 lognormal keys (README "What a plan is sized to" has every size class):
+// a 1M–2M-key plan's median last-mile window is ~37 keys (p99 60–100)
+// instead of 2^9–2^12; a 4k–64k-key plan's median is 60–180 with a p99 of
+// 1–3k, because its first and last leaf span decades of key value; DocID
+// prefixes stop near 2^8. It costs 16 B per inner model (≤ 0.0625 B/key
+// from 4k keys up) and one more multiply-add per lookup.
 const (
-	leafKeys     = 1000
-	minLeaves    = 16
-	innerKeys    = 256
-	minInner     = 16
-	maxInner     = 1024
-	balanceSlack = 4
+	leafKeys  = 1000
+	minLeaves = 16
+	innerKeys = 256
+	minInner  = 16
+	maxInner  = 1024
 )
 
 // leafCount is the zero Config's last-stage size for n keys.
@@ -313,31 +311,22 @@ func leafCount(n int) int {
 	return max(n/leafKeys, minLeaves)
 }
 
-// sizeStages applies the zero-Config rule above after trainTop: (xs, ys) is
-// the top model's (key, position) sample and cfg.StageSizes holds the leaf
-// count. When the sampled leaf populations are skewed it fits the inner
-// stage and puts it in front.
-func (r *RMI) sizeStages(xs, ys []float64) {
-	leaves := r.cfg.StageSizes[0]
-	pop := make([]int32, leaves)
-	mul := float64(leaves) / r.nf
-	worst := int32(0)
-	for _, x := range xs {
-		j := scaleByMul(r.top.Predict(x), mul, leaves)
-		pop[j]++
-		worst = max(worst, pop[j])
-	}
-	if int(worst)*leaves <= balanceSlack*len(xs) {
-		return
-	}
-	inner := min(max(len(r.keys)/innerKeys, minInner), maxInner)
-	mul = float64(inner) / r.nf
-	accs := make([]regAcc, inner)
+// innerCount is the zero Config's inner-stage size for n keys.
+func innerCount(n int) int {
+	return min(max(n/innerKeys, minInner), maxInner)
+}
+
+// fitSampledInner fits the first inner stage on (xs, ys), the top model's
+// (key, position) sample, so the full-pass trainers start at the stage
+// after it.
+func (r *RMI) fitSampledInner(xs, ys []float64) {
+	size := r.cfg.StageSizes[0]
+	mul := float64(size) / r.nf
+	accs := make([]regAcc, size)
 	for i, x := range xs {
-		accs[scaleByMul(r.top.Predict(x), mul, inner)].add(x, ys[i], int32(ys[i]))
+		accs[scaleByMul(r.top.Predict(x), mul, size)].add(x, ys[i], int32(ys[i]))
 	}
 	r.stages = [][]linmod{fitModels(accs)}
-	r.cfg.StageSizes = []int{inner, leaves}
 }
 
 // trainTop fits the stage-1 model on (key, position) pairs, subsampled per
@@ -412,11 +401,9 @@ func scaleByMul(p, mul float64, size int) int {
 func (r *RMI) trainStages() {
 	n := len(r.keys)
 	nStages := len(r.cfg.StageSizes)
-	rp := getRoute(n) // leaf routing, reused by the error pass
-	defer routePool.Put(rp)
-	route := *rp
+	route := make([]int32, n) // leaf routing, reused by the error pass
 
-	for s := len(r.stages); s < nStages; s++ { // sizeStages may have fit the inner stage
+	for s := len(r.stages); s < nStages; s++ { // the zero Config's inner stage is already fit
 		size := r.cfg.StageSizes[s]
 		accs := make([]regAcc, size)
 		for i := 0; i < n; i++ {
@@ -563,22 +550,6 @@ func (g *globalErr) add(d int) {
 func (r *RMI) setGlobalErr(g globalErr) {
 	r.meanAbsErr = float64(g.sum) / float64(len(r.keys))
 	r.maxAbsErr = g.max
-}
-
-// routePool recycles the per-train leaf-routing scratch (4 B/key): every
-// flush, compaction and shard merge retrains, and a fresh slice per train
-// is page-faulted heap the collector then has to take back.
-var routePool sync.Pool
-
-// getRoute returns an n-entry routing scratch; every entry is written by
-// the leaf stage's routing pass before it is read.
-func getRoute(n int) *[]int32 {
-	if p, _ := routePool.Get().(*[]int32); p != nil && cap(*p) >= n {
-		*p = (*p)[:n]
-		return p
-	}
-	s := make([]int32, n)
-	return &s
 }
 
 // applyHybrid swaps leaves whose max absolute error exceeds the threshold

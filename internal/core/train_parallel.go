@@ -88,11 +88,9 @@ func parallelChunks(n, workers int, fn func(lo, hi int)) {
 func (r *RMI) trainStagesParallel(workers int) {
 	n := len(r.keys)
 	nStages := len(r.cfg.StageSizes)
-	rp := getRoute(n) // leaf routing, reused by the error pass
-	defer routePool.Put(rp)
-	route := *rp
+	route := make([]int32, n) // leaf routing, reused by the error pass
 
-	for s := len(r.stages); s < nStages; s++ { // sizeStages may have fit the inner stage
+	for s := len(r.stages); s < nStages; s++ { // the zero Config's inner stage is already fit
 		size := r.cfg.StageSizes[s]
 
 		// Routing pass: pure reads of the trained prefix, so key chunks

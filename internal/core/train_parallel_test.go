@@ -23,7 +23,8 @@ func TestParallelTrainerBitIdentical(t *testing.T) {
 		"nn-top":         {Top: TopNN, Hidden: []int{8}, StageSizes: []int{120}, Search: SearchBinary, Seed: 1, SubsampleTop: 20_000},
 		"hybrid":         {Top: TopLinear, StageSizes: []int{60}, Search: SearchModelBiased, HybridThreshold: 8, HybridPageSize: 16, Seed: 1},
 		"multi-stage":    {Top: TopLinear, StageSizes: []int{8, 64, 500}, Search: SearchExponential, Seed: 1},
-		"zero-config":    {}, // sized by rule: the inner stage is fit on the top's sample
+		"zero-config":    {},                    // sized by rule: the inner stage is fit on the top's sample
+		"zero-strided":   {SubsampleTop: 5_000}, // the same with a strided sample, as above 200k keys
 	}
 	for name, cfg := range cases {
 		cfg := cfg
@@ -36,7 +37,7 @@ func TestParallelTrainerBitIdentical(t *testing.T) {
 			if name == "hybrid" && seq.NumHybrid() == 0 {
 				t.Fatal("hybrid case built no B-Tree leaves; tighten the threshold")
 			}
-			if name == "zero-config" && len(seq.Config().StageSizes) != 2 {
+			if len(cfg.StageSizes) == 0 && len(seq.Config().StageSizes) != 2 {
 				t.Fatalf("zero Config trained stages %v, want an inner stage", seq.Config().StageSizes)
 			}
 			for _, workers := range []int{2, 3, 8, 64} {

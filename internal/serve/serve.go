@@ -360,9 +360,10 @@ func (s *Store) collect(snap *obs.Snapshot) {
 // New builds a Store over the initial keys (any order; duplicates are
 // dropped) and starts the background merger. cfg configures every shard's
 // RMI (and, with opt.Dir set, every segment's); leave cfg.StageSizes empty
-// and every train sizes itself to its own key count and shape — ~1k keys
-// per leaf, plus one sampled inner stage where the keys are skewed, so a
-// lookup's last-mile window stays ~2^5–2^6 keys on a skewed key set (see
+// and every train sizes itself to its own key count — ~1k keys per leaf
+// behind one sampled inner stage, so on skewed keys a lookup's median
+// last-mile window is ~2^5 keys on a 1M-key shard and 2^6–2^8 on a
+// 4k–64k-key segment, whose edge leaves take its p99 to 2^10–2^12 (see
 // core's zero-Config sizing rule). Explicit StageSizes are shared by all
 // shards and all retrains, which is rarely what a growing shard wants.
 // With opt.Dir set New panics on an engine error; call Open to handle it

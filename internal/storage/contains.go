@@ -218,12 +218,13 @@ func containsBatchIn[K cmp.Ordered](segs []*segment, ops *keyOps[K], probes []K,
 // segment-major, a tile of the lockstep search is mostly one segment, and
 // the big base segment's misses are in flight together. A pair costs its
 // plan's route plus one lockstep round per halving of its leaf's error
-// window. Under core's zero Config that is ~6 rounds on skewed uint64 keys
-// whatever the segment's size (8–10 on base-36 string prefixes, whose CDF
-// is a staircase); a two-stage plan written before that rule searches
-// 2^8–2^14 keys on the same data, 8–14 rounds. The pair buffer is
-// fixed: it runs the kernel whenever it fills, whatever the batch length
-// or segment count.
+// window. Under core's zero Config the median pair takes ~6 rounds on a
+// segment of 128k skewed uint64 keys or more and 6–8 on a 4k–64k-key one,
+// whose first and last leaf take the p99 to 10–12 (8–9 at the median on
+// base-36 string prefixes, whose CDF is a staircase); a two-stage plan
+// written before that rule searches 2^8–2^14 keys on the same data, 8–14
+// rounds. The pair buffer is fixed: it runs the kernel whenever it fills,
+// whatever the batch length or segment count.
 func rankBatchIn[K cmp.Ordered](segs []*segment, ops *keyOps[K], probes []K, out []int) {
 	clear(out)
 	if len(segs) == 0 || len(probes) == 0 {
