@@ -1,7 +1,11 @@
 package storage
 
 import (
+	"bytes"
+	"cmp"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"slices"
 	"testing"
 
@@ -109,5 +113,71 @@ func checkOldShapeReopen[K comparable](t *testing.T, opts Options, keys []K, per
 	}
 	if !same(ask(e), want) {
 		t.Fatal("answers changed across the compaction that retrained under the zero Config")
+	}
+}
+
+// TestUnreservedLogsReplayUnchanged is the compatibility contract of log
+// reservation: a log as every earlier version wrote it — frames back to
+// back from offset 0 and the file ending where they end — is byte for byte
+// what today's writer puts in front of its reserved tail, replays to the same
+// keys with nothing cut, and recovers through Open, torn tail and all.
+func TestUnreservedLogsReplayUnchanged(t *testing.T) {
+	t.Run("uint64", func(t *testing.T) {
+		recs := [][]uint64{{5, 1, 9}, {1 << 40}, {7, 7, 1<<64 - 1}}
+		var old []byte
+		var keys []uint64
+		w := newWALT(t, filepath.Join(t.TempDir(), walFileName(0)))
+		for _, rec := range recs {
+			old, keys = append(old, walTestFrame(rec...)...), append(keys, rec...)
+			if err := w.append(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		checkOldLog(t, Options{NoCompactor: true}, w, old, walFileName(3), keys,
+			replayWAL, (*Engine).Keys)
+	})
+	t.Run("string", func(t *testing.T) {
+		recs := [][]string{{"delta", "", "x\x00y"}, {"alpha"}, {"delta", "omega"}}
+		var old []byte
+		var keys []string
+		w := newWALT(t, filepath.Join(t.TempDir(), walStrFileName(0)))
+		for _, rec := range recs {
+			old, keys = append(old, walTestStringFrame(rec...)...), append(keys, rec...)
+			if err := w.appendStrings(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		checkOldLog(t, Options{NoCompactor: true, StringKeys: true}, w, old, walStrFileName(3), keys,
+			replayWALStrings, (*Engine).KeysStrings)
+	})
+}
+
+func checkOldLog[K cmp.Ordered](t *testing.T, opts Options, w *wal, old []byte, name string, keys []K,
+	replay func([]byte) ([]K, int64), served func(*Engine) []K) {
+	if err := w.sync(); err != nil {
+		t.Fatal(err)
+	}
+	img, err := os.ReadFile(w.path)
+	w.close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w.size != int64(len(old)) || !bytes.Equal(img[:w.size], old) {
+		t.Fatalf("the writer's first %d bytes differ from the %d an unreserved log holds", w.size, len(old))
+	}
+	if got, good := replay(old); good != int64(len(old)) || !slices.Equal(got, keys) {
+		t.Fatalf("unreserved log replayed %d keys up to byte %d, want %d keys up to %d", len(got), good, len(keys), len(old))
+	}
+	// Through Open, with the torn half of one more frame behind the last.
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, name), append(slices.Clone(old), old[:len(old)/2]...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	e := openT(t, dir, opts)
+	defer e.Close()
+	want := slices.Clone(keys)
+	slices.Sort(want)
+	if got := served(e); !slices.Equal(got, slices.Compact(want)) {
+		t.Fatalf("Open over an unreserved log serves %v, want %v", got, want)
 	}
 }

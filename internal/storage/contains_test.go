@@ -299,10 +299,8 @@ func TestReplayedWALDedupesInChunks(t *testing.T) {
 		// The crash image: every served key logged again, around novel keys.
 		novel := []uint64{1<<41 + 1, 1<<41 + 2, 1<<41 + 3}
 		relog := append(append(slices.Clone(keys[:len(keys)/2]), novel...), keys[len(keys)/2:]...)
-		w, err := newWAL(vfs.OS, filepath.Join(dir, e.walName(99)))
-		if err != nil {
-			t.Fatal(err)
-		}
+		w := newWALT(t, filepath.Join(dir, e.walName(99)))
+		var err error
 		if strMode {
 			err = w.appendStrings(strKeysOf(relog))
 		} else {

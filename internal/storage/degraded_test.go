@@ -293,3 +293,84 @@ func TestScrubHealsBitRot(t *testing.T) {
 		}
 	}
 }
+
+// TestWALReservationFailureFallsBack pins the one failure that is not one:
+// when the filesystem refuses to reserve a log's extent (ENOSPC), the log is
+// appended to the way logs always were — the file ends where its frames end
+// — the refusal is counted in lix_storage_io_errors_total, and the engine
+// neither poisons nor degrades: commits keep being acknowledged, flushes
+// keep rotating, and a reopen serves every key. Both key modes, since each
+// names and frames its logs itself.
+func TestWALReservationFailureFallsBack(t *testing.T) {
+	for _, strMode := range []bool{false, true} {
+		strMode := strMode
+		t.Run(map[bool]string{false: "uint64", true: "string"}[strMode], func(t *testing.T) {
+			dir := t.TempDir()
+			ffs := vfs.NewFaultFS(vfs.OS, vfs.FaultConfig{})
+			ffs.SetHook(func(op vfs.Op, path string) error {
+				if op == vfs.OpAllocate {
+					return syscall.ENOSPC
+				}
+				return nil
+			})
+			e := openT(t, dir, Options{NoCompactor: true, StringKeys: strMode, FS: ffs})
+			commit := func(lo, hi uint64) {
+				t.Helper()
+				var err error
+				if strMode {
+					err = e.CommitStringBatch(oracleStrings(lo, hi))
+				} else {
+					err = e.CommitBatch(oracleUints(lo, hi))
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			commit(0, 100)
+			if err := e.Flush(); err != nil { // the next log's reservation is refused too
+				t.Fatal(err)
+			}
+			commit(100, 150)
+			e.mu.Lock()
+			logPath, logSize := e.wal.path, e.wal.size
+			e.mu.Unlock()
+			if fi, err := os.Stat(logPath); err != nil || fi.Size() != logSize {
+				t.Fatalf("log file is %v bytes (err %v) behind a refused reservation, want its %d frame bytes", fi.Size(), err, logSize)
+			}
+			refused := ffs.InjectedFor(vfs.OpAllocate)
+			if refused != 2 || ffs.Injected() != refused {
+				t.Fatalf("%d reservations refused of %d faults injected, want 2 of 2", refused, ffs.Injected())
+			}
+			if got := e.Metrics().Counter("lix_storage_io_errors_total"); got != refused {
+				t.Fatalf("lix_storage_io_errors_total = %d, want the %d refused reservations", got, refused)
+			}
+			if h, cause := e.Health(); h != HealthOK {
+				t.Fatalf("health = %v (%v) after refused reservations, want ok", h, cause)
+			}
+			if err := e.Close(); err != nil {
+				t.Fatal(err)
+			}
+			re := openT(t, dir, Options{NoCompactor: true, StringKeys: strMode})
+			defer re.Close()
+			if re.Len() != 150 {
+				t.Fatalf("reopen serves %d keys, want 150", re.Len())
+			}
+		})
+	}
+}
+
+func oracleUints(lo, hi uint64) []uint64 {
+	b := make([]uint64, 0, hi-lo)
+	for k := lo; k < hi; k++ {
+		b = append(b, k*31)
+	}
+	return b
+}
+
+func oracleStrings(lo, hi uint64) []string {
+	b := make([]string, 0, hi-lo)
+	for _, k := range oracleUints(lo, hi) {
+		b = append(b, oracleStr(k))
+	}
+	return b
+}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"learnedindex/internal/vfs"
@@ -12,10 +13,12 @@ import (
 // oracleSchedule is the fault mix every oracle trial runs under: every
 // injectable class is live at a low rate so trials exercise fsync loss,
 // ENOSPC, torn writes, failed renames/removes/opens, and read errors in
-// one schedule. ReadCorrupt stays zero in the main schedule on purpose —
-// silently rotting the only durable copy of an acked key is genuine data
-// loss, not a recoverable fault, so the checksum/quarantine plane owns
-// that class (see degraded_test.go). The oracle still exercises it: after
+// one schedule. Refused log reservations run at a higher rate than the rest:
+// a log is reserved once per flush, and a refusal stops nothing, so it costs
+// the trial none of its later steps. ReadCorrupt stays zero in the main
+// schedule on purpose — silently rotting the only durable copy of an acked
+// key is genuine data loss, not a recoverable fault, so the
+// checksum/quarantine plane owns that class (see degraded_test.go). The oracle still exercises it: after
 // the clean reopen, a second ReadCorrupt-only schedule rots every segment
 // read and Scrub must detect and durably heal all of them (see the scrub
 // phase in runFaultOracleTrial).
@@ -26,6 +29,7 @@ func oracleSchedule(seed int64) vfs.FaultConfig {
 		SyncDirErr:  0.02,
 		WriteENOSPC: 0.01,
 		TornWrite:   0.02,
+		AllocENOSPC: 0.15,
 		RenameErr:   0.02,
 		RemoveErr:   0.03,
 		OpenErr:     0.01,
@@ -41,8 +45,9 @@ func oracleSchedule(seed int64) vfs.FaultConfig {
 // (vfs.ErrInjected) or a lawful consequence of one (ErrPoisoned,
 // ErrDegraded) — never an unscheduled failure, never a panic. After a
 // clean reopen the engine must serve every acked key, serve nothing it
-// was never given, and report an exact Len. Both key modes run the same
-// oracle over ≥50 seeds each.
+// was never given, and report an exact Len. A refused log reservation is the
+// one scheduled fault that must surface nowhere but in the I/O error count.
+// Both key modes run the same oracle over ≥50 seeds each.
 func TestFaultScheduleOracle(t *testing.T) {
 	const seeds = 50
 	for _, mode := range []struct {
@@ -51,18 +56,29 @@ func TestFaultScheduleOracle(t *testing.T) {
 	}{{"uint64", false}, {"string", true}} {
 		mode := mode
 		t.Run(mode.name, func(t *testing.T) {
+			var refused atomic.Int64 // reservations, over every trial of the mode
+			t.Cleanup(func() {       // runs once the parallel trials are done
+				if !t.Failed() && refused.Load() == 0 {
+					t.Errorf("no trial of %d had a log reservation refused", seeds)
+				}
+			})
 			for s := 0; s < seeds; s++ {
 				seed := int64(7000 + s)
 				t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 					t.Parallel()
-					runFaultOracleTrial(t, seed, mode.str)
+					refused.Add(runFaultOracleTrial(t, seed, mode.str))
 				})
 			}
 		})
 	}
 }
 
-func runFaultOracleTrial(t *testing.T, seed int64, strMode bool) {
+// oracleStr is an order-irrelevant injective uint64→string encoding, so one
+// oracle body covers both key modes.
+func oracleStr(k uint64) string { return fmt.Sprintf("k%016x", k) }
+
+// runFaultOracleTrial returns how many log reservations the schedule refused.
+func runFaultOracleTrial(t *testing.T, seed int64, strMode bool) (refused int64) {
 	dir := t.TempDir()
 	ffs := vfs.NewFaultFS(vfs.OS, oracleSchedule(seed))
 	ffs.Disarm() // clean open: the schedule starts with the first write below
@@ -74,9 +90,7 @@ func runFaultOracleTrial(t *testing.T, seed int64, strMode bool) {
 	}
 	ffs.Arm()
 
-	// str is an order-irrelevant injective uint64→string encoding so one
-	// oracle body covers both key modes.
-	str := func(k uint64) string { return fmt.Sprintf("k%016x", k) }
+	str := oracleStr
 	doAppend := func(b []uint64) error {
 		if !strMode {
 			return e.AppendBatch(b)
@@ -175,6 +189,17 @@ func runFaultOracleTrial(t *testing.T, seed int64, strMode bool) {
 		}
 	}
 
+	// A refused reservation is counted and changes nothing else: the log is
+	// appended to as logs always were. So a trial whose only faults were
+	// refusals saw no error and ends healthy.
+	refused = ffs.InjectedFor(vfs.OpAllocate)
+	if got := e.m.ioErrors.Load(); got < refused {
+		t.Fatalf("%d log reservations refused, lix_storage_io_errors_total = %d", refused, got)
+	}
+	if h, cause := e.Health(); ffs.Injected() == refused && h != HealthOK {
+		t.Fatalf("health = %v (%v) after nothing but %d refused log reservations", h, cause, refused)
+	}
+
 	// Close may fail mid-flush under the schedule; only unscheduled
 	// failures are bugs. A successful close flushes the pending set, which
 	// may durably land appended-but-unacked keys — allowed (they are in
@@ -260,4 +285,5 @@ func runFaultOracleTrial(t *testing.T, seed int64, strMode bool) {
 			t.Fatalf("acked key %d lost after scrub heal", k)
 		}
 	}
+	return refused
 }

@@ -2,14 +2,17 @@ package storage
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"os"
+	"slices"
 	"testing"
 
+	"learnedindex/internal/binenc"
 	"learnedindex/internal/bloom"
 	"learnedindex/internal/core"
 	"learnedindex/internal/data"
 	"learnedindex/internal/scan"
-	"learnedindex/internal/vfs"
 )
 
 // FuzzSegmentDecode asserts the segment decoder never panics on arbitrary
@@ -84,47 +87,109 @@ func FuzzSegmentDecode(f *testing.F) {
 	})
 }
 
-// FuzzWALReplay asserts three recovery properties on arbitrary log bytes:
+// walTestFrame is one well-formed uint64 WAL frame, built by hand — from
+// the format's description, not by the writer — so a seed can plant a record
+// the writer never wrote and the compatibility test can hold the writer to
+// the bytes it has always produced.
+func walTestFrame(keys ...uint64) []byte {
+	payload := binenc.AppendUvarint(nil, uint64(len(keys)))
+	for _, k := range keys {
+		payload = binenc.AppendUvarint(payload, k)
+	}
+	return walTestSeal(payload)
+}
+
+// walTestStringFrame is walTestFrame for a string-keyed log.
+func walTestStringFrame(keys ...string) []byte {
+	payload := binenc.AppendUvarint(nil, uint64(len(keys)))
+	for _, k := range keys {
+		payload = append(binenc.AppendUvarint(payload, uint64(len(k))), k...)
+	}
+	return walTestSeal(payload)
+}
+
+func walTestSeal(payload []byte) []byte {
+	frame := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+	frame = binary.LittleEndian.AppendUint32(frame, crc32.Checksum(payload, crcTable))
+	return append(frame, payload...)
+}
+
+// nrec bits of FuzzWALReplay: how many small records the writer appends, and
+// the two shapes a reserved log adds.
+const (
+	fuzzWALRecords  = 0x07 // record count
+	fuzzWALZeroTail = 0x08 // keep the reserved, never-written rest of the file
+	fuzzWALStraddle = 0x10 // one more record, long enough to cross walExtent
+)
+
+// FuzzWALReplay asserts the recovery properties on arbitrary log bytes:
 // replay never panics, replay is idempotent after truncation (re-reading
 // the truncated prefix reproduces exactly the same keys — the recovery
-// path's fixed point), and a valid committed prefix is never lost nor
-// reordered no matter what corruption follows it ("recovery never invents
-// keys" is the contrapositive: every replayed key came from a record whose
-// frame fully checksummed).
+// path's fixed point), a valid committed prefix — everything up to the
+// writer's logical size, whatever the file's length — is never lost nor
+// reordered no matter what follows it ("recovery never invents keys" is the
+// contrapositive: every replayed key came from a record whose frame fully
+// checksummed), and an all-zero header ends the log: nothing behind the
+// reserved zero tail of a log is ever replayed, not even a well-formed
+// frame.
 func FuzzWALReplay(f *testing.F) {
 	f.Add([]byte{}, uint8(0))
 	f.Add(bytes.Repeat([]byte{0x00}, 32), uint8(1))
 	f.Add(bytes.Repeat([]byte{0xff}, 32), uint8(3))
 	f.Add([]byte{7, 0, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}, uint8(2))
+	f.Add([]byte{}, uint8(3|fuzzWALZeroTail))                                       // a zero tail
+	f.Add(walTestFrame(41, 42), uint8(0|fuzzWALZeroTail))                           // an empty log, a frame behind its zero tail
+	f.Add(walTestFrame(41, 42), uint8(2|fuzzWALZeroTail))                           // garbage after a zero tail
+	f.Add(walTestFrame(41, 42), uint8(2|fuzzWALStraddle))                           // a frame across the extent boundary, then a good frame
+	f.Add(bytes.Repeat([]byte{0xff}, 32), uint8(1|fuzzWALStraddle|fuzzWALZeroTail)) // the same with the second extent's zero tail
 
 	f.Fuzz(func(t *testing.T, tail []byte, nrec uint8) {
-		// Build a known-good prefix of nrec records via the real writer.
-		dir := t.TempDir()
-		w, err := newWAL(vfs.OS, dir+"/"+walFileName(0))
-		if err != nil {
-			t.Fatal(err)
-		}
+		// Build a known-good prefix via the real writer.
+		w := newWALT(t, t.TempDir()+"/"+walFileName(0))
 		var committed []uint64
-		for i := 0; i < int(nrec%8); i++ {
+		for i := 0; i < int(nrec&fuzzWALRecords); i++ {
 			rec := []uint64{uint64(i) * 17, uint64(i)*17 + 1}
 			if err := w.append(rec); err != nil {
 				t.Fatal(err)
 			}
 			committed = append(committed, rec...)
 		}
+		if nrec&fuzzWALStraddle != 0 {
+			rec := make([]uint64, walExtent/9) // 9-byte varints, plus the records before it
+			for i := range rec {
+				rec[i] = 1<<63 - uint64(i)
+			}
+			if err := w.append(rec); err != nil {
+				t.Fatal(err)
+			}
+			committed = append(committed, rec...)
+			if w.size <= walExtent || w.reserved != 2*walExtent {
+				t.Fatalf("straddling record ended at %d with %d reserved", w.size, w.reserved)
+			}
+		}
 		if err := w.sync(); err != nil {
 			t.Fatal(err)
 		}
-		prefix, err := os.ReadFile(w.path)
+		image, err := os.ReadFile(w.path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		w.close()
+		// Past the writer's logical size the file holds only the reservation
+		// (nothing at all where the platform reserves nothing): zeros.
+		if int64(len(image)) < w.size || len(bytes.TrimRight(image[w.size:], "\x00")) != 0 {
+			t.Fatalf("log file of %d bytes is not %d written bytes and a zero tail", len(image), w.size)
+		}
+		image = image[:w.size]
+		zeroTail := nrec&fuzzWALZeroTail != 0 && w.reserved-w.size >= walHeaderLen
+		if zeroTail {
+			image = append(image, make([]byte, w.reserved-w.size)...)
+		}
 
-		input := append(append([]byte{}, prefix...), tail...)
+		input := append(image, tail...)
 		keys, good := replayWAL(input) // must never panic
-		if good < int64(len(prefix)) {
-			t.Fatalf("replay truncated into the committed prefix: %d < %d", good, len(prefix))
+		if good < w.size {
+			t.Fatalf("replay truncated into the committed prefix: %d < %d", good, w.size)
 		}
 		if len(keys) < len(committed) {
 			t.Fatalf("replay lost committed keys: %d < %d", len(keys), len(committed))
@@ -134,15 +199,20 @@ func FuzzWALReplay(f *testing.F) {
 				t.Fatalf("committed key %d replayed as %d", k, keys[i])
 			}
 		}
+		if zeroTail && (good != w.size || len(keys) != len(committed)) {
+			t.Fatalf("replay went past the zero tail: stopped at %d with %d keys, log ends at %d with %d",
+				good, len(keys), w.size, len(committed))
+		}
 		// Idempotence: replaying the truncated image changes nothing.
 		keys2, good2 := replayWAL(input[:good])
-		if good2 != good || len(keys2) != len(keys) {
+		if good2 != good || !slices.Equal(keys, keys2) {
 			t.Fatalf("replay not idempotent: (%d,%d) vs (%d,%d)", good2, len(keys2), good, len(keys))
 		}
-		for i := range keys {
-			if keys[i] != keys2[i] {
-				t.Fatalf("key %d diverged across re-replay", i)
-			}
+		// A zero header where replay stopped hides whatever follows it.
+		hidden := append(append(slices.Clone(input[:good]), make([]byte, walHeaderLen)...), walTestFrame(43)...)
+		keys3, good3 := replayWAL(hidden)
+		if good3 != good || !slices.Equal(keys, keys3) {
+			t.Fatalf("replay read past a zero header: (%d,%d) vs (%d,%d)", good3, len(keys3), good, len(keys))
 		}
 	})
 }

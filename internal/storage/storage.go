@@ -158,7 +158,8 @@ type Engine struct {
 	// operations — appends, frame encodes, and the flush freeze step —
 	// never across segment training, and never across a group-commit
 	// leader's fsync (the leader drops mu for the disk wait so appends and
-	// cohort enqueues keep flowing).
+	// cohort enqueues keep flowing). walSeq changes only inside Flush, under
+	// flushMu as well, so Flush may read it before it takes mu.
 	mu      sync.Mutex
 	wal     *wal
 	walSeq  uint64
@@ -184,12 +185,19 @@ type Engine struct {
 	// calls (Append, AppendBatch, Commit enqueue); durableSeq is the
 	// highest appendSeq covered by a completed fsync. A Sync/Commit caller
 	// captures its target and waits on syncCond until durableSeq passes it;
-	// the first waiter with an uncovered target elects itself leader,
+	// a waiter whose target no issued fsync covers elects itself leader,
 	// encodes every queued cohort batch into ONE frame, flushes, and
-	// fsyncs once for everyone — tickets are woken by the broadcast.
+	// fsyncs once for everyone — tickets are woken by the broadcast. syncs
+	// holds the issued fsyncs that have not been retired, in issue order:
+	// at most maxLeaderSyncs led by committers, so one cohort drains while
+	// the next fills, plus the one a Flush freeze adds behind them (see
+	// syncDoneLocked for why they retire in that order). syncs[0] is issue
+	// number syncHead; an issuer keeps its number, not a pointer, because
+	// the slice shifts down as tickets retire.
 	appendSeq  uint64
 	durableSeq uint64
-	syncing    bool
+	syncs      []syncTicket
+	syncHead   uint64
 	syncCond   *sync.Cond
 	cohort     [][]uint64 // queued Commit batches awaiting the next frame
 	cohortS    [][]string // string-mode commit cohort (same plane, same fsync)
@@ -359,7 +367,7 @@ func Open(dir string, opts Options) (*Engine, error) {
 	if len(walSeqs) > 0 {
 		e.walSeq = walSeqs[len(walSeqs)-1] + 1
 	}
-	w, err := newWAL(e.fs, filepath.Join(dir, e.walName(e.walSeq)))
+	w, err := e.createWAL(e.walSeq)
 	if err != nil {
 		return nil, err
 	}
@@ -845,10 +853,76 @@ func stringChunkEnd(keys []string, lo int) (hi, size int) {
 	return hi, size
 }
 
+// syncTicket is one issued commit-plane fsync: what its success makes
+// durable. covered is coversAll from the moment a leader claims the ticket
+// until it cuts its frame, because everything enqueued in that window rides
+// along.
+type syncTicket struct {
+	covered     uint64 // highest appendSeq whose bytes the fsync pushes to disk
+	replCovered uint64 // the same bound for the repl plane, see replPromoteLocked
+	done        bool   // the fsync has returned
+}
+
+const (
+	coversAll = ^uint64(0)
+	// maxLeaderSyncs is how many committer-led fsyncs may be unretired at
+	// once: double buffering — one cohort on its way to the device while
+	// the next fills and follows it.
+	maxLeaderSyncs = 2
+)
+
+// syncCoversLocked reports whether an issued fsync will make target durable.
+func (e *Engine) syncCoversLocked(target uint64) bool {
+	for _, t := range e.syncs {
+		if t.covered >= target {
+			return true
+		}
+	}
+	return false
+}
+
+// issueSyncLocked queues a ticket behind every unretired one and returns its
+// issue number.
+func (e *Engine) issueSyncLocked(t syncTicket) (id uint64) {
+	e.syncs = append(e.syncs, t)
+	return e.syncHead + uint64(len(e.syncs)) - 1
+}
+
+// syncDoneLocked records the outcome of fsync number id and retires, oldest
+// first, every ticket that no unfinished one precedes, promoting the ack
+// horizon and the repl plane by each. Tickets retire in issue order because the
+// kernel reports a writeback error once per file description: of two
+// overlapping fsyncs only one sees the error, so the later one returning
+// nil proves nothing while the earlier is outstanding. For the same reason
+// an error on either fails both: the poison is immediate and sticky, no
+// ticket retired after it promotes anything, and every waiter returns it.
+func (e *Engine) syncDoneLocked(id uint64, err error) {
+	e.syncs[id-e.syncHead].done = true
+	if err != nil {
+		// Fail-stop: a failed commit-plane fsync leaves the OS cache in an
+		// unknowable state, so no later fsync may be trusted to ack.
+		e.poisonLocked(err)
+	}
+	n := 0
+	for ; n < len(e.syncs) && e.syncs[n].done; n++ {
+		// max, because a ticket claimed before a Flush freeze cuts its frame
+		// after it, and so covers more than the freeze's ticket behind it.
+		if r := e.syncs[n]; e.err == nil {
+			e.durableSeq = max(e.durableSeq, r.covered)
+			e.replPromoteLocked(r.replCovered)
+		}
+	}
+	e.syncs = append(e.syncs[:0], e.syncs[n:]...)
+	e.syncHead += uint64(n)
+	e.syncCond.Broadcast()
+}
+
 // waitDurable blocks until every write accepted at or before target is
 // crash-durable, electing a group-commit leader as needed. Called with mu
-// held; returns with mu held. The leader encodes the queued cohort, pushes
-// the WAL buffer to the OS, then drops mu for the fsync itself so the
+// held; returns with mu held. A caller waits while an issued fsync covers
+// its target or maxLeaderSyncs are unretired; otherwise it leads: it
+// encodes the queued cohort, pushes the WAL buffer to the OS, then drops mu
+// for the fsync itself — beside the one already draining, if any — so the
 // write plane keeps accepting work during the disk wait; completion wakes
 // every ticket via the condvar broadcast.
 func (e *Engine) waitDurable(target uint64) error {
@@ -859,11 +933,11 @@ func (e *Engine) waitDurable(target uint64) error {
 		if e.durableSeq >= target {
 			return nil
 		}
-		if e.syncing {
+		if len(e.syncs) >= maxLeaderSyncs || e.syncCoversLocked(target) {
 			e.syncCond.Wait()
 			continue
 		}
-		e.syncing = true
+		id := e.issueSyncLocked(syncTicket{covered: coversAll})
 		// Cohort-fill window (the classic group-commit delay, reduced to
 		// one scheduler yield): with leadership claimed, give runnable
 		// committers one chance to enqueue before the frame is cut. On a
@@ -874,11 +948,6 @@ func (e *Engine) waitDurable(target uint64) error {
 		e.mu.Unlock()
 		runtime.Gosched()
 		e.mu.Lock()
-		if e.err != nil {
-			e.syncing = false
-			e.syncCond.Broadcast()
-			return e.err
-		}
 		e.drainCohortLocked()
 		if e.err == nil {
 			if err := e.wal.w.Flush(); err != nil {
@@ -886,15 +955,14 @@ func (e *Engine) waitDurable(target uint64) error {
 			}
 		}
 		if e.err != nil {
-			e.syncing = false
-			e.syncCond.Broadcast()
+			e.syncDoneLocked(id, nil) // already poisoned: retires, promotes nothing
 			return e.err
 		}
-		covered := e.appendSeq // everything encoded so far rides this fsync
-		// Same bound for the repl plane: frames encoded after mu drops (an
-		// Append during the disk wait) are in the bufio buffer, not on disk,
-		// and must not promote on this fsync.
-		replCovered := e.replNext
+		// Everything encoded so far rides this fsync. Frames encoded after
+		// mu drops (an Append during the disk wait) are in the bufio
+		// buffer, not on disk, and must not promote on it.
+		t := &e.syncs[id-e.syncHead]
+		t.covered, t.replCovered = e.appendSeq, e.replNext
 		w := e.wal
 		e.mu.Unlock()
 		fsyncStart := time.Now()
@@ -902,52 +970,49 @@ func (e *Engine) waitDurable(target uint64) error {
 		e.m.fsyncNs.ObserveDuration(time.Since(fsyncStart))
 		e.mu.Lock()
 		e.m.walSyncs.Inc()
-		if serr != nil {
-			// Fail-stop: a failed commit-plane fsync leaves the OS cache in
-			// an unknowable state, so no later fsync may be trusted to ack.
-			e.poisonLocked(serr)
-		}
-		if serr == nil && covered > e.durableSeq {
-			e.durableSeq = covered
-		}
-		if serr == nil {
-			e.replPromoteLocked(replCovered)
-		}
-		e.syncing = false
-		e.syncCond.Broadcast()
-		// Loop: covered >= target by construction, so this returns unless
-		// the fsync failed — then the sticky error surfaces.
+		e.syncDoneLocked(id, serr)
+		// Loop: the ticket covers target, so this returns once it retires —
+		// now, or when the fsync issued before it completes — unless either
+		// failed; then the sticky error surfaces.
 	}
 }
 
-// Flush makes every pending key served and trims the log. The write
-// mutex is held only for the freeze: snapshot the pending keys, fsync and
-// retire the active WAL, start a fresh one. Training the segment and
-// committing it happen off the write path, so concurrent Appends proceed
-// during the heavy part. The frozen log is deleted only after the segment
-// is committed — a crash in between re-replays it into duplicates, never
-// a loss.
+// Flush makes every pending key served and trims the log. The next log is
+// created and reserved before the write mutex is taken, which is then held
+// only for the freeze: snapshot the pending keys, fsync the active WAL and
+// swap the new one in. Training the segment and committing it happen off
+// the write path, so concurrent Appends proceed during the heavy part. The
+// frozen log is deleted only after the segment is committed — a crash in
+// between re-replays it into duplicates, never a loss.
 func (e *Engine) Flush() error {
 	e.flushMu.Lock()
 	defer e.flushMu.Unlock()
 
 	e.mu.Lock()
-	if err := e.writeGateLocked(); err != nil {
+	err := e.writeGateLocked()
+	idle := len(e.pending) == 0 && len(e.pendingS) == 0
+	e.mu.Unlock()
+	if err != nil || idle {
+		return err
+	}
+	flushStart := time.Now()
+	nw, err := e.createWAL(e.walSeq + 1)
+	e.mu.Lock()
+	if err != nil {
+		err = e.poisonLocked(err)
 		e.mu.Unlock()
 		return err
 	}
-	if len(e.pending) == 0 && len(e.pendingS) == 0 {
-		e.mu.Unlock()
-		return nil
-	}
-	flushStart := time.Now()
 	// Queued Commit batches must land in the log being frozen: their keys
 	// are already pending (and will reach the segment), so their frames
 	// have to be covered by this fsync for the ack plane to stay honest.
-	e.drainCohortLocked()
-	if e.err != nil {
-		err := e.err
+	if err = e.writeGateLocked(); err == nil {
+		e.drainCohortLocked()
+		err = e.err
+	}
+	if err != nil {
 		e.mu.Unlock()
+		e.discardWAL(nw)
 		return err
 	}
 	// Freeze the mode's pending list (scan-visible while the segment
@@ -971,28 +1036,21 @@ func (e *Engine) Flush() error {
 	if err := frozen.sync(); err != nil {
 		err = e.poisonLocked(err)
 		e.mu.Unlock()
+		e.discardWAL(nw)
 		return err
 	}
 	e.m.fsyncNs.ObserveDuration(time.Since(fsyncStart))
 	e.m.walSyncs.Inc()
-	// Everything encoded so far is now on disk; release any committers
-	// waiting on the old log before the heavy training starts.
-	if e.appendSeq > e.durableSeq {
-		e.durableSeq = e.appendSeq
-	}
-	// The freeze fsync ran with mu held throughout, so every encoded frame
-	// is on disk and the whole pending run promotes.
-	e.replPromoteLocked(e.replNext)
+	// The freeze fsync ran with mu held throughout, so every frame encoded
+	// so far is on disk: it covers the whole pending run of both planes and
+	// releases the committers waiting on the old log before the heavy
+	// training starts — behind any leader fsync still in flight, like every
+	// later-issued one.
+	frozenID := e.issueSyncLocked(syncTicket{covered: e.appendSeq, replCovered: e.replNext})
+	e.syncDoneLocked(frozenID, nil)
 	// Every frame encoded so far lives in the frozen log; once its segment
 	// publishes, these frames trim from the durable tail (below).
 	replTrimTo := e.replNext
-	e.syncCond.Broadcast()
-	nw, err := newWAL(e.fs, filepath.Join(e.dir, e.walName(e.walSeq+1)))
-	if err != nil {
-		err = e.poisonLocked(err)
-		e.mu.Unlock()
-		return err
-	}
 	e.walSeq++
 	e.wal = nw
 	e.mu.Unlock()
@@ -1105,6 +1163,19 @@ func materialize[K cmp.Ordered](e *Engine, ops *keyOps[K], keys []K, countFlush 
 	}
 	e.segMu.Unlock()
 	return true, nil
+}
+
+// createWAL creates and reserves the engine's log number seq.
+func (e *Engine) createWAL(seq uint64) (*wal, error) {
+	return newWAL(e.fs, filepath.Join(e.dir, e.walName(seq)), e.countIOErr)
+}
+
+// discardWAL closes and removes a log created for a freeze that did not
+// happen. Best-effort: an empty log that survives replays to nothing at
+// the next open.
+func (e *Engine) discardWAL(w *wal) {
+	e.countIOErr("close unused WAL", w.close())
+	e.countIOErr("remove unused WAL", e.fs.Remove(w.path))
 }
 
 // walName returns the engine's mode-appropriate WAL filename for seq.

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -20,6 +21,17 @@ func openT(t *testing.T, dir string, opts Options) *Engine {
 		t.Fatalf("Open(%s): %v", dir, err)
 	}
 	return e
+}
+
+// newWALT is newWAL on the real filesystem, for tests that write a log by
+// hand; a reservation the filesystem refuses fails the test.
+func newWALT(t testing.TB, path string) *wal {
+	t.Helper()
+	w, err := newWAL(vfs.OS, path, func(ctx string, err error) { t.Fatalf("%s: %v", ctx, err) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w
 }
 
 func TestEngineBasicLifecycle(t *testing.T) {
@@ -336,10 +348,7 @@ func TestEngineRecoversMultipleWALs(t *testing.T) {
 	// Hand-craft the crash image: a "frozen" log re-logging segment keys
 	// (as if its retire step never ran) plus an "active" log with novel
 	// keys.
-	frozen, err := newWAL(vfs.OS, filepath.Join(dir, walFileName(7)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	frozen := newWALT(t, filepath.Join(dir, walFileName(7)))
 	if err := frozen.append(segKeys[:500]); err != nil {
 		t.Fatal(err)
 	}
@@ -347,10 +356,7 @@ func TestEngineRecoversMultipleWALs(t *testing.T) {
 		t.Fatal(err)
 	}
 	frozen.close()
-	active, err := newWAL(vfs.OS, filepath.Join(dir, walFileName(8)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	active := newWALT(t, filepath.Join(dir, walFileName(8)))
 	novel := []uint64{5_000_001, 5_000_002, 5_000_003}
 	if err := active.append(novel); err != nil {
 		t.Fatal(err)
@@ -416,5 +422,67 @@ func TestEngineQuarantinesCorruptSegment(t *testing.T) {
 	}
 	if live, _ := filepath.Glob(filepath.Join(dir, "seg-*.seg")); len(live) != 0 {
 		t.Fatalf("corrupt segment still live: %v", live)
+	}
+}
+
+// TestWALReservesExtents: a log is reserved one extent ahead of its frames —
+// the file is a whole number of extents long while lix_storage_wal_bytes and
+// Stats.WALBytes keep reporting the frame bytes — a record that does not fit
+// the reservation extends it first, and a crash image of the file, reserved
+// zero tail and all, recovers every synced key. Off Linux nothing is
+// reserved and only the recovery half applies.
+func TestWALReservesExtents(t *testing.T) {
+	dir := t.TempDir()
+	e := openT(t, dir, Options{NoCompactor: true})
+	defer e.Close()
+	fileSize := func() int64 {
+		t.Helper()
+		fi, err := os.Stat(e.wal.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.Size()
+	}
+	reserves := runtime.GOOS == "linux"
+	if got := fileSize(); reserves && got != walExtent {
+		t.Fatalf("fresh log is %d bytes, want one %d-byte extent", got, walExtent)
+	}
+	if err := e.Commit(1, 2, 3); err != nil {
+		t.Fatal(err)
+	}
+	if got := fileSize(); reserves && got != walExtent {
+		t.Fatalf("log is %d bytes after a commit inside the extent, want %d", got, walExtent)
+	}
+	// One record of 9-byte varints, long enough to cross into a third extent.
+	long := make([]uint64, 2*walExtent/9)
+	for i := range long {
+		long[i] = 1<<63 + uint64(i)
+	}
+	if err := e.AppendBatch(long); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	frames := e.Stats().WALBytes
+	if frames <= 2*walExtent || frames != e.wal.size || float64(frames) != e.Metrics().Gauge("lix_storage_wal_bytes") {
+		t.Fatalf("WALBytes=%d, wal.size=%d, gauge=%v: want the frame bytes, past two extents", frames, e.wal.size, e.Metrics().Gauge("lix_storage_wal_bytes"))
+	}
+	if got := fileSize(); reserves && got != 3*walExtent {
+		t.Fatalf("log is %d bytes behind %d frame bytes, want three extents", got, frames)
+	}
+
+	crashDir := t.TempDir()
+	img, err := os.ReadFile(e.wal.path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(crashDir, filepath.Base(e.wal.path)), img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	re := openT(t, crashDir, Options{NoCompactor: true})
+	defer re.Close()
+	if want := 3 + len(long); re.Len() != want || !re.Contains(2) || !re.Contains(long[len(long)-1]) {
+		t.Fatalf("crash image with its reserved tail recovered %d keys, want %d", re.Len(), want)
 	}
 }

@@ -9,8 +9,6 @@ import (
 	"slices"
 	"sort"
 	"testing"
-
-	"learnedindex/internal/vfs"
 )
 
 // stringTestKeys builds a deterministic mixed-shape key set: URL-ish long
@@ -311,21 +309,48 @@ func TestStringSnapshotCountRange(t *testing.T) {
 }
 
 // FuzzWALStringReplay feeds arbitrary bytes to the string WAL replayer:
-// it must never panic, and re-encoding whatever it recovered must be a
-// prefix-consistent interpretation (keys from intact frames only).
+// it must never panic, re-encoding whatever it recovered must be a
+// prefix-consistent interpretation (keys from intact frames only), and an
+// all-zero header — the never-written rest of a reserved log — ends the log
+// whatever follows it. The seeds come from the real writer, which is held to
+// its logical size on the way: replaying its whole file, reserved tail
+// included, stops exactly there with exactly the keys written.
 func FuzzWALStringReplay(f *testing.F) {
-	w, err := newWAL(vfs.OS, filepath.Join(f.TempDir(), "wals-0.log"))
-	if err != nil {
-		f.Fatal(err)
+	image := func(recs ...[]string) []byte {
+		w := newWALT(f, filepath.Join(f.TempDir(), walStrFileName(0)))
+		var want []string
+		for _, rec := range recs {
+			if err := w.appendStrings(rec); err != nil {
+				f.Fatal(err)
+			}
+			want = append(want, rec...)
+		}
+		if err := w.sync(); err != nil {
+			f.Fatal(err)
+		}
+		img, err := os.ReadFile(w.path)
+		w.close()
+		if err != nil {
+			f.Fatal(err)
+		}
+		if keys, good := replayWALStrings(img); good != w.size || !slices.Equal(keys, want) {
+			f.Fatalf("replay of the writer's %d-byte file stopped at %d with %d keys, want %d with %d",
+				len(img), good, len(keys), w.size, len(want))
+		}
+		return img[:w.size]
 	}
-	w.appendStrings([]string{"alpha", "", "x\x00y"})
-	w.appendStrings([]string{"beta"})
-	w.w.Flush()
-	img, _ := os.ReadFile(w.path)
-	w.close()
-	f.Add(img)
+	small := image([]string{"alpha", "", "x\x00y"}, []string{"beta"})
+	zeros := make([]byte, 64)
+	long := make([]string, walExtent/100+1) // one record across the extent boundary
+	for i := range long {
+		long[i] = fmt.Sprintf("%0100d", i)
+	}
+	f.Add(small)
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xff}, 40))
+	f.Add(append(slices.Clone(small), zeros...))                   // a zero tail
+	f.Add(append(append(slices.Clone(small), zeros...), small...)) // well-formed frames after a zero tail
+	f.Add(image([]string{"alpha"}, long, []string{"omega"}))       // a frame that straddles an extent boundary
 	f.Fuzz(func(t *testing.T, data []byte) {
 		keys, good := replayWALStrings(data)
 		if good < 0 || good > int64(len(data)) {
@@ -335,6 +360,11 @@ func FuzzWALStringReplay(f *testing.F) {
 		again, g2 := replayWALStrings(data[:good])
 		if g2 != good || !slices.Equal(keys, again) {
 			t.Fatal("replay of the intact prefix disagrees")
+		}
+		// A zero header where replay stopped hides whatever follows it.
+		hidden := append(append(slices.Clone(data[:good]), make([]byte, walHeaderLen)...), small...)
+		if again, g2 = replayWALStrings(hidden); g2 != good || !slices.Equal(keys, again) {
+			t.Fatalf("replay read past a zero header: stopped at %d with %d keys, want %d with %d", g2, len(again), good, len(keys))
 		}
 	})
 }

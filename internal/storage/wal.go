@@ -28,6 +28,16 @@ import (
 // off without surfacing any invented key, while every record fully on
 // disk is replayed.
 //
+// The file is reserved ahead of the writes, one walExtent at a time
+// (vfs.File.Allocate), so the fsync of a record inside the reserved range
+// is a data write plus a device flush: no block allocation and no size
+// change ride along in the filesystem's journal. Records are still written
+// sequentially from offset 0, so a log may end in reserved bytes that were
+// never written. They read as zero, and an all-zero header is the clean end
+// of the log. Reserving is an optimisation only: a log whose reservation
+// failed, or one written before logs were reserved, is appended to and
+// replays exactly as before.
+//
 // Logs rotate rather than truncate: files are named wal-<seq>.log, and a
 // flush freezes the active log (fsync), starts a fresh one, and deletes
 // the frozen file only after its contents are committed to a segment.
@@ -39,6 +49,11 @@ const (
 	// it is treated as a torn/corrupt frame rather than an allocation.
 	maxWALRecord = 1 << 26
 	walHeaderLen = 8
+	// walExtent is how far ahead of the writes a log is reserved: several
+	// times what the serving layer's default flush cycle puts in one log
+	// (4096 keys, ~30 KiB of frames), so a commit rarely crosses it, and
+	// small enough that reserving it for every rotated log costs little.
+	walExtent = 256 << 10
 )
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
@@ -83,18 +98,63 @@ type wal struct {
 	w    *bufio.Writer
 	path string
 	size int64 // logical end of the last appended record (incl. buffered)
+	// reserved is how many bytes of the file Allocate has reserved; zero
+	// once a reservation failed, after which the log is plainly appended to.
+	reserved int64
+	// ioErr receives a failed reservation: counted, never fatal.
+	ioErr func(ctx string, err error)
 
-	fsyncMu sync.Mutex
+	// fsyncMu lets overlapping group-commit fsyncs share the descriptor
+	// and makes close wait for all of them.
+	fsyncMu sync.RWMutex
 	closed  bool
 }
 
-// newWAL creates a fresh, empty log at path on the given filesystem.
-func newWAL(fs vfs.FS, path string) (*wal, error) {
+// newWAL creates a fresh, empty log at path on the given filesystem and
+// reserves its first extent. A failed reservation goes to ioErr and the log
+// is returned all the same.
+func newWAL(fs vfs.FS, path string, ioErr func(ctx string, err error)) (*wal, error) {
 	f, err := fs.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return nil, err
 	}
-	return &wal{f: f, w: bufio.NewWriter(f), path: path}, nil
+	w := &wal{f: f, w: bufio.NewWriter(f), path: path, ioErr: ioErr}
+	w.reserve(walExtent)
+	return w, nil
+}
+
+// reserve extends the reservation to size bytes.
+func (w *wal) reserve(size int64) {
+	if err := w.f.Allocate(size); err != nil {
+		w.reserved = 0
+		w.ioErr("reserve WAL extent", err)
+		return
+	}
+	w.reserved = size
+}
+
+// walFrameAt returns the payload of the frame whose header starts at
+// data[off:], or false where the log ends: fewer bytes than a header, an
+// all-zero header (the never-written rest of a reserved extent — no record
+// has an empty payload, every payload starts with its key count), a length
+// beyond the record bound or the data, or a checksum mismatch.
+func walFrameAt(data []byte, off int) (payload []byte, ok bool) {
+	if len(data)-off < walHeaderLen {
+		return nil, false
+	}
+	plen := int(binary.LittleEndian.Uint32(data[off:]))
+	sum := binary.LittleEndian.Uint32(data[off+4:])
+	if plen == 0 && sum == 0 {
+		return nil, false
+	}
+	if plen > maxWALRecord || len(data)-off-walHeaderLen < plen {
+		return nil, false
+	}
+	payload = data[off+walHeaderLen : off+walHeaderLen+plen]
+	if crc32.Checksum(payload, crcTable) != sum {
+		return nil, false
+	}
+	return payload, true
 }
 
 // replayWAL scans data for intact records and returns the decoded keys
@@ -104,20 +164,12 @@ func newWAL(fs vfs.FS, path string) (*wal, error) {
 func replayWAL(data []byte) (keys []uint64, good int64) {
 	off := 0
 	for {
-		if len(data)-off < walHeaderLen {
-			return keys, int64(off)
-		}
-		plen := int(binary.LittleEndian.Uint32(data[off:]))
-		sum := binary.LittleEndian.Uint32(data[off+4:])
-		if plen > maxWALRecord || len(data)-off-walHeaderLen < plen {
-			return keys, int64(off)
-		}
-		payload := data[off+walHeaderLen : off+walHeaderLen+plen]
-		if crc32.Checksum(payload, crcTable) != sum {
+		payload, ok := walFrameAt(data, off)
+		if !ok {
 			return keys, int64(off)
 		}
 		r := binenc.NewReader(payload)
-		n := r.Count(plen, 1)
+		n := r.Count(len(payload), 1)
 		recKeys := make([]uint64, 0, n)
 		for i := 0; i < n; i++ {
 			recKeys = append(recKeys, r.Uvarint())
@@ -128,7 +180,7 @@ func replayWAL(data []byte) (keys []uint64, good int64) {
 			return keys, int64(off)
 		}
 		keys = append(keys, recKeys...)
-		off += walHeaderLen + plen
+		off += walHeaderLen + len(payload)
 	}
 }
 
@@ -201,20 +253,12 @@ func (w *wal) appendStringBatches(batches [][]string) error {
 func replayWALStrings(data []byte) (keys []string, good int64) {
 	off := 0
 	for {
-		if len(data)-off < walHeaderLen {
-			return keys, int64(off)
-		}
-		plen := int(binary.LittleEndian.Uint32(data[off:]))
-		sum := binary.LittleEndian.Uint32(data[off+4:])
-		if plen > maxWALRecord || len(data)-off-walHeaderLen < plen {
-			return keys, int64(off)
-		}
-		payload := data[off+walHeaderLen : off+walHeaderLen+plen]
-		if crc32.Checksum(payload, crcTable) != sum {
+		payload, ok := walFrameAt(data, off)
+		if !ok {
 			return keys, int64(off)
 		}
 		r := binenc.NewReader(payload)
-		n := r.Count(plen, 1)
+		n := r.Count(len(payload), 1)
 		recKeys := make([]string, 0, n)
 		for i := 0; i < n; i++ {
 			l := r.Uvarint()
@@ -227,15 +271,18 @@ func replayWALStrings(data []byte) (keys []string, good int64) {
 			return keys, int64(off)
 		}
 		keys = append(keys, recKeys...)
-		off += walHeaderLen + plen
+		off += walHeaderLen + len(payload)
 	}
 }
 
 // writeFrame checksums payload and writes the framed record into the
-// write buffer.
+// write buffer, first reserving the extents the record reaches into.
 func (w *wal) writeFrame(payload []byte) error {
 	if len(payload) > maxWALRecord {
 		return fmt.Errorf("storage: WAL record of %d bytes exceeds limit", len(payload))
+	}
+	if end := w.size + int64(walHeaderLen+len(payload)); w.reserved > 0 && end > w.reserved {
+		w.reserve((end + walExtent - 1) / walExtent * walExtent)
 	}
 	var hdr [walHeaderLen]byte
 	binary.LittleEndian.PutUint32(hdr[:], uint32(len(payload)))
@@ -261,11 +308,12 @@ func (w *wal) sync() error {
 }
 
 // fsync flushes OS-buffered bytes to stable storage. Safe to call off the
-// engine mutex (group-commit leaders do); on an already-closed wal it is
-// a no-op — see the struct comment for why that is sound.
+// engine mutex and beside another fsync of the same log (group-commit
+// leaders do both); on an already-closed wal it is a no-op — see the struct
+// comment for why that is sound.
 func (w *wal) fsync() error {
-	w.fsyncMu.Lock()
-	defer w.fsyncMu.Unlock()
+	w.fsyncMu.RLock()
+	defer w.fsyncMu.RUnlock()
 	if w.closed {
 		return nil
 	}
@@ -273,7 +321,7 @@ func (w *wal) fsync() error {
 }
 
 // close flushes and closes the file without fsync (callers sync first
-// when they need durability). The close guard waits out any in-flight
+// when they need durability). The close guard waits out every in-flight
 // leader fsync so the descriptor is never pulled from under one.
 func (w *wal) close() error {
 	ferr := w.w.Flush()

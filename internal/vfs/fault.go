@@ -25,12 +25,13 @@ const (
 	OpWrite
 	OpSync
 	OpReadAt
+	OpAllocate
 	numOps
 )
 
 var opNames = [numOps]string{
 	"openfile", "readfile", "readdir", "mkdirall", "rename",
-	"remove", "syncdir", "write", "sync", "readat",
+	"remove", "syncdir", "write", "sync", "readat", "allocate",
 }
 
 func (o Op) String() string {
@@ -57,6 +58,7 @@ type FaultConfig struct {
 	SyncDirErr  float64 // directory fsync fails after a rename
 	WriteENOSPC float64 // write fails entirely with ENOSPC
 	TornWrite   float64 // write persists a strict prefix of the buffer, then errors
+	AllocENOSPC float64 // block reservation fails with ENOSPC; the file is unchanged
 	RenameErr   float64 // rename fails; the old name survives
 	RemoveErr   float64 // remove fails; the file survives
 	OpenErr     float64 // open/create fails
@@ -277,6 +279,13 @@ func (ff *faultFile) Sync() error {
 		return err
 	}
 	return ff.inner.Sync()
+}
+
+func (ff *faultFile) Allocate(size int64) error {
+	if err := ff.fs.decide(OpAllocate, ff.path, ff.fs.cfg.AllocENOSPC, syscall.ENOSPC); err != nil {
+		return err
+	}
+	return ff.inner.Allocate(size)
 }
 
 func (ff *faultFile) Close() error { return ff.inner.Close() }

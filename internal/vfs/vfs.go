@@ -1,8 +1,8 @@
 // Package vfs is the storage engine's filesystem seam: a small interface
 // covering exactly the operations the durability layer performs — open,
-// read, rename, remove, list, and the two fsync flavors (file and
-// directory) — with a passthrough OS implementation and a deterministic
-// seeded fault injector (fault.go).
+// read, rename, remove, list, the two fsync flavors (file and directory)
+// and block reservation — with a passthrough OS implementation and a
+// deterministic seeded fault injector (fault.go).
 //
 // The seam exists so the failure model of internal/storage is *testable*:
 // every fsync error, short write, ENOSPC, torn rename, and read corruption
@@ -26,6 +26,14 @@ type File interface {
 	io.ReaderAt
 	// Sync flushes OS-buffered writes to stable storage (fsync).
 	Sync() error
+	// Allocate reserves disk blocks for the first size bytes and extends the
+	// file to size if it is shorter; the new bytes read as zero and the
+	// write offset does not move. An fsync of a write inside the reserved
+	// range then has no block allocation or size change to journal. Where
+	// the platform or the filesystem cannot reserve it does nothing and
+	// returns nil; a real failure (ENOSPC) is returned and leaves the file
+	// usable.
+	Allocate(size int64) error
 	Close() error
 }
 
@@ -61,8 +69,12 @@ func (osFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
 	if err != nil {
 		return nil, err
 	}
-	return f, nil
+	return osFile{f}, nil
 }
+
+// osFile is *os.File plus Allocate, which the os package does not offer
+// (alloc_linux.go, alloc_other.go).
+type osFile struct{ *os.File }
 
 func (osFS) ReadFile(name string) ([]byte, error)         { return os.ReadFile(name) }
 func (osFS) Rename(oldpath, newpath string) error         { return os.Rename(oldpath, newpath) }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"syscall"
 	"testing"
 )
@@ -56,6 +57,39 @@ func TestOSPassthrough(t *testing.T) {
 	}
 	if _, err := OS.ReadFile(final); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("want ErrNotExist after Remove, got %v", err)
+	}
+}
+
+// TestOSAllocate holds the passthrough's Allocate to its contract: on Linux
+// the file grows to the reserved size, what was written stays, the rest
+// reads as zero, and the next write lands where the last one ended — not at
+// the new end of the file; a smaller reservation never shrinks the file.
+// Everywhere else it succeeds and changes nothing.
+func TestOSAllocate(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "reserved")
+	f, err := OS.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.Write([]byte("hello world")); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Allocate(64); err != nil {
+		t.Fatalf("Allocate(64): %v", err)
+	}
+	if _, err := f.Write([]byte("!")); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Allocate(16); err != nil {
+		t.Fatalf("Allocate(16) on a longer file: %v", err)
+	}
+	want := []byte("hello world!")
+	if runtime.GOOS == "linux" {
+		want = append(want, make([]byte, 64-len(want))...)
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("after Allocate and a write the file holds %q (err %v), want %q", got, err, want)
 	}
 }
 
@@ -166,6 +200,27 @@ func TestENOSPCAndHook(t *testing.T) {
 		t.Fatalf("want injected ENOSPC, got %v", werr)
 	}
 	f.Close()
+
+	// A refused reservation is the same errno on its own op class, and
+	// leaves the file as it was.
+	affs := NewFaultFS(OS, FaultConfig{Seed: 1, AllocENOSPC: 1.0})
+	af, err := affs.OpenFile(filepath.Join(dir, "reserved"), os.O_RDWR|os.O_CREATE, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if aerr := af.Allocate(1 << 16); !errors.Is(aerr, syscall.ENOSPC) || !errors.Is(aerr, ErrInjected) {
+		t.Fatalf("want injected ENOSPC from Allocate, got %v", aerr)
+	}
+	if _, werr := af.Write([]byte("x")); werr != nil {
+		t.Fatalf("write after a refused reservation: %v", werr)
+	}
+	af.Close()
+	if fi, err := os.Stat(filepath.Join(dir, "reserved")); err != nil || fi.Size() != 1 {
+		t.Fatalf("file behind a refused reservation is %v bytes (err %v), want the 1 written", fi.Size(), err)
+	}
+	if affs.InjectedFor(OpAllocate) != 1 || affs.Injected() != 1 || OpAllocate.String() != "allocate" {
+		t.Fatalf("injected %d %s faults of %d, want 1 of 1", affs.InjectedFor(OpAllocate), OpAllocate, affs.Injected())
+	}
 
 	boom := errors.New("crash point")
 	ffs.SetHook(func(op Op, path string) error {
