@@ -83,21 +83,27 @@ func main() {
 	for i := 0; i < 1000; i++ {
 		cold.Insert(uint64(1)<<62 + uint64(i)) // never synced: fair game
 	}
-	// Copy the directory as a "crashed" image with the WAL torn 3 bytes
-	// short — a partial write the checksum framing must truncate. The log
-	// file is reserved ahead of its records, so the tear is measured from
-	// where the records end (WALBytes), not from the end of the file.
+	// Copy the directory as a "crashed" image with the active WAL torn 3
+	// bytes short — a partial write the checksum framing must truncate. The
+	// log file is reserved ahead of its records, so the tear is measured
+	// from where the records end (WALBytes), not from the end of the file.
 	wstats, _ := cold.StorageStats()
 	crash, err := os.MkdirTemp("", "lix-crash-*")
 	check(err)
 	defer os.RemoveAll(crash)
 	ents, err := os.ReadDir(dir)
 	check(err)
+	active := "" // log names sort by sequence number: the last one is being written
+	for _, ent := range ents {
+		if strings.HasPrefix(ent.Name(), "wal-") {
+			active = ent.Name()
+		}
+	}
 	for _, ent := range ents {
 		img, err := os.ReadFile(filepath.Join(dir, ent.Name()))
 		check(err)
-		if strings.HasPrefix(ent.Name(), "wal-") {
-			img = img[:min(int64(len(img)), wstats.WALBytes-3)]
+		if ent.Name() == active {
+			img = img[:max(0, min(int64(len(img)), wstats.WALBytes-3))]
 		}
 		check(os.WriteFile(filepath.Join(crash, ent.Name()), img, 0o644))
 	}

@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -17,10 +16,12 @@ import (
 	"learnedindex/internal/vfs"
 )
 
-// crashFS is the filesystem under the overlapped-commit tests. It passes
-// every call through, remembers per path how many bytes were written and how
-// many of them a completed fsync covers — what a power loss would leave —
-// and fails the test when a handle is used after its Close.
+// crashFS is the filesystem under the commit-plane tests. It passes every
+// call through, remembers per path how many bytes were written and how many
+// of them a completed fsync covers — what a power loss would leave — and
+// fails the test when a handle is used after its Close or when two fsyncs
+// of one file overlap: the kernel reports a writeback error to one of them
+// only, so the plane's acknowledgements rest on there never being two.
 type crashFS struct {
 	vfs.FS
 	t testing.TB
@@ -35,6 +36,7 @@ type crashFS struct {
 type crashState struct {
 	written atomic.Int64
 	synced  atomic.Int64 // length covered by the last fsync; -1 before any
+	syncing atomic.Int32 // fsyncs in flight
 }
 
 func newCrashFS(t testing.TB) *crashFS {
@@ -108,6 +110,10 @@ func (f *crashFile) Allocate(size int64) error {
 
 func (f *crashFile) Sync() error {
 	f.live("fsync")
+	if f.st.syncing.Add(1) > 1 {
+		f.fs.t.Errorf("two fsyncs of %s overlap", filepath.Base(f.path))
+	}
+	defer f.st.syncing.Add(-1)
 	// Bytes written while the fsync runs may or may not be covered by it;
 	// only those written before it started are known to be.
 	covered := f.st.written.Load()
@@ -167,14 +173,13 @@ func (c *crashFS) crashCopy(src, dst string, rng *rand.Rand) error {
 	return nil
 }
 
-// TestCommitOverlapCrashOracle runs several concurrent committers and a
-// flusher over the overlapped commit plane and, while they run, takes crash
-// images: what the disk would hold after a power loss at that instant.
+// TestCommitConcurrentCrashOracle runs several concurrent committers and a
+// flusher over the commit plane and, while they run, takes crash images: what the disk would hold after a power loss at that instant.
 // Every key whose Commit had returned before an image was taken must be
 // served by a reopen of that image, nothing but committed keys may be, and
 // Len is exact — in both key modes, whose cohorts drain through different
 // frame encoders.
-func TestCommitOverlapCrashOracle(t *testing.T) {
+func TestCommitConcurrentCrashOracle(t *testing.T) {
 	const (
 		committers = 6
 		batches    = 120
@@ -323,50 +328,28 @@ func TestCommitOverlapCrashOracle(t *testing.T) {
 	}
 }
 
-// parkedSyncs makes the nth WAL fsync (from 1) wait inside the filesystem
-// until released, and return fail[n] when it is. Every fsync announces
-// itself on issued before it may wait, and every directory fsync — the last
-// step of a segment's publication — on dirSynced. Whatever the test has not released
-// when it ends is released then, so a failed assertion ends the test
-// instead of hanging the engine's Close: open the engine with openParkedT,
-// which closes it after that.
-type parkedSyncs struct {
-	n         atomic.Int32
-	issued    chan int32
-	dirSynced chan struct{}
-	parked    map[int32]chan struct{}
-	release   map[int32]func()
-	fail      map[int32]error
-}
-
-func parkSyncs(t *testing.T, ffs *vfs.FaultFS, fail map[int32]error, park ...int32) *parkedSyncs {
-	p := &parkedSyncs{issued: make(chan int32, 64), dirSynced: make(chan struct{}, 64), parked: map[int32]chan struct{}{}, release: map[int32]func(){}, fail: fail}
-	for _, n := range park {
-		ch := make(chan struct{})
-		p.parked[n] = ch
-		p.release[n] = sync.OnceFunc(func() { close(ch) })
-		t.Cleanup(p.release[n])
-	}
+// parkFirstSync makes the next WAL fsync wait inside the filesystem until
+// release is called (at the latest when the test ends, so a failed assertion
+// does not hang the engine's Close: open the engine with openParkedT, which
+// closes it after that). reached is closed once that fsync has got there.
+func parkFirstSync(t *testing.T, ffs *vfs.FaultFS) (reached <-chan struct{}, release func()) {
+	at, gate := make(chan struct{}), make(chan struct{})
+	release = sync.OnceFunc(func() { close(gate) })
+	t.Cleanup(release)
+	var n atomic.Int32
 	ffs.SetHook(func(op vfs.Op, path string) error {
-		if op == vfs.OpSyncDir {
-			p.dirSynced <- struct{}{}
+		if op == vfs.OpSync && strings.HasPrefix(filepath.Base(path), "wal") && n.Add(1) == 1 {
+			close(at)
+			<-gate
 		}
-		if op != vfs.OpSync || !strings.HasPrefix(filepath.Base(path), "wal") {
-			return nil
-		}
-		n := p.n.Add(1)
-		p.issued <- n
-		if ch, ok := p.parked[n]; ok {
-			<-ch
-		}
-		return p.fail[n]
+		return nil
 	})
-	return p
+	return at, release
 }
 
 // openParkedT opens an engine over a fault injector on a crashFS, closed
-// when the test ends — after the parked fsyncs of a parkSyncs made later
-// have been let go.
+// when the test ends — after the fsync a parkFirstSync made later holds
+// has been let go.
 func openParkedT(t *testing.T, dir string) (*Engine, *vfs.FaultFS) {
 	ffs := vfs.NewFaultFS(newCrashFS(t), vfs.FaultConfig{})
 	e := openT(t, dir, Options{FS: ffs, NoCompactor: true})
@@ -374,176 +357,31 @@ func openParkedT(t *testing.T, dir string) (*Engine, *vfs.FaultFS) {
 	return e, ffs
 }
 
-// await returns once WAL fsync number n has reached the filesystem.
-func (p *parkedSyncs) await(t *testing.T, n int32) {
-	t.Helper()
-	select {
-	case got := <-p.issued:
-		if got != n {
-			t.Fatalf("WAL fsync %d reached the filesystem, expected number %d next", got, n)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatalf("WAL fsync %d never reached the filesystem", n)
-	}
-}
-
-// awaitSyncsDone returns once the engine has taken n fsync results in.
-func awaitSyncsDone(t *testing.T, e *Engine, n int64) {
-	t.Helper()
-	for deadline := time.Now().Add(30 * time.Second); e.m.walSyncs.Load() < n; time.Sleep(50 * time.Microsecond) {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d fsync results taken in, want %d", e.m.walSyncs.Load(), n)
-		}
-	}
-}
-
-// replLog records what the repl sink is handed, in order.
-type replLog struct {
-	mu   sync.Mutex
-	seqs []uint64
-}
-
-func (l *replLog) sink(frames []ReplFrame) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for _, f := range frames {
-		l.seqs = append(l.seqs, f.Seq)
-	}
-}
-
-func (l *replLog) got() []uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return slices.Clone(l.seqs)
-}
-
-// TestCommitAcksInIssueOrder: two fsyncs overlap and the one issued first
-// finishes last. Nothing the second covers is acknowledged, promoted to
-// the repl sink or counted durable before the first returns; afterwards both
-// cohorts are, in sequence order. A third committer arriving meanwhile does
-// not put a third fsync beside them.
-func TestCommitAcksInIssueOrder(t *testing.T) {
-	e, ffs := openParkedT(t, t.TempDir())
-	var repl replLog
-	e.SetReplSink(repl.sink)
-	p := parkSyncs(t, ffs, nil, 1)
-
-	acks := make(chan uint64, 3)
-	commit := func(k uint64) {
-		go func() {
-			if err := e.Commit(k); err != nil {
-				t.Error(err)
-			}
-			acks <- k
-		}()
-	}
-	commit(1)
-	p.await(t, 1) // first cohort cut and on its way, held in the device
-	commit(2)
-	p.await(t, 2) // second fsync issued beside it
-	awaitSyncsDone(t, e, 1)
-	commit(3) // two unretired: must wait, not lead
-
-	if ds := e.ReplDurableSeq(); ds != 0 || len(repl.got()) != 0 {
-		t.Fatalf("repl horizon %d, frames %v promoted while the first-issued fsync is outstanding", ds, repl.got())
-	}
-	e.mu.Lock()
-	durable, unretired := e.durableSeq, len(e.syncs)
-	e.mu.Unlock()
-	if durable != 0 || unretired != 2 {
-		t.Fatalf("durableSeq=%d with %d unretired fsyncs, want 0 and 2", durable, unretired)
-	}
-	select {
-	case k := <-acks:
-		t.Fatalf("commit of key %d acknowledged while the first-issued fsync is outstanding", k)
-	default:
-	}
-
-	p.release[1]()
-	p.await(t, 3) // only now does the third committer lead
-	for i := 0; i < 3; i++ {
-		select {
-		case <-acks:
-		case <-time.After(30 * time.Second):
-			t.Fatal("commits never acknowledged after the first fsync returned")
-		}
-	}
-	if got := repl.got(); !slices.Equal(got, []uint64{1, 2, 3}) {
-		t.Fatalf("repl sink saw frames %v, want [1 2 3] in order", got)
-	}
-	if ds := e.ReplDurableSeq(); ds != 3 {
-		t.Fatalf("ReplDurableSeq = %d, want 3", ds)
-	}
-}
-
-// TestCommitOverlapFailureFailsBothCohorts: of two overlapping fsyncs one
-// fails, and the kernel reports a writeback error to one of them only — so
-// neither cohort is acknowledged, whichever fsync saw it, and in particular
-// not the cohort whose later-issued fsync returned nil while the failing one
-// was still outstanding. The engine is poisoned and nothing reaches the repl
-// sink.
-func TestCommitOverlapFailureFailsBothCohorts(t *testing.T) {
-	lost := errors.New("writeback lost")
-	for _, failing := range []int32{1, 2} {
-		failing := failing
-		t.Run(fmt.Sprintf("fsync%dFails", failing), func(t *testing.T) {
-			e, ffs := openParkedT(t, t.TempDir())
-			var repl replLog
-			e.SetReplSink(repl.sink)
-			p := parkSyncs(t, ffs, map[int32]error{failing: lost}, 1)
-
-			errs := make(chan error, 2)
-			go func() { errs <- e.Commit(1) }()
-			p.await(t, 1)
-			go func() { errs <- e.Commit(2) }()
-			p.await(t, 2)
-			awaitSyncsDone(t, e, 1) // the second fsync's result is in; the first is still out
-			if failing == 1 {
-				select {
-				case err := <-errs:
-					t.Fatalf("a commit returned (%v) while the first-issued fsync is outstanding", err)
-				default:
-				}
-			}
-			p.release[1]()
-			for i := 0; i < 2; i++ {
-				select {
-				case err := <-errs:
-					if !errors.Is(err, ErrPoisoned) || !errors.Is(err, lost) {
-						t.Fatalf("commit returned %v, want the poison error carrying the lost writeback", err)
-					}
-				case <-time.After(30 * time.Second):
-					t.Fatal("commits never returned")
-				}
-			}
-			if h, _ := e.Health(); h != HealthFailed {
-				t.Fatalf("health = %v, want failed", h)
-			}
-			if got := repl.got(); len(got) != 0 || e.ReplDurableSeq() != 0 {
-				t.Fatalf("frames %v promoted past a failed fsync", got)
-			}
-		})
-	}
-}
-
-// TestCohortSyncsOutliveFreezeAndClose: a Flush freezes, retires and closes
-// the log two in-flight cohort fsyncs still hold, and Close does the same to
-// the log after it. Neither may pull the descriptor from under an fsync (the
-// crashFS fails the test on any use of a closed handle), the cohorts are
-// acknowledged, and every key survives a reopen.
-func TestCohortSyncsOutliveFreezeAndClose(t *testing.T) {
+// TestCohortSyncOutlivesFreezeAndClose: a Flush freezes, retires and closes
+// the log a cohort's fsync is still in flight on, and Close does the same to
+// the log after it. Neither may run a second fsync beside the first or pull
+// the descriptor from under it (the crashFS fails the test on either), both
+// cohorts are acknowledged, and every key survives a reopen.
+func TestCohortSyncOutlivesFreezeAndClose(t *testing.T) {
 	dir := t.TempDir()
 	e, ffs := openParkedT(t, dir)
-	errs := make(chan error, 8)
-	inFlight := func(p *parkedSyncs, k uint64) {
+	for i, closer := range []func() error{e.Flush, e.Close} {
+		k := uint64(i + 1)
+		reached, release := parkFirstSync(t, ffs)
+		errs := make(chan error, 2)
 		go func() { errs <- e.Commit(k) }()
-		p.await(t, 1)
-		go func() { errs <- e.Commit(k + 1) }()
-		p.await(t, 2)
-	}
-	drain := func(n int) {
-		t.Helper()
-		for i := 0; i < n; i++ {
+		select {
+		case <-reached:
+		case <-time.After(30 * time.Second):
+			t.Fatal("the cohort's fsync never reached the filesystem")
+		}
+		go func() { errs <- closer() }()
+		// Time for the closer to get as far as it can: a freeze that waits
+		// for the parked fsync cannot be hurried, one that does not has gone
+		// past it by now.
+		time.Sleep(20 * time.Millisecond)
+		release()
+		for i := 0; i < 2; i++ {
 			select {
 			case err := <-errs:
 				if err != nil {
@@ -554,41 +392,9 @@ func TestCohortSyncsOutliveFreezeAndClose(t *testing.T) {
 			}
 		}
 	}
-
-	// published returns once the flush under way has published its segment
-	// and had time to go on to close the log it froze. A close that waits for
-	// the parked fsyncs cannot be hurried; one that does not has happened by
-	// then, and the crashFS reports the fsyncs that find the descriptor gone.
-	published := func(p *parkedSyncs) {
-		t.Helper()
-		p.await(t, 3) // the freeze's own fsync, beside the two parked ones
-		select {
-		case <-p.dirSynced:
-			time.Sleep(20 * time.Millisecond)
-		case <-time.After(30 * time.Second):
-			t.Fatal("the flush never published its segment")
-		}
-	}
-
-	p := parkSyncs(t, ffs, nil, 1, 2)
-	inFlight(p, 1)
-	go func() { errs <- e.Flush() }()
-	published(p)
-	p.release[1]()
-	p.release[2]()
-	drain(3)
-
-	p = parkSyncs(t, ffs, nil, 1, 2)
-	inFlight(p, 3)
-	go func() { errs <- e.Close() }()
-	published(p) // Close's flush froze the log under the parked fsyncs
-	p.release[2]()
-	p.release[1]()
-	drain(3)
-
 	re := openT(t, dir, Options{NoCompactor: true})
 	defer re.Close()
-	if got := re.Keys(); !slices.Equal(got, []uint64{1, 2, 3, 4}) {
-		t.Fatalf("reopen serves %v, want [1 2 3 4]", got)
+	if got := re.Keys(); !slices.Equal(got, []uint64{1, 2}) {
+		t.Fatalf("reopen serves %v, want [1 2]", got)
 	}
 }

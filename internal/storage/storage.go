@@ -185,19 +185,12 @@ type Engine struct {
 	// calls (Append, AppendBatch, Commit enqueue); durableSeq is the
 	// highest appendSeq covered by a completed fsync. A Sync/Commit caller
 	// captures its target and waits on syncCond until durableSeq passes it;
-	// a waiter whose target no issued fsync covers elects itself leader,
+	// the first waiter with an uncovered target elects itself leader,
 	// encodes every queued cohort batch into ONE frame, flushes, and
-	// fsyncs once for everyone — tickets are woken by the broadcast. syncs
-	// holds the issued fsyncs that have not been retired, in issue order:
-	// at most maxLeaderSyncs led by committers, so one cohort drains while
-	// the next fills, plus the one a Flush freeze adds behind them (see
-	// syncDoneLocked for why they retire in that order). syncs[0] is issue
-	// number syncHead; an issuer keeps its number, not a pointer, because
-	// the slice shifts down as tickets retire.
+	// fsyncs once for everyone — tickets are woken by the broadcast.
 	appendSeq  uint64
 	durableSeq uint64
-	syncs      []syncTicket
-	syncHead   uint64
+	syncing    bool
 	syncCond   *sync.Cond
 	cohort     [][]uint64 // queued Commit batches awaiting the next frame
 	cohortS    [][]string // string-mode commit cohort (same plane, same fsync)
@@ -853,76 +846,10 @@ func stringChunkEnd(keys []string, lo int) (hi, size int) {
 	return hi, size
 }
 
-// syncTicket is one issued commit-plane fsync: what its success makes
-// durable. covered is coversAll from the moment a leader claims the ticket
-// until it cuts its frame, because everything enqueued in that window rides
-// along.
-type syncTicket struct {
-	covered     uint64 // highest appendSeq whose bytes the fsync pushes to disk
-	replCovered uint64 // the same bound for the repl plane, see replPromoteLocked
-	done        bool   // the fsync has returned
-}
-
-const (
-	coversAll = ^uint64(0)
-	// maxLeaderSyncs is how many committer-led fsyncs may be unretired at
-	// once: double buffering — one cohort on its way to the device while
-	// the next fills and follows it.
-	maxLeaderSyncs = 2
-)
-
-// syncCoversLocked reports whether an issued fsync will make target durable.
-func (e *Engine) syncCoversLocked(target uint64) bool {
-	for _, t := range e.syncs {
-		if t.covered >= target {
-			return true
-		}
-	}
-	return false
-}
-
-// issueSyncLocked queues a ticket behind every unretired one and returns its
-// issue number.
-func (e *Engine) issueSyncLocked(t syncTicket) (id uint64) {
-	e.syncs = append(e.syncs, t)
-	return e.syncHead + uint64(len(e.syncs)) - 1
-}
-
-// syncDoneLocked records the outcome of fsync number id and retires, oldest
-// first, every ticket that no unfinished one precedes, promoting the ack
-// horizon and the repl plane by each. Tickets retire in issue order because the
-// kernel reports a writeback error once per file description: of two
-// overlapping fsyncs only one sees the error, so the later one returning
-// nil proves nothing while the earlier is outstanding. For the same reason
-// an error on either fails both: the poison is immediate and sticky, no
-// ticket retired after it promotes anything, and every waiter returns it.
-func (e *Engine) syncDoneLocked(id uint64, err error) {
-	e.syncs[id-e.syncHead].done = true
-	if err != nil {
-		// Fail-stop: a failed commit-plane fsync leaves the OS cache in an
-		// unknowable state, so no later fsync may be trusted to ack.
-		e.poisonLocked(err)
-	}
-	n := 0
-	for ; n < len(e.syncs) && e.syncs[n].done; n++ {
-		// max, because a ticket claimed before a Flush freeze cuts its frame
-		// after it, and so covers more than the freeze's ticket behind it.
-		if r := e.syncs[n]; e.err == nil {
-			e.durableSeq = max(e.durableSeq, r.covered)
-			e.replPromoteLocked(r.replCovered)
-		}
-	}
-	e.syncs = append(e.syncs[:0], e.syncs[n:]...)
-	e.syncHead += uint64(n)
-	e.syncCond.Broadcast()
-}
-
 // waitDurable blocks until every write accepted at or before target is
 // crash-durable, electing a group-commit leader as needed. Called with mu
-// held; returns with mu held. A caller waits while an issued fsync covers
-// its target or maxLeaderSyncs are unretired; otherwise it leads: it
-// encodes the queued cohort, pushes the WAL buffer to the OS, then drops mu
-// for the fsync itself — beside the one already draining, if any — so the
+// held; returns with mu held. The leader encodes the queued cohort, pushes
+// the WAL buffer to the OS, then drops mu for the fsync itself so the
 // write plane keeps accepting work during the disk wait; completion wakes
 // every ticket via the condvar broadcast.
 func (e *Engine) waitDurable(target uint64) error {
@@ -933,11 +860,11 @@ func (e *Engine) waitDurable(target uint64) error {
 		if e.durableSeq >= target {
 			return nil
 		}
-		if len(e.syncs) >= maxLeaderSyncs || e.syncCoversLocked(target) {
+		if e.syncing {
 			e.syncCond.Wait()
 			continue
 		}
-		id := e.issueSyncLocked(syncTicket{covered: coversAll})
+		e.syncing = true
 		// Cohort-fill window (the classic group-commit delay, reduced to
 		// one scheduler yield): with leadership claimed, give runnable
 		// committers one chance to enqueue before the frame is cut. On a
@@ -948,6 +875,11 @@ func (e *Engine) waitDurable(target uint64) error {
 		e.mu.Unlock()
 		runtime.Gosched()
 		e.mu.Lock()
+		if e.err != nil {
+			e.syncing = false
+			e.syncCond.Broadcast()
+			return e.err
+		}
 		e.drainCohortLocked()
 		if e.err == nil {
 			if err := e.wal.w.Flush(); err != nil {
@@ -955,14 +887,15 @@ func (e *Engine) waitDurable(target uint64) error {
 			}
 		}
 		if e.err != nil {
-			e.syncDoneLocked(id, nil) // already poisoned: retires, promotes nothing
+			e.syncing = false
+			e.syncCond.Broadcast()
 			return e.err
 		}
-		// Everything encoded so far rides this fsync. Frames encoded after
-		// mu drops (an Append during the disk wait) are in the bufio
-		// buffer, not on disk, and must not promote on it.
-		t := &e.syncs[id-e.syncHead]
-		t.covered, t.replCovered = e.appendSeq, e.replNext
+		covered := e.appendSeq // everything encoded so far rides this fsync
+		// Same bound for the repl plane: frames encoded after mu drops (an
+		// Append during the disk wait) are in the bufio buffer, not on disk,
+		// and must not promote on this fsync.
+		replCovered := e.replNext
 		w := e.wal
 		e.mu.Unlock()
 		fsyncStart := time.Now()
@@ -970,10 +903,21 @@ func (e *Engine) waitDurable(target uint64) error {
 		e.m.fsyncNs.ObserveDuration(time.Since(fsyncStart))
 		e.mu.Lock()
 		e.m.walSyncs.Inc()
-		e.syncDoneLocked(id, serr)
-		// Loop: the ticket covers target, so this returns once it retires —
-		// now, or when the fsync issued before it completes — unless either
-		// failed; then the sticky error surfaces.
+		if serr != nil {
+			// Fail-stop: a failed commit-plane fsync leaves the OS cache in
+			// an unknowable state, so no later fsync may be trusted to ack.
+			e.poisonLocked(serr)
+		}
+		if serr == nil && covered > e.durableSeq {
+			e.durableSeq = covered
+		}
+		if serr == nil {
+			e.replPromoteLocked(replCovered)
+		}
+		e.syncing = false
+		e.syncCond.Broadcast()
+		// Loop: covered >= target by construction, so this returns unless
+		// the fsync failed — then the sticky error surfaces.
 	}
 }
 
@@ -1041,16 +985,18 @@ func (e *Engine) Flush() error {
 	}
 	e.m.fsyncNs.ObserveDuration(time.Since(fsyncStart))
 	e.m.walSyncs.Inc()
-	// The freeze fsync ran with mu held throughout, so every frame encoded
-	// so far is on disk: it covers the whole pending run of both planes and
-	// releases the committers waiting on the old log before the heavy
-	// training starts — behind any leader fsync still in flight, like every
-	// later-issued one.
-	frozenID := e.issueSyncLocked(syncTicket{covered: e.appendSeq, replCovered: e.replNext})
-	e.syncDoneLocked(frozenID, nil)
+	// Everything encoded so far is now on disk; release any committers
+	// waiting on the old log before the heavy training starts.
+	if e.appendSeq > e.durableSeq {
+		e.durableSeq = e.appendSeq
+	}
+	// The freeze fsync ran with mu held throughout, so every encoded frame
+	// is on disk and the whole pending run promotes.
+	e.replPromoteLocked(e.replNext)
 	// Every frame encoded so far lives in the frozen log; once its segment
 	// publishes, these frames trim from the durable tail (below).
 	replTrimTo := e.replNext
+	e.syncCond.Broadcast()
 	e.walSeq++
 	e.wal = nw
 	e.mu.Unlock()

@@ -104,9 +104,7 @@ type wal struct {
 	// ioErr receives a failed reservation: counted, never fatal.
 	ioErr func(ctx string, err error)
 
-	// fsyncMu lets overlapping group-commit fsyncs share the descriptor
-	// and makes close wait for all of them.
-	fsyncMu sync.RWMutex
+	fsyncMu sync.Mutex
 	closed  bool
 }
 
@@ -308,12 +306,11 @@ func (w *wal) sync() error {
 }
 
 // fsync flushes OS-buffered bytes to stable storage. Safe to call off the
-// engine mutex and beside another fsync of the same log (group-commit
-// leaders do both); on an already-closed wal it is a no-op — see the struct
-// comment for why that is sound.
+// engine mutex (group-commit leaders do); on an already-closed wal it is
+// a no-op — see the struct comment for why that is sound.
 func (w *wal) fsync() error {
-	w.fsyncMu.RLock()
-	defer w.fsyncMu.RUnlock()
+	w.fsyncMu.Lock()
+	defer w.fsyncMu.Unlock()
 	if w.closed {
 		return nil
 	}
@@ -321,7 +318,7 @@ func (w *wal) fsync() error {
 }
 
 // close flushes and closes the file without fsync (callers sync first
-// when they need durability). The close guard waits out every in-flight
+// when they need durability). The close guard waits out any in-flight
 // leader fsync so the descriptor is never pulled from under one.
 func (w *wal) close() error {
 	ferr := w.w.Flush()
