@@ -23,12 +23,24 @@ func BenchmarkTrainZeroConfig(b *testing.B) {
 }
 
 // BenchmarkRankEightSegments is a persistent store's batched rank read as
-// the kernel sees it: 64 probes against each of 8 size-tiered plans (2M
-// keys, then 128k halving down to 4k), segment-major, one LookupBatch call
-// over the 512 (probe, plan) pairs. Probe batches rotate so the big array
-// is not read from a warm line.
+// the kernel saw it while every 4096 inserted keys became a segment file:
+// 64 probes against each of 8 size-tiered plans (2M keys, then 128k halving
+// down to 4k), segment-major, one LookupBatch call over the 512 (probe,
+// plan) pairs. Probe batches rotate so the big array is not read from a
+// warm line.
 func BenchmarkRankEightSegments(b *testing.B) {
-	sizes := []int{2_000_000, 131072, 65536, 32768, 16384, 8192, 4096, 4096}
+	benchRankSegments(b, []int{2_000_000, 131072, 65536, 32768, 16384, 8192, 4096, 4096})
+}
+
+// BenchmarkRankSpilledSegments is the shape the same read sees now that
+// drains merge into one resident run and a file is written every 64k keys:
+// the 2M-key base, one compacted 256k file, two 64k spills and a 32k
+// resident run — 320 pairs.
+func BenchmarkRankSpilledSegments(b *testing.B) {
+	benchRankSegments(b, []int{2_000_000, 262144, 65536, 65536, 32768})
+}
+
+func benchRankSegments(b *testing.B, sizes []int) {
 	plans := make([]*Plan, len(sizes))
 	for i, n := range sizes {
 		plans[i] = New(benchLognormal(n, int64(i+1)), Config{}).Plan()

@@ -179,12 +179,12 @@ func TestPersistentStoreInitialKeysIdempotent(t *testing.T) {
 	}
 }
 
-// TestStaleMergeSignalDoesNotFlush: a merge token queued while a flush was
-// running used to flush whatever had trickled in since — a sliver of a
-// segment, straight after a full one, that every later read had to visit.
-// k thresholds of keys through InsertDurable must produce at most k
-// background flushes, none of them below the threshold (compaction is
-// parked so that a flush and a segment are the same thing).
+// TestStaleMergeSignalDoesNotFlush: a merge token queued while a drain was
+// running used to drain whatever had trickled in since — a retrain of the
+// resident run for a sliver of keys, straight after a full one. k
+// thresholds of keys through InsertDurable must produce at most k
+// background drains, and — k thresholds being well under the engine's spill
+// size — no segment file: one resident run serves them all.
 func TestStaleMergeSignalDoesNotFlush(t *testing.T) {
 	const thresh, k, batch = 1024, 12, 64
 	st, err := Open(nil, core.Config{}, Options{Dir: t.TempDir(), MergeThreshold: thresh, CompactFanout: 1 << 20})
@@ -210,23 +210,20 @@ func TestStaleMergeSignalDoesNotFlush(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	// The merger may still be flushing the last full threshold; it must
-	// come to rest with less than one threshold pending, not zero by force.
-	for deadline := time.Now().Add(10 * time.Second); st.Pending() >= thresh; time.Sleep(time.Millisecond) {
+	// The merger may still be draining the last full threshold (its keys are
+	// then neither pending nor served yet); it must come to rest with less
+	// than one threshold pending, not zero by force.
+	for deadline := time.Now().Add(10 * time.Second); st.Pending() >= thresh || st.Len()+st.Pending() != k*thresh; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
-			t.Fatalf("merger never drained: %d pending", st.Pending())
+			t.Fatalf("merger never came to rest: %d served, %d pending", st.Len(), st.Pending())
 		}
 	}
 	stats, _ := st.StorageStats()
-	if stats.Flushes > k || stats.Segments != stats.Flushes {
-		t.Fatalf("%d flushes, %d segments for %d thresholds of keys", stats.Flushes, stats.Segments, k)
+	if stats.Drains > k || stats.Flushes != 0 || stats.Segments != 1 || stats.DiskBytes != 0 {
+		t.Fatalf("%d drains, %d flushes, %d segments (%d bytes on disk) for %d thresholds of keys",
+			stats.Drains, stats.Flushes, stats.Segments, stats.DiskBytes, k)
 	}
-	sn := st.eng.AcquireSnapshot()
-	defer sn.Release()
-	for i := 0; i < sn.NumSegments(); i++ {
-		ks, _ := sn.SegmentKeys(i, 0, ^uint64(0))
-		if n := len(ks); n < thresh/2 {
-			t.Fatalf("segment %d of %d holds %d keys, threshold %d", i, sn.NumSegments(), n, thresh)
-		}
+	if served := st.Len(); served <= (k-1)*thresh {
+		t.Fatalf("%d keys served and %d pending after %d thresholds of keys", served, st.Pending(), k)
 	}
 }

@@ -70,13 +70,15 @@
 // With Options.Dir set (use Open, which can fail), the Store is backed by
 // the disk engine of internal/storage instead of in-memory shard
 // snapshots: every Insert appends to a write-ahead log, Sync acknowledges
-// durability (fsync), drains flush the pending keys into immutable
-// segment files — each carrying its serialized RMI and Bloom filter — and
-// trim the WAL, and reads are served from the deserialized per-segment
+// durability (fsync), background drains merge the pending keys into the
+// engine's resident run — readable at once, with the WAL as their durable
+// home — which the engine writes out as an immutable segment file, carrying
+// its serialized RMI and Bloom filter, every 64k keys and at Flush and
+// Close, trimming the WAL then; reads are served from the per-segment
 // models, consulting each segment's Bloom filter before any key block is
 // searched. The visibility contract is unchanged (inserts become readable
 // at the next drain or Flush); reopening after a crash serves exactly the
-// durable keys: all flushed segments plus the intact WAL tail. I/O errors
+// durable keys: all segment files plus the intact WAL tail. I/O errors
 // are sticky in the engine and surface on Sync, Flush-following-Sync, and
 // Close.
 package serve
@@ -107,7 +109,9 @@ type Options struct {
 	Shards int
 	// MergeThreshold is the per-shard buffered-insert count that wakes the
 	// background merger (default 4096). With Dir set it is the pending-key
-	// count that triggers a background flush to a segment file.
+	// count that triggers a background engine drain: the keys become
+	// readable in the engine's resident run; when they become a segment
+	// file is the engine's business (storage.Engine.Drain).
 	MergeThreshold int
 	// Dir, when non-empty, makes the Store persistent: a WAL plus learned
 	// segment files under this directory (created if absent). Empty keeps
@@ -642,8 +646,8 @@ func (s *Store) retrainWorkers() int {
 // for whichever shard crossed its threshold — independent shards retrain
 // in parallel, bounded by the retrain semaphore — and on shutdown waits
 // for in-flight drains, then drains everything so Close is a barrier. On
-// a persistent Store a drain is a flush: pending keys become one segment
-// file and the WAL is trimmed.
+// a persistent Store a drain is an engine drain: pending keys merge into
+// the engine's resident run, readable at once and a segment file later.
 func (s *Store) merger() {
 	defer s.wg.Done()
 	for {
@@ -665,11 +669,11 @@ func (s *Store) merger() {
 // hot shards.
 func (s *Store) dispatchDrain(i int) {
 	if s.eng != nil {
-		// A merge token can outlive the flush it asked for (it was queued
-		// while that flush ran): re-check, or each stale token publishes a
-		// sliver of a segment that every later read has to visit.
+		// A merge token can outlive the drain it asked for (it was queued
+		// while that drain ran): re-check (lock-free), or each stale token
+		// retrains the resident run for a sliver of keys.
 		if s.eng.PendingLen() >= s.thresh {
-			s.drain(0)
+			s.eng.Drain() // errors are sticky; surfaced by Sync/Close
 		}
 		return
 	}
@@ -734,10 +738,6 @@ func (s *Store) sweep() {
 // swap is a single atomic store. Same-shard drains serialize on mergeMu;
 // different shards proceed concurrently up to the retrain semaphore.
 func (s *Store) drain(i int) {
-	if s.eng != nil {
-		s.eng.Flush() // errors are sticky; surfaced by Sync/Close
-		return
-	}
 	sh := s.shards[i]
 	sh.mergeMu.Lock()
 	defer sh.mergeMu.Unlock()
@@ -797,11 +797,12 @@ func (s *Store) drain(i int) {
 
 // Flush synchronously drains every shard — concurrently, bounded by the
 // retrain semaphore — a visibility barrier making all previously returned
-// Inserts readable. On a persistent Store it also makes them durable
-// (segment files are fsynced before the WAL is trimmed).
+// Inserts readable. On a persistent Store it is an engine Flush: every
+// key inserted so far, the background drains' resident run included, lands
+// in one fsynced segment file and the WAL is trimmed.
 func (s *Store) Flush() {
 	if s.eng != nil {
-		s.drain(0)
+		s.eng.Flush() // errors are sticky; surfaced by Sync/Close
 		return
 	}
 	var wg sync.WaitGroup
@@ -957,11 +958,12 @@ func (s *Store) Pending() int {
 	return total
 }
 
-// Merges returns how many snapshot publications have happened (segment
-// flushes on a persistent Store).
+// Merges returns how many snapshot publications have happened (engine
+// drains and flushes on a persistent Store).
 func (s *Store) Merges() int {
 	if s.eng != nil {
-		return s.eng.Stats().Flushes
+		st := s.eng.Stats()
+		return st.Drains + st.Flushes
 	}
 	return int(s.m.swaps.Load())
 }

@@ -294,10 +294,6 @@ func (s *Store) dispatchDrainStr(i int) {
 // publishes it — drain's codec twin, with the identical capture and
 // buffer-recycling discipline.
 func (s *Store) drainStr(i int) {
-	if s.eng != nil {
-		s.eng.Flush()
-		return
-	}
 	sh := s.shardsS[i]
 	sh.mergeMu.Lock()
 	defer sh.mergeMu.Unlock()

@@ -174,7 +174,10 @@ func (c *crashFS) crashCopy(src, dst string, rng *rand.Rand) error {
 }
 
 // TestCommitConcurrentCrashOracle runs several concurrent committers and a
-// flusher over the commit plane and, while they run, takes crash images: what the disk would hold after a power loss at that instant.
+// publisher — three drains, then the flush that spills them — over the commit
+// plane and, while they run, takes crash images: what the disk would hold
+// after a power loss at that instant, somewhere between a drain and the next
+// spill.
 // Every key whose Commit had returned before an image was taken must be
 // served by a reopen of that image, nothing but committed keys may be, and
 // Len is exact — in both key modes, whose cohorts drain through different
@@ -238,14 +241,18 @@ func TestCommitConcurrentCrashOracle(t *testing.T) {
 			stop := make(chan struct{})
 			flusherDone := make(chan error, 1)
 			go func() {
-				for {
+				for i := 1; ; i++ {
 					select {
 					case <-stop:
 						flusherDone <- nil
 						return
 					case <-time.After(3 * time.Millisecond):
 					}
-					if err := e.Flush(); err != nil {
+					publish := e.Drain
+					if i%4 == 0 {
+						publish = e.Flush
+					}
+					if err := publish(); err != nil {
 						flusherDone <- err
 						return
 					}
@@ -286,8 +293,8 @@ func TestCommitConcurrentCrashOracle(t *testing.T) {
 			if failed != nil {
 				t.Fatal(failed)
 			}
-			if st := e.Stats(); st.Commits != committers*batches {
-				t.Fatalf("%d commits acknowledged, want %d", st.Commits, committers*batches)
+			if st := e.Stats(); st.Commits != committers*batches || st.Drains == 0 {
+				t.Fatalf("%d commits acknowledged, want %d; %d drains", st.Commits, committers*batches, st.Drains)
 			}
 			if err := e.Close(); err != nil {
 				t.Fatal(err)

@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
 	"learnedindex/internal/core"
@@ -179,5 +181,88 @@ func checkOldLog[K cmp.Ordered](t *testing.T, opts Options, w *wal, old []byte, 
 	slices.Sort(want)
 	if got := served(e); !slices.Equal(got, slices.Compact(want)) {
 		t.Fatalf("Open over an unreserved log serves %v, want %v", got, want)
+	}
+}
+
+// TestParentWrittenDirectoryOpens is the compatibility contract of the
+// drain/spill split, which changed no format: testdata/parent-* are
+// directories the commit before it wrote (testdata/README.md has the
+// generator: six 400-key flushes, the first four compacted into one file,
+// then a log holding a committed, a synced and another committed batch,
+// copied with the engine still open and the log's reservation cut to 64
+// zero bytes). They open with every model loaded and the log replayed, serve
+// exactly the keys listed in KEYS, and keep doing so through a drain, a
+// spill, a compaction and a clean reopen.
+func TestParentWrittenDirectoryOpens(t *testing.T) {
+	for _, strMode := range []bool{false, true} {
+		name := map[bool]string{false: "parent-u64", true: "parent-str"}[strMode]
+		dir := t.TempDir()
+		ents, err := os.ReadDir(filepath.Join("testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []string
+		for _, ent := range ents {
+			b, err := os.ReadFile(filepath.Join("testdata", name, ent.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ent.Name() == "KEYS" {
+				want = strings.Split(strings.TrimSuffix(string(b), "\n"), "\n")
+				continue
+			}
+			if err := os.WriteFile(filepath.Join(dir, ent.Name()), b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		served := func(e *Engine) []string {
+			if strMode {
+				return e.KeysStrings()
+			}
+			var out []string
+			for _, k := range e.Keys() {
+				out = append(out, strconv.FormatUint(k, 10))
+			}
+			slices.Sort(out) // KEYS lists the decimal forms in string order
+			return out
+		}
+		e := openT(t, dir, Options{NoCompactor: true, StringKeys: strMode})
+		st := e.Stats()
+		if st.ModelsLoaded != 3 || st.ModelsTrained != 1 || st.Segments != 4 || st.Keys != len(want) {
+			t.Fatalf("%s: opened as %+v, want 3 models loaded, the log's keys trained into a 4th segment, %d keys", name, st, len(want))
+		}
+		if got := served(e); !slices.Equal(got, want) {
+			t.Fatalf("%s: serves %d keys, KEYS lists %d", name, len(got), len(want))
+		}
+		extra := seqKeys(1, 300, 1<<40)
+		if strMode {
+			err = e.AppendStringBatch(strKeysOf(extra))
+			want = append(want, strKeysOf(extra)...)
+		} else {
+			err = e.AppendBatch(extra)
+			for _, k := range extra {
+				want = append(want, strconv.FormatUint(k, 10))
+			}
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		slices.Sort(want)
+		for step, do := range []func() error{e.Drain, e.Flush, e.Compact} {
+			if err := do(); err != nil {
+				t.Fatal(err)
+			}
+			if got := served(e); !slices.Equal(got, want) {
+				t.Fatalf("%s: step %d serves %d keys, want %d", name, step, len(got), len(want))
+			}
+		}
+		if err := e.Close(); err != nil {
+			t.Fatal(err)
+		}
+		e = openT(t, dir, Options{NoCompactor: true, StringKeys: strMode})
+		if st := e.Stats(); st.ModelsTrained != 0 || st.Keys != len(want) {
+			t.Fatalf("%s: clean reopen: %+v, want nothing trained and %d keys", name, st, len(want))
+		}
+		e.Close()
 	}
 }

@@ -14,8 +14,9 @@ import (
 // where a segment's fence sits, whether the key at a position is a given
 // key, how a set of segments ranks a run of (probe, segment) pairs, and how
 // a sorted unique key run — a segment's own, for a merge — becomes a
-// committed segment. Membership has no entry of its own: it is rank plus
-// one equality test by position.
+// built segment (commitSegment, which gives it its file, is the same for
+// both kinds). Membership has no entry of its own: it is rank plus one
+// equality test by position.
 type keyOps[K cmp.Ordered] struct {
 	hash  func(K) (h1, h2 uint64)
 	fence func(*segment) (lo, hi K)
@@ -29,8 +30,10 @@ type keyOps[K cmp.Ordered] struct {
 	// rank writes pos[j] = the lower-bound position of probes[j] inside
 	// segs[sel[j]] (nil sel = segs[0]) through core's batch kernel: any
 	// probe order, any mix of segments, one lockstep search per tile.
-	rank  func(segs []*segment, sel []int32, probes []K, pos []int)
-	write func(e *Engine, seqLo, seqHi uint64, keys []K) (*segment, error)
+	rank func(segs []*segment, sel []int32, probes []K, pos []int)
+	// build trains the index and filter over sorted unique non-empty keys:
+	// a servable segment with no file.
+	build func(e *Engine, seqLo, seqHi uint64, keys []K) (*segment, error)
 	pool  *sync.Pool // of *readScratch[K]
 }
 
@@ -53,8 +56,8 @@ var (
 			}
 			core.LookupBatch(plans, sel, probes, pos)
 		},
-		write: func(e *Engine, seqLo, seqHi uint64, keys []uint64) (*segment, error) {
-			return writeSegment(e.fs, e.m.ioErrors, e.dir, seqLo, seqHi, keys, e.opts.Config, e.opts.BloomFPR)
+		build: func(e *Engine, seqLo, seqHi uint64, keys []uint64) (*segment, error) {
+			return buildSegment(seqLo, seqHi, keys, e.opts.Config, e.opts.BloomFPR), nil
 		},
 		pool: &sync.Pool{New: func() any { return new(readScratch[uint64]) }},
 	}
@@ -71,8 +74,8 @@ var (
 			}
 			core.LookupBatchStrings(idx, sel, probes, pos)
 		},
-		write: func(e *Engine, seqLo, seqHi uint64, keys []string) (*segment, error) {
-			return writeStringSegment(e.fs, e.m.ioErrors, e.dir, seqLo, seqHi, keys, e.opts.Config, e.opts.BloomFPR)
+		build: func(e *Engine, seqLo, seqHi uint64, keys []string) (*segment, error) {
+			return buildStringSegment(seqLo, seqHi, keys, e.opts.Config, e.opts.BloomFPR)
 		},
 		pool: &sync.Pool{New: func() any { return new(readScratch[string]) }},
 	}

@@ -337,8 +337,10 @@ func TestReplayedWALDedupesInChunks(t *testing.T) {
 // TestSegmentImageBytesUnchanged pins the in-place encoders to the format:
 // the image sized once and encoded in place must equal, byte for byte, the
 // append-built reference (the encoder this replaced), with no slack left in
-// the buffer.
+// the buffer — and the file an engine spills, however many drains built its
+// keys up, is that image.
 func TestSegmentImageBytesUnchanged(t *testing.T) {
+	checkSpilledFileIsOneStepWrite(t)
 	reference := func(magic [8]byte, keys []uint64, sections ...[]byte) []byte {
 		body := binenc.AppendUvarint(nil, uint64(len(keys)))
 		body = binenc.AppendUvarint(body, keys[0])

@@ -12,8 +12,11 @@ import (
 
 // TestCrashRecoveryRandomTruncation is the randomized durability oracle,
 // in the set-semantics style of core's delta_oracle_test: drive the engine
-// with batches of fresh, duplicate, and re-inserted keys, interleave Sync
-// and Flush at random, then simulate a crash by copying the directory with
+// with batches of fresh, duplicate, and re-inserted keys, interleave Sync,
+// Drain and Flush at random (a Drain serves what was appended, which makes
+// it an ack, and leaves the log as it is: the crash copy is then taken
+// somewhere between a drain and the next spill), then simulate a crash by
+// copying the directory with
 // the WAL truncated at a random byte offset at or past the last fsync
 // (bytes before the fsync ack cannot be lost; everything after it is fair
 // game for tearing). Reopening the copy must serve exactly the oracle set:
@@ -47,6 +50,7 @@ func TestCrashRecoveryRandomTruncation(t *testing.T) {
 			var walRecords []rec
 
 			steps := 30 + rng.Intn(40)
+			drains := 0
 			var inserted []uint64
 			for i := 0; i < steps; i++ {
 				n := 1 + rng.Intn(50)
@@ -97,7 +101,27 @@ func TestCrashRecoveryRandomTruncation(t *testing.T) {
 					}
 					walRecords = walRecords[:0]
 					syncedOff = 0
+				case 3: // Drain: served, so durable — in the log, which stays
+					if err := e.Drain(); err != nil {
+						t.Fatal(err)
+					}
+					drains++
+					if e.wal.size == 0 { // the drain reached the spill size: not at these sizes
+						t.Fatal("a drain trimmed the log")
+					}
+					syncedOff = e.wal.size
+					for _, r := range walRecords {
+						for _, k := range r.keys {
+							synced[k] = true
+							if !e.Contains(k) {
+								t.Fatalf("key %d not served after a drain", k)
+							}
+						}
+					}
 				}
+			}
+			if drains == 0 {
+				t.Fatal("the trial never drained")
 			}
 			// Final ack so the trial always has a non-trivial acked set.
 			if err := e.Sync(); err != nil {
@@ -240,6 +264,7 @@ func TestCrashRecoveryRandomTruncationStrings(t *testing.T) {
 			var walRecords []rec
 
 			steps := 25 + rng.Intn(30)
+			drains := 0
 			var inserted []string
 			for i := 0; i < steps; i++ {
 				n := 1 + rng.Intn(40)
@@ -290,7 +315,27 @@ func TestCrashRecoveryRandomTruncationStrings(t *testing.T) {
 					}
 					walRecords = walRecords[:0]
 					syncedOff = 0
+				case 3:
+					if err := e.Drain(); err != nil {
+						t.Fatal(err)
+					}
+					drains++
+					if e.wal.size == 0 {
+						t.Fatal("a drain trimmed the log")
+					}
+					syncedOff = e.wal.size
+					for _, r := range walRecords {
+						for _, k := range r.keys {
+							synced[k] = true
+							if !e.ContainsString(k) {
+								t.Fatalf("key %q not served after a drain", k)
+							}
+						}
+					}
 				}
+			}
+			if drains == 0 {
+				t.Fatal("the trial never drained")
 			}
 			if err := e.Sync(); err != nil {
 				t.Fatal(err)

@@ -38,9 +38,9 @@ func oracleSchedule(seed int64) vfs.FaultConfig {
 }
 
 // TestFaultScheduleOracle is the randomized fault-schedule oracle: drive
-// append/commit/sync/flush/compact against an engine whose every file
+// append/commit/sync/drain/flush/compact against an engine whose every file
 // operation runs through a seeded vfs.FaultFS, tracking which keys the
-// engine durably ACKED (Commit returned nil, or Sync/Flush covered an
+// engine durably ACKED (Commit returned nil, or Sync/Drain/Flush covered an
 // earlier Append). Any error the engine surfaces must be scheduled
 // (vfs.ErrInjected) or a lawful consequence of one (ErrPoisoned,
 // ErrDegraded) — never an unscheduled failure, never a panic. After a
@@ -153,7 +153,7 @@ func runFaultOracleTrial(t *testing.T, seed int64, strMode bool) (refused int64)
 
 	steps := 30 + rng.Intn(30)
 	for i := 0; i < steps; i++ {
-		switch rng.Intn(10) {
+		switch rng.Intn(11) {
 		case 0, 1, 2, 3: // Append: not durable until a Sync/Flush ack
 			b := batch()
 			if err := doAppend(b); err != nil {
@@ -185,6 +185,18 @@ func runFaultOracleTrial(t *testing.T, seed int64, strMode bool) (refused int64)
 		case 9:
 			if err := e.Compact(); err != nil {
 				requireScheduled("compact", err)
+			}
+		case 10: // Drain: serves the pending set, so its barrier acked it
+			if err := e.Drain(); err != nil {
+				requireScheduled("drain", err)
+			} else {
+				ack(unsynced)
+				unsynced = unsynced[:0]
+				for k := range acked {
+					if !contains(e, k) {
+						t.Fatalf("acked key %d not served after a drain", k)
+					}
+				}
 			}
 		}
 	}

@@ -8,12 +8,19 @@ import (
 	"testing"
 )
 
-// fakeSegs builds a segment list pickRun can judge: it reads nothing but
-// diskBytes.
+// fakeSeg is a segment pickRun can judge: it reads nothing but diskBytes,
+// and whether there is a file at all — none (0 bytes) is the resident run.
+func fakeSeg(bytes int64) *segment {
+	if bytes == 0 {
+		return &segment{}
+	}
+	return &segment{path: "fake", diskBytes: bytes}
+}
+
 func fakeSegs(bytes ...int64) []*segment {
 	segs := make([]*segment, len(bytes))
 	for i, b := range bytes {
-		segs[i] = &segment{diskBytes: b}
+		segs[i] = fakeSeg(b)
 	}
 	return segs
 }
@@ -36,6 +43,11 @@ func TestPickRunRule(t *testing.T) {
 		{"lowest class first", []int64{200 * kb, 200 * kb, 200 * kb, 200 * kb, 2 * kb, 2 * kb, 2 * kb, 2 * kb}, 4, 4},
 		{"oldest run first", []int64{40 * kb, 40 * kb, 40 * kb, 40 * kb, 900 * kb, 40 * kb, 40 * kb, 40 * kb, 40 * kb}, 0, 4},
 		{"capped at twice the fanout", repeat(int64(40*kb), 11), 0, 8},
+		// The resident run (0: no file) is never an input: not as the member
+		// that would complete a run, not as a straggler riding along.
+		{"resident run is not a member", []int64{40 * kb, 40 * kb, 40 * kb, 0}, 0, 0},
+		{"resident run does not ride along", []int64{900 * kb, 40 * kb, 40 * kb, 40 * kb, 40 * kb, 0}, 1, 4},
+		{"resident run alone", []int64{0}, 0, 0},
 	} {
 		start, n := pickRun(fakeSegs(tc.bytes...), 4)
 		if n != tc.n || (n > 0 && start != tc.start) {
@@ -61,7 +73,7 @@ func TestPickRunBoundsTheList(t *testing.T) {
 	)
 	for seed := int64(0); seed < 300; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		base := &segment{diskBytes: baseBytes}
+		base := fakeSeg(baseBytes)
 		segs := []*segment{base}
 		total := 0 // keys inserted after the base
 		for flush := 0; flush < 40+rng.Intn(120); flush++ {
@@ -70,7 +82,7 @@ func TestPickRunBoundsTheList(t *testing.T) {
 				keys = 1 + rng.Intn(threshold)
 			}
 			total += keys
-			segs = append(segs, &segment{diskBytes: int64(keys * perKey)})
+			segs = append(segs, fakeSeg(int64(keys*perKey)))
 			for {
 				start, n := pickRun(segs, fanout)
 				if debt := compactionDebt(segs, fanout); (debt > 0) != (n > 0) {
@@ -91,7 +103,7 @@ func TestPickRunBoundsTheList(t *testing.T) {
 				for _, s := range segs[start : start+n] {
 					merged += s.diskBytes
 				}
-				segs = slices.Replace(segs, start, start+n, &segment{diskBytes: merged})
+				segs = slices.Replace(segs, start, start+n, fakeSeg(merged))
 			}
 			levels := math.Ceil(math.Log(float64(baseBytes/perKey+total)/threshold) / math.Log(4))
 			if limit := fanout*int(levels) + fanout; len(segs) > limit {

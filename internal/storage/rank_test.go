@@ -128,9 +128,30 @@ func TestRankBatchMatchesScalar(t *testing.T) {
 // batch must then be exactly what that r implies — a batch that mixed two
 // lists cannot satisfy it.
 func TestRankBatchOneListDuringFlushAndCompaction(t *testing.T) {
+	rankOneListOracle(t, func(e *Engine, round int) error { return e.Flush() })
+}
+
+// TestRankBatchOneListDuringDrainSpillAndCompaction is the same contract
+// over the three publications there are now: three rounds in four are
+// drains, each replacing the resident run at the tail of the list, the
+// fourth is the spill that swaps it for a file — which the compactor, woken
+// by that spill, merges with its neighbours while the next drains publish.
+func TestRankBatchOneListDuringDrainSpillAndCompaction(t *testing.T) {
+	rankOneListOracle(t, func(e *Engine, round int) error {
+		if round%4 == 3 {
+			return e.Flush()
+		}
+		return e.Drain()
+	})
+}
+
+// rankOneListOracle runs the one-list contract with publish(e, round)
+// making each round's keys served (round -1 is the stable keys).
+func rankOneListOracle(t *testing.T, publish func(e *Engine, round int) error) {
 	const nStable, rounds, perRound = 2000, 60, 50
 	for _, strMode := range []bool{false, true} {
 		e := openT(t, t.TempDir(), Options{StringKeys: strMode, CompactFanout: 2})
+		round := -1
 		appendFlush := func(keys []uint64) {
 			var err error
 			if strMode {
@@ -139,7 +160,7 @@ func TestRankBatchOneListDuringFlushAndCompaction(t *testing.T) {
 				err = e.AppendBatch(keys)
 			}
 			if err == nil {
-				err = e.Flush()
+				err = publish(e, round)
 			}
 			if err != nil {
 				t.Error(err)
@@ -162,7 +183,7 @@ func TestRankBatchOneListDuringFlushAndCompaction(t *testing.T) {
 		wg.Add(1)
 		go func() { // writer: round r adds keys (r*perRound+i)*8+2, ascending across rounds
 			defer wg.Done()
-			for round := 0; round < rounds; round++ {
+			for round = 0; round < rounds; round++ {
 				keys := make([]uint64, perRound)
 				for i := range keys {
 					keys[i] = uint64(round*perRound+i)*8 + 2

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"os"
 	"slices"
+	"sync/atomic"
 	"testing"
 
 	"learnedindex/internal/data"
@@ -49,10 +50,11 @@ func refRange(all []uint64, lo, hi uint64) []uint64 {
 	return out
 }
 
-// TestSnapshotScanOracle drives the engine through appends, flushes, and
-// compactions, checking after every step that a snapshot scan streams
-// exactly the sorted deduplicated union of segments + unflushed delta for
-// random ranges, and that CountRange agrees with the streamed count.
+// TestSnapshotScanOracle drives the engine through appends, drains,
+// flushes, and compactions, checking after every step that a snapshot scan
+// streams exactly the sorted deduplicated union of segments (the resident
+// run among them) + unflushed delta for random ranges, and that CountRange
+// agrees with the streamed count.
 func TestSnapshotScanOracle(t *testing.T) {
 	dir := t.TempDir()
 	e := openT(t, dir, Options{CompactFanout: 2, NoCompactor: true})
@@ -92,6 +94,11 @@ func TestSnapshotScanOracle(t *testing.T) {
 				t.Fatal(err)
 			}
 			check("flush")
+		} else if round > 0 {
+			if err := e.Drain(); err != nil {
+				t.Fatal(err)
+			}
+			check("drain")
 		}
 	}
 	if err := e.Compact(); err != nil {
@@ -149,15 +156,17 @@ func TestSnapshotPinsCompactionInputs(t *testing.T) {
 }
 
 // TestCountRangeEngineMidFlushConsistency hammers CountRange while another
-// goroutine appends and flushes: every count over the full domain must be
-// >= the number of keys whose Append returned before the snapshot was
-// taken (monotonic visibility — nothing acked ever vanishes mid-flush).
+// goroutine appends, drains and flushes: a key is counted at every instant
+// of its way from pending through flushing and the resident run to a file,
+// so the counts never step back (monotonic visibility — nothing acked ever
+// vanishes mid-flush) and never pass what was appended.
 func TestCountRangeEngineMidFlushConsistency(t *testing.T) {
 	dir := t.TempDir()
 	e := openT(t, dir, Options{NoCompactor: true})
 	defer e.Close()
 	const rounds = 30
 	const perRound = 500
+	var appended atomic.Int64 // keys whose Append has returned
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -168,21 +177,35 @@ func TestCountRangeEngineMidFlushConsistency(t *testing.T) {
 				batch[i] = base + uint64(i)*10
 			}
 			e.Append(batch...)
-			e.Flush()
+			appended.Store(int64((r + 1) * perRound))
+			if r%3 == 2 {
+				e.Flush()
+			} else {
+				e.Drain()
+			}
 		}
 	}()
+	last := 0
 	for {
 		select {
 		case <-done:
 			if got, want := e.CountRange(0, ^uint64(0)), rounds*perRound; got != want {
 				t.Fatalf("final CountRange = %d, want %d", got, want)
 			}
+			if st := e.Stats(); st.Drains == 0 || st.Flushes == 0 {
+				t.Fatalf("the writer never drained or never flushed: %+v", st)
+			}
 			return
 		default:
+			floor := int(appended.Load())
 			c := e.CountRange(0, ^uint64(0))
 			if c > rounds*perRound {
 				t.Fatalf("CountRange invented keys: %d > %d", c, rounds*perRound)
 			}
+			if c < floor || c < last {
+				t.Fatalf("CountRange = %d with %d keys appended before it and %d counted before", c, floor, last)
+			}
+			last = c
 		}
 	}
 }

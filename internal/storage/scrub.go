@@ -53,13 +53,17 @@ func encodeLiveSegment(s *segment) ([]byte, error) {
 }
 
 // Scrub re-verifies every live segment file's checksum and rewrites any
-// corrupt one from the in-memory image. It returns how many segments were
+// corrupt one from the in-memory image (the resident run has no file and
+// is passed over: the WAL holds its keys). It returns how many segments were
 // checked and healed; err reports the first heal that itself failed
 // (the segment keeps serving from memory either way). Safe to call
 // concurrently with everything; the background scrubber calls it on
 // Options.ScrubInterval.
 func (e *Engine) Scrub() (checked, healed int, err error) {
 	for _, s := range *e.segs.Load() {
+		if s.resident() {
+			continue
+		}
 		data, rerr := e.fs.ReadFile(s.path)
 		verr := rerr
 		if rerr == nil {

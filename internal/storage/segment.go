@@ -70,7 +70,11 @@ var (
 
 type segment struct {
 	seqLo, seqHi uint64
-	path         string
+	// path is the committed file, and diskBytes its size. Both are zero on
+	// the resident run — the one segment, always last in the list, that a
+	// drain built and no spill has written out yet: reads serve it like any
+	// other, and its keys' durable home is the WAL (see Engine.Drain).
+	path string
 	// keys holds the sorted key block: the exact keys of a v1 segment, or
 	// the sorted deduplicated prefixes of a v2 (string-keyed) segment.
 	keys []uint64
@@ -120,6 +124,9 @@ func (s *segment) isString() bool { return s.sindex != nil }
 
 func (s *segment) minStr() string { return s.sindex.Dict().Min() }
 func (s *segment) maxStr() string { return s.sindex.Dict().Max() }
+
+// resident reports whether s is the resident run: served, not yet a file.
+func (s *segment) resident() bool { return s.path == "" }
 
 // numKeys returns the segment's exact key count in its native domain.
 func (s *segment) numKeys() int {
@@ -253,10 +260,10 @@ func decodeSegment(data []byte) ([]uint64, *core.RMI, *bloom.Filter, error) {
 	return keys, rmi, filter, nil
 }
 
-// writeSegment trains an RMI and Bloom filter over keys (sorted, unique,
-// non-empty), encodes the segment, and commits it to dir crash-safely:
-// temp file, fsync, rename to the canonical name, fsync the directory.
-func writeSegment(fs vfs.FS, ioc *obs.Counter, dir string, seqLo, seqHi uint64, keys []uint64, cfg core.Config, fpr float64) (*segment, error) {
+// buildSegment trains an RMI and Bloom filter over keys (sorted, unique,
+// non-empty) and returns the segment that serves them: complete in memory,
+// with no file yet (path == ""). commitSegment gives it one.
+func buildSegment(seqLo, seqHi uint64, keys []uint64, cfg core.Config, fpr float64) *segment {
 	rmi := core.New(keys, cfg)
 	// Register-blocked filter: a miss probe walking the segment list costs
 	// one cache line per segment instead of k scattered touches. Old
@@ -265,19 +272,38 @@ func writeSegment(fs vfs.FS, ioc *obs.Counter, dir string, seqLo, seqHi uint64, 
 	for _, k := range keys {
 		filter.AddUint64(k)
 	}
-	img, err := encodeSegment(keys, rmi, filter)
-	if err != nil {
-		return nil, err
-	}
-	final := filepath.Join(dir, segmentFileName(seqLo, seqHi))
-	if err := commitSegmentFile(fs, ioc, dir, final, img); err != nil {
-		return nil, err
-	}
 	return &segment{
-		seqLo: seqLo, seqHi: seqHi, path: final,
+		seqLo: seqLo, seqHi: seqHi,
 		keys: keys, rmi: rmi, plan: rmi.Plan(), filter: filter,
-		diskBytes: int64(len(img)),
-	}, nil
+	}
+}
+
+// commitSegment encodes a built segment that no reader can reach yet and
+// commits the image to dir crash-safely under the name of its sequence
+// range: temp file, fsync, rename, fsync the directory. Only then does the
+// segment carry a path and a size on disk.
+func commitSegment(fs vfs.FS, ioc *obs.Counter, dir string, s *segment) error {
+	img, err := encodeLiveSegment(s)
+	if err != nil {
+		return err
+	}
+	final := filepath.Join(dir, segmentFileName(s.seqLo, s.seqHi))
+	if err := commitSegmentFile(fs, ioc, dir, final, img); err != nil {
+		return err
+	}
+	s.path, s.diskBytes = final, int64(len(img))
+	return nil
+}
+
+// unpublished returns a fresh segment over s's immutable index, for the
+// sequence range given: what a spill commits when the resident run it
+// writes out is already built — s itself is in a published list, where its
+// path must not change under a reader.
+func (s *segment) unpublished(seqLo, seqHi uint64) *segment {
+	return &segment{
+		seqLo: seqLo, seqHi: seqHi,
+		keys: s.keys, rmi: s.rmi, plan: s.plan, filter: s.filter, sindex: s.sindex,
+	}
 }
 
 // commitSegmentFile writes img to final crash-safely: temp file, fsync,
@@ -370,12 +396,12 @@ func decodeStringSegment(data []byte) (*core.StringIndex, *bloom.Filter, error) 
 	return core.AssembleStringIndex(rmi, dict), filter, nil
 }
 
-// writeStringSegment is writeSegment for string keys (sorted, unique,
+// buildStringSegment is buildSegment for string keys (sorted, unique,
 // non-empty): derive the codec pair, train the prefix RMI, build a Bloom
-// filter over the exact keys, and commit the v2 image crash-safely. The
-// key bytes are copied into the dictionary's arena; keys is not retained,
-// and the segment is the same structure a reopen decodes from the file.
-func writeStringSegment(fs vfs.FS, ioc *obs.Counter, dir string, seqLo, seqHi uint64, keys []string, cfg core.Config, fpr float64) (*segment, error) {
+// filter over the exact keys. The key bytes are copied into the
+// dictionary's arena; keys is not retained, and the segment is the same
+// structure a reopen decodes from the file commitSegment writes.
+func buildStringSegment(seqLo, seqHi uint64, keys []string, cfg core.Config, fpr float64) (*segment, error) {
 	prefixes, dict, err := keycodec.BuildDict(keys)
 	if err != nil {
 		return nil, err
@@ -386,18 +412,10 @@ func writeStringSegment(fs vfs.FS, ioc *obs.Counter, dir string, seqLo, seqHi ui
 	for _, k := range keys {
 		filter.Add(k)
 	}
-	img, err := encodeStringSegment(si, filter)
-	if err != nil {
-		return nil, err
-	}
-	final := filepath.Join(dir, segmentFileName(seqLo, seqHi))
-	if err := commitSegmentFile(fs, ioc, dir, final, img); err != nil {
-		return nil, err
-	}
 	return &segment{
-		seqLo: seqLo, seqHi: seqHi, path: final,
+		seqLo: seqLo, seqHi: seqHi,
 		keys: prefixes, rmi: rmi, plan: si.Plan(), filter: filter,
-		sindex: si, diskBytes: int64(len(img)),
+		sindex: si,
 	}, nil
 }
 

@@ -13,11 +13,13 @@ import (
 // Snapshot is a pinned point-in-time view of the engine for range scans
 // and learned counts: the segment list as of acquisition plus a sorted,
 // deduplicated copy of every key that was appended/committed but not yet
-// flushed (the WAL-backed delta, including keys frozen by an in-progress
-// Flush). While a Snapshot is held, compaction may replace segments in the
-// live list but will not delete a pinned segment's file — deletion is
+// served (the WAL-backed delta, including keys frozen by an in-progress
+// Drain or Flush). While a Snapshot is held, compaction may replace segments
+// in the live list but will not delete a pinned segment's file — deletion is
 // deferred until the last pin releases — so the on-disk state backing the
-// view outlives the scan no matter how many merges land mid-stream.
+// view outlives the scan no matter how many merges land mid-stream. A pinned
+// resident run has no file: drains replace it in the live list, the view
+// keeps the one it captured, and releasing it is a counter decrement.
 //
 // Acquisition order is what makes the view loss-free: the unflushed delta
 // is copied BEFORE the segment list is loaded, so a key migrating from the

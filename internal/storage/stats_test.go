@@ -66,11 +66,12 @@ func TestStatsFlushConsistency(t *testing.T) {
 	}
 }
 
-// TestEngineMetrics drives appends, commits, flushes, lookups, and a
-// compaction through an engine and asserts the metrics plane saw all of
-// it: accounting counters match Stats, the fsync/cohort/flush histograms
-// recorded events, and the per-segment Bloom funnel yields an observed
-// FPR.
+// TestEngineMetrics drives appends, commits, flushes, lookups, a
+// compaction, and a drain through an engine and asserts the metrics plane
+// saw all of it: accounting counters match Stats, the
+// fsync/cohort/flush/drain histograms recorded events, the resident run is
+// counted as the segment it is and sized by its own gauge, and the
+// per-segment Bloom funnel yields an observed FPR.
 func TestEngineMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
 	e, err := Open(t.TempDir(), Options{NoCompactor: true, CompactFanout: 2, Reg: reg})
@@ -114,15 +115,32 @@ func TestEngineMetrics(t *testing.T) {
 		t.Fatalf("contains drive: %d hits, %d false", hits, misses)
 	}
 
+	// A drain: served by the resident run, no file, not a flush.
+	if err := e.Commit(5_000_001, 5_000_002, 5_000_003); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Drain(); err != nil {
+		t.Fatal(err)
+	}
+
 	st := e.Stats()
 	s := e.Metrics()
-	if got := s.Counter("lix_storage_flushes_total"); got != int64(st.Flushes) {
-		t.Fatalf("flushes metric %d != Stats %d", got, st.Flushes)
+	if got := s.Counter("lix_storage_flushes_total"); got != int64(st.Flushes) || got != 4 {
+		t.Fatalf("flushes metric %d, Stats %d, want the 4 files written", got, st.Flushes)
+	}
+	if got := s.Counter("lix_storage_drains_total"); got != int64(st.Drains) || got != 1 {
+		t.Fatalf("drains metric %d, Stats %d, want 1", got, st.Drains)
+	}
+	if got := s.Gauge("lix_storage_resident_keys"); got != 3 {
+		t.Fatalf("resident keys gauge %g, want 3", got)
+	}
+	if st.Segments != 2 {
+		t.Fatalf("%d segments, want the compacted file and the resident run", st.Segments)
 	}
 	if got := s.Counter("lix_storage_compactions_total"); got != int64(st.Compactions) || got == 0 {
 		t.Fatalf("compactions metric %d (Stats %d)", got, st.Compactions)
 	}
-	if got := s.Counter("lix_storage_commits_total"); got != int64(st.Commits) || got != 4 {
+	if got := s.Counter("lix_storage_commits_total"); got != int64(st.Commits) || got != 5 {
 		t.Fatalf("commits metric %d", got)
 	}
 	if got := s.Gauge("lix_storage_segments"); got != float64(st.Segments) {
@@ -137,6 +155,9 @@ func TestEngineMetrics(t *testing.T) {
 		}
 		if h := s.Histogram("lix_storage_flush_ns"); h.Count != uint64(st.Flushes) {
 			t.Fatalf("flush duration histogram %d entries, want %d", s.Histogram("lix_storage_flush_ns").Count, st.Flushes)
+		}
+		if h := s.Histogram("lix_storage_drain_ns"); h.Count != 1 {
+			t.Fatalf("drain duration histogram %d entries, want 1", h.Count)
 		}
 		if h := s.Histogram("lix_wal_cohort_commits"); h.Count == 0 {
 			t.Fatalf("cohort histogram empty after commits")

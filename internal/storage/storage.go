@@ -23,13 +23,22 @@
 // group-committed call — concurrent committers form a cohort whose keys
 // are encoded as a single WAL frame and covered by a single fsync, so
 // synced-insert throughput scales with the committer count instead of
-// paying one disk flush each. Keys become *served*
-// (visible to Contains/Lookup/Len) at Flush, which trains a segment over
-// the novel pending keys and truncates the WAL. After a crash, recovery
-// re-serves exactly the keys that were durable: all flushed segments plus
-// every intact WAL record. Because Flush drops pending keys already
-// present in older segments, live segments always hold disjoint key sets,
-// which is what makes Len and global lower-bound Lookup exact sums.
+// paying one disk flush each.
+//
+// Served and on disk are separate steps. Keys become *served* (visible to
+// Contains/Lookup/Len) at Drain, which merges the novel pending keys into
+// the resident run — one sorted, trained segment with no file, always last
+// in the list, whose keys' durable home is still the WAL — or at Flush,
+// which writes resident and pending keys as one segment file and only then
+// trims the WAL; a Drain that finds spillKeys keys in the log (drained
+// since the last rotation plus pending, duplicates counted) is a Flush, so
+// the log and the replay a crash pays stay bounded whatever the run holds.
+// A drained key is durable before it is served (the drain waits out the
+// group-commit barrier). After a crash, recovery re-serves exactly the keys
+// that were durable: all segment files plus every intact WAL record.
+// Because drains and flushes drop pending keys already present in older
+// segments, live segments always hold disjoint key sets, which is what
+// makes Len and global lower-bound Lookup exact sums.
 //
 // Reads (Contains, ContainsBatch, Lookup, LookupBatch, Len and their
 // string twins) are lock-free against an atomically published segment
@@ -40,7 +49,7 @@
 // order, fenced per segment, and only the in-fence (probe, segment) pairs
 // run a model, together through core's batch kernel. The scalar Lookup and
 // LookupString loops are the per-key reference the oracles compare them
-// against. Writes (Append, Sync, Flush) are serialized by an
+// against. Writes (Append, Sync, Drain, Flush) are serialized by an
 // internal mutex and may be called concurrently with reads and with
 // background compaction. I/O errors latch: once a write fails, the error
 // is sticky and returned by every subsequent Append/Sync/Flush/Close so an
@@ -141,7 +150,8 @@ type Stats struct {
 	PendingKeys   int
 	ModelsLoaded  int // RMIs deserialized from disk at Open
 	ModelsTrained int // RMIs trained by flushes and compactions
-	Flushes       int
+	Flushes       int // segment files written by Flush (a Drain that reached the spill size is one)
+	Drains        int // resident-run rebuilds by Drain: served, not yet a file
 	Compactions   int
 	WALSyncs      int // fsyncs issued by the commit plane
 	Commits       int // Commit calls acknowledged (group-committed)
@@ -158,14 +168,14 @@ type Engine struct {
 	// operations — appends, frame encodes, and the flush freeze step —
 	// never across segment training, and never across a group-commit
 	// leader's fsync (the leader drops mu for the disk wait so appends and
-	// cohort enqueues keep flowing). walSeq changes only inside Flush, under
-	// flushMu as well, so Flush may read it before it takes mu.
+	// cohort enqueues keep flowing). walSeq changes only inside spill, under
+	// flushMu as well, so spill may read it before it takes mu.
 	mu      sync.Mutex
 	wal     *wal
 	walSeq  uint64
 	pending []uint64
-	// flushing holds the pending keys frozen by an in-progress Flush, from
-	// the freeze until the trained segment is published. Scan snapshots copy
+	// flushing holds the pending keys frozen by an in-progress Drain or
+	// Flush, from the freeze until the trained segment is published. Scan snapshots copy
 	// pending+flushing (before loading the segment list), so a key migrating
 	// through a flush is visible in at least one layer at every instant.
 	flushing []uint64
@@ -173,6 +183,10 @@ type Engine struct {
 	// exactly one pair is ever populated, per Options.StringKeys.
 	pendingS  []string
 	flushingS []string
+	// pendingLen mirrors the pending list's length, stored wherever mu is
+	// already held to change it, so PendingLen — the serving layer's
+	// per-insert threshold test — takes no lock.
+	pendingLen atomic.Int64
 	// err is the fail-stop poison latch: a commit-plane failure sets it
 	// (wrapped in ErrPoisoned) and every later durable operation returns
 	// it. degradedCause is the read-only latch of the segment plane
@@ -194,13 +208,19 @@ type Engine struct {
 	syncCond   *sync.Cond
 	cohort     [][]uint64 // queued Commit batches awaiting the next frame
 	cohortS    [][]string // string-mode commit cohort (same plane, same fsync)
-	// flushMu serializes whole flushes (freeze → train → commit → retire),
-	// keeping concurrent Flush calls from racing each other while mu stays
-	// free for appends during the heavy middle part.
+	// flushMu serializes whole drains and flushes (freeze → train → commit
+	// → retire), keeping concurrent calls from racing each other — only they
+	// replace the resident run — while mu stays free for appends during the
+	// heavy middle part.
 	flushMu sync.Mutex
+	// drained counts the keys drains have frozen since the last log
+	// rotation, duplicates included: what a crash now would replay, and what
+	// the spill test is made on. Guarded by flushMu.
+	drained int
 
-	// segMu serializes segment-list mutation (flush publish, compaction
-	// swap); readers go through the atomic pointer, never the lock.
+	// segMu serializes segment-list mutation (drain and flush publish,
+	// compaction swap); readers go through the atomic pointer, never the
+	// lock. The resident run, when there is one, is the list's last entry.
 	segMu sync.Mutex
 	segs  atomic.Pointer[[]*segment]
 	// compactMu serializes whole compaction rounds: the background
@@ -241,7 +261,8 @@ type Engine struct {
 type engineMetrics struct {
 	modelsLoaded  *obs.Counter // RMIs deserialized from disk at Open
 	modelsTrained *obs.Counter // RMIs trained by flushes and compactions
-	flushes       *obs.Counter // bumped with segment publication (see Stats)
+	flushes       *obs.Counter // segment files written by Flush; bumped with publication (see Stats)
+	drains        *obs.Counter // resident-run rebuilds by Drain; bumped with publication
 	compactions   *obs.Counter
 	walSyncs      *obs.Counter // fsyncs issued by the commit plane
 	commits       *obs.Counter // Commit calls acknowledged (group-committed)
@@ -256,7 +277,8 @@ type engineMetrics struct {
 
 	fsyncNs       *obs.Histogram // latency of each commit-plane fsync
 	cohortCommits *obs.Histogram // Commit batches covered per cohort drain
-	flushNs       *obs.Histogram // freeze→train→publish, whole flush
+	flushNs       *obs.Histogram // freeze→train→commit→publish, whole flush
+	drainNs       *obs.Histogram // freeze→barrier→merge→train→publish, whole drain
 	compactNs     *obs.Histogram // merge→train→publish, one compaction
 }
 
@@ -265,6 +287,7 @@ func newEngineMetrics(reg *obs.Registry) engineMetrics {
 		modelsLoaded:  reg.Counter("lix_storage_models_loaded_total"),
 		modelsTrained: reg.Counter("lix_storage_models_trained_total"),
 		flushes:       reg.Counter("lix_storage_flushes_total"),
+		drains:        reg.Counter("lix_storage_drains_total"),
 		compactions:   reg.Counter("lix_storage_compactions_total"),
 		walSyncs:      reg.Counter("lix_storage_wal_syncs_total"),
 		commits:       reg.Counter("lix_storage_commits_total"),
@@ -280,6 +303,7 @@ func newEngineMetrics(reg *obs.Registry) engineMetrics {
 		fsyncNs:       reg.Histogram("lix_wal_fsync_ns"),
 		cohortCommits: reg.Histogram("lix_wal_cohort_commits"),
 		flushNs:       reg.Histogram("lix_storage_flush_ns"),
+		drainNs:       reg.Histogram("lix_storage_drain_ns"),
 		compactNs:     reg.Histogram("lix_storage_compaction_ns"),
 	}
 }
@@ -395,8 +419,7 @@ func recoverLogs[K cmp.Ordered](e *Engine, ops *keyOps[K], paths []string, repla
 	if len(recovered) == 0 {
 		return nil
 	}
-	_, err := materialize(e, ops, recovered, false)
-	return err
+	return materialize(e, ops, recovered, nil, true, nil)
 }
 
 // quarantineSuffix marks a segment file that failed its checksum or
@@ -537,7 +560,7 @@ const maxAppendChunk = 1 << 19
 
 // Append logs keys (as one or more WAL records) and buffers them as
 // pending. They are durable after the next Sync and served after the next
-// Flush.
+// Drain or Flush.
 func (e *Engine) Append(keys ...uint64) error {
 	return e.AppendBatch(keys)
 }
@@ -571,6 +594,7 @@ func (e *Engine) AppendBatch(keys []uint64) error {
 		e.replRecordLocked(slices.Clone(chunk), nil)
 		keys = keys[len(chunk):]
 	}
+	e.pendingLen.Store(int64(len(e.pending)))
 	e.appendSeq++
 	return nil
 }
@@ -589,7 +613,7 @@ func (e *Engine) Sync() error {
 // The batch joins the current commit cohort; a leader encodes the whole
 // cohort as ONE WAL frame and performs ONE fsync for it, waking every
 // ticket when the flush lands. When Commit returns nil the keys survive
-// any crash (they are served after the next Flush, like Append). The keys
+// any crash (they are served after the next Drain or Flush, like Append). The keys
 // slice must not be mutated until Commit returns.
 func (e *Engine) Commit(keys ...uint64) error {
 	return e.CommitBatch(keys)
@@ -597,7 +621,7 @@ func (e *Engine) Commit(keys ...uint64) error {
 
 // AppendString logs string keys and buffers them as pending: the string
 // engine's Append. Durable after the next Sync, served after the next
-// Flush.
+// Drain or Flush.
 func (e *Engine) AppendString(keys ...string) error {
 	return e.AppendStringBatch(keys)
 }
@@ -629,6 +653,7 @@ func (e *Engine) AppendStringBatch(keys []string) error {
 		e.replRecordLocked(nil, slices.Clone(keys[lo:hi]))
 		lo = hi
 	}
+	e.pendingLen.Store(int64(len(e.pendingS)))
 	e.appendSeq++
 	return nil
 }
@@ -660,6 +685,7 @@ func (e *Engine) CommitStringBatch(keys []string) error {
 	}
 	e.cohortS = append(e.cohortS, keys)
 	e.pendingS = append(e.pendingS, keys...)
+	e.pendingLen.Store(int64(len(e.pendingS)))
 	e.appendSeq++
 	err := e.waitDurable(e.appendSeq)
 	if err == nil {
@@ -691,6 +717,7 @@ func (e *Engine) CommitBatch(keys []uint64) error {
 	// pending gets the keys now so a racing Flush freeze serves them.
 	e.cohort = append(e.cohort, keys)
 	e.pending = append(e.pending, keys...)
+	e.pendingLen.Store(int64(len(e.pending)))
 	e.appendSeq++
 	err := e.waitDurable(e.appendSeq)
 	if err == nil {
@@ -701,9 +728,9 @@ func (e *Engine) CommitBatch(keys []uint64) error {
 
 // drainCohortLocked encodes every queued Commit batch into as few WAL
 // frames as chunking allows — one for any sane cohort — clearing the
-// queue. Called with mu held by the elected leader and by the Flush
-// freeze (which must encode queued batches into the log it is about to
-// fsync and rotate past). Errors latch.
+// queue. Called with mu held by the elected leader and by the freeze of a
+// drain or flush (which must encode queued batches into the log before the
+// fsync that lets their keys be served). Errors latch.
 func (e *Engine) drainCohortLocked() {
 	if e.opts.StringKeys {
 		e.drainCohortStrLocked()
@@ -921,25 +948,143 @@ func (e *Engine) waitDurable(target uint64) error {
 	}
 }
 
-// Flush makes every pending key served and trims the log. The next log is
-// created and reserved before the write mutex is taken, which is then held
-// only for the freeze: snapshot the pending keys, fsync the active WAL and
-// swap the new one in. Training the segment and committing it happen off
-// the write path, so concurrent Appends proceed during the heavy part. The
-// frozen log is deleted only after the segment is committed — a crash in
-// between re-replays it into duplicates, never a loss.
+// spillKeys bounds what the active log holds, and with it the resident run
+// and the replay a crash pays: a Drain that finds this many keys drained
+// since the last rotation plus pending (duplicates counted — the log holds
+// them whether or not the run does) is a Flush. The test reads pending
+// before the freeze, so the log may pass the bound by what one freeze takes
+// beyond it — one drain threshold's worth under the serving layer — and the
+// next Drain spills. Picked from the measured curve in README "Persistent
+// store": 16k keys leaves reads visiting twice the segments, 256k makes the
+// retrain every drain pays and the WAL a crash replays four times dearer
+// for ~1 µs of read_p50.
+const spillKeys = 1 << 16
+
+// Flush makes every pending key served, writes them — and the resident run
+// the drains since the last Flush built — as one fsynced segment file, and
+// trims the log. The next log is created and reserved before the write
+// mutex is taken, which is then held only for the freeze: snapshot the
+// pending keys, fsync the active WAL and swap the new one in. Training the
+// segment and committing it happen off the write path, so concurrent
+// Appends proceed during the heavy part. The frozen log is deleted only
+// after the segment is committed — a crash in between re-replays it into
+// duplicates, never a loss.
 func (e *Engine) Flush() error {
 	e.flushMu.Lock()
 	defer e.flushMu.Unlock()
+	return e.spill()
+}
 
+// Drain makes every pending key served without writing a file: the
+// visibility half of Flush. The pending keys are frozen under the write
+// mutex and, once the group-commit barrier has made every one of them
+// durable (served ⊆ durable; a no-op when they all arrived through
+// Commit), merged off-lock with the resident run into a rebuilt resident
+// run — a segment like any other to every read, always last in the list,
+// with the WAL as its keys' durable home: the log is neither rotated nor
+// trimmed. A Drain that finds spillKeys keys in the log is a Flush.
+func (e *Engine) Drain() error {
+	e.flushMu.Lock()
+	defer e.flushMu.Unlock()
+	if e.drained+e.PendingLen() >= spillKeys {
+		return e.spill()
+	}
+	return e.drain()
+}
+
+// residentOf returns the resident run of a segment list, or nil.
+func residentOf(segs []*segment) *segment {
+	if n := len(segs); n > 0 && segs[n-1].resident() {
+		return segs[n-1]
+	}
+	return nil
+}
+
+// frozenKeys is what one freeze took off the write plane: the mode's
+// pending list, and the repl frame number its keys' frames end at.
+type frozenKeys struct {
+	u64        []uint64
+	str        []string
+	replTrimTo uint64
+}
+
+// freezeLocked moves the pending list to flushing (scan-visible while the
+// segment trains off-lock). Called with mu held.
+func (e *Engine) freezeLocked() (frozenKeys, error) {
+	if err := e.writeGateLocked(); err != nil {
+		return frozenKeys{}, err
+	}
+	// Queued Commit batches must land in the log before the freeze: their
+	// keys are already pending (and will reach the segment), so their frames
+	// have to be covered by the caller's fsync for the ack plane to stay
+	// honest.
+	e.drainCohortLocked()
+	if e.err != nil {
+		return frozenKeys{}, e.err
+	}
+	var f frozenKeys
+	if e.opts.StringKeys {
+		f.str = e.pendingS
+		e.pendingS = pendingStrPool.Get()
+		e.flushingS = f.str
+	} else {
+		f.u64 = e.pending
+		e.pending = pendingPool.Get()
+		e.flushing = f.u64
+	}
+	e.pendingLen.Store(0)
+	// Every frozen key's frame is encoded by now; once the keys are served
+	// by a published segment these frames trim from the durable tail.
+	f.replTrimTo = e.replNext
+	return f, nil
+}
+
+// serveFrozen materializes a freeze's keys off the write mutex. A failure
+// (after materialize's retries) is a segment-plane failure: the engine
+// degrades to read-only rather than poisons, because every acked key is
+// still safe in the log and recovery replays it at the next Open.
+// e.flushing/e.flushingS stays set (and the snapshot stays out of the
+// pool): the acked keys remain visible to scans on the degraded engine.
+func (e *Engine) serveFrozen(f frozenKeys, res *segment, spill bool, count *obs.Counter) error {
+	var err error
+	if e.opts.StringKeys {
+		err = materialize(e, &strOps, f.str, res, spill, count)
+	} else {
+		err = materialize(e, &u64Ops, f.u64, res, spill, count)
+	}
+	if err != nil {
+		e.degrade(err)
+	}
+	return err
+}
+
+// thaw ends a freeze whose keys a published segment now serves: only after
+// the scan-visible flushing reference is dropped may the buffer recycle.
+func (e *Engine) thaw(f frozenKeys) {
+	e.mu.Lock()
+	e.flushing = nil
+	e.flushingS = nil
+	e.replTrimLocked(f.replTrimTo)
+	e.mu.Unlock()
+	recyclePending(&pendingPool, f.u64)
+	recyclePending(&pendingStrPool, f.str)
+}
+
+// spill is Flush's body: freeze, rotate to a fresh log with the frozen one
+// fsynced, then materialize a file off-lock. Called with flushMu held.
+func (e *Engine) spill() error {
 	e.mu.Lock()
 	err := e.writeGateLocked()
-	idle := len(e.pending) == 0 && len(e.pendingS) == 0
+	npend := len(e.pending) + len(e.pendingS)
 	e.mu.Unlock()
-	if err != nil || idle {
+	// A resident run implies drained > 0: only drains build it.
+	if err != nil || (npend == 0 && e.drained == 0) {
 		return err
 	}
-	flushStart := time.Now()
+	start := time.Now()
+	// Only drains and spills replace the resident run, and flushMu
+	// serializes them.
+	res := residentOf(*e.segs.Load())
 	nw, err := e.createWAL(e.walSeq + 1)
 	e.mu.Lock()
 	if err != nil {
@@ -947,35 +1092,16 @@ func (e *Engine) Flush() error {
 		e.mu.Unlock()
 		return err
 	}
-	// Queued Commit batches must land in the log being frozen: their keys
-	// are already pending (and will reach the segment), so their frames
-	// have to be covered by this fsync for the ack plane to stay honest.
-	if err = e.writeGateLocked(); err == nil {
-		e.drainCohortLocked()
-		err = e.err
-	}
+	f, err := e.freezeLocked()
 	if err != nil {
 		e.mu.Unlock()
 		e.discardWAL(nw)
 		return err
 	}
-	// Freeze the mode's pending list (scan-visible while the segment
-	// trains off-lock).
-	var snap []uint64
-	var snapS []string
-	if e.opts.StringKeys {
-		snapS = e.pendingS
-		e.pendingS = pendingStrPool.Get()
-		e.flushingS = snapS
-	} else {
-		snap = e.pending
-		e.pending = pendingPool.Get()
-		e.flushing = snap
-	}
-	frozen := e.wal
 	// The frozen log must be durable before the ack plane moves past it:
 	// a Sync arriving after the freeze fsyncs only the new active log, so
 	// any still-buffered frozen bytes have to hit disk here.
+	frozen := e.wal
 	fsyncStart := time.Now()
 	if err := frozen.sync(); err != nil {
 		err = e.poisonLocked(err)
@@ -993,68 +1119,69 @@ func (e *Engine) Flush() error {
 	// The freeze fsync ran with mu held throughout, so every encoded frame
 	// is on disk and the whole pending run promotes.
 	e.replPromoteLocked(e.replNext)
-	// Every frame encoded so far lives in the frozen log; once its segment
-	// publishes, these frames trim from the durable tail (below).
-	replTrimTo := e.replNext
 	e.syncCond.Broadcast()
 	e.walSeq++
 	e.wal = nw
 	e.mu.Unlock()
+	e.drained = 0 // the active log is empty; the frozen one is the file's to retire
 
-	var published bool
-	var merr error
-	if e.opts.StringKeys {
-		published, merr = materialize(e, &strOps, snapS, true)
-	} else {
-		published, merr = materialize(e, &u64Ops, snap, true)
-	}
+	merr := e.serveFrozen(f, res, true, e.m.flushes)
+	// A failed materialize keeps the frozen log file on disk — it is the
+	// only durable home of the snapshot now — but releases its descriptor.
+	e.countIOErr("close frozen WAL", frozen.close())
 	if merr != nil {
-		// Keep the frozen log file on disk — it is the only durable home
-		// of the snapshot now — but release its descriptor. A failed
-		// materialize (after its retries) is a segment-plane failure: the
-		// engine degrades to read-only rather than poisons, because every
-		// acked key is still safe in the frozen log and recovery replays it
-		// at the next Open. e.flushing/e.flushingS stays set (and the
-		// snapshot stays out of the pool): the acked keys remain visible to
-		// scans on the degraded engine.
-		e.countIOErr("close frozen WAL", frozen.close())
-		e.degrade(merr)
 		return merr
 	}
-	e.countIOErr("close frozen WAL", frozen.close())
 	// Best-effort: a frozen log outliving its segment is re-replayed at
 	// the next open and deduplicated away.
 	e.countIOErr("remove frozen WAL", e.fs.Remove(frozen.path))
-	// The keys are served by the published segment now; only after the
-	// scan-visible flushing reference is dropped may the buffer recycle.
-	e.mu.Lock()
-	e.flushing = nil
-	e.flushingS = nil
-	e.replTrimLocked(replTrimTo)
-	e.mu.Unlock()
-	recyclePending(&pendingPool, snap)
-	recyclePending(&pendingStrPool, snapS)
-	if !published {
-		// Everything deduplicated away: no segment, so the count cannot
-		// ride a publication — it lands here. (Publishing flushes are
-		// counted under segMu with their segment; see materialize.)
-		e.m.flushes.Inc()
-	}
-	e.m.flushNs.ObserveDuration(time.Since(flushStart))
+	e.thaw(f)
+	e.m.flushNs.ObserveDuration(time.Since(start))
 	e.kickCompactor()
 	return nil
 }
 
+// drain is Drain's body: freeze, wait out the group-commit barrier, then
+// rebuild the resident run off-lock. Called with flushMu held.
+func (e *Engine) drain() error {
+	start := time.Now()
+	res := residentOf(*e.segs.Load())
+	e.mu.Lock()
+	if len(e.pending)+len(e.pendingS) == 0 {
+		err := e.writeGateLocked()
+		e.mu.Unlock()
+		return err
+	}
+	f, err := e.freezeLocked()
+	if err == nil {
+		// The barrier: a key that only Append logged is not served before
+		// its fsync. It drops mu for the disk wait; appends made meanwhile
+		// land in the fresh pending list.
+		err = e.waitDurable(e.appendSeq)
+	}
+	e.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	e.drained += len(f.u64) + len(f.str)
+	if err := e.serveFrozen(f, res, false, e.m.drains); err != nil {
+		return err
+	}
+	e.thaw(f)
+	e.m.drainNs.ObserveDuration(time.Since(start))
+	return nil
+}
+
 // The pending pools recycle the engines' pending-key buffers across
-// flushes: every freeze hands its snapshot to materialize (which clones
-// what it needs) and takes a recycled buffer for the next fill, so
-// sustained ingest stops re-growing a fresh pending slice per flush cycle.
+// drains and flushes: every freeze hands its snapshot to materialize (which
+// clones what it needs) and takes a recycled buffer for the next fill, so
+// sustained ingest stops re-growing a fresh pending slice per drain cycle.
 // They are shared by every engine of the process, and a buffer taken at a
 // freeze is held until that engine's next one, so only buffers of a few
-// flush cycles' size go back: a bulk preload's buffer, recycled, would be
+// drain cycles' size go back: a bulk preload's buffer, recycled, would be
 // pinned by whichever engine froze next for as long as that engine lives.
-// The engine has no flush threshold of its own to size the bound by — its
-// owner decides when to flush, the serving layer at 4096 pending keys by
+// The engine has no drain threshold of its own to size the bound by — its
+// owner decides when to drain, the serving layer at 4096 pending keys by
 // default — and re-growing a longer buffer is noise beside training the
 // segment it fed.
 var (
@@ -1073,42 +1200,74 @@ func recyclePending[K any](pool *slicepool.Pool[K], b []K) {
 	}
 }
 
-// materialize dedupes keys against the served segments and commits the
-// novel remainder as one new trained segment, reporting whether a segment
-// was published. Called from Flush (off the write mutex, countFlush=true)
-// and from Open (recovery replay, countFlush=false — recovery is not a
-// flush). With countFlush, the flush counter is bumped under segMu
-// together with the publication, so a concurrent Stats never observes the
-// segment without its flush.
-func materialize[K cmp.Ordered](e *Engine, ops *keyOps[K], keys []K, countFlush bool) (bool, error) {
+// materialize dedupes keys against the served segments, merges the novel
+// remainder with the resident run res (nil when there is none) and
+// publishes the result in res's place at the tail of the list: as the new
+// resident run, or, with spill, as a committed segment file under the next
+// sequence number. Called from spill and drain (off the write mutex) and from Open
+// (recovery replay, count == nil — recovery is neither a flush nor a
+// drain). count is bumped under segMu together with the publication, so a
+// concurrent Stats never observes the segment without its flush, or alone
+// when everything deduplicated away and there is nothing to publish.
+func materialize[K cmp.Ordered](e *Engine, ops *keyOps[K], keys []K, res *segment, spill bool, count *obs.Counter) error {
 	fresh := slices.Clone(keys)
 	slices.Sort(fresh)
 	fresh = slices.Compact(fresh)
-	// Segment disjointness: drop keys already served by an older segment.
+	// Segment disjointness: drop keys already served by an older segment
+	// (the resident run among them).
 	fresh = dropServed(*e.segs.Load(), ops, fresh)
-	if len(fresh) == 0 {
-		return false, nil
-	}
 	seq := e.nextSeq
 	var seg *segment
-	err := e.retryIO(func() error {
-		var werr error
-		seg, werr = ops.write(e, seq, seq, fresh)
-		return werr
-	})
-	if err != nil {
-		return false, err
+	switch {
+	case len(fresh) > 0:
+		if res != nil {
+			fresh = mergeKeys([][]K{ops.keys(res), fresh})
+		}
+		var err error
+		if seg, err = ops.build(e, seq, seq, fresh); err != nil {
+			return err
+		}
+	case spill && res != nil:
+		seg = res.unpublished(seq, seq) // already built; it only lacks its file
+	default:
+		if count != nil {
+			count.Inc()
+		}
+		return nil
 	}
-	e.nextSeq = seq + 1
+	if spill {
+		if err := e.commitSegment(seg); err != nil {
+			return err
+		}
+		e.nextSeq = seq + 1
+	}
 	e.segMu.Lock()
-	next := append(slices.Clone(*e.segs.Load()), seg)
+	cur := *e.segs.Load()
+	if res != nil {
+		// Compactions may have spliced the list meanwhile; none touches the
+		// resident run, so it is still the tail. Its funnel counts carry
+		// over: to a metrics reader the run is one segment that grows.
+		cur = cur[:len(cur)-1]
+		seg.bloomProbes.Store(res.bloomProbes.Load())
+		seg.bloomPass.Store(res.bloomPass.Load())
+		seg.bloomHits.Store(res.bloomHits.Load())
+	}
+	next := append(slices.Clone(cur), seg)
 	e.segs.Store(&next)
-	e.m.modelsTrained.Inc()
-	if countFlush {
-		e.m.flushes.Inc()
+	if len(fresh) > 0 {
+		e.m.modelsTrained.Inc()
+	}
+	if count != nil {
+		count.Inc()
 	}
 	e.segMu.Unlock()
-	return true, nil
+	return nil
+}
+
+// commitSegment gives a built segment its file, under the segment plane's
+// retry policy: the index is built once, only the write is retried.
+func (e *Engine) commitSegment(s *segment) error {
+	return e.retryIO(func() error { return commitSegment(e.fs, e.m.ioErrors, e.dir, s) })
 }
 
 // createWAL creates and reserves the engine's log number seq.
@@ -1170,7 +1329,7 @@ func scanWALFiles(fs vfs.FS, dir string, strMode bool) (seqs []uint64, paths []s
 	return seqs, paths, otherKind, nil
 }
 
-// Contains reports whether key is served (flushed). Lock-free.
+// Contains reports whether key is served (drained or flushed). Lock-free.
 func (e *Engine) Contains(key uint64) bool {
 	if e.opts.StringKeys {
 		panic("storage: uint64 read on a string-keyed engine")
@@ -1178,7 +1337,7 @@ func (e *Engine) Contains(key uint64) bool {
 	return containsBatchIn(*e.segs.Load(), &u64Ops, []uint64{key}, nil) > 0
 }
 
-// ContainsString reports whether a string key is served (flushed).
+// ContainsString reports whether a string key is served (drained or flushed).
 // Lock-free; the string engine's Contains.
 func (e *Engine) ContainsString(key string) bool {
 	if !e.opts.StringKeys {
@@ -1271,8 +1430,8 @@ func (e *Engine) LookupBatchString(probes []string, out []int) {
 	rankBatchIn(*e.segs.Load(), &strOps, probes, out)
 }
 
-// Len returns the number of served (flushed) distinct keys, in either
-// mode.
+// Len returns the number of served (drained or flushed) distinct keys, in
+// either mode.
 func (e *Engine) Len() int {
 	total := 0
 	for _, s := range *e.segs.Load() {
@@ -1281,16 +1440,9 @@ func (e *Engine) Len() int {
 	return total
 }
 
-// PendingLen returns how many appended keys await the next Flush
-// (duplicates included), in either mode.
-func (e *Engine) PendingLen() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.opts.StringKeys {
-		return len(e.pendingS)
-	}
-	return len(e.pending)
-}
+// PendingLen returns how many appended keys await the next Drain or Flush
+// (duplicates included), in either mode. Lock-free.
+func (e *Engine) PendingLen() int { return int(e.pendingLen.Load()) }
 
 // Keys returns all served keys, sorted ascending — a fresh merged copy.
 func (e *Engine) Keys() []uint64 {
@@ -1328,10 +1480,10 @@ func (e *Engine) KeysStrings() []string {
 // registry counters plus the segment list. Segment-derived fields and the
 // flush/compaction counters are read under one segMu acquisition — the
 // same lock every publication bumps its counter under — so the view is
-// internally consistent: a segment never appears before the flush or
-// compaction that produced it. (Recovery publishes its replay segment
-// without a flush, so Segments <= Flushes holds from any fresh directory,
-// not across a crash replay.)
+// internally consistent: a segment never appears before the drain, flush
+// or compaction that produced it. (Recovery publishes its replay segment
+// without a flush, so Segments <= Flushes holds from any fresh directory
+// that is only flushed, not across a crash replay.)
 func (e *Engine) Stats() Stats {
 	e.segMu.Lock()
 	segs := *e.segs.Load()
@@ -1340,6 +1492,7 @@ func (e *Engine) Stats() Stats {
 		ModelsLoaded:  int(e.m.modelsLoaded.Load()),
 		ModelsTrained: int(e.m.modelsTrained.Load()),
 		Flushes:       int(e.m.flushes.Load()),
+		Drains:        int(e.m.drains.Load()),
 		Compactions:   int(e.m.compactions.Load()),
 		WALSyncs:      int(e.m.walSyncs.Load()),
 		Commits:       int(e.m.commits.Load()),
@@ -1382,7 +1535,12 @@ func (e *Engine) collect(s *obs.Snapshot) {
 			pinned++
 		}
 	}
+	resident := 0
+	if res := residentOf(segs); res != nil {
+		resident = res.numKeys()
+	}
 	s.SetGauge("lix_storage_segments", float64(len(segs)))
+	s.SetGauge("lix_storage_resident_keys", float64(resident))
 	s.SetGauge("lix_storage_keys", float64(keys))
 	s.SetGauge("lix_storage_disk_bytes", float64(disk))
 	s.SetGauge("lix_storage_pinned_segments", float64(pinned))
@@ -1463,8 +1621,9 @@ func (e *Engine) kickCompactor() {
 	}
 }
 
-// compactor is the background goroutine: after every flush signal it
-// merges until no tier is over its fanout. Errors latch into the sticky
+// compactor is the background goroutine: after every flush signal (a drain
+// writes no file, so it leaves nothing new to merge) it merges until no
+// tier is over its fanout. Errors latch into the sticky
 // error (compactOnce does it), so a failing disk surfaces on the next
 // Sync/Flush/Close instead of churning silently; the loop also stops
 // retrying once the error is set.
@@ -1506,6 +1665,19 @@ func sizeClass(bytes int64) int {
 	return bits.Len64(uint64(bytes)) / 2
 }
 
+// maxSizeClass is the highest class an int64 size can fall in.
+const maxSizeClass = 32
+
+// class is the size class of the segment's file. The resident run has no
+// file to merge or delete and sits above every class: like any larger
+// segment it ends a run and is never a member of one.
+func (s *segment) class() int {
+	if s.resident() {
+		return maxSizeClass + 1
+	}
+	return sizeClass(s.diskBytes)
+}
+
 // pickRun chooses the next compaction input, segs[start:start+n); n is 0
 // when nothing is eligible. For a size class c, a candidate is a maximal
 // contiguous run of segments of class <= c; it is eligible when at least
@@ -1519,13 +1691,18 @@ func sizeClass(bytes int64) int {
 // same-class neighbours, so the list grows with the number of flushes
 // instead of its logarithm. Larger segments still end a run: the members
 // of class c set the price of the merge, and a segment of a higher class
-// is only rewritten once fanout of its own class have gathered.
+// is only rewritten once fanout of its own class have gathered. The
+// resident run (segment.class) is never picked.
 func pickRun(segs []*segment, fanout int) (start, n int) {
-	for c := 0; c <= 32; c++ { // every class an int64 size can fall in
+	for c := 0; c <= maxSizeClass; c++ {
 		for i := 0; i < len(segs); i++ {
 			j, members := i, 0
-			for ; j < len(segs) && sizeClass(segs[j].diskBytes) <= c; j++ {
-				if sizeClass(segs[j].diskBytes) == c {
+			for ; j < len(segs); j++ {
+				cl := segs[j].class()
+				if cl > c {
+					break
+				}
+				if cl == c {
 					members++
 				}
 			}
@@ -1561,19 +1738,20 @@ func (e *Engine) compactOnce() (bool, error) {
 		return false, nil
 	}
 
-	// Heavy work off the lock: merge the disjoint sorted runs and train
-	// the replacement. Readers keep serving the old list meanwhile.
+	// Heavy work off the lock: merge the disjoint sorted runs, train the
+	// replacement, commit its file. Readers keep serving the old list
+	// meanwhile.
 	compactStart := time.Now()
 	var seg *segment
-	err := e.retryIO(func() error {
-		var werr error
-		if e.opts.StringKeys {
-			seg, werr = mergeRun(e, &strOps, run)
-		} else {
-			seg, werr = mergeRun(e, &u64Ops, run)
-		}
-		return werr
-	})
+	var err error
+	if e.opts.StringKeys {
+		seg, err = mergeRun(e, &strOps, run)
+	} else {
+		seg, err = mergeRun(e, &u64Ops, run)
+	}
+	if err == nil {
+		err = e.commitSegment(seg)
+	}
 	if err != nil {
 		// Segment-plane failure past its retries: the inputs stay live and
 		// every key stays served, but the engine stops taking writes.
@@ -1583,9 +1761,10 @@ func (e *Engine) compactOnce() (bool, error) {
 
 	e.segMu.Lock()
 	cur := slices.Clone(*e.segs.Load())
-	// Flush only appends and no other compaction runs (segMu serializes
-	// publication; the run was chosen under segMu too), so the run still
-	// sits at bestStart.
+	// No other compaction runs, and a drain or a flush only replaces the
+	// resident run at the tail — never in a run, see pickRun — or appends
+	// after it (segMu serializes publication; the run was chosen under segMu
+	// too), so the run still sits at bestStart.
 	next := append(cur[:bestStart:bestStart], seg)
 	next = append(next, cur[bestStart+bestLen:]...)
 	e.segs.Store(&next)
@@ -1614,17 +1793,24 @@ func (e *Engine) compactOnce() (bool, error) {
 }
 
 // mergeRun k-way merges the disjoint sorted key arrays of run into one
-// fresh array and commits it as the segment covering run's sequence range:
-// a head-comparison merge (the run count is capped at 2x the compaction
-// fanout, so the linear head scan beats a heap) instead of
-// concatenate-and-sort — no O(total log total) sort, no sort scratch, just
-// the exact-size output that the new segment retains.
+// fresh array and builds the segment covering run's sequence range over it.
 func mergeRun[K cmp.Ordered](e *Engine, ops *keyOps[K], run []*segment) (*segment, error) {
 	srcs := make([][]K, len(run))
-	total := 0
 	for i, s := range run {
 		srcs[i] = ops.keys(s)
-		total += len(srcs[i])
+	}
+	return ops.build(e, run[0].seqLo, run[len(run)-1].seqHi, mergeKeys(srcs))
+}
+
+// mergeKeys merges sorted key runs into one fresh sorted array: a
+// head-comparison merge (a compaction's run count is capped at 2x the
+// fanout and a drain merges two, so the linear head scan beats a heap)
+// instead of concatenate-and-sort — no O(total log total) sort, no sort
+// scratch, just the exact-size output that the new segment retains.
+func mergeKeys[K cmp.Ordered](srcs [][]K) []K {
+	total := 0
+	for _, src := range srcs {
+		total += len(src)
 	}
 	out := make([]K, 0, total)
 	for {
@@ -1636,7 +1822,7 @@ func mergeRun[K cmp.Ordered](e *Engine, ops *keyOps[K], run []*segment) (*segmen
 			}
 		}
 		if best < 0 {
-			return ops.write(e, run[0].seqLo, run[len(run)-1].seqHi, out)
+			return out
 		}
 		srcs[best] = srcs[best][1:]
 		// Runs are disjoint by the segment invariant; the adjacency check
@@ -1647,8 +1833,9 @@ func mergeRun[K cmp.Ordered](e *Engine, ops *keyOps[K], run []*segment) (*segmen
 	}
 }
 
-// Close flushes pending keys, stops the compactor, and closes the active
-// WAL. The engine is unusable afterwards. Returns the sticky write error,
+// Close stops the compactor, flushes — pending keys and the resident run
+// land in a segment file, so the next open replays no log and trains
+// nothing — and closes the active WAL. The engine is unusable afterwards. Returns the sticky write error,
 // if any, so a failed ack surfaces at least once.
 func (e *Engine) Close() error {
 	if e.closed.Swap(true) {

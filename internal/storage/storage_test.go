@@ -86,8 +86,14 @@ func TestEngineColdOpenDeserializesModels(t *testing.T) {
 	e := openT(t, dir, Options{})
 	e.Append(keys[:10_000]...)
 	e.Flush()
-	e.Append(keys[10_000:]...)
+	e.Append(keys[10_000:20_000]...)
 	e.Flush()
+	// The last third is only drained: Close spills the resident run, so the
+	// cold open finds a file for it too and has no log to replay.
+	e.Append(keys[20_000:]...)
+	if err := e.Drain(); err != nil {
+		t.Fatal(err)
+	}
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -40,7 +40,8 @@ import (
 //
 // Logs rotate rather than truncate: files are named wal-<seq>.log, and a
 // flush freezes the active log (fsync), starts a fresh one, and deletes
-// the frozen file only after its contents are committed to a segment.
+// the frozen file only after its contents are committed to a segment file
+// (a drain serves keys from memory and leaves the log alone).
 // Keys therefore always live in at least one durable place, and the
 // engine's write mutex is never held across segment training. Recovery
 // replays every wal-*.log in sequence order.
@@ -50,9 +51,10 @@ const (
 	maxWALRecord = 1 << 26
 	walHeaderLen = 8
 	// walExtent is how far ahead of the writes a log is reserved: several
-	// times what the serving layer's default flush cycle puts in one log
-	// (4096 keys, ~30 KiB of frames), so a commit rarely crosses it, and
-	// small enough that reserving it for every rotated log costs little.
+	// times what the serving layer's default drain cycle adds to a log
+	// (4096 keys, ~30 KiB of frames), so a commit rarely crosses it — a log
+	// lives until the resident run spills (spillKeys keys, a few extents) —
+	// and small enough that reserving it for every rotated log costs little.
 	walExtent = 256 << 10
 )
 
@@ -90,7 +92,7 @@ func parseWALStrFileName(name string) (seq uint64, ok bool) {
 // the Engine's write mutex; fsync and close additionally coordinate
 // through fsyncMu so a group-commit leader's fsync — which runs *off* the
 // engine mutex — can never race the file's close. A sync on a closed wal
-// is a no-op by design: the only closers are Flush (which fsyncs the
+// is a no-op by design: the only closers are a flush (which fsyncs the
 // frozen log before rotating past it) and Engine.Close, so a closed wal's
 // bytes are already durable or the engine has latched an error.
 type wal struct {
