@@ -82,21 +82,6 @@ func TestPublicAPILearnedHash(t *testing.T) {
 	}
 }
 
-func TestPublicAPIDelta(t *testing.T) {
-	keys := sortedKeys(5000)
-	d := learnedindex.NewDelta(append([]uint64{}, keys...), learnedindex.DefaultConfig(64), 1000)
-	last := keys[len(keys)-1]
-	for i := uint64(1); i <= 1500; i++ {
-		d.Insert(last + i)
-	}
-	if !d.Contains(last + 1500) {
-		t.Fatal("lost an insert")
-	}
-	if d.Merges() == 0 {
-		t.Fatal("expected a merge")
-	}
-}
-
 func TestPublicAPIGridSearch(t *testing.T) {
 	keys := sortedKeys(20_000)
 	probes := keys[:2000]

@@ -2,13 +2,11 @@
 // in-memory analytics index over web-server request timestamps, answering
 // time-window queries ("requests in a certain time frame"). Compares a
 // learned index against the B-Tree it replaces, including the hybrid
-// fallback for this "almost worst-case" distribution, and shows the
-// Appendix D.1 delta buffer absorbing today's appends.
+// fallback for this "almost worst-case" distribution.
 package main
 
 import (
 	"fmt"
-	"time"
 
 	"learnedindex/internal/btree"
 	"learnedindex/internal/core"
@@ -66,17 +64,4 @@ func main() {
 		}
 	}
 	fmt.Printf("\nbusiest hour of day 1: hour %d with %d requests\n", bestHour, bestCount)
-
-	// Appendix D.1: appends (new timestamps) buffered in a delta index with
-	// periodic merge+retrain.
-	delta := core.NewDelta(append([]uint64{}, keys...), cfg, 50_000)
-	start := time.Now()
-	next := keys[len(keys)-1]
-	for i := 0; i < 120_000; i++ {
-		next += uint64(1 + i%3)
-		delta.Insert(next)
-	}
-	fmt.Printf("\nappended 120k new timestamps in %v (%d merges, buffer now %d)\n",
-		time.Since(start).Round(time.Millisecond), delta.Merges(), delta.BufferLen())
-	fmt.Printf("count of appended window: %d\n", delta.Count(keys[len(keys)-1]+1, next+1))
 }

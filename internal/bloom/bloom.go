@@ -120,12 +120,17 @@ func (f *Filter) blockBase(h1 uint64) uint64 {
 }
 
 func (f *Filter) addBlocked(h1, h2 uint64) {
-	base := f.blockBase(h1)
-	for i := 0; i < f.k; i++ {
-		p := (h2 >> (9 * uint(i))) & blockBitMask
-		f.bits[base+p>>6] |= 1 << (p & 63)
-	}
+	setBlock(f.bits, f.blockBase(h1), h2, f.k)
 	f.n++
+}
+
+// setBlock sets the k probe bits of h2 in the block of bits starting at
+// word base: the one place the blocked probe-bit layout is written.
+func setBlock(bits []uint64, base, h2 uint64, k int) {
+	for i := 0; i < k; i++ {
+		p := (h2 >> (9 * uint(i))) & blockBitMask
+		bits[base+p>>6] |= 1 << (p & 63)
+	}
 }
 
 func (f *Filter) mayContainBlocked(h1, h2 uint64) bool {

@@ -58,90 +58,6 @@ func TestDefaultGridShape(t *testing.T) {
 	}
 }
 
-func TestDeltaIndexAppendWorkload(t *testing.T) {
-	// The Appendix D.1 append case: timestamps arriving in order.
-	keys := data.Weblogs(10_000, 1)
-	half := keys[:5000]
-	d := NewDelta(append([]uint64{}, half...), DefaultConfig(64), 1000)
-	for _, k := range keys[5000:] {
-		d.Insert(k)
-	}
-	if d.Len() != len(keys) {
-		t.Fatalf("Len = %d, want %d", d.Len(), len(keys))
-	}
-	if d.Merges() == 0 {
-		t.Fatal("expected at least one merge")
-	}
-	for _, k := range keys {
-		if !d.Contains(k) {
-			t.Fatalf("missing %d after inserts", k)
-		}
-	}
-}
-
-func TestDeltaIndexMidInserts(t *testing.T) {
-	base := data.Dense(2000, 0, 10) // 0, 10, 20, ...
-	d := NewDelta(append([]uint64{}, base...), DefaultConfig(16), 500)
-	// Insert keys in the middle of existing ranges.
-	for i := uint64(0); i < 1200; i++ {
-		d.Insert(i*10 + 5)
-	}
-	for i := uint64(0); i < 1200; i++ {
-		if !d.Contains(i*10 + 5) {
-			t.Fatalf("missing mid-insert %d", i*10+5)
-		}
-	}
-	for _, k := range base[:100] {
-		if !d.Contains(k) {
-			t.Fatalf("lost base key %d", k)
-		}
-	}
-}
-
-func TestDeltaIndexCount(t *testing.T) {
-	d := NewDelta([]uint64{10, 20, 30, 40}, DefaultConfig(4), 100)
-	d.Insert(25)
-	d.Insert(35)
-	if got := d.Count(20, 40); got != 4 { // 20, 25, 30, 35
-		t.Fatalf("Count(20,40) = %d, want 4", got)
-	}
-}
-
-func TestDeltaIndexDuplicateInserts(t *testing.T) {
-	d := NewDelta([]uint64{1, 2, 3}, DefaultConfig(4), 4)
-	// Re-inserts of present keys (base or buffer) are no-ops: they must not
-	// inflate Len/Count and must not fill the buffer toward a merge.
-	for i := 0; i < 10; i++ {
-		d.Insert(2)
-		d.Insert(5)
-	}
-	if d.Merges() != 0 {
-		t.Fatal("duplicate inserts should not fill the merge buffer")
-	}
-	if got := d.Len(); got != 4 {
-		t.Fatalf("Len = %d, want 4", got)
-	}
-	if got := d.Count(0, 100); got != 4 {
-		t.Fatalf("Count(0,100) = %d, want 4", got)
-	}
-	// Distinct inserts still trigger the merge, and it leaves no duplicates.
-	d.Insert(7)
-	d.Insert(9)
-	d.Insert(11) // buffer reaches threshold 4
-	if d.Merges() == 0 {
-		t.Fatal("expected merge")
-	}
-	ks := d.Keys()
-	for i := 1; i < len(ks); i++ {
-		if ks[i] == ks[i-1] {
-			t.Fatal("merge left duplicates")
-		}
-	}
-	if d.Len() != len(ks) || d.Len() != 7 {
-		t.Fatalf("Len = %d (keys %d), want 7", d.Len(), len(ks))
-	}
-}
-
 func TestNaiveIndexCorrect(t *testing.T) {
 	keys := data.Lognormal(5000, 0, 2, 1_000_000_000, 1)
 	ni := NewNaive(keys, 1)
@@ -167,5 +83,34 @@ func TestNaiveInterpretedMatchesNative(t *testing.T) {
 	}
 	if ni.GraphNodes() < 8 {
 		t.Fatalf("graph too small: %d nodes", ni.GraphNodes())
+	}
+}
+
+// TestRMILookupBatchSorted checks the amortized batch primitive against
+// per-key Lookup on uniform, lognormal, and adversarial (all-equal, empty,
+// out-of-range) ascending batches.
+func TestRMILookupBatchSorted(t *testing.T) {
+	keys := data.LognormalPaper(50_000, 3)
+	r := New(keys, DefaultConfig(500))
+	maxKey := keys[len(keys)-1]
+
+	batches := map[string][]uint64{
+		"empty":     {},
+		"all-equal": {keys[777], keys[777], keys[777], keys[777]},
+		"below-min": {0, 1, 2},
+		"above-max": {maxKey + 1, maxKey + 2, ^uint64(0)},
+		"uniform":   data.Uniform(3000, maxKey+10, 5),
+		"lognormal": data.SampleExisting(keys, 3000, 6),
+		"mixed":     append(data.SampleExisting(keys, 1500, 7), data.SampleMissing(keys, 1500, 8)...),
+	}
+	for name, batch := range batches {
+		sort.Slice(batch, func(i, j int) bool { return batch[i] < batch[j] })
+		out := make([]int, len(batch))
+		r.LookupBatchSorted(batch, out)
+		for i, k := range batch {
+			if want := r.Lookup(k); out[i] != want {
+				t.Fatalf("%s[%d]: batch Lookup(%d) = %d, per-key %d", name, i, k, out[i], want)
+			}
+		}
 	}
 }

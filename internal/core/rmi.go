@@ -217,7 +217,7 @@ type RMI struct {
 // Stage training runs on a bounded worker pool sized to GOMAXPROCS (see
 // train_parallel.go); results are bit-identical to the sequential trainer.
 func New(keys []uint64, cfg Config) *RMI {
-	return NewWithTrainWorkers(keys, cfg, trainingWorkers(len(keys)))
+	return NewWithTrainWorkers(keys, cfg, TrainingWorkers(len(keys)))
 }
 
 // NewWithTrainWorkers trains like New with an explicit stage-training

@@ -32,7 +32,7 @@ type StringIndex struct {
 // NewStringIndex builds a StringIndex over sorted unique keys. The key
 // bytes are copied into the index; keys is not retained.
 func NewStringIndex(keys []string, cfg Config) *StringIndex {
-	return NewStringIndexWorkers(keys, cfg, trainingWorkers(len(keys)))
+	return NewStringIndexWorkers(keys, cfg, TrainingWorkers(len(keys)))
 }
 
 // NewStringIndexWorkers builds like NewStringIndex with an explicit

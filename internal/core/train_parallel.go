@@ -35,10 +35,12 @@ const (
 	trainKeysPerWorker = 1 << 14
 )
 
-// trainingWorkers picks the stage-training worker count for n keys: 1
+// TrainingWorkers picks the stage-training worker count for n keys: 1
 // (the sequential trainer) on single-CPU hosts or small inputs, otherwise
-// GOMAXPROCS clamped so every worker has a meaningful share.
-func trainingWorkers(n int) int {
+// GOMAXPROCS clamped so every worker has a meaningful share. The storage
+// engine's segment build uses the same rule to decide when a model fit and
+// a Bloom filter build run side by side.
+func TrainingWorkers(n int) int {
 	w := runtime.GOMAXPROCS(0)
 	if w < 2 || n < parallelTrainMinKeys {
 		return 1

@@ -76,10 +76,10 @@ func TestParallelTrainerLookupEquivalence(t *testing.T) {
 }
 
 func TestTrainingWorkersClamp(t *testing.T) {
-	if w := trainingWorkers(100); w != 1 {
+	if w := TrainingWorkers(100); w != 1 {
 		t.Fatalf("tiny input got %d workers, want 1", w)
 	}
-	if w := trainingWorkers(1 << 22); w < 1 {
+	if w := TrainingWorkers(1 << 22); w < 1 {
 		t.Fatalf("workers=%d < 1", w)
 	}
 	// Explicit worker counts below 1 clamp instead of panicking.

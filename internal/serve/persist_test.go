@@ -1,14 +1,19 @@
 package serve
 
 import (
+	"errors"
+	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
 	"learnedindex/internal/core"
 	"learnedindex/internal/data"
+	"learnedindex/internal/vfs"
 )
 
 // TestPersistentStoreOracle drives the dir-backed Store against a map
@@ -225,5 +230,58 @@ func TestStaleMergeSignalDoesNotFlush(t *testing.T) {
 	}
 	if served := st.Len(); served <= (k-1)*thresh {
 		t.Fatalf("%d keys served and %d pending after %d thresholds of keys", served, st.Pending(), k)
+	}
+}
+
+// TestPreloadIsOneSegmentFile: Open's initial keys are bulk-loaded — one
+// segment file, counted as the one flush, nothing left in the log — and a
+// fault at that file's commit (ENOSPC on its write, EIO on its fsync) fails
+// Open, after which the directory opens with the same preload. Both key
+// kinds.
+func TestPreloadIsOneSegmentFile(t *testing.T) {
+	keys := data.Uniform(20_000, 1<<40, 31)
+	strs := make([]string, len(keys))
+	for i, k := range keys {
+		strs[i] = fmt.Sprintf("doc/%012x", k)
+	}
+	open := func(str bool, opt Options) (*Store, error) {
+		if str {
+			return OpenString(strs, core.Config{}, opt)
+		}
+		return Open(keys, core.Config{}, opt)
+	}
+	for _, str := range []bool{false, true} {
+		for _, fault := range []struct {
+			op    vfs.Op
+			cause error
+		}{{vfs.OpWrite, syscall.ENOSPC}, {vfs.OpSync, errors.New("EIO")}} {
+			fault := fault
+			dir := t.TempDir()
+			ffs := vfs.NewFaultFS(vfs.OS, vfs.FaultConfig{})
+			ffs.SetHook(func(op vfs.Op, path string) error {
+				if op == fault.op && strings.HasSuffix(path, ".seg.tmp") {
+					return fault.cause
+				}
+				return nil
+			})
+			if st, err := open(str, Options{Dir: dir, FS: ffs}); !errors.Is(err, vfs.ErrInjected) {
+				if err == nil {
+					st.Close()
+				}
+				t.Fatalf("str=%v, %v fault at the segment commit: Open returned %v", str, fault.op, err)
+			}
+			st, err := open(str, Options{Dir: dir})
+			if err != nil {
+				t.Fatalf("str=%v, %v fault: the second Open: %v", str, fault.op, err)
+			}
+			stats, _ := st.StorageStats()
+			if st.Len() != len(keys) || stats.Segments != 1 || stats.Flushes != 1 || stats.WALBytes != 0 {
+				t.Fatalf("str=%v: Len %d, %d segments, %d flushes, %d WAL bytes after a preloaded Open",
+					str, st.Len(), stats.Segments, stats.Flushes, stats.WALBytes)
+			}
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 }

@@ -62,8 +62,7 @@
 //     layers; an open scan is then fully isolated from later mutations.
 //   - A single Store method may be called from any number of goroutines
 //     concurrently with any other, including Insert, Flush, and Close.
-//     This package — not core.DeltaIndex, which is single-goroutine only —
-//     is the supported concurrent entry point.
+//     This package is the supported concurrent entry point.
 //
 // # Persistence
 //
@@ -385,6 +384,9 @@ func New(keys []uint64, cfg core.Config, opt Options) *Store {
 // engine rooted there, re-serves everything durable from the deserialized
 // segment models, persists the provided initial keys (idempotently — keys
 // already on disk are deduplicated), and starts the background flusher.
+// The initial keys are a bulk load (storage.Engine.BulkLoad): written as
+// one segment file, never logged, and durable when Open returns — a crash
+// inside Open leaves all of them or none.
 func Open(keys []uint64, cfg core.Config, opt Options) (*Store, error) {
 	if opt.Dir != "" {
 		return openPersistent(keys, cfg, opt)
@@ -422,17 +424,10 @@ func openPersistent(keys []uint64, cfg core.Config, opt Options) (*Store, error)
 		eng.Close()
 		return nil, err
 	}
-	if len(keys) > 0 {
-		if err := eng.Append(keys...); err != nil {
-			s.closeDebug()
-			eng.Close()
-			return nil, err
-		}
-		if err := eng.Flush(); err != nil {
-			s.closeDebug()
-			eng.Close()
-			return nil, err
-		}
+	if err := eng.BulkLoad(keys); err != nil {
+		s.closeDebug()
+		eng.Close()
+		return nil, err
 	}
 	s.wg.Add(1)
 	go s.merger()

@@ -63,8 +63,9 @@ func NewString(keys []string, cfg core.Config, opt Options) *Store {
 
 // OpenString builds a string-keyed Store like NewString, returning engine
 // errors instead of panicking. With opt.Dir set it opens (or recovers) the
-// persistent engine in string mode — v2 segment files, string WAL — and
-// re-serves everything durable from the deserialized codec indexes.
+// persistent engine in string mode — v2 segment files, string WAL —
+// re-serves everything durable from the deserialized codec indexes, and
+// bulk-loads the initial keys as one v2 segment file, as Open does.
 func OpenString(keys []string, cfg core.Config, opt Options) (*Store, error) {
 	if opt.Dir != "" {
 		return openPersistentStr(keys, cfg, opt)
@@ -104,17 +105,10 @@ func openPersistentStr(keys []string, cfg core.Config, opt Options) (*Store, err
 		eng.Close()
 		return nil, err
 	}
-	if len(keys) > 0 {
-		if err := eng.AppendStringBatch(keys); err != nil {
-			s.closeDebug()
-			eng.Close()
-			return nil, err
-		}
-		if err := eng.Flush(); err != nil {
-			s.closeDebug()
-			eng.Close()
-			return nil, err
-		}
+	if err := eng.BulkLoadStrings(keys); err != nil {
+		s.closeDebug()
+		eng.Close()
+		return nil, err
 	}
 	s.wg.Add(1)
 	go s.merger()

@@ -1,9 +1,12 @@
 package storage
 
 import (
+	"slices"
 	"sync/atomic"
 	"testing"
 
+	"learnedindex/internal/bloom"
+	"learnedindex/internal/core"
 	"learnedindex/internal/data"
 )
 
@@ -111,5 +114,40 @@ func BenchmarkEngineFlushSegment(b *testing.B) {
 		b.StopTimer()
 		e.Close()
 		b.StartTimer()
+	}
+}
+
+// BenchmarkBuildSegment prices the build of a 2M-key lognormal segment —
+// the disk-mixed preload's — as it was, the model fit and then a per-key
+// filter loop, against buildSegment, which on two or more CPUs runs the
+// fit beside a batched filter build on as many workers. Both must encode
+// to the same image; compare the two with -cpu 2 or more.
+func BenchmarkBuildSegment(b *testing.B) {
+	keys := dedupSorted(data.LognormalPaper(2_000_000, 1))
+	sequential := func() *segment {
+		rmi := core.New(keys, core.Config{})
+		filter := bloom.NewBlocked(len(keys), 0.01)
+		for _, k := range keys {
+			filter.AddUint64(k)
+		}
+		return &segment{keys: keys, rmi: rmi, plan: rmi.Plan(), filter: filter}
+	}
+	overlapped := func() *segment { return buildSegment(0, 0, keys, core.Config{}, 0.01) }
+	want, err := encodeLiveSegment(sequential())
+	if err != nil {
+		b.Fatal(err)
+	}
+	if got, err := encodeLiveSegment(overlapped()); err != nil || !slices.Equal(got, want) {
+		b.Fatalf("the overlapped build encodes a different image (err %v)", err)
+	}
+	for _, c := range []struct {
+		name  string
+		build func() *segment
+	}{{"sequential", sequential}, {"overlapped", overlapped}} {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				c.build()
+			}
+		})
 	}
 }

@@ -264,18 +264,36 @@ func decodeSegment(data []byte) ([]uint64, *core.RMI, *bloom.Filter, error) {
 // non-empty) and returns the segment that serves them: complete in memory,
 // with no file yet (path == ""). commitSegment gives it one.
 func buildSegment(seqLo, seqHi uint64, keys []uint64, cfg core.Config, fpr float64) *segment {
-	rmi := core.New(keys, cfg)
-	// Register-blocked filter: a miss probe walking the segment list costs
-	// one cache line per segment instead of k scattered touches. Old
-	// segments carrying standard-layout filters keep decoding fine.
-	filter := bloom.NewBlocked(len(keys), fpr)
-	for _, k := range keys {
-		filter.AddUint64(k)
-	}
+	var rmi *core.RMI
+	filter := fitBesideFilter(func() { rmi = core.New(keys, cfg) }, keys, fpr, bloom.HashUint64)
 	return &segment{
 		seqLo: seqLo, seqHi: seqHi,
 		keys: keys, rmi: rmi, plan: rmi.Plan(), filter: filter,
 	}
+}
+
+// fitBesideFilter runs fit — the segment's model training — and builds the
+// segment's Bloom filter over keys. The filter is register-blocked: a miss
+// probe walking the segment list costs one cache line per segment instead
+// of k scattered touches (old segments carrying standard-layout filters
+// keep decoding fine). Where core's trainer would run in parallel (its
+// TrainingWorkers rule: GOMAXPROCS >= 2 and enough keys) the two run side
+// by side, the filter on as many workers as BuildBlocked allows (two);
+// otherwise one after the other.
+func fitBesideFilter[K any](fit func(), keys []K, fpr float64, hash func(K) (h1, h2 uint64)) *bloom.Filter {
+	workers := core.TrainingWorkers(len(keys))
+	if workers < 2 {
+		fit()
+		return bloom.BuildBlocked(keys, fpr, hash, 1)
+	}
+	fitted := make(chan struct{})
+	go func() {
+		defer close(fitted)
+		fit()
+	}()
+	filter := bloom.BuildBlocked(keys, fpr, hash, workers)
+	<-fitted
+	return filter
 }
 
 // commitSegment encodes a built segment that no reader can reach yet and
@@ -406,12 +424,9 @@ func buildStringSegment(seqLo, seqHi uint64, keys []string, cfg core.Config, fpr
 	if err != nil {
 		return nil, err
 	}
-	rmi := core.New(prefixes, cfg)
+	var rmi *core.RMI
+	filter := fitBesideFilter(func() { rmi = core.New(prefixes, cfg) }, keys, fpr, bloom.HashString)
 	si := core.AssembleStringIndex(rmi, dict)
-	filter := bloom.NewBlocked(len(keys), fpr)
-	for _, k := range keys {
-		filter.Add(k)
-	}
 	return &segment{
 		seqLo: seqLo, seqHi: seqHi,
 		keys: prefixes, rmi: rmi, plan: si.Plan(), filter: filter,

@@ -968,7 +968,10 @@ const spillKeys = 1 << 16
 // segment and committing it happen off the write path, so concurrent
 // Appends proceed during the heavy part. The frozen log is deleted only
 // after the segment is committed — a crash in between re-replays it into
-// duplicates, never a loss.
+// duplicates, never a loss. Keys that are not in the log yet — a preload —
+// need no log at all: BulkLoad writes them as the segment directly, where
+// Append + Flush would encode, write and fsync every key into a log first
+// only to delete it.
 func (e *Engine) Flush() error {
 	e.flushMu.Lock()
 	defer e.flushMu.Unlock()
@@ -990,6 +993,64 @@ func (e *Engine) Drain() error {
 		return e.spill()
 	}
 	return e.drain()
+}
+
+// BulkLoad makes keys (any order, duplicates allowed) served and durable
+// as one segment file without logging them: sort, dedupe against the
+// served segments, train, commit the file (temp file → fsync → rename →
+// directory fsync) under the next sequence number, publish. The keys are
+// durable when it returns nil, as after a Flush; a crash before then
+// leaves none of them. It is the preload of a freshly opened engine and
+// refuses any other state: pending keys or a resident run (its segment
+// would land behind the run, which must stay last in the list), or a
+// replication sink (no log frame is written, so a follower would never see
+// the keys). A failed segment write degrades the engine, like a failed
+// Flush.
+func (e *Engine) BulkLoad(keys []uint64) error {
+	if e.opts.StringKeys {
+		panic("storage: uint64 bulk load on a string-keyed engine")
+	}
+	return bulkLoad(e, &u64Ops, keys)
+}
+
+// BulkLoadStrings is BulkLoad for a string-keyed engine.
+func (e *Engine) BulkLoadStrings(keys []string) error {
+	if !e.opts.StringKeys {
+		panic("storage: string bulk load on a uint64-keyed engine")
+	}
+	return bulkLoad(e, &strOps, keys)
+}
+
+func bulkLoad[K cmp.Ordered](e *Engine, ops *keyOps[K], keys []K) error {
+	if len(keys) == 0 {
+		return nil
+	}
+	// flushMu keeps drains out, so no resident run appears behind the check.
+	e.flushMu.Lock()
+	defer e.flushMu.Unlock()
+	e.mu.Lock()
+	err := e.writeGateLocked()
+	switch {
+	case err != nil:
+	case e.closed.Load():
+		err = fmt.Errorf("storage: engine closed")
+	case len(e.pending)+len(e.pendingS) > 0 || residentOf(*e.segs.Load()) != nil:
+		err = fmt.Errorf("storage: bulk load into an engine with unspilled keys (Flush first)")
+	case e.replSink != nil:
+		err = fmt.Errorf("storage: bulk load into an engine that ships its log")
+	}
+	e.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	start := time.Now()
+	if err := materialize(e, ops, keys, nil, true, e.m.flushes); err != nil {
+		e.degrade(err)
+		return err
+	}
+	e.m.flushNs.ObserveDuration(time.Since(start))
+	e.kickCompactor()
+	return nil
 }
 
 // residentOf returns the resident run of a segment list, or nil.
@@ -1178,7 +1239,7 @@ func (e *Engine) drain() error {
 // sustained ingest stops re-growing a fresh pending slice per drain cycle.
 // They are shared by every engine of the process, and a buffer taken at a
 // freeze is held until that engine's next one, so only buffers of a few
-// drain cycles' size go back: a bulk preload's buffer, recycled, would be
+// drain cycles' size go back: one large Append's buffer, recycled, would be
 // pinned by whichever engine froze next for as long as that engine lives.
 // The engine has no drain threshold of its own to size the bound by — its
 // owner decides when to drain, the serving layer at 4096 pending keys by
@@ -1204,11 +1265,12 @@ func recyclePending[K any](pool *slicepool.Pool[K], b []K) {
 // remainder with the resident run res (nil when there is none) and
 // publishes the result in res's place at the tail of the list: as the new
 // resident run, or, with spill, as a committed segment file under the next
-// sequence number. Called from spill and drain (off the write mutex) and from Open
-// (recovery replay, count == nil — recovery is neither a flush nor a
-// drain). count is bumped under segMu together with the publication, so a
-// concurrent Stats never observes the segment without its flush, or alone
-// when everything deduplicated away and there is nothing to publish.
+// sequence number. Called from spill, drain and bulkLoad (off the write
+// mutex) and from Open (recovery replay, count == nil — recovery is neither
+// a flush nor a drain). count is bumped under segMu together with the
+// publication, so a concurrent Stats never observes the segment without its
+// flush, or alone when everything deduplicated away and there is nothing to
+// publish.
 func materialize[K cmp.Ordered](e *Engine, ops *keyOps[K], keys []K, res *segment, spill bool, count *obs.Counter) error {
 	fresh := slices.Clone(keys)
 	slices.Sort(fresh)

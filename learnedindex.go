@@ -86,10 +86,6 @@ type (
 	// deduplicated prefix array plus per-key length and suffix bytes in one
 	// pointer-free arena, materialized as strings only on request.
 	KeyDict = keycodec.Dict
-
-	// DeltaIndex adds insert support through the buffered-merge strategy of
-	// Appendix D.1. It is single-goroutine only; use Store for concurrency.
-	DeltaIndex = core.DeltaIndex
 )
 
 // Serving layer: the concurrent entry point (internal/serve).
@@ -226,8 +222,6 @@ var (
 	NewString = core.NewString
 	// DefaultStringConfig mirrors Figure 6's learned-index rows.
 	DefaultStringConfig = core.DefaultStringConfig
-	// NewDelta wraps an RMI with an insert buffer (Appendix D.1).
-	NewDelta = core.NewDelta
 	// NewStore builds the concurrent sharded serving layer and starts its
 	// background merger; Close it when done. Panics on a storage error
 	// when StoreOptions.Dir is set — prefer OpenStore for persistence.
