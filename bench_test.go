@@ -1,12 +1,14 @@
 // Root benchmark suite: one testing.B benchmark per paper table/figure,
-// plus the ablations DESIGN.md §5 calls out. The heavyweight table
-// generators live in internal/experiments (shared with cmd/lix-bench);
-// these benches measure the individual contenders under the Go benchmark
-// harness so `go test -bench=. -benchmem` reproduces every comparison.
+// plus ablations of the RMI's design choices (search strategy, error
+// bounds, top model, hybrid threshold). The heavyweight table generators
+// live in internal/experiments (shared with cmd/lix-bench); these benches
+// measure the individual contenders under the Go benchmark harness so
+// `go test -bench=. -benchmem` reproduces every comparison.
 //
-// Scale: datasets default to 1M keys (paper: 200M) with ratios preserved;
-// see DESIGN.md §3. Custom metrics (index size, conflict rates, filter
-// sizes) are attached via b.ReportMetric.
+// Scale: datasets default to 1M keys (paper: 200M), with structure sizes
+// derived from N so the paper's keys-per-page, keys-per-leaf and
+// occupancy ratios hold. Custom metrics (index size, conflict rates,
+// filter sizes) are attached via b.ReportMetric.
 package learnedindex_test
 
 import (
@@ -87,7 +89,7 @@ func BenchmarkFigure4Learned(b *testing.B) {
 	// Second-stage sizes at the paper's keys-per-leaf ratios
 	// (10k/50k/100k/200k models per 200M keys). The top model family is the
 	// grid-search winner at this scale (linear; scalar Go pays ~300ns for a
-	// 2x16 NN that SIMD C++ runs in tens of ns — see DESIGN.md §3).
+	// 2x16 NN that SIMD C++ runs in tens of ns).
 	for name, keys := range datasets() {
 		for _, perLeaf := range []int{20000, 4000, 2000, 1000} {
 			cfg := core.DefaultConfig(len(keys) / perLeaf)
@@ -478,7 +480,7 @@ func BenchmarkNaiveBinarySearchWholeArray(b *testing.B) {
 	_ = sink
 }
 
-// --- Ablations (DESIGN.md §5) -------------------------------------------
+// --- Ablations -----------------------------------------------------------
 
 // BenchmarkAblationSearchStrategies compares the §3.4 strategies on the
 // same trained index.

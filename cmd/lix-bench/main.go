@@ -5,66 +5,19 @@
 //	lix-bench [flags] <experiment>...
 //
 // Experiments: naive, figure4, figure5, figure6, figure8, figure10,
-// figure11, table1, appendixA, appendixE, serve, storage, compiled,
-// searchshootout, writepath, scan, stringkeys, obs, faults, repl,
-// serving, all (everything except the GRU-training path of figure10; add
-// -gru to include it). serve, storage, compiled, searchshootout,
-// writepath, scan, stringkeys, obs, faults, repl, and serving
-// are this repo's extensions beyond the paper: serve is
-// single-threaded per-key lookups vs the sharded concurrent batch serving
-// layer; storage is the persistent learned-segment engine — WAL ingest,
-// on-disk lookup throughput, and cold-open latency vs the in-memory RMI
-// (-dir controls where its segment files are written); compiled is the
-// devirtualized flat read path (core.Plan) vs the interpreted model tree;
-// searchshootout races the §3.4 last-mile strategies plus branchless
-// lower-bound search on identical precomputed windows; writepath is the
-// multi-core write plane — group-commit WAL throughput vs concurrent
-// committers, parallel-training wall time vs worker count, and the
-// concurrent-merge flush barrier; scan is the streaming range-scan
-// subsystem — loser-tree merge throughput vs range width, model-biased vs
-// binary-search scan entry, and learned COUNT vs iterate-and-count;
-// stringkeys is the order-preserving key codec end to end — string
-// membership, lower-bound lookup, range scans, and learned COUNT through
-// core.StringIndex and the string-keyed Store vs map[string]struct{} and
-// sorted-slice + sort.SearchStrings baselines; obs is the metrics-plane
-// overhead probe — single-key lookup, batch-16, scan Next, and durable
-// commit, with the build (metrics=on vs -tags noobs metrics=off) baked
-// into each config name so two runs merged via bestof expose the on/off
-// delta per surface; faults is the fault-injection seam probe — the
-// durable-commit and flush gates run on the raw vfs.OS passthrough and
-// again through a disarmed vfs.FaultFS, with the per-gate overhead of the
-// injectable indirection (the failure-model PR's <1% claim) and the cost
-// of a clean scrub pass in each row's extras; repl is the WAL-shipping
-// replication plane — end-to-end ship throughput (primary durable commit
-// to follower durable apply) under concurrent writers with the sampled
-// steady-state lag in each row's extras, and cold-follower catch-up
-// (snapshot transfer + WAL tail) to exact convergence; serving is the
-// network serving plane under mixed load — a three-node range-partitioned
-// cluster behind real TCP wire servers, driven through the
-// internal/router client by concurrent workers replaying Zipf hot-key
-// reads mixed with routed insert batches, with per-RPC p50/p99 wire
-// latency in each row's extras.
+// figure11, table1, appendixA, appendixE, compiled, searchshootout, all
+// (everything except the GRU-training path of figure10; add -gru to
+// include it). compiled and searchshootout go beyond the paper: compiled
+// is the devirtualized flat read path (core.Plan) vs the interpreted
+// model tree; searchshootout races the §3.4 last-mile strategies plus
+// branchless lower-bound search on identical precomputed windows. The
+// repo's own serving, storage, wire and replication planes are measured
+// by the benchmark module under benchmark/, not here.
 //
-// Experiments also write machine-readable BENCH_<experiment>.json files
-// (ns/op, bytes, maxErr per config) to -jsondir (default "."; empty
-// disables), so the repo's perf trajectory is diffable across PRs.
-//
-// The special experiment name "diff" compares instead of measuring:
-//
-//	lix-bench diff <priorDir> <freshDir>
-//
-// matches every BENCH_*.json in freshDir against its namesake in priorDir
-// config-by-config and exits non-zero if any ns/op slowdown exceeds
-// -regress percent (default 25) — the CI guard over the checked-in runs.
-// Both sides should be min-of-N merges:
-//
-//	lix-bench bestof <outDir> <runDir>...
-//
-// keeps, per config, the fastest row seen across the run dirs (the floor
-// is the measurement; everything above it is scheduler noise).
-//
-// Flags scale the run; defaults are laptop-sized with the paper's ratios
-// preserved (see DESIGN.md §3).
+// Flags scale the run. Defaults are laptop-sized; experiments size their
+// structures from -n so the paper's ratios (keys per B-Tree page, keys
+// per RMI leaf, key-domain occupancy) hold at any size (see
+// experiments.Options).
 package main
 
 import (
@@ -73,7 +26,6 @@ import (
 	"os"
 	"time"
 
-	"learnedindex/internal/bench"
 	"learnedindex/internal/experiments"
 )
 
@@ -85,66 +37,22 @@ func main() {
 	rounds := flag.Int("rounds", 3, "timing rounds")
 	seed := flag.Int64("seed", 1, "dataset seed")
 	gru := flag.Bool("gru", false, "train the GRU series in figure10 (slow)")
-	dir := flag.String("dir", os.TempDir(), "directory for the storage experiment's segment files")
-	jsonDir := flag.String("jsondir", ".", "directory for machine-readable BENCH_<experiment>.json results (empty disables)")
-	regress := flag.Float64("regress", 25, "diff mode: flag ns/op slowdowns above this percent")
 	flag.Parse()
 
 	opts := experiments.Options{
 		N: *n, NStr: *nstr, NUrl: *nurl,
 		Probes: *probes, Rounds: *rounds, Seed: *seed,
-		Dir: *dir, JSONDir: *jsonDir,
 		Out: os.Stdout,
 	}
 
 	args := flag.Args()
 	if len(args) == 0 {
-		fmt.Fprintln(os.Stderr, "usage: lix-bench [flags] <naive|figure4|figure5|figure6|figure8|figure10|figure11|table1|appendixA|appendixE|serve|storage|compiled|searchshootout|writepath|scan|stringkeys|obs|faults|repl|serving|all>...")
-		fmt.Fprintln(os.Stderr, "       lix-bench [-regress pct] diff <priorDir> <freshDir>")
+		fmt.Fprintln(os.Stderr, "usage: lix-bench [flags] <naive|figure4|figure5|figure6|figure8|figure10|figure11|table1|appendixA|appendixE|compiled|searchshootout|all>...")
 		os.Exit(2)
-	}
-	if args[0] == "diff" {
-		if len(args) != 3 {
-			fmt.Fprintln(os.Stderr, "usage: lix-bench [-regress pct] diff <priorDir> <freshDir>")
-			os.Exit(2)
-		}
-		diffRuns(args[1], args[2], *regress)
-		return
-	}
-	if args[0] == "bestof" {
-		if len(args) < 3 {
-			fmt.Fprintln(os.Stderr, "usage: lix-bench bestof <outDir> <runDir>...")
-			os.Exit(2)
-		}
-		paths, err := bench.WriteBest(args[1], args[2:]...)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		for _, p := range paths {
-			fmt.Printf("wrote %s\n", p)
-		}
-		return
 	}
 	for _, exp := range args {
 		run(exp, opts, *gru)
 	}
-}
-
-// diffRuns compares freshDir's BENCH_*.json against priorDir's and exits
-// non-zero when any config's ns/op regressed past the threshold.
-func diffRuns(priorDir, freshDir string, regressPct float64) {
-	rows, err := bench.DiffDirs(priorDir, freshDir)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	regressions := bench.RenderDiff(os.Stdout, rows, regressPct)
-	if len(regressions) > 0 {
-		fmt.Fprintf(os.Stderr, "%d config(s) regressed more than %.0f%%\n", len(regressions), regressPct)
-		os.Exit(1)
-	}
-	fmt.Printf("[diff: %d configs compared, none regressed more than %.0f%%]\n", len(rows), regressPct)
 }
 
 func run(exp string, opts experiments.Options, gru bool) {
@@ -170,30 +78,12 @@ func run(exp string, opts experiments.Options, gru bool) {
 		experiments.AppendixA(opts)
 	case "appendixE":
 		experiments.AppendixE(opts)
-	case "serve":
-		experiments.Serve(opts)
-	case "storage":
-		experiments.Storage(opts)
 	case "compiled":
 		experiments.Compiled(opts)
 	case "searchshootout":
 		experiments.SearchShootout(opts)
-	case "writepath":
-		experiments.WritePath(opts)
-	case "scan":
-		experiments.Scan(opts)
-	case "stringkeys":
-		experiments.StringKeys(opts)
-	case "obs":
-		experiments.Obs(opts)
-	case "faults":
-		experiments.Faults(opts)
-	case "repl":
-		experiments.Repl(opts)
-	case "serving":
-		experiments.Serving(opts)
 	case "all":
-		for _, e := range []string{"naive", "figure4", "figure5", "figure6", "figure8", "figure10", "figure11", "table1", "appendixA", "appendixE", "serve", "storage", "compiled", "searchshootout", "writepath", "scan", "stringkeys", "obs", "faults", "repl", "serving"} {
+		for _, e := range []string{"naive", "figure4", "figure5", "figure6", "figure8", "figure10", "figure11", "table1", "appendixA", "appendixE", "compiled", "searchshootout"} {
 			run(e, opts, gru)
 		}
 		return

@@ -1,5 +1,5 @@
-// Package bench is the measurement harness behind cmd/lix-bench and the
-// EXPERIMENTS.md tables: nanosecond-scale lookup timing with warm-up,
+// Package bench is the measurement harness behind cmd/lix-bench's paper
+// tables (internal/experiments): nanosecond-scale lookup timing with warm-up,
 // size accounting, and fixed-width table rendering that mirrors the paper's
 // figure layout (value plus "(x.xx×)" factor against a reference row).
 package bench

@@ -16,7 +16,6 @@ type CompiledRow struct {
 	PerKey   time.Duration
 	SpeedUp  float64 // vs the interpreted equivalent
 	Batched  bool
-	MaxErr   int
 	IdxBytes int
 }
 
@@ -70,29 +69,20 @@ func Compiled(o Options) []CompiledRow {
 	compiledUnsorted := timeBatch(func(batch []uint64, out []int) { p.LookupBatch(batch, out) })
 
 	rows := []CompiledRow{
-		{Config: "interpreted single-key", PerKey: interp, SpeedUp: 1, MaxErr: r.MaxAbsErr(), IdxBytes: r.SizeBytes()},
-		{Config: "compiled single-key", PerKey: compiled, SpeedUp: float64(interp) / float64(compiled), MaxErr: r.MaxAbsErr(), IdxBytes: r.SizeBytes()},
-		{Config: "interpreted batch-sorted", PerKey: interpBatch, SpeedUp: 1, Batched: true, MaxErr: r.MaxAbsErr(), IdxBytes: r.SizeBytes()},
-		{Config: "compiled batch-sorted", PerKey: compiledBatch, SpeedUp: float64(interpBatch) / float64(compiledBatch), Batched: true, MaxErr: r.MaxAbsErr(), IdxBytes: r.SizeBytes()},
-		{Config: "compiled batch-interleaved", PerKey: compiledUnsorted, SpeedUp: float64(interp) / float64(compiledUnsorted), Batched: true, MaxErr: r.MaxAbsErr(), IdxBytes: r.SizeBytes()},
+		{Config: "interpreted single-key", PerKey: interp, SpeedUp: 1, IdxBytes: r.SizeBytes()},
+		{Config: "compiled single-key", PerKey: compiled, SpeedUp: float64(interp) / float64(compiled), IdxBytes: r.SizeBytes()},
+		{Config: "interpreted batch-sorted", PerKey: interpBatch, SpeedUp: 1, Batched: true, IdxBytes: r.SizeBytes()},
+		{Config: "compiled batch-sorted", PerKey: compiledBatch, SpeedUp: float64(interpBatch) / float64(compiledBatch), Batched: true, IdxBytes: r.SizeBytes()},
+		{Config: "compiled batch-interleaved", PerKey: compiledUnsorted, SpeedUp: float64(interp) / float64(compiledUnsorted), Batched: true, IdxBytes: r.SizeBytes()},
 	}
 
 	t := &bench.Table{
 		Title:   fmt.Sprintf("Compiled vs interpreted read path — %d keys, %d probes, batch %d", len(keys), len(probes), batchSize),
 		Headers: []string{"Config", "ns/key", "Speedup"},
 	}
-	rep := &bench.Report{Experiment: "compiled", N: o.N, Probes: o.Probes}
 	for _, row := range rows {
 		t.Add(row.Config, ns(row.PerKey), bench.Factor(row.SpeedUp))
-		rep.Add(bench.ReportRow{
-			Config:  row.Config,
-			NsPerOp: float64(row.PerKey.Nanoseconds()),
-			Bytes:   row.IdxBytes,
-			MaxErr:  row.MaxErr,
-			Extra:   map[string]float64{"speedup_vs_interpreted": row.SpeedUp},
-		})
 	}
 	render(o, t)
-	emitJSON(o, rep)
 	return rows
 }

@@ -1,8 +1,8 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation. Each function builds the workload, trains/builds all
 // contenders, measures, and renders a table in the figure's layout. The
-// same code paths back cmd/lix-bench and the root-level testing.B
-// benchmarks, so EXPERIMENTS.md numbers are reproducible from either.
+// same contenders back cmd/lix-bench and the root-level testing.B
+// benchmarks, so every table is reproducible from either.
 package experiments
 
 import (
@@ -16,8 +16,10 @@ import (
 )
 
 // Options scales an experiment run. The paper runs at 200M keys; defaults
-// here are laptop-sized with ratios (keys per B-Tree page, keys per RMI
-// leaf, key-domain occupancy) preserved, per DESIGN.md §3.
+// here are laptop-sized, and experiments derive their structure sizes from
+// N so the paper's ratios (keys per B-Tree page, keys per RMI leaf,
+// key-domain occupancy) hold at any N — except the hash experiments' leaf
+// count (see Figure8).
 type Options struct {
 	N      int   // dataset size (default 2M for integer experiments)
 	NStr   int   // string dataset size (default 200k)
@@ -25,16 +27,7 @@ type Options struct {
 	Probes int   // lookup probes per measurement (default 200k)
 	Rounds int   // timing rounds (default 3)
 	Seed   int64 // dataset seed
-	// Dir is where the storage experiment writes its segment files; empty
-	// means the OS temp directory. A unique subdirectory is created and
-	// removed per run either way.
-	Dir string
-	// JSONDir, when non-empty, makes experiments additionally write their
-	// results as machine-readable BENCH_<experiment>.json files there
-	// (ns/op, bytes, maxErr per config), so the repo's perf trajectory is
-	// diffable across PRs.
-	JSONDir string
-	Out     io.Writer
+	Out    io.Writer
 }
 
 func (o Options) withDefaults() Options {
@@ -77,35 +70,11 @@ func IntegerDatasets(n int, seed int64) []struct {
 
 func ns(d time.Duration) string { return fmt.Sprintf("%d", d.Nanoseconds()) }
 
-// pct renders a ratio as the paper's "xx.x%" model-time share.
-func pct(part, whole time.Duration) string {
-	if whole <= 0 {
-		return "-"
-	}
-	return fmt.Sprintf("%.1f%%", 100*float64(part)/float64(whole))
-}
-
 func render(o Options, t *bench.Table) {
 	if o.Out == nil {
 		return
 	}
 	t.Render(o.Out)
-}
-
-// emitJSON writes rep to Options.JSONDir (when set) and logs the path.
-func emitJSON(o Options, rep *bench.Report) {
-	if o.JSONDir == "" {
-		return
-	}
-	path, err := rep.WriteJSON(o.JSONDir)
-	if o.Out == nil {
-		return
-	}
-	if err != nil {
-		fmt.Fprintf(o.Out, "bench json: %v\n", err)
-		return
-	}
-	fmt.Fprintf(o.Out, "wrote %s\n", path)
 }
 
 // dsCache memoizes generated datasets per (kind, n, seed) — dense lognormal

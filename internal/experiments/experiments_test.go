@@ -2,12 +2,8 @@ package experiments
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
-
-	"learnedindex/internal/obs"
 )
 
 // tiny returns laptop-CI-sized options with table rendering captured.
@@ -210,78 +206,8 @@ func TestAppendixAScaling(t *testing.T) {
 	}
 }
 
-func TestStorageShapeHolds(t *testing.T) {
-	o, buf := tiny()
-	rows := Storage(o)
-	if len(rows) != 3 {
-		t.Fatalf("got %d rows", len(rows))
-	}
-	ingest, cold := rows[1], rows[2]
-	// The acceptance property: a cold open serves from deserialized
-	// segment models only — zero RMIs trained, everything loaded.
-	if cold.ModelsTrained != 0 {
-		t.Errorf("cold open trained %d models, want 0", cold.ModelsTrained)
-	}
-	if cold.ModelsLoaded == 0 || cold.Segments == 0 {
-		t.Errorf("cold open loaded nothing: %+v", cold)
-	}
-	if ingest.Segments == 0 || ingest.DiskBytes == 0 {
-		t.Errorf("ingest produced no on-disk state: %+v", ingest)
-	}
-	for _, r := range rows {
-		if r.HitNs <= 0 || r.MissNs <= 0 {
-			t.Errorf("%s: no measurement", r.Name)
-		}
-	}
-	if !strings.Contains(buf.String(), "0 retrains") {
-		t.Fatal("cold-open summary not rendered")
-	}
-}
-
-func TestWritePathShapeHolds(t *testing.T) {
-	o, buf := tiny()
-	rows := WritePath(o)
-	if len(rows) < 8 {
-		t.Fatalf("got %d rows, want >= 8", len(rows))
-	}
-	var commitRows, trainRows, mergeRows int
-	for _, r := range rows {
-		if r.Wall <= 0 || r.PerOpNs <= 0 {
-			t.Errorf("%s: no measurement", r.Name)
-		}
-		switch {
-		case strings.HasPrefix(r.Name, "commit/"):
-			commitRows++
-			// Every durable insert is covered by at least one fsync, and a
-			// cohort can never sync more often than once per commit.
-			if r.Fsyncs <= 0 {
-				t.Errorf("%s: no fsyncs recorded", r.Name)
-			}
-			if r.KeysPerFsync < 1 {
-				t.Errorf("%s: keys/fsync %.2f < 1", r.Name, r.KeysPerFsync)
-			}
-		case strings.HasPrefix(r.Name, "train/"):
-			trainRows++
-		case strings.HasPrefix(r.Name, "merge/"):
-			mergeRows++
-		}
-	}
-	if commitRows != 4 || trainRows < 3 || mergeRows != 1 {
-		t.Fatalf("row shape: %d commit, %d train, %d merge", commitRows, trainRows, mergeRows)
-	}
-	if rows[0].Speedup != 1.0 {
-		t.Errorf("baseline speedup %.2f, want 1.0", rows[0].Speedup)
-	}
-	// No timing asserts here (1-vCPU CI): the measured >=3x group-commit
-	// claim lives in the checked-in BENCH_writepath.json.
-	if !strings.Contains(buf.String(), "Write path") {
-		t.Fatal("table not rendered")
-	}
-}
-
 func TestCompiledShapeHolds(t *testing.T) {
 	o, buf := tiny()
-	o.JSONDir = t.TempDir()
 	rows := Compiled(o)
 	if len(rows) != 5 {
 		t.Fatalf("got %d rows, want 5", len(rows))
@@ -297,15 +223,10 @@ func TestCompiledShapeHolds(t *testing.T) {
 	if !strings.Contains(buf.String(), "Compiled vs interpreted") {
 		t.Fatal("table not rendered")
 	}
-	data, err := os.ReadFile(filepath.Join(o.JSONDir, "BENCH_compiled.json"))
-	if err != nil || !strings.Contains(string(data), "\"ns_per_op\"") {
-		t.Fatalf("machine-readable report missing: %v", err)
-	}
 }
 
 func TestSearchShootoutShapeHolds(t *testing.T) {
 	o, buf := tiny()
-	o.JSONDir = t.TempDir()
 	rows := SearchShootout(o)
 	if len(rows) != 6 {
 		t.Fatalf("got %d rows, want 6", len(rows))
@@ -321,118 +242,12 @@ func TestSearchShootoutShapeHolds(t *testing.T) {
 	if !strings.Contains(buf.String(), "Search shootout") {
 		t.Fatal("table not rendered")
 	}
-	if _, err := os.Stat(filepath.Join(o.JSONDir, "BENCH_searchshootout.json")); err != nil {
-		t.Fatalf("machine-readable report missing: %v", err)
-	}
 }
 
 func TestAppendixERuns(t *testing.T) {
 	o, buf := tiny()
 	AppendixE(o)
 	if !strings.Contains(buf.String(), "Appendix E") {
-		t.Fatal("table not rendered")
-	}
-}
-
-func TestStringKeysShapeHolds(t *testing.T) {
-	o, buf := tiny()
-	rows := StringKeys(o)
-	byConfig := map[string]StringKeysRow{}
-	for _, r := range rows {
-		if r.PerOp <= 0 {
-			t.Errorf("%s: no measurement", r.Config)
-		}
-		byConfig[r.Config] = r
-	}
-	for _, want := range []string{
-		"contains/map", "contains/stringindex", "contains/store",
-		"lookup/sorted-slice", "lookup/stringindex", "lookup/store",
-		"scan/sorted-slice-copy", "scan/store",
-		"count/iterate", "count/learned",
-	} {
-		if _, ok := byConfig[want]; !ok {
-			t.Errorf("missing config %s", want)
-		}
-	}
-	// The structural claim that holds at any scale: learned COUNT answers
-	// by position arithmetic, iterate-and-count streams the whole range.
-	if c := byConfig["count/learned"]; c.SpeedUp < 1 {
-		t.Errorf("learned COUNT slower than iterating: %+v", c)
-	}
-	if !strings.Contains(buf.String(), "String keys") {
-		t.Fatal("table not rendered")
-	}
-}
-
-func TestObsShapeHolds(t *testing.T) {
-	o, buf := tiny()
-	rows := Obs(o)
-	if len(rows) != 5 {
-		t.Fatalf("got %d rows, want 5", len(rows))
-	}
-	for _, r := range rows {
-		if r.PerOpNs <= 0 || r.Ops <= 0 {
-			t.Errorf("%s: no measurement (%+v)", r.Name, r)
-		}
-		if !strings.Contains(r.Name, "metrics=") {
-			t.Errorf("%s: config name does not carry the build tag", r.Name)
-		}
-	}
-	if !strings.Contains(buf.String(), "Metrics-plane overhead") {
-		t.Fatal("table not rendered")
-	}
-}
-
-func TestFaultsShapeHolds(t *testing.T) {
-	o, buf := tiny()
-	rows := Faults(o)
-	if len(rows) != 6 {
-		t.Fatalf("got %d rows, want 6", len(rows))
-	}
-	for _, r := range rows {
-		if r.PerOpNs <= 0 || r.Wall <= 0 {
-			t.Errorf("%s: no measurement (%+v)", r.Name, r)
-		}
-		if !strings.Contains(r.Name, "/fs=") {
-			t.Errorf("%s: config name does not carry the filesystem", r.Name)
-		}
-	}
-	if !strings.Contains(buf.String(), "Fault-injection seam overhead") {
-		t.Fatal("table not rendered")
-	}
-}
-
-func TestReplShapeHolds(t *testing.T) {
-	o, buf := tiny()
-	rows := Repl(o)
-	if len(rows) != 2 {
-		t.Fatalf("got %d rows, want 2", len(rows))
-	}
-	for _, r := range rows {
-		if r.PerKeyNs <= 0 || r.Wall <= 0 {
-			t.Errorf("%s: no measurement (%+v)", r.Name, r)
-		}
-	}
-	if !strings.Contains(buf.String(), "WAL-shipping replication") {
-		t.Fatal("table not rendered")
-	}
-}
-
-func TestServingShapeHolds(t *testing.T) {
-	o, buf := tiny()
-	rows := Serving(o)
-	if len(rows) != 3 {
-		t.Fatalf("got %d rows, want 3", len(rows))
-	}
-	for _, r := range rows {
-		if r.NsPerOp <= 0 || r.Wall <= 0 || r.Ops <= 0 {
-			t.Errorf("%s: no measurement (%+v)", r.Name, r)
-		}
-	}
-	if obs.Enabled && (rows[0].P99Ns < rows[0].P50Ns || rows[0].P50Ns <= 0) {
-		t.Errorf("latency quantiles out of order: p50=%v p99=%v", rows[0].P50Ns, rows[0].P99Ns)
-	}
-	if !strings.Contains(buf.String(), "network serving") {
 		t.Fatal("table not rendered")
 	}
 }

@@ -20,7 +20,6 @@ type Figure4Row struct {
 	SpeedUp   float64 // reference lookup / lookup
 	Model     time.Duration
 	ModelPct  float64
-	MaxErr    int // learned rows only (0 for B-Trees)
 }
 
 // Figure4 reproduces "Learned Index vs B-Tree" (§3.7.1): B-Trees with page
@@ -96,7 +95,6 @@ func Figure4(o Options) []Figure4Row {
 				SpeedUp:   float64(refLookup) / float64(lk),
 				Model:     model,
 				ModelPct:  100 * float64(model) / float64(lk),
-				MaxErr:    r.MaxAbsErr(),
 			})
 		}
 	}
@@ -104,20 +102,6 @@ func Figure4(o Options) []Figure4Row {
 	if o.Out != nil {
 		renderFigure4(o, rows)
 	}
-	rep := &bench.Report{Experiment: "figure4", N: o.N, Probes: o.Probes}
-	for _, r := range rows {
-		rep.Add(bench.ReportRow{
-			Config:  r.Dataset + " / " + r.Config,
-			NsPerOp: float64(r.Lookup.Nanoseconds()),
-			Bytes:   r.SizeBytes,
-			MaxErr:  r.MaxErr,
-			Extra: map[string]float64{
-				"speedup_vs_btree128": r.SpeedUp,
-				"model_ns":            float64(r.Model.Nanoseconds()),
-			},
-		})
-	}
-	emitJSON(o, rep)
 	return rows
 }
 

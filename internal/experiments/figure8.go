@@ -21,9 +21,10 @@ type Figure8Row struct {
 // The paper's hash model is a 2-stage RMI with no hidden layers at one
 // leaf per ~2000 keys (100k models / 200M keys). At reduced N the same
 // model family works, but the leaf-to-structure ratio must scale: one leaf
-// per ~20 keys keeps each leaf inside one dense run — see DESIGN.md §3 on
-// scale substitutions. The shape (Maps ≫ Web/Lognormal reduction) is what
-// this experiment checks.
+// per ~20 keys keeps each leaf inside one dense run, so the hash
+// experiments (this one, Figure 11, Table 1) do not keep the paper's
+// keys-per-leaf ratio at reduced N. The shape (Maps ≫ Web/Lognormal
+// reduction) is what this experiment checks.
 func Figure8(o Options) []Figure8Row {
 	o = o.withDefaults()
 	var rows []Figure8Row

@@ -91,7 +91,6 @@ func SearchShootout(o Options) []ShootoutRow {
 		Title:   fmt.Sprintf("Search shootout — identical windows, %d keys, %d probes (avg window %.1f)", n, len(probes), avgWindow(wins)),
 		Headers: []string{"Strategy", "ns/probe", "Speedup"},
 	}
-	rep := &bench.Report{Experiment: "searchshootout", N: o.N, Probes: o.Probes}
 	for _, s := range strategies {
 		d := timeOne(s.fn)
 		if s.name == "binary" {
@@ -100,14 +99,8 @@ func SearchShootout(o Options) []ShootoutRow {
 		row := ShootoutRow{Strategy: s.name, PerProbe: d, SpeedUp: float64(baseline) / float64(d)}
 		rows = append(rows, row)
 		t.Add(s.name, ns(d), bench.Factor(row.SpeedUp))
-		rep.Add(bench.ReportRow{
-			Config:  s.name,
-			NsPerOp: float64(d.Nanoseconds()),
-			Extra:   map[string]float64{"speedup_vs_binary": row.SpeedUp},
-		})
 	}
 	render(o, t)
-	emitJSON(o, rep)
 	return rows
 }
 

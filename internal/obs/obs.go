@@ -25,8 +25,9 @@
 // funnel counts, scan tick state) are dead-code-eliminated. Counters and
 // gauges stay real in both builds — the storage engine's accounting
 // (storage.Stats) is built on them and they are the same atomics the
-// engine paid before the metrics plane existed. The BENCH_obs.json
-// experiment measures the on-vs-off delta instead of assuming it.
+// engine paid before the metrics plane existed. To measure the on-vs-off
+// delta rather than assume it, run the benchmark module (benchmark/) in
+// pairs against a -tags noobs build of it.
 package obs
 
 import (

@@ -12,8 +12,8 @@ import (
 // Scan-subsystem benchmarks: the streaming loser-tree merge over the
 // sharded store (with a live buffered-delta layer), across range widths,
 // plus the learned COUNT against iterate-and-count. CI runs these at
-// -benchtime=100x as a smoke test; BENCH_scan.json carries the measured
-// claims.
+// -benchtime=100x as a smoke test; the benchmark module's scan.* ladder
+// rungs carry the measured numbers.
 
 func scanStore(b *testing.B) (*learnedindex.Store, data.Keys) {
 	load()
