@@ -1,8 +1,9 @@
 // Package binenc is the little-endian binary codec shared by every
 // serialized structure in the repo (ml models, RMIs, Bloom filters, segment
-// files, WAL records). It is deliberately tiny: varints for counts, zigzag
-// varints for signed ints, fixed 8-byte IEEE floats, and length-prefixed
-// byte blocks.
+// files, WAL records, wire messages). It is deliberately tiny: varints for
+// counts, zigzag varints for signed ints, fixed 8-byte IEEE floats,
+// length-prefixed byte blocks, and the count-prefixed key payloads of the
+// WAL and both wires.
 //
 // Decoding is panic-free by construction: Reader latches the first error
 // (truncated input, malformed varint, oversized block) and every subsequent
@@ -17,6 +18,7 @@ import (
 	"errors"
 	"math"
 	"math/bits"
+	"slices"
 )
 
 // ErrCorrupt is the latched decode error for any malformed input.
@@ -53,6 +55,48 @@ func AppendF64s(b []byte, fs []float64) []byte {
 func AppendBytes(b, p []byte) []byte {
 	b = AppendUvarint(b, uint64(len(p)))
 	return append(b, p...)
+}
+
+// AppendBool appends v as one byte, 0 or 1.
+func AppendBool(b []byte, v bool) []byte {
+	if v {
+		return append(b, 1)
+	}
+	return append(b, 0)
+}
+
+// AppendUvarints appends the key payload of uint64 keys — a uvarint count,
+// then every key as a uvarint — holding the keys of all lists in order: a
+// WAL record, a replication frame or a request's key set. Uvarints reads it.
+func AppendUvarints(b []byte, lists ...[]uint64) []byte {
+	n := 0
+	for _, l := range lists {
+		n += len(l)
+	}
+	b = AppendUvarint(b, uint64(n))
+	for _, l := range lists {
+		for _, v := range l {
+			b = AppendUvarint(b, v)
+		}
+	}
+	return b
+}
+
+// AppendStrings is AppendUvarints for string keys: a uvarint count, then
+// every key as a length-prefixed byte block. Strings reads it.
+func AppendStrings(b []byte, lists ...[]string) []byte {
+	n := 0
+	for _, l := range lists {
+		n += len(l)
+	}
+	b = AppendUvarint(b, uint64(n))
+	for _, l := range lists {
+		for _, s := range l {
+			b = AppendUvarint(b, uint64(len(s)))
+			b = append(b, s...)
+		}
+	}
+	return b
 }
 
 // Reader decodes a byte slice with error latching: after the first
@@ -195,4 +239,37 @@ func (r *Reader) Bytes() []byte {
 	p := r.b[r.off : r.off+n]
 	r.off += n
 	return p
+}
+
+// Bool reads one byte written by AppendBool; any other value is corrupt.
+func (r *Reader) Bool() bool {
+	p := r.Take(1)
+	if r.err == nil && p[0] > 1 {
+		r.fail()
+	}
+	return r.err == nil && p[0] == 1
+}
+
+// Uvarints reads a key payload written by AppendUvarints and appends its
+// keys to dst. A count above max, or above what the remaining bytes can
+// hold, latches the error before anything is allocated; on any error the
+// appended keys are meaningless.
+func (r *Reader) Uvarints(dst []uint64, max int) []uint64 {
+	n := r.Count(max, 1)
+	dst = slices.Grow(dst, n)
+	for i := 0; i < n; i++ {
+		dst = append(dst, r.Uvarint())
+	}
+	return dst
+}
+
+// Strings is Uvarints for a payload written by AppendStrings. Every key is
+// its own copy: keeping one never pins the input or another key.
+func (r *Reader) Strings(dst []string, max int) []string {
+	n := r.Count(max, 1)
+	dst = slices.Grow(dst, n)
+	for i := 0; i < n && r.err == nil; i++ {
+		dst = append(dst, string(r.Bytes()))
+	}
+	return dst
 }

@@ -1,16 +1,16 @@
 package repl
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"math/rand"
-	"os"
 	"path/filepath"
 	"sync"
 	"time"
 
 	"learnedindex/internal/binenc"
+	"learnedindex/internal/frame"
 	"learnedindex/internal/obs"
 	"learnedindex/internal/storage"
 	"learnedindex/internal/vfs"
@@ -285,8 +285,8 @@ var errSessionEstablished = errors.New("repl: session established")
 // session speaks one connection: handshake (with fencing), then a reader
 // feeding a bounded apply queue. Returns when the connection dies.
 func (f *Follower) session(c Conn) error {
-	var rbuf, wbuf []byte
-	var wmu sync.Mutex // acks (applier) and fences (reader) share the conn
+	in, out := frame.NewReader(c), frame.NewWriter(c)
+	var wmu sync.Mutex // the applier's acks and the reader's share out
 
 	f.mu.Lock()
 	if f.closed {
@@ -306,7 +306,7 @@ func (f *Follower) session(c Conn) error {
 		f.mu.Unlock()
 	}()
 
-	if err := writeMsg(c, &wbuf, &hello); err != nil {
+	if err := writeMsg(out, &hello); err != nil {
 		return err
 	}
 	// Watchdog: reset on every arrival AND every completed apply — a slow
@@ -315,7 +315,7 @@ func (f *Follower) session(c Conn) error {
 	defer wd.Stop()
 
 	var ph msg
-	if err := readMsg(c, &rbuf, f.strMode, &ph); err != nil {
+	if err := recvMsg(in, f.strMode, &ph); err != nil {
 		return err
 	}
 	wd.Reset(f.opts.HeartbeatTimeout)
@@ -330,9 +330,7 @@ func (f *Follower) session(c Conn) error {
 		fence := msg{kind: msgFenced, epoch: f.maxEpoch}
 		f.mu.Unlock()
 		f.m.fencedStale.Inc()
-		wmu.Lock()
-		writeMsg(c, &wbuf, &fence)
-		wmu.Unlock()
+		writeMsg(out, &fence) // no applier yet: this goroutine is out's only writer
 		return errStalePrimary
 	}
 	epochRaised := ph.epoch > f.maxEpoch
@@ -373,7 +371,7 @@ func (f *Follower) session(c Conn) error {
 			if applyErr != nil {
 				continue // draining
 			}
-			if err := f.apply(&m, c, &wbuf, &wmu, wd); err != nil {
+			if err := f.apply(&m, out, &wmu, wd); err != nil {
 				applyErr = err
 				c.Close()
 			}
@@ -387,7 +385,7 @@ func (f *Follower) session(c Conn) error {
 		var m msg
 		expect := uint64(0)
 		for {
-			if rerr := readMsg(c, &rbuf, f.strMode, &m); rerr != nil {
+			if rerr := recvMsg(in, f.strMode, &m); rerr != nil {
 				return rerr
 			}
 			wd.Reset(f.opts.HeartbeatTimeout)
@@ -407,12 +405,8 @@ func (f *Follower) session(c Conn) error {
 				}
 				f.mu.Unlock()
 				f.m.lagFrames.Set(int64(lag))
-				ack := msg{kind: msgAck, seq: applied, nonce: m.nonce}
-				wmu.Lock()
-				werr := writeMsg(c, &wbuf, &ack)
-				wmu.Unlock()
-				if werr != nil {
-					return werr
+				if err := f.ack(out, &wmu, applied, m.nonce); err != nil {
+					return err
 				}
 			case msgFrame:
 				if expect == 0 {
@@ -458,7 +452,7 @@ func (f *Follower) session(c Conn) error {
 // apply executes one queued message against the local engine. Frames and
 // snapshot chunks group-commit (durable before the ack leaves); snapEnd
 // adopts the snapshot's sequence and acks it.
-func (f *Follower) apply(m *msg, c Conn, wbuf *[]byte, wmu *sync.Mutex, wd *time.Timer) error {
+func (f *Follower) apply(m *msg, out *frame.Writer, wmu *sync.Mutex, wd *time.Timer) error {
 	switch m.kind {
 	case msgSnapBegin:
 		f.m.snapshots.Inc()
@@ -472,14 +466,14 @@ func (f *Follower) apply(m *msg, c Conn, wbuf *[]byte, wmu *sync.Mutex, wd *time
 		// is read progress on the primary, whose silence watchdog would
 		// otherwise sever any snapshot whose transfer+apply outlasts its
 		// ReadTimeout — a catch-up livelock for non-trivial datasets.
-		return f.ack(c, wbuf, wmu, f.AppliedSeq(), 0)
+		return f.ack(out, wmu, f.AppliedSeq(), 0)
 	case msgSnapEnd:
 		// The image is durable; adopt its horizon EXACTLY (assignment, not
 		// max — after an epoch raise the old stream's high-water mark must
 		// not win against the new stream's position) and re-baseline.
 		f.adoptApplied(m.seq)
 		f.saveState()
-		return f.ack(c, wbuf, wmu, m.seq, 0)
+		return f.ack(out, wmu, m.seq, 0)
 	case msgFrame:
 		if err := f.commitKeys(m); err != nil {
 			return err
@@ -487,7 +481,7 @@ func (f *Follower) apply(m *msg, c Conn, wbuf *[]byte, wmu *sync.Mutex, wd *time
 		f.m.framesApplied.Inc()
 		f.setApplied(m.seq)
 		wd.Reset(f.opts.HeartbeatTimeout)
-		return f.ack(c, wbuf, wmu, m.seq, 0)
+		return f.ack(out, wmu, m.seq, 0)
 	}
 	return nil
 }
@@ -523,11 +517,11 @@ func (f *Follower) commitKeys(m *msg) error {
 	return nil
 }
 
-func (f *Follower) ack(c Conn, wbuf *[]byte, wmu *sync.Mutex, seq, nonce uint64) error {
+func (f *Follower) ack(out *frame.Writer, wmu *sync.Mutex, seq, nonce uint64) error {
 	ack := msg{kind: msgAck, seq: seq, nonce: nonce}
 	wmu.Lock()
 	defer wmu.Unlock()
-	return writeMsg(c, wbuf, &ack)
+	return writeMsg(out, &ack)
 }
 
 func (f *Follower) setApplied(seq uint64) {
@@ -579,13 +573,14 @@ func (f *Follower) setConnected(up bool, _ error) {
 // --- durable replication state -------------------------------------------
 //
 // repl-state pins the fencing floor and applied horizon across follower
-// restarts: magic, uvarint maxEpoch, uvarint appliedSeq, uvarint baselined
+// restarts: magic, uvarint maxEpoch, uvarint appliedSeq, one byte baselined
 // (0/1 — whether appliedSeq is a valid position in maxEpoch's stream),
-// crc32c. Written atomically (temp + rename) and always AFTER the state it
-// describes is durable in the engine, so a stale file only ever
-// under-reports — the primary re-ships or re-snapshots, and replay
-// deduplicates. A corrupt, missing, or older-format file degrades to zeros
-// (un-baselined) for the same reason.
+// crc32c (frame.Checksum) u32 LE. It lives beside the engine's files on the
+// engine's filesystem (Engine.FS). Written atomically (temp + rename) and
+// always AFTER the state it describes is durable in the engine, so a stale
+// file only ever under-reports — the primary re-ships or re-snapshots, and
+// replay deduplicates. A corrupt, missing, or older-format file degrades to
+// zeros (un-baselined) for the same reason.
 
 const replStateName = "repl-state"
 
@@ -596,26 +591,25 @@ func (f *Follower) statePath() string {
 }
 
 func (f *Follower) loadState() {
-	data, err := vfs.OS.ReadFile(f.statePath())
+	data, err := f.eng.FS().ReadFile(f.statePath())
 	if err != nil || len(data) < len(replStateMagic)+4 {
 		return
 	}
 	if string(data[:len(replStateMagic)]) != string(replStateMagic) {
 		return
 	}
-	body, tail := data[:len(data)-4], data[len(data)-4:]
-	want := uint32(tail[0]) | uint32(tail[1])<<8 | uint32(tail[2])<<16 | uint32(tail[3])<<24
-	if crc32.Checksum(body, wireCRC) != want {
+	body := data[:len(data)-4]
+	if frame.Checksum(body) != binary.LittleEndian.Uint32(data[len(body):]) {
 		return
 	}
 	r := binenc.NewReader(body[len(replStateMagic):])
 	epoch := r.Uvarint()
 	applied := r.Uvarint()
-	baselined := r.Uvarint()
-	if r.Err() != nil || r.Remaining() != 0 || baselined > 1 {
+	baselined := r.Bool()
+	if r.Err() != nil || r.Remaining() != 0 {
 		return
 	}
-	f.maxEpoch, f.applied, f.baselined = epoch, applied, baselined == 1
+	f.maxEpoch, f.applied, f.baselined = epoch, applied, baselined
 }
 
 func (f *Follower) saveState() {
@@ -625,26 +619,9 @@ func (f *Follower) saveState() {
 	buf := append([]byte(nil), replStateMagic...)
 	buf = binenc.AppendUvarint(buf, epoch)
 	buf = binenc.AppendUvarint(buf, applied)
-	var b uint64
-	if baselined {
-		b = 1
-	}
-	buf = binenc.AppendUvarint(buf, b)
-	crc := crc32.Checksum(buf, wireCRC)
-	buf = append(buf, byte(crc), byte(crc>>8), byte(crc>>16), byte(crc>>24))
-	tmp := f.statePath() + ".tmp"
-	fh, err := vfs.OS.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return // best-effort: a lost state file only costs a re-snapshot
-	}
-	_, werr := fh.Write(buf)
-	serr := fh.Sync()
-	cerr := fh.Close()
-	if werr != nil || serr != nil || cerr != nil {
-		vfs.OS.Remove(tmp)
-		return
-	}
-	if vfs.OS.Rename(tmp, f.statePath()) == nil {
-		vfs.OS.SyncDir(f.eng.Dir())
-	}
+	buf = binenc.AppendBool(buf, baselined)
+	buf = binary.LittleEndian.AppendUint32(buf, frame.Checksum(buf))
+	// Best-effort: a lost state file only costs a re-snapshot, and the
+	// engine's next open sweeps a temp a failure leaves behind.
+	vfs.CommitFile(f.eng.FS(), f.statePath(), buf, nil)
 }

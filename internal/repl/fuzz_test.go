@@ -1,15 +1,17 @@
 package repl
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
+
+	"learnedindex/internal/frame/frametest"
 )
 
-// buildStream encodes count valid wire messages, deterministic from seed,
-// returning the bytes and the originals for comparison.
+// buildStream encodes count valid wire messages of every kind,
+// deterministic from seed, returning the bytes and the originals for
+// comparison.
 func buildStream(seed int64, count int, strMode bool) ([]byte, []msg) {
 	rng := rand.New(rand.NewSource(seed))
 	var out []byte
@@ -17,7 +19,7 @@ func buildStream(seed int64, count int, strMode bool) ([]byte, []msg) {
 	seq := uint64(0)
 	for i := 0; i < count; i++ {
 		var m msg
-		switch rng.Intn(5) {
+		switch rng.Intn(9) {
 		case 0:
 			seq++
 			m = msg{kind: msgFrame, strMode: strMode, seq: seq}
@@ -43,6 +45,14 @@ func buildStream(seed int64, count int, strMode bool) ([]byte, []msg) {
 			}
 		case 4:
 			m = msg{kind: msgSnapBegin, seq: seq, count: uint64(rng.Intn(1000))}
+		case 5:
+			m = msg{kind: msgSnapEnd, seq: seq}
+		case 6:
+			m = msg{kind: msgHello, strMode: strMode, epoch: uint64(rng.Intn(4)), seq: []uint64{seq, needSnapSeq}[rng.Intn(2)]}
+		case 7:
+			m = msg{kind: msgPrimaryHello, strMode: strMode, epoch: uint64(1 + rng.Intn(4)), seq: seq}
+		case 8:
+			m = msg{kind: msgFenced, epoch: uint64(1 + rng.Intn(4))}
 		}
 		out = appendMsg(out, &m)
 		msgs = append(msgs, m)
@@ -56,28 +66,11 @@ func msgEq(a, b msg) bool {
 		slices.Equal(a.keys, b.keys) && slices.Equal(a.strs, b.strs)
 }
 
-// decodeAll reads messages until the first error, bounded (a hostile
-// stream must not loop forever). Never panics — that is the property under
-// test.
-func decodeAll(stream []byte, strMode bool, limit int) []msg {
-	r := bytes.NewReader(stream)
-	var buf []byte
-	var out []msg
-	for len(out) < limit {
-		var m msg
-		if err := readMsg(r, &buf, strMode, &m); err != nil {
-			break
-		}
-		out = append(out, m)
-	}
-	return out
-}
-
-// FuzzReplStreamDecode is FuzzWALReplay's wire twin: a valid message
-// prefix followed by arbitrary bytes. The decoder must never panic, must
-// reproduce every intact prefix message exactly (replay neither loses nor
-// invents — what decodes is precisely what was encoded), and truncating
-// the stream anywhere must yield a prefix of the full decode.
+// FuzzReplStreamDecode is FuzzWALReplay's wire twin: a valid stream of the
+// catalog's messages followed by arbitrary bytes, checked for the frame
+// stream properties (frametest.CheckStream) through the catalog's decoder —
+// replay neither loses nor invents: what decodes is precisely what was
+// encoded.
 func FuzzReplStreamDecode(f *testing.F) {
 	f.Add(int64(1), uint8(4), false, []byte{})
 	f.Add(int64(2), uint8(7), true, []byte("garbage trailing bytes"))
@@ -85,32 +78,12 @@ func FuzzReplStreamDecode(f *testing.F) {
 	valid, _ := buildStream(99, 3, false)
 	f.Add(int64(4), uint8(2), false, valid) // valid bytes as the "junk" tail
 	f.Fuzz(func(t *testing.T, seed int64, n uint8, strMode bool, tail []byte) {
-		count := int(n % 16)
-		prefix, want := buildStream(seed, count, strMode)
-		stream := append(append([]byte{}, prefix...), tail...)
-
-		got := decodeAll(stream, strMode, count+len(tail)+16)
-		if len(got) < count {
-			t.Fatalf("decoded %d of %d intact prefix messages", len(got), count)
+		prefix, want := buildStream(seed, int(n%16), strMode)
+		stream := append(prefix, tail...)
+		decode := func(kind byte, payload []byte) (m msg, err error) {
+			err = decodePayload(kind, strMode, payload, &m)
+			return m, err
 		}
-		for i := 0; i < count; i++ {
-			if !msgEq(got[i], want[i]) {
-				t.Fatalf("prefix message %d decoded as %+v, want %+v", i, got[i], want[i])
-			}
-		}
-
-		// Truncation anywhere: still no panic, and the result is a strict
-		// prefix of the full decode (a half-received stream never yields a
-		// message the full stream would not).
-		cut := int(uint64(seed>>13) % uint64(len(stream)+1))
-		trunc := decodeAll(stream[:cut], strMode, len(got)+1)
-		if len(trunc) > len(got) {
-			t.Fatalf("truncated stream decoded MORE messages (%d > %d)", len(trunc), len(got))
-		}
-		for i := range trunc {
-			if !msgEq(trunc[i], got[i]) {
-				t.Fatalf("truncated decode diverged at message %d", i)
-			}
-		}
+		frametest.CheckStream(t, stream, want, int(uint64(seed>>13)%uint64(len(stream)+1)), decode, msgEq)
 	})
 }

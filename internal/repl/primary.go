@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"learnedindex/internal/frame"
 	"learnedindex/internal/obs"
 	"learnedindex/internal/storage"
 )
@@ -288,10 +289,12 @@ func (p *Primary) Close() error {
 
 // handleConn runs one follower session: handshake, then a reader goroutine
 // consuming acks while this goroutine ships snapshot/frames/heartbeats.
-// The shipper is the connection's only writer after the handshake.
+// The shipper is the connection's only writer after the handshake, and the
+// reader that took the hello reads the acks: bytes that arrived with the
+// hello belong to the ack stream.
 func (p *Primary) handleConn(c Conn) {
 	defer c.Close()
-	var rbuf, wbuf []byte
+	in, out := frame.NewReader(c), frame.NewWriter(c)
 
 	// Silence watchdog: any read progress pushes it out; expiry severs the
 	// connection, which unblocks both goroutines. Deadline-free liveness so
@@ -300,7 +303,7 @@ func (p *Primary) handleConn(c Conn) {
 	defer wd.Stop()
 
 	var hello msg
-	if err := readMsg(c, &rbuf, p.strMode, &hello); err != nil || hello.kind != msgHello {
+	if err := recvMsg(in, p.strMode, &hello); err != nil || hello.kind != msgHello {
 		return
 	}
 	wd.Reset(p.opts.ReadTimeout)
@@ -314,7 +317,7 @@ func (p *Primary) handleConn(c Conn) {
 	}
 
 	reply := msg{kind: msgPrimaryHello, strMode: p.strMode, epoch: p.opts.Epoch, seq: durable}
-	if err := writeMsg(c, &wbuf, &reply); err != nil {
+	if err := writeMsg(out, &reply); err != nil {
 		return
 	}
 	if hello.strMode != p.strMode {
@@ -350,7 +353,7 @@ func (p *Primary) handleConn(c Conn) {
 	}()
 
 	dead := make(chan struct{})
-	go p.readAcks(c, pc, wd, dead)
+	go p.readAcks(c, in, pc, wd, dead)
 
 	// Resume from the follower's acked horizon when this epoch's ring can
 	// serve it; anything else (older epoch, ahead of our stream — i.e. a
@@ -361,18 +364,17 @@ func (p *Primary) handleConn(c Conn) {
 	if hello.epoch == p.opts.Epoch && hello.seq <= durable {
 		cursor = hello.seq + 1
 	}
-	p.ship(c, pc, &wbuf, cursor, dead)
+	p.ship(out, pc, cursor, dead)
 }
 
 // readAcks consumes the follower's ack/fence stream. Closing dead wakes the
 // shipper; any read error severs the connection.
-func (p *Primary) readAcks(c Conn, pc *pconn, wd *time.Timer, dead chan struct{}) {
+func (p *Primary) readAcks(c Conn, in *frame.Reader, pc *pconn, wd *time.Timer, dead chan struct{}) {
 	defer close(dead)
 	defer c.Close()
-	var rbuf []byte
 	var m msg
 	for {
-		if err := readMsg(c, &rbuf, p.strMode, &m); err != nil {
+		if err := recvMsg(in, p.strMode, &m); err != nil {
 			p.cond.Broadcast()
 			return
 		}
@@ -433,7 +435,7 @@ func (p *Primary) lagLocked(pc *pconn) (frames, bytes uint64) {
 
 // ship is the per-follower send loop: snapshot when the cursor cannot be
 // served from the ring, frames when it can, heartbeats when idle.
-func (p *Primary) ship(c Conn, pc *pconn, wbuf *[]byte, cursor uint64, dead chan struct{}) {
+func (p *Primary) ship(out *frame.Writer, pc *pconn, cursor uint64, dead chan struct{}) {
 	var frames []storage.ReplFrame
 	lastSend := time.Now()
 	for {
@@ -482,7 +484,7 @@ func (p *Primary) ship(c Conn, pc *pconn, wbuf *[]byte, cursor uint64, dead chan
 
 		switch {
 		case needSnap:
-			snapSeq, err := p.sendSnapshot(c, wbuf)
+			snapSeq, err := p.sendSnapshot(out)
 			if err != nil {
 				return
 			}
@@ -490,7 +492,7 @@ func (p *Primary) ship(c Conn, pc *pconn, wbuf *[]byte, cursor uint64, dead chan
 		case len(frames) > 0:
 			for _, f := range frames {
 				fm := msg{kind: msgFrame, strMode: p.strMode, seq: f.Seq, keys: f.Keys, strs: f.Strs}
-				if err := writeMsg(c, wbuf, &fm); err != nil {
+				if err := writeMsg(out, &fm); err != nil {
 					return
 				}
 				p.m.framesShipped.Inc()
@@ -500,7 +502,7 @@ func (p *Primary) ship(c Conn, pc *pconn, wbuf *[]byte, cursor uint64, dead chan
 			}
 		default: // heartbeat
 			hb := msg{kind: msgHeartbeat, epoch: p.opts.Epoch, seq: durable, nonce: hbNonce}
-			if err := writeMsg(c, wbuf, &hb); err != nil {
+			if err := writeMsg(out, &hb); err != nil {
 				return
 			}
 			p.m.heartbeats.Inc()
@@ -513,7 +515,7 @@ func (p *Primary) ship(c Conn, pc *pconn, wbuf *[]byte, cursor uint64, dead chan
 // snapBegin(seq, count), the keys in chunks, snapEnd(seq). Returns the
 // sequence the image covers. Runs WITHOUT p.mu held — ReplSnapshot takes
 // the engine mutex and the sink re-enters p.mu under it.
-func (p *Primary) sendSnapshot(c Conn, wbuf *[]byte) (uint64, error) {
+func (p *Primary) sendSnapshot(out *frame.Writer) (uint64, error) {
 	p.m.snapshots.Inc()
 	var seq uint64
 	var keys []uint64
@@ -527,7 +529,7 @@ func (p *Primary) sendSnapshot(c Conn, wbuf *[]byte) (uint64, error) {
 		total = len(keys)
 	}
 	begin := msg{kind: msgSnapBegin, seq: seq, count: uint64(total)}
-	if err := writeMsg(c, wbuf, &begin); err != nil {
+	if err := writeMsg(out, &begin); err != nil {
 		return 0, err
 	}
 	for lo := 0; lo < total; lo += p.opts.SnapChunkKeys {
@@ -538,13 +540,13 @@ func (p *Primary) sendSnapshot(c Conn, wbuf *[]byte) (uint64, error) {
 		} else {
 			chunk.keys = keys[lo:hi]
 		}
-		if err := writeMsg(c, wbuf, &chunk); err != nil {
+		if err := writeMsg(out, &chunk); err != nil {
 			return 0, err
 		}
 		p.m.keysShipped.Add(int64(hi - lo))
 	}
 	end := msg{kind: msgSnapEnd, seq: seq}
-	if err := writeMsg(c, wbuf, &end); err != nil {
+	if err := writeMsg(out, &end); err != nil {
 		return 0, err
 	}
 	return seq, nil

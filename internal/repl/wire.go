@@ -2,10 +2,11 @@
 // storage engine's durable frame stream (see storage.ReplFrame) to
 // followers that replay it into their own engines and ack their durable
 // horizon back. The wire protocol reuses the WAL's defensive posture —
-// length + crc32c framing, panic-free bounded decoding — and the failure
-// plane reuses the vfs.FaultFS idea on the connection seam (FaultNet), so
-// the whole plane is provable under seeded chaos the same way the
-// single-node durability contract is.
+// internal/frame's length + crc32c framing, the WAL's key payloads,
+// panic-free bounded decoding — and the failure plane reuses the
+// vfs.FaultFS idea on the connection seam (FaultNet), so the whole plane is
+// provable under seeded chaos the same way the single-node durability
+// contract is.
 //
 // Scope: crash-consistent replication with epoch fencing. Leader election,
 // automatic failover, and quorum acks are explicitly out of scope; an
@@ -15,10 +16,9 @@ package repl
 import (
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
 
 	"learnedindex/internal/binenc"
+	"learnedindex/internal/frame"
 )
 
 // wireVersion is bumped on any incompatible message-grammar change; the
@@ -40,24 +40,14 @@ const (
 	msgAck          = byte(9) // follower→primary: appliedSeq, echoed nonce
 )
 
-const (
-	// wireHeaderLen frames every message: kind u8, payload length u32 LE,
-	// crc32c(payload) u32 LE.
-	wireHeaderLen = 9
-	// maxWirePayload mirrors the WAL's record bound: any length beyond it
-	// is corruption (or hostility), not data.
-	maxWirePayload = 1 << 26
-	// maxWireKeys bounds a single message's key count so a hostile count
-	// can never size an allocation (the WAL frames shipped are far below).
-	maxWireKeys = 1 << 21
-)
+// maxWireKeys bounds a single message's key count so a hostile count can
+// never size an allocation (the WAL frames shipped are far below).
+const maxWireKeys = 1 << 21
 
-// errWire covers every malformed-input path in the decoder: truncated
-// headers, oversized lengths, checksum mismatches, grammar violations.
-// Receivers treat it as a broken connection, never as data.
+// errWire is a payload that violates the message grammar, or a message out
+// of place in the protocol. Receivers treat it as a broken connection,
+// never as data.
 var errWire = errors.New("repl: corrupt wire frame")
-
-var wireCRC = crc32.MakeTable(crc32.Castagnoli)
 
 // msg is the decoded form of every wire message; kind selects which fields
 // are meaningful. One struct (rather than one type per kind) keeps the
@@ -76,15 +66,11 @@ type msg struct {
 // appendMsg encodes m as one wire message appended to dst.
 func appendMsg(dst []byte, m *msg) []byte {
 	base := len(dst)
-	dst = append(dst, m.kind, 0, 0, 0, 0, 0, 0, 0, 0)
+	dst = frame.AppendHeader(dst, m.kind)
 	switch m.kind {
 	case msgHello, msgPrimaryHello:
 		dst = binenc.AppendUvarint(dst, wireVersion)
-		mode := byte(0)
-		if m.strMode {
-			mode = 1
-		}
-		dst = append(dst, mode)
+		dst = binenc.AppendBool(dst, m.strMode)
 		dst = binenc.AppendUvarint(dst, m.epoch)
 		dst = binenc.AppendUvarint(dst, m.seq)
 	case msgFenced:
@@ -94,11 +80,15 @@ func appendMsg(dst []byte, m *msg) []byte {
 		dst = binenc.AppendUvarint(dst, m.count)
 	case msgSnapEnd:
 		dst = binenc.AppendUvarint(dst, m.seq)
-	case msgSnapChunk:
-		dst = appendKeyPayload(dst, m)
 	case msgFrame:
 		dst = binenc.AppendUvarint(dst, m.seq)
-		dst = appendKeyPayload(dst, m)
+		fallthrough
+	case msgSnapChunk:
+		if m.strMode {
+			dst = binenc.AppendStrings(dst, m.strs)
+		} else {
+			dst = binenc.AppendUvarints(dst, m.keys)
+		}
 	case msgHeartbeat:
 		dst = binenc.AppendUvarint(dst, m.epoch)
 		dst = binenc.AppendUvarint(dst, m.seq)
@@ -109,42 +99,16 @@ func appendMsg(dst []byte, m *msg) []byte {
 	default:
 		panic(fmt.Sprintf("repl: encode of unknown message kind %d", m.kind))
 	}
-	payload := dst[base+wireHeaderLen:]
-	putU32 := func(off int, v uint32) {
-		dst[off] = byte(v)
-		dst[off+1] = byte(v >> 8)
-		dst[off+2] = byte(v >> 16)
-		dst[off+3] = byte(v >> 24)
-	}
-	putU32(base+1, uint32(len(payload)))
-	putU32(base+5, crc32.Checksum(payload, wireCRC))
+	frame.Seal(dst[base:])
 	return dst
 }
 
-// appendKeyPayload encodes the message's key set in the WAL payload
-// grammar: uvarint count, then per key either a uvarint (uint64 mode) or a
-// length-prefixed byte block (string mode).
-func appendKeyPayload(dst []byte, m *msg) []byte {
-	if m.strMode {
-		dst = binenc.AppendUvarint(dst, uint64(len(m.strs)))
-		for _, s := range m.strs {
-			dst = binenc.AppendUvarint(dst, uint64(len(s)))
-			dst = append(dst, s...)
-		}
-		return dst
-	}
-	dst = binenc.AppendUvarint(dst, uint64(len(m.keys)))
-	for _, k := range m.keys {
-		dst = binenc.AppendUvarint(dst, k)
-	}
-	return dst
-}
-
-// decodePayload decodes one message payload into m (m.kind must be set by
-// the caller from the wire header). Panic-free by construction: every read
-// goes through the latching binenc.Reader, counts are bounded before any
-// allocation, and trailing garbage is an error. strMode selects the key
-// grammar for frame/snapChunk payloads (known from the handshake).
+// decodePayload decodes one message payload of the given kind (from the
+// frame header) into m. Panic-free by construction: every read goes through
+// the latching binenc.Reader, counts are bounded before any allocation, and
+// trailing garbage is an error. strMode selects the key grammar for
+// frame/snapChunk payloads (known from the handshake). Decoded keys are
+// fresh slices: queued messages outlive the frame buffer.
 func decodePayload(kind byte, strMode bool, payload []byte, m *msg) error {
 	*m = msg{kind: kind}
 	r := binenc.NewReader(payload)
@@ -153,13 +117,7 @@ func decodePayload(kind byte, strMode bool, payload []byte, m *msg) error {
 		if v := r.Uvarint(); r.Err() == nil && v != wireVersion {
 			return fmt.Errorf("repl: wire version %d, want %d", v, wireVersion)
 		}
-		mode := r.Take(1)
-		if r.Err() == nil {
-			if mode[0] > 1 {
-				return errWire
-			}
-			m.strMode = mode[0] == 1
-		}
+		m.strMode = r.Bool()
 		m.epoch = r.Uvarint()
 		m.seq = r.Uvarint()
 	case msgFenced:
@@ -169,11 +127,15 @@ func decodePayload(kind byte, strMode bool, payload []byte, m *msg) error {
 		m.count = r.Uvarint()
 	case msgSnapEnd:
 		m.seq = r.Uvarint()
-	case msgSnapChunk:
-		decodeKeyPayload(r, strMode, m)
 	case msgFrame:
 		m.seq = r.Uvarint()
-		decodeKeyPayload(r, strMode, m)
+		fallthrough
+	case msgSnapChunk:
+		if strMode {
+			m.strs = r.Strings(nil, maxWireKeys)
+		} else {
+			m.keys = r.Uvarints(nil, maxWireKeys)
+		}
 	case msgHeartbeat:
 		m.epoch = r.Uvarint()
 		m.seq = r.Uvarint()
@@ -190,64 +152,17 @@ func decodePayload(kind byte, strMode bool, payload []byte, m *msg) error {
 	return nil
 }
 
-func decodeKeyPayload(r *binenc.Reader, strMode bool, m *msg) {
-	if strMode {
-		n := r.Count(maxWireKeys, 1)
-		if r.Err() != nil {
-			return
-		}
-		strs := make([]string, 0, n)
-		for i := 0; i < n; i++ {
-			strs = append(strs, string(r.Bytes()))
-		}
-		m.strs = strs
-		return
-	}
-	n := r.Count(maxWireKeys, 1)
-	if r.Err() != nil {
-		return
-	}
-	keys := make([]uint64, 0, n)
-	for i := 0; i < n; i++ {
-		keys = append(keys, r.Uvarint())
-	}
-	m.keys = keys
-}
+// writeMsg encodes m and writes it on w as one message.
+func writeMsg(w *frame.Writer, m *msg) error { return w.Send(appendMsg(w.Buf(), m)) }
 
-// writeMsg encodes m into *buf and writes it as ONE Write call, so a
-// transport fault (torn write, reorder) operates on whole messages the way
-// FaultFS torn writes operate on whole WAL records. The buffer is reused
-// across calls.
-func writeMsg(w io.Writer, buf *[]byte, m *msg) error {
-	*buf = appendMsg((*buf)[:0], m)
-	_, err := w.Write(*buf)
-	return err
-}
-
-// readMsg reads and decodes one message. Any malformed input — short read,
-// oversized length, checksum mismatch, grammar violation — returns an
-// error (errWire or the transport's); never a panic, never a partial m.
-// The payload buffer *buf is reused across calls.
-func readMsg(r io.Reader, buf *[]byte, strMode bool, m *msg) error {
-	var hdr [wireHeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// recvMsg reads the next message from r and decodes it into m. Malformed
+// input — a short read, an oversized length, a checksum mismatch, a grammar
+// violation — is an error (frame.ErrCorrupt, errWire or the transport's),
+// never a panic, and m is meaningful only when the error is nil.
+func recvMsg(r *frame.Reader, strMode bool, m *msg) error {
+	kind, payload, err := r.Next()
+	if err != nil {
 		return err
-	}
-	kind := hdr[0]
-	plen := uint32(hdr[1]) | uint32(hdr[2])<<8 | uint32(hdr[3])<<16 | uint32(hdr[4])<<24
-	want := uint32(hdr[5]) | uint32(hdr[6])<<8 | uint32(hdr[7])<<16 | uint32(hdr[8])<<24
-	if plen > maxWirePayload {
-		return errWire
-	}
-	if cap(*buf) < int(plen) {
-		*buf = make([]byte, plen)
-	}
-	payload := (*buf)[:plen]
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return err
-	}
-	if crc32.Checksum(payload, wireCRC) != want {
-		return errWire
 	}
 	return decodePayload(kind, strMode, payload, m)
 }

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"time"
 
+	"learnedindex/internal/frame"
 	"learnedindex/internal/repl"
 )
 
@@ -66,8 +67,8 @@ type Client struct {
 	timeout  time.Duration
 	wd       watchdog // ClientOptions.Timeout, from each start to its finish
 
-	in      frameReader
-	wbuf    []byte
+	in      *frame.Reader
+	out     *frame.Writer
 	resp    wmsg
 	pending bool // a request is on the wire and its response unread
 	sent    int  // keys in the pending request: the answer must match
@@ -93,8 +94,8 @@ func Dial(t repl.Transport, addr string, strMode bool, opt ClientOptions) (*Clie
 		c:       conn,
 		strMode: strMode,
 		timeout: opt.Timeout,
-		in:      frameReader{buf: make([]byte, wireBufLen)},
-		wbuf:    make([]byte, 0, wireBufLen),
+		in:      frame.NewReader(conn),
+		out:     frame.NewWriter(conn),
 	}
 	c.wd.start(c.timeout, func() { conn.Close() })
 	err = c.start(&wmsg{kind: msgHello, strMode: strMode})
@@ -131,7 +132,7 @@ func (c *Client) start(req *wmsg) error {
 		return errSequence
 	}
 	c.wd.arm(monoNow(), c.timeout)
-	if err := writeWmsg(c.c, &c.wbuf, req); err != nil {
+	if err := c.out.Send(appendWmsg(c.out.Buf(), req)); err != nil {
 		c.wd.disarm()
 		return err
 	}
@@ -147,7 +148,7 @@ func (c *Client) finish(wantKind byte) error {
 		return errSequence
 	}
 	c.pending = false
-	err := c.in.read(c.c, c.strMode, &c.resp)
+	err := recvWmsg(c.in, c.strMode, &c.resp)
 	c.wd.disarm()
 	switch {
 	case err != nil:

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"learnedindex/internal/frame"
 	"learnedindex/internal/obs"
 	"learnedindex/internal/repl"
 	"learnedindex/internal/scan"
@@ -258,11 +259,10 @@ func (s *Server) handleConn(c repl.Conn) {
 
 	strMode := s.st.StringKeys()
 	var req, resp wmsg
-	in := frameReader{buf: make([]byte, wireBufLen)}
-	wbuf := make([]byte, 0, wireBufLen)
+	in, out := frame.NewReader(c), frame.NewWriter(c)
 	respond := func(now int64) bool {
 		wd.arm(now, s.opt.WriteTimeout)
-		err := writeWmsg(c, &wbuf, &resp)
+		err := out.Send(appendWmsg(out.Buf(), &resp))
 		if err != nil {
 			s.m.wireErrors.Inc()
 		}
@@ -273,7 +273,7 @@ func (s *Server) handleConn(c repl.Conn) {
 	// answered with an explicit error (the one respErr a client can get
 	// before serverHello) so the operator sees "wrong mode", not EOF.
 	wd.arm(monoNow(), s.opt.IdleTimeout)
-	if err := in.read(c, strMode, &req); err != nil || req.kind != msgHello {
+	if err := recvWmsg(in, strMode, &req); err != nil || req.kind != msgHello {
 		s.m.wireErrors.Inc()
 		return
 	}
@@ -289,7 +289,7 @@ func (s *Server) handleConn(c repl.Conn) {
 
 	for {
 		wd.arm(monoNow(), s.opt.IdleTimeout)
-		if err := in.read(c, strMode, &req); err != nil {
+		if err := recvWmsg(in, strMode, &req); err != nil {
 			// A bare io.EOF means the client hung up on a frame boundary —
 			// a normal disconnect, not a corrupt conn. Mid-frame EOF
 			// surfaces as ErrUnexpectedEOF and still counts.

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"learnedindex/internal/core"
+	"learnedindex/internal/frame"
 	"learnedindex/internal/repl"
 	"learnedindex/internal/serve"
 )
@@ -17,7 +18,7 @@ import (
 type rawConn struct {
 	t  *testing.T
 	c  repl.Conn
-	in frameReader
+	in *frame.Reader
 }
 
 func dialRaw(t *testing.T, tr repl.Transport, addr string, strMode bool) *rawConn {
@@ -27,7 +28,7 @@ func dialRaw(t *testing.T, tr repl.Transport, addr string, strMode bool) *rawCon
 		t.Fatalf("dial: %v", err)
 	}
 	t.Cleanup(func() { c.Close() })
-	r := &rawConn{t: t, c: c}
+	r := &rawConn{t: t, c: c, in: frame.NewReader(c)}
 	r.send(&wmsg{kind: msgHello, strMode: strMode})
 	if m := r.recv(strMode); m.kind != msgServerHello {
 		t.Fatalf("handshake answered with kind %d", m.kind)
@@ -49,7 +50,7 @@ func (r *rawConn) send(ms ...*wmsg) {
 func (r *rawConn) recv(strMode bool) *wmsg {
 	r.t.Helper()
 	var m wmsg
-	if err := r.in.read(r.c, strMode, &m); err != nil {
+	if err := recvWmsg(r.in, strMode, &m); err != nil {
 		r.t.Fatalf("read: %v", err)
 	}
 	return &m
@@ -131,7 +132,7 @@ func TestServerWriteTimeout(t *testing.T) {
 		t.Fatalf("first page: kind %d, %d keys", m.kind, len(m.keys))
 	}
 	var m wmsg
-	if err := r.in.read(r.c, false, &m); err == nil {
+	if err := recvWmsg(r.in, false, &m); err == nil {
 		t.Fatal("second page arrived after the watchdog closed the connection")
 	}
 	if n := timeouts(st); n != 1 {
@@ -156,13 +157,13 @@ func muteServer(t *testing.T, tr repl.Transport, addr string) {
 			}
 			go func() {
 				defer c.Close()
-				var in frameReader
+				in := frame.NewReader(c)
 				var m wmsg
-				if in.read(c, false, &m) != nil {
+				if recvWmsg(in, false, &m) != nil {
 					return
 				}
 				c.Write(appendWmsg(nil, &wmsg{kind: msgServerHello}))
-				for in.read(c, false, &m) == nil {
+				for recvWmsg(in, false, &m) == nil {
 				}
 			}()
 		}

@@ -1,10 +1,11 @@
 // Package server is the network serving plane: a binary wire protocol that
 // fronts a serve.Store with the batch RPCs the in-process API already
 // amortizes — LookupBatch, ContainsBatch, paged Scan, CountRange, and
-// group-commit durable inserts. The wire reuses the replication plane's
-// defensive posture verbatim: kind + length + crc32c framing, panic-free
-// bounded decoding through binenc, and exactly one Write call per message
-// so transport faults (torn writes, reorders) operate on whole messages.
+// group-commit durable inserts. The wire shares the replication plane's
+// framing, internal/frame — kind + length + crc32c, one buffered reader,
+// exactly one Write call per message so transport faults (torn writes,
+// reorders) operate on whole messages — and its panic-free bounded decoding
+// through binenc.
 //
 // The protocol is split-phase with one request in flight per connection:
 // the client starts a request (one Write) and finishes it later (reads the
@@ -20,10 +21,9 @@ package server
 import (
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
 
 	"learnedindex/internal/binenc"
+	"learnedindex/internal/frame"
 )
 
 // wireVersion is bumped on any incompatible message-grammar change; the
@@ -51,31 +51,19 @@ const (
 )
 
 const (
-	// wireHeaderLen frames every message: kind u8, payload length u32 LE,
-	// crc32c(payload) u32 LE — identical to the repl plane's framing.
-	wireHeaderLen = 9
-	// maxWirePayload mirrors the WAL's record bound: any length beyond it
-	// is corruption (or hostility), not data.
-	maxWirePayload = 1 << 26
 	// maxWireKeys bounds a single message's key count so a hostile count
 	// can never size an allocation.
 	maxWireKeys = 1 << 21
-	// wireBufLen is the initial size of a connection's frame and encode
-	// buffers; both grow to the largest message seen.
-	wireBufLen = 4096
-	// maxReuseKeys and maxReuseFrame cap what a connection keeps between
+	// maxReuseKeys caps the decode slices a connection keeps between
 	// messages: one huge batch must not pin its memory for the
 	// connection's lifetime.
-	maxReuseKeys  = 1 << 16
-	maxReuseFrame = 1 << 20
+	maxReuseKeys = 1 << 16
 )
 
-// errWire covers every malformed-input path in the decoder: truncated
-// headers, oversized lengths, checksum mismatches, grammar violations.
-// Receivers treat it as a broken connection, never as data.
+// errWire is a payload that violates the message grammar, or an answer
+// that does not fit its request. Receivers treat it as a broken
+// connection, never as data.
 var errWire = errors.New("server: corrupt wire frame")
-
-var wireCRC = crc32.MakeTable(crc32.Castagnoli)
 
 // wmsg is the decoded form of every wire message; kind selects which fields
 // are meaningful. One struct (rather than one type per kind) lets a
@@ -127,17 +115,24 @@ func reuse[T any](s []T) []T {
 // appendWmsg encodes m as one wire message appended to dst.
 func appendWmsg(dst []byte, m *wmsg) []byte {
 	base := len(dst)
-	dst = append(dst, m.kind, 0, 0, 0, 0, 0, 0, 0, 0)
+	dst = frame.AppendHeader(dst, m.kind)
 	switch m.kind {
 	case msgHello:
 		dst = binenc.AppendUvarint(dst, wireVersion)
-		dst = appendBool(dst, m.strMode)
+		dst = binenc.AppendBool(dst, m.strMode)
 	case msgServerHello:
 		dst = binenc.AppendUvarint(dst, wireVersion)
-		dst = appendBool(dst, m.strMode)
-		dst = appendBool(dst, m.follower)
+		dst = binenc.AppendBool(dst, m.strMode)
+		dst = binenc.AppendBool(dst, m.follower)
+	case msgKeys:
+		dst = binenc.AppendBool(dst, m.more)
+		fallthrough
 	case msgLookupBatch, msgContainsBatch, msgInsert:
-		dst = appendKeyPayload(dst, m)
+		if m.strMode {
+			dst = binenc.AppendStrings(dst, m.strs)
+		} else {
+			dst = binenc.AppendUvarints(dst, m.keys)
+		}
 	case msgPositions:
 		dst = binenc.AppendUvarint(dst, m.storeLen)
 		dst = binenc.AppendUvarint(dst, uint64(len(m.pos)))
@@ -162,9 +157,6 @@ func appendWmsg(dst []byte, m *wmsg) []byte {
 	case msgScan:
 		dst = appendRange(dst, m)
 		dst = binenc.AppendUvarint(dst, m.limit)
-	case msgKeys:
-		dst = appendBool(dst, m.more)
-		dst = appendKeyPayload(dst, m)
 	case msgCountRange:
 		dst = appendRange(dst, m)
 	case msgCount:
@@ -174,8 +166,8 @@ func appendWmsg(dst []byte, m *wmsg) []byte {
 	case msgErr:
 		dst = binenc.AppendBytes(dst, []byte(m.errMsg))
 	case msgStatusInfo:
-		dst = appendBool(dst, m.follower)
-		dst = appendBool(dst, m.connected)
+		dst = binenc.AppendBool(dst, m.follower)
+		dst = binenc.AppendBool(dst, m.connected)
 		dst = binenc.AppendUvarint(dst, m.applied)
 		dst = binenc.AppendUvarint(dst, m.durable)
 		dst = binenc.AppendUvarint(dst, m.lag)
@@ -184,31 +176,15 @@ func appendWmsg(dst []byte, m *wmsg) []byte {
 	default:
 		panic(fmt.Sprintf("server: encode of unknown message kind %d", m.kind))
 	}
-	payload := dst[base+wireHeaderLen:]
-	putU32 := func(off int, v uint32) {
-		dst[off] = byte(v)
-		dst[off+1] = byte(v >> 8)
-		dst[off+2] = byte(v >> 16)
-		dst[off+3] = byte(v >> 24)
-	}
-	putU32(base+1, uint32(len(payload)))
-	putU32(base+5, crc32.Checksum(payload, wireCRC))
+	frame.Seal(dst[base:])
 	return dst
-}
-
-func appendBool(dst []byte, v bool) []byte {
-	b := byte(0)
-	if v {
-		b = 1
-	}
-	return append(dst, b)
 }
 
 // appendRange encodes a scan/count range: a bounded flag, the low bound,
 // and — only when bounded — the high bound. The open-ended form exists for
 // string mode, where there is no cheap "past every key" sentinel.
 func appendRange(dst []byte, m *wmsg) []byte {
-	dst = appendBool(dst, m.bounded)
+	dst = binenc.AppendBool(dst, m.bounded)
 	if m.strMode {
 		dst = binenc.AppendBytes(dst, []byte(m.loS))
 		if m.bounded {
@@ -223,27 +199,8 @@ func appendRange(dst []byte, m *wmsg) []byte {
 	return dst
 }
 
-// appendKeyPayload encodes the message's key set in the WAL payload
-// grammar: uvarint count, then per key either a uvarint (uint64 mode) or a
-// length-prefixed byte block (string mode).
-func appendKeyPayload(dst []byte, m *wmsg) []byte {
-	if m.strMode {
-		dst = binenc.AppendUvarint(dst, uint64(len(m.strs)))
-		for _, s := range m.strs {
-			dst = binenc.AppendUvarint(dst, uint64(len(s)))
-			dst = append(dst, s...)
-		}
-		return dst
-	}
-	dst = binenc.AppendUvarint(dst, uint64(len(m.keys)))
-	for _, k := range m.keys {
-		dst = binenc.AppendUvarint(dst, k)
-	}
-	return dst
-}
-
 // decodePayload decodes one message payload into m (kind comes from the
-// wire header, strMode from the handshake), reusing m's slices. Panic-free
+// frame header, strMode from the handshake), reusing m's slices. Panic-free
 // by construction: every read goes through the latching binenc.Reader,
 // counts are bounded before any allocation, and trailing garbage is an
 // error. Nothing in m aliases payload afterwards.
@@ -255,14 +212,9 @@ func decodePayload(kind byte, strMode bool, payload []byte, m *wmsg) error {
 		if v := r.Uvarint(); r.Err() == nil && v != wireVersion {
 			return fmt.Errorf("server: wire version %d, want %d", v, wireVersion)
 		}
-		var ok bool
-		if m.strMode, ok = decodeBool(r); !ok {
-			return errWire
-		}
+		m.strMode = r.Bool()
 		if kind == msgServerHello {
-			if m.follower, ok = decodeBool(r); !ok {
-				return errWire
-			}
+			m.follower = r.Bool()
 		}
 	case msgLookupBatch, msgContainsBatch:
 		decodeKeyPayload(r, strMode, true, m)
@@ -286,20 +238,13 @@ func decodePayload(kind byte, strMode bool, payload []byte, m *wmsg) error {
 			}
 		}
 	case msgScan:
-		if !decodeRange(r, strMode, m) {
-			return errWire
-		}
+		decodeRange(r, strMode, m)
 		m.limit = r.Uvarint()
 	case msgKeys:
-		var ok bool
-		if m.more, ok = decodeBool(r); !ok {
-			return errWire
-		}
+		m.more = r.Bool()
 		decodeKeyPayload(r, strMode, false, m)
 	case msgCountRange:
-		if !decodeRange(r, strMode, m) {
-			return errWire
-		}
+		decodeRange(r, strMode, m)
 	case msgCount:
 		m.count = r.Uvarint()
 	case msgOK, msgStatus:
@@ -307,13 +252,8 @@ func decodePayload(kind byte, strMode bool, payload []byte, m *wmsg) error {
 	case msgErr:
 		m.errMsg = string(r.Bytes())
 	case msgStatusInfo:
-		var ok bool
-		if m.follower, ok = decodeBool(r); !ok {
-			return errWire
-		}
-		if m.connected, ok = decodeBool(r); !ok {
-			return errWire
-		}
+		m.follower = r.Bool()
+		m.connected = r.Bool()
 		m.applied = r.Uvarint()
 		m.durable = r.Uvarint()
 		m.lag = r.Uvarint()
@@ -328,53 +268,37 @@ func decodePayload(kind byte, strMode bool, payload []byte, m *wmsg) error {
 	return nil
 }
 
-func decodeBool(r *binenc.Reader) (v, ok bool) {
-	b := r.Take(1)
-	if r.Err() != nil || b[0] > 1 {
-		return false, false
-	}
-	return b[0] == 1, true
-}
-
-func decodeRange(r *binenc.Reader, strMode bool, m *wmsg) bool {
-	var ok bool
-	if m.bounded, ok = decodeBool(r); !ok {
-		return false
-	}
+func decodeRange(r *binenc.Reader, strMode bool, m *wmsg) {
+	m.bounded = r.Bool()
 	if strMode {
 		m.loS = string(r.Bytes())
 		if m.bounded {
 			m.hiS = string(r.Bytes())
 		}
-		return true
+		return
 	}
 	m.lo = r.Uvarint()
 	if m.bounded {
 		m.hi = r.Uvarint()
 	}
-	return true
 }
 
 // decodeKeyPayload decodes a key payload into m. String keys are copied out
 // of the frame buffer either way. The read requests, whose keys nobody
 // keeps past the answer, take one copy of the whole key region and hand out
 // substrings of it — one allocation per message — while keys the receiver
-// retains (an insert's, a scan page's) get a copy each, so that keeping one
-// never pins the rest of its message.
+// retains (an insert's, a scan page's) get a copy each (binenc's Strings),
+// so that keeping one never pins the rest of its message.
 func decodeKeyPayload(r *binenc.Reader, strMode, oneCopy bool, m *wmsg) {
+	switch {
+	case !strMode:
+		m.keys = r.Uvarints(m.keys, maxWireKeys)
+		return
+	case !oneCopy:
+		m.strs = r.Strings(m.strs, maxWireKeys)
+		return
+	}
 	n := r.Count(maxWireKeys, 1) // 0 once r has failed
-	if !strMode {
-		for i := 0; i < n; i++ {
-			m.keys = append(m.keys, r.Uvarint())
-		}
-		return
-	}
-	if !oneCopy {
-		for i := 0; i < n; i++ {
-			m.strs = append(m.strs, string(r.Bytes()))
-		}
-		return
-	}
 	if n == 0 {
 		return
 	}
@@ -388,81 +312,15 @@ func decodeKeyPayload(r *binenc.Reader, strMode, oneCopy bool, m *wmsg) {
 	}
 }
 
-// writeWmsg encodes m into *buf and writes it as ONE Write call, so a
-// transport fault (torn write, reorder) operates on whole messages the way
-// FaultFS torn writes operate on whole WAL records. The buffer is reused
-// across calls.
-func writeWmsg(w io.Writer, buf *[]byte, m *wmsg) error {
-	*buf = appendWmsg((*buf)[:0], m)
-	_, err := w.Write(*buf)
-	return err
-}
-
-// frameReader reads whole messages from a connection through one buffer it
-// owns: each fill is a single Read of whatever the transport has, header
-// and payload are checked and decoded in place, and bytes past the frame
-// stay buffered for the next call — one read syscall per frame where a
-// header-then-payload reader pays two.
-type frameReader struct {
-	buf  []byte
-	r, w int // buf[r:w] is received and not yet decoded
-}
-
-// read decodes the next message from src into m. Any malformed input —
-// short read, oversized length, checksum mismatch, grammar violation —
-// returns an error (errWire or the transport's); never a panic, and m is
-// meaningful only when the error is nil. A clean end of stream on a frame
-// boundary is io.EOF; inside a frame it is io.ErrUnexpectedEOF.
-func (f *frameReader) read(src io.Reader, strMode bool, m *wmsg) error {
-	need := wireHeaderLen
-	for {
-		if f.w-f.r >= wireHeaderLen {
-			plen := u32(f.buf[f.r+1:])
-			if plen > maxWirePayload {
-				return errWire
-			}
-			need = wireHeaderLen + int(plen)
-		}
-		if f.w-f.r >= need {
-			break
-		}
-		f.reserve(need)
-		n, err := src.Read(f.buf[f.w:])
-		f.w += n
-		if n == 0 && err != nil { // an error delivered with data resurfaces on the next Read
-			if err == io.EOF && f.w > f.r {
-				return io.ErrUnexpectedEOF
-			}
-			return err
-		}
+// recvWmsg reads the next message from in and decodes it into m. Malformed
+// input — a short read, an oversized length, a checksum mismatch, a grammar
+// violation — is an error (frame.ErrCorrupt, errWire or the transport's),
+// never a panic, and m is meaningful only when the error is nil. A clean
+// end of stream on a message boundary is io.EOF.
+func recvWmsg(in *frame.Reader, strMode bool, m *wmsg) error {
+	kind, payload, err := in.Next()
+	if err != nil {
+		return err
 	}
-	frame := f.buf[f.r : f.r+need]
-	if f.r += need; f.r == f.w {
-		f.r, f.w = 0, 0
-	}
-	payload := frame[wireHeaderLen:]
-	if crc32.Checksum(payload, wireCRC) != u32(frame[5:]) {
-		return errWire
-	}
-	return decodePayload(frame[0], strMode, payload, m)
-}
-
-// reserve makes room for a frame of need bytes starting at f.r. The buffer
-// grows only when the frame cannot fit and drops back to wireBufLen once an
-// outsized frame has been consumed; otherwise the unread tail moves to the
-// front.
-func (f *frameReader) reserve(need int) {
-	switch {
-	case need > len(f.buf), f.r == f.w && len(f.buf) > maxReuseFrame:
-		buf := make([]byte, max(need, wireBufLen))
-		f.w = copy(buf, f.buf[f.r:f.w])
-		f.r, f.buf = 0, buf
-	case len(f.buf)-f.r < need:
-		f.w = copy(f.buf, f.buf[f.r:f.w])
-		f.r = 0
-	}
-}
-
-func u32(b []byte) uint32 {
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
+	return decodePayload(kind, strMode, payload, m)
 }

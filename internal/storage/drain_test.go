@@ -13,24 +13,23 @@ import (
 	"time"
 
 	"learnedindex/internal/core"
-	"learnedindex/internal/obs"
 	"learnedindex/internal/vfs"
 )
 
 // writeSegment is build + commit in one call, for tests that want a
 // segment file by hand.
-func writeSegment(fs vfs.FS, ioc *obs.Counter, dir string, seqLo, seqHi uint64, keys []uint64, cfg core.Config, fpr float64) (*segment, error) {
+func writeSegment(fs vfs.FS, ignored func(string, error), dir string, seqLo, seqHi uint64, keys []uint64, cfg core.Config, fpr float64) (*segment, error) {
 	s := buildSegment(seqLo, seqHi, keys, cfg, fpr)
-	return s, commitSegment(fs, ioc, dir, s)
+	return s, commitSegment(fs, ignored, dir, s)
 }
 
 // writeStringSegment is writeSegment for string keys.
-func writeStringSegment(fs vfs.FS, ioc *obs.Counter, dir string, seqLo, seqHi uint64, keys []string, cfg core.Config, fpr float64) (*segment, error) {
+func writeStringSegment(fs vfs.FS, ignored func(string, error), dir string, seqLo, seqHi uint64, keys []string, cfg core.Config, fpr float64) (*segment, error) {
 	s, err := buildStringSegment(seqLo, seqHi, keys, cfg, fpr)
 	if err != nil {
 		return nil, err
 	}
-	return s, commitSegment(fs, ioc, dir, s)
+	return s, commitSegment(fs, ignored, dir, s)
 }
 
 // modeEngine drives an engine of either key mode with uint64 keys (strKeysOf

@@ -108,6 +108,11 @@ func walTestStringFrame(keys ...string) []byte {
 	return walTestSeal(payload)
 }
 
+// crcTable is the formats' checksum, crc32c, spelled out here rather than
+// taken from internal/frame, so hand-built frames and reference images check
+// the writers instead of sharing their code.
+var crcTable = crc32.MakeTable(crc32.Castagnoli)
+
 func walTestSeal(payload []byte) []byte {
 	frame := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
 	frame = binary.LittleEndian.AppendUint32(frame, crc32.Checksum(payload, crcTable))

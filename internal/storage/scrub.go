@@ -3,12 +3,13 @@ package storage
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"log"
 	"slices"
 	"time"
 
 	"learnedindex/internal/binenc"
+	"learnedindex/internal/frame"
+	"learnedindex/internal/vfs"
 )
 
 // Self-healing scrub. Every live segment is fully materialized in memory
@@ -37,7 +38,7 @@ func verifySegmentImage(data []byte) error {
 		return fmt.Errorf("storage: bad segment magic: %w", binenc.ErrCorrupt)
 	}
 	body := data[len(segMagic) : len(data)-4]
-	if crc32.Checksum(body, crcTable) != binary.LittleEndian.Uint32(data[len(data)-4:]) {
+	if frame.Checksum(body) != binary.LittleEndian.Uint32(data[len(data)-4:]) {
 		return fmt.Errorf("storage: segment checksum mismatch: %w", binenc.ErrCorrupt)
 	}
 	return nil
@@ -103,15 +104,7 @@ func (e *Engine) healLocked(s *segment, cause error) error {
 	if err != nil {
 		return err // in-memory state unencodable: should be impossible
 	}
-	tmp := s.path + ".tmp"
-	if err := writeFileSync(e.fs, e.m.ioErrors, tmp, img); err != nil {
-		return err
-	}
-	if err := e.fs.Rename(tmp, s.path); err != nil {
-		e.countIOErr("remove heal temp", e.fs.Remove(tmp))
-		return err
-	}
-	if err := e.fs.SyncDir(e.dir); err != nil {
+	if err := vfs.CommitFile(e.fs, s.path, img, e.countIOErr); err != nil {
 		return err
 	}
 	e.m.scrubHeals.Inc()

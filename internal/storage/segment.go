@@ -3,16 +3,14 @@ package storage
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
-	"os"
 	"path/filepath"
 	"sync/atomic"
 
 	"learnedindex/internal/binenc"
 	"learnedindex/internal/bloom"
 	"learnedindex/internal/core"
+	"learnedindex/internal/frame"
 	"learnedindex/internal/keycodec"
-	"learnedindex/internal/obs"
 	"learnedindex/internal/vfs"
 )
 
@@ -173,7 +171,7 @@ func newSegmentImage(magic [8]byte, keys []uint64, rest int) []byte {
 // sealSegmentImage appends the checksum of the body (everything after the
 // magic).
 func sealSegmentImage(img []byte) []byte {
-	return binary.LittleEndian.AppendUint32(img, crc32.Checksum(img[len(segMagic):], crcTable))
+	return binary.LittleEndian.AppendUint32(img, frame.Checksum(img[len(segMagic):]))
 }
 
 // blockLen is the size of an n-byte length-prefixed block.
@@ -203,7 +201,7 @@ func decodeKeyBlock(data []byte, magic [8]byte) (*binenc.Reader, []uint64, error
 		return nil, nil, fmt.Errorf("storage: bad segment magic: %w", binenc.ErrCorrupt)
 	}
 	body := data[len(magic) : len(data)-4]
-	if crc32.Checksum(body, crcTable) != binary.LittleEndian.Uint32(data[len(data)-4:]) {
+	if frame.Checksum(body) != binary.LittleEndian.Uint32(data[len(data)-4:]) {
 		return nil, nil, fmt.Errorf("storage: segment checksum mismatch: %w", binenc.ErrCorrupt)
 	}
 	r := binenc.NewReader(body)
@@ -298,15 +296,15 @@ func fitBesideFilter[K any](fit func(), keys []K, fpr float64, hash func(K) (h1,
 
 // commitSegment encodes a built segment that no reader can reach yet and
 // commits the image to dir crash-safely under the name of its sequence
-// range: temp file, fsync, rename, fsync the directory. Only then does the
+// range (vfs.CommitFile; ignored errors go to ignored). Only then does the
 // segment carry a path and a size on disk.
-func commitSegment(fs vfs.FS, ioc *obs.Counter, dir string, s *segment) error {
+func commitSegment(fs vfs.FS, ignored func(ctx string, err error), dir string, s *segment) error {
 	img, err := encodeLiveSegment(s)
 	if err != nil {
 		return err
 	}
 	final := filepath.Join(dir, segmentFileName(s.seqLo, s.seqHi))
-	if err := commitSegmentFile(fs, ioc, dir, final, img); err != nil {
+	if err := vfs.CommitFile(fs, final, img, ignored); err != nil {
 		return err
 	}
 	s.path, s.diskBytes = final, int64(len(img))
@@ -322,23 +320,6 @@ func (s *segment) unpublished(seqLo, seqHi uint64) *segment {
 		seqLo: seqLo, seqHi: seqHi,
 		keys: s.keys, rmi: s.rmi, plan: s.plan, filter: s.filter, sindex: s.sindex,
 	}
-}
-
-// commitSegmentFile writes img to final crash-safely: temp file, fsync,
-// rename, directory fsync. A failed rename's temp cleanup is best-effort
-// (counted in ioc; a leftover temp is swept at the next open).
-func commitSegmentFile(fs vfs.FS, ioc *obs.Counter, dir, final string, img []byte) error {
-	tmp := final + ".tmp"
-	if err := writeFileSync(fs, ioc, tmp, img); err != nil {
-		return err
-	}
-	if err := fs.Rename(tmp, final); err != nil {
-		if rerr := fs.Remove(tmp); rerr != nil && ioc != nil {
-			ioc.Inc()
-		}
-		return err
-	}
-	return fs.SyncDir(dir)
 }
 
 // openSegmentFile reads and decodes one committed segment, dispatching on
@@ -432,28 +413,4 @@ func buildStringSegment(seqLo, seqHi uint64, keys []string, cfg core.Config, fpr
 		keys: prefixes, rmi: rmi, plan: si.Plan(), filter: filter,
 		sindex: si,
 	}, nil
-}
-
-// writeFileSync writes data to path and fsyncs before closing. A close
-// failure after a failed write or sync is counted in ioc (the primary
-// error propagates; the descriptor leak does not, but must not stay
-// invisible).
-func writeFileSync(fs vfs.FS, ioc *obs.Counter, path string, data []byte) error {
-	f, err := fs.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		if cerr := f.Close(); cerr != nil && ioc != nil {
-			ioc.Inc()
-		}
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		if cerr := f.Close(); cerr != nil && ioc != nil {
-			ioc.Inc()
-		}
-		return err
-	}
-	return f.Close()
 }

@@ -553,7 +553,7 @@ func (e *Engine) loadSegments() ([]*segment, uint64, error) {
 }
 
 // maxAppendChunk bounds the keys per WAL record (~5 MB at worst-case
-// 10-byte varints, well under maxWALRecord) so arbitrarily large Append
+// 10-byte varints, well under frame.MaxPayload) so arbitrarily large Append
 // calls — e.g. a multi-million-key bootstrap — frame into several records
 // instead of tripping the record-size limit.
 const maxAppendChunk = 1 << 19
@@ -842,7 +842,7 @@ func (e *Engine) drainCohortStrLocked() {
 }
 
 // maxStringChunkBytes bounds one string WAL record's encoded payload
-// (~4 MB, well under maxWALRecord), the byte-domain twin of
+// (~4 MB, well under frame.MaxPayload), the byte-domain twin of
 // maxAppendChunk.
 const maxStringChunkBytes = 1 << 22
 
@@ -1329,7 +1329,7 @@ func materialize[K cmp.Ordered](e *Engine, ops *keyOps[K], keys []K, res *segmen
 // commitSegment gives a built segment its file, under the segment plane's
 // retry policy: the index is built once, only the write is retried.
 func (e *Engine) commitSegment(s *segment) error {
-	return e.retryIO(func() error { return commitSegment(e.fs, e.m.ioErrors, e.dir, s) })
+	return e.retryIO(func() error { return commitSegment(e.fs, e.countIOErr, e.dir, s) })
 }
 
 // createWAL creates and reserves the engine's log number seq.
@@ -1674,6 +1674,10 @@ func compactionDebt(segs []*segment, fanout int) int {
 
 // Dir returns the engine's root directory.
 func (e *Engine) Dir() string { return e.dir }
+
+// FS returns the filesystem the engine was opened on, for files kept beside
+// the engine's own in Dir.
+func (e *Engine) FS() vfs.FS { return e.fs }
 
 // kickCompactor nudges the background compactor without blocking.
 func (e *Engine) kickCompactor() {

@@ -4,11 +4,11 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"sync"
 
 	"learnedindex/internal/binenc"
+	"learnedindex/internal/frame"
 	"learnedindex/internal/slicepool"
 	"learnedindex/internal/vfs"
 )
@@ -17,6 +17,10 @@ import (
 //
 //	[payloadLen uint32 LE][crc32c(payload) uint32 LE][payload]
 //	payload = uvarint keyCount, then keyCount uvarint keys
+//
+// The header is a wire message's (internal/frame) without the kind byte —
+// same checksum, same payload bound — and the payload is binenc's key
+// payload (AppendUvarints; AppendStrings in a string-keyed log).
 //
 // Durability contract: Append is buffered; only Sync makes previously
 // appended records crash-safe (flush + fsync). Concurrent committers are
@@ -46,9 +50,6 @@ import (
 // engine's write mutex is never held across segment training. Recovery
 // replays every wal-*.log in sequence order.
 const (
-	// maxWALRecord bounds a single record's payload; a length prefix beyond
-	// it is treated as a torn/corrupt frame rather than an allocation.
-	maxWALRecord = 1 << 26
 	walHeaderLen = 8
 	// walExtent is how far ahead of the writes a log is reserved: several
 	// times what the serving layer's default drain cycle adds to a log
@@ -57,8 +58,6 @@ const (
 	// and small enough that reserving it for every rotated log costs little.
 	walExtent = 256 << 10
 )
-
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 func walFileName(seq uint64) string { return fmt.Sprintf("wal-%016x.log", seq) }
 
@@ -137,7 +136,7 @@ func (w *wal) reserve(size int64) {
 // data[off:], or false where the log ends: fewer bytes than a header, an
 // all-zero header (the never-written rest of a reserved extent — no record
 // has an empty payload, every payload starts with its key count), a length
-// beyond the record bound or the data, or a checksum mismatch.
+// beyond frame.MaxPayload or the data, or a checksum mismatch.
 func walFrameAt(data []byte, off int) (payload []byte, ok bool) {
 	if len(data)-off < walHeaderLen {
 		return nil, false
@@ -147,11 +146,11 @@ func walFrameAt(data []byte, off int) (payload []byte, ok bool) {
 	if plen == 0 && sum == 0 {
 		return nil, false
 	}
-	if plen > maxWALRecord || len(data)-off-walHeaderLen < plen {
+	if plen > frame.MaxPayload || len(data)-off-walHeaderLen < plen {
 		return nil, false
 	}
 	payload = data[off+walHeaderLen : off+walHeaderLen+plen]
-	if crc32.Checksum(payload, crcTable) != sum {
+	if frame.Checksum(payload) != sum {
 		return nil, false
 	}
 	return payload, true
@@ -162,6 +161,16 @@ func walFrameAt(data []byte, off int) (payload []byte, ok bool) {
 // truncation point for everything after it. It never panics on arbitrary
 // input and never returns a key from a frame that fails validation.
 func replayWAL(data []byte) (keys []uint64, good int64) {
+	return replayLog(data, (*binenc.Reader).Uvarints)
+}
+
+// replayWALStrings is replayWAL for string-keyed logs.
+func replayWALStrings(data []byte) (keys []string, good int64) {
+	return replayLog(data, (*binenc.Reader).Strings)
+}
+
+// replayLog is replayWAL for the key payload that decode reads.
+func replayLog[K any](data []byte, decode func(r *binenc.Reader, dst []K, max int) []K) (keys []K, good int64) {
 	off := 0
 	for {
 		payload, ok := walFrameAt(data, off)
@@ -169,17 +178,13 @@ func replayWAL(data []byte) (keys []uint64, good int64) {
 			return keys, int64(off)
 		}
 		r := binenc.NewReader(payload)
-		n := r.Count(len(payload), 1)
-		recKeys := make([]uint64, 0, n)
-		for i := 0; i < n; i++ {
-			recKeys = append(recKeys, r.Uvarint())
-		}
+		n := len(keys)
+		keys = decode(r, keys, len(payload))
 		// A checksummed record must decode exactly; leftovers or a decode
 		// error mean the frame was written by something else — stop here.
 		if r.Err() != nil || r.Remaining() != 0 {
-			return keys, int64(off)
+			return keys[:n], int64(off)
 		}
-		keys = append(keys, recKeys...)
 		off += walHeaderLen + len(payload)
 	}
 }
@@ -199,20 +204,7 @@ func (w *wal) append(keys []uint64) error {
 // (later) fsync. The caller keeps batches non-empty and the total key
 // count within maxAppendChunk.
 func (w *wal) appendBatches(batches [][]uint64) error {
-	total := 0
-	for _, b := range batches {
-		total += len(b)
-	}
-	payload := walBufPool.Get()
-	payload = binenc.AppendUvarint(payload, uint64(total))
-	for _, b := range batches {
-		for _, k := range b {
-			payload = binenc.AppendUvarint(payload, k)
-		}
-	}
-	err := w.writeFrame(payload)
-	walBufPool.Put(payload)
-	return err
+	return w.writeFrame(binenc.AppendUvarints(walBufPool.Get(), batches...))
 }
 
 // appendStrings frames string keys as one record. String payloads carry
@@ -228,57 +220,17 @@ func (w *wal) appendStrings(keys []string) error {
 
 // appendStringBatches is appendBatches for string keys: the whole cohort
 // shares one frame, checksum, and fsync. The caller keeps batches
-// non-empty and the total encoded size within maxWALRecord.
+// non-empty and the total encoded size within frame.MaxPayload.
 func (w *wal) appendStringBatches(batches [][]string) error {
-	total := 0
-	for _, b := range batches {
-		total += len(b)
-	}
-	payload := walBufPool.Get()
-	payload = binenc.AppendUvarint(payload, uint64(total))
-	for _, b := range batches {
-		for _, k := range b {
-			payload = binenc.AppendUvarint(payload, uint64(len(k)))
-			payload = append(payload, k...)
-		}
-	}
-	err := w.writeFrame(payload)
-	walBufPool.Put(payload)
-	return err
+	return w.writeFrame(binenc.AppendStrings(walBufPool.Get(), batches...))
 }
 
-// replayWALStrings is replayWAL for string-keyed logs: intact records
-// decode to their keys, the first invalid frame truncates the tail, and
-// arbitrary input never panics or surfaces a partially decoded frame.
-func replayWALStrings(data []byte) (keys []string, good int64) {
-	off := 0
-	for {
-		payload, ok := walFrameAt(data, off)
-		if !ok {
-			return keys, int64(off)
-		}
-		r := binenc.NewReader(payload)
-		n := r.Count(len(payload), 1)
-		recKeys := make([]string, 0, n)
-		for i := 0; i < n; i++ {
-			l := r.Uvarint()
-			if r.Err() != nil || l > uint64(r.Remaining()) {
-				break
-			}
-			recKeys = append(recKeys, string(r.Take(int(l))))
-		}
-		if r.Err() != nil || r.Remaining() != 0 || len(recKeys) != n {
-			return keys, int64(off)
-		}
-		keys = append(keys, recKeys...)
-		off += walHeaderLen + len(payload)
-	}
-}
-
-// writeFrame checksums payload and writes the framed record into the
-// write buffer, first reserving the extents the record reaches into.
+// writeFrame checksums payload, a walBufPool buffer it recycles, and
+// writes the framed record into the write buffer, first reserving the
+// extents the record reaches into.
 func (w *wal) writeFrame(payload []byte) error {
-	if len(payload) > maxWALRecord {
+	defer walBufPool.Put(payload)
+	if len(payload) > frame.MaxPayload {
 		return fmt.Errorf("storage: WAL record of %d bytes exceeds limit", len(payload))
 	}
 	if end := w.size + int64(walHeaderLen+len(payload)); w.reserved > 0 && end > w.reserved {
@@ -286,7 +238,7 @@ func (w *wal) writeFrame(payload []byte) error {
 	}
 	var hdr [walHeaderLen]byte
 	binary.LittleEndian.PutUint32(hdr[:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:], crc32.Checksum(payload, crcTable))
+	binary.LittleEndian.PutUint32(hdr[4:], frame.Checksum(payload))
 	if _, err := w.w.Write(hdr[:]); err != nil {
 		return err
 	}

@@ -16,6 +16,7 @@ package vfs
 import (
 	"io"
 	"os"
+	"path/filepath"
 )
 
 // File is an open file handle: the subset of *os.File the storage engine
@@ -57,6 +58,37 @@ type FS interface {
 	MkdirAll(path string, perm os.FileMode) error
 	// SyncDir fsyncs a directory so a just-renamed entry is durable.
 	SyncDir(dir string) error
+}
+
+// CommitFile writes data to name crash-safely: written and fsynced as
+// name+".tmp", renamed over name, the directory fsynced. Until the rename
+// name keeps what it held; a temp a failure leaves behind is the caller's to
+// sweep. An error the caller cannot act on — a close after a failed write,
+// the temp's removal after a failed rename — goes to ignored, if not nil.
+func CommitFile(fs FS, name string, data []byte, ignored func(ctx string, err error)) error {
+	tmp := name + ".tmp"
+	f, err := fs.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	if _, err = f.Write(data); err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	} else if cerr != nil && ignored != nil {
+		ignored("close after a failed write", cerr)
+	}
+	if err != nil {
+		return err
+	}
+	if err := fs.Rename(tmp, name); err != nil {
+		if rerr := fs.Remove(tmp); rerr != nil && ignored != nil {
+			ignored("remove temp after a failed rename", rerr)
+		}
+		return err
+	}
+	return fs.SyncDir(filepath.Dir(name))
 }
 
 // OS is the passthrough implementation: every call maps 1:1 onto the os
