@@ -2,9 +2,12 @@ package core
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sort"
+	"sync"
 	"testing"
 
 	"learnedindex/internal/data"
@@ -146,6 +149,14 @@ func FuzzBatchKernel(f *testing.F) {
 	f.Add([]byte{}, []byte{5, 0, 0}, uint8(0), uint8(1))                                   // every plan empty
 	f.Add([]byte{7, 0, 7, 0, 7, 0}, []byte{7, 0, 1, 6, 0, 2, 8, 0, 0}, uint8(1), uint8(2)) // duplicates collapse
 	f.Add(make([]byte, 400), make([]byte, 3*70), uint8(3), uint8(3))                       // more than one tile
+	// Every probe above every plan's maximum key (keys ≤ 200, probes ≥
+	// 0xff00), over more than one tile: each cursor ends on its array's
+	// last key and the epilogue answers len(keys).
+	above := make([]byte, 0, 3*70)
+	for j := 0; j < 70; j++ {
+		above = append(above, byte(j), 0xff, byte(j))
+	}
+	f.Add([]byte{1, 0, 5, 0, 2, 0, 9, 0, 3, 0, 200, 0}, above, uint8(2), uint8(0))
 
 	f.Fuzz(func(t *testing.T, raw, probeRaw []byte, leaves, searchKind uint8) {
 		if len(raw) > 1<<12 || len(probeRaw) > 1<<11 {
@@ -188,6 +199,97 @@ func FuzzBatchKernel(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestBatchKernelCursorInBounds pins the kernel's pointer discipline: a
+// probe's search cursor is an unsafe.Pointer into its plan's key array and
+// must never point past the array's last key, where the GC could find the
+// next object. Every key array is its own exact-size allocation, so a
+// cursor one key past its end points at a neighbouring object, a free slot
+// or an unallocated span, and the collector's pointer checks abort the run
+// ("found pointer to free object", "found bad pointer in Go heap"). Tiles
+// whose probes all sit above the maximum, all below the minimum, all on
+// the first or last key, or a mix of these, run while another goroutine
+// collects garbage in a loop, and every answer must be the per-key one.
+func TestBatchKernelCursorInBounds(t *testing.T) {
+	var plans []*Plan
+	var keysets [][]uint64
+	for i, n := range []int{1, 2, 63, 64, 65, 1 << 20} {
+		keys := make([]uint64, n)
+		for j, k := range data.Lognormal(n, 0, 2, 1<<40, int64(i+1)) {
+			keys[j] = k + 1 // leaves room below the minimum
+		}
+		keysets = append(keysets, keys)
+		plans = append(plans, New(keys, Config{}).Plan())
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				runtime.GC()
+			}
+		}
+	}()
+	defer func() { close(stop); wg.Wait() }()
+
+	rng := rand.New(rand.NewSource(31))
+	above := func(keys []uint64) uint64 {
+		last := keys[len(keys)-1]
+		return []uint64{last + 1, ^uint64(0), last + 1 + rng.Uint64()>>1}[rng.Intn(3)]
+	}
+	below := func(keys []uint64) uint64 { return rng.Uint64() % keys[0] }
+	edge := func(keys []uint64) uint64 { return []uint64{keys[0], keys[len(keys)-1]}[rng.Intn(2)] }
+	shapes := []struct {
+		name string
+		draw func(keys []uint64) uint64
+	}{
+		{"above", above},
+		{"below", below},
+		{"edges", edge},
+		{"mixed", func(keys []uint64) uint64 {
+			k := keys[rng.Intn(len(keys))]
+			return []uint64{above(keys), below(keys), edge(keys), k, k + 1}[rng.Intn(5)]
+		}},
+	}
+	// A stray cursor is only caught if a collection scans the stack while
+	// it points outside its array, so each tile, once checked against the
+	// per-key path, reruns many times against that answer.
+	got := make([]int, 3*batchTile+5)
+	check := func(name string, plans []*Plan, sel []int32, probes []uint64) {
+		assertKernelEquivalent(t, name, plans, sel, probes)
+		want := make([]int, len(probes))
+		LookupBatch(plans, sel, probes, want)
+		for rep := 0; rep < 40; rep++ {
+			LookupBatch(plans, sel, probes, got[:len(probes)])
+			if !slices.Equal(got[:len(probes)], want) {
+				t.Fatalf("%s: rerun %d answered %v, first run %v", name, rep, got[:len(probes)], want)
+			}
+		}
+	}
+	for _, sh := range shapes {
+		for _, n := range []int{1, batchTile - 1, batchTile, 3*batchTile + 5} {
+			sel := make([]int32, n)
+			probes := make([]uint64, n)
+			for j := range probes {
+				sel[j] = int32(rng.Intn(len(plans)))
+				probes[j] = sh.draw(keysets[sel[j]])
+			}
+			check(sh.name+"/every plan", plans, sel, probes)
+			for pi, p := range plans {
+				for j := range probes {
+					probes[j] = sh.draw(keysets[pi])
+				}
+				check(fmt.Sprintf("%s/%d keys", sh.name, len(keysets[pi])), []*Plan{p}, nil, probes)
+			}
+		}
+	}
 }
 
 // TestBatchKernelSamplesAnySlot pins the model-health sampling fix: the

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"unsafe"
+
 	"learnedindex/internal/ml"
 	"learnedindex/internal/obs"
 	"learnedindex/internal/search"
@@ -411,25 +413,37 @@ func ContainsBatch(plans []*Plan, sel []int32, probes []uint64, out []bool) {
 // lookupTile runs the kernel for one tile of at most batchTile probes.
 //
 // Stage 1 runs each probe's model — route, packed leaf record, clamped
-// error window — against its own plan. Stage 2 is one lockstep branchless
-// bisection across the tile, whichever key array each probe lives in:
-// every round issues one independent load per unresolved probe and narrows
-// its window with a conditional move, so the tile keeps its misses in
-// flight together where a per-key loop would serialize each probe's
-// dependent chain (the software analogue of the memory-level parallelism
-// FAST schedules explicitly, internal/fast). The epilogue is per probe:
-// certificate or §3.4 expansion (rare: absent probes whose window
+// error window — against its own plan, and leaves the probe two words of
+// tile state: a cursor at its window's start in its own plan's key array,
+// and the window's length. Stage 2 is one lockstep branchless bisection
+// across the tile, whichever key array each probe lives in: every round
+// issues one independent load per unresolved probe, straight off its
+// cursor, and moves the cursor with a conditional move, so the tile keeps
+// its misses in flight together where a per-key loop would serialize each
+// probe's dependent chain (the software analogue of the memory-level
+// parallelism FAST schedules explicitly, internal/fast). A round step has
+// no slice header, no base and no bounds check to carry: the fewer µops
+// each step costs, the more steps — and misses — the core holds in flight
+// behind the oldest one.
+//
+// The cursor is an unsafe.Pointer, so the kernel keeps it inside its
+// allocation: windows are clamped to end at n−1, never at n, and a cursor
+// only ever advances to a point inside its window, so it never points past
+// the array's last key (a past-the-end pointer may point at the next
+// object, which the GC must not see). A probe above every key ends on
+// n−1, and the epilogue's expansion answers it with n. The epilogue is per
+// probe: certificate or §3.4 expansion (rare: absent probes whose window
 // missed), the hybrid-leaf descent, and at most one model-health sample.
 func lookupTile(plans []*Plan, sel []int32, probes []uint64, out []int) {
 	g := len(probes)
 	var (
-		ks   [batchTile][]uint64 // each probe's key array
-		base [batchTile]int      // window start, then the search's cursor
-		cnt  [batchTile]int      // window length still unresolved
+		cur  [batchTile]unsafe.Pointer // &keys[window start], then the search's cursor
+		cnt  [batchTile]int            // window length still unresolved
 		leaf [batchTile]int32
 	)
-	// off marks probes the search does not answer: hybrid leaves, whose
-	// B-Tree descent is its own pipeline, and empty plans.
+	// off marks probes the search does not answer — hybrid leaves, whose
+	// B-Tree descent is its own pipeline, and empty plans — and leaves
+	// their cnt at 0, so the rounds skip them.
 	off := uint64(0)
 	// The sampled slot is picked by key hash, so it is unbiased in key
 	// order whatever order the probes arrive in.
@@ -443,17 +457,21 @@ func lookupTile(plans []*Plan, sel []int32, probes []uint64, out []int) {
 		x := float64(probes[i])
 		idx := p.route(x)
 		lf := &p.leaves[idx]
-		_, lo, hi := p.window(lf, x)
-		ks[i], base[i], cnt[i], leaf[i] = p.keys, lo, hi-lo, int32(idx)
-		off |= uint64(lf.flags&leafHybrid) << i
+		leaf[i] = int32(idx)
 		if obs.Enabled && obs.SampleKey(probes[i]) {
 			sample = i
 		}
+		if lf.flags&leafHybrid != 0 {
+			off |= 1 << i
+			continue
+		}
+		_, lo, hi := p.window(lf, x)
+		lo, hi = min(lo, p.n-1), min(hi, p.n-1)
+		cur[i], cnt[i] = unsafe.Add(unsafe.Pointer(unsafe.SliceData(p.keys)), lo*8), hi-lo
 	}
 	for left := 1; left != 0; {
 		left = 0
-		for i := 0; i < g; i++ {
-			n := cnt[i]
+		for i, n := range cnt[:g] {
 			if n == 0 {
 				continue
 			}
@@ -461,13 +479,17 @@ func lookupTile(plans []*Plan, sel []int32, probes []uint64, out []int) {
 			// element test and its cursor ends on the window's lower bound
 			// with no data-dependent branch left for the epilogue.
 			half := (n + 1) >> 1
-			b := base[i]
-			// Compiled to CMOV: no branch on key data.
-			if ks[i][b+half-1] < probes[i] {
-				b += half
+			// next, the advanced cursor, is at most the window's end, which
+			// is at most n−1. Computing it before the compare and loading
+			// through it is what compiles the select to a CMOV, with no
+			// branch on key data; assigning unsafe.Add(c, half*8) inside
+			// the if compiles to a branch.
+			c, next := cur[i], unsafe.Add(cur[i], half*8)
+			if *(*uint64)(unsafe.Add(next, -8)) < probes[i] {
+				c = next
 			}
 			n -= half
-			base[i], cnt[i] = b, n
+			cur[i], cnt[i] = c, n
 			left |= n
 		}
 	}
@@ -480,7 +502,8 @@ func lookupTile(plans []*Plan, sel []int32, probes []uint64, out []int) {
 			}
 			continue
 		}
-		out[i] = p.resolveBoundary(probes[i], base[i])
+		pos := int((uintptr(cur[i]) - uintptr(unsafe.Pointer(unsafe.SliceData(p.keys)))) / 8)
+		out[i] = p.resolveBoundary(probes[i], pos)
 	}
 	// Model health: the bisection consumed the window, so the sampled
 	// probe's is recomputed — one packed-record load on a sampled tile.

@@ -23,7 +23,6 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -474,11 +473,6 @@ func (r *Router) scatter(read bool, involved func(i int) bool, start, finish fun
 		}
 		cl.c, cl.err = c, err
 	}
-	// Every request is on the wire. Yield once before blocking in the first
-	// read: the scheduler gets to poll the network and run whoever the
-	// requests woke (a co-located server, another caller) on a processor
-	// this call would otherwise hold for one failed read per connection.
-	runtime.Gosched()
 	var errs []error
 	for i := range calls {
 		cl := &calls[i]
