@@ -11,15 +11,20 @@ import (
 // FuzzPrefixOrder differentially checks the codec's core contract: prefix
 // ordering agrees with bytes.Compare on the raw keys — Prefix never inverts
 // an order, and a strict prefix inequality implies the same strict key
-// inequality.
+// inequality — and that the one-load Prefix equals the byte loop.
 func FuzzPrefixOrder(f *testing.F) {
 	f.Add([]byte("a"), []byte("ab"))
 	f.Add([]byte(""), []byte("\x00"))
 	f.Add([]byte("abcdefgh"), []byte("abcdefghZ"))
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}, []byte{0xff})
+	f.Add([]byte("\x00\x00\x00\x00\x00\x00\x00"), []byte("\x00\x00\x00\x00\x00\x00\x00\x00\xff"))
+	f.Add([]byte("\xff\x00\xff\x00\xff\x00\xff\x00"), []byte("\x00\xff\x00\xff\x00\xff\x00\xff\x00"))
 	f.Fuzz(func(t *testing.T, a, b []byte) {
 		sa, sb := string(a), string(b)
 		pa, pb := Prefix(sa), Prefix(sb)
+		if ra := prefixRef(sa); pa != ra {
+			t.Fatalf("Prefix(%q) = %#x, the byte loop gives %#x", a, pa, ra)
+		}
 		switch bytes.Compare(a, b) {
 		case -1:
 			if pa > pb {

@@ -54,13 +54,18 @@ const PrefixLen = 8
 // Prefix(a) <= Prefix(b). Keys sharing their first 8 bytes — and short keys
 // that differ only by trailing NULs from the padding — collide; the Dict
 // disambiguates those exactly.
+//
+// A key of 8 bytes or more is one big-endian load: after the s[7] bounds
+// hint the compiler merges the eight shifted bytes into a MOVQ + BSWAPQ.
+// Shorter keys take the byte loop.
 func Prefix(s string) uint64 {
-	var v uint64
-	n := len(s)
-	if n > PrefixLen {
-		n = PrefixLen
+	if len(s) >= PrefixLen {
+		_ = s[7]
+		return uint64(s[0])<<56 | uint64(s[1])<<48 | uint64(s[2])<<40 | uint64(s[3])<<32 |
+			uint64(s[4])<<24 | uint64(s[5])<<16 | uint64(s[6])<<8 | uint64(s[7])
 	}
-	for i := 0; i < n; i++ {
+	var v uint64
+	for i := 0; i < len(s); i++ {
 		v |= uint64(s[i]) << (56 - 8*uint(i))
 	}
 	return v
@@ -224,28 +229,31 @@ func BuildDict(keys []string) ([]uint64, *Dict, error) {
 		index:    make([]uint32, 0, (len(keys)+dictStride-1)/dictStride),
 		collCum:  []int32{0},
 	}
-	var cum int32
-	for i := 0; i < len(keys); {
-		p := Prefix(keys[i])
-		j := i
-		for ; j < len(keys) && Prefix(keys[j]) == p; j++ {
-			if j%dictStride == 0 {
-				d.index = append(d.index, uint32(len(d.block)))
+	// One pass, one Prefix per key: a key whose prefix differs from the
+	// last one opens a group; one that repeats it is an extra key of the
+	// open group, counted into the collision directory as it arrives.
+	start := 0 // the open group's first key
+	for j, k := range keys {
+		if p := Prefix(k); j == 0 || p != d.prefixes[len(d.prefixes)-1] {
+			start = j
+			d.prefixes = append(d.prefixes, p)
+		} else {
+			if j == start+1 {
+				d.collIdx = append(d.collIdx, int32(len(d.prefixes)-1))
+				d.collCum = append(d.collCum, d.collCum[len(d.collCum)-1])
 			}
-			_, tail := split(keys[j])
-			d.block = binenc.AppendUvarint(d.block, uint64(len(keys[j])))
-			d.block = append(d.block, tail...)
+			d.collCum[len(d.collCum)-1]++
+			d.maxGroup = max(d.maxGroup, j-start+1)
 		}
-		if g := j - i; g > 1 {
-			d.collIdx = append(d.collIdx, int32(len(d.prefixes)))
-			cum += int32(g - 1)
-			d.collCum = append(d.collCum, cum)
+		if j%dictStride == 0 {
+			d.index = append(d.index, uint32(len(d.block)))
 		}
-		d.maxGroup = max(d.maxGroup, j-i)
-		d.prefixes = append(d.prefixes, p)
-		i = j
+		_, tail := split(k)
+		d.block = binenc.AppendUvarint(d.block, uint64(len(k)))
+		d.block = append(d.block, tail...)
 	}
 	if len(keys) > 0 {
+		d.maxGroup = max(d.maxGroup, 1)
 		d.min, d.max = strings.Clone(keys[0]), strings.Clone(keys[len(keys)-1])
 	}
 	return d.prefixes, d, nil

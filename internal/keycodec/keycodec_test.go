@@ -40,12 +40,49 @@ func TestPrefixValues(t *testing.T) {
 		{"abcdefgh", 0x6162636465666768},
 		{"abcdefghZZZ", 0x6162636465666768},
 		{"\xff\xff\xff\xff\xff\xff\xff\xff", ^uint64(0)},
+		{"\xff\xff\xff\xff\xff\xff\xff", 0xffffffffffffff00},
+		{"1234567", 0x3132333435363700},
+		{"\x00\xff\x00\xff\x00\xff\x00\xff", 0x00ff00ff00ff00ff},
+		{"\xff\x00\xff\x00\xff\x00\xff\x00\xff", 0xff00ff00ff00ff00},
+		{"\x80\x00\x00\x00\x00\x00\x00\x01", 0x8000000000000001},
+		{"d00-0000000000p", 0x6430302d30303030}, // a DocID
 	}
 	for _, c := range cases {
 		if got := Prefix(c.in); got != c.want {
 			t.Errorf("Prefix(%q) = %#x, want %#x", c.in, got, c.want)
 		}
 	}
+	// Every length 0–16, over bytes that catch a lost shift or a sign
+	// extension: NUL, 0xFF and a distinct byte per position.
+	fill := map[string]func(i int) byte{
+		"NUL":       func(int) byte { return 0x00 },
+		"0xFF":      func(int) byte { return 0xff },
+		"distinct":  func(i int) byte { return byte(0x11 * (i + 1)) },
+		"NUL/0xFF":  func(i int) byte { return byte(0xff * (i & 1)) },
+		"0xFF/NUL":  func(i int) byte { return byte(0xff * (1 - i&1)) },
+		"high bits": func(i int) byte { return byte(0x80 | i) },
+	}
+	for name, b := range fill {
+		for n := 0; n <= 16; n++ {
+			key := make([]byte, n)
+			for i := range key {
+				key[i] = b(i)
+			}
+			if got, want := Prefix(string(key)), prefixRef(string(key)); got != want {
+				t.Errorf("%s, length %d: Prefix(%q) = %#x, the byte loop gives %#x", name, n, key, got, want)
+			}
+		}
+	}
+}
+
+// prefixRef is Prefix written as a byte loop over at most 8 bytes: the
+// reference the one-load form must equal at every length.
+func prefixRef(s string) uint64 {
+	var v uint64
+	for i := 0; i < len(s) && i < PrefixLen; i++ {
+		v |= uint64(s[i]) << (56 - 8*uint(i))
+	}
+	return v
 }
 
 func TestCompositeOrdering(t *testing.T) {

@@ -37,9 +37,10 @@ type FollowerOptions struct {
 	// comfortably exceed the primary's HeartbeatEvery. Default 2s.
 	HeartbeatTimeout time.Duration
 
-	// FlushEvery flushes the engine after this many applied keys, turning
-	// replayed-durable keys into served ones at a bounded cadence.
-	// Default 8192.
+	// FlushEvery flushes the engine after this many keys applied from
+	// frames, turning replayed-durable keys into served ones at a bounded
+	// cadence. Default 8192. A snapshot does not count toward it: its keys
+	// are held until its end and then served at once, as one bulk load.
 	FlushEvery int
 
 	// QueueDepth bounds the decoded-frame apply queue. When the applier
@@ -84,10 +85,14 @@ type FollowerStatus struct {
 // Follower replays a primary's durable frame stream into its own engine.
 // Every applied frame is group-committed (durable locally) before it is
 // acked, so a follower ack means exactly what a Commit return means on the
-// primary: the keys survive a crash of the follower. A disconnected
-// follower keeps serving reads from its engine and redials with jittered
-// exponential backoff; a primary presenting an epoch below the follower's
-// high-water mark is fenced (told it is deposed) and refused.
+// primary: the keys survive a crash of the follower. A snapshot is applied
+// the way Open applies a preload: its chunks are held in memory and, at its
+// end, bulk-loaded as one segment file with no log, before its sequence is
+// adopted and acked. A session cut before the end leaves none of it; the
+// next session re-snapshots. A disconnected follower keeps serving reads
+// from its engine and redials with jittered exponential backoff; a primary
+// presenting an epoch below the follower's high-water mark is fenced (told
+// it is deposed) and refused.
 type Follower struct {
 	eng     *storage.Engine
 	strMode bool
@@ -359,19 +364,22 @@ func (f *Follower) session(c Conn) error {
 	f.setConnected(true, nil)
 
 	// Applier: drains the bounded queue, group-commits every frame into the
-	// local engine, acks, and flushes on cadence. On failure it severs the
-	// connection and drains the queue so the reader never deadlocks.
+	// local engine, acks, and flushes on cadence; it holds a snapshot's keys
+	// until the snapshot ends. On failure it severs the connection and
+	// drains the queue so the reader never deadlocks. A snapshot the session
+	// does not finish dies with it.
 	ch := make(chan msg, f.opts.QueueDepth)
 	var applyWg sync.WaitGroup
 	var applyErr error
 	applyWg.Add(1)
 	go func() {
 		defer applyWg.Done()
+		var snap snapKeys
 		for m := range ch {
 			if applyErr != nil {
 				continue // draining
 			}
-			if err := f.apply(&m, out, &wmu, wd); err != nil {
+			if err := f.apply(&m, &snap, out, &wmu, wd); err != nil {
 				applyErr = err
 				c.Close()
 			}
@@ -449,25 +457,38 @@ func (f *Follower) session(c Conn) error {
 	return fmt.Errorf("%w: %w", errSessionEstablished, err)
 }
 
-// apply executes one queued message against the local engine. Frames and
-// snapshot chunks group-commit (durable before the ack leaves); snapEnd
-// adopts the snapshot's sequence and acks it.
-func (f *Follower) apply(m *msg, out *frame.Writer, wmu *sync.Mutex, wd *time.Timer) error {
+// snapKeys holds one snapshot's keys, in arrival order, from its first
+// chunk to its end. It belongs to one session's applier.
+type snapKeys struct {
+	keys []uint64
+	strs []string
+}
+
+// apply executes one queued message against the local engine. Frames
+// group-commit (durable before the ack leaves); snapshot chunks are held in
+// snap, and snapEnd bulk-loads them, adopts the snapshot's sequence and
+// acks it.
+func (f *Follower) apply(m *msg, snap *snapKeys, out *frame.Writer, wmu *sync.Mutex, wd *time.Timer) error {
 	switch m.kind {
 	case msgSnapBegin:
 		f.m.snapshots.Inc()
 		return nil
 	case msgSnapChunk:
-		if err := f.commitKeys(m); err != nil {
-			return err
-		}
+		snap.keys = append(snap.keys, m.keys...)
+		snap.strs = append(snap.strs, m.strs...)
 		wd.Reset(f.opts.HeartbeatTimeout)
 		// Progress ack: it moves no horizon (that happens at snapEnd) but it
 		// is read progress on the primary, whose silence watchdog would
-		// otherwise sever any snapshot whose transfer+apply outlasts its
+		// otherwise sever any snapshot whose transfer outlasts its
 		// ReadTimeout — a catch-up livelock for non-trivial datasets.
 		return f.ack(out, wmu, f.AppliedSeq(), 0)
 	case msgSnapEnd:
+		err := f.loadSnapshot(snap)
+		*snap = snapKeys{} // the engine holds the keys now; release the buffer
+		if err != nil {
+			return err
+		}
+		wd.Reset(f.opts.HeartbeatTimeout)
 		// The image is durable; adopt its horizon EXACTLY (assignment, not
 		// max — after an epoch raise the old stream's high-water mark must
 		// not win against the new stream's position) and re-baseline.
@@ -486,7 +507,39 @@ func (f *Follower) apply(m *msg, out *frame.Writer, wmu *sync.Mutex, wd *time.Ti
 	return nil
 }
 
-// commitKeys group-commits the message's keys and flushes on cadence.
+// loadSnapshot makes a snapshot's keys served and durable the way Open
+// makes a preload so: one bulk load, which sorts, dedupes against what the
+// engine serves and writes one segment file without logging a key. A bulk
+// load needs every earlier key spilled, so keys frames left pending, and
+// the resident run drains built from them, are flushed to their own file
+// first; Flush does nothing on an engine that holds neither, such as a
+// fresh follower's. The primary's silence watchdog is fed meanwhile by the
+// reader's heartbeat acks.
+func (f *Follower) loadSnapshot(snap *snapKeys) error {
+	n := len(snap.keys) + len(snap.strs)
+	if n == 0 {
+		return nil
+	}
+	if err := f.eng.Flush(); err != nil {
+		return err
+	}
+	f.mu.Lock()
+	f.pendingFlush = 0
+	f.mu.Unlock()
+	var err error
+	if f.strMode {
+		err = f.eng.BulkLoadStrings(snap.strs)
+	} else {
+		err = f.eng.BulkLoad(snap.keys)
+	}
+	if err != nil {
+		return err
+	}
+	f.m.keysApplied.Add(int64(n))
+	return nil
+}
+
+// commitKeys group-commits a frame's keys and flushes on cadence.
 func (f *Follower) commitKeys(m *msg) error {
 	var n int
 	var err error

@@ -2,10 +2,8 @@ package repl
 
 import (
 	"testing"
-	"time"
 
 	"learnedindex/internal/storage"
-	"learnedindex/internal/vfs"
 )
 
 // TestReplPrimaryRestartStreamReset: a restarted primary reopens its engine,
@@ -119,78 +117,5 @@ func TestReplPrimaryRestartStreamReset(t *testing.T) {
 	}
 	if got, want := feng.Len(), peng2.Len(); got != want {
 		t.Fatalf("follower Len=%d, primary Len=%d", got, want)
-	}
-}
-
-// TestReplSnapshotOutlastsReadTimeout: a snapshot whose transfer + fsync-per
-// -chunk apply takes far longer than the primary's silence watchdog must
-// still complete. The follower's per-chunk progress acks are what feed the
-// watchdog; without them the primary severs the transfer as soon as the
-// follower's bounded apply queue stops the socket drain, and cold catch-up
-// livelocks (sever → re-snapshot → sever ...).
-func TestReplSnapshotOutlastsReadTimeout(t *testing.T) {
-	peng := openEngine(t, false)
-	defer peng.Close()
-	var keys []uint64
-	for k := uint64(0); k < 800; k++ {
-		keys = append(keys, k)
-	}
-	if err := peng.CommitBatch(keys); err != nil {
-		t.Fatal(err)
-	}
-	if err := peng.Flush(); err != nil {
-		t.Fatal(err)
-	}
-
-	tr := NewMemTransport()
-	p, err := NewPrimary(peng, PrimaryOptions{
-		Epoch:          1,
-		HeartbeatEvery: 10 * time.Millisecond,
-		ReadTimeout:    75 * time.Millisecond,
-		SnapChunkKeys:  1, // 800 chunks, one follower group-commit each
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	if err := p.Serve(tr, "prim"); err != nil {
-		t.Fatal(err)
-	}
-
-	// Follower engine whose fsyncs cost ≥1ms each: the 800-chunk apply
-	// pipeline takes ≥800ms, an order of magnitude past ReadTimeout, while
-	// each individual chunk stays far inside it.
-	slow := vfs.NewFaultFS(vfs.OS, vfs.FaultConfig{})
-	slow.SetHook(func(op vfs.Op, path string) error {
-		if op == vfs.OpSync {
-			time.Sleep(time.Millisecond)
-		}
-		return nil
-	})
-	feng, err := storage.Open(t.TempDir(), storage.Options{CompactFanout: 3, FS: slow})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer feng.Close()
-	fol, err := NewFollower(feng, fastFollowerOpts("prim", tr))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fol.Close()
-	fol.Start()
-
-	waitFor(t, "slow snapshot completion", func() bool {
-		if err := feng.Flush(); err != nil {
-			t.Fatalf("follower flush: %v", err)
-		}
-		return feng.Len() == len(keys)
-	})
-	for _, k := range keys {
-		if !feng.Contains(k) {
-			t.Fatalf("follower missing key %d after snapshot", k)
-		}
-	}
-	if rc := fol.Status().Reconnects; rc != 0 {
-		t.Fatalf("Reconnects = %d, want 0 — the primary watchdog severed a live snapshot transfer", rc)
 	}
 }

@@ -1,7 +1,6 @@
 package repl
 
 import (
-	"fmt"
 	"testing"
 	"time"
 
@@ -72,27 +71,7 @@ func TestReplShipAndServe(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			commit := func(lo, hi uint64) {
-				for k := lo; k < hi; k += 10 {
-					var err error
-					if mode.str {
-						var b []string
-						for j := k; j < min(k+10, hi); j++ {
-							b = append(b, fmt.Sprintf("k%08d", j))
-						}
-						err = peng.CommitStringBatch(b)
-					} else {
-						var b []uint64
-						for j := k; j < min(k+10, hi); j++ {
-							b = append(b, j)
-						}
-						err = peng.CommitBatch(b)
-					}
-					if err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
+			commit := func(lo, hi uint64) { commitRange(t, peng, mode.str, lo, hi) }
 			// History before the follower exists: must arrive via snapshot
 			// (flush some into segments, leave some in the durable WAL tail).
 			commit(0, 500)
@@ -118,20 +97,7 @@ func TestReplShipAndServe(t *testing.T) {
 			if err := feng.Flush(); err != nil {
 				t.Fatal(err)
 			}
-			for k := uint64(0); k < 1000; k++ {
-				var ok bool
-				if mode.str {
-					ok = feng.ContainsString(fmt.Sprintf("k%08d", k))
-				} else {
-					ok = feng.Contains(k)
-				}
-				if !ok {
-					t.Fatalf("follower missing key %d", k)
-				}
-			}
-			if got := feng.Len(); got != 1000 {
-				t.Fatalf("follower Len=%d want 1000", got)
-			}
+			servesExactly(t, feng, mode.str, 0, 1000)
 			st := fol.Status()
 			if !st.Connected || st.MaxEpoch != 1 {
 				t.Fatalf("status = %+v, want connected at epoch 1", st)

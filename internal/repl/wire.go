@@ -34,7 +34,7 @@ const (
 	msgFenced       = byte(3) // follower→primary: maxEpoch — "you are deposed"
 	msgSnapBegin    = byte(4) // primary→follower: snapSeq, total key count
 	msgSnapChunk    = byte(5) // primary→follower: one key-payload chunk
-	msgSnapEnd      = byte(6) // primary→follower: snapSeq again (integrity nit)
+	msgSnapEnd      = byte(6) // primary→follower: snapSeq again; the follower bulk-loads the chunks, then adopts it
 	msgFrame        = byte(7) // primary→follower: frame seq + key payload
 	msgHeartbeat    = byte(8) // primary→follower: epoch, durableSeq, nonce
 	msgAck          = byte(9) // follower→primary: appliedSeq, echoed nonce

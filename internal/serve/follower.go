@@ -69,9 +69,10 @@ func openFollower(cfg core.Config, opt Options, fopt repl.FollowerOptions, strKe
 	if err != nil {
 		return nil, err
 	}
-	// No background merger: the follower's applier drives its own flush
-	// cadence (FollowerOptions.FlushEvery), and there are no local inserts
-	// to drain. Flush/Close still drain synchronously via the engine.
+	// No background merger: the follower's applier flushes the keys frames
+	// bring on its own cadence (FollowerOptions.FlushEvery) and bulk-loads
+	// each snapshot as one segment at its end, and there are no local
+	// inserts to drain. Flush/Close still drain synchronously via the engine.
 	s := &Store{
 		strKeys:    strKeys,
 		cfg:        cfg,

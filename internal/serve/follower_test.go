@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"learnedindex/internal/core"
+	"learnedindex/internal/data"
 	"learnedindex/internal/repl"
 )
 
@@ -169,5 +170,54 @@ func TestFollowerStoreString(t *testing.T) {
 	time.Sleep(50 * time.Millisecond)
 	if wrong.Len() != 0 {
 		t.Fatalf("mode-mismatched follower applied %d keys", wrong.Len())
+	}
+}
+
+// TestFollowerBaselineIsOneSegmentFile is the follower twin of
+// TestPreloadIsOneSegmentFile: a fresh follower's baseline — a snapshot of
+// several chunks — is bulk-loaded as one segment file, counted as the one
+// flush, with nothing written to its log. Both key kinds.
+func TestFollowerBaselineIsOneSegmentFile(t *testing.T) {
+	keys := data.Uniform(20_000, 1<<40, 31)
+	strs := make([]string, len(keys))
+	for i, k := range keys {
+		strs[i] = fmt.Sprintf("doc/%012x", k)
+	}
+	for _, str := range []bool{false, true} {
+		var pst *Store
+		var err error
+		open := OpenFollower
+		if str {
+			pst, err = OpenString(strs, core.Config{}, Options{Dir: t.TempDir()})
+			open = OpenFollowerString
+		} else {
+			pst, err = Open(keys, core.Config{}, Options{Dir: t.TempDir()})
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := repl.NewMemTransport()
+		prim, err := pst.ServeReplication(tr, "prim", repl.PrimaryOptions{
+			Epoch: 1, HeartbeatEvery: 10 * time.Millisecond, SnapChunkKeys: 4096,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fst, err := open(core.Config{}, Options{Dir: t.TempDir()}, fastRepl(prim.Addr(), tr))
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitFollower(t, "the baseline", func() bool { return fst.Len() == len(keys) })
+		stats, _ := fst.StorageStats()
+		if stats.Segments != 1 || stats.Flushes != 1 || stats.WALBytes != 0 {
+			t.Fatalf("str=%v: %d segments, %d flushes, %d WAL bytes after a %d-chunk baseline",
+				str, stats.Segments, stats.Flushes, stats.WALBytes, (len(keys)+4095)/4096)
+		}
+		if err := fst.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := pst.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -83,26 +83,25 @@ func TestResidentHeapStringStore(t *testing.T) {
 
 	// The follower twin: the same keys replayed from the primary's stream
 	// must come to rest in the same structure.
+	// It is priced with its session live, which is when a snapshot buffer
+	// kept past the bulk load it fed would still be held (~57 B/key). The
+	// snapshot crosses in 1024-key chunks, so the link's own buffers — the
+	// in-memory pipe's 256 KiB and a chunk on each side — are ~3 B/key of
+	// the bound, not the ~1.5 MB of the default chunk.
 	tr := repl.NewMemTransport()
-	prim, err := st.ServeReplication(tr, "prim", repl.PrimaryOptions{Epoch: 1, HeartbeatEvery: 10 * time.Millisecond})
+	prim, err := st.ServeReplication(tr, "prim", repl.PrimaryOptions{
+		Epoch: 1, HeartbeatEvery: 10 * time.Millisecond, SnapChunkKeys: 1024,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	before = heapHeld()
-	fopt := fastRepl(prim.Addr(), tr)
-	fopt.FlushEvery = 1 // every applied chunk is served, the last one included
-	fst, err := OpenFollowerString(core.Config{}, Options{Dir: t.TempDir()}, fopt)
+	fst, err := OpenFollowerString(core.Config{}, Options{Dir: t.TempDir()}, fastRepl(prim.Addr(), tr))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer fst.Close()
 	waitFollower(t, "follower catch-up", func() bool { return fst.Len() == residentKeys })
-	// Priced at rest: the link's buffers — a snapshot chunk on each side
-	// and one in the pipe, ~1.5 MB however many keys crossed it — are the
-	// transport's, not the copy's.
-	if err := prim.Close(); err != nil {
-		t.Fatal(err)
-	}
 	heldPerKey(t, "string follower", before, 24)
 }
 

@@ -8,6 +8,7 @@ import (
 	"learnedindex/internal/bloom"
 	"learnedindex/internal/core"
 	"learnedindex/internal/data"
+	"learnedindex/internal/keycodec"
 )
 
 // benchEngine builds a multi-segment engine under b.TempDir once.
@@ -150,4 +151,26 @@ func BenchmarkBuildSegment(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkBuildStringSegment prices the build of a 200k-key DocID segment,
+// the shape of a cluster-mixed-str node's preload and of a replica's
+// baseline: the dictionary alone (one prefix per key), and the whole
+// segment — the dictionary, then the prefix fit beside the filter build.
+func BenchmarkBuildStringSegment(b *testing.B) {
+	keys := []string(data.DocIDs(200_000, 1))
+	b.Run("dict", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, _, err := keycodec.BuildDict(keys); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("segment", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := buildStringSegment(0, 0, keys, core.Config{}, 0.01); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
