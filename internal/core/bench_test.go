@@ -1,25 +1,32 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
 
-// BenchmarkTrainZeroConfig trains the zero Config over 1M lognormal keys —
-// the retrain every flush, compaction and shard merge pays — and reports
-// what the sizing rule bought (mean_abs_err) for what (index B/key). It
-// guards the rule and the trainer's scratch (B/op) together.
+// BenchmarkTrainZeroConfig trains the zero Config over lognormal keys and
+// reports what the sizing rule bought (mean_abs_err) for what (index B/key).
+// It guards the rule and the trainer's scratch (B/op) together, at two
+// sizes: 1M keys, the retrain a flush, compaction or shard merge pays on
+// the worker pool, and 65535, the largest resident run a drain retrains (a
+// drain that reaches 64k keys is a flush), which trains on one goroutine.
 func BenchmarkTrainZeroConfig(b *testing.B) {
-	keys := benchLognormal(1_000_000, 1)
-	var r *RMI
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r = New(keys, Config{})
+	for _, n := range []int{parallelTrainMinKeys - 1, 1_000_000} {
+		b.Run(fmt.Sprintf("keys=%d", n), func(b *testing.B) {
+			keys := benchLognormal(n, 1)
+			var r *RMI
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				r = New(keys, Config{})
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(keys)), "ns/key")
+			b.ReportMetric(r.MeanAbsErr(), "mean_abs_err")
+			b.ReportMetric(float64(r.SizeBytes())/float64(len(keys)), "index_B/key")
+		})
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(keys)), "ns/key")
-	b.ReportMetric(r.MeanAbsErr(), "mean_abs_err")
-	b.ReportMetric(float64(r.SizeBytes())/float64(len(keys)), "index_B/key")
 }
 
 // BenchmarkRankEightSegments is a persistent store's batched rank read as

@@ -232,7 +232,7 @@ func (r *RMI) compile() *Plan {
 			break
 		}
 	}
-	parallelChunks(nl, TrainingWorkers(nl/compileLeafCost), func(jlo, jhi int) {
+	parallelChunks(nl, TrainingWorkers(nl/compileLeafCost), func(_, jlo, jhi int) {
 		for j := jlo; j < jhi; j++ {
 			lf := &r.leaves[j]
 			p.leaves[j] = planLeaf{

@@ -14,6 +14,13 @@ import (
 	"learnedindex/internal/search"
 )
 
+// This file holds the RMI's configuration, its models and error
+// accumulators, and the interpreted read path. Training (Algorithm 1) is
+// in train_parallel.go: the top model and the zero Config's inner stage
+// fit on a sample, then every later stage is split into contiguous key
+// runs by bisection and fit run by run on a worker pool. The compiled read
+// path is plan.go.
+
 // SearchKind selects the last-mile search strategy (§3.4).
 type SearchKind int
 
@@ -96,8 +103,11 @@ type Config struct {
 	HybridThreshold int
 	// HybridPageSize is the page size of replacement B-Trees (default 32).
 	HybridPageSize int
-	// SubsampleTop caps the points used to train the stage-1 model; 0 means
-	// 200k (§3.6: top models converge before one full scan).
+	// SubsampleTop sets the stride of the stage-1 model's training sample
+	// (§3.6: top models converge before one full scan); 0 means 200k. It
+	// is not a cap: up to 2·SubsampleTop−1 keys every key is sampled, and
+	// above that the sample takes every ⌊n/SubsampleTop⌋-th key, which is
+	// between SubsampleTop and 2·SubsampleTop−1 points.
 	SubsampleTop int
 	// Seed makes NN training deterministic.
 	Seed int64
@@ -173,6 +183,31 @@ func (a *regAcc) add(x, y float64, pos int32) {
 	}
 }
 
+// addRun is add over keys[lo:hi] at positions lo..hi-1, in key order, with
+// the sums held in registers. Runs must arrive in ascending position order.
+func (a *regAcc) addRun(keys []uint64, lo, hi int) {
+	if lo >= hi {
+		return
+	}
+	if !a.seen {
+		a.xref, a.yref = float64(keys[lo]), float64(lo)
+		a.seen = true
+		a.minPos = int32(lo)
+	}
+	a.maxPos = int32(hi - 1)
+	xref, yref := a.xref, a.yref
+	n, sx, sy, sxx, sxy := a.n, a.sx, a.sy, a.sxx, a.sxy
+	for i := lo; i < hi; i++ {
+		dx, dy := float64(keys[i])-xref, float64(i)-yref
+		n++
+		sx += dx
+		sy += dy
+		sxx += dx * dx
+		sxy += dx * dy
+	}
+	a.n, a.sx, a.sy, a.sxx, a.sxy = n, sx, sy, sxx, sxy
+}
+
 // fit produces the least-squares line from the centered sums.
 func (a *regAcc) fit() linmod {
 	if a.n == 0 {
@@ -214,25 +249,38 @@ type RMI struct {
 // following Algorithm 1: train the top model, partition keys through the
 // stages, fit each stage's models on the keys routed to them, and compute
 // per-leaf min/max errors (optionally swapping bad leaves for B-Trees).
-// Stage training runs on a bounded worker pool sized to GOMAXPROCS (see
-// train_parallel.go); results are bit-identical to the sequential trainer.
+// Stages are partitioned into contiguous key runs and fit on a worker pool
+// sized to GOMAXPROCS (see train_parallel.go).
 func New(keys []uint64, cfg Config) *RMI {
 	return NewWithTrainWorkers(keys, cfg, TrainingWorkers(len(keys)))
 }
 
-// NewWithTrainWorkers trains like New with an explicit stage-training
-// worker count: 1 selects the sequential trainer, higher counts the
-// parallel one. Serialized results are bit-identical for every count (the
-// parallel trainer preserves per-model accumulation order — pinned by
-// TestParallelTrainerBitIdentical), so the knob only trades wall-clock
-// for cores; it exists for train-scaling benchmarks and tuning.
+// NewWithTrainWorkers trains like New with an explicit worker count for
+// the fit and error passes (1 runs them on the calling goroutine).
+// Serialized results are bit-identical for every count: each model folds
+// its keys in ascending order whichever worker owns it (pinned by
+// TestParallelTrainerBitIdentical), so the knob only trades wall-clock for
+// cores; it exists for train-scaling benchmarks and tuning.
 func NewWithTrainWorkers(keys []uint64, cfg Config, workers int) *RMI {
-	if workers < 1 {
-		workers = 1
+	r, byRule := newUntrained(keys, cfg)
+	if len(keys) > 0 {
+		xs, ys := r.trainTop()
+		if byRule {
+			r.fitSampledInner(xs, ys)
+		}
+		r.initRouteMul()
+		r.train(max(workers, 1))
 	}
+	r.plan = r.compile()
+	return r
+}
+
+// newUntrained sizes cfg and reports whether the zero Config's rule chose
+// the stage sizes. An empty key set gets its final, empty model here.
+func newUntrained(keys []uint64, cfg Config) (r *RMI, byRule bool) {
 	// The trainer owns its stage sizes: callers share one Config across
 	// concurrent retrains, so theirs is never written through.
-	byRule := len(cfg.StageSizes) == 0
+	byRule = len(cfg.StageSizes) == 0
 	if byRule {
 		cfg.StageSizes = []int{innerCount(len(keys)), leafCount(len(keys))}
 	} else {
@@ -246,25 +294,12 @@ func NewWithTrainWorkers(keys []uint64, cfg Config, workers int) *RMI {
 	if cfg.HybridPageSize <= 0 {
 		cfg.HybridPageSize = 32
 	}
-	r := &RMI{keys: keys, cfg: cfg, nf: float64(len(keys))}
+	r = &RMI{keys: keys, cfg: cfg, nf: float64(len(keys))}
 	if len(keys) == 0 {
 		r.top = ml.Linear{}
 		r.leaves = make([]leaf, 1)
-		r.plan = r.compile()
-		return r
 	}
-	xs, ys := r.trainTop()
-	if byRule {
-		r.fitSampledInner(xs, ys)
-	}
-	r.initRouteMul()
-	if workers > 1 {
-		r.trainStagesParallel(workers)
-	} else {
-		r.trainStages()
-	}
-	r.plan = r.compile()
-	return r
+	return r, byRule
 }
 
 // initRouteMul precomputes the per-stage routing multipliers from cfg and
@@ -317,21 +352,25 @@ func innerCount(n int) int {
 }
 
 // fitSampledInner fits the first inner stage on (xs, ys), the top model's
-// (key, position) sample, so the full-pass trainers start at the stage
-// after it.
+// (key, position) sample, so the full passes start at the stage after it.
+// The sample is routed into runs like the keys are (train_parallel.go).
 func (r *RMI) fitSampledInner(xs, ys []float64) {
 	size := r.cfg.StageSizes[0]
 	mul := float64(size) / r.nf
 	accs := make([]regAcc, size)
-	for i, x := range xs {
-		accs[scaleByMul(r.top.Predict(x), mul, size)].add(x, ys[i], int32(ys[i]))
+	for _, rn := range routeRuns(xs, r.top, mul, size, 1) {
+		acc := &accs[rn.m]
+		for i := rn.lo; i < rn.hi; i++ {
+			acc.add(xs[i], ys[i], int32(ys[i]))
+		}
 	}
 	r.stages = [][]linmod{fitModels(accs)}
 }
 
 // trainTop fits the stage-1 model on (key, position) pairs, subsampled per
 // §3.6 with an even stride so the sample covers the whole CDF, and returns
-// the sample.
+// the sample. The stride ⌊n/SubsampleTop⌋ rounds down, so the sample holds
+// between SubsampleTop and 2·SubsampleTop−1 points once n exceeds it.
 func (r *RMI) trainTop() (xs, ys []float64) {
 	n := len(r.keys)
 	max := r.cfg.SubsampleTop
@@ -394,41 +433,6 @@ func scaleByMul(p, mul float64, size int) int {
 	return i
 }
 
-// trainStages implements the stage-wise loop of Algorithm 1 using
-// constant-memory accumulation: for each stage, keys are routed through the
-// already-trained prefix, and each model is fit with closed-form linear
-// regression over per-model centered sums.
-func (r *RMI) trainStages() {
-	n := len(r.keys)
-	nStages := len(r.cfg.StageSizes)
-	route := make([]int32, n) // leaf routing, reused by the error pass
-
-	for s := len(r.stages); s < nStages; s++ { // the zero Config's inner stage is already fit
-		size := r.cfg.StageSizes[s]
-		accs := make([]regAcc, size)
-		for i := 0; i < n; i++ {
-			x := float64(r.keys[i])
-			idx := r.routeTo(x, s)
-			route[i] = int32(idx)
-			accs[idx].add(x, float64(i), int32(i))
-		}
-		models := fitModels(accs)
-		if s < nStages-1 {
-			r.stages = append(r.stages, models)
-			continue
-		}
-		// Last stage: per-leaf min/max/std errors, then hybrid replacement.
-		r.leaves = make([]leaf, size)
-		for j := range r.leaves {
-			r.leaves[j].m = models[j]
-		}
-		r.computeLeafErrors(route)
-		if r.cfg.HybridThreshold > 0 {
-			r.applyHybrid(route)
-		}
-	}
-}
-
 // fitModels turns one stage's accumulators into its models.
 func fitModels(accs []regAcc) []linmod {
 	models := make([]linmod, len(accs))
@@ -455,144 +459,73 @@ func repairEmpty(models []linmod, accs []regAcc) {
 
 // leafErrAcc accumulates one leaf's error statistics: worst over/under
 // prediction, the moments behind the standard error, and the assigned-key
-// count. Shared by the sequential and parallel error passes, which both
-// feed each leaf's accumulator in ascending key order so the
-// floating-point sums are bit-identical between trainers.
+// count. The trainer feeds each leaf's accumulator in ascending key order
+// whichever worker owns the leaf, so the floating-point sums come out
+// bit-identical for every worker count.
 type leafErrAcc struct {
 	min, max   int
 	sum, sumsq float64
 	n          int
 }
 
-func newLeafErrAccs(n int) []leafErrAcc {
-	errs := make([]leafErrAcc, n)
-	for i := range errs {
-		errs[i].min = math.MaxInt32
-		errs[i].max = math.MinInt32
-	}
-	return errs
+func newLeafErrAcc() leafErrAcc {
+	return leafErrAcc{min: math.MaxInt32, max: math.MinInt32}
 }
 
-// add folds one key's error d = actual - predicted into the accumulator.
-func (ev *leafErrAcc) add(d int) {
-	if d < ev.min {
-		ev.min = d
-	}
-	if d > ev.max {
-		ev.max = d
-	}
-	fd := float64(d)
-	ev.sum += fd
-	ev.sumsq += fd * fd
-	ev.n++
-}
-
-// finalizeLeafErrors turns the accumulated moments into each leaf's stored
-// error window and standard error.
-func finalizeLeafErrors(leaves []leaf, errs []leafErrAcc) {
-	for j := range leaves {
-		lf := &leaves[j]
-		ev := &errs[j]
-		lf.n = int32(ev.n)
-		if ev.n == 0 {
-			lf.minErr, lf.maxErr, lf.stdErr = -1, 1, 1
-			continue
+// addRun folds the errors of leaf model m over keys[lo:hi] into ev and the
+// index-wide stats g. Each key's d is actual-minus-predicted, so the lookup
+// window is [pred+minErr, pred+maxErr] — "the worst over- and
+// under-prediction per last-stage model" (§3.4).
+func (ev *leafErrAcc) addRun(keys []uint64, lo, hi int, m linmod, g *globalErr) {
+	mn, mx, sum, sumsq := ev.min, ev.max, ev.sum, ev.sumsq
+	gsum, gmax := g.sum, g.max
+	for i := lo; i < hi; i++ {
+		d := i - int(m.predict(float64(keys[i])))
+		mn, mx = min(mn, d), max(mx, d)
+		fd := float64(d)
+		sum += fd
+		sumsq += fd * fd
+		if d < 0 {
+			d = -d
 		}
-		lf.minErr = int32(ev.min)
-		lf.maxErr = int32(ev.max)
-		mean := ev.sum / float64(ev.n)
-		v := ev.sumsq/float64(ev.n) - mean*mean
-		if v < 0 {
-			v = 0
-		}
-		lf.stdErr = float32(math.Sqrt(v))
+		gsum += uint64(d)
+		gmax = max(gmax, d)
 	}
+	ev.min, ev.max, ev.sum, ev.sumsq = mn, mx, sum, sumsq
+	ev.n += hi - lo
+	g.sum, g.max = gsum, gmax
 }
 
-// computeLeafErrors executes the leaf model for every key and stores "the
-// worst over- and under-prediction per last-stage model" (§3.4) plus the
-// standard error used by biased quaternary search.
-func (r *RMI) computeLeafErrors(route []int32) {
-	errs := newLeafErrAccs(len(r.leaves))
-	var g globalErr
-	for i, k := range r.keys {
-		j := route[i]
-		pred := int(r.leaves[j].m.predict(float64(k)))
-		// d is actual-minus-predicted, so the lookup window is
-		// [pred+minErr, pred+maxErr].
-		d := i - pred
-		errs[j].add(d)
-		g.add(d)
+// setErrors stores the accumulated error window, standard error (used by
+// biased quaternary search) and key count in lf.
+func (lf *leaf) setErrors(ev *leafErrAcc) {
+	lf.n = int32(ev.n)
+	if ev.n == 0 {
+		lf.minErr, lf.maxErr, lf.stdErr = -1, 1, 1
+		return
 	}
-	finalizeLeafErrors(r.leaves, errs)
-	r.setGlobalErr(g)
+	lf.minErr = int32(ev.min)
+	lf.maxErr = int32(ev.max)
+	mean := ev.sum / float64(ev.n)
+	v := ev.sumsq/float64(ev.n) - mean*mean
+	if v < 0 {
+		v = 0
+	}
+	lf.stdErr = float32(math.Sqrt(v))
 }
 
 // globalErr accumulates the index-wide error stats. The sum of |d| is kept
-// as an integer, so it is exact and order-free: the parallel trainer's
-// workers each fold their own keys and merge, and the mean still comes out
-// bit-identical to the sequential trainer's.
+// as an integer, so it is exact and order-free: workers each fold their
+// own leaves' keys and merge, and the mean comes out the same for every
+// worker count.
 type globalErr struct {
 	sum uint64
 	max int
 }
 
-func (g *globalErr) add(d int) {
-	if d < 0 {
-		d = -d
-	}
-	g.sum += uint64(d)
-	if d > g.max {
-		g.max = d
-	}
-}
-
 func (r *RMI) setGlobalErr(g globalErr) {
 	r.meanAbsErr = float64(g.sum) / float64(len(r.keys))
 	r.maxAbsErr = g.max
-}
-
-// applyHybrid swaps leaves whose max absolute error exceeds the threshold
-// for B-Trees over the keys assigned to them (Algorithm 1 lines 11–14:
-// "index[M][j] = new B-Tree trained on tmp_records[M][j]"). "hybrid
-// indexes allow us to bound the worst case performance of learned indexes
-// to the performance of B-Trees" (§3.3).
-func (r *RMI) applyHybrid(route []int32) {
-	thr := r.cfg.HybridThreshold
-	flagged := make(map[int32]*leaf)
-	for j := range r.leaves {
-		lf := &r.leaves[j]
-		if lf.n == 0 {
-			continue
-		}
-		worst := int(lf.maxErr)
-		if -int(lf.minErr) > worst {
-			worst = -int(lf.minErr)
-		}
-		if worst <= thr {
-			continue
-		}
-		flagged[int32(j)] = lf
-		lf.btPos = make([]int32, 0, lf.n)
-		r.numHybrid++
-	}
-	if len(flagged) == 0 {
-		return
-	}
-	// Gather assigned positions per flagged leaf in one pass; they arrive
-	// in ascending order, so each offset list is sorted by key.
-	for i := range r.keys {
-		if lf, ok := flagged[route[i]]; ok {
-			lf.btPos = append(lf.btPos, int32(i))
-		}
-	}
-	for _, lf := range flagged {
-		step := r.cfg.HybridPageSize
-		lf.btSep = make([]uint64, 0, len(lf.btPos)/step+1)
-		for i := 0; i < len(lf.btPos); i += step {
-			lf.btSep = append(lf.btSep, r.keys[lf.btPos[i]])
-		}
-	}
 }
 
 // Predict runs only the model hierarchy (no search) and returns the

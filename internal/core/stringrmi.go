@@ -192,7 +192,7 @@ func (r *StringRMI) trainLeaves() {
 	for i, k := range r.keys {
 		j := route[i]
 		pred := int(r.leaves[j].m.predict(PrefixScalar(k)))
-		// actual-minus-predicted; see RMI.computeLeafErrors.
+		// actual-minus-predicted; see leafErrAcc.addRun.
 		d := i - pred
 		ev := &errs[j]
 		if d < ev.min {

@@ -33,7 +33,7 @@
 // retrain the RMI off the hot path, and atomically publish the new
 // snapshot (classic read-copy-update). Drains of *different* shards run
 // concurrently — per-shard merge state plus a retrain semaphore bounded by
-// GOMAXPROCS — and each retrain itself uses core's parallel trainer, so a
+// GOMAXPROCS — and each retrain itself fits on core's worker pool, so a
 // burst that fills many shards produces segments as fast as the cores
 // allow instead of queueing behind one serial merge loop.
 //

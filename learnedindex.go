@@ -207,14 +207,16 @@ const (
 
 // Constructors.
 var (
-	// New trains an RMI over sorted unique keys (Algorithm 1). Stage
-	// training runs on a bounded worker pool sized to GOMAXPROCS with
-	// results bit-identical to the sequential trainer; single-CPU hosts
-	// fall back to the sequential path automatically.
+	// New trains an RMI over sorted unique keys (Algorithm 1). Each
+	// stage is split into contiguous key runs by bisection and fit run by
+	// run on a bounded worker pool sized to GOMAXPROCS; single-CPU hosts
+	// and small key sets fit on the calling goroutine.
 	New = core.New
 	// NewWithTrainWorkers trains like New with an explicit worker count
-	// (1 = sequential). Serialized results are identical for every count;
-	// the knob exists for train-scaling benchmarks and tuning.
+	// for the fit and error passes (1 = the calling goroutine alone).
+	// Serialized results are identical for every count — each model folds
+	// its keys in ascending order whichever worker owns it; the knob
+	// exists for train-scaling benchmarks and tuning.
 	NewWithTrainWorkers = core.NewWithTrainWorkers
 	// DefaultConfig returns the paper's default 2-stage shape.
 	DefaultConfig = core.DefaultConfig
