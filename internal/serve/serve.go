@@ -389,12 +389,16 @@ func New(keys []uint64, cfg core.Config, opt Options) *Store {
 // inside Open leaves all of them or none.
 func Open(keys []uint64, cfg core.Config, opt Options) (*Store, error) {
 	if opt.Dir != "" {
-		return openPersistent(keys, cfg, opt)
+		return openPersistent(keys, (*storage.Engine).BulkLoad, cfg, opt)
 	}
 	return newInMemory(keys, cfg, opt)
 }
 
-func openPersistent(keys []uint64, cfg core.Config, opt Options) (*Store, error) {
+// openPersistent opens (or recovers) the engine rooted at opt.Dir in the
+// key mode of K, bulk-loads keys through bulkLoad and starts the merger:
+// Open and OpenString with a Dir.
+func openPersistent[K any](keys []K, bulkLoad func(*storage.Engine, []K) error, cfg core.Config, opt Options) (*Store, error) {
+	_, strKeys := any(keys).([]string)
 	thresh := opt.MergeThreshold
 	if thresh <= 0 {
 		thresh = 4096
@@ -404,6 +408,7 @@ func openPersistent(keys []uint64, cfg core.Config, opt Options) (*Store, error)
 		Config:           cfg,
 		BloomFPR:         opt.BloomFPR,
 		CompactFanout:    opt.CompactFanout,
+		StringKeys:       strKeys,
 		Reg:              reg,
 		FS:               opt.FS,
 		ScrubInterval:    opt.ScrubInterval,
@@ -413,6 +418,7 @@ func openPersistent(keys []uint64, cfg core.Config, opt Options) (*Store, error)
 		return nil, err
 	}
 	s := &Store{
+		strKeys:    strKeys,
 		cfg:        cfg,
 		thresh:     thresh,
 		mergeCh:    make(chan int, 1),
@@ -424,7 +430,7 @@ func openPersistent(keys []uint64, cfg core.Config, opt Options) (*Store, error)
 		eng.Close()
 		return nil, err
 	}
-	if err := eng.BulkLoad(keys); err != nil {
+	if err := bulkLoad(eng, keys); err != nil {
 		s.closeDebug()
 		eng.Close()
 		return nil, err
@@ -528,14 +534,8 @@ func (s *Store) Insert(key uint64) {
 	}
 	s.m.inserts.Inc()
 	if s.eng != nil {
-		if s.eng.Append(key) != nil {
-			return // sticky; reported by Sync/Close
-		}
-		if s.eng.PendingLen() >= s.thresh {
-			select {
-			case s.mergeCh <- 0:
-			default:
-			}
+		if s.eng.Append(key) == nil { // an error is sticky; reported by Sync/Close
+			s.wakeOnPending()
 		}
 		return
 	}
@@ -587,13 +587,20 @@ func (s *Store) InsertDurable(keys ...uint64) error {
 	if obs.Enabled {
 		s.m.insertNs.ObserveDuration(time.Since(start))
 	}
+	s.wakeOnPending()
+	return nil
+}
+
+// wakeOnPending wakes the merger of a persistent Store once the engine's
+// pending keys reach the drain threshold. Non-blocking: a merger with work
+// queued already will drain them.
+func (s *Store) wakeOnPending() {
 	if s.eng.PendingLen() >= s.thresh {
 		select {
 		case s.mergeCh <- 0:
 		default:
 		}
 	}
-	return nil
 }
 
 // shardBufPool recycles drained insert buffers: a drain hands its buffer

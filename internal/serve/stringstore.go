@@ -68,51 +68,9 @@ func NewString(keys []string, cfg core.Config, opt Options) *Store {
 // bulk-loads the initial keys as one v2 segment file, as Open does.
 func OpenString(keys []string, cfg core.Config, opt Options) (*Store, error) {
 	if opt.Dir != "" {
-		return openPersistentStr(keys, cfg, opt)
+		return openPersistent(keys, (*storage.Engine).BulkLoadStrings, cfg, opt)
 	}
 	return newInMemoryStr(keys, cfg, opt)
-}
-
-func openPersistentStr(keys []string, cfg core.Config, opt Options) (*Store, error) {
-	thresh := opt.MergeThreshold
-	if thresh <= 0 {
-		thresh = 4096
-	}
-	reg := obs.NewRegistry()
-	eng, err := storage.Open(opt.Dir, storage.Options{
-		Config:           cfg,
-		BloomFPR:         opt.BloomFPR,
-		CompactFanout:    opt.CompactFanout,
-		StringKeys:       true,
-		Reg:              reg,
-		FS:               opt.FS,
-		ScrubInterval:    opt.ScrubInterval,
-		BackpressureDebt: opt.BackpressureDebt,
-	})
-	if err != nil {
-		return nil, err
-	}
-	s := &Store{
-		strKeys:    true,
-		cfg:        cfg,
-		thresh:     thresh,
-		mergeCh:    make(chan int, 1),
-		quit:       make(chan struct{}),
-		retrainSem: make(chan struct{}, maxConcurrentRetrains()),
-		eng:        eng,
-	}
-	if err := s.initObs(reg, 0, opt.MetricsAddr); err != nil {
-		eng.Close()
-		return nil, err
-	}
-	if err := eng.BulkLoadStrings(keys); err != nil {
-		s.closeDebug()
-		eng.Close()
-		return nil, err
-	}
-	s.wg.Add(1)
-	go s.merger()
-	return s, nil
 }
 
 func newInMemoryStr(keys []string, cfg core.Config, opt Options) (*Store, error) {
@@ -185,14 +143,8 @@ func (s *Store) InsertString(key string) {
 	}
 	s.m.inserts.Inc()
 	if s.eng != nil {
-		if s.eng.AppendString(key) != nil {
-			return // sticky; reported by Sync/Close
-		}
-		if s.eng.PendingLen() >= s.thresh {
-			select {
-			case s.mergeCh <- 0:
-			default:
-			}
+		if s.eng.AppendString(key) == nil { // an error is sticky; reported by Sync/Close
+			s.wakeOnPending()
 		}
 		return
 	}
@@ -240,12 +192,7 @@ func (s *Store) InsertDurableString(keys ...string) error {
 	if obs.Enabled {
 		s.m.insertNs.ObserveDuration(time.Since(start))
 	}
-	if s.eng.PendingLen() >= s.thresh {
-		select {
-		case s.mergeCh <- 0:
-		default:
-		}
-	}
+	s.wakeOnPending()
 	return nil
 }
 

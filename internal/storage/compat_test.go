@@ -131,7 +131,7 @@ func TestUnreservedLogsReplayUnchanged(t *testing.T) {
 		w := newWALT(t, filepath.Join(t.TempDir(), walFileName(0)))
 		for _, rec := range recs {
 			old, keys = append(old, walTestFrame(rec...)...), append(keys, rec...)
-			if err := w.append(rec); err != nil {
+			if err := logRecord(w, &u64Ops, rec); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -145,7 +145,7 @@ func TestUnreservedLogsReplayUnchanged(t *testing.T) {
 		w := newWALT(t, filepath.Join(t.TempDir(), walStrFileName(0)))
 		for _, rec := range recs {
 			old, keys = append(old, walTestStringFrame(rec...)...), append(keys, rec...)
-			if err := w.appendStrings(rec); err != nil {
+			if err := logRecord(w, &strOps, rec); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -4,9 +4,11 @@ import (
 	"cmp"
 	"sync"
 
+	"learnedindex/internal/binenc"
 	"learnedindex/internal/bloom"
 	"learnedindex/internal/core"
 	"learnedindex/internal/obs"
+	"learnedindex/internal/slicepool"
 )
 
 // keyOps is the key-kind seam of the segment planes that exist once for
@@ -16,7 +18,9 @@ import (
 // a sorted unique key run — a segment's own, for a merge — becomes a
 // built segment (commitSegment, which gives it its file, is the same for
 // both kinds). Membership has no entry of its own: it is rank plus one
-// equality test by position.
+// equality test by position. The write plane (writeplane.go) asks three
+// things more: a WAL record's grammar, the bound a record's keys are
+// chunked against, and where a key run sits in a ReplFrame or a Snapshot.
 type keyOps[K cmp.Ordered] struct {
 	hash  func(K) (h1, h2 uint64)
 	fence func(*segment) (lo, hi K)
@@ -35,6 +39,23 @@ type keyOps[K cmp.Ordered] struct {
 	// a servable segment with no file.
 	build func(e *Engine, seqLo, seqHi uint64, keys []K) (*segment, error)
 	pool  *sync.Pool // of *readScratch[K]
+
+	// record appends the WAL payload of batches, framed as one record, to
+	// dst (binenc's key payload); decode reads one back.
+	record func(dst []byte, batches ...[]K) []byte
+	decode func(r *binenc.Reader, dst []K, max int) []K
+	// weight is what batch counts against limit, the bound on one record:
+	// its key count (at most maxAppendChunk), or the bytes its keys encode
+	// to (at most maxStringChunkBytes).
+	weight func(batch []K) int
+	limit  int
+	// replKeys and delta point at the ReplFrame and Snapshot fields that
+	// hold keys of this kind.
+	replKeys func(*ReplFrame) *[]K
+	delta    func(*Snapshot) *[]K
+	// pendingPool recycles the write plane's pending buffers (see
+	// maxPooledPending).
+	pendingPool slicepool.Pool[K]
 }
 
 // stackSegs is how many segments' plans a rank call gathers on its own
@@ -60,6 +81,13 @@ var (
 			return buildSegment(seqLo, seqHi, keys, e.opts.Config, e.opts.BloomFPR), nil
 		},
 		pool: &sync.Pool{New: func() any { return new(readScratch[uint64]) }},
+
+		record:   binenc.AppendUvarints,
+		decode:   (*binenc.Reader).Uvarints,
+		weight:   func(batch []uint64) int { return len(batch) },
+		limit:    maxAppendChunk,
+		replKeys: func(f *ReplFrame) *[]uint64 { return &f.Keys },
+		delta:    func(sn *Snapshot) *[]uint64 { return &sn.keys },
 	}
 	strOps = keyOps[string]{
 		hash:  bloom.HashString,
@@ -78,6 +106,13 @@ var (
 			return buildStringSegment(seqLo, seqHi, keys, e.opts.Config, e.opts.BloomFPR)
 		},
 		pool: &sync.Pool{New: func() any { return new(readScratch[string]) }},
+
+		record:   binenc.AppendStrings,
+		decode:   (*binenc.Reader).Strings,
+		weight:   encodedStringsSize,
+		limit:    maxStringChunkBytes,
+		replKeys: func(f *ReplFrame) *[]string { return &f.Strs },
+		delta:    func(sn *Snapshot) *[]string { return &sn.strs },
 	}
 )
 

@@ -302,9 +302,9 @@ func TestReplayedWALDedupesInChunks(t *testing.T) {
 		w := newWALT(t, filepath.Join(dir, e.walName(99)))
 		var err error
 		if strMode {
-			err = w.appendStrings(strKeysOf(relog))
+			err = logRecord(w, &strOps, strKeysOf(relog))
 		} else {
-			err = w.append(relog)
+			err = logRecord(w, &u64Ops, relog)
 		}
 		if err == nil {
 			err = w.sync()

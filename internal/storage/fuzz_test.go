@@ -99,6 +99,10 @@ func walTestFrame(keys ...uint64) []byte {
 	return walTestSeal(payload)
 }
 
+// replayWAL and replayWALStrings replay a log of either key mode.
+func replayWAL(data []byte) ([]uint64, int64)        { return replayLog(data, &u64Ops) }
+func replayWALStrings(data []byte) ([]string, int64) { return replayLog(data, &strOps) }
+
 // walTestStringFrame is walTestFrame for a string-keyed log.
 func walTestStringFrame(keys ...string) []byte {
 	payload := binenc.AppendUvarint(nil, uint64(len(keys)))
@@ -154,7 +158,7 @@ func FuzzWALReplay(f *testing.F) {
 		var committed []uint64
 		for i := 0; i < int(nrec&fuzzWALRecords); i++ {
 			rec := []uint64{uint64(i) * 17, uint64(i)*17 + 1}
-			if err := w.append(rec); err != nil {
+			if err := logRecord(w, &u64Ops, rec); err != nil {
 				t.Fatal(err)
 			}
 			committed = append(committed, rec...)
@@ -164,7 +168,7 @@ func FuzzWALReplay(f *testing.F) {
 			for i := range rec {
 				rec[i] = 1<<63 - uint64(i)
 			}
-			if err := w.append(rec); err != nil {
+			if err := logRecord(w, &u64Ops, rec); err != nil {
 				t.Fatal(err)
 			}
 			committed = append(committed, rec...)

@@ -1,6 +1,9 @@
 package storage
 
-import "slices"
+import (
+	"cmp"
+	"slices"
+)
 
 // Replication export plane.
 //
@@ -59,16 +62,14 @@ func (e *Engine) ReplDurableSeq() uint64 {
 	return e.replDurable
 }
 
-// replRecordLocked captures a just-encoded WAL frame, assigning it the next
-// stream sequence. Called with mu held at every site that writes a WAL
-// frame; takes ownership of the slices (callers clone when the memory
-// aliases caller-owned data). No-op until a sink is installed.
-func (e *Engine) replRecordLocked(keys []uint64, strs []string) {
-	if e.replSink == nil {
-		return
-	}
+// replRecordLocked captures a just-encoded WAL frame's keys, assigning the
+// frame the next stream sequence. Called with mu held, with a sink
+// installed, by the write plane's one site that writes a WAL frame
+// (writePlane.logLocked); takes ownership of the frame's keys.
+func (e *Engine) replRecordLocked(f ReplFrame) {
 	e.replNext++
-	e.replPending = append(e.replPending, ReplFrame{Seq: e.replNext, Keys: keys, Strs: strs})
+	f.Seq = e.replNext
+	e.replPending = append(e.replPending, f)
 }
 
 // replPromoteLocked moves encoded frames with Seq <= covered to the durable
@@ -130,40 +131,24 @@ func (e *Engine) replTrimLocked(trimTo uint64) {
 // re-applied frames deduplicate on the follower, so over-inclusion is safe.
 // Never includes appended-but-unsynced keys: those are not durable and must
 // not reach a follower before their fsync.
-func (e *Engine) ReplSnapshot() (seq uint64, keys []uint64) {
-	if e.opts.StringKeys {
-		panic("storage: ReplSnapshot on a string-keyed engine")
-	}
+func (e *Engine) ReplSnapshot() (seq uint64, keys []uint64) { return replSnapshot[uint64](e) }
+
+// ReplSnapshotStrings is ReplSnapshot for the string key mode.
+func (e *Engine) ReplSnapshotStrings() (seq uint64, keys []string) { return replSnapshot[string](e) }
+
+func replSnapshot[K cmp.Ordered](e *Engine) (seq uint64, keys []K) {
+	ops := planeOf[K](e).ops
 	// Durable tail first, segments second — the same capture order as scan
 	// snapshots: a frame trimmed between the two loads has already published
 	// its keys into the segment list we read next, so nothing is lost.
 	e.mu.Lock()
 	seq = e.replDurable
-	var tail []uint64
-	for _, f := range e.replTail {
-		tail = append(tail, f.Keys...)
+	var tail []K
+	for i := range e.replTail {
+		tail = append(tail, *ops.replKeys(&e.replTail[i])...)
 	}
 	e.mu.Unlock()
-	keys = append(e.Keys(), tail...)
+	keys = append(servedKeys(e, ops), tail...)
 	slices.Sort(keys)
-	keys = slices.Compact(keys)
-	return seq, keys
-}
-
-// ReplSnapshotStrings is ReplSnapshot for the string key mode.
-func (e *Engine) ReplSnapshotStrings() (seq uint64, keys []string) {
-	if !e.opts.StringKeys {
-		panic("storage: ReplSnapshotStrings on a uint64-keyed engine")
-	}
-	e.mu.Lock()
-	seq = e.replDurable
-	var tail []string
-	for _, f := range e.replTail {
-		tail = append(tail, f.Strs...)
-	}
-	e.mu.Unlock()
-	keys = append(e.KeysStrings(), tail...)
-	slices.Sort(keys)
-	keys = slices.Compact(keys)
-	return seq, keys
+	return seq, slices.Compact(keys)
 }

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"cmp"
 	"slices"
 	"sort"
 	"sync"
@@ -22,17 +23,19 @@ import (
 // keeps the one it captured, and releasing it is a counter decrement.
 //
 // Acquisition order is what makes the view loss-free: the unflushed delta
-// is copied BEFORE the segment list is loaded, so a key migrating from the
-// WAL into a segment mid-acquisition appears in at least one of the two
-// (and dedup handles both). A Snapshot is immutable and safe for
-// concurrent readers; Release it exactly once.
+// — the write plane's pending and flushing keys, copied by one capture for
+// both key modes — is taken BEFORE the segment list is loaded, so a key
+// migrating from the WAL into a segment mid-acquisition appears in at least
+// one of the two (and dedup handles both). A Snapshot is immutable and safe
+// for concurrent readers; Release it exactly once. Its typed methods panic
+// on a snapshot of the other key mode's engine, like the Engine's.
 type Snapshot struct {
-	eng     *Engine
-	segs    []*segment
-	pending []uint64 // sorted, deduplicated unflushed keys
-	// pendingS is pending for a string-keyed engine; only one of the two is
-	// ever populated.
-	pendingS []string
+	eng  *Engine
+	segs []*segment
+	// keys or strs, per the engine's key mode, is the sorted, deduplicated
+	// unflushed delta; the other stays empty. The pool recycles both.
+	keys []uint64
+	strs []string
 }
 
 var snapshotPool = sync.Pool{New: func() any { return new(Snapshot) }}
@@ -50,16 +53,36 @@ func (e *Engine) AcquireSnapshot() *Snapshot {
 // invisible to the snapshot — the scan iterator's exclusive upper bound,
 // applied at capture.
 func (e *Engine) AcquireSnapshotRange(lo, hi uint64) *Snapshot {
+	return acquireSnapshot(planeOf[uint64](e), lo, hi, true)
+}
+
+// AcquireSnapshotRangeStr is AcquireSnapshotRange for a string-keyed
+// engine. Strings have no natural +∞, so the upper bound is explicit:
+// bounded restricts the view to [lo, hi), !bounded to keys >= lo (hi is
+// ignored).
+func (e *Engine) AcquireSnapshotRangeStr(lo, hi string, bounded bool) *Snapshot {
+	return acquireSnapshot(planeOf[string](e), lo, hi, bounded)
+}
+
+// acquireSnapshot captures the plane's unflushed delta in range — [lo, hi)
+// when bounded, keys >= lo otherwise — then pins the segment list.
+func acquireSnapshot[K cmp.Ordered](p *writePlane[K], lo, hi K, bounded bool) *Snapshot {
+	e := p.e
 	sn := snapshotPool.Get().(*Snapshot)
 	sn.eng = e
-
+	d := p.ops.delta(sn)
 	// Delta first (see the type comment for why this order is loss-free).
 	e.mu.Lock()
-	sn.pending = scan.AppendInRange(sn.pending[:0], e.pending, lo, hi)
-	sn.pending = scan.AppendInRange(sn.pending, e.flushing, lo, hi)
+	for _, src := range [2][]K{p.pending, p.flushing} {
+		if bounded {
+			*d = scan.AppendInRange(*d, src, lo, hi)
+		} else {
+			*d = scan.AppendFrom(*d, src, lo)
+		}
+	}
 	e.mu.Unlock()
-	slices.Sort(sn.pending)
-	sn.pending = slices.Compact(sn.pending)
+	slices.Sort(*d)
+	*d = slices.Compact(*d)
 	sn.pinSegments()
 	return sn
 }
@@ -76,30 +99,6 @@ func (sn *Snapshot) pinSegments() {
 	}
 	sn.segs = append(sn.segs[:0], segs...)
 	e.segMu.Unlock()
-}
-
-// AcquireSnapshotRangeStr is AcquireSnapshotRange for a string-keyed
-// engine. Strings have no natural +∞, so the upper bound is explicit:
-// bounded restricts the view to [lo, hi), !bounded to keys >= lo (hi is
-// ignored). The delta-before-segments acquisition order and the pinning
-// rules are identical to the uint64 path.
-func (e *Engine) AcquireSnapshotRangeStr(lo, hi string, bounded bool) *Snapshot {
-	sn := snapshotPool.Get().(*Snapshot)
-	sn.eng = e
-
-	e.mu.Lock()
-	if bounded {
-		sn.pendingS = scan.AppendInRange(sn.pendingS[:0], e.pendingS, lo, hi)
-		sn.pendingS = scan.AppendInRange(sn.pendingS, e.flushingS, lo, hi)
-	} else {
-		sn.pendingS = scan.AppendFrom(sn.pendingS[:0], e.pendingS, lo)
-		sn.pendingS = scan.AppendFrom(sn.pendingS, e.flushingS, lo)
-	}
-	e.mu.Unlock()
-	slices.Sort(sn.pendingS)
-	sn.pendingS = slices.Compact(sn.pendingS)
-	sn.pinSegments()
-	return sn
 }
 
 // Release unpins the snapshot's segments — deleting any compacted-away
@@ -131,11 +130,9 @@ func (sn *Snapshot) Release() {
 	sn.segs = sn.segs[:0]
 	// Drop delta string refs before pooling so a recycled snapshot never
 	// pins key bytes from a finished scan.
-	for i := range sn.pendingS {
-		sn.pendingS[i] = ""
-	}
-	sn.pendingS = sn.pendingS[:0]
-	sn.pending = sn.pending[:0]
+	clear(sn.strs)
+	sn.strs = sn.strs[:0]
+	sn.keys = sn.keys[:0]
 	snapshotPool.Put(sn)
 }
 
@@ -156,7 +153,10 @@ func (e *Engine) retireLocked(s *segment) string {
 
 // Pending returns the snapshot's sorted, deduplicated unflushed keys (the
 // WAL-backed delta layer of a scan). Shared, read-only.
-func (sn *Snapshot) Pending() []uint64 { return sn.pending }
+func (sn *Snapshot) Pending() []uint64 {
+	planeOf[uint64](sn.eng) // the mode check
+	return sn.keys
+}
 
 // NumSegments returns how many segments the snapshot pinned.
 func (sn *Snapshot) NumSegments() int { return len(sn.segs) }
@@ -168,6 +168,7 @@ func (sn *Snapshot) NumSegments() int { return len(sn.segs) }
 // two comparisons. The array is the one point reads search; the scan layer
 // wraps the pair in a scan.KeysCursor. Shared, read-only.
 func (sn *Snapshot) SegmentKeys(i int, lo, hi uint64) ([]uint64, scan.Positioner[uint64]) {
+	planeOf[uint64](sn.eng) // the mode check
 	s := sn.segs[i]
 	if hi <= s.minKey() || lo > s.maxKey() {
 		return nil, nil
@@ -177,7 +178,10 @@ func (sn *Snapshot) SegmentKeys(i int, lo, hi uint64) ([]uint64, scan.Positioner
 
 // PendingStrings returns the snapshot's sorted, deduplicated unflushed
 // string keys. Shared, read-only.
-func (sn *Snapshot) PendingStrings() []string { return sn.pendingS }
+func (sn *Snapshot) PendingStrings() []string {
+	planeOf[string](sn.eng) // the mode check
+	return sn.strs
+}
 
 // SegmentStrings returns segment i's codec index when the segment's
 // [min, max] fence overlaps the scan range ([lo, hi) when bounded, keys >=
@@ -185,6 +189,7 @@ func (sn *Snapshot) PendingStrings() []string { return sn.pendingS }
 // no strings: the scan layer points a core.StringCursor at the index, which
 // materializes the keys it streams a page at a time.
 func (sn *Snapshot) SegmentStrings(i int, lo, hi string, bounded bool) *core.StringIndex {
+	planeOf[string](sn.eng) // the mode check
 	s := sn.segs[i]
 	if (bounded && hi <= s.minStr()) || lo > s.maxStr() {
 		return nil
@@ -195,7 +200,7 @@ func (sn *Snapshot) SegmentStrings(i int, lo, hi string, bounded bool) *core.Str
 // Contains reports whether key is in one of the snapshot's segments. The
 // pending delta is NOT consulted.
 func (sn *Snapshot) Contains(key uint64) bool {
-	return containsBatchIn(sn.segs, &u64Ops, []uint64{key}, nil) > 0
+	return containsBatchIn(sn.segs, planeOf[uint64](sn.eng).ops, []uint64{key}, nil) > 0
 }
 
 // CountRange returns the exact number of distinct keys k in [lo, hi)
@@ -206,6 +211,7 @@ func (sn *Snapshot) Contains(key uint64) bool {
 // counts only if no segment already serves it). Segments hold disjoint key
 // sets, so the per-segment sums compose exactly.
 func (sn *Snapshot) CountRange(lo, hi uint64) int {
+	ops := planeOf[uint64](sn.eng).ops
 	if hi <= lo {
 		return 0
 	}
@@ -224,10 +230,10 @@ func (sn *Snapshot) CountRange(lo, hi uint64) int {
 		}
 		total += b - a
 	}
-	p := sn.pending
+	p := sn.keys
 	p = p[search.Binary(p, lo, 0, len(p)):]
 	p = p[:search.Binary(p, hi, 0, len(p))]
-	return total + len(p) - containsBatchIn(sn.segs, &u64Ops, p, nil)
+	return total + len(p) - containsBatchIn(sn.segs, ops, p, nil)
 }
 
 // CountRangeStr is CountRange for string keys: exact distinct-key count
@@ -235,6 +241,7 @@ func (sn *Snapshot) CountRange(lo, hi uint64) int {
 // position arithmetic (two codec-index lookups per overlapping segment)
 // plus the delta correction.
 func (sn *Snapshot) CountRangeStr(lo, hi string, bounded bool) int {
+	ops := planeOf[string](sn.eng).ops
 	if bounded && hi <= lo {
 		return 0
 	}
@@ -253,18 +260,19 @@ func (sn *Snapshot) CountRangeStr(lo, hi string, bounded bool) int {
 		}
 		total += b - a
 	}
-	p := sn.pendingS
+	p := sn.strs
 	p = p[sort.SearchStrings(p, lo):]
 	if bounded {
 		p = p[:sort.SearchStrings(p, hi)]
 	}
-	return total + len(p) - containsBatchIn(sn.segs, &strOps, p, nil)
+	return total + len(p) - containsBatchIn(sn.segs, ops, p, nil)
 }
 
 // CountRange is Snapshot.CountRange over a throwaway range-restricted
 // snapshot: the engine-level learned COUNT for callers that don't hold a
 // scan open.
 func (e *Engine) CountRange(lo, hi uint64) int {
+	planeOf[uint64](e) // the mode check
 	if hi <= lo {
 		return 0
 	}
@@ -275,9 +283,7 @@ func (e *Engine) CountRange(lo, hi uint64) int {
 
 // CountRangeStr is Engine.CountRange for string keys.
 func (e *Engine) CountRangeStr(lo, hi string, bounded bool) int {
-	if !e.opts.StringKeys {
-		panic("storage: string read on a uint64-keyed engine")
-	}
+	planeOf[string](e) // the mode check
 	if bounded && hi <= lo {
 		return 0
 	}

@@ -70,10 +70,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"learnedindex/internal/binenc"
 	"learnedindex/internal/core"
 	"learnedindex/internal/obs"
-	"learnedindex/internal/slicepool"
 	"learnedindex/internal/vfs"
 )
 
@@ -163,29 +161,23 @@ type Engine struct {
 	dir  string
 	opts Options
 
-	// mu serializes the write plane: the active WAL buffer, pending keys,
-	// the commit cohort, and the sticky error. It is held only for cheap
+	// mu serializes the write plane: the active WAL buffer, the keys in
+	// flight (plane), and the sticky error. It is held only for cheap
 	// operations — appends, frame encodes, and the flush freeze step —
 	// never across segment training, and never across a group-commit
 	// leader's fsync (the leader drops mu for the disk wait so appends and
 	// cohort enqueues keep flowing). walSeq changes only inside spill, under
 	// flushMu as well, so spill may read it before it takes mu.
-	mu      sync.Mutex
-	wal     *wal
-	walSeq  uint64
-	pending []uint64
-	// flushing holds the pending keys frozen by an in-progress Drain or
-	// Flush, from the freeze until the trained segment is published. Scan snapshots copy
-	// pending+flushing (before loading the segment list), so a key migrating
-	// through a flush is visible in at least one layer at every instant.
-	flushing []uint64
-	// pendingS/flushingS are the string-mode twins of pending/flushing;
-	// exactly one pair is ever populated, per Options.StringKeys.
-	pendingS  []string
-	flushingS []string
+	mu     sync.Mutex
+	wal    *wal
+	walSeq uint64
+	// plane holds the keys in flight — pending, frozen by a drain or flush,
+	// queued in the commit cohort — as the writePlane of the engine's key
+	// mode, fixed at Open (writeplane.go).
+	plane keyPlane
 	// pendingLen mirrors the pending list's length, stored wherever mu is
-	// already held to change it, so PendingLen — the serving layer's
-	// per-insert threshold test — takes no lock.
+	// held to change it, so PendingLen — the serving layer's per-insert
+	// threshold test — takes no lock, and reads of it under mu are exact.
 	pendingLen atomic.Int64
 	// err is the fail-stop poison latch: a commit-plane failure sets it
 	// (wrapped in ErrPoisoned) and every later durable operation returns
@@ -200,14 +192,13 @@ type Engine struct {
 	// highest appendSeq covered by a completed fsync. A Sync/Commit caller
 	// captures its target and waits on syncCond until durableSeq passes it;
 	// the first waiter with an uncovered target elects itself leader,
-	// encodes every queued cohort batch into ONE frame, flushes, and
-	// fsyncs once for everyone — tickets are woken by the broadcast.
+	// encodes every queued cohort batch (the plane's cohort) into ONE frame,
+	// flushes, and fsyncs once for everyone — tickets are woken by the
+	// broadcast.
 	appendSeq  uint64
 	durableSeq uint64
 	syncing    bool
 	syncCond   *sync.Cond
-	cohort     [][]uint64 // queued Commit batches awaiting the next frame
-	cohortS    [][]string // string-mode commit cohort (same plane, same fsync)
 	// flushMu serializes whole drains and flushes (freeze → train → commit
 	// → retire), keeping concurrent calls from racing each other — only they
 	// replace the resident run — while mu stays free for appends during the
@@ -338,6 +329,7 @@ func Open(dir string, opts Options) (*Engine, error) {
 	e.m = newEngineMetrics(e.reg)
 	e.reg.RegisterCollector(e.collect)
 	e.syncCond = sync.NewCond(&e.mu)
+	e.plane = newWritePlane(e)
 	segs, nextSeq, err := e.loadSegments()
 	if err != nil {
 		return nil, err
@@ -347,7 +339,7 @@ func Open(dir string, opts Options) (*Engine, error) {
 	for _, s := range segs {
 		if s.isString() != opts.StringKeys {
 			return nil, fmt.Errorf("storage: %s holds %s segments but the engine was opened with StringKeys=%v",
-				dir, map[bool]string{true: "string-keyed", false: "uint64-keyed"}[s.isString()], opts.StringKeys)
+				dir, modeName(s.isString()), opts.StringKeys)
 		}
 	}
 	e.m.modelsLoaded.Add(int64(len(segs)))
@@ -368,12 +360,7 @@ func Open(dir string, opts Options) (*Engine, error) {
 		return nil, fmt.Errorf("storage: %s holds %d WAL file(s) of the other key mode (engine opened with StringKeys=%v)",
 			dir, otherKind, opts.StringKeys)
 	}
-	if opts.StringKeys {
-		err = recoverLogs(e, &strOps, walPaths, replayWALStrings)
-	} else {
-		err = recoverLogs(e, &u64Ops, walPaths, replayWAL)
-	}
-	if err != nil {
+	if err := e.plane.recoverLogs(walPaths); err != nil {
 		return nil, err
 	}
 	for _, p := range walPaths {
@@ -402,24 +389,6 @@ func Open(dir string, opts Options) (*Engine, error) {
 		go e.compactor()
 	}
 	return e, nil
-}
-
-// recoverLogs replays the intact prefix of every log of paths and
-// materializes the keys they held as one segment.
-func recoverLogs[K cmp.Ordered](e *Engine, ops *keyOps[K], paths []string, replay func([]byte) ([]K, int64)) error {
-	var recovered []K
-	for _, p := range paths {
-		data, err := e.fs.ReadFile(p)
-		if err != nil {
-			return err
-		}
-		keys, _ := replay(data)
-		recovered = append(recovered, keys...)
-	}
-	if len(recovered) == 0 {
-		return nil
-	}
-	return materialize(e, ops, recovered, nil, true, nil)
 }
 
 // quarantineSuffix marks a segment file that failed its checksum or
@@ -552,12 +521,6 @@ func (e *Engine) loadSegments() ([]*segment, uint64, error) {
 	}
 }
 
-// maxAppendChunk bounds the keys per WAL record (~5 MB at worst-case
-// 10-byte varints, well under frame.MaxPayload) so arbitrarily large Append
-// calls — e.g. a multi-million-key bootstrap — frame into several records
-// instead of tripping the record-size limit.
-const maxAppendChunk = 1 << 19
-
 // Append logs keys (as one or more WAL records) and buffers them as
 // pending. They are durable after the next Sync and served after the next
 // Drain or Flush.
@@ -566,38 +529,12 @@ func (e *Engine) Append(keys ...uint64) error {
 }
 
 // AppendBatch is Append without variadic sugar: the bulk-ingest fast
-// path. The record encode runs in a pooled scratch buffer, so a
-// steady-state append allocates nothing beyond the pending list's
-// amortized growth.
-func (e *Engine) AppendBatch(keys []uint64) error {
-	if e.opts.StringKeys {
-		panic("storage: uint64 append on a string-keyed engine")
-	}
-	if len(keys) == 0 {
-		return nil
-	}
-	e.maybeBackpressure()
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if err := e.writeGateLocked(); err != nil {
-		return err
-	}
-	if e.closed.Load() {
-		return fmt.Errorf("storage: engine closed")
-	}
-	for len(keys) > 0 {
-		chunk := keys[:min(len(keys), maxAppendChunk)]
-		if err := e.wal.append(chunk); err != nil {
-			return e.poisonLocked(err)
-		}
-		e.pending = append(e.pending, chunk...)
-		e.replRecordLocked(slices.Clone(chunk), nil)
-		keys = keys[len(chunk):]
-	}
-	e.pendingLen.Store(int64(len(e.pending)))
-	e.appendSeq++
-	return nil
-}
+// path. Records are encoded in a pooled scratch buffer and, with no
+// replication sink installed, the keys are copied nowhere but the pending
+// list: a steady-state append allocates twice — the scratch buffer's
+// return to its pool and the one-element batch list the record encoder
+// takes — plus the pending list's amortized growth.
+func (e *Engine) AppendBatch(keys []uint64) error { return planeOf[uint64](e).append(keys) }
 
 // Sync acknowledges durability: when it returns nil, every key appended
 // before the call survives a crash. Concurrent Sync callers group-commit:
@@ -628,250 +565,20 @@ func (e *Engine) AppendString(keys ...string) error {
 
 // AppendStringBatch is AppendString without variadic sugar. Records chunk
 // by encoded size (strings are variable-width) instead of key count.
-func (e *Engine) AppendStringBatch(keys []string) error {
-	if !e.opts.StringKeys {
-		panic("storage: string append on a uint64-keyed engine")
-	}
-	if len(keys) == 0 {
-		return nil
-	}
-	e.maybeBackpressure()
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if err := e.writeGateLocked(); err != nil {
-		return err
-	}
-	if e.closed.Load() {
-		return fmt.Errorf("storage: engine closed")
-	}
-	for lo := 0; lo < len(keys); {
-		hi, _ := stringChunkEnd(keys, lo)
-		if err := e.wal.appendStrings(keys[lo:hi]); err != nil {
-			return e.poisonLocked(err)
-		}
-		e.pendingS = append(e.pendingS, keys[lo:hi]...)
-		e.replRecordLocked(nil, slices.Clone(keys[lo:hi]))
-		lo = hi
-	}
-	e.pendingLen.Store(int64(len(e.pendingS)))
-	e.appendSeq++
-	return nil
-}
+func (e *Engine) AppendStringBatch(keys []string) error { return planeOf[string](e).append(keys) }
 
 // CommitString durably inserts string keys in one group-committed call —
-// the string twin of Commit: the batch joins the string cohort, a leader
-// frames the whole cohort and fsyncs once for everyone. The keys slice
-// must not be mutated until CommitString returns.
+// the string twin of Commit. The keys slice must not be mutated until
+// CommitString returns.
 func (e *Engine) CommitString(keys ...string) error {
 	return e.CommitStringBatch(keys)
 }
 
 // CommitStringBatch is CommitString without variadic sugar.
-func (e *Engine) CommitStringBatch(keys []string) error {
-	if !e.opts.StringKeys {
-		panic("storage: string commit on a uint64-keyed engine")
-	}
-	e.maybeBackpressure()
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if len(keys) == 0 {
-		return e.waitDurable(e.appendSeq)
-	}
-	if err := e.writeGateLocked(); err != nil {
-		return err
-	}
-	if e.closed.Load() {
-		return fmt.Errorf("storage: engine closed")
-	}
-	e.cohortS = append(e.cohortS, keys)
-	e.pendingS = append(e.pendingS, keys...)
-	e.pendingLen.Store(int64(len(e.pendingS)))
-	e.appendSeq++
-	err := e.waitDurable(e.appendSeq)
-	if err == nil {
-		e.m.commits.Inc()
-	}
-	return err
-}
+func (e *Engine) CommitStringBatch(keys []string) error { return planeOf[string](e).commit(keys) }
 
 // CommitBatch is Commit without variadic sugar.
-func (e *Engine) CommitBatch(keys []uint64) error {
-	if e.opts.StringKeys {
-		panic("storage: uint64 commit on a string-keyed engine")
-	}
-	e.maybeBackpressure()
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if len(keys) == 0 {
-		// Nothing to add; still honor the durability barrier semantics.
-		return e.waitDurable(e.appendSeq)
-	}
-	if err := e.writeGateLocked(); err != nil {
-		return err
-	}
-	if e.closed.Load() {
-		return fmt.Errorf("storage: engine closed")
-	}
-	// Enqueue: the cohort slice holds a reference to the caller's batch
-	// (the caller blocks until the frame is encoded, so it stays valid);
-	// pending gets the keys now so a racing Flush freeze serves them.
-	e.cohort = append(e.cohort, keys)
-	e.pending = append(e.pending, keys...)
-	e.pendingLen.Store(int64(len(e.pending)))
-	e.appendSeq++
-	err := e.waitDurable(e.appendSeq)
-	if err == nil {
-		e.m.commits.Inc()
-	}
-	return err
-}
-
-// drainCohortLocked encodes every queued Commit batch into as few WAL
-// frames as chunking allows — one for any sane cohort — clearing the
-// queue. Called with mu held by the elected leader and by the freeze of a
-// drain or flush (which must encode queued batches into the log before the
-// fsync that lets their keys be served). Errors latch.
-func (e *Engine) drainCohortLocked() {
-	if e.opts.StringKeys {
-		e.drainCohortStrLocked()
-		return
-	}
-	if len(e.cohort) == 0 || e.err != nil {
-		return
-	}
-	e.m.cohortCommits.Observe(uint64(len(e.cohort)))
-	// Chunk by total key count so a monster cohort still respects the
-	// per-record bound; batches themselves are never split (each is at
-	// most one caller's Commit, far below the chunk limit in practice —
-	// oversized single batches fall back to their own frames).
-	start, count := 0, 0
-	flushRun := func(end int) {
-		if e.err != nil || start >= end {
-			return
-		}
-		if err := e.wal.appendBatches(e.cohort[start:end]); err != nil {
-			e.poisonLocked(err)
-		} else if e.replSink != nil {
-			run := make([]uint64, 0, count)
-			for _, b := range e.cohort[start:end] {
-				run = append(run, b...)
-			}
-			e.replRecordLocked(run, nil)
-		}
-		start, count = end, 0
-	}
-	for i, b := range e.cohort {
-		if len(b) > maxAppendChunk {
-			// Oversized batch: close the run, then frame it alone in chunks.
-			flushRun(i)
-			for lo := 0; lo < len(b) && e.err == nil; lo += maxAppendChunk {
-				hi := min(lo+maxAppendChunk, len(b))
-				if err := e.wal.append(b[lo:hi]); err != nil {
-					e.poisonLocked(err)
-				} else {
-					e.replRecordLocked(slices.Clone(b[lo:hi]), nil)
-				}
-			}
-			start = i + 1
-			continue
-		}
-		if count+len(b) > maxAppendChunk {
-			flushRun(i)
-		}
-		count += len(b)
-	}
-	flushRun(len(e.cohort))
-	for i := range e.cohort {
-		e.cohort[i] = nil
-	}
-	e.cohort = e.cohort[:0]
-}
-
-// drainCohortStrLocked is drainCohortLocked for the string-mode cohort.
-// Chunk runs by *encoded bytes* (strings are variable-width) so a cohort of
-// long keys still frames under the record limit; the count bound rides
-// along for free because byte size dominates it.
-func (e *Engine) drainCohortStrLocked() {
-	if len(e.cohortS) == 0 || e.err != nil {
-		return
-	}
-	e.m.cohortCommits.Observe(uint64(len(e.cohortS)))
-	start, bytes := 0, 0
-	flushRun := func(end int) {
-		if e.err != nil || start >= end {
-			return
-		}
-		if err := e.wal.appendStringBatches(e.cohortS[start:end]); err != nil {
-			e.poisonLocked(err)
-		} else if e.replSink != nil {
-			var run []string
-			for _, b := range e.cohortS[start:end] {
-				run = append(run, b...)
-			}
-			e.replRecordLocked(nil, run)
-		}
-		start, bytes = end, 0
-	}
-	for i, b := range e.cohortS {
-		sz := encodedStringsSize(b)
-		if sz > maxStringChunkBytes {
-			// Oversized batch: close the run, then frame it alone in chunks.
-			flushRun(i)
-			for lo := 0; lo < len(b) && e.err == nil; {
-				hi, _ := stringChunkEnd(b, lo)
-				if err := e.wal.appendStrings(b[lo:hi]); err != nil {
-					e.poisonLocked(err)
-				} else {
-					e.replRecordLocked(nil, slices.Clone(b[lo:hi]))
-				}
-				lo = hi
-			}
-			start = i + 1
-			continue
-		}
-		if bytes+sz > maxStringChunkBytes {
-			flushRun(i)
-		}
-		bytes += sz
-	}
-	flushRun(len(e.cohortS))
-	for i := range e.cohortS {
-		e.cohortS[i] = nil
-	}
-	e.cohortS = e.cohortS[:0]
-}
-
-// maxStringChunkBytes bounds one string WAL record's encoded payload
-// (~4 MB, well under frame.MaxPayload), the byte-domain twin of
-// maxAppendChunk.
-const maxStringChunkBytes = 1 << 22
-
-// encodedStringsSize returns the payload bytes keys encode to (lengths +
-// data), excluding the record's count header.
-func encodedStringsSize(keys []string) int {
-	n := 0
-	for _, k := range keys {
-		n += len(k) + binenc.UvarintLen(uint64(len(k)))
-	}
-	return n
-}
-
-// stringChunkEnd returns the end index of the longest chunk of keys[lo:]
-// whose encoded size fits maxStringChunkBytes (always at least one key, so
-// a single enormous key still frames — the record limit catches true
-// monsters).
-func stringChunkEnd(keys []string, lo int) (hi, size int) {
-	hi = lo
-	for hi < len(keys) {
-		sz := len(keys[hi]) + binenc.UvarintLen(uint64(len(keys[hi])))
-		if hi > lo && size+sz > maxStringChunkBytes {
-			break
-		}
-		size += sz
-		hi++
-	}
-	return hi, size
-}
+func (e *Engine) CommitBatch(keys []uint64) error { return planeOf[uint64](e).commit(keys) }
 
 // waitDurable blocks until every write accepted at or before target is
 // crash-durable, electing a group-commit leader as needed. Called with mu
@@ -907,7 +614,7 @@ func (e *Engine) waitDurable(target uint64) error {
 			e.syncCond.Broadcast()
 			return e.err
 		}
-		e.drainCohortLocked()
+		e.plane.drainCohortLocked()
 		if e.err == nil {
 			if err := e.wal.w.Flush(); err != nil {
 				e.poisonLocked(err)
@@ -1007,18 +714,12 @@ func (e *Engine) Drain() error {
 // the keys). A failed segment write degrades the engine, like a failed
 // Flush.
 func (e *Engine) BulkLoad(keys []uint64) error {
-	if e.opts.StringKeys {
-		panic("storage: uint64 bulk load on a string-keyed engine")
-	}
-	return bulkLoad(e, &u64Ops, keys)
+	return bulkLoad(e, planeOf[uint64](e).ops, keys)
 }
 
 // BulkLoadStrings is BulkLoad for a string-keyed engine.
 func (e *Engine) BulkLoadStrings(keys []string) error {
-	if !e.opts.StringKeys {
-		panic("storage: string bulk load on a uint64-keyed engine")
-	}
-	return bulkLoad(e, &strOps, keys)
+	return bulkLoad(e, planeOf[string](e).ops, keys)
 }
 
 func bulkLoad[K cmp.Ordered](e *Engine, ops *keyOps[K], keys []K) error {
@@ -1034,7 +735,7 @@ func bulkLoad[K cmp.Ordered](e *Engine, ops *keyOps[K], keys []K) error {
 	case err != nil:
 	case e.closed.Load():
 		err = fmt.Errorf("storage: engine closed")
-	case len(e.pending)+len(e.pendingS) > 0 || residentOf(*e.segs.Load()) != nil:
+	case e.PendingLen() > 0 || residentOf(*e.segs.Load()) != nil:
 		err = fmt.Errorf("storage: bulk load into an engine with unspilled keys (Flush first)")
 	case e.replSink != nil:
 		err = fmt.Errorf("storage: bulk load into an engine that ships its log")
@@ -1061,11 +762,11 @@ func residentOf(segs []*segment) *segment {
 	return nil
 }
 
-// frozenKeys is what one freeze took off the write plane: the mode's
-// pending list, and the repl frame number its keys' frames end at.
+// frozenKeys is what one freeze took off the write plane: how many keys,
+// now the plane's flushing list, and the repl frame number their frames
+// end at.
 type frozenKeys struct {
-	u64        []uint64
-	str        []string
+	keys       int
 	replTrimTo uint64
 }
 
@@ -1079,20 +780,11 @@ func (e *Engine) freezeLocked() (frozenKeys, error) {
 	// keys are already pending (and will reach the segment), so their frames
 	// have to be covered by the caller's fsync for the ack plane to stay
 	// honest.
-	e.drainCohortLocked()
+	e.plane.drainCohortLocked()
 	if e.err != nil {
 		return frozenKeys{}, e.err
 	}
-	var f frozenKeys
-	if e.opts.StringKeys {
-		f.str = e.pendingS
-		e.pendingS = pendingStrPool.Get()
-		e.flushingS = f.str
-	} else {
-		f.u64 = e.pending
-		e.pending = pendingPool.Get()
-		e.flushing = f.u64
-	}
+	f := frozenKeys{keys: e.plane.freezeLocked()}
 	e.pendingLen.Store(0)
 	// Every frozen key's frame is encoded by now; once the keys are served
 	// by a published segment these frames trim from the durable tail.
@@ -1103,32 +795,15 @@ func (e *Engine) freezeLocked() (frozenKeys, error) {
 // serveFrozen materializes a freeze's keys off the write mutex. A failure
 // (after materialize's retries) is a segment-plane failure: the engine
 // degrades to read-only rather than poisons, because every acked key is
-// still safe in the log and recovery replays it at the next Open.
-// e.flushing/e.flushingS stays set (and the snapshot stays out of the
-// pool): the acked keys remain visible to scans on the degraded engine.
-func (e *Engine) serveFrozen(f frozenKeys, res *segment, spill bool, count *obs.Counter) error {
-	var err error
-	if e.opts.StringKeys {
-		err = materialize(e, &strOps, f.str, res, spill, count)
-	} else {
-		err = materialize(e, &u64Ops, f.u64, res, spill, count)
-	}
+// still safe in the log and recovery replays it at the next Open. The
+// plane's flushing list stays set (and out of the pool): the acked keys
+// remain visible to scans on the degraded engine.
+func (e *Engine) serveFrozen(res *segment, spill bool, count *obs.Counter) error {
+	err := e.plane.serveFrozen(res, spill, count)
 	if err != nil {
 		e.degrade(err)
 	}
 	return err
-}
-
-// thaw ends a freeze whose keys a published segment now serves: only after
-// the scan-visible flushing reference is dropped may the buffer recycle.
-func (e *Engine) thaw(f frozenKeys) {
-	e.mu.Lock()
-	e.flushing = nil
-	e.flushingS = nil
-	e.replTrimLocked(f.replTrimTo)
-	e.mu.Unlock()
-	recyclePending(&pendingPool, f.u64)
-	recyclePending(&pendingStrPool, f.str)
 }
 
 // spill is Flush's body: freeze, rotate to a fresh log with the frozen one
@@ -1136,7 +811,7 @@ func (e *Engine) thaw(f frozenKeys) {
 func (e *Engine) spill() error {
 	e.mu.Lock()
 	err := e.writeGateLocked()
-	npend := len(e.pending) + len(e.pendingS)
+	npend := e.PendingLen()
 	e.mu.Unlock()
 	// A resident run implies drained > 0: only drains build it.
 	if err != nil || (npend == 0 && e.drained == 0) {
@@ -1186,7 +861,7 @@ func (e *Engine) spill() error {
 	e.mu.Unlock()
 	e.drained = 0 // the active log is empty; the frozen one is the file's to retire
 
-	merr := e.serveFrozen(f, res, true, e.m.flushes)
+	merr := e.serveFrozen(res, true, e.m.flushes)
 	// A failed materialize keeps the frozen log file on disk — it is the
 	// only durable home of the snapshot now — but releases its descriptor.
 	e.countIOErr("close frozen WAL", frozen.close())
@@ -1196,7 +871,7 @@ func (e *Engine) spill() error {
 	// Best-effort: a frozen log outliving its segment is re-replayed at
 	// the next open and deduplicated away.
 	e.countIOErr("remove frozen WAL", e.fs.Remove(frozen.path))
-	e.thaw(f)
+	e.plane.thaw(f.replTrimTo)
 	e.m.flushNs.ObserveDuration(time.Since(start))
 	e.kickCompactor()
 	return nil
@@ -1208,7 +883,7 @@ func (e *Engine) drain() error {
 	start := time.Now()
 	res := residentOf(*e.segs.Load())
 	e.mu.Lock()
-	if len(e.pending)+len(e.pendingS) == 0 {
+	if e.PendingLen() == 0 {
 		err := e.writeGateLocked()
 		e.mu.Unlock()
 		return err
@@ -1224,41 +899,13 @@ func (e *Engine) drain() error {
 	if err != nil {
 		return err
 	}
-	e.drained += len(f.u64) + len(f.str)
-	if err := e.serveFrozen(f, res, false, e.m.drains); err != nil {
+	e.drained += f.keys
+	if err := e.serveFrozen(res, false, e.m.drains); err != nil {
 		return err
 	}
-	e.thaw(f)
+	e.plane.thaw(f.replTrimTo)
 	e.m.drainNs.ObserveDuration(time.Since(start))
 	return nil
-}
-
-// The pending pools recycle the engines' pending-key buffers across
-// drains and flushes: every freeze hands its snapshot to materialize (which
-// clones what it needs) and takes a recycled buffer for the next fill, so
-// sustained ingest stops re-growing a fresh pending slice per drain cycle.
-// They are shared by every engine of the process, and a buffer taken at a
-// freeze is held until that engine's next one, so only buffers of a few
-// drain cycles' size go back: one large Append's buffer, recycled, would be
-// pinned by whichever engine froze next for as long as that engine lives.
-// The engine has no drain threshold of its own to size the bound by — its
-// owner decides when to drain, the serving layer at 4096 pending keys by
-// default — and re-growing a longer buffer is noise beside training the
-// segment it fed.
-var (
-	pendingPool    slicepool.Pool[uint64]
-	pendingStrPool slicepool.Pool[string]
-)
-
-const maxPooledPending = 4 * 4096 // keys
-
-// recyclePending returns a flushed pending buffer to its pool, zeroed so a
-// pooled buffer never pins flushed key bytes.
-func recyclePending[K any](pool *slicepool.Pool[K], b []K) {
-	if cap(b) <= maxPooledPending {
-		clear(b)
-		pool.Put(b)
-	}
 }
 
 // materialize dedupes keys against the served segments, merges the novel
@@ -1393,19 +1040,13 @@ func scanWALFiles(fs vfs.FS, dir string, strMode bool) (seqs []uint64, paths []s
 
 // Contains reports whether key is served (drained or flushed). Lock-free.
 func (e *Engine) Contains(key uint64) bool {
-	if e.opts.StringKeys {
-		panic("storage: uint64 read on a string-keyed engine")
-	}
-	return containsBatchIn(*e.segs.Load(), &u64Ops, []uint64{key}, nil) > 0
+	return containsBatchIn(*e.segs.Load(), planeOf[uint64](e).ops, []uint64{key}, nil) > 0
 }
 
 // ContainsString reports whether a string key is served (drained or flushed).
 // Lock-free; the string engine's Contains.
 func (e *Engine) ContainsString(key string) bool {
-	if !e.opts.StringKeys {
-		panic("storage: string read on a uint64-keyed engine")
-	}
-	return containsBatchIn(*e.segs.Load(), &strOps, []string{key}, nil) > 0
+	return containsBatchIn(*e.segs.Load(), planeOf[string](e).ops, []string{key}, nil) > 0
 }
 
 // LookupString returns the global lower-bound position of key over all
@@ -1414,9 +1055,7 @@ func (e *Engine) ContainsString(key string) bool {
 // exactly, with the min/max fence resolving out-of-range segments on two
 // comparisons.
 func (e *Engine) LookupString(key string) int {
-	if !e.opts.StringKeys {
-		panic("storage: string read on a uint64-keyed engine")
-	}
+	planeOf[string](e) // the mode check
 	total := 0
 	for _, s := range *e.segs.Load() {
 		switch {
@@ -1435,18 +1074,12 @@ func (e *Engine) LookupString(key string) int {
 // segment list, writing into out (len(out) must equal len(probes)) — a
 // single consistent view even when a flush publishes mid-batch.
 func (e *Engine) ContainsBatch(probes []uint64, out []bool) {
-	if e.opts.StringKeys {
-		panic("storage: uint64 read on a string-keyed engine")
-	}
-	containsBatchIn(*e.segs.Load(), &u64Ops, probes, out)
+	containsBatchIn(*e.segs.Load(), planeOf[uint64](e).ops, probes, out)
 }
 
 // ContainsBatchString is ContainsBatch for a string-keyed engine.
 func (e *Engine) ContainsBatchString(probes []string, out []bool) {
-	if !e.opts.StringKeys {
-		panic("storage: string read on a uint64-keyed engine")
-	}
-	containsBatchIn(*e.segs.Load(), &strOps, probes, out)
+	containsBatchIn(*e.segs.Load(), planeOf[string](e).ops, probes, out)
 }
 
 // Lookup returns the global lower-bound position of key over all served
@@ -1456,9 +1089,7 @@ func (e *Engine) ContainsBatchString(probes []string, out []bool) {
 // instead of a model run (a probe at or below a segment's minimum
 // contributes 0, one above its maximum contributes the full count).
 func (e *Engine) Lookup(key uint64) int {
-	if e.opts.StringKeys {
-		panic("storage: uint64 read on a string-keyed engine")
-	}
+	planeOf[uint64](e) // the mode check
 	total := 0
 	for _, s := range *e.segs.Load() {
 		switch {
@@ -1478,18 +1109,12 @@ func (e *Engine) Lookup(key uint64) int {
 // compaction publishes mid-batch — writing into out (len(out) must equal
 // len(probes)). See rankBatchIn.
 func (e *Engine) LookupBatch(probes []uint64, out []int) {
-	if e.opts.StringKeys {
-		panic("storage: uint64 read on a string-keyed engine")
-	}
-	rankBatchIn(*e.segs.Load(), &u64Ops, probes, out)
+	rankBatchIn(*e.segs.Load(), planeOf[uint64](e).ops, probes, out)
 }
 
 // LookupBatchString is LookupBatch for a string-keyed engine.
 func (e *Engine) LookupBatchString(probes []string, out []int) {
-	if !e.opts.StringKeys {
-		panic("storage: string read on a uint64-keyed engine")
-	}
-	rankBatchIn(*e.segs.Load(), &strOps, probes, out)
+	rankBatchIn(*e.segs.Load(), planeOf[string](e).ops, probes, out)
 }
 
 // Len returns the number of served (drained or flushed) distinct keys, in
@@ -1507,32 +1132,23 @@ func (e *Engine) Len() int {
 func (e *Engine) PendingLen() int { return int(e.pendingLen.Load()) }
 
 // Keys returns all served keys, sorted ascending — a fresh merged copy.
-func (e *Engine) Keys() []uint64 {
-	if e.opts.StringKeys {
-		panic("storage: uint64 read on a string-keyed engine")
-	}
-	segs := *e.segs.Load()
-	total := 0
-	for _, s := range segs {
-		total += len(s.keys)
-	}
-	out := make([]uint64, 0, total)
-	for _, s := range segs {
-		out = append(out, s.keys...)
-	}
-	slices.Sort(out)
-	return out
-}
+func (e *Engine) Keys() []uint64 { return servedKeys(e, planeOf[uint64](e).ops) }
 
 // KeysStrings returns all served string keys, sorted ascending — a fresh
 // merged copy, materialized one segment run at a time.
-func (e *Engine) KeysStrings() []string {
-	if !e.opts.StringKeys {
-		panic("storage: string read on a uint64-keyed engine")
+func (e *Engine) KeysStrings() []string { return servedKeys(e, planeOf[string](e).ops) }
+
+// servedKeys returns all served keys, sorted ascending: a fresh merged
+// copy, gathered one segment's run at a time.
+func servedKeys[K cmp.Ordered](e *Engine, ops *keyOps[K]) []K {
+	segs := *e.segs.Load()
+	n := 0
+	for _, s := range segs {
+		n += s.numKeys()
 	}
-	out := make([]string, 0, e.Len())
-	for _, s := range *e.segs.Load() {
-		out = s.sindex.Dict().AppendKeys(out, 0, s.numKeys())
+	out := make([]K, 0, n)
+	for _, s := range segs {
+		out = append(out, ops.keys(s)...)
 	}
 	slices.Sort(out)
 	return out
@@ -1565,7 +1181,7 @@ func (e *Engine) Stats() Stats {
 		st.DiskBytes += s.diskBytes
 	}
 	e.mu.Lock()
-	st.PendingKeys = len(e.pending) + len(e.pendingS)
+	st.PendingKeys = e.PendingLen()
 	if e.wal != nil {
 		st.WALBytes = e.wal.size
 	}
@@ -1608,7 +1224,7 @@ func (e *Engine) collect(s *obs.Snapshot) {
 	s.SetGauge("lix_storage_pinned_segments", float64(pinned))
 	s.SetGauge("lix_storage_compaction_debt", float64(compactionDebt(segs, e.opts.CompactFanout)))
 	e.mu.Lock()
-	pending := len(e.pending) + len(e.pendingS)
+	pending := e.PendingLen()
 	var walBytes int64
 	if e.wal != nil {
 		walBytes = e.wal.size
@@ -1808,13 +1424,7 @@ func (e *Engine) compactOnce() (bool, error) {
 	// replacement, commit its file. Readers keep serving the old list
 	// meanwhile.
 	compactStart := time.Now()
-	var seg *segment
-	var err error
-	if e.opts.StringKeys {
-		seg, err = mergeRun(e, &strOps, run)
-	} else {
-		seg, err = mergeRun(e, &u64Ops, run)
-	}
+	seg, err := e.plane.merge(run)
 	if err == nil {
 		err = e.commitSegment(seg)
 	}
@@ -1856,16 +1466,6 @@ func (e *Engine) compactOnce() (bool, error) {
 	}
 	e.m.compactNs.ObserveDuration(time.Since(compactStart))
 	return true, nil
-}
-
-// mergeRun k-way merges the disjoint sorted key arrays of run into one
-// fresh array and builds the segment covering run's sequence range over it.
-func mergeRun[K cmp.Ordered](e *Engine, ops *keyOps[K], run []*segment) (*segment, error) {
-	srcs := make([][]K, len(run))
-	for i, s := range run {
-		srcs[i] = ops.keys(s)
-	}
-	return ops.build(e, run[0].seqLo, run[len(run)-1].seqHi, mergeKeys(srcs))
 }
 
 // mergeKeys merges sorted key runs into one fresh sorted array: a

@@ -355,7 +355,7 @@ func TestEngineRecoversMultipleWALs(t *testing.T) {
 	// (as if its retire step never ran) plus an "active" log with novel
 	// keys.
 	frozen := newWALT(t, filepath.Join(dir, walFileName(7)))
-	if err := frozen.append(segKeys[:500]); err != nil {
+	if err := logRecord(frozen, &u64Ops, segKeys[:500]); err != nil {
 		t.Fatal(err)
 	}
 	if err := frozen.sync(); err != nil {
@@ -364,7 +364,7 @@ func TestEngineRecoversMultipleWALs(t *testing.T) {
 	frozen.close()
 	active := newWALT(t, filepath.Join(dir, walFileName(8)))
 	novel := []uint64{5_000_001, 5_000_002, 5_000_003}
-	if err := active.append(novel); err != nil {
+	if err := logRecord(active, &u64Ops, novel); err != nil {
 		t.Fatal(err)
 	}
 	if err := active.sync(); err != nil {

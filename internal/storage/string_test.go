@@ -209,8 +209,8 @@ func TestStringEngineCompaction(t *testing.T) {
 }
 
 // TestEngineModeMismatch locks in the one-directory-one-mode contract:
-// Open refuses the other mode's directory (segments or WAL), and calling
-// the wrong mode's methods panics.
+// Open refuses the other mode's directory (segments or WAL). That calling
+// the wrong mode's methods panics is TestWrongKeyModePanics.
 func TestEngineModeMismatch(t *testing.T) {
 	// uint64 directory with a flushed segment, reopened as string.
 	dirU := t.TempDir()
@@ -247,30 +247,6 @@ func TestEngineModeMismatch(t *testing.T) {
 		t.Fatal("uint64 open of a string WAL directory succeeded")
 	}
 	es.Close()
-
-	mustPanic := func(name string, f func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Fatalf("%s did not panic", name)
-			}
-		}()
-		f()
-	}
-	eu2 := openT(t, t.TempDir(), Options{})
-	defer eu2.Close()
-	mustPanic("AppendString", func() { eu2.AppendString("x") })
-	mustPanic("CommitString", func() { eu2.CommitString("x") })
-	mustPanic("ContainsString", func() { eu2.ContainsString("x") })
-	mustPanic("LookupString", func() { eu2.LookupString("x") })
-	mustPanic("KeysStrings", func() { eu2.KeysStrings() })
-	es2 := openT(t, t.TempDir(), Options{StringKeys: true})
-	defer es2.Close()
-	mustPanic("Append", func() { es2.Append(1) })
-	mustPanic("Commit", func() { es2.Commit(1) })
-	mustPanic("Contains", func() { es2.Contains(1) })
-	mustPanic("Lookup", func() { es2.Lookup(1) })
-	mustPanic("Keys", func() { es2.Keys() })
 }
 
 // TestStringSnapshotCountRange cross-checks the codec-index COUNT against
@@ -320,7 +296,7 @@ func FuzzWALStringReplay(f *testing.F) {
 		w := newWALT(f, filepath.Join(f.TempDir(), walStrFileName(0)))
 		var want []string
 		for _, rec := range recs {
-			if err := w.appendStrings(rec); err != nil {
+			if err := logRecord(w, &strOps, rec); err != nil {
 				f.Fatal(err)
 			}
 			want = append(want, rec...)

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"os"
@@ -17,10 +18,13 @@ import (
 //
 //	[payloadLen uint32 LE][crc32c(payload) uint32 LE][payload]
 //	payload = uvarint keyCount, then keyCount uvarint keys
+//	        | uvarint keyCount, then keyCount × (uvarint len, len bytes)
 //
 // The header is a wire message's (internal/frame) without the kind byte —
 // same checksum, same payload bound — and the payload is binenc's key
-// payload (AppendUvarints; AppendStrings in a string-keyed log).
+// payload: AppendUvarints, or AppendStrings in a string-keyed log, whose
+// records live only in wals-*.log files (see walStrFileName), so the two
+// grammars never meet the wrong decoder.
 //
 // Durability contract: Append is buffered; only Sync makes previously
 // appended records crash-safe (flush + fsync). Concurrent committers are
@@ -156,21 +160,12 @@ func walFrameAt(data []byte, off int) (payload []byte, ok bool) {
 	return payload, true
 }
 
-// replayWAL scans data for intact records and returns the decoded keys
-// plus the byte offset of the end of the last intact record — the
-// truncation point for everything after it. It never panics on arbitrary
-// input and never returns a key from a frame that fails validation.
-func replayWAL(data []byte) (keys []uint64, good int64) {
-	return replayLog(data, (*binenc.Reader).Uvarints)
-}
-
-// replayWALStrings is replayWAL for string-keyed logs.
-func replayWALStrings(data []byte) (keys []string, good int64) {
-	return replayLog(data, (*binenc.Reader).Strings)
-}
-
-// replayLog is replayWAL for the key payload that decode reads.
-func replayLog[K any](data []byte, decode func(r *binenc.Reader, dst []K, max int) []K) (keys []K, good int64) {
+// replayLog scans data for intact records and returns the keys they hold,
+// decoded by the grammar of ops, plus the byte offset of the end of the
+// last intact record — the truncation point for everything after it. It
+// never panics on arbitrary input and never returns a key from a frame
+// that fails validation.
+func replayLog[K cmp.Ordered](data []byte, ops *keyOps[K]) (keys []K, good int64) {
 	off := 0
 	for {
 		payload, ok := walFrameAt(data, off)
@@ -179,7 +174,7 @@ func replayLog[K any](data []byte, decode func(r *binenc.Reader, dst []K, max in
 		}
 		r := binenc.NewReader(payload)
 		n := len(keys)
-		keys = decode(r, keys, len(payload))
+		keys = ops.decode(r, keys, len(payload))
 		// A checksummed record must decode exactly; leftovers or a decode
 		// error mean the frame was written by something else — stop here.
 		if r.Err() != nil || r.Remaining() != 0 {
@@ -189,63 +184,32 @@ func replayLog[K any](data []byte, decode func(r *binenc.Reader, dst []K, max in
 	}
 }
 
-// walBufPool recycles record encode buffers so the append hot path is
-// allocation-free under sustained ingest — a full varint-encoded record is
+// walBufPool recycles record encode buffers: a whole framed record is
 // built in a pooled scratch and memcpy'd into the write buffer.
 var walBufPool slicepool.Pool[byte]
 
-// append frames keys as one record into the write buffer.
-func (w *wal) append(keys []uint64) error {
-	return w.appendBatches([][]uint64{keys})
-}
-
-// appendBatches frames all batches as ONE record — the group-commit frame:
-// a whole cohort of committers shares a single header, checksum, and
-// (later) fsync. The caller keeps batches non-empty and the total key
-// count within maxAppendChunk.
-func (w *wal) appendBatches(batches [][]uint64) error {
-	return w.writeFrame(binenc.AppendUvarints(walBufPool.Get(), batches...))
-}
-
-// appendStrings frames string keys as one record. String payloads carry
-// each key length-prefixed:
-//
-//	payload = uvarint keyCount, then keyCount × (uvarint len, len bytes)
-//
-// and live only in wals-*.log files (see walStrFileName), so the two
-// payload grammars never meet the wrong decoder.
-func (w *wal) appendStrings(keys []string) error {
-	return w.appendStringBatches([][]string{keys})
-}
-
-// appendStringBatches is appendBatches for string keys: the whole cohort
-// shares one frame, checksum, and fsync. The caller keeps batches
-// non-empty and the total encoded size within frame.MaxPayload.
-func (w *wal) appendStringBatches(batches [][]string) error {
-	return w.writeFrame(binenc.AppendStrings(walBufPool.Get(), batches...))
-}
-
-// writeFrame checksums payload, a walBufPool buffer it recycles, and
-// writes the framed record into the write buffer, first reserving the
-// extents the record reaches into.
-func (w *wal) writeFrame(payload []byte) error {
-	defer walBufPool.Put(payload)
+// logRecord frames batches as ONE record into w's write buffer — for a
+// commit cohort, the group-commit frame: a whole cohort of committers
+// shares a single header, checksum, and (later) fsync. The caller keeps
+// batches non-empty and within the record bound of ops (keyOps.limit). The
+// record is encoded, header space first, into a pooled scratch buffer, so
+// the append hot path reuses its encode memory under sustained ingest.
+func logRecord[K cmp.Ordered](w *wal, ops *keyOps[K], batches ...[]K) error {
+	buf := ops.record(append(walBufPool.Get(), make([]byte, walHeaderLen)...), batches...)
+	defer walBufPool.Put(buf)
+	payload := buf[walHeaderLen:]
 	if len(payload) > frame.MaxPayload {
 		return fmt.Errorf("storage: WAL record of %d bytes exceeds limit", len(payload))
 	}
-	if end := w.size + int64(walHeaderLen+len(payload)); w.reserved > 0 && end > w.reserved {
+	if end := w.size + int64(len(buf)); w.reserved > 0 && end > w.reserved {
 		w.reserve((end + walExtent - 1) / walExtent * walExtent)
 	}
-	var hdr [walHeaderLen]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:], frame.Checksum(payload))
-	if _, err := w.w.Write(hdr[:]); err != nil {
+	binary.LittleEndian.PutUint32(buf, uint32(len(payload)))
+	binary.LittleEndian.PutUint32(buf[4:], frame.Checksum(payload))
+	if _, err := w.w.Write(buf); err != nil {
 		return err
 	}
-	if _, err := w.w.Write(payload); err != nil {
-		return err
-	}
-	w.size += int64(walHeaderLen + len(payload))
+	w.size += int64(len(buf))
 	return nil
 }
 
