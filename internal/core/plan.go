@@ -566,5 +566,8 @@ func (p *Plan) ContainsBatch(probes []uint64, out []bool) {
 // Len returns the number of indexed keys.
 func (p *Plan) Len() int { return p.n }
 
+// Keys returns the sorted key array the plan serves. Shared, read-only.
+func (p *Plan) Keys() []uint64 { return p.keys }
+
 // SearchKind returns the compile-time-resolved search strategy.
 func (p *Plan) SearchKind() SearchKind { return p.searchKind }

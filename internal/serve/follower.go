@@ -10,14 +10,13 @@ package serve
 // primary. Writes go to the primary; the follower converges to it.
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"sync"
 
 	"learnedindex/internal/core"
-	"learnedindex/internal/obs"
 	"learnedindex/internal/repl"
-	"learnedindex/internal/storage"
 )
 
 // ErrFollowerStore is returned by the error-returning write paths of a
@@ -42,54 +41,32 @@ type replState struct {
 // primary is unreachable. All write methods are refused (see
 // ErrFollowerStore). Close stops replication, then closes the engine.
 func OpenFollower(cfg core.Config, opt Options, fopt repl.FollowerOptions) (*Store, error) {
-	return openFollower(cfg, opt, fopt, false)
+	return openFollower(&u64Ops, cfg, opt, fopt)
 }
 
 // OpenFollowerString is OpenFollower in the string key mode; the primary
 // must be string-keyed too (the replication handshake enforces it).
 func OpenFollowerString(cfg core.Config, opt Options, fopt repl.FollowerOptions) (*Store, error) {
-	return openFollower(cfg, opt, fopt, true)
+	return openFollower(&strOps, cfg, opt, fopt)
 }
 
-func openFollower(cfg core.Config, opt Options, fopt repl.FollowerOptions, strKeys bool) (*Store, error) {
+// openFollower is OpenFollower and OpenFollowerString. It starts no
+// background merger: the follower's applier flushes the keys frames bring
+// on its own cadence (FollowerOptions.FlushEvery) and bulk-loads each
+// snapshot as one segment at its end, and there are no local inserts to
+// drain. Flush/Close still drain synchronously via the engine.
+func openFollower[K cmp.Ordered, S any](ops *memOps[K, S], cfg core.Config, opt Options, fopt repl.FollowerOptions) (*Store, error) {
 	if opt.Dir == "" {
 		return nil, fmt.Errorf("serve: a follower store needs Options.Dir (its replica is durable)")
 	}
-	reg := obs.NewRegistry()
-	eng, err := storage.Open(opt.Dir, storage.Options{
-		Config:           cfg,
-		BloomFPR:         opt.BloomFPR,
-		CompactFanout:    opt.CompactFanout,
-		StringKeys:       strKeys,
-		Reg:              reg,
-		FS:               opt.FS,
-		ScrubInterval:    opt.ScrubInterval,
-		BackpressureDebt: opt.BackpressureDebt,
-	})
+	s, err := openEngine(ops, cfg, opt)
 	if err != nil {
 		return nil, err
 	}
-	// No background merger: the follower's applier flushes the keys frames
-	// bring on its own cadence (FollowerOptions.FlushEvery) and bulk-loads
-	// each snapshot as one segment at its end, and there are no local
-	// inserts to drain. Flush/Close still drain synchronously via the engine.
-	s := &Store{
-		strKeys:    strKeys,
-		cfg:        cfg,
-		thresh:     4096,
-		mergeCh:    make(chan int, 1),
-		quit:       make(chan struct{}),
-		retrainSem: make(chan struct{}, maxConcurrentRetrains()),
-		eng:        eng,
-	}
-	if err := s.initObs(reg, 0, opt.MetricsAddr); err != nil {
-		eng.Close()
-		return nil, err
-	}
-	fol, err := repl.NewFollower(eng, fopt)
+	fol, err := repl.NewFollower(s.eng, fopt)
 	if err != nil {
 		s.closeDebug()
-		eng.Close()
+		s.eng.Close()
 		return nil, err
 	}
 	s.repl.follower = fol

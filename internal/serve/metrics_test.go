@@ -13,16 +13,71 @@ import (
 	"learnedindex/internal/obs"
 )
 
+// metricsKey renders k as a string store's key in key order, with the
+// digits that vary inside the 8-byte codec prefix: string lookups feed the
+// plan's model-health sampling by prefix (obs.SampleKey), so keys sharing
+// one prefix would all be sampled or all be skipped together.
+func metricsKey(k uint64) string { return fmt.Sprintf("%08d", k) }
+
 // TestStoreMetrics drives the serving layer's surfaces through an
-// in-memory store and asserts the metrics plane recorded them: traffic
-// counters exactly, sampled series within their sampling contract, and
-// the per-shard drain/retrain and queue series present.
+// in-memory store of each key mode and asserts the metrics plane recorded
+// them: traffic counters exactly, sampled series within their sampling
+// contract, and the per-shard drain/retrain and queue series present.
 func TestStoreMetrics(t *testing.T) {
+	for _, strMode := range []bool{false, true} {
+		name := "uint64"
+		if strMode {
+			name = "string"
+		}
+		t.Run(name, func(t *testing.T) { checkStoreMetrics(t, strMode) })
+	}
+}
+
+func checkStoreMetrics(t *testing.T, strMode bool) {
 	keys := make([]uint64, 4096)
 	for i := range keys {
 		keys[i] = uint64(i) * 3
 	}
-	st := New(keys, core.Config{}, Options{Shards: 4, MergeThreshold: 1 << 20})
+	opt := Options{Shards: 4, MergeThreshold: 1 << 20}
+	var (
+		st          *Store
+		insert      func(uint64)
+		lookup      func(uint64)
+		lookupBatch func([]uint64)
+		scanRange   func(lo, hi uint64)
+	)
+	if strMode {
+		skeys := make([]string, len(keys))
+		for i, k := range keys {
+			skeys[i] = metricsKey(k)
+		}
+		st = NewString(skeys, core.Config{}, opt)
+		insert = func(k uint64) { st.InsertString(metricsKey(k)) }
+		lookup = func(k uint64) { st.LookupString(metricsKey(k)) }
+		lookupBatch = func(ks []uint64) {
+			probes := make([]string, len(ks))
+			for i, k := range ks {
+				probes[i] = metricsKey(k)
+			}
+			st.LookupBatchString(probes)
+		}
+		scanRange = func(lo, hi uint64) {
+			it := st.ScanString(metricsKey(lo), metricsKey(hi))
+			for it.Next() {
+			}
+			it.Close()
+		}
+	} else {
+		st = New(keys, core.Config{}, opt)
+		insert, lookup = st.Insert, func(k uint64) { st.Lookup(k) }
+		lookupBatch = func(ks []uint64) { st.LookupBatch(ks) }
+		scanRange = func(lo, hi uint64) {
+			it := st.Scan(lo, hi)
+			for it.Next() {
+			}
+			it.Close()
+		}
+	}
 	defer st.Close()
 	if st.Registry() == nil {
 		t.Fatal("Registry() is nil")
@@ -30,12 +85,12 @@ func TestStoreMetrics(t *testing.T) {
 
 	const inserts = 1000
 	for i := 0; i < inserts; i++ {
-		st.Insert(uint64(i)*3 + 1)
+		insert(uint64(i)*3 + 1)
 	}
 	st.Flush()
 
 	for i := 0; i < 2048; i++ {
-		st.Lookup(uint64(i))
+		lookup(uint64(i))
 	}
 	const batches = 32
 	probe := make([]uint64, 16)
@@ -43,14 +98,11 @@ func TestStoreMetrics(t *testing.T) {
 		for j := range probe {
 			probe[j] = uint64(b*16 + j)
 		}
-		st.LookupBatch(probe)
+		lookupBatch(probe)
 	}
 	const scans = 8
 	for i := 0; i < scans; i++ {
-		it := st.Scan(0, 500)
-		for it.Next() {
-		}
-		it.Close()
+		scanRange(0, 500)
 	}
 
 	s := st.Metrics()
@@ -66,17 +118,17 @@ func TestStoreMetrics(t *testing.T) {
 	if got := s.Counter("lix_serve_scans_total"); got != scans {
 		t.Fatalf("scans counter = %d, want %d", got, scans)
 	}
-	// Single-key lookups are 1-in-64 sampled over the key space: 2048
-	// dense keys must sample some, and the estimate is the sampled hits
-	// times 64.
+	// Single-key lookups are 1-in-64 sampled (over the key space for
+	// uint64 keys, by the shared sampler for strings): 2048 lookups must
+	// sample some, and the estimate is the sampled hits times 64.
 	if got := s.Counter("lix_serve_lookups_total"); got == 0 || got%64 != 0 {
 		t.Fatalf("sampled lookups counter = %d, want a nonzero multiple of 64", got)
 	}
 	if got := s.Gauge("lix_serve_shards"); got != 4 {
 		t.Fatalf("shards gauge = %g", got)
 	}
-	if qs := s.Series("lix_serve_queue_depth"); len(qs) != 4 {
-		t.Fatalf("queue depth series = %v, want one per shard", qs)
+	if qs := s.Series("lix_serve_queue_depth"); len(qs) != 4 || s.Gauge("lix_serve_queued_keys") != 0 {
+		t.Fatalf("queue depth series = %v (%g queued after Flush), want one per shard", qs, s.Gauge("lix_serve_queued_keys"))
 	}
 	// Model health: every shard publishes its trained error bound (the
 	// collector reads it off the live plan in both builds).
@@ -87,8 +139,8 @@ func TestStoreMetrics(t *testing.T) {
 	if !obs.Enabled {
 		return
 	}
-	// Sampled model-health histograms: the same 1-in-64 key sampling that
-	// fed lix_serve_lookups_total observed the plan's error and window.
+	// Sampled model-health histograms: the plans' own 1-in-64 key sampling
+	// (by the 8-byte prefix for strings) observed their error and window.
 	if h := s.Histogram("lix_serve_model_err"); h.Count == 0 {
 		t.Fatalf("aggregate model-error histogram empty after sampled lookups")
 	}

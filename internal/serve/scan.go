@@ -1,19 +1,22 @@
 package serve
 
 // Streaming range scans and learned counts over the serving layer: the
-// snapshot-consistent composition of every layer a key can live in.
+// snapshot-consistent composition of every layer a key can live in,
+// written once for both key kinds.
 //
 // An in-memory Store's scan merges (a) one cursor over the combined
 // per-shard insert buffers — the delta layer, copied and sorted at open —
-// and (b) one cursor per shard base array, entered at the position the
-// shard's compiled plan predicts for the range start (model-biased seek,
-// not binary search). A persistent Store's scan merges the engine's
-// unflushed WAL delta with one cursor per on-disk segment — over the
-// segment's resident key array, entered through its plan — pruned by
-// min/max fences and pinned against compaction for the scan's lifetime
-// (storage.Snapshot). String layers, in memory or on disk, hold no strings:
-// their cursor (core.StringCursor) materializes the keys it streams out of
-// the layer's dictionary a page at a time.
+// and (b) one cursor per shard snapshot whose fence overlaps the range,
+// entered at the position the shard's index predicts for the range start
+// (model-biased seek, not binary search). A persistent Store's scan merges
+// the engine's unflushed WAL delta with one cursor per on-disk segment,
+// pruned by min/max fences and pinned against compaction for the scan's
+// lifetime (storage.Snapshot). A uint64 layer's cursor walks its key array
+// through its plan; a string layer holds no strings, and its cursor
+// (core.StringCursor) materializes the keys it streams out of the layer's
+// dictionary a page at a time. Strings have no +∞, so the scan unbounded
+// above is its own entry point (ScanStringFrom) instead of a sentinel
+// upper bound; a uint64 scan is always bounded.
 //
 // # Consistency
 //
@@ -30,15 +33,14 @@ package serve
 //
 // # Allocation discipline
 //
-// All scan state — the iterator, its tournament arrays, cursor structs,
-// delta copies, and (persistent) the storage snapshot — recycles through
-// pools; a steady-state Scan→drain→Close cycle allocates nothing here
-// (asserted by TestScanAllocs).
+// All scan state — the iterator, its tournament arrays, cursors, delta
+// copies, and (persistent) the storage snapshot — recycles through pools;
+// a steady-state Scan→drain→Close cycle allocates nothing here (asserted
+// by TestScanAllocs).
 
 import (
 	"cmp"
 	"slices"
-	"sync"
 	"time"
 
 	"learnedindex/internal/core"
@@ -48,127 +50,211 @@ import (
 )
 
 // scanState is the pooled per-scan working set: the captured view (shard
-// snapshots + delta copy, or the pinned storage snapshot) plus the backing
-// array for the concrete slice cursors. It implements scan.Closer, so the
-// iterator's Close returns everything here to the pool.
-type scanState struct {
+// snapshots + delta copy, or the pinned storage snapshot) plus the cursors
+// that stream it. It implements scan.Closer, so the iterator's Close
+// returns everything here to the pool.
+type scanState[K cmp.Ordered, S any] struct {
+	ops   *memOps[K, S]
 	snap  *storage.Snapshot
-	snaps []*snapshot
-	delta []uint64
-	kcs   []scan.KeysCursor[uint64]
-	// String-mode twins; only one set is populated per scan. sdc streams
-	// the sorted delta copy, scs the captured indexes.
-	ssnaps []*core.StringIndex
-	sdelta []string
-	sdc    scan.KeysCursor[string]
-	scs    []core.StringCursor
+	snaps []*S
+	delta []K
+	dc    scan.KeysCursor[K] // streams the delta layer
+	// curs holds one cursor per captured index. A slot keeps its cursor
+	// across scans, so a string cursor's page keeps the capacity earlier
+	// scans grew.
+	curs []scan.Cursor[K]
 }
 
-var scanStatePool = sync.Pool{New: func() any { return new(scanState) }}
+// slot extends curs by one and returns the new slot, holding whatever
+// cursor an earlier scan left there.
+func (st *scanState[K, S]) slot() *scan.Cursor[K] {
+	if len(st.curs) < cap(st.curs) {
+		st.curs = st.curs[:len(st.curs)+1]
+	} else {
+		st.curs = append(st.curs, nil)
+	}
+	return &st.curs[len(st.curs)-1]
+}
+
+// keysCursor points the cursor in slot c at a sorted key array entered
+// through pos, reusing the slot's cursor when it is a KeysCursor.
+func keysCursor[K cmp.Ordered](c *scan.Cursor[K], keys []K, pos scan.Positioner[K]) {
+	kc, ok := (*c).(*scan.KeysCursor[K])
+	if !ok {
+		kc = new(scan.KeysCursor[K])
+		*c = kc
+	}
+	kc.Reset(keys, pos)
+}
+
+// stringCursor points the cursor in slot c at a string index, reusing the
+// slot's cursor when it is a StringCursor.
+func stringCursor(c *scan.Cursor[string], si *core.StringIndex) {
+	sc, ok := (*c).(*core.StringCursor)
+	if !ok {
+		sc = new(core.StringCursor)
+		*c = sc
+	}
+	sc.Reset(si)
+}
+
+func (p *memPlane[K, S]) getScan() *scanState[K, S] {
+	if st, ok := p.ops.scans.Get().(*scanState[K, S]); ok {
+		return st
+	}
+	return &scanState[K, S]{ops: p.ops}
+}
 
 // CloseScan unpins the storage snapshot (persistent scans), drops snapshot
 // references, and recycles the state. Runs via Iterator.Close after every
 // cursor has been released.
-func (st *scanState) CloseScan() {
+func (st *scanState[K, S]) CloseScan() {
 	if st.snap != nil {
 		st.snap.Release()
 		st.snap = nil
 	}
 	clear(st.snaps)
 	st.snaps = st.snaps[:0]
-	st.kcs = st.kcs[:0] // cursor Release already dropped the key refs
-	clear(st.ssnaps)
-	st.ssnaps = st.ssnaps[:0]
-	// Zero the delta's string entries: the pooled backing array must not
-	// pin key bytes from a finished scan.
-	clear(st.sdelta)
-	st.sdelta = st.sdelta[:0]
-	st.scs = st.scs[:0]
-	scanStatePool.Put(st)
+	// Zero the delta: a pooled backing array must not pin key bytes from a
+	// finished scan.
+	clear(st.delta)
+	st.delta = st.delta[:0]
+	st.curs = st.curs[:0] // cursor Release already dropped the index refs
+	st.ops.scans.Put(st)
 }
 
-// captureInMemory copies the delta layer (every shard's buffer plus any
-// in-flight draining batch, restricted to [lo, hi) so the sort cost
-// scales with delta∩range rather than the whole buffer) and THEN loads
-// each shard's published snapshot. The order is the loss-free invariant: a
-// drain moves keys buffer → draining → snapshot, clearing draining only
-// after publication, so copying buffers first can duplicate a migrating
-// key (dedup absorbs it) but never miss one.
-func (st *scanState) captureInMemory(s *Store, lo, hi uint64) {
-	st.delta = st.delta[:0]
-	for _, sh := range s.shards {
+// capture copies the delta layer (every shard's buffer plus any in-flight
+// draining batch, restricted to the range — [lo, hi) when bounded, keys >=
+// lo otherwise — so the sort cost scales with delta∩range rather than the
+// whole buffer) and THEN loads each shard's published snapshot. The order
+// is the loss-free invariant: a drain moves keys buffer → draining →
+// snapshot, clearing draining only after publication, so copying buffers
+// first can duplicate a migrating key (dedup absorbs it) but never miss
+// one.
+func (st *scanState[K, S]) capture(p *memPlane[K, S], lo, hi K, bounded bool) {
+	for _, sh := range p.shards {
 		sh.mu.Lock()
-		st.delta = scan.AppendInRange(st.delta, sh.buf, lo, hi)
-		st.delta = scan.AppendInRange(st.delta, sh.draining, lo, hi)
+		for _, src := range [2][]K{sh.buf, sh.draining} {
+			if bounded {
+				st.delta = scan.AppendInRange(st.delta, src, lo, hi)
+			} else {
+				st.delta = scan.AppendFrom(st.delta, src, lo)
+			}
+		}
 		sh.mu.Unlock()
 	}
 	slices.Sort(st.delta)
-	st.delta = dedupSorted(st.delta)
-	st.snaps = st.snaps[:0]
-	for _, sh := range s.shards {
+	st.delta = slices.Compact(st.delta)
+	for _, sh := range p.shards {
 		st.snaps = append(st.snaps, sh.snap.Load())
 	}
 }
 
-// Scan opens a streaming merge over every key in [lo, hi): ascending,
-// deduplicated, snapshot-consistent per the package comment above. The
-// iterator starts before the first key — drive it with Next (or NextBatch)
-// and always Close it; Seek repositions within the range. hi is exclusive,
-// so ^uint64(0) scans to the end of the domain save the maximal key.
-func (s *Store) Scan(lo, hi uint64) *scan.Iterator[uint64] {
-	if s.strKeys {
-		panic("serve: uint64 scan on a string-keyed store")
-	}
-	// Scan opens are cold next to the per-key stream, so the open (capture
-	// + seed seeks) is timed unconditionally when metrics are built in; the
-	// per-key path stays untouched — the iterator reports its emitted-key
-	// count once, at Close, into lix_serve_scan_keys.
+// fenceOut reports whether snapshot x holds no key of the range: the
+// in-memory fence. Shards are range-disjoint, so it prunes all but the
+// covering ones.
+func (p *memPlane[K, S]) fenceOut(x *S, lo, hi K, bounded bool) bool {
+	first, last, ok := p.ops.fence(x)
+	return !ok || (bounded && first >= hi) || last < lo
+}
+
+// scan opens a streaming merge over every key of the range ([lo, hi) when
+// bounded, keys >= lo otherwise). Scan opens are cold next to the per-key
+// stream, so the open (capture + seed seeks) is timed unconditionally when
+// metrics are built in; the per-key path stays untouched — the iterator
+// reports its emitted-key count once, at Close, into lix_serve_scan_keys.
+func (p *memPlane[K, S]) scan(lo, hi K, bounded bool) *scan.Iterator[K] {
+	s := p.s
 	s.m.scans.Inc()
 	var start time.Time
 	if obs.Enabled {
 		start = time.Now()
 	}
-	it := scan.Get[uint64]()
+	it := scan.Get[K]()
 	it.SetObs(s.m.scanKeys)
-	st := scanStatePool.Get().(*scanState)
-	// Fill the concrete cursor array completely before taking pointers:
-	// delta first (the newest layer wins merge ties), then every segment or
-	// shard whose fence overlaps the range.
-	st.kcs = st.kcs[:0]
-	add := func(keys []uint64, pos scan.Positioner[uint64]) {
-		st.kcs = append(st.kcs, scan.KeysCursor[uint64]{})
-		st.kcs[len(st.kcs)-1].Reset(keys, pos)
-	}
+	st := p.getScan()
+	var delta []K
 	if s.eng != nil {
-		sn := s.eng.AcquireSnapshotRange(lo, hi)
-		st.snap = sn
-		if p := sn.Pending(); len(p) > 0 {
-			add(p, nil)
-		}
-		for i := 0; i < sn.NumSegments(); i++ {
-			if ks, plan := sn.SegmentKeys(i, lo, hi); ks != nil {
-				add(ks, plan)
-			}
-		}
+		delta = p.ops.engScan(st, s.eng, lo, hi, bounded)
 	} else {
-		st.captureInMemory(s, lo, hi)
-		if len(st.delta) > 0 {
-			add(st.delta, nil)
-		}
-		for _, sn := range st.snaps { // shards are range-disjoint: the fence prunes all but the covering ones
-			if ks := sn.keys; len(ks) > 0 && ks[0] < hi && ks[len(ks)-1] >= lo {
-				add(ks, sn.plan)
+		st.capture(p, lo, hi, bounded)
+		delta = st.delta
+		for _, x := range st.snaps {
+			if !p.fenceOut(x, lo, hi, bounded) {
+				p.ops.cursor(st.slot(), x)
 			}
 		}
 	}
-	for i := range st.kcs {
-		it.Add(&st.kcs[i])
+	if len(delta) > 0 {
+		st.dc.Reset(delta, nil)
+		it.Add(&st.dc) // delta first: the newest layer wins merge ties
 	}
-	it.Start(lo, hi, st)
+	for _, c := range st.curs {
+		it.Add(c)
+	}
+	if bounded {
+		it.Start(lo, hi, st)
+	} else {
+		it.StartFrom(lo, st)
+	}
 	if obs.Enabled {
 		s.m.scanOpen.ObserveDuration(time.Since(start))
 	}
 	return it
+}
+
+// count is CountRange, CountRangeString and CountFromString: the exact
+// number of distinct keys of the range ([lo, hi) when bounded, keys >= lo
+// otherwise) over the view a scan at this instant would stream.
+func (p *memPlane[K, S]) count(lo, hi K, bounded bool) int {
+	if bounded && hi <= lo {
+		return 0
+	}
+	if e := p.s.eng; e != nil {
+		return p.ops.engCount(e, lo, hi, bounded)
+	}
+	st := p.getScan()
+	st.capture(p, lo, hi, bounded)
+	total := 0
+	for _, x := range st.snaps {
+		if p.fenceOut(x, lo, hi, bounded) {
+			continue
+		}
+		end := p.ops.size(x)
+		if bounded {
+			end = p.ops.lookup(x, hi)
+		}
+		total += end - p.ops.lookup(x, lo)
+	}
+	for _, k := range st.delta { // already restricted to the range
+		if !p.ops.contains(st.snaps[shardFor(p.bounds, k)], k) {
+			total++
+		}
+	}
+	st.CloseScan()
+	return total
+}
+
+// Scan opens a streaming merge over every key in [lo, hi): ascending,
+// deduplicated, snapshot-consistent per the file comment above. The
+// iterator starts before the first key — drive it with Next (or NextBatch)
+// and always Close it; Seek repositions within the range. hi is exclusive,
+// so ^uint64(0) scans to the end of the domain save the maximal key.
+func (s *Store) Scan(lo, hi uint64) *scan.Iterator[uint64] { return s.u64().scan(lo, hi, true) }
+
+// ScanString opens a streaming merge over every string key in [lo, hi):
+// ascending codec (byte) order, deduplicated, snapshot-consistent like
+// Scan. hi is exclusive; use ScanStringFrom to scan without an upper
+// bound. Always Close the iterator.
+func (s *Store) ScanString(lo, hi string) *scan.Iterator[string] {
+	return s.str().scan(lo, hi, true)
+}
+
+// ScanStringFrom opens a scan over every string key >= lo, to the end of
+// the store — the unbounded-above form a maximal-key sentinel cannot
+// express in the string domain.
+func (s *Store) ScanStringFrom(lo string) *scan.Iterator[string] {
+	return s.str().scan(lo, "", false)
 }
 
 // ScanBatch appends every key in [lo, hi) — same view as Scan — to dst and
@@ -176,6 +262,12 @@ func (s *Store) Scan(lo, hi uint64) *scan.Iterator[uint64] {
 // batched fill, so the per-key cost is the amortized tournament pop.
 func (s *Store) ScanBatch(lo, hi uint64, dst []uint64) []uint64 {
 	return drainScan(s.Scan(lo, hi), dst)
+}
+
+// ScanBatchString appends every string key in [lo, hi) — same view as
+// ScanString — to dst and returns it.
+func (s *Store) ScanBatchString(lo, hi string, dst []string) []string {
+	return drainScan(s.ScanString(lo, hi), dst)
 }
 
 // drainScan appends everything it streams to dst and closes it.
@@ -197,39 +289,22 @@ func drainScan[K cmp.Ordered](it *scan.Iterator[K], dst []K) []K {
 // CountRange returns the exact number of distinct keys in [lo, hi) over
 // the same view a Scan at this instant would stream — without iterating.
 // Each shard (or on-disk segment) answers by position arithmetic: two
-// compiled-plan lower-bound lookups, end minus start. The delta layer then
+// index lower-bound lookups, end minus start. The delta layer then
 // contributes an exact correction: every buffered key inside the range
 // counts only if its shard's snapshot (or the segment set) doesn't already
 // hold it. The capture copies only in-range buffered keys, so the cost is
 // O(total buffered + shards + (delta∩range)·log) with the sort and the
-// membership probes scaling with the in-range delta alone — independent of
-// the range width: counting a billion-key range is two model inferences
-// per layer plus the delta correction.
-func (s *Store) CountRange(lo, hi uint64) int {
-	if s.strKeys {
-		panic("serve: uint64 scan on a string-keyed store")
-	}
-	if hi <= lo {
-		return 0
-	}
-	if s.eng != nil {
-		return s.eng.CountRange(lo, hi)
-	}
-	st := scanStatePool.Get().(*scanState)
-	st.captureInMemory(s, lo, hi)
-	total := 0
-	for _, sn := range st.snaps {
-		if ks := sn.keys; len(ks) == 0 || ks[0] >= hi || ks[len(ks)-1] < lo {
-			continue
-		}
-		a, b := sn.plan.RangeScan(lo, hi)
-		total += b - a
-	}
-	for _, k := range st.delta { // already restricted to [lo, hi)
-		if !st.snaps[s.shardFor(k)].plan.Contains(k) {
-			total++
-		}
-	}
-	st.CloseScan()
-	return total
-}
+// membership probes scaling with the in-range delta alone — independent
+// of the range width: counting a billion-key range is two model
+// inferences per layer plus the delta correction.
+func (s *Store) CountRange(lo, hi uint64) int { return s.u64().count(lo, hi, true) }
+
+// CountRangeString returns the exact number of distinct string keys in
+// [lo, hi) over the same view a ScanString at this instant would stream —
+// by codec-index position arithmetic plus the delta correction, without
+// iterating.
+func (s *Store) CountRangeString(lo, hi string) int { return s.str().count(lo, hi, true) }
+
+// CountFromString is CountRangeString without an upper bound: the number
+// of distinct committed string keys >= lo.
+func (s *Store) CountFromString(lo string) int { return s.str().count(lo, "", false) }

@@ -9,10 +9,16 @@
 // Keys are range-partitioned across N shards with boundaries picked from
 // the initial sorted key space, so every shard serves a contiguous key
 // range and a key finds its shard with one branchless search of the split
-// keys. Each shard holds an immutable snapshot — its sorted key array, the
-// RMI trained over it, and the RMI's compiled inference plan (core.Plan),
-// which every read on the snapshot executes — behind an atomic.Pointer.
-// Readers load the pointer and never take a lock.
+// keys. Each shard holds an immutable snapshot — the compiled inference
+// plan (core.Plan) of the RMI trained over its sorted key array, or for
+// string keys a core.StringIndex, the same plan over the keys' 8-byte
+// prefixes plus the dictionary that holds the keys — behind an
+// atomic.Pointer. Readers load the pointer and never take a lock.
+//
+// The in-memory plane is written once for both key modes (plane.go): one
+// generic shard, drain, batch capture and scan capture, over a small table
+// of what differs (memOps). A store's key mode is fixed at construction;
+// calling a method of the other mode panics.
 //
 // A batch read captures every shard's plan once and hands the whole batch,
 // in the order it arrived, to core's batch kernel (core.LookupBatch). The
@@ -86,7 +92,6 @@ import (
 	"cmp"
 	"fmt"
 	"runtime"
-	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -94,8 +99,6 @@ import (
 
 	"learnedindex/internal/core"
 	"learnedindex/internal/obs"
-	"learnedindex/internal/search"
-	"learnedindex/internal/slicepool"
 	"learnedindex/internal/storage"
 	"learnedindex/internal/vfs"
 )
@@ -146,67 +149,14 @@ type Options struct {
 	BackpressureDebt int
 }
 
-// snapshot is one shard's immutable published state. Nothing in it is ever
-// mutated after publication; replacement is by pointer swap. plan is the
-// RMI's compiled read path, captured at swap-in so every read on the
-// snapshot executes the devirtualized flat plan instead of interpreting
-// the model tree.
-type snapshot struct {
-	keys []uint64
-	rmi  *core.RMI
-	plan *core.Plan
-}
-
-// newSnapshot publishes keys behind a freshly trained RMI plus its
-// compiled plan. workers is the training worker budget (0 lets the
-// trainer pick): drains pass their share of the machine so concurrent
-// shard retrains compose to ~GOMAXPROCS total workers instead of
-// multiplying into it.
-func newSnapshot(keys []uint64, cfg core.Config, workers int) *snapshot {
-	var rmi *core.RMI
-	if workers > 0 {
-		rmi = core.NewWithTrainWorkers(keys, cfg, workers)
-	} else {
-		rmi = core.New(keys, cfg)
-	}
-	return &snapshot{keys: keys, rmi: rmi, plan: rmi.Plan()}
-}
-
-type shard struct {
-	snap atomic.Pointer[snapshot]
-	// mergeMu serializes drains so at most one retrain per shard runs at a
-	// time (background merger and Flush may race to drain the same shard).
-	// Different shards' drains run concurrently, bounded only by the
-	// store's retrain semaphore.
-	mergeMu sync.Mutex
-	// merging gates background drain dispatch: one in-flight background
-	// drain per shard, so a hot shard cannot pile up goroutines.
-	merging atomic.Bool
-	// mu protects buf, the unordered insert buffer, and draining.
-	mu  sync.Mutex
-	buf []uint64
-	// draining holds the buffer a drain has taken but not yet published:
-	// from the moment the drain detaches buf until the merged snapshot is
-	// swapped in, the keys live here and nowhere readers can see — except
-	// scans, which capture buf+draining before loading the snapshot, so a
-	// key migrating through a drain is visible at every instant. The drain
-	// never mutates the draining slice (it sorts a copy).
-	draining []uint64
-}
-
 // Store is the sharded serving layer. Create with New (or Open for a
 // persistent store), release with Close.
 type Store struct {
-	bounds []uint64 // len(shards)-1 split keys; shard i serves [bounds[i-1], bounds[i])
-	shards []*shard
-	// String mode (NewString/OpenString): the codec twin of the fields
-	// above. strKeys fixes the store's key mode at construction — exactly
-	// one of shards/shardsS is populated, and calling a uint64 method on a
-	// string store (or vice versa) panics, mirroring the storage engine's
+	// mem is the store's plane for its key mode: the shards of an in-memory
+	// store, and on either kind of store the mode itself — a typed method of
+	// the other mode panics (see planeOf), mirroring the storage engine's
 	// mode discipline.
-	strKeys bool
-	boundsS []string
-	shardsS []*strShard
+	mem     keyPlane
 	cfg     core.Config
 	thresh  int
 	mergeCh chan int
@@ -227,8 +177,8 @@ type Store struct {
 	// drainWG tracks in-flight background shard drains so Close's shutdown
 	// barrier covers them.
 	drainWG sync.WaitGroup
-	// eng, when non-nil, is the disk engine of a persistent Store; the
-	// in-memory shard fields above are unused in that mode.
+	// eng, when non-nil, is the disk engine of a persistent Store, whose
+	// plane then holds no shard.
 	eng *storage.Engine
 	// repl holds the store's replication attachments: the shipper started
 	// by ServeReplication and/or the follower installed by OpenFollower
@@ -320,39 +270,21 @@ func (s *Store) collect(snap *obs.Snapshot) {
 	pending := 0
 	var allErr, allLen obs.HistSnapshot
 	maxBound := 0
-	health := func(i int, p *core.Plan) {
+	for i := 0; i < s.mem.numShards(); i++ {
+		d, p := s.mem.shardState(i)
+		sh := strconv.Itoa(i)
+		snap.SetGauge(obs.L("lix_serve_queue_depth", "shard", sh), float64(d))
+		pending += d
 		if p == nil {
-			return
+			continue
 		}
 		errH, lenH := p.ObsModelErr(), p.ObsSearchLen()
-		sh := strconv.Itoa(i)
 		snap.AddHistogram(obs.L("lix_serve_model_err", "shard", sh), errH)
 		snap.AddHistogram(obs.L("lix_serve_search_window", "shard", sh), lenH)
 		snap.SetGauge(obs.L("lix_serve_trained_err_bound", "shard", sh), float64(p.TrainedErrBound()))
 		allErr.Merge(errH)
 		allLen.Merge(lenH)
-		if b := p.TrainedErrBound(); b > maxBound {
-			maxBound = b
-		}
-	}
-	if s.strKeys {
-		for i, sh := range s.shardsS {
-			sh.mu.Lock()
-			d := len(sh.buf) + len(sh.draining)
-			sh.mu.Unlock()
-			snap.SetGauge(obs.L("lix_serve_queue_depth", "shard", strconv.Itoa(i)), float64(d))
-			pending += d
-			health(i, sh.snap.Load().Plan())
-		}
-	} else {
-		for i, sh := range s.shards {
-			sh.mu.Lock()
-			d := len(sh.buf) + len(sh.draining)
-			sh.mu.Unlock()
-			snap.SetGauge(obs.L("lix_serve_queue_depth", "shard", strconv.Itoa(i)), float64(d))
-			pending += d
-			health(i, sh.snap.Load().plan)
-		}
+		maxBound = max(maxBound, p.TrainedErrBound())
 	}
 	snap.SetGauge("lix_serve_queued_keys", float64(pending))
 	snap.AddHistogram("lix_serve_model_err", allErr)
@@ -388,27 +320,76 @@ func New(keys []uint64, cfg core.Config, opt Options) *Store {
 // one segment file, never logged, and durable when Open returns — a crash
 // inside Open leaves all of them or none.
 func Open(keys []uint64, cfg core.Config, opt Options) (*Store, error) {
-	if opt.Dir != "" {
-		return openPersistent(keys, (*storage.Engine).BulkLoad, cfg, opt)
-	}
-	return newInMemory(keys, cfg, opt)
+	return open(keys, &u64Ops, cfg, opt)
 }
 
-// openPersistent opens (or recovers) the engine rooted at opt.Dir in the
-// key mode of K, bulk-loads keys through bulkLoad and starts the merger:
-// Open and OpenString with a Dir.
-func openPersistent[K any](keys []K, bulkLoad func(*storage.Engine, []K) error, cfg core.Config, opt Options) (*Store, error) {
-	_, strKeys := any(keys).([]string)
+// NewString builds a string-keyed Store over the initial keys (any order;
+// duplicates dropped), the codec twin of New. Panics on an engine error
+// when opt.Dir is set; use OpenString to handle it.
+func NewString(keys []string, cfg core.Config, opt Options) *Store {
+	s, err := OpenString(keys, cfg, opt)
+	if err != nil {
+		panic(fmt.Sprintf("serve.NewString: %v (use serve.OpenString to handle storage errors)", err))
+	}
+	return s
+}
+
+// OpenString builds a string-keyed Store like NewString, returning engine
+// errors instead of panicking. With opt.Dir set it opens (or recovers) the
+// persistent engine in string mode — v2 segment files, string WAL —
+// re-serves everything durable from the deserialized codec indexes, and
+// bulk-loads the initial keys as one v2 segment file, as Open does.
+func OpenString(keys []string, cfg core.Config, opt Options) (*Store, error) {
+	return open(keys, &strOps, cfg, opt)
+}
+
+// open is Open and OpenString: an in-memory store, or with opt.Dir the
+// engine in the key mode of ops, bulk-loaded with keys, behind a started
+// merger.
+func open[K cmp.Ordered, S any](keys []K, ops *memOps[K, S], cfg core.Config, opt Options) (*Store, error) {
+	if opt.Dir == "" {
+		return newInMemory(keys, ops, cfg, opt)
+	}
+	s, err := openEngine(ops, cfg, opt)
+	if err != nil {
+		return nil, err
+	}
+	if err := ops.engBulkLoad(s.eng, keys); err != nil {
+		s.closeDebug()
+		s.eng.Close()
+		return nil, err
+	}
+	s.wg.Add(1)
+	go s.merger()
+	return s, nil
+}
+
+// newStore returns a Store holding the fields every kind of store shares;
+// mergeCap sizes the merge queue.
+func newStore(cfg core.Config, opt Options, mergeCap int) *Store {
 	thresh := opt.MergeThreshold
 	if thresh <= 0 {
 		thresh = 4096
 	}
+	return &Store{
+		cfg:        cfg,
+		thresh:     thresh,
+		mergeCh:    make(chan int, mergeCap),
+		quit:       make(chan struct{}),
+		retrainSem: make(chan struct{}, maxConcurrentRetrains()),
+	}
+}
+
+// openEngine opens (or recovers) the engine rooted at opt.Dir in the key
+// mode of ops and returns the Store over it, metrics wired, no goroutine
+// started: the shared prologue of open and openFollower.
+func openEngine[K cmp.Ordered, S any](ops *memOps[K, S], cfg core.Config, opt Options) (*Store, error) {
 	reg := obs.NewRegistry()
 	eng, err := storage.Open(opt.Dir, storage.Options{
 		Config:           cfg,
 		BloomFPR:         opt.BloomFPR,
 		CompactFanout:    opt.CompactFanout,
-		StringKeys:       strKeys,
+		StringKeys:       ops.strKeys,
 		Reg:              reg,
 		FS:               opt.FS,
 		ScrubInterval:    opt.ScrubInterval,
@@ -417,26 +398,13 @@ func openPersistent[K any](keys []K, bulkLoad func(*storage.Engine, []K) error, 
 	if err != nil {
 		return nil, err
 	}
-	s := &Store{
-		strKeys:    strKeys,
-		cfg:        cfg,
-		thresh:     thresh,
-		mergeCh:    make(chan int, 1),
-		quit:       make(chan struct{}),
-		retrainSem: make(chan struct{}, maxConcurrentRetrains()),
-		eng:        eng,
-	}
+	s := newStore(cfg, opt, 1)
+	s.eng = eng
+	s.mem = &memPlane[K, S]{s: s, ops: ops}
 	if err := s.initObs(reg, 0, opt.MetricsAddr); err != nil {
 		eng.Close()
 		return nil, err
 	}
-	if err := bulkLoad(eng, keys); err != nil {
-		s.closeDebug()
-		eng.Close()
-		return nil, err
-	}
-	s.wg.Add(1)
-	go s.merger()
 	return s, nil
 }
 
@@ -448,113 +416,17 @@ func (s *Store) closeDebug() {
 	}
 }
 
-func newInMemory(keys []uint64, cfg core.Config, opt Options) (*Store, error) {
-	nsh := opt.Shards
-	if nsh <= 0 {
-		nsh = 8
-	}
-	thresh := opt.MergeThreshold
-	if thresh <= 0 {
-		thresh = 4096
-	}
-	sorted := append([]uint64(nil), keys...)
-	slices.Sort(sorted)
-	sorted = dedupSorted(sorted)
-
-	s := &Store{
-		cfg:        cfg,
-		thresh:     thresh,
-		mergeCh:    make(chan int, nsh),
-		quit:       make(chan struct{}),
-		retrainSem: make(chan struct{}, maxConcurrentRetrains()),
-	}
-	n := len(sorted)
-	if n > 0 && nsh > 1 {
-		s.bounds = make([]uint64, 0, nsh-1)
-		for i := 1; i < nsh; i++ {
-			s.bounds = append(s.bounds, sorted[i*n/nsh])
-		}
-	}
-	s.shards = make([]*shard, nsh)
-	lo := 0
-	for i := range s.shards {
-		hi := n
-		if i < len(s.bounds) {
-			hi = search.Binary(sorted, s.bounds[i], lo, n)
-		}
-		part := sorted[lo:hi:hi]
-		sh := &shard{}
-		// Initial shards train one at a time; the trainer's own worker
-		// pool is the parallelism here.
-		sh.snap.Store(newSnapshot(part, cfg, 0))
-		s.shards[i] = sh
-		lo = hi
-	}
-	if err := s.initObs(obs.NewRegistry(), nsh, opt.MetricsAddr); err != nil {
-		return nil, err
-	}
-	s.wg.Add(1)
-	go s.merger()
-	return s, nil
-}
-
-// shardFor routes a key to its range partition — the shard whose
-// [bounds[i-1], bounds[i]) window contains it, i.e. the number of split
-// keys <= key. It is the store's one shard-select routine, scalar and
-// batch: a bisection whose trip count depends only on the shard count and
-// whose data-dependent step is arithmetic on a 0/1 flag (the compiler
-// materializes le with SETcc; it will not emit a conditional move for a
-// value that feeds the next load's address), so a batch of uniform probes
-// has no branch to mispredict on it.
-func (s *Store) shardFor(key uint64) int {
-	base, n := 0, len(s.bounds)
-	for n > 0 {
-		half := (n + 1) >> 1 // rounds up: the last round tests the last candidate
-		le := 0
-		if s.bounds[base+half-1] <= key {
-			le = 1
-		}
-		base += half & -le
-		n -= half
-	}
-	return base
-}
-
 // Insert buffers a key for its shard and wakes the merger once the buffer
 // passes the threshold. The key becomes visible to readers at the next
 // drain (background merge or Flush). On a persistent Store the key is
 // appended to the WAL first (durable at the next Sync); a write error is
 // sticky in the engine and surfaces on Sync/Flush/Close.
-func (s *Store) Insert(key uint64) {
-	if s.strKeys {
-		panic("serve: uint64 insert on a string-keyed store")
-	}
-	if s.repl.follower != nil {
-		panic("serve: insert on a follower store (writes go to the primary)")
-	}
-	s.m.inserts.Inc()
-	if s.eng != nil {
-		if s.eng.Append(key) == nil { // an error is sticky; reported by Sync/Close
-			s.wakeOnPending()
-		}
-		return
-	}
-	i := s.shardFor(key)
-	sh := s.shards[i]
-	sh.mu.Lock()
-	if sh.buf == nil {
-		sh.buf = getShardBuf()
-	}
-	sh.buf = append(sh.buf, key)
-	full := len(sh.buf) >= s.thresh
-	sh.mu.Unlock()
-	if full {
-		select {
-		case s.mergeCh <- i:
-		default: // merger already has work queued; a later insert re-notifies
-		}
-	}
-}
+func (s *Store) Insert(key uint64) { s.u64().insert(key) }
+
+// InsertString is Insert in the codec domain, with the same visibility
+// contract (readable at the next drain or Flush; durable on a persistent
+// store at the next Sync).
+func (s *Store) InsertString(key string) { s.str().insert(key) }
 
 // InsertDurable inserts keys and returns once they are crash-durable: on
 // a persistent Store the batch rides the engine's group-commit plane (a
@@ -563,33 +435,12 @@ func (s *Store) Insert(key uint64) {
 // caller paying its own disk flush. Like Insert, the keys become readable
 // at the next drain or Flush. On an in-memory Store there is no
 // durability to wait for; the keys are simply inserted.
-func (s *Store) InsertDurable(keys ...uint64) error {
-	if s.strKeys {
-		panic("serve: uint64 insert on a string-keyed store")
-	}
-	if s.repl.follower != nil {
-		return ErrFollowerStore
-	}
-	if s.eng == nil {
-		for _, k := range keys {
-			s.Insert(k)
-		}
-		return nil
-	}
-	s.m.inserts.Add(int64(len(keys)))
-	var start time.Time
-	if obs.Enabled {
-		start = time.Now()
-	}
-	if err := s.eng.CommitBatch(keys); err != nil {
-		return err
-	}
-	if obs.Enabled {
-		s.m.insertNs.ObserveDuration(time.Since(start))
-	}
-	s.wakeOnPending()
-	return nil
-}
+func (s *Store) InsertDurable(keys ...uint64) error { return s.u64().insertDurable(keys) }
+
+// InsertDurableString inserts string keys and returns once they are
+// crash-durable, riding the engine's group-commit plane like
+// InsertDurable. On an in-memory store the keys are simply inserted.
+func (s *Store) InsertDurableString(keys ...string) error { return s.str().insertDurable(keys) }
 
 // wakeOnPending wakes the merger of a persistent Store once the engine's
 // pending keys reach the drain threshold. Non-blocking: a merger with work
@@ -602,14 +453,6 @@ func (s *Store) wakeOnPending() {
 		}
 	}
 }
-
-// shardBufPool recycles drained insert buffers: a drain hands its buffer
-// back after the merge copies the survivors out, so sustained ingest
-// stops re-growing a fresh buffer per merge cycle.
-var shardBufPool slicepool.Pool[uint64]
-
-func getShardBuf() []uint64  { return shardBufPool.Get() }
-func putShardBuf(b []uint64) { shardBufPool.Put(b) }
 
 // maxConcurrentRetrains bounds simultaneous shard retrains per Store.
 // Oversubscription is prevented by the per-retrain worker budget
@@ -628,20 +471,8 @@ func maxConcurrentRetrains() int {
 // store on 16 cores trains 8 concurrent drains x 2 workers; a 2-shard
 // store 2 x 8 — full utilization either way, never a multiplied stack.
 func (s *Store) retrainWorkers() int {
-	p := runtime.GOMAXPROCS(0)
-	nsh := len(s.shards)
-	if s.strKeys {
-		nsh = len(s.shardsS)
-	}
-	slots := min(nsh, cap(s.retrainSem))
-	if slots < 1 {
-		slots = 1
-	}
-	w := p / slots
-	if w < 1 {
-		w = 1
-	}
-	return w
+	slots := max(1, min(s.mem.numShards(), cap(s.retrainSem)))
+	return max(1, runtime.GOMAXPROCS(0)/slots)
 }
 
 // merger is the background goroutine: it *dispatches* a concurrent drain
@@ -665,10 +496,8 @@ func (s *Store) merger() {
 	}
 }
 
-// dispatchDrain starts a background drain of shard i unless one is
-// already in flight for it. After the drain, a buffer that refilled past
-// the threshold re-signals the merger, preserving bounded staleness for
-// hot shards.
+// dispatchDrain answers a merge token: an engine drain on a persistent
+// Store, a background drain of shard i (memPlane.dispatch) in memory.
 func (s *Store) dispatchDrain(i int) {
 	if s.eng != nil {
 		// A merge token can outlive the drain it asked for (it was queued
@@ -679,122 +508,17 @@ func (s *Store) dispatchDrain(i int) {
 		}
 		return
 	}
-	if s.strKeys {
-		s.dispatchDrainStr(i)
-		return
-	}
-	sh := s.shards[i]
-	if !sh.merging.CompareAndSwap(false, true) {
-		return // this shard's drain is already queued or running
-	}
-	s.drainWG.Add(1)
-	go func() {
-		defer s.drainWG.Done()
-		s.drain(i)
-		sh.merging.Store(false)
-		sh.mu.Lock()
-		over := len(sh.buf) >= s.thresh
-		sh.mu.Unlock()
-		if over {
-			select {
-			case s.mergeCh <- i:
-			default:
-			}
-		}
-	}()
+	s.mem.dispatch(i)
 }
 
-// sweep dispatches a drain for every shard whose buffer crossed the
-// threshold while the merger was busy: a hot shard can fill mergeCh with
-// its own index, so a cold shard's single notification may have been
-// dropped. The post-signal sweep restores the bounded-staleness promise
-// for those shards.
+// sweep re-dispatches every shard left over the threshold (see
+// memPlane.sweep); on a persistent Store it is one more engine drain check.
 func (s *Store) sweep() {
 	if s.eng != nil {
 		s.dispatchDrain(0)
 		return
 	}
-	if s.strKeys {
-		for i, sh := range s.shardsS {
-			sh.mu.Lock()
-			over := len(sh.buf) >= s.thresh
-			sh.mu.Unlock()
-			if over {
-				s.dispatchDrainStr(i)
-			}
-		}
-		return
-	}
-	for i, sh := range s.shards {
-		sh.mu.Lock()
-		over := len(sh.buf) >= s.thresh
-		sh.mu.Unlock()
-		if over {
-			s.dispatchDrain(i)
-		}
-	}
-}
-
-// drain merges shard i's buffer into a fresh snapshot and publishes it.
-// Readers are never blocked: the retrain happens on a private copy and the
-// swap is a single atomic store. Same-shard drains serialize on mergeMu;
-// different shards proceed concurrently up to the retrain semaphore.
-func (s *Store) drain(i int) {
-	sh := s.shards[i]
-	sh.mergeMu.Lock()
-	defer sh.mergeMu.Unlock()
-	sh.mu.Lock()
-	buf := sh.buf
-	sh.buf = nil
-	if len(buf) > 0 {
-		sh.draining = buf // scans see the in-flight keys until publication
-	}
-	sh.mu.Unlock()
-	if len(buf) == 0 {
-		return
-	}
-	// release clears the scan-visible draining reference and only then
-	// recycles the buffers — a pooled buffer must never be re-appended to
-	// while a scan capture could still be copying it.
-	release := func(work []uint64) {
-		sh.mu.Lock()
-		sh.draining = nil
-		sh.mu.Unlock()
-		putShardBuf(buf)
-		putShardBuf(work)
-	}
-	s.retrainSem <- struct{}{}
-	defer func() { <-s.retrainSem }()
-	var drainStart time.Time
-	if obs.Enabled {
-		drainStart = time.Now()
-	}
-	// Sort a copy: buf is concurrently readable as sh.draining.
-	work := append(getShardBuf(), buf...)
-	slices.Sort(work)
-	deduped := dedupSorted(work)
-	cur := sh.snap.Load()
-	merged := mergeDedup(cur.keys, deduped)
-	if len(merged) == len(cur.keys) {
-		// Every buffered key was already present: the published snapshot
-		// covers them, so draining can clear without a swap.
-		release(work)
-		return
-	}
-	var trainStart time.Time
-	if obs.Enabled {
-		trainStart = time.Now()
-	}
-	snap := newSnapshot(merged, s.cfg, s.retrainWorkers())
-	if obs.Enabled {
-		s.m.trainNs[i].ObserveDuration(time.Since(trainStart))
-	}
-	sh.snap.Store(snap)
-	s.m.swaps.Inc()
-	release(work)
-	if obs.Enabled {
-		s.m.drainNs[i].ObserveDuration(time.Since(drainStart))
-	}
+	s.mem.sweep()
 }
 
 // Flush synchronously drains every shard — concurrently, bounded by the
@@ -807,26 +531,7 @@ func (s *Store) Flush() {
 		s.eng.Flush() // errors are sticky; surfaced by Sync/Close
 		return
 	}
-	var wg sync.WaitGroup
-	if s.strKeys {
-		for i := range s.shardsS {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				s.drainStr(i)
-			}(i)
-		}
-		wg.Wait()
-		return
-	}
-	for i := range s.shards {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			s.drain(i)
-		}(i)
-	}
-	wg.Wait()
+	s.mem.flush()
 }
 
 // Sync is the durability barrier of a persistent Store: when it returns
@@ -878,63 +583,29 @@ func (s *Store) Close() error {
 // multiply (obs.SampleKey), a 1-in-64 sampled call additionally times
 // itself into lix_serve_lookup_ns and bumps lix_serve_lookups_total by 64
 // — the counter is a sampled estimate, not an exact call count.
-func (s *Store) Lookup(key uint64) int {
-	if s.strKeys {
-		panic("serve: uint64 read on a string-keyed store")
-	}
-	if obs.SampleKey(key) {
-		s.m.lookups.Add(64)
-		if obs.Enabled {
-			start := time.Now()
-			pos := s.lookupPos(key)
-			s.m.lookupNs.ObserveDuration(time.Since(start))
-			return pos
-		}
-	}
-	return s.lookupPos(key)
-}
+func (s *Store) Lookup(key uint64) int { return s.u64().lookup(key) }
 
-func (s *Store) lookupPos(key uint64) int {
-	if s.eng != nil {
-		return s.eng.Lookup(key)
-	}
-	i := s.shardFor(key)
-	total := 0
-	for j := 0; j < i; j++ {
-		total += len(s.shards[j].snap.Load().keys)
-	}
-	return total + s.shards[i].snap.Load().plan.Lookup(key)
-}
+// LookupString returns the global lower-bound position of key over the
+// committed view in codec (byte) order: the index of the first committed
+// key >= key. Metrics are 1-in-64 sampled like Lookup, but through the
+// store's shared Sampler — a string key has no cheap hash to slice — so
+// an unsampled call pays one sharded atomic add.
+func (s *Store) LookupString(key string) int { return s.str().lookup(key) }
 
 // Contains reports whether key is committed. On a persistent Store each
 // segment's Bloom filter is consulted before its key block is searched,
 // so misses rarely touch a model.
-func (s *Store) Contains(key uint64) bool {
-	if s.strKeys {
-		panic("serve: uint64 read on a string-keyed store")
-	}
-	if s.eng != nil {
-		return s.eng.Contains(key)
-	}
-	return s.shards[s.shardFor(key)].snap.Load().plan.Contains(key)
-}
+func (s *Store) Contains(key uint64) bool { return s.u64().has(key) }
+
+// ContainsString reports whether a string key is committed.
+func (s *Store) ContainsString(key string) bool { return s.str().has(key) }
 
 // Len returns the number of distinct committed keys.
 func (s *Store) Len() int {
 	if s.eng != nil {
 		return s.eng.Len()
 	}
-	total := 0
-	if s.strKeys {
-		for _, sh := range s.shardsS {
-			total += sh.snap.Load().Len()
-		}
-		return total
-	}
-	for _, sh := range s.shards {
-		total += len(sh.snap.Load().keys)
-	}
-	return total
+	return s.mem.len()
 }
 
 // Pending returns the number of buffered (not yet visible) inserts,
@@ -943,21 +614,7 @@ func (s *Store) Pending() int {
 	if s.eng != nil {
 		return s.eng.PendingLen()
 	}
-	total := 0
-	if s.strKeys {
-		for _, sh := range s.shardsS {
-			sh.mu.Lock()
-			total += len(sh.buf)
-			sh.mu.Unlock()
-		}
-		return total
-	}
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		total += len(sh.buf)
-		sh.mu.Unlock()
-	}
-	return total
+	return s.mem.pending()
 }
 
 // Merges returns how many snapshot publications have happened (engine
@@ -976,10 +633,7 @@ func (s *Store) NumShards() int {
 	if s.eng != nil {
 		return 1
 	}
-	if s.strKeys {
-		return len(s.shardsS)
-	}
-	return len(s.shards)
+	return s.mem.numShards()
 }
 
 // StorageStats returns the disk engine's statistics and true when the
@@ -1036,7 +690,10 @@ func (s *Store) Registry() *obs.Registry { return s.reg }
 // store (string methods valid), false for a uint64 store. Embedders that
 // front the store generically — the network server, for one — use it to
 // pick the right method family instead of guessing and panicking.
-func (s *Store) StringKeys() bool { return s.strKeys }
+func (s *Store) StringKeys() bool {
+	_, ok := s.mem.(*strPlane)
+	return ok
+}
 
 // DebugAddr returns the bound address of the Options.MetricsAddr debug
 // listener ("host:port", useful with a ":0" request), or "" when none was
@@ -1058,135 +715,21 @@ func (s *Store) DebugAddr() string {
 // of one captured list and runs only the in-fence (probe, segment) pairs
 // through the same core kernel. Either way the answers land in probe order
 // with nothing to un-permute.
-func (s *Store) LookupBatch(probes []uint64) []int {
-	if s.strKeys {
-		panic("serve: uint64 read on a string-keyed store")
-	}
-	// Per-batch metrics: two sharded atomic adds (batch count + sampler
-	// tick) plus one histogram add — amortized over the whole batch, which
-	// is what keeps the instrumented build within the <3% overhead gate.
-	// Latency is timed only on 1-in-64 sampled batches.
-	s.m.batches.Inc()
-	s.m.batchLen.Observe(uint64(len(probes)))
-	if obs.Enabled && s.m.sampler.Tick() {
-		start := time.Now()
-		out := s.lookupBatch(probes)
-		s.m.batchNs.ObserveDuration(time.Since(start))
-		return out
-	}
-	return s.lookupBatch(probes)
-}
+func (s *Store) LookupBatch(probes []uint64) []int { return s.u64().lookupBatch(probes) }
 
-func (s *Store) lookupBatch(probes []uint64) []int {
-	out := make([]int, len(probes))
-	if len(probes) == 0 {
-		return out
-	}
-	if s.eng != nil {
-		s.eng.LookupBatch(probes, out)
-		return out
-	}
-	var pbuf [stackShards]*core.Plan
-	var sbuf [stackProbes]int32
-	plans, sel := s.captureBatch(pbuf[:0], sbuf[:0], probes)
-	core.LookupBatch(plans, sel, probes, out)
-	// Shard-local to global: add the key count of the shards before.
-	var obuf [stackShards]int
-	offs, total := obuf[:0], 0
-	for _, p := range plans {
-		offs = append(offs, total)
-		total += p.Len()
-	}
-	for i, si := range sel {
-		out[i] += offs[si]
-	}
-	return out
-}
+// LookupBatchString is LookupBatch for a string-keyed store: every probe,
+// in probe order, against one consistent captured view, through the same
+// kernels — core.LookupBatchStrings over every shard's codec index in
+// memory, the engine's rank kernel over one captured segment list on a
+// persistent store — and counted in the same batch metrics.
+func (s *Store) LookupBatchString(probes []string) []int { return s.str().lookupBatch(probes) }
 
 // ContainsBatch reports membership for every probe, in probe order,
 // against one consistent captured view.
-func (s *Store) ContainsBatch(probes []uint64) []bool {
-	if s.strKeys {
-		panic("serve: uint64 read on a string-keyed store")
-	}
-	out := make([]bool, len(probes))
-	if len(probes) == 0 {
-		return out
-	}
-	if s.eng != nil {
-		// One captured segment list for the whole batch (the consistent
-		// view promised above), walked segment by segment: the engine hashes
-		// each probe once and runs fence and Bloom filter for the whole
-		// batch per segment before any model runs.
-		s.eng.ContainsBatch(probes, out)
-		return out
-	}
-	var pbuf [stackShards]*core.Plan
-	var sbuf [stackProbes]int32
-	plans, sel := s.captureBatch(pbuf[:0], sbuf[:0], probes)
-	core.ContainsBatch(plans, sel, probes, out)
-	return out
-}
+func (s *Store) ContainsBatch(probes []uint64) []bool { return s.u64().containsBatch(probes) }
 
-// stackShards and stackProbes size the buffers an in-memory batch read
-// keeps on its own stack: up to this many shards and probes, the call's
-// only allocation is its result.
-const (
-	stackShards = 16
-	stackProbes = 64
-)
-
-// captureBatch is the in-memory batch prologue: it appends every shard's
-// published plan to plans — one atomic load per shard, taken once, the
-// consistent view of the call — and each probe's shard to sel.
-func (s *Store) captureBatch(plans []*core.Plan, sel []int32, probes []uint64) ([]*core.Plan, []int32) {
-	for _, sh := range s.shards {
-		plans = append(plans, sh.snap.Load().plan)
-	}
-	if len(probes) > cap(sel) {
-		sel = make([]int32, len(probes))
-	}
-	sel = sel[:len(probes)]
-	for i, k := range probes {
-		sel[i] = int32(s.shardFor(k))
-	}
-	return plans, sel
-}
-
-// dedupSorted removes adjacent duplicates in place.
-func dedupSorted(ks []uint64) []uint64 {
-	if len(ks) == 0 {
-		return ks
-	}
-	dst := ks[:1]
-	for _, v := range ks[1:] {
-		if v != dst[len(dst)-1] {
-			dst = append(dst, v)
-		}
-	}
-	return dst
-}
-
-// mergeDedup merges sorted base with sorted, deduped extra, skipping extra
-// keys already in base. The result is a fresh array (base stays immutable).
-func mergeDedup[K cmp.Ordered](base, extra []K) []K {
-	merged := make([]K, 0, len(base)+len(extra))
-	i, j := 0, 0
-	for i < len(base) && j < len(extra) {
-		switch {
-		case base[i] < extra[j]:
-			merged = append(merged, base[i])
-			i++
-		case base[i] > extra[j]:
-			merged = append(merged, extra[j])
-			j++
-		default:
-			merged = append(merged, base[i])
-			i++
-			j++
-		}
-	}
-	merged = append(merged, base[i:]...)
-	merged = append(merged, extra[j:]...)
-	return merged
+// ContainsBatchString reports membership for every probe, in probe order,
+// against one consistent captured view, like ContainsBatch.
+func (s *Store) ContainsBatchString(probes []string) []bool {
+	return s.str().containsBatch(probes)
 }

@@ -254,31 +254,63 @@ func TestStringStoreConcurrent(t *testing.T) {
 }
 
 // TestStringStoreModePanics locks in the cross-mode discipline at the
-// serving layer.
+// serving layer: every typed entry point of one key mode panics on a store
+// of the other, in memory and persistent, before it looks at its arguments
+// (an empty range included).
 func TestStringStoreModePanics(t *testing.T) {
-	mustPanic := func(name string, f func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Fatalf("%s did not panic", name)
-			}
-		}()
-		f()
+	for _, disk := range []bool{false, true} {
+		opt := Options{Shards: 2}
+		if disk {
+			opt = Options{Dir: t.TempDir()}
+		}
+		su, err := Open([]uint64{1, 2, 3}, core.Config{}, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if disk {
+			opt.Dir = t.TempDir()
+		}
+		ss, err := OpenString([]string{"a", "b"}, core.Config{}, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tc := range []struct {
+			name string
+			call func()
+		}{
+			{"InsertString", func() { su.InsertString("x") }},
+			{"InsertDurableString", func() { su.InsertDurableString("x") }},
+			{"LookupString", func() { su.LookupString("x") }},
+			{"ContainsString", func() { su.ContainsString("x") }},
+			{"LookupBatchString", func() { su.LookupBatchString([]string{"x"}) }},
+			{"ContainsBatchString", func() { su.ContainsBatchString([]string{"x"}) }},
+			{"ScanString", func() { su.ScanString("a", "b") }},
+			{"ScanStringFrom", func() { su.ScanStringFrom("a") }},
+			{"ScanBatchString", func() { su.ScanBatchString("a", "b", nil) }},
+			{"CountRangeString", func() { su.CountRangeString("a", "b") }},
+			{"CountRangeString(empty)", func() { su.CountRangeString("b", "a") }},
+			{"CountFromString", func() { su.CountFromString("a") }},
+			{"Insert", func() { ss.Insert(1) }},
+			{"InsertDurable", func() { ss.InsertDurable(1) }},
+			{"Lookup", func() { ss.Lookup(1) }},
+			{"Contains", func() { ss.Contains(1) }},
+			{"LookupBatch", func() { ss.LookupBatch([]uint64{1}) }},
+			{"ContainsBatch", func() { ss.ContainsBatch([]uint64{1}) }},
+			{"Scan", func() { ss.Scan(1, 2) }},
+			{"ScanBatch", func() { ss.ScanBatch(1, 2, nil) }},
+			{"CountRange", func() { ss.CountRange(1, 2) }},
+			{"CountRange(empty)", func() { ss.CountRange(2, 1) }},
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("persistent=%v: %s on the other key mode did not panic", disk, tc.name)
+					}
+				}()
+				tc.call()
+			}()
+		}
+		su.Close()
+		ss.Close()
 	}
-	su := New([]uint64{1, 2, 3}, core.Config{}, Options{Shards: 2})
-	defer su.Close()
-	mustPanic("InsertString", func() { su.InsertString("x") })
-	mustPanic("LookupString", func() { su.LookupString("x") })
-	mustPanic("ContainsString", func() { su.ContainsString("x") })
-	mustPanic("ContainsBatchString", func() { su.ContainsBatchString([]string{"x"}) })
-	mustPanic("ScanString", func() { su.ScanString("a", "b") })
-	mustPanic("CountRangeString", func() { su.CountRangeString("a", "b") })
-	ss := NewString([]string{"a", "b"}, core.Config{}, Options{Shards: 2})
-	defer ss.Close()
-	mustPanic("Insert", func() { ss.Insert(1) })
-	mustPanic("Lookup", func() { ss.Lookup(1) })
-	mustPanic("Contains", func() { ss.Contains(1) })
-	mustPanic("Scan", func() { ss.Scan(1, 2) })
-	mustPanic("CountRange", func() { ss.CountRange(1, 2) })
-	mustPanic("LookupBatch", func() { ss.LookupBatch([]uint64{1}) })
 }
