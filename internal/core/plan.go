@@ -24,10 +24,10 @@ import (
 //   - Routing scales folded: the ⌊M·f(x)/N⌋ stage transition's size/N
 //     factor is multiplied into the feeding model's coefficients at
 //     compile time, so routing is a single FMA plus clamp, zero divides.
-//   - Search resolved once: cfg.Search is lowered to a concrete function
-//     at compile time (interpolated-then-branchless for the default
-//     model-biased kind, branchless bisection for plain binary) instead
-//     of a per-lookup switch.
+//   - One last-mile search: every read, scalar or batched, runs a
+//     branchless bisection over the leaf's error window — a fixed
+//     log2(window) loads and no mispredict — whatever cfg.Search says;
+//     cfg.Search picks only the interpreted path's §3.4 strategy.
 //
 // Batches go through one kernel (LookupBatch, below): any set of plans, a
 // per-probe plan selector, probes in any order. It runs the models for a
@@ -38,10 +38,11 @@ import (
 // the serving layer passes all its shards' plans at once.
 //
 // A Plan is immutable and safe for concurrent use. Results are
-// bit-identical to the interpreted path (pinned by the equivalence oracle
-// tests): every strategy resolves the true global lower bound, and folded
-// routing can only shift which leaf serves a probe, never the answer —
-// window expansion guarantees correctness from any prediction.
+// bit-identical to the interpreted path under every SearchKind (pinned by
+// the equivalence oracle tests): every strategy resolves the true global
+// lower bound, and folded routing can only shift which leaf serves a
+// probe, never the answer — window expansion guarantees correctness from
+// any prediction.
 type Plan struct {
 	keys []uint64
 	n    int
@@ -77,9 +78,6 @@ type Plan struct {
 	hybrid []*leaf
 	src    *RMI // hybrid descent and interface-model fallback
 
-	search     searchFunc
-	searchKind SearchKind
-
 	// Model-health instrumentation (§3.3's error bounds, observed live):
 	// deterministically sampled lookups record the model's actual
 	// prediction error and the last-mile window width, so drift between
@@ -93,60 +91,14 @@ type Plan struct {
 }
 
 // planLeaf is the packed 32-byte leaf record of the compiled plan: model
-// coefficients plus the §3.3 error metadata, two records per cache line.
+// coefficients plus the §3.3 error bounds, two records per cache line.
 type planLeaf struct {
 	a, b           float64
 	minErr, maxErr int32
-	sigma          int32 // int(stdErr), for the quaternary probes
 	flags          int32 // leafHybrid when a B-Tree replaced this leaf
 }
 
 const leafHybrid = 1
-
-// searchFunc is a compile-time-resolved last-mile strategy. All five
-// return the global lower bound of key (the §3.4 guarantees): lo/hi is the
-// clamped error window, pred the clamped raw prediction, sigma the leaf's
-// integer standard error.
-type searchFunc func(keys []uint64, key uint64, lo, hi, pred, sigma int) int
-
-func searchBranchlessBinary(keys []uint64, key uint64, lo, hi, pred, sigma int) int {
-	return search.BranchlessWithExpansion(keys, key, lo, hi)
-}
-
-// searchCompiledModelBiased is the compiled lowering of the paper's
-// default model-biased search. The window [lo, hi) is already the model's
-// prediction ± its per-leaf error bounds, so the compiled path extends the
-// same model-guides-the-search idea one step further: probe points are
-// interpolated from the window's own key values (2–3 dependent loads on
-// smooth leaves) with a branchless bisection finish, instead of bisecting
-// the half-window around pred (log2(hi-lo) dependent loads). Identical
-// results — both resolve the window lower bound, then verify/expand.
-func searchCompiledModelBiased(keys []uint64, key uint64, lo, hi, pred, sigma int) int {
-	pos := search.Interpolated(keys, key, lo, hi)
-	return verifyOrExpandIn(keys, key, pos, lo, hi)
-}
-
-func searchCompiledQuaternary(keys []uint64, key uint64, lo, hi, pred, sigma int) int {
-	pos := search.BiasedQuaternary(keys, key, lo, hi, pred, sigma)
-	return verifyOrExpandIn(keys, key, pos, lo, hi)
-}
-
-func searchCompiledExponential(keys []uint64, key uint64, lo, hi, pred, sigma int) int {
-	return search.Exponential(keys, key, len(keys), pred)
-}
-
-func resolveSearch(kind SearchKind) searchFunc {
-	switch kind {
-	case SearchBinary:
-		return searchBranchlessBinary
-	case SearchQuaternary:
-		return searchCompiledQuaternary
-	case SearchExponential:
-		return searchCompiledExponential
-	default:
-		return searchCompiledModelBiased
-	}
-}
 
 // Compile lowers the trained (or decoded) model tree into a Plan. It is
 // called once by New and DecodeRMI; Plan() returns the cached result, and
@@ -155,14 +107,12 @@ func (r *RMI) Compile() *Plan { return r.compile() }
 
 func (r *RMI) compile() *Plan {
 	p := &Plan{
-		keys:       r.keys,
-		n:          len(r.keys),
-		src:        r,
-		searchKind: r.cfg.Search,
-		search:     resolveSearch(r.cfg.Search),
-		topSize:    len(r.leaves),
-		obsErr:     obs.NewHistogram(),
-		obsLen:     obs.NewHistogram(),
+		keys:    r.keys,
+		n:       len(r.keys),
+		src:     r,
+		topSize: len(r.leaves),
+		obsErr:  obs.NewHistogram(),
+		obsLen:  obs.NewHistogram(),
 	}
 	if len(r.cfg.StageSizes) > 0 {
 		p.topSize = r.cfg.StageSizes[0]
@@ -238,7 +188,6 @@ func (r *RMI) compile() *Plan {
 			p.leaves[j] = planLeaf{
 				a: lf.m.a, b: lf.m.b,
 				minErr: lf.minErr, maxErr: lf.maxErr,
-				sigma: int32(lf.stdErr),
 			}
 			if lf.btPos != nil {
 				p.hybrid[j] = lf
@@ -300,7 +249,9 @@ func (p *Plan) route(x float64) int {
 }
 
 // Lookup returns the lower-bound position of key — the index of the first
-// stored key >= key — with results bit-identical to RMI.Lookup.
+// stored key >= key — with results bit-identical to RMI.Lookup. The window
+// is searched by the batch kernel's branchless bisection, with §3.4
+// expansion when the answer lies outside it.
 func (p *Plan) Lookup(key uint64) int {
 	if p.n == 0 {
 		return 0
@@ -312,8 +263,7 @@ func (p *Plan) Lookup(key uint64) int {
 		return p.src.lookupHybrid(key, p.hybrid[idx])
 	}
 	rawPred, lo, hi := p.window(lf, x)
-	pred := clampInt(rawPred, 0, p.n-1)
-	pos := p.search(p.keys, key, lo, hi, pred, int(lf.sigma))
+	pos := search.BranchlessWithExpansion(p.keys, key, lo, hi)
 	if obs.Enabled && obs.SampleKey(key) {
 		p.observe(pos, rawPred, hi-lo)
 	}
@@ -385,7 +335,7 @@ func tileSel(sel []int32, start, end int) []int32 {
 // for every probe, in probe order. len(sel) and len(out) must equal
 // len(probes); a nil sel sends every probe to plans[0]. Probes need no
 // order and no grouping by plan. Results are bit-identical to per-key
-// Lookup for every SearchKind: each per-key strategy resolves the true
+// Lookup and to RMI.Lookup under every SearchKind: each resolves the true
 // global lower bound, and so does the kernel's lockstep window search plus
 // certificate/expansion epilogue.
 func LookupBatch(plans []*Plan, sel []int32, probes []uint64, out []int) {
@@ -569,5 +519,7 @@ func (p *Plan) Len() int { return p.n }
 // Keys returns the sorted key array the plan serves. Shared, read-only.
 func (p *Plan) Keys() []uint64 { return p.keys }
 
-// SearchKind returns the compile-time-resolved search strategy.
-func (p *Plan) SearchKind() SearchKind { return p.searchKind }
+// SearchKind returns the search the plan runs: SearchBinary, the branchless
+// bisection, for every Config. Config.Search steers only the interpreted
+// RMI.Lookup.
+func (p *Plan) SearchKind() SearchKind { return SearchBinary }

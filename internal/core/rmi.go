@@ -6,6 +6,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -21,7 +22,10 @@ import (
 // runs by bisection and fit run by run on a worker pool. The compiled read
 // path is plan.go.
 
-// SearchKind selects the last-mile search strategy (§3.4).
+// SearchKind selects the interpreted path's last-mile search strategy
+// (§3.4): RMI.Lookup, LookupBatchSorted and the StringRMI run it. The
+// compiled Plan runs one branchless bisection whatever the kind, and
+// reports SearchBinary.
 type SearchKind int
 
 const (
@@ -96,7 +100,9 @@ type Config struct {
 	// count. Empty means sized by rule from the key count (innerCount,
 	// leafCount); the trained index reports what the rule chose.
 	StageSizes []int
-	// Search selects the last-mile strategy.
+	// Search selects the interpreted path's last-mile strategy; the
+	// compiled Plan ignores it (see SearchKind). It is serialized with
+	// the model.
 	Search SearchKind
 	// HybridThreshold, when > 0, replaces leaf models whose max absolute
 	// error exceeds it with B-Trees (Algorithm 1 lines 11–14).
@@ -611,38 +617,41 @@ func (r *RMI) lookupFrom(key uint64, floor int) int {
 		return search.BoundedWithExpansion(r.keys, key, lo, hi)
 	case SearchQuaternary:
 		pos := search.BiasedQuaternary(r.keys, key, lo, hi, pred, int(lf.stdErr))
-		return r.verifyOrExpand(key, pos, lo, hi)
+		return verifyOrExpand(r.keys, key, pos, lo, hi)
 	case SearchExponential:
 		return search.Exponential(r.keys, key, n, pred)
 	default: // SearchModelBiased
 		pos := search.ModelBiasedBinary(r.keys, key, lo, hi, pred)
-		return r.verifyOrExpand(key, pos, lo, hi)
+		return verifyOrExpand(r.keys, key, pos, lo, hi)
 	}
 }
 
-// lookupHybrid answers a lookup routed to a B-Tree leaf: descend the
-// sparse separator level, binary-search the page of assigned offsets, and
-// resolve the (usually tiny) gap between assigned positions against the
-// main array. Covers keys never assigned here as well.
+// lookupHybrid answers a lookup routed to a B-Tree leaf; see hybridLookup.
 func (r *RMI) lookupHybrid(key uint64, lf *leaf) int {
-	n := len(r.keys)
-	if len(lf.btPos) == 0 {
-		return search.Binary(r.keys, key, 0, n)
+	return hybridLookup(r.keys, lf.btPos, lf.btSep, r.cfg.HybridPageSize, key)
+}
+
+// hybridLookup answers a lookup routed to a B-Tree leaf of the uint64 or
+// the string RMI: descend the sparse separator level sep, binary-search
+// the page of assigned offsets pos, and resolve the (usually tiny) gap
+// between assigned positions against the main array. Covers keys never
+// assigned here as well.
+func hybridLookup[K cmp.Ordered](keys []K, pos []int32, sep []K, pageSize int, key K) int {
+	n := len(keys)
+	if len(pos) == 0 {
+		return search.Binary(keys, key, 0, n)
 	}
 	// Separator descent: last separator <= key marks the page.
-	s := search.Binary(lf.btSep, key, 0, len(lf.btSep)) // first sep >= key
+	s := search.Binary(sep, key, 0, len(sep)) // first sep >= key
 	lo := 0
 	if s > 0 {
-		lo = (s - 1) * r.cfg.HybridPageSize
+		lo = (s - 1) * pageSize
 	}
-	hi := lo + r.cfg.HybridPageSize
-	if hi > len(lf.btPos) {
-		hi = len(lf.btPos)
-	}
+	hi := min(lo+pageSize, len(pos))
 	// Page search over the offsets (reading keys through them).
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if r.keys[lf.btPos[mid]] < key {
+		if keys[pos[mid]] < key {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -651,28 +660,23 @@ func (r *RMI) lookupHybrid(key uint64, lf *leaf) int {
 	p := lo
 	switch {
 	case p == 0:
-		// key <= first assigned key: bound is in [0, btPos[0]].
-		return search.Binary(r.keys, key, 0, int(lf.btPos[0])+1)
-	case p == len(lf.btPos):
+		// key <= first assigned key: bound is in [0, pos[0]].
+		return search.Binary(keys, key, 0, int(pos[0])+1)
+	case p == len(pos):
 		// all assigned keys are smaller: bound is after the last one.
-		return search.Binary(r.keys, key, int(lf.btPos[p-1])+1, n)
+		return search.Binary(keys, key, int(pos[p-1])+1, n)
 	default:
 		// assigned[p-1] < key <= assigned[p]: the global bound lies in
-		// (btPos[p-1], btPos[p]].
-		return search.Binary(r.keys, key, int(lf.btPos[p-1])+1, int(lf.btPos[p])+1)
+		// (pos[p-1], pos[p]].
+		return search.Binary(keys, key, int(pos[p-1])+1, int(pos[p])+1)
 	}
 }
 
 // verifyOrExpand checks whether a window-restricted result is globally
 // correct and re-searches with expansion when it sits incorrectly on the
-// window boundary (the §3.4 non-monotonic-model remedy).
-func (r *RMI) verifyOrExpand(key uint64, pos, lo, hi int) int {
-	return verifyOrExpandIn(r.keys, key, pos, lo, hi)
-}
-
-// verifyOrExpandIn is verifyOrExpand over an explicit key array, shared
-// with the compiled read path (plan.go).
-func verifyOrExpandIn(keys []uint64, key uint64, pos, lo, hi int) int {
+// window boundary (the §3.4 non-monotonic-model remedy). The interpreted
+// uint64 and string lookups share it.
+func verifyOrExpand[K cmp.Ordered](keys []K, key K, pos, lo, hi int) int {
 	n := len(keys)
 	if pos == lo && lo > 0 && keys[lo-1] >= key {
 		return search.BoundedWithExpansion(keys, key, 0, lo+1)

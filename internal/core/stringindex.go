@@ -102,13 +102,10 @@ func (si *StringIndex) Contains(key string) bool {
 }
 
 // RangeScan returns the position range [start, end) of stored keys in
-// [loKey, hiKey) — two lookups, mirroring Plan.RangeScan.
+// [loKey, hiKey) — two lookups, mirroring Plan.RangeScan: each endpoint is
+// its own lower bound, so an inverted range gives end < start.
 func (si *StringIndex) RangeScan(loKey, hiKey string) (start, end int) {
-	start = si.Lookup(loKey)
-	if hiKey <= loKey {
-		return start, start
-	}
-	return start, si.Lookup(hiKey)
+	return si.Lookup(loKey), si.Lookup(hiKey)
 }
 
 // Len returns the number of stored keys.

@@ -55,17 +55,13 @@ func checkStringIndexOracle(t *testing.T, si *StringIndex, keys []string, rng *r
 			t.Fatalf("Contains(%q) = %v, want %v", p, gotC, !gotC)
 		}
 	}
+	// Pairs come in either order: like Plan.RangeScan, each endpoint is its
+	// own lower bound, so an inverted pair answers end < start.
 	for i := 0; i < 500; i++ {
 		a := probeSet[rng.Intn(len(probeSet))]
 		b := probeSet[rng.Intn(len(probeSet))]
-		if a > b {
-			a, b = b, a
-		}
 		s, e := si.RangeScan(a, b)
 		ws, we := sort.SearchStrings(keys, a), sort.SearchStrings(keys, b)
-		if we < ws {
-			we = ws
-		}
 		if s != ws || e != we {
 			t.Fatalf("RangeScan(%q, %q) = [%d,%d), want [%d,%d)", a, b, s, e, ws, we)
 		}

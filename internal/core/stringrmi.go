@@ -300,57 +300,23 @@ func (r *StringRMI) Lookup(key string) int {
 	idx := r.leafIndex(key, vb[:r.cfg.MaxLen])
 	lf := &r.leaves[idx]
 	if lf.btPos != nil {
-		if len(lf.btPos) == 0 {
-			return search.StringBinary(r.keys, key, 0, n)
-		}
-		s := search.StringBinary(lf.btSep, key, 0, len(lf.btSep))
-		lo := 0
-		if s > 0 {
-			lo = (s - 1) * r.cfg.HybridPageSize
-		}
-		hi := lo + r.cfg.HybridPageSize
-		if hi > len(lf.btPos) {
-			hi = len(lf.btPos)
-		}
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			if r.keys[lf.btPos[mid]] < key {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		p := lo
-		switch {
-		case p == 0:
-			return search.StringBinary(r.keys, key, 0, int(lf.btPos[0])+1)
-		case p == len(lf.btPos):
-			return search.StringBinary(r.keys, key, int(lf.btPos[p-1])+1, n)
-		default:
-			return search.StringBinary(r.keys, key, int(lf.btPos[p-1])+1, int(lf.btPos[p])+1)
-		}
+		return hybridLookup(r.keys, lf.btPos, lf.btSep, r.cfg.HybridPageSize, key)
 	}
 	rawPred := int(lf.m.predict(PrefixScalar(key)))
 	lo := rawPred + int(lf.minErr)
 	hi := rawPred + int(lf.maxErr) + 1
 	lo, hi = clampWindow(lo, hi, n)
 	pred := clampInt(rawPred, 0, n-1)
-	var pos int
 	switch r.cfg.Search {
 	case SearchBinary:
-		return search.StringBoundedWithExpansion(r.keys, key, lo, hi)
+		return search.BoundedWithExpansion(r.keys, key, lo, hi)
 	case SearchQuaternary:
-		pos = search.StringBiasedQuaternary(r.keys, key, lo, hi, pred, int(lf.stdErr))
+		pos := search.BiasedQuaternary(r.keys, key, lo, hi, pred, int(lf.stdErr))
+		return verifyOrExpand(r.keys, key, pos, lo, hi)
 	default:
-		pos = search.StringModelBiasedBinary(r.keys, key, lo, hi, pred)
+		pos := search.ModelBiasedBinary(r.keys, key, lo, hi, pred)
+		return verifyOrExpand(r.keys, key, pos, lo, hi)
 	}
-	if pos == lo && lo > 0 && r.keys[lo-1] >= key {
-		return search.StringBoundedWithExpansion(r.keys, key, 0, lo+1)
-	}
-	if pos == hi && hi < n {
-		return search.StringBoundedWithExpansion(r.keys, key, hi-1, n)
-	}
-	return pos
 }
 
 // Contains reports whether key is stored.

@@ -20,8 +20,8 @@ type ShootoutRow struct {
 
 // SearchShootout compares the §3.4 last-mile strategies — binary,
 // model-biased, biased quaternary, exponential — plus the branchless
-// lower-bound loop and the interpolated search the compiled plan resolves
-// to, on *identical* windows: one RMI is trained once, every probe's
+// lower-bound loop every compiled plan runs and an interpolated search,
+// on *identical* windows: one RMI is trained once, every probe's
 // predicted window (lo, hi, pred) is precomputed, and each strategy then
 // resolves exactly the same windows. This isolates pure search cost from
 // model cost, which a full-lookup comparison (where each strategy

@@ -47,6 +47,7 @@ import (
 	"sync"
 
 	"learnedindex/internal/obs"
+	"learnedindex/internal/search"
 )
 
 // Positioner is a learned entry point into a sorted key array: Lookup
@@ -79,21 +80,6 @@ type Closer interface {
 	CloseScan()
 }
 
-// lowerBound is the branch-light generic lower bound used when a cursor has
-// no learned Positioner.
-func lowerBound[K cmp.Ordered](keys []K, target K) int {
-	lo, hi := 0, len(keys)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if keys[mid] < target {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
 // KeysCursor iterates a sorted []K. With a Positioner set, Seek enters at
 // the model-predicted lower bound (one index inference); without one it
 // falls back to binary search. The zero value is unusable; call Reset
@@ -115,7 +101,7 @@ func (c *KeysCursor[K]) Seek(key K) bool {
 	if c.pos != nil {
 		c.i = c.pos.Lookup(key)
 	} else {
-		c.i = lowerBound(c.keys, key)
+		c.i = search.Binary(c.keys, key, 0, len(c.keys))
 	}
 	return c.i < len(c.keys)
 }

@@ -1,6 +1,7 @@
 package search
 
 import (
+	"cmp"
 	"encoding/binary"
 	"sort"
 	"testing"
@@ -16,7 +17,7 @@ func lowerBound(keys []uint64, target uint64, lo, hi int) int {
 // window-restricted result is re-searched with expansion when it sits
 // incorrectly on the boundary, which turns any window-correct strategy
 // into a globally correct one.
-func verifyOrExpand(keys []uint64, target uint64, pos, lo, hi int) int {
+func verifyOrExpand[K cmp.Ordered](keys []K, target K, pos, lo, hi int) int {
 	if pos == lo && lo > 0 && keys[lo-1] >= target {
 		return BoundedWithExpansion(keys, target, 0, lo+1)
 	}
@@ -38,11 +39,23 @@ func keysFromBytes(raw []byte) []uint64 {
 	return keys
 }
 
+// stringKey maps a fuzz key (at most 0xFFFF) to its 2-byte big-endian
+// string and any larger target to a 3-byte string above all of them, so
+// string order over the mapped keys is uint64 order over the originals.
+func stringKey(k uint64) string {
+	if k > 0xFFFF {
+		return "\xff\xff\xff"
+	}
+	return string([]byte{byte(k >> 8), byte(k)})
+}
+
 // FuzzLowerBoundSearch differentially fuzzes every last-mile strategy —
 // Branchless, Binary, ModelBiasedBinary/Branchless, Interpolated,
 // BiasedQuaternary (+verify), and Exponential — against sort.Search
 // lower-bound semantics, on random keys and windows, including empty
-// windows, duplicate-adjacent targets, and out-of-range probes.
+// windows, duplicate-adjacent targets, and out-of-range probes. The
+// generic strategies also run their string instantiation over the keys
+// mapped by stringKey, which must answer what the uint64 one does.
 func FuzzLowerBoundSearch(f *testing.F) {
 	f.Add([]byte{1, 0, 1, 0, 2, 0, 9, 0}, uint64(2), uint(0), uint(4), uint(1), uint(1))
 	f.Add([]byte{}, uint64(5), uint(0), uint(0), uint(0), uint(0))                         // empty keys
@@ -103,6 +116,30 @@ func FuzzLowerBoundSearch(f *testing.F) {
 		if n > 0 {
 			if got := Exponential(keys, target, n, pred); got != global {
 				t.Fatalf("Exponential(pred=%d) = %d, want %d", pred, got, global)
+			}
+		}
+
+		// The string instantiation of every generic strategy.
+		skeys := make([]string, n)
+		for i, k := range keys {
+			skeys[i] = stringKey(k)
+		}
+		st := stringKey(target)
+		if got := lo + sort.SearchStrings(skeys[lo:hi], st); got != window {
+			t.Fatalf("mapping broke order: sort.SearchStrings = %d, want %d", got, window)
+		}
+		for _, c := range []struct {
+			name      string
+			got, want int
+		}{
+			{"Binary", Binary(skeys, st, lo, hi), window},
+			{"ModelBiasedBinary", ModelBiasedBinary(skeys, st, lo, hi, pred), window},
+			{"BiasedQuaternary", BiasedQuaternary(skeys, st, lo, hi, pred, sigma), window},
+			{"BoundedWithExpansion", BoundedWithExpansion(skeys, st, lo, hi), global},
+			{"BiasedQuaternary+verify", verifyOrExpand(skeys, st, BiasedQuaternary(skeys, st, lo, hi, pred, sigma), lo, hi), global},
+		} {
+			if c.got != c.want {
+				t.Fatalf("string %s(%q, [%d,%d), pred=%d, sigma=%d) = %d, want %d", c.name, st, lo, hi, pred, sigma, c.got, c.want)
 			}
 		}
 	})

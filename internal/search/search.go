@@ -18,11 +18,20 @@
 //   - Exponential: doubling search outward from the prediction; needs no
 //     stored error bounds ("assuming a normal distributed error", §3.4).
 //   - Interpolation: used inside the fixed-size B-Tree baseline (Figure 5).
+//
+// Binary, ModelBiasedBinary, BiasedQuaternary and BoundedWithExpansion are
+// generic over any ordered key, so the string RMI (§3.5) runs the same code
+// as the uint64 one; Go stencils them per key shape, so the uint64 compare
+// stays one instruction. Interpolation and Interpolated do arithmetic on
+// key values, and Exponential and the branchless loops have only uint64
+// callers: those stay uint64-only.
 package search
+
+import "cmp"
 
 // Binary returns the lower bound of target in keys[lo:hi] using classic
 // binary search. lo and hi follow half-open [lo, hi) convention.
-func Binary(keys []uint64, target uint64, lo, hi int) int {
+func Binary[K cmp.Ordered](keys []K, target K, lo, hi int) int {
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
 		if keys[mid] < target {
@@ -38,7 +47,7 @@ func Binary(keys []uint64, target uint64, lo, hi int) int {
 // model prediction pred instead of the midpoint (§3.4 "Model Biased
 // Search"). When the prediction is good the search terminates in far fewer
 // probes than log2(hi-lo).
-func ModelBiasedBinary(keys []uint64, target uint64, lo, hi, pred int) int {
+func ModelBiasedBinary[K cmp.Ordered](keys []K, target K, lo, hi, pred int) int {
 	if pred < lo {
 		pred = lo
 	}
@@ -61,7 +70,7 @@ func ModelBiasedBinary(keys []uint64, target uint64, lo, hi, pred int) int {
 // model's standard error), after which it continues with plain quaternary
 // search. On hardware this lets the prefetcher pull all three probe points
 // at once; the algorithmic structure is preserved here.
-func BiasedQuaternary(keys []uint64, target uint64, lo, hi, pred, sigma int) int {
+func BiasedQuaternary[K cmp.Ordered](keys []K, target K, lo, hi, pred, sigma int) int {
 	if lo >= hi {
 		return lo
 	}
@@ -82,7 +91,7 @@ func BiasedQuaternary(keys []uint64, target uint64, lo, hi, pred, sigma int) int
 
 // probe3 narrows [lo, hi) using three ordered probe points, clamping them
 // into range first.
-func probe3(keys []uint64, target uint64, lo, hi, q1, q2, q3 int) (int, int) {
+func probe3[K cmp.Ordered](keys []K, target K, lo, hi, q1, q2, q3 int) (int, int) {
 	clamp := func(x int) int {
 		if x < lo {
 			return lo
@@ -194,7 +203,7 @@ func Interpolation(keys []uint64, target uint64, lo, hi int) int {
 // error bounds only hold for stored keys (§3.4: "we incrementally adjust
 // the search area"). This guarantees correct lower-bound semantics for any
 // query key.
-func BoundedWithExpansion(keys []uint64, target uint64, lo, hi int) int {
+func BoundedWithExpansion[K cmp.Ordered](keys []K, target K, lo, hi int) int {
 	n := len(keys)
 	clampWin := func() {
 		if lo < 0 {

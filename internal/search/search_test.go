@@ -204,18 +204,18 @@ func TestStringSearchMatchesOracle(t *testing.T) {
 	probes := []string{"", "a", "aa", "ab", "abc", "b", "bz", "da", "zz"}
 	for _, p := range probes {
 		want := oracle(p)
-		if got := StringBinary(keys, p, 0, len(keys)); got != want {
-			t.Fatalf("StringBinary(%q) = %d, want %d", p, got, want)
+		if got := Binary(keys, p, 0, len(keys)); got != want {
+			t.Fatalf("Binary(%q) = %d, want %d", p, got, want)
 		}
 		for pred := 0; pred < len(keys); pred++ {
-			if got := StringModelBiasedBinary(keys, p, 0, len(keys), pred); got != want {
-				t.Fatalf("StringModelBiasedBinary(%q, pred=%d) = %d, want %d", p, pred, got, want)
+			if got := ModelBiasedBinary(keys, p, 0, len(keys), pred); got != want {
+				t.Fatalf("ModelBiasedBinary(%q, pred=%d) = %d, want %d", p, pred, got, want)
 			}
-			if got := StringBiasedQuaternary(keys, p, 0, len(keys), pred, 2); got != want {
-				t.Fatalf("StringBiasedQuaternary(%q, pred=%d) = %d, want %d", p, pred, got, want)
+			if got := BiasedQuaternary(keys, p, 0, len(keys), pred, 2); got != want {
+				t.Fatalf("BiasedQuaternary(%q, pred=%d) = %d, want %d", p, pred, got, want)
 			}
-			if got := StringBoundedWithExpansion(keys, p, pred, pred+1); got != want {
-				t.Fatalf("StringBoundedWithExpansion(%q, win=%d) = %d, want %d", p, pred, got, want)
+			if got := BoundedWithExpansion(keys, p, pred, pred+1); got != want {
+				t.Fatalf("BoundedWithExpansion(%q, win=%d) = %d, want %d", p, pred, got, want)
 			}
 		}
 	}

@@ -44,7 +44,7 @@ func probesFor(keys []string, rng *rand.Rand, n int) []string {
 	return probes
 }
 
-// TestStringBinaryDifferential checks StringBinary against
+// TestStringBinaryDifferential checks Binary against
 // sort.SearchStrings over full and restricted windows, including empty
 // and out-of-range windows.
 func TestStringBinaryDifferential(t *testing.T) {
@@ -52,29 +52,29 @@ func TestStringBinaryDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for _, p := range probesFor(keys, rng, 500) {
 		want := sort.SearchStrings(keys, p)
-		if got := StringBinary(keys, p, 0, len(keys)); got != want {
-			t.Fatalf("StringBinary(%q)=%d, want %d", p, got, want)
+		if got := Binary(keys, p, 0, len(keys)); got != want {
+			t.Fatalf("Binary(%q)=%d, want %d", p, got, want)
 		}
 		// Restricted window containing the answer.
 		lo := rng.Intn(want + 1)
 		hi := want + rng.Intn(len(keys)-want+1)
-		if got := StringBinary(keys, p, lo, hi); got != want {
-			t.Fatalf("StringBinary(%q, [%d,%d))=%d, want %d", p, lo, hi, got, want)
+		if got := Binary(keys, p, lo, hi); got != want {
+			t.Fatalf("Binary(%q, [%d,%d))=%d, want %d", p, lo, hi, got, want)
 		}
 		// Empty window: returns lo unchanged.
 		at := rng.Intn(len(keys) + 1)
-		if got := StringBinary(keys, p, at, at); got != at {
-			t.Fatalf("StringBinary(%q, empty@%d)=%d", p, at, got)
+		if got := Binary(keys, p, at, at); got != at {
+			t.Fatalf("Binary(%q, empty@%d)=%d", p, at, got)
 		}
 		// Window strictly left / right of the answer clamps to its edge.
 		if want > 1 {
-			if got := StringBinary(keys, p, 0, want-1); got != want-1 {
-				t.Fatalf("StringBinary(%q, left-of-answer)=%d, want %d", p, got, want-1)
+			if got := Binary(keys, p, 0, want-1); got != want-1 {
+				t.Fatalf("Binary(%q, left-of-answer)=%d, want %d", p, got, want-1)
 			}
 		}
 		if want < len(keys)-1 {
-			if got := StringBinary(keys, p, want+1, len(keys)); got != want+1 {
-				t.Fatalf("StringBinary(%q, right-of-answer)=%d, want %d", p, got, want+1)
+			if got := Binary(keys, p, want+1, len(keys)); got != want+1 {
+				t.Fatalf("Binary(%q, right-of-answer)=%d, want %d", p, got, want+1)
 			}
 		}
 	}
@@ -89,11 +89,11 @@ func TestStringModelBiasedBinaryDifferential(t *testing.T) {
 	for _, p := range probesFor(keys, rng, 300) {
 		want := sort.SearchStrings(keys, p)
 		for _, pred := range []int{want, want - 1, want + 1, 0, len(keys) - 1, -10, len(keys) + 10, rng.Intn(len(keys))} {
-			if got := StringModelBiasedBinary(keys, p, 0, len(keys), pred); got != want {
-				t.Fatalf("StringModelBiasedBinary(%q, pred=%d)=%d, want %d", p, pred, got, want)
+			if got := ModelBiasedBinary(keys, p, 0, len(keys), pred); got != want {
+				t.Fatalf("ModelBiasedBinary(%q, pred=%d)=%d, want %d", p, pred, got, want)
 			}
 		}
-		if got := StringModelBiasedBinary(keys, p, 7, 7, 7); got != 7 {
+		if got := ModelBiasedBinary(keys, p, 7, 7, 7); got != 7 {
 			t.Fatalf("empty window: got %d, want 7", got)
 		}
 	}
@@ -109,12 +109,12 @@ func TestStringBiasedQuaternaryDifferential(t *testing.T) {
 		want := sort.SearchStrings(keys, p)
 		for _, sigma := range []int{0, 1, 4, 64, len(keys)} {
 			for _, pred := range []int{want, want - sigma, want + sigma, -5, len(keys) + 5, rng.Intn(len(keys))} {
-				if got := StringBiasedQuaternary(keys, p, 0, len(keys), pred, sigma); got != want {
-					t.Fatalf("StringBiasedQuaternary(%q, pred=%d, sigma=%d)=%d, want %d", p, pred, sigma, got, want)
+				if got := BiasedQuaternary(keys, p, 0, len(keys), pred, sigma); got != want {
+					t.Fatalf("BiasedQuaternary(%q, pred=%d, sigma=%d)=%d, want %d", p, pred, sigma, got, want)
 				}
 			}
 		}
-		if got := StringBiasedQuaternary(keys, p, 3, 3, 3, 1); got != 3 {
+		if got := BiasedQuaternary(keys, p, 3, 3, 3, 1); got != 3 {
 			t.Fatalf("empty window: got %d, want 3", got)
 		}
 	}
@@ -139,8 +139,8 @@ func TestStringBoundedWithExpansionDifferential(t *testing.T) {
 			{-5, len(keys) + 5},                        // out-of-range bounds clamp
 		}
 		for _, w := range windows {
-			if got := StringBoundedWithExpansion(keys, p, w[0], w[1]); got != want {
-				t.Fatalf("StringBoundedWithExpansion(%q, [%d,%d))=%d, want %d", p, w[0], w[1], got, want)
+			if got := BoundedWithExpansion(keys, p, w[0], w[1]); got != want {
+				t.Fatalf("BoundedWithExpansion(%q, [%d,%d))=%d, want %d", p, w[0], w[1], got, want)
 			}
 		}
 	}
@@ -148,22 +148,22 @@ func TestStringBoundedWithExpansionDifferential(t *testing.T) {
 
 // TestStringSearchEmptyAndSingle pins the degenerate arrays.
 func TestStringSearchEmptyAndSingle(t *testing.T) {
-	if got := StringBinary(nil, "x", 0, 0); got != 0 {
+	if got := Binary([]string(nil), "x", 0, 0); got != 0 {
 		t.Fatalf("empty array: got %d", got)
 	}
-	if got := StringBoundedWithExpansion(nil, "x", 0, 0); got != 0 {
+	if got := BoundedWithExpansion([]string(nil), "x", 0, 0); got != 0 {
 		t.Fatalf("empty array expansion: got %d", got)
 	}
 	one := []string{"m"}
 	for _, p := range []string{"a", "m", "z"} {
 		want := sort.SearchStrings(one, p)
-		if got := StringBinary(one, p, 0, 1); got != want {
+		if got := Binary(one, p, 0, 1); got != want {
 			t.Fatalf("single %q: got %d, want %d", p, got, want)
 		}
-		if got := StringBoundedWithExpansion(one, p, 0, 1); got != want {
+		if got := BoundedWithExpansion(one, p, 0, 1); got != want {
 			t.Fatalf("single expansion %q: got %d, want %d", p, got, want)
 		}
-		if got := StringBiasedQuaternary(one, p, 0, 1, 0, 1); got != want {
+		if got := BiasedQuaternary(one, p, 0, 1, 0, 1); got != want {
 			t.Fatalf("single quaternary %q: got %d, want %d", p, got, want)
 		}
 	}

@@ -14,7 +14,8 @@ import (
 // keyOps is the key-kind seam of the segment planes that exist once for
 // both modes: how a uint64 or a string key hashes for the Bloom filters,
 // where a segment's fence sits, whether the key at a position is a given
-// key, how a set of segments ranks a run of (probe, segment) pairs, and how
+// key, how one segment ranks one key, how a set of segments ranks a run of
+// (probe, segment) pairs, and how
 // a sorted unique key run — a segment's own, for a merge — becomes a
 // built segment (commitSegment, which gives it its file, is the same for
 // both kinds). Membership has no entry of its own: it is rank plus one
@@ -31,6 +32,9 @@ type keyOps[K cmp.Ordered] struct {
 	// segment's own array, a string segment's run materialized for the call
 	// (one allocation for the bytes, one for the headers).
 	keys func(*segment) []K
+	// lookup returns the lower-bound position of k inside the segment
+	// through its plan or codec index: the scalar read of one probe.
+	lookup func(s *segment, k K) int
 	// rank writes pos[j] = the lower-bound position of probes[j] inside
 	// segs[sel[j]] (nil sel = segs[0]) through core's batch kernel: any
 	// probe order, any mix of segments, one lockstep search per tile.
@@ -65,10 +69,11 @@ const stackSegs = 16
 
 var (
 	u64Ops = keyOps[uint64]{
-		hash:  bloom.HashUint64,
-		fence: func(s *segment) (uint64, uint64) { return s.minKey(), s.maxKey() },
-		at:    func(s *segment, pos int, k uint64) bool { return pos < len(s.keys) && s.keys[pos] == k },
-		keys:  func(s *segment) []uint64 { return s.keys },
+		hash:   bloom.HashUint64,
+		fence:  func(s *segment) (uint64, uint64) { return s.minKey(), s.maxKey() },
+		at:     func(s *segment, pos int, k uint64) bool { return pos < len(s.keys) && s.keys[pos] == k },
+		keys:   func(s *segment) []uint64 { return s.keys },
+		lookup: func(s *segment, k uint64) int { return s.plan.Lookup(k) },
 		rank: func(segs []*segment, sel []int32, probes []uint64, pos []int) {
 			var buf [stackSegs]*core.Plan
 			plans := buf[:0]
@@ -90,10 +95,11 @@ var (
 		delta:    func(sn *Snapshot) *[]uint64 { return &sn.keys },
 	}
 	strOps = keyOps[string]{
-		hash:  bloom.HashString,
-		fence: func(s *segment) (string, string) { return s.minStr(), s.maxStr() },
-		at:    func(s *segment, pos int, k string) bool { return s.sindex.Dict().Equal(pos, k) },
-		keys:  func(s *segment) []string { return s.sindex.Dict().AppendKeys(nil, 0, s.numKeys()) },
+		hash:   bloom.HashString,
+		fence:  func(s *segment) (string, string) { return s.minStr(), s.maxStr() },
+		at:     func(s *segment, pos int, k string) bool { return s.sindex.Dict().Equal(pos, k) },
+		keys:   func(s *segment) []string { return s.sindex.Dict().AppendKeys(nil, 0, s.numKeys()) },
+		lookup: func(s *segment, k string) int { return s.sindex.Lookup(k) },
 		rank: func(segs []*segment, sel []int32, probes []string, pos []int) {
 			var buf [stackSegs]*core.StringIndex
 			idx := buf[:0]
@@ -295,6 +301,25 @@ func rankBatchIn[K cmp.Ordered](segs []*segment, ops *keyOps[K], probes []K, out
 		sc.rankPairs(segs, ops, n, cout)
 	}
 	sc.release(ops.pool)
+}
+
+// rankIn is rankBatchIn for one probe and its per-key reference: the same
+// fence resolves out-of-range segments on two comparisons, and each
+// segment whose fence holds key runs its own scalar lookup.
+func rankIn[K cmp.Ordered](segs []*segment, ops *keyOps[K], key K) int {
+	total := 0
+	for _, s := range segs {
+		lo, hi := ops.fence(s)
+		switch {
+		case key <= lo:
+			// contributes 0
+		case key > hi:
+			total += s.numKeys()
+		default:
+			total += ops.lookup(s, key)
+		}
+	}
+	return total
 }
 
 // dropServed removes from keys every key a segment of segs already serves,

@@ -1,12 +1,14 @@
 package storage
 
 import (
+	"cmp"
 	"math/rand"
 	"os"
 	"slices"
 	"sync/atomic"
 	"testing"
 
+	"learnedindex/internal/core"
 	"learnedindex/internal/data"
 	"learnedindex/internal/scan"
 )
@@ -36,57 +38,153 @@ func drainSnapshot(sn *Snapshot, lo, hi uint64) []uint64 {
 	return out
 }
 
-// refRange filters a sorted deduplicated union down to [lo, hi).
-func refRange(all []uint64, lo, hi uint64) []uint64 {
+// drainSnapshotStr is drainSnapshot for a string-keyed engine: [lo, hi)
+// when bounded, keys >= lo otherwise, each segment streamed through a
+// core.StringCursor over its codec index.
+func drainSnapshotStr(sn *Snapshot, lo, hi string, bounded bool) []string {
+	it := scan.Get[string]()
+	if p := sn.PendingStrings(); len(p) > 0 {
+		c := new(scan.KeysCursor[string])
+		c.Reset(p, nil)
+		it.Add(c) // newest layer first
+	}
+	for i := 0; i < sn.NumSegments(); i++ {
+		if si := sn.SegmentStrings(i, lo, hi, bounded); si != nil {
+			c := new(core.StringCursor)
+			c.Reset(si)
+			it.Add(c)
+		}
+	}
+	if bounded {
+		it.Start(lo, hi, nil)
+	} else {
+		it.StartFrom(lo, nil)
+	}
+	defer it.Close()
+	var out []string
+	for it.Next() {
+		out = append(out, it.Key())
+	}
+	return out
+}
+
+// refRange filters a sorted deduplicated union down to [lo, hi) when
+// bounded, to keys >= lo otherwise.
+func refRange[K cmp.Ordered](all []K, lo, hi K, bounded bool) []K {
 	s := slices.Clone(all)
 	slices.Sort(s)
 	s = slices.Compact(s)
 	out := s[:0:0]
 	for _, k := range s {
-		if k >= lo && k < hi {
+		if k >= lo && (!bounded || k < hi) {
 			out = append(out, k)
 		}
 	}
 	return out
 }
 
-// TestSnapshotScanOracle drives the engine through appends, drains,
-// flushes, and compactions, checking after every step that a snapshot scan
-// streams exactly the sorted deduplicated union of segments (the resident
-// run among them) + unflushed delta for random ranges, and that CountRange
-// agrees with the streamed count.
+// oracleMode is what TestSnapshotScanOracle needs of one key mode.
+type oracleMode[K cmp.Ordered] struct {
+	opts   Options
+	batch  func(round int) []K         // the keys one round appends
+	bounds func(rng *rand.Rand) (K, K) // a random scan range, lo <= hi
+	append func(e *Engine, keys []K) error
+	// acquire pins the whole view; scan and count read [lo, hi) from it
+	// when bounded, keys >= lo otherwise.
+	acquire func(e *Engine) *Snapshot
+	scan    func(sn *Snapshot, lo, hi K, bounded bool) []K
+	count   func(sn *Snapshot, lo, hi K, bounded bool) int
+}
+
+// TestSnapshotScanOracle drives the engine, in each key mode, through
+// appends, drains, flushes, and compactions, checking after every step that
+// a snapshot scan streams exactly the sorted deduplicated union of segments
+// (the resident run among them) + unflushed delta for random ranges, and
+// that the learned count — CountRange, CountRangeStr bounded and
+// open-ended — agrees with the streamed count.
 func TestSnapshotScanOracle(t *testing.T) {
+	t.Run("uint64", func(t *testing.T) {
+		snapshotScanOracle(t, oracleMode[uint64]{
+			opts:  Options{CompactFanout: 2, NoCompactor: true},
+			batch: func(round int) []uint64 { return data.Uniform(3_000, 1_000_000, int64(100+round)) },
+			bounds: func(rng *rand.Rand) (uint64, uint64) {
+				lo := rng.Uint64() % 1_200_000
+				return lo, lo + rng.Uint64()%400_000
+			},
+			append:  func(e *Engine, keys []uint64) error { return e.AppendBatch(keys) },
+			acquire: (*Engine).AcquireSnapshot,
+			scan: func(sn *Snapshot, lo, hi uint64, bounded bool) []uint64 {
+				if !bounded {
+					hi = ^uint64(0)
+				}
+				return drainSnapshot(sn, lo, hi)
+			},
+			count: func(sn *Snapshot, lo, hi uint64, bounded bool) int {
+				if !bounded {
+					hi = ^uint64(0)
+				}
+				return sn.CountRange(lo, hi)
+			},
+		})
+	})
+	t.Run("string", func(t *testing.T) {
+		// Bounds come from keys of the same shapes, mostly not stored.
+		pool := stringTestKeys(2_000, 99)
+		snapshotScanOracle(t, oracleMode[string]{
+			opts:  Options{StringKeys: true, CompactFanout: 2, NoCompactor: true},
+			batch: func(round int) []string { return stringTestKeys(3_000, int64(100+round)) },
+			bounds: func(rng *rand.Rand) (string, string) {
+				a, b := pool[rng.Intn(len(pool))], pool[rng.Intn(len(pool))]
+				return min(a, b), max(a, b)
+			},
+			append: func(e *Engine, keys []string) error { return e.AppendStringBatch(keys) },
+			acquire: func(e *Engine) *Snapshot {
+				return e.AcquireSnapshotRangeStr("", "", false)
+			},
+			scan: drainSnapshotStr,
+			count: func(sn *Snapshot, lo, hi string, bounded bool) int {
+				return sn.CountRangeStr(lo, hi, bounded)
+			},
+		})
+	})
+}
+
+func snapshotScanOracle[K cmp.Ordered](t *testing.T, m oracleMode[K]) {
 	dir := t.TempDir()
-	e := openT(t, dir, Options{CompactFanout: 2, NoCompactor: true})
+	e := openT(t, dir, m.opts)
 	defer e.Close()
 	rng := rand.New(rand.NewSource(31))
-	var all []uint64
+	var all []K
 
 	check := func(step string) {
 		t.Helper()
-		sn := e.AcquireSnapshot()
+		sn := m.acquire(e)
 		defer sn.Release()
 		for trial := 0; trial < 5; trial++ {
-			lo := rng.Uint64() % 1_200_000
-			hi := lo + rng.Uint64()%400_000
-			got := drainSnapshot(sn, lo, hi)
-			want := refRange(all, lo, hi)
-			if !slices.Equal(got, want) {
-				t.Fatalf("%s: scan [%d,%d) got %d keys, want %d", step, lo, hi, len(got), len(want))
-			}
-			if c := sn.CountRange(lo, hi); c != len(want) {
-				t.Fatalf("%s: CountRange(%d,%d) = %d, want %d", step, lo, hi, c, len(want))
+			lo, hi := m.bounds(rng)
+			for _, bounded := range []bool{true, false} {
+				got := m.scan(sn, lo, hi, bounded)
+				want := refRange(all, lo, hi, bounded)
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s: scan [%v,%v) bounded=%v got %d keys, want %d", step, lo, hi, bounded, len(got), len(want))
+				}
+				if c := m.count(sn, lo, hi, bounded); c != len(want) {
+					t.Fatalf("%s: count [%v,%v) bounded=%v = %d, want %d", step, lo, hi, bounded, c, len(want))
+				}
 			}
 		}
 		// Full-range scan too.
-		if got, want := drainSnapshot(sn, 0, ^uint64(0)), refRange(all, 0, ^uint64(0)); !slices.Equal(got, want) {
+		var zero K
+		if got, want := m.scan(sn, zero, zero, false), refRange(all, zero, zero, false); !slices.Equal(got, want) {
 			t.Fatalf("%s: full scan %d keys, want %d", step, len(got), len(want))
 		}
 	}
 
 	for round := 0; round < 6; round++ {
-		batch := data.Uniform(3_000, 1_000_000, int64(100+round))
-		e.Append(batch...)
+		batch := m.batch(round)
+		if err := m.append(e, batch); err != nil {
+			t.Fatal(err)
+		}
 		all = append(all, batch...)
 		check("append")
 		if round%2 == 1 {
@@ -140,7 +238,7 @@ func TestSnapshotPinsCompactionInputs(t *testing.T) {
 		}
 	}
 	// The pinned view still serves the pre-compaction state.
-	if got, want := drainSnapshot(sn, 0, ^uint64(0)), refRange(e.Keys(), 0, ^uint64(0)); !slices.Equal(got, want) {
+	if got, want := drainSnapshot(sn, 0, ^uint64(0)), refRange(e.Keys(), 0, ^uint64(0), true); !slices.Equal(got, want) {
 		t.Fatalf("pinned scan diverged: %d vs %d keys", len(got), len(want))
 	}
 	sn.Release()

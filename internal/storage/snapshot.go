@@ -3,7 +3,6 @@ package storage
 import (
 	"cmp"
 	"slices"
-	"sort"
 	"sync"
 
 	"learnedindex/internal/core"
@@ -204,66 +203,48 @@ func (sn *Snapshot) Contains(key uint64) bool {
 }
 
 // CountRange returns the exact number of distinct keys k in [lo, hi)
-// across the snapshot: segments answer by pure position arithmetic — at
-// most two compiled-plan lookups each, zero iteration, with the min/max
-// fence resolving out-of-range segments in two comparisons — and the
-// unflushed delta contributes an exact correction (each in-range delta key
-// counts only if no segment already serves it). Segments hold disjoint key
-// sets, so the per-segment sums compose exactly.
+// across the snapshot. See countRange.
 func (sn *Snapshot) CountRange(lo, hi uint64) int {
-	ops := planeOf[uint64](sn.eng).ops
-	if hi <= lo {
-		return 0
-	}
-	total := 0
-	for _, s := range sn.segs {
-		if hi <= s.minKey() || lo > s.maxKey() {
-			continue
-		}
-		a := 0
-		if lo > s.minKey() {
-			a = s.plan.Lookup(lo)
-		}
-		b := len(s.keys)
-		if hi <= s.maxKey() {
-			b = s.plan.Lookup(hi)
-		}
-		total += b - a
-	}
-	p := sn.keys
-	p = p[search.Binary(p, lo, 0, len(p)):]
-	p = p[:search.Binary(p, hi, 0, len(p))]
-	return total + len(p) - containsBatchIn(sn.segs, ops, p, nil)
+	return countRange(sn, planeOf[uint64](sn.eng).ops, lo, hi, true)
 }
 
 // CountRangeStr is CountRange for string keys: exact distinct-key count
-// over [lo, hi) when bounded, or keys >= lo otherwise, by the same
-// position arithmetic (two codec-index lookups per overlapping segment)
-// plus the delta correction.
+// over [lo, hi) when bounded, or keys >= lo otherwise.
 func (sn *Snapshot) CountRangeStr(lo, hi string, bounded bool) int {
-	ops := planeOf[string](sn.eng).ops
+	return countRange(sn, planeOf[string](sn.eng).ops, lo, hi, bounded)
+}
+
+// countRange is the one learned COUNT over a snapshot, [lo, hi) when
+// bounded and keys >= lo otherwise: segments answer by pure position
+// arithmetic — at most two scalar lookups each, zero iteration, with the
+// min/max fence resolving out-of-range segments in two comparisons — and
+// the unflushed delta contributes an exact correction (each in-range delta
+// key counts only if no segment already serves it). Segments hold disjoint
+// key sets, so the per-segment sums compose exactly.
+func countRange[K cmp.Ordered](sn *Snapshot, ops *keyOps[K], lo, hi K, bounded bool) int {
 	if bounded && hi <= lo {
 		return 0
 	}
 	total := 0
 	for _, s := range sn.segs {
-		if (bounded && hi <= s.minStr()) || lo > s.maxStr() {
+		first, last := ops.fence(s)
+		if (bounded && hi <= first) || lo > last {
 			continue
 		}
 		a := 0
-		if lo > s.minStr() {
-			a = s.sindex.Lookup(lo)
+		if lo > first {
+			a = ops.lookup(s, lo)
 		}
 		b := s.numKeys()
-		if bounded && hi <= s.maxStr() {
-			b = s.sindex.Lookup(hi)
+		if bounded && hi <= last {
+			b = ops.lookup(s, hi)
 		}
 		total += b - a
 	}
-	p := sn.strs
-	p = p[sort.SearchStrings(p, lo):]
+	p := *ops.delta(sn)
+	p = p[search.Binary(p, lo, 0, len(p)):]
 	if bounded {
-		p = p[:sort.SearchStrings(p, hi)]
+		p = p[:search.Binary(p, hi, 0, len(p))]
 	}
 	return total + len(p) - containsBatchIn(sn.segs, ops, p, nil)
 }
@@ -272,22 +253,21 @@ func (sn *Snapshot) CountRangeStr(lo, hi string, bounded bool) int {
 // snapshot: the engine-level learned COUNT for callers that don't hold a
 // scan open.
 func (e *Engine) CountRange(lo, hi uint64) int {
-	planeOf[uint64](e) // the mode check
-	if hi <= lo {
-		return 0
-	}
-	sn := e.AcquireSnapshotRange(lo, hi)
-	defer sn.Release()
-	return sn.CountRange(lo, hi)
+	return countFresh(planeOf[uint64](e), lo, hi, true)
 }
 
 // CountRangeStr is Engine.CountRange for string keys.
 func (e *Engine) CountRangeStr(lo, hi string, bounded bool) int {
-	planeOf[string](e) // the mode check
+	return countFresh(planeOf[string](e), lo, hi, bounded)
+}
+
+// countFresh counts over a snapshot it acquires for the range and
+// releases: an empty bounded range pins nothing.
+func countFresh[K cmp.Ordered](p *writePlane[K], lo, hi K, bounded bool) int {
 	if bounded && hi <= lo {
 		return 0
 	}
-	sn := e.AcquireSnapshotRangeStr(lo, hi, bounded)
+	sn := acquireSnapshot(p, lo, hi, bounded)
 	defer sn.Release()
-	return sn.CountRangeStr(lo, hi, bounded)
+	return countRange(sn, p.ops, lo, hi, bounded)
 }

@@ -47,9 +47,12 @@
 // (contains.go), do the batched work: every membership read and the flush
 // dedupe share one, every batched rank read the other — probes in any
 // order, fenced per segment, and only the in-fence (probe, segment) pairs
-// run a model, together through core's batch kernel. The scalar Lookup and
-// LookupString loops are the per-key reference the oracles compare them
-// against. Writes (Append, Sync, Drain, Flush) are serialized by an
+// run a model, together through core's batch kernel. Lookup, LookupString
+// and the learned counts (CountRange and its string twin, over a Snapshot
+// or the engine) run one per-key loop, also written once (rankIn,
+// countRange): the same fence, then one scalar plan or codec-index lookup
+// per in-fence segment. rankIn is the reference the oracles compare the
+// batched rank against. Writes (Append, Sync, Drain, Flush) are serialized by an
 // internal mutex and may be called concurrently with reads and with
 // background compaction. I/O errors latch: once a write fails, the error
 // is sticky and returned by every subsequent Append/Sync/Flush/Close so an
@@ -1049,25 +1052,10 @@ func (e *Engine) ContainsString(key string) bool {
 	return containsBatchIn(*e.segs.Load(), planeOf[string](e).ops, []string{key}, nil) > 0
 }
 
-// LookupString returns the global lower-bound position of key over all
-// served string keys: the number of served keys < key, in codec (byte)
-// order. Segments hold disjoint key sets, so per-segment positions sum
-// exactly, with the min/max fence resolving out-of-range segments on two
-// comparisons.
+// LookupString is Lookup for a string-keyed engine, in codec (byte)
+// order.
 func (e *Engine) LookupString(key string) int {
-	planeOf[string](e) // the mode check
-	total := 0
-	for _, s := range *e.segs.Load() {
-		switch {
-		case key <= s.minStr():
-			// contributes 0
-		case key > s.maxStr():
-			total += s.numKeys()
-		default:
-			total += s.sindex.Lookup(key)
-		}
-	}
-	return total
+	return rankIn(*e.segs.Load(), planeOf[string](e).ops, key)
 }
 
 // ContainsBatch answers Contains for every probe against one captured
@@ -1089,19 +1077,7 @@ func (e *Engine) ContainsBatchString(probes []string, out []bool) {
 // instead of a model run (a probe at or below a segment's minimum
 // contributes 0, one above its maximum contributes the full count).
 func (e *Engine) Lookup(key uint64) int {
-	planeOf[uint64](e) // the mode check
-	total := 0
-	for _, s := range *e.segs.Load() {
-		switch {
-		case key <= s.minKey():
-			// contributes 0
-		case key > s.maxKey():
-			total += len(s.keys)
-		default:
-			total += s.plan.Lookup(key)
-		}
-	}
-	return total
+	return rankIn(*e.segs.Load(), planeOf[uint64](e).ops, key)
 }
 
 // LookupBatch answers Lookup for every probe, in any order, against one

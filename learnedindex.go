@@ -59,15 +59,16 @@ type (
 	// bounds, corrected by a local search.
 	RMI = core.RMI
 	// Plan is the compiled read path: the RMI's model tree lowered into a
-	// flat, devirtualized inference plan with group-interleaved batch
-	// executors. Built automatically by New and on deserialization;
+	// flat, devirtualized inference plan with one branchless last-mile
+	// search and a lockstep batch kernel. Built automatically by New and on deserialization;
 	// retrieve it with RMI.Plan(). Results are bit-identical to the
 	// interpreted RMI methods.
 	Plan = core.Plan
 	// Config specifies an RMI: stage-1 model family, stage sizes, search
 	// strategy and hybrid threshold (Algorithm 1's inputs).
 	Config = core.Config
-	// SearchKind selects the last-mile search strategy (§3.4).
+	// SearchKind selects the interpreted RMI's last-mile search strategy
+	// (§3.4); the compiled Plan runs one branchless search for every kind.
 	SearchKind = core.SearchKind
 	// TopKind selects the stage-1 model family (§3.3).
 	TopKind = core.TopKind
