@@ -75,8 +75,6 @@ type Options struct {
 	StatusRefresh time.Duration
 	// ScanPageKeys is the page size of cross-node scans (default 4096).
 	ScanPageKeys int
-	// PoolSize caps idle pooled connections per endpoint (default 8).
-	PoolSize int
 }
 
 func (o Options) withDefaults() Options {
@@ -97,9 +95,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.ScanPageKeys > 1<<16 {
 		o.ScanPageKeys = 1 << 16
-	}
-	if o.PoolSize <= 0 {
-		o.PoolSize = 8
 	}
 	return o
 }
@@ -141,6 +136,9 @@ type node struct {
 	primary   *endpoint
 	followers []*endpoint
 }
+
+// poolSize caps the idle pooled connections kept per endpoint.
+const poolSize = 8
 
 // endpoint is one dialable address plus its idle-connection pool and (for
 // followers) the cached status that gates read eligibility.
@@ -253,7 +251,7 @@ func (e *endpoint) acquire() (*server.Client, error) {
 
 func (e *endpoint) release(c *server.Client) {
 	e.mu.Lock()
-	if len(e.idle) < e.rt.opt.PoolSize {
+	if len(e.idle) < poolSize {
 		e.idle = append(e.idle, c)
 		e.mu.Unlock()
 		return

@@ -207,14 +207,12 @@ var u64Ops = memOps[uint64, core.Plan]{
 	engContains:      (*storage.Engine).Contains,
 	engLookupBatch:   (*storage.Engine).LookupBatch,
 	engContainsBatch: (*storage.Engine).ContainsBatch,
-	engCount: func(e *storage.Engine, lo, hi uint64, _ bool) int {
-		return e.CountRange(lo, hi)
-	},
-	engScan: func(st *scanState[uint64, core.Plan], e *storage.Engine, lo, hi uint64, _ bool) []uint64 {
-		sn := e.AcquireSnapshotRange(lo, hi)
+	engCount:         (*storage.Engine).CountRange,
+	engScan: func(st *scanState[uint64, core.Plan], e *storage.Engine, lo, hi uint64, bounded bool) []uint64 {
+		sn := e.AcquireSnapshotRange(lo, hi, bounded)
 		st.snap = sn
 		for i := 0; i < sn.NumSegments(); i++ {
-			if ks, pos := sn.SegmentKeys(i, lo, hi); ks != nil {
+			if ks, pos := sn.SegmentKeys(i, lo, hi, bounded); ks != nil {
 				keysCursor(st.slot(), ks, pos)
 			}
 		}

@@ -14,9 +14,10 @@ package serve
 // lifetime (storage.Snapshot). A uint64 layer's cursor walks its key array
 // through its plan; a string layer holds no strings, and its cursor
 // (core.StringCursor) materializes the keys it streams out of the layer's
-// dictionary a page at a time. Strings have no +∞, so the scan unbounded
-// above is its own entry point (ScanStringFrom) instead of a sentinel
-// upper bound; a uint64 scan is always bounded.
+// dictionary a page at a time. A range is [lo, hi) or, unbounded above,
+// [lo, ∞) — its own entry point (ScanFrom, ScanStringFrom) rather than a
+// sentinel upper bound, in both key kinds: an exclusive uint64 bound can
+// never reach the maximal key.
 //
 // # Consistency
 //
@@ -203,7 +204,7 @@ func (p *memPlane[K, S]) scan(lo, hi K, bounded bool) *scan.Iterator[K] {
 	return it
 }
 
-// count is CountRange, CountRangeString and CountFromString: the exact
+// count is CountRange, CountFrom and their string forms: the exact
 // number of distinct keys of the range ([lo, hi) when bounded, keys >= lo
 // otherwise) over the view a scan at this instant would stream.
 func (p *memPlane[K, S]) count(lo, hi K, bounded bool) int {
@@ -238,9 +239,12 @@ func (p *memPlane[K, S]) count(lo, hi K, bounded bool) int {
 // Scan opens a streaming merge over every key in [lo, hi): ascending,
 // deduplicated, snapshot-consistent per the file comment above. The
 // iterator starts before the first key — drive it with Next (or NextBatch)
-// and always Close it; Seek repositions within the range. hi is exclusive,
-// so ^uint64(0) scans to the end of the domain save the maximal key.
+// and always Close it; Seek repositions within the range. hi is exclusive;
+// use ScanFrom to scan to the end, the maximal key included.
 func (s *Store) Scan(lo, hi uint64) *scan.Iterator[uint64] { return s.u64().scan(lo, hi, true) }
+
+// ScanFrom opens a scan over every key >= lo, to the end of the store.
+func (s *Store) ScanFrom(lo uint64) *scan.Iterator[uint64] { return s.u64().scan(lo, 0, false) }
 
 // ScanString opens a streaming merge over every string key in [lo, hi):
 // ascending codec (byte) order, deduplicated, snapshot-consistent like
@@ -250,9 +254,7 @@ func (s *Store) ScanString(lo, hi string) *scan.Iterator[string] {
 	return s.str().scan(lo, hi, true)
 }
 
-// ScanStringFrom opens a scan over every string key >= lo, to the end of
-// the store — the unbounded-above form a maximal-key sentinel cannot
-// express in the string domain.
+// ScanStringFrom is ScanFrom for string keys.
 func (s *Store) ScanStringFrom(lo string) *scan.Iterator[string] {
 	return s.str().scan(lo, "", false)
 }
@@ -299,12 +301,15 @@ func drainScan[K cmp.Ordered](it *scan.Iterator[K], dst []K) []K {
 // inferences per layer plus the delta correction.
 func (s *Store) CountRange(lo, hi uint64) int { return s.u64().count(lo, hi, true) }
 
+// CountFrom is CountRange without an upper bound: the number of distinct
+// keys >= lo, the maximal key included.
+func (s *Store) CountFrom(lo uint64) int { return s.u64().count(lo, 0, false) }
+
 // CountRangeString returns the exact number of distinct string keys in
 // [lo, hi) over the same view a ScanString at this instant would stream —
 // by codec-index position arithmetic plus the delta correction, without
 // iterating.
 func (s *Store) CountRangeString(lo, hi string) int { return s.str().count(lo, hi, true) }
 
-// CountFromString is CountRangeString without an upper bound: the number
-// of distinct committed string keys >= lo.
+// CountFromString is CountFrom for string keys.
 func (s *Store) CountFromString(lo string) int { return s.str().count(lo, "", false) }

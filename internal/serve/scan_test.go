@@ -22,11 +22,12 @@ func scanAll(s *Store, lo, hi uint64) []uint64 {
 	return out
 }
 
-// modelRange filters a model key set down to the sorted keys in [lo, hi).
-func modelRange(model map[uint64]bool, lo, hi uint64) []uint64 {
+// modelRange filters a model key set down to the sorted keys in [lo, hi)
+// when bounded, keys >= lo otherwise.
+func modelRange(model map[uint64]bool, lo, hi uint64, bounded bool) []uint64 {
 	out := []uint64{}
 	for k := range model {
-		if k >= lo && k < hi {
+		if k >= lo && (!bounded || k < hi) {
 			out = append(out, k)
 		}
 	}
@@ -38,7 +39,8 @@ func modelRange(model map[uint64]bool, lo, hi uint64) []uint64 {
 // interleavings of Insert and Flush, checking after every step that
 // Scan(lo, hi) streams exactly the sorted distinct union of everything
 // inserted so far — buffered or merged — and that CountRange and ScanBatch
-// agree with it.
+// agree with it, as ScanFrom and CountFrom do from lo to the end, the
+// maximal key included.
 func TestScanOracleRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
 	initial := data.Uniform(20_000, 2_000_000, 11)
@@ -65,9 +67,13 @@ func TestScanOracleRandom(t *testing.T) {
 		case 2:
 			s.Flush()
 		}
+		if step == 7 {
+			s.Insert(^uint64(0))
+			model[^uint64(0)] = true
+		}
 		lo := rng.Uint64() % 2_000_000
 		hi := lo + rng.Uint64()%500_000
-		want := modelRange(model, lo, hi)
+		want := modelRange(model, lo, hi, true)
 		if got := scanAll(s, lo, hi); !slices.Equal(got, want) {
 			t.Fatalf("step %d: Scan[%d,%d) = %d keys, want %d", step, lo, hi, len(got), len(want))
 		}
@@ -77,10 +83,24 @@ func TestScanOracleRandom(t *testing.T) {
 		if got := s.CountRange(lo, hi); got != len(want) {
 			t.Fatalf("step %d: CountRange(%d,%d) = %d, want %d", step, lo, hi, got, len(want))
 		}
+		checkFrom(t, s, model, step, lo)
 	}
 	// Full-domain invariants.
-	if got := s.CountRange(0, ^uint64(0)); got != len(model) {
-		t.Fatalf("CountRange(full) = %d, want %d", got, len(model))
+	if got, want := s.CountRange(0, ^uint64(0)), len(modelRange(model, 0, ^uint64(0), true)); got != want {
+		t.Fatalf("CountRange(full) = %d, want %d", got, want)
+	}
+	checkFrom(t, s, model, -1, 0)
+}
+
+// checkFrom checks ScanFrom(lo) and CountFrom(lo) against the model.
+func checkFrom(t *testing.T, s *Store, model map[uint64]bool, step int, lo uint64) {
+	t.Helper()
+	want := modelRange(model, lo, 0, false)
+	if got := drainScan(s.ScanFrom(lo), nil); !slices.Equal(got, want) {
+		t.Fatalf("step %d: ScanFrom(%d) = %d keys, want %d", step, lo, len(got), len(want))
+	}
+	if got := s.CountFrom(lo); got != len(want) {
+		t.Fatalf("step %d: CountFrom(%d) = %d, want %d", step, lo, got, len(want))
 	}
 }
 
@@ -103,22 +123,28 @@ func TestScanOraclePersistent(t *testing.T) {
 			s.Insert(k)
 			model[k] = true
 		}
+		if step == 7 {
+			s.Insert(^uint64(0))
+			model[^uint64(0)] = true
+		}
 		if step%3 == 2 {
 			s.Flush()
 		}
 		lo := rng.Uint64() % 1_000_000
 		hi := lo + rng.Uint64()%300_000
-		want := modelRange(model, lo, hi)
+		want := modelRange(model, lo, hi, true)
 		if got := scanAll(s, lo, hi); !slices.Equal(got, want) {
 			t.Fatalf("step %d: Scan[%d,%d) = %d keys, want %d", step, lo, hi, len(got), len(want))
 		}
 		if got := s.CountRange(lo, hi); got != len(want) {
 			t.Fatalf("step %d: CountRange(%d,%d) = %d, want %d", step, lo, hi, got, len(want))
 		}
+		checkFrom(t, s, model, step, lo)
 	}
-	if got := s.CountRange(0, ^uint64(0)); got != len(model) {
-		t.Fatalf("CountRange(full) = %d, want %d", got, len(model))
+	if got, want := s.CountRange(0, ^uint64(0)), len(modelRange(model, 0, ^uint64(0), true)); got != want {
+		t.Fatalf("CountRange(full) = %d, want %d", got, want)
 	}
+	checkFrom(t, s, model, -1, 0)
 }
 
 // TestScanSeesBufferedInserts pins the read-your-writes contract: a key

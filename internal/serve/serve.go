@@ -119,9 +119,6 @@ type Options struct {
 	// segment files under this directory (created if absent). Empty keeps
 	// today's purely in-memory behavior.
 	Dir string
-	// BloomFPR is the per-segment Bloom filter false-positive rate of a
-	// persistent Store (default 0.01). Ignored when Dir is empty.
-	BloomFPR float64
 	// CompactFanout is how many segments of one size class, contiguous but
 	// for smaller segments between them, trigger a background merge in a
 	// persistent Store (default 4). Ignored when Dir is empty.
@@ -142,11 +139,6 @@ type Options struct {
 	// and rewritten from memory if they rotted on disk. Ignored when Dir
 	// is empty.
 	ScrubInterval time.Duration
-	// BackpressureDebt is the persistent engine's compaction-debt
-	// threshold at which writers briefly stall so the compactor can catch
-	// up: 0 means the engine default, negative disables backpressure.
-	// Ignored when Dir is empty.
-	BackpressureDebt int
 }
 
 // Store is the sharded serving layer. Create with New (or Open for a
@@ -386,14 +378,12 @@ func newStore(cfg core.Config, opt Options, mergeCap int) *Store {
 func openEngine[K cmp.Ordered, S any](ops *memOps[K, S], cfg core.Config, opt Options) (*Store, error) {
 	reg := obs.NewRegistry()
 	eng, err := storage.Open(opt.Dir, storage.Options{
-		Config:           cfg,
-		BloomFPR:         opt.BloomFPR,
-		CompactFanout:    opt.CompactFanout,
-		StringKeys:       ops.strKeys,
-		Reg:              reg,
-		FS:               opt.FS,
-		ScrubInterval:    opt.ScrubInterval,
-		BackpressureDebt: opt.BackpressureDebt,
+		Config:        cfg,
+		CompactFanout: opt.CompactFanout,
+		StringKeys:    ops.strKeys,
+		Reg:           reg,
+		FS:            opt.FS,
+		ScrubInterval: opt.ScrubInterval,
 	})
 	if err != nil {
 		return nil, err

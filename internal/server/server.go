@@ -34,10 +34,6 @@ type Options struct {
 	// a client that stops draining its socket loses the connection, not
 	// the server a goroutine.
 	WriteTimeout time.Duration
-	// MaxScanKeys clamps the page size of a Scan response (default 65536)
-	// regardless of the limit the client asked for, bounding per-request
-	// memory the way maxWireKeys bounds decode allocations.
-	MaxScanKeys int
 	// DrainTimeout is how long Close waits for in-flight requests to
 	// finish and flush their responses before severing connections
 	// (default 5s).
@@ -54,17 +50,16 @@ func (o Options) withDefaults() Options {
 	if o.WriteTimeout <= 0 {
 		o.WriteTimeout = 30 * time.Second
 	}
-	if o.MaxScanKeys <= 0 {
-		o.MaxScanKeys = 1 << 16
-	}
-	if o.MaxScanKeys > maxWireKeys {
-		o.MaxScanKeys = maxWireKeys
-	}
 	if o.DrainTimeout <= 0 {
 		o.DrainTimeout = 5 * time.Second
 	}
 	return o
 }
+
+// maxScanKeys clamps the page size of a Scan response regardless of the
+// limit the client asked for, bounding per-request memory the way
+// maxWireKeys bounds decode allocations.
+const maxScanKeys = 1 << 16
 
 // serverMetrics is the lix_server_* series, registered on the store's own
 // registry so one scrape sees the store and its wire front end together.
@@ -286,6 +281,7 @@ func (s *Server) handleConn(c repl.Conn) {
 	if !respond(monoNow()) {
 		return
 	}
+	handle := s.handler(strMode)
 
 	for {
 		wd.arm(monoNow(), s.opt.IdleTimeout)
@@ -314,7 +310,7 @@ func (s *Server) handleConn(c repl.Conn) {
 		s.inflight <- struct{}{}
 		s.reqWG.Add(1)
 		start := monoNow()
-		s.handle(&req, &resp)
+		handle(&req, &resp)
 		end := monoNow()
 		s.m.reqNs.ObserveDuration(time.Duration(end - start))
 		<-s.inflight
@@ -326,69 +322,93 @@ func (s *Server) handleConn(c repl.Conn) {
 	}
 }
 
+// keyMode is what request handling needs of one key mode: the store's
+// typed methods, and the wmsg fields that carry a message's keys and range
+// bounds.
+type keyMode[K Key] struct {
+	strMode       bool
+	keys          func(m *wmsg) *[]K
+	bounds        func(m *wmsg) (lo, hi K)
+	lookupBatch   func(*serve.Store, []K) []int
+	containsBatch func(*serve.Store, []K) []bool
+	insertDurable func(*serve.Store, ...K) error
+	countRange    func(st *serve.Store, lo, hi K) int
+	countFrom     func(st *serve.Store, lo K) int
+	scan          func(st *serve.Store, lo, hi K) *scan.Iterator[K]
+	scanFrom      func(st *serve.Store, lo K) *scan.Iterator[K]
+}
+
+var uint64Mode = keyMode[uint64]{
+	keys:          func(m *wmsg) *[]uint64 { return &m.keys },
+	bounds:        func(m *wmsg) (uint64, uint64) { return m.lo, m.hi },
+	lookupBatch:   (*serve.Store).LookupBatch,
+	containsBatch: (*serve.Store).ContainsBatch,
+	insertDurable: (*serve.Store).InsertDurable,
+	countRange:    (*serve.Store).CountRange,
+	countFrom:     (*serve.Store).CountFrom,
+	scan:          (*serve.Store).Scan,
+	scanFrom:      (*serve.Store).ScanFrom,
+}
+
+var stringMode = keyMode[string]{
+	strMode:       true,
+	keys:          func(m *wmsg) *[]string { return &m.strs },
+	bounds:        func(m *wmsg) (string, string) { return m.loS, m.hiS },
+	lookupBatch:   (*serve.Store).LookupBatchString,
+	containsBatch: (*serve.Store).ContainsBatchString,
+	insertDurable: (*serve.Store).InsertDurableString,
+	countRange:    (*serve.Store).CountRangeString,
+	countFrom:     (*serve.Store).CountFromString,
+	scan:          (*serve.Store).ScanString,
+	scanFrom:      (*serve.Store).ScanStringFrom,
+}
+
+// handler returns the request handler of a session in the given key mode.
+func (s *Server) handler(strMode bool) func(req, resp *wmsg) {
+	if strMode {
+		return func(req, resp *wmsg) { handle(s, &stringMode, req, resp) }
+	}
+	return func(req, resp *wmsg) { handle(s, &uint64Mode, req, resp) }
+}
+
 // handle executes one request against the store and fills resp, reusing
 // resp's slices. Store-level failures become respErr (connection stays
 // healthy); only wire-level failures kill the connection.
-func (s *Server) handle(req, resp *wmsg) {
-	strMode := req.strMode
-	s.m.keysIn.Add(int64(len(req.keys) + len(req.strs)))
+func handle[K Key](s *Server, km *keyMode[K], req, resp *wmsg) {
+	keys := *km.keys(req)
+	s.m.keysIn.Add(int64(len(keys)))
 	switch req.kind {
 	case msgLookupBatch:
-		resp.reset(msgPositions, strMode)
-		if strMode {
-			resp.pos = s.st.LookupBatchString(req.strs)
-		} else {
-			resp.pos = s.st.LookupBatch(req.keys)
-		}
+		resp.reset(msgPositions, km.strMode)
+		resp.pos = km.lookupBatch(s.st, keys)
 		resp.storeLen = uint64(s.st.Len())
 		s.m.keysOut.Add(int64(len(resp.pos)))
 	case msgContainsBatch:
-		resp.reset(msgBools, strMode)
-		if strMode {
-			resp.bools = s.st.ContainsBatchString(req.strs)
-		} else {
-			resp.bools = s.st.ContainsBatch(req.keys)
-		}
+		resp.reset(msgBools, km.strMode)
+		resp.bools = km.containsBatch(s.st, keys)
 		s.m.keysOut.Add(int64(len(resp.bools)))
 	case msgScan:
-		s.handleScan(req, resp)
+		handleScan(s, km, req, resp)
 	case msgCountRange:
 		var n int
-		if strMode {
-			if req.bounded {
-				n = s.st.CountRangeString(req.loS, req.hiS)
-			} else {
-				n = s.st.CountFromString(req.loS)
-			}
-		} else if req.bounded {
-			n = s.st.CountRange(req.lo, req.hi)
+		if lo, hi := km.bounds(req); req.bounded {
+			n = km.countRange(s.st, lo, hi)
 		} else {
-			n = s.st.CountRange(req.lo, ^uint64(0))
-			// The uint64 open-ended form means "through the maximum key";
-			// CountRange's exclusive hi cannot see ^uint64(0) itself.
-			if s.st.Contains(^uint64(0)) {
-				n++
-			}
+			n = km.countFrom(s.st, lo)
 		}
-		resp.reset(msgCount, strMode)
+		resp.reset(msgCount, km.strMode)
 		resp.count = uint64(n)
 	case msgInsert:
-		var err error
-		if strMode {
-			err = s.st.InsertDurableString(req.strs...)
-		} else {
-			err = s.st.InsertDurable(req.keys...)
-		}
-		if err != nil {
+		if err := km.insertDurable(s.st, keys...); err != nil {
 			s.m.errors.Inc()
-			resp.reset(msgErr, strMode)
+			resp.reset(msgErr, km.strMode)
 			resp.errMsg = err.Error()
 			return
 		}
-		resp.reset(msgOK, strMode)
+		resp.reset(msgOK, km.strMode)
 	case msgStatus:
 		fs, isFollower := s.st.FollowerStatus()
-		resp.reset(msgStatusInfo, strMode)
+		resp.reset(msgStatusInfo, km.strMode)
 		resp.follower = isFollower
 		resp.connected = fs.Connected
 		resp.applied = fs.AppliedSeq
@@ -398,7 +418,7 @@ func (s *Server) handle(req, resp *wmsg) {
 		resp.storeLen = uint64(s.st.Len())
 	default:
 		s.m.errors.Inc()
-		resp.reset(msgErr, strMode)
+		resp.reset(msgErr, km.strMode)
 		resp.errMsg = "server: unhandled request kind"
 	}
 }
@@ -407,51 +427,27 @@ func (s *Server) handle(req, resp *wmsg) {
 // plus a more flag when another key exists past the page (the server reads
 // one key beyond the page to know, without losing it — the client resumes
 // from successor(last key)).
-func (s *Server) handleScan(req, resp *wmsg) {
+func handleScan[K Key](s *Server, km *keyMode[K], req, resp *wmsg) {
 	limit := int(req.limit)
-	if limit <= 0 || limit > s.opt.MaxScanKeys {
-		limit = s.opt.MaxScanKeys
+	if limit <= 0 || limit > maxScanKeys {
+		limit = maxScanKeys
 	}
-	resp.reset(msgKeys, req.strMode)
-	if req.strMode {
-		var it *scan.Iterator[string]
-		if req.bounded {
-			it = s.st.ScanString(req.loS, req.hiS)
-		} else {
-			it = s.st.ScanStringFrom(req.loS)
-		}
-		for it.Next() {
-			if len(resp.strs) == limit {
-				resp.more = true
-				break
-			}
-			resp.strs = append(resp.strs, it.Key())
-		}
-		it.Close()
-		s.m.keysOut.Add(int64(len(resp.strs)))
-		return
+	resp.reset(msgKeys, km.strMode)
+	var it *scan.Iterator[K]
+	if lo, hi := km.bounds(req); req.bounded {
+		it = km.scan(s.st, lo, hi)
+	} else {
+		it = km.scanFrom(s.st, lo)
 	}
-	hi := ^uint64(0)
-	if req.bounded {
-		hi = req.hi
-	}
-	it := s.st.Scan(req.lo, hi)
+	page := *km.keys(resp)
 	for it.Next() {
-		if len(resp.keys) == limit {
+		if len(page) == limit {
 			resp.more = true
 			break
 		}
-		resp.keys = append(resp.keys, it.Key())
+		page = append(page, it.Key())
 	}
 	it.Close()
-	// Mirror the CountRange patch: the open-ended uint64 form includes the
-	// maximum key, which Scan's exclusive hi cannot reach.
-	if !req.bounded && !resp.more && s.st.Contains(^uint64(0)) {
-		if len(resp.keys) < limit {
-			resp.keys = append(resp.keys, ^uint64(0))
-		} else {
-			resp.more = true
-		}
-	}
-	s.m.keysOut.Add(int64(len(resp.keys)))
+	*km.keys(resp) = page
+	s.m.keysOut.Add(int64(len(page)))
 }

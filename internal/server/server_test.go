@@ -11,6 +11,7 @@ import (
 	"learnedindex/internal/core"
 	"learnedindex/internal/obs"
 	"learnedindex/internal/repl"
+	"learnedindex/internal/scan"
 	"learnedindex/internal/serve"
 )
 
@@ -315,4 +316,133 @@ func TestServerInflightBound(t *testing.T) {
 			t.Fatalf("worker: %v", err)
 		}
 	}
+}
+
+// openEndedCase is one store for TestServerOpenEndedRangeSeesBuffered:
+// served keys, keys left in the insert buffer, the mode's in-process
+// methods (the wire must agree with its CountFrom and ScanFrom), and a scan
+// page's resume key.
+type openEndedCase[K Key] struct {
+	served, buffered []K
+	los              []K // the open-ended ranges' low bounds
+	km               *keyMode[K]
+	open             func(keys []K, opt serve.Options) (*serve.Store, error)
+	insert           func(st *serve.Store, k K)
+	contains         func(st *serve.Store, k K) bool
+	succ             func(k K) K
+}
+
+// TestServerOpenEndedRangeSeesBuffered: an open-ended range ([lo, ∞), the
+// wire's bounded=false form) counts and pages through every key a scan
+// sees, buffered ones included, in both key modes and on both kinds of
+// store — the maximal uint64 key among them.
+func TestServerOpenEndedRangeSeesBuffered(t *testing.T) {
+	for _, persistent := range []bool{false, true} {
+		name := "memory"
+		if persistent {
+			name = "persistent"
+		}
+		opt := func(t *testing.T) serve.Options {
+			o := serve.Options{Shards: 2, MergeThreshold: 1 << 30} // drains only on Flush
+			if persistent {
+				o.Dir = t.TempDir()
+			}
+			return o
+		}
+		t.Run(name+"/uint64", func(t *testing.T) {
+			openEndedOracle(t, opt(t), openEndedCase[uint64]{
+				served:   []uint64{1, 2, 3},
+				buffered: []uint64{5, ^uint64(0)},
+				los:      []uint64{0, 3, 4, 6, ^uint64(0)},
+				km:       &uint64Mode,
+				open: func(keys []uint64, opt serve.Options) (*serve.Store, error) {
+					return serve.Open(keys, core.Config{}, opt)
+				},
+				insert:   (*serve.Store).Insert,
+				contains: (*serve.Store).Contains,
+				succ:     func(k uint64) uint64 { return k + 1 },
+			})
+		})
+		t.Run(name+"/string", func(t *testing.T) {
+			openEndedOracle(t, opt(t), openEndedCase[string]{
+				served:   []string{"a", "b", "c"},
+				buffered: []string{"e", "\xff\xff\xff\xff\xff\xff\xff\xff\xff"},
+				los:      []string{"", "c", "d", "f", "\xff\xff\xff\xff\xff\xff\xff\xff\xff"},
+				km:       &stringMode,
+				open: func(keys []string, opt serve.Options) (*serve.Store, error) {
+					return serve.OpenString(keys, core.Config{}, opt)
+				},
+				insert:   (*serve.Store).InsertString,
+				contains: (*serve.Store).ContainsString,
+				succ:     func(k string) string { return k + "\x00" },
+			})
+		})
+	}
+}
+
+func openEndedOracle[K Key](t *testing.T, opt serve.Options, c openEndedCase[K]) {
+	st, err := c.open(c.served, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	for _, k := range c.buffered {
+		c.insert(st, k)
+	}
+	for _, k := range c.buffered {
+		if c.contains(st, k) {
+			t.Fatalf("key %q served before a drain: the case needs it buffered", fmt.Sprint(k))
+		}
+	}
+	_, tr := startServer(t, st, Options{})
+	cl, err := Dial(tr, "node0", st.StringKeys(), ClientOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	all := append(slices.Clone(c.served), c.buffered...)
+	slices.Sort(all)
+	var zero K
+	for _, lo := range c.los {
+		want := all[:0:0]
+		for _, k := range all {
+			if k >= lo {
+				want = append(want, k)
+			}
+		}
+		n, err := countRange(cl, lo, zero, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if local := c.km.countFrom(st, lo); n != len(want) || local != len(want) {
+			t.Fatalf("count from %q: wire %d, in-process %d, want %d", fmt.Sprint(lo), n, local, len(want))
+		}
+		// Pages of one key: every page boundary is a resume from succ.
+		var got []K
+		for from := lo; ; {
+			page, more, err := ScanPage(cl, from, zero, false, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, page...)
+			if !more {
+				break
+			}
+			from = c.succ(page[len(page)-1])
+		}
+		if local := drain(c.km.scanFrom(st, lo)); !slices.Equal(got, want) || !slices.Equal(local, want) {
+			t.Fatalf("scan from %q: wire %v, in-process %v, want %v", fmt.Sprint(lo), got, local, want)
+		}
+	}
+}
+
+// drain collects what it streams and closes it.
+func drain[K Key](it *scan.Iterator[K]) []K {
+	defer it.Close()
+	var out []K
+	for it.Next() {
+		out = append(out, it.Key())
+	}
+	return out
 }

@@ -75,7 +75,7 @@ type wmsg struct {
 	strMode   bool
 	follower  bool     // serverHello, statusInfo
 	connected bool     // statusInfo: follower link up
-	bounded   bool     // scan/countRange: hi present (string mode can be open-ended)
+	bounded   bool     // scan/countRange: hi present; [lo, ∞) otherwise
 	more      bool     // keys: another page exists past the last key
 	lo, hi    uint64   // scan/countRange bounds, uint64 mode
 	loS, hiS  string   // scan/countRange bounds, string mode
@@ -181,8 +181,9 @@ func appendWmsg(dst []byte, m *wmsg) []byte {
 }
 
 // appendRange encodes a scan/count range: a bounded flag, the low bound,
-// and — only when bounded — the high bound. The open-ended form exists for
-// string mode, where there is no cheap "past every key" sentinel.
+// and — only when bounded — the high bound. The open-ended form is [lo, ∞)
+// in both key modes: no sentinel high bound can stand in for it, since an
+// exclusive one never reaches the maximal key.
 func appendRange(dst []byte, m *wmsg) []byte {
 	dst = binenc.AppendBool(dst, m.bounded)
 	if m.strMode {

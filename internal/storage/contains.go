@@ -83,7 +83,7 @@ var (
 			core.LookupBatch(plans, sel, probes, pos)
 		},
 		build: func(e *Engine, seqLo, seqHi uint64, keys []uint64) (*segment, error) {
-			return buildSegment(seqLo, seqHi, keys, e.opts.Config, e.opts.BloomFPR), nil
+			return buildSegment(seqLo, seqHi, keys, e.opts.Config, bloomFPR), nil
 		},
 		pool: &sync.Pool{New: func() any { return new(readScratch[uint64]) }},
 
@@ -109,7 +109,7 @@ var (
 			core.LookupBatchStrings(idx, sel, probes, pos)
 		},
 		build: func(e *Engine, seqLo, seqHi uint64, keys []string) (*segment, error) {
-			return buildStringSegment(seqLo, seqHi, keys, e.opts.Config, e.opts.BloomFPR)
+			return buildStringSegment(seqLo, seqHi, keys, e.opts.Config, bloomFPR)
 		},
 		pool: &sync.Pool{New: func() any { return new(readScratch[string]) }},
 

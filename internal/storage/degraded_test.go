@@ -128,7 +128,7 @@ func TestENOSPCDegradesToReadOnly(t *testing.T) {
 	// Every acked key stays visible on the scan plane: the failed flush's
 	// snapshot remains the flushing delta (Contains is segment-only by
 	// contract) and its frozen WAL stays on disk.
-	if got := e.CountRange(0, ^uint64(0)); got != len(keys) {
+	if got := e.CountRange(0, ^uint64(0), true); got != len(keys) {
 		t.Fatalf("degraded engine serves %d keys on the scan plane, want %d", got, len(keys))
 	}
 	sn := e.AcquireSnapshot()

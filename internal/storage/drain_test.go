@@ -434,7 +434,7 @@ func TestSnapshotOfResidentRunReleasesWithoutFilesystem(t *testing.T) {
 	if cur := residentOf(*e.segs.Load()); cur == pinned || cur.numKeys() != 4000 {
 		t.Fatalf("three drains left the resident run at %d keys", cur.numKeys())
 	}
-	if got := drainSnapshot(sn, 0, ^uint64(0)); !slices.Equal(got, want) {
+	if got := drainSnapshot(sn, 0, ^uint64(0), true); !slices.Equal(got, want) {
 		t.Fatalf("pinned view streams %d keys, captured %d", len(got), len(want))
 	}
 	var ops atomic.Int32
@@ -489,7 +489,7 @@ func TestDrainSpillENOSPCDegrades(t *testing.T) {
 	if !e.Contains(4) || e.Len() != 1000 {
 		t.Fatalf("the resident run stopped serving: Len=%d", e.Len())
 	}
-	if got := e.CountRange(0, ^uint64(0)); got != 1000+spillKeys {
+	if got := e.CountRange(0, ^uint64(0), true); got != 1000+spillKeys {
 		t.Fatalf("degraded engine shows %d keys on the scan plane, want %d", got, 1000+spillKeys)
 	}
 	ffs.SetHook(nil)
@@ -533,9 +533,9 @@ func checkSpilledFileIsOneStepWrite(t *testing.T) {
 		ref := t.TempDir()
 		var err error
 		if strMode {
-			_, err = writeStringSegment(vfs.OS, nil, ref, 0, 0, strKeysOf(all), e.opts.Config, e.opts.BloomFPR)
+			_, err = writeStringSegment(vfs.OS, nil, ref, 0, 0, strKeysOf(all), e.opts.Config, bloomFPR)
 		} else {
-			_, err = writeSegment(vfs.OS, nil, ref, 0, 0, all, e.opts.Config, e.opts.BloomFPR)
+			_, err = writeSegment(vfs.OS, nil, ref, 0, 0, all, e.opts.Config, bloomFPR)
 		}
 		if err != nil {
 			t.Fatal(err)

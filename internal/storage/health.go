@@ -131,12 +131,15 @@ func (e *Engine) retryIO(op func() error) error {
 	}
 }
 
-// Write backpressure: once the compactor owes more than bpDebt segments
-// of merge work, appenders briefly stall — kicking the compactor and
+// Write backpressure: once the compactor owes backpressureDebt segments of
+// merge work per CompactFanout (segments sitting in merge-eligible runs,
+// see compactionDebt), appenders briefly stall — kicking the compactor and
 // napping — instead of racing it further into debt. The wait is bounded
 // (budget below), so a stuck compactor slows writes rather than hanging
-// them.
+// them. Under NoCompactor nobody would relieve the pressure, so there is
+// none.
 const (
+	backpressureDebt   = 16
 	backpressureBase   = time.Millisecond
 	backpressureCap    = 20 * time.Millisecond
 	backpressureBudget = 150 * time.Millisecond
@@ -146,11 +149,12 @@ const (
 // at or above the threshold, up to the bounded budget. Called before mu
 // is taken (it sleeps).
 func (e *Engine) maybeBackpressure() {
-	if e.bpDebt <= 0 || e.opts.NoCompactor {
+	if e.opts.NoCompactor {
 		return
 	}
+	limit := backpressureDebt * e.opts.CompactFanout
 	// Debt counts segments, so a list shorter than the threshold is under it.
-	if segs := *e.segs.Load(); len(segs) < e.bpDebt || compactionDebt(segs, e.opts.CompactFanout) < e.bpDebt {
+	if segs := *e.segs.Load(); len(segs) < limit || compactionDebt(segs, e.opts.CompactFanout) < limit {
 		return
 	}
 	delay := backpressureBase
@@ -158,7 +162,7 @@ func (e *Engine) maybeBackpressure() {
 		e.kickCompactor()
 		e.m.backpressureWaits.Inc()
 		time.Sleep(delay)
-		if compactionDebt(*e.segs.Load(), e.opts.CompactFanout) < e.bpDebt {
+		if compactionDebt(*e.segs.Load(), e.opts.CompactFanout) < limit {
 			return
 		}
 		if delay *= 2; delay > backpressureCap {

@@ -47,12 +47,12 @@ func TestWrongKeyModePanics(t *testing.T) {
 		"Keys":                 func(e *Engine) func() { return func() { e.Keys() } },
 		"ReplSnapshot":         func(e *Engine) func() { return func() { e.ReplSnapshot() } },
 		"AcquireSnapshot":      func(e *Engine) func() { return func() { e.AcquireSnapshot().Release() } },
-		"AcquireSnapshotRange": func(e *Engine) func() { return func() { e.AcquireSnapshotRange(0, 9).Release() } },
-		"CountRange":           func(e *Engine) func() { return func() { e.CountRange(0, ^uint64(0)) } },
+		"AcquireSnapshotRange": func(e *Engine) func() { return func() { e.AcquireSnapshotRange(0, 9, true).Release() } },
+		"CountRange":           func(e *Engine) func() { return func() { e.CountRange(0, ^uint64(0), true) } },
 		"Snapshot.Contains":    func(e *Engine) func() { return withSnap(e, func(sn *Snapshot) { sn.Contains(1) }) },
-		"Snapshot.CountRange":  func(e *Engine) func() { return withSnap(e, func(sn *Snapshot) { sn.CountRange(0, 9) }) },
+		"Snapshot.CountRange":  func(e *Engine) func() { return withSnap(e, func(sn *Snapshot) { sn.CountRange(0, 9, true) }) },
 		"Snapshot.Pending":     func(e *Engine) func() { return withSnap(e, func(sn *Snapshot) { sn.Pending() }) },
-		"Snapshot.SegmentKeys": func(e *Engine) func() { return withSnap(e, func(sn *Snapshot) { sn.SegmentKeys(0, 0, 9) }) },
+		"Snapshot.SegmentKeys": func(e *Engine) func() { return withSnap(e, func(sn *Snapshot) { sn.SegmentKeys(0, 0, 9, true) }) },
 	}
 	strCalls := map[string]func(e *Engine) func(){
 		"AppendString":            func(e *Engine) func() { return func() { e.AppendString("x") } },

@@ -258,6 +258,10 @@ func decodeSegment(data []byte) ([]uint64, *core.RMI, *bloom.Filter, error) {
 	return keys, rmi, filter, nil
 }
 
+// bloomFPR is the false-positive rate every segment's Bloom filter is
+// built for.
+const bloomFPR = 0.01
+
 // buildSegment trains an RMI and Bloom filter over keys (sorted, unique,
 // non-empty) and returns the segment that serves them: complete in memory,
 // with no file yet (path == ""). commitSegment gives it one.

@@ -39,26 +39,26 @@ type Snapshot struct {
 
 var snapshotPool = sync.Pool{New: func() any { return new(Snapshot) }}
 
-// AcquireSnapshot pins the current served state plus the unflushed delta.
-// Pair every acquisition with exactly one Release.
+// AcquireSnapshot pins the current served state plus the whole unflushed
+// delta: AcquireSnapshotRange unbounded from the smallest key. Pair every
+// acquisition with exactly one Release.
 func (e *Engine) AcquireSnapshot() *Snapshot {
-	return e.AcquireSnapshotRange(0, ^uint64(0))
+	return e.AcquireSnapshotRange(0, 0, false)
 }
 
-// AcquireSnapshotRange is AcquireSnapshot restricted to the scan range
-// [lo, hi): the unflushed delta copy keeps only in-range keys, so the
-// capture's sort cost scales with delta∩range instead of the whole buffer
-// (the segment list is shared pointers either way). Keys >= hi are
-// invisible to the snapshot — the scan iterator's exclusive upper bound,
-// applied at capture.
-func (e *Engine) AcquireSnapshotRange(lo, hi uint64) *Snapshot {
-	return acquireSnapshot(planeOf[uint64](e), lo, hi, true)
+// AcquireSnapshotRange is AcquireSnapshot restricted to the scan range —
+// [lo, hi) when bounded, keys >= lo otherwise (hi is ignored): the
+// unflushed delta copy keeps only in-range keys, so the capture's sort
+// cost scales with delta∩range instead of the whole buffer (the segment
+// list is shared pointers either way). Keys outside the range are
+// invisible to the snapshot's delta — the scan iterator's bounds, applied
+// at capture.
+func (e *Engine) AcquireSnapshotRange(lo, hi uint64, bounded bool) *Snapshot {
+	return acquireSnapshot(planeOf[uint64](e), lo, hi, bounded)
 }
 
 // AcquireSnapshotRangeStr is AcquireSnapshotRange for a string-keyed
-// engine. Strings have no natural +∞, so the upper bound is explicit:
-// bounded restricts the view to [lo, hi), !bounded to keys >= lo (hi is
-// ignored).
+// engine.
 func (e *Engine) AcquireSnapshotRangeStr(lo, hi string, bounded bool) *Snapshot {
 	return acquireSnapshot(planeOf[string](e), lo, hi, bounded)
 }
@@ -162,14 +162,15 @@ func (sn *Snapshot) NumSegments() int { return len(sn.segs) }
 
 // SegmentKeys returns segment i's sorted key array plus its compiled plan
 // as the learned entry positioner when the segment's [min, max] key fence
-// overlaps [lo, hi), and (nil, nil) otherwise — the fence check is the scan
-// subsystem's data skipping: a pruned segment contributes nothing and costs
-// two comparisons. The array is the one point reads search; the scan layer
+// overlaps the scan range ([lo, hi) when bounded, keys >= lo otherwise),
+// and (nil, nil) otherwise — the fence check is the scan subsystem's data
+// skipping: a pruned segment contributes nothing and costs two
+// comparisons. The array is the one point reads search; the scan layer
 // wraps the pair in a scan.KeysCursor. Shared, read-only.
-func (sn *Snapshot) SegmentKeys(i int, lo, hi uint64) ([]uint64, scan.Positioner[uint64]) {
+func (sn *Snapshot) SegmentKeys(i int, lo, hi uint64, bounded bool) ([]uint64, scan.Positioner[uint64]) {
 	planeOf[uint64](sn.eng) // the mode check
 	s := sn.segs[i]
-	if hi <= s.minKey() || lo > s.maxKey() {
+	if (bounded && hi <= s.minKey()) || lo > s.maxKey() {
 		return nil, nil
 	}
 	return s.keys, s.plan
@@ -203,13 +204,12 @@ func (sn *Snapshot) Contains(key uint64) bool {
 }
 
 // CountRange returns the exact number of distinct keys k in [lo, hi)
-// across the snapshot. See countRange.
-func (sn *Snapshot) CountRange(lo, hi uint64) int {
-	return countRange(sn, planeOf[uint64](sn.eng).ops, lo, hi, true)
+// across the snapshot when bounded, keys >= lo otherwise. See countRange.
+func (sn *Snapshot) CountRange(lo, hi uint64, bounded bool) int {
+	return countRange(sn, planeOf[uint64](sn.eng).ops, lo, hi, bounded)
 }
 
-// CountRangeStr is CountRange for string keys: exact distinct-key count
-// over [lo, hi) when bounded, or keys >= lo otherwise.
+// CountRangeStr is CountRange for string keys.
 func (sn *Snapshot) CountRangeStr(lo, hi string, bounded bool) int {
 	return countRange(sn, planeOf[string](sn.eng).ops, lo, hi, bounded)
 }
@@ -252,8 +252,8 @@ func countRange[K cmp.Ordered](sn *Snapshot, ops *keyOps[K], lo, hi K, bounded b
 // CountRange is Snapshot.CountRange over a throwaway range-restricted
 // snapshot: the engine-level learned COUNT for callers that don't hold a
 // scan open.
-func (e *Engine) CountRange(lo, hi uint64) int {
-	return countFresh(planeOf[uint64](e), lo, hi, true)
+func (e *Engine) CountRange(lo, hi uint64, bounded bool) int {
+	return countFresh(planeOf[uint64](e), lo, hi, bounded)
 }
 
 // CountRangeStr is Engine.CountRange for string keys.

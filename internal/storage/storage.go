@@ -84,9 +84,6 @@ type Options struct {
 	// index. Leave StageSizes empty and each segment sizes its own stages
 	// (core's zero-Config rule).
 	Config core.Config
-	// BloomFPR is the per-segment Bloom filter false-positive rate
-	// (default 0.01).
-	BloomFPR float64
 	// CompactFanout is how many segments of one size class, contiguous but
 	// for smaller segments between them, trigger a merge (default 4;
 	// minimum 2). See pickRun.
@@ -116,18 +113,9 @@ type Options struct {
 	// file that rotted on disk from the in-memory image (see scrub.go).
 	// Zero disables the goroutine; Scrub can still be called explicitly.
 	ScrubInterval time.Duration
-	// BackpressureDebt is the compaction-debt threshold (segments sitting
-	// in merge-eligible runs, see compactionDebt) at which Append/Commit
-	// callers briefly stall to let the compactor catch up. 0 means the
-	// default (16x CompactFanout); negative disables backpressure.
-	// Ignored under NoCompactor — nobody would relieve the pressure.
-	BackpressureDebt int
 }
 
 func (o Options) withDefaults() Options {
-	if o.BloomFPR <= 0 || o.BloomFPR >= 1 {
-		o.BloomFPR = 0.01
-	}
 	if o.CompactFanout < 2 {
 		o.CompactFanout = 4
 	}
@@ -230,7 +218,6 @@ type Engine struct {
 	fs         vfs.FS
 	healthWord atomic.Int32 // Health, mirrored from err/degradedCause
 	quarCount  atomic.Int64 // *.quarantine files currently in dir
-	bpDebt     int          // backpressure threshold (0 = disabled)
 
 	// Replication export plane, guarded by mu (see repl.go). replSink
 	// receives frames as their fsync lands; replNext is the last stream
@@ -318,12 +305,6 @@ func Open(dir string, opts Options) (*Engine, error) {
 		fs:        opts.FS,
 		compactCh: make(chan struct{}, 1),
 		quit:      make(chan struct{}),
-	}
-	switch {
-	case opts.BackpressureDebt > 0:
-		e.bpDebt = opts.BackpressureDebt
-	case opts.BackpressureDebt == 0:
-		e.bpDebt = 16 * opts.CompactFanout
 	}
 	e.reg = opts.Reg
 	if e.reg == nil {

@@ -124,41 +124,20 @@ func TestStringEngineCrashRecovery(t *testing.T) {
 	if err := e.CommitStringBatch(committed); err != nil {
 		t.Fatal(err)
 	}
+	union := map[string]struct{}{}
+	for _, k := range append(slices.Clone(flushed), committed...) {
+		union[k] = struct{}{}
+	}
 
-	for _, torn := range []bool{false, true} {
-		crashDir := t.TempDir()
-		ents, err := os.ReadDir(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, ent := range ents {
-			data, err := os.ReadFile(filepath.Join(dir, ent.Name()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if torn && len(data) > 0 {
-				if _, ok := parseWALStrFileName(ent.Name()); ok {
-					data = append(data, []byte("torn-garbage\x01\x02")...)
-				}
-			}
-			if err := os.WriteFile(filepath.Join(crashDir, ent.Name()), data, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-		r := openT(t, crashDir, Options{StringKeys: true, NoCompactor: true})
-		union := map[string]struct{}{}
-		for _, k := range flushed {
-			union[k] = struct{}{}
-		}
-		for _, k := range committed {
-			union[k] = struct{}{}
-		}
+	for _, garbage := range [][]byte{nil, []byte("torn-garbage\x01\x02")} {
+		img := crashImage(t, dir, true, e.wal.size, garbage)
+		r := openT(t, img.dir, Options{StringKeys: true, NoCompactor: true})
 		if r.Len() != len(union) {
-			t.Fatalf("torn=%v: recovered Len=%d, want %d", torn, r.Len(), len(union))
+			t.Fatalf("garbage %q: recovered Len=%d, want %d", garbage, r.Len(), len(union))
 		}
 		for k := range union {
 			if !r.ContainsString(k) {
-				t.Fatalf("torn=%v: lost durable key %q", torn, k)
+				t.Fatalf("garbage %q: lost durable key %q", garbage, k)
 			}
 		}
 		if err := r.Close(); err != nil {

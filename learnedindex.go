@@ -102,9 +102,11 @@ type (
 	// with a Sync durability barrier and a group-committed InsertDurable
 	// (concurrent durable writers share one WAL frame and one fsync),
 	// learned segment files, crash recovery, and background compaction.
-	// Scan/ScanBatch stream any key range snapshot-consistently (see
-	// Iterator) and CountRange answers exact range counts by position
+	// Scan/ScanBatch stream any key range [lo, hi) snapshot-consistently
+	// (see Iterator) and CountRange answers exact range counts by position
 	// arithmetic — two compiled-plan lookups per layer, zero iteration.
+	// ScanFrom and CountFrom are their open-ended [lo, ∞) forms, the only
+	// ones that reach the maximal key.
 	Store = serve.Store
 	// StoreOptions sets the shard count and per-shard merge threshold,
 	// and — via Dir — switches the Store to the persistent storage engine.
