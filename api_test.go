@@ -42,7 +42,6 @@ func TestPublicAPICustomConfig(t *testing.T) {
 	cfg := learnedindex.Config{
 		Top:             learnedindex.TopMultivariate,
 		StageSizes:      []int{200},
-		Search:          learnedindex.SearchQuaternary,
 		HybridThreshold: 64,
 	}
 	idx := learnedindex.New(keys, cfg)

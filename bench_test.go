@@ -482,20 +482,6 @@ func BenchmarkNaiveBinarySearchWholeArray(b *testing.B) {
 
 // --- Ablations -----------------------------------------------------------
 
-// BenchmarkAblationSearchStrategies compares the §3.4 strategies on the
-// same trained index.
-func BenchmarkAblationSearchStrategies(b *testing.B) {
-	load()
-	for _, s := range []core.SearchKind{core.SearchModelBiased, core.SearchBinary, core.SearchQuaternary, core.SearchExponential} {
-		cfg := core.DefaultConfig(benchN / 2000)
-		cfg.Search = s
-		r := core.New(dWeb, cfg)
-		b.Run(s.String(), func(b *testing.B) {
-			benchLookups(b, dProbes["Web"], r.SizeBytes(), r.Lookup)
-		})
-	}
-}
-
 // BenchmarkAblationErrorBounds compares per-leaf error windows (stored
 // min/max per model, the paper's design) against a single global bound.
 func BenchmarkAblationErrorBounds(b *testing.B) {

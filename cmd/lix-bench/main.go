@@ -8,8 +8,8 @@
 // figure11, table1, appendixA, appendixE, compiled, searchshootout, all
 // (everything except the GRU-training path of figure10; add -gru to
 // include it). compiled and searchshootout go beyond the paper: compiled
-// is the devirtualized flat read path (core.Plan) vs the interpreted
-// model tree; searchshootout races the §3.4 last-mile strategies plus
+// times the devirtualized flat read path (core.Plan) per key and through
+// its batch kernel; searchshootout races the §3.4 last-mile strategies plus
 // branchless lower-bound search on identical precomputed windows. The
 // repo's own serving, storage, wire and replication planes are measured
 // by the benchmark module under benchmark/, not here.

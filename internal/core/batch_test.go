@@ -16,7 +16,7 @@ import (
 
 // assertKernelEquivalent runs the batch kernel over plans with the given
 // per-probe selectors and checks every answer against the per-key path of
-// the selected plan, bit for bit.
+// the selected plan, bit for bit, and against its sort.Search lower bound.
 func assertKernelEquivalent(t *testing.T, name string, plans []*Plan, sel []int32, probes []uint64) {
 	t.Helper()
 	pos := make([]int, len(probes))
@@ -30,6 +30,9 @@ func assertKernelEquivalent(t *testing.T, name string, plans []*Plan, sel []int3
 		}
 		if want := p.Lookup(k); pos[i] != want {
 			t.Fatalf("%s: LookupBatch[%d] (plan %v, key %d) = %d, Plan.Lookup = %d", name, i, sel, k, pos[i], want)
+		}
+		if want := oracle(p.keys, k); pos[i] != want {
+			t.Fatalf("%s: LookupBatch[%d] (plan %v, key %d) = %d, lower bound %d", name, i, sel, k, pos[i], want)
 		}
 		if want := p.Contains(k); has[i] != want {
 			t.Fatalf("%s: ContainsBatch[%d] (key %d) = %v, Plan.Contains = %v", name, i, k, has[i], want)
@@ -66,10 +69,11 @@ func kernelProbes(rng *rand.Rand, keysets [][]uint64, n int) (probes []uint64, s
 }
 
 // TestBatchKernelOracle is the batch kernel's contract: for any set of
-// plans — every SearchKind x TopKind, hybrid leaves, a multi-stage plan, the
-// self-sized zero Config, an empty plan, tiny plans — any selector and any probe order, LookupBatch
-// and ContainsBatch answer exactly what per-key Plan.Lookup and
-// Plan.Contains answer, at every batch size around the tile width.
+// plans — every TopKind on every dataset, hybrid leaves, a multi-stage
+// plan, the self-sized zero Config, an empty plan, tiny plans — any
+// selector and any probe order, LookupBatch and ContainsBatch answer
+// exactly what per-key Plan.Lookup and Plan.Contains answer, and the lower
+// bound, at every batch size around the tile width.
 func TestBatchKernelOracle(t *testing.T) {
 	var plans []*Plan
 	var keysets [][]uint64
@@ -78,17 +82,14 @@ func TestBatchKernelOracle(t *testing.T) {
 		keysets = append(keysets, keys)
 	}
 	datasets := allDatasets(6_000)
-	names := []string{"maps", "weblogs", "lognormal"}
-	i := 0
-	for _, sk := range []SearchKind{SearchModelBiased, SearchBinary, SearchQuaternary, SearchExponential} {
+	for _, name := range []string{"maps", "weblogs", "lognormal"} {
 		for _, top := range []TopKind{TopLinear, TopMultivariate, TopNN} {
 			cfg := DefaultConfig(40)
-			cfg.Search, cfg.Top = sk, top
+			cfg.Top = top
 			if top == TopNN {
 				cfg.Hidden = []int{8}
 			}
-			add(datasets[names[i%len(names)]], cfg)
-			i++
+			add(datasets[name], cfg)
 		}
 	}
 	hybrid := DefaultConfig(60)
@@ -142,7 +143,9 @@ func TestBatchKernelOracle(t *testing.T) {
 // Plan.Lookup and against sort.Search: the raw bytes become up to three
 // sorted unique key arrays (each its own plan — one of them possibly
 // empty), the probe bytes become probes and selectors, and every answer
-// must be the selected plan's true lower bound. It sits in core, not
+// must be the selected plan's true lower bound. A non-zero hybrid byte
+// trains with a HybridThreshold of 1–4, so leaves that fit worse become
+// B-Trees and the kernel's hybrid epilogue runs too. It sits in core, not
 // beside search.FuzzLowerBoundSearch, because search cannot import core.
 func FuzzBatchKernel(f *testing.F) {
 	f.Add([]byte{1, 0, 1, 0, 2, 0, 9, 0, 4, 1, 7, 3}, []byte{2, 0, 0, 9, 0, 1, 255, 255, 2}, uint8(2), uint8(0))
@@ -157,13 +160,29 @@ func FuzzBatchKernel(f *testing.F) {
 		above = append(above, byte(j), 0xff, byte(j))
 	}
 	f.Add([]byte{1, 0, 5, 0, 2, 0, 9, 0, 3, 0, 200, 0}, above, uint8(2), uint8(0))
+	// Hybrid leaves: every plan's keys are two clusters at opposite ends of
+	// the domain, which the one leaf fits with an error far above the
+	// threshold, so it becomes a B-Tree; the probes sweep the domain.
+	var skew, sweep []byte
+	for part := 0; part < 3; part++ {
+		for j := 0; j < 20; j++ {
+			skew = binary.LittleEndian.AppendUint16(skew, uint16(j))
+			skew = binary.LittleEndian.AppendUint16(skew, uint16(60_000+j))
+		}
+	}
+	for j := 0; j < 70; j++ {
+		sweep = append(binary.LittleEndian.AppendUint16(sweep, uint16(j*900)), byte(j))
+	}
+	f.Add(skew, sweep, uint8(0), uint8(1))
 
-	f.Fuzz(func(t *testing.T, raw, probeRaw []byte, leaves, searchKind uint8) {
+	f.Fuzz(func(t *testing.T, raw, probeRaw []byte, leaves, hybrid uint8) {
 		if len(raw) > 1<<12 || len(probeRaw) > 1<<11 {
 			t.Skip("keep training cheap")
 		}
 		cfg := DefaultConfig(int(leaves%16) + 1)
-		cfg.Search = SearchKind(searchKind % 4)
+		if hybrid != 0 {
+			cfg.HybridThreshold = int(hybrid%4) + 1
+		}
 		var plans []*Plan
 		var keysets [][]uint64
 		for part := 0; part < 3; part++ {

@@ -86,9 +86,9 @@ func TestNaiveInterpretedMatchesNative(t *testing.T) {
 	}
 }
 
-// TestRMILookupBatchSorted checks the amortized batch primitive against
-// per-key Lookup on uniform, lognormal, and adversarial (all-equal, empty,
-// out-of-range) ascending batches.
+// TestRMILookupBatchSorted runs ascending batches — uniform, lognormal and
+// adversarial (all-equal, empty, out-of-range up to 2^64−1) — through the
+// batch kernel, Plan.LookupBatch, and checks them against the lower bound.
 func TestRMILookupBatchSorted(t *testing.T) {
 	keys := data.LognormalPaper(50_000, 3)
 	r := New(keys, DefaultConfig(500))
@@ -106,10 +106,10 @@ func TestRMILookupBatchSorted(t *testing.T) {
 	for name, batch := range batches {
 		sort.Slice(batch, func(i, j int) bool { return batch[i] < batch[j] })
 		out := make([]int, len(batch))
-		r.LookupBatchSorted(batch, out)
+		r.Plan().LookupBatch(batch, out)
 		for i, k := range batch {
-			if want := r.Lookup(k); out[i] != want {
-				t.Fatalf("%s[%d]: batch Lookup(%d) = %d, per-key %d", name, i, k, out[i], want)
+			if want := oracle(keys, k); out[i] != want {
+				t.Fatalf("%s[%d]: batch Lookup(%d) = %d, lower bound %d", name, i, k, out[i], want)
 			}
 		}
 	}

@@ -8,12 +8,12 @@ import (
 	"learnedindex/internal/search"
 )
 
-// Plan is the compiled read path: the RMI's model tree lowered into a
-// flat inference plan. The interpreted path (RMI.lookupFrom) pays Go
-// interface dispatch on the top model, pointer-chases [][]linmod, and
-// branches on SearchKind at every lookup; the paper's §3.2 claim is that
-// an RMI lookup is nothing but a handful of multiply-adds plus a tiny
-// bounded search. Compile recovers that cost model:
+// Plan is the RMI's read path: the model tree lowered into a flat
+// inference plan, which answers every RMI.Lookup, Contains and RangeScan.
+// Walking the tree as trained would pay Go interface dispatch on the top
+// model and pointer-chase [][]linmod at every lookup; the paper's §3.2
+// claim is that an RMI lookup is nothing but a handful of multiply-adds
+// plus a tiny bounded search. Compile recovers that cost model:
 //
 //   - Top stage devirtualized: monomorphic fast paths for TopLinear and
 //     TopMultivariate (closure-free folded coefficients); only TopNN falls
@@ -26,23 +26,21 @@ import (
 //     compile time, so routing is a single FMA plus clamp, zero divides.
 //   - One last-mile search: every read, scalar or batched, runs a
 //     branchless bisection over the leaf's error window — a fixed
-//     log2(window) loads and no mispredict — whatever cfg.Search says;
-//     cfg.Search picks only the interpreted path's §3.4 strategy.
+//     log2(window) loads and no mispredict.
 //
 // Batches go through one kernel (LookupBatch, below): any set of plans, a
 // per-probe plan selector, probes in any order. It runs the models for a
 // 64-probe tile, then one lockstep branchless bisection across the tile —
 // whichever key array each probe lives in — so the tile's cache misses
 // overlap instead of queueing behind each other. The Plan methods
-// LookupBatch, LookupBatchSorted and ContainsBatch are its one-plan case;
-// the serving layer passes all its shards' plans at once.
+// LookupBatch and ContainsBatch are its one-plan case; the serving layer
+// passes all its shards' plans at once.
 //
-// A Plan is immutable and safe for concurrent use. Results are
-// bit-identical to the interpreted path under every SearchKind (pinned by
-// the equivalence oracle tests): every strategy resolves the true global
-// lower bound, and folded routing can only shift which leaf serves a
-// probe, never the answer — window expansion guarantees correctness from
-// any prediction.
+// A Plan is immutable and safe for concurrent use. Every read returns the
+// true global lower bound (pinned against sort.Search by the equivalence
+// oracle tests): folded routing can only shift which leaf serves a probe
+// relative to Predict, never the answer — window expansion guarantees
+// correctness from any prediction.
 type Plan struct {
 	keys []uint64
 	n    int
@@ -249,9 +247,9 @@ func (p *Plan) route(x float64) int {
 }
 
 // Lookup returns the lower-bound position of key — the index of the first
-// stored key >= key — with results bit-identical to RMI.Lookup. The window
-// is searched by the batch kernel's branchless bisection, with §3.4
-// expansion when the answer lies outside it.
+// stored key >= key, or Len() if all are smaller. The window is searched
+// by the batch kernel's branchless bisection, with §3.4 expansion when the
+// answer lies outside it.
 func (p *Plan) Lookup(key uint64) int {
 	if p.n == 0 {
 		return 0
@@ -301,11 +299,10 @@ func (p *Plan) Contains(key uint64) bool {
 }
 
 // RangeScan returns the position range [start, end) of stored keys k with
-// loKey <= k < hiKey: two compiled lower-bound lookups, bit-identical to
-// RMI.RangeScan. This is the scan subsystem's entry API — a streaming range
-// scan enters the key array at start instead of binary-searching for it,
-// and a learned COUNT over [loKey, hiKey) is just end-start with zero
-// iteration.
+// loKey <= k < hiKey: two compiled lower-bound lookups. This is the scan
+// subsystem's entry API — a streaming range scan enters the key array at
+// start instead of binary-searching for it, and a learned COUNT over
+// [loKey, hiKey) is just end-start with zero iteration.
 func (p *Plan) RangeScan(loKey, hiKey uint64) (start, end int) {
 	return p.Lookup(loKey), p.Lookup(hiKey)
 }
@@ -335,9 +332,8 @@ func tileSel(sel []int32, start, end int) []int32 {
 // for every probe, in probe order. len(sel) and len(out) must equal
 // len(probes); a nil sel sends every probe to plans[0]. Probes need no
 // order and no grouping by plan. Results are bit-identical to per-key
-// Lookup and to RMI.Lookup under every SearchKind: each resolves the true
-// global lower bound, and so does the kernel's lockstep window search plus
-// certificate/expansion epilogue.
+// Lookup: each resolves the true global lower bound, and so does the
+// kernel's lockstep window search plus certificate/expansion epilogue.
 func LookupBatch(plans []*Plan, sel []int32, probes []uint64, out []int) {
 	for start := 0; start < len(probes); start += batchTile {
 		end := min(start+batchTile, len(probes))
@@ -503,10 +499,6 @@ func (p *Plan) LookupBatch(probes []uint64, out []int) {
 	LookupBatch([]*Plan{p}, nil, probes, out)
 }
 
-// LookupBatchSorted is LookupBatch under the name ascending callers use;
-// the kernel neither needs nor exploits probe order.
-func (p *Plan) LookupBatchSorted(probes []uint64, out []int) { p.LookupBatch(probes, out) }
-
 // ContainsBatch reports membership for every probe (any order), writing
 // into out (len(out) must equal len(probes)).
 func (p *Plan) ContainsBatch(probes []uint64, out []bool) {
@@ -520,6 +512,5 @@ func (p *Plan) Len() int { return p.n }
 func (p *Plan) Keys() []uint64 { return p.keys }
 
 // SearchKind returns the search the plan runs: SearchBinary, the branchless
-// bisection, for every Config. Config.Search steers only the interpreted
-// RMI.Lookup.
+// bisection, for every Config.
 func (p *Plan) SearchKind() SearchKind { return SearchBinary }

@@ -2,28 +2,37 @@ package core
 
 import (
 	"math/rand"
-	"sort"
+	"slices"
 	"testing"
 
 	"learnedindex/internal/data"
 )
 
-// assertPlanEquivalent checks that the compiled plan answers bit-identically
-// to the interpreted RMI on every probe, through every entry point.
+// assertPlanEquivalent checks that the compiled plan answers the true
+// lower bound (sort.Search, oracle) on every probe, through every entry
+// point: per key, batched in probe order and batched ascending.
 func assertPlanEquivalent(t *testing.T, name string, r *RMI, probes []uint64) {
 	t.Helper()
 	p := r.Plan()
 	if p == nil {
 		t.Fatalf("%s: nil plan", name)
 	}
+	keys := r.Keys()
 	want := make([]int, len(probes))
 	for i, k := range probes {
-		want[i] = r.Lookup(k)
+		want[i] = oracle(keys, k)
 		if got := p.Lookup(k); got != want[i] {
-			t.Fatalf("%s: Plan.Lookup(%d) = %d, RMI.Lookup = %d", name, k, got, want[i])
+			t.Fatalf("%s: Plan.Lookup(%d) = %d, lower bound %d", name, k, got, want[i])
 		}
-		if got, exp := p.Contains(k), r.Contains(k); got != exp {
-			t.Fatalf("%s: Plan.Contains(%d) = %v, RMI.Contains = %v", name, k, got, exp)
+		if got := r.Lookup(k); got != want[i] {
+			t.Fatalf("%s: RMI.Lookup(%d) = %d, lower bound %d", name, k, got, want[i])
+		}
+		stored := want[i] < len(keys) && keys[want[i]] == k
+		if got := p.Contains(k); got != stored {
+			t.Fatalf("%s: Plan.Contains(%d) = %v, want %v", name, k, got, stored)
+		}
+		if got := r.Contains(k); got != stored {
+			t.Fatalf("%s: RMI.Contains(%d) = %v, want %v", name, k, got, stored)
 		}
 	}
 	// Batched, unsorted probe order.
@@ -37,38 +46,26 @@ func assertPlanEquivalent(t *testing.T, name string, r *RMI, probes []uint64) {
 	gotB := make([]bool, len(probes))
 	p.ContainsBatch(probes, gotB)
 	for i := range gotB {
-		if exp := r.Contains(probes[i]); gotB[i] != exp {
+		if exp := want[i] < len(keys) && keys[want[i]] == probes[i]; gotB[i] != exp {
 			t.Fatalf("%s: Plan.ContainsBatch[%d] (key %d) = %v, want %v", name, i, probes[i], gotB[i], exp)
 		}
 	}
-	// Batched, ascending probe order — against both the per-key oracle and
-	// the interpreted sorted-batch path.
-	sorted := append([]uint64(nil), probes...)
-	for i := 1; i < len(sorted); i++ { // insertion sort keeps the test dep-free
-		for j := i; j > 0 && sorted[j] < sorted[j-1]; j-- {
-			sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
-		}
-	}
-	wantSorted := make([]int, len(sorted))
-	r.LookupBatchSorted(sorted, wantSorted)
+	// Batched, ascending probe order.
+	sorted := slices.Clone(probes)
+	slices.Sort(sorted)
 	gotSorted := make([]int, len(sorted))
-	p.LookupBatchSorted(sorted, gotSorted)
+	p.LookupBatch(sorted, gotSorted)
 	for i := range gotSorted {
-		if gotSorted[i] != wantSorted[i] {
-			t.Fatalf("%s: Plan.LookupBatchSorted[%d] (key %d) = %d, want %d", name, i, sorted[i], gotSorted[i], wantSorted[i])
-		}
-		if perKey := r.Lookup(sorted[i]); wantSorted[i] != perKey {
-			t.Fatalf("%s: RMI.LookupBatchSorted[%d] (key %d) = %d, per-key %d", name, i, sorted[i], wantSorted[i], perKey)
+		if exp := oracle(keys, sorted[i]); gotSorted[i] != exp {
+			t.Fatalf("%s: ascending Plan.LookupBatch[%d] (key %d) = %d, want %d", name, i, sorted[i], gotSorted[i], exp)
 		}
 	}
 }
 
 // TestPlanEquivalenceOracle is the compiled-read-path contract: for every
-// dataset in the test corpus and every SearchKind/TopKind, Plan.Lookup and
-// the batch executors return bit-identical results to RMI.Lookup —
-// including hybrid B-Tree leaves falling back correctly.
+// dataset in the test corpus and every TopKind, Plan.Lookup and the batch
+// executors return the sort.Search lower bound.
 func TestPlanEquivalenceOracle(t *testing.T) {
-	searches := []SearchKind{SearchModelBiased, SearchBinary, SearchQuaternary, SearchExponential}
 	tops := []struct {
 		name   string
 		kind   TopKind
@@ -80,32 +77,27 @@ func TestPlanEquivalenceOracle(t *testing.T) {
 	}
 	for dsName, keys := range allDatasets(20_000) {
 		probes := probesFor(keys)
-		for _, sk := range searches {
-			for _, top := range tops {
-				cfg := DefaultConfig(150)
-				cfg.Search = sk
-				cfg.Top = top.kind
-				cfg.Hidden = top.hidden
-				r := New(keys, cfg)
-				assertPlanEquivalent(t, dsName+"/"+sk.String()+"/"+top.name, r, probes)
-			}
+		for _, top := range tops {
+			cfg := DefaultConfig(150)
+			cfg.Top = top.kind
+			cfg.Hidden = top.hidden
+			r := New(keys, cfg)
+			assertPlanEquivalent(t, dsName+"/"+top.name, r, probes)
 		}
 	}
 }
 
+// TestPlanEquivalenceHybrid: probes routed to B-Tree leaves fall back to
+// the hybrid descent and still answer the lower bound.
 func TestPlanEquivalenceHybrid(t *testing.T) {
 	keys := data.Weblogs(20_000, 1)
-	probes := probesFor(keys)
-	for _, sk := range []SearchKind{SearchModelBiased, SearchBinary, SearchQuaternary, SearchExponential} {
-		cfg := DefaultConfig(60)
-		cfg.Search = sk
-		cfg.HybridThreshold = 24
-		r := New(keys, cfg)
-		if r.NumHybrid() == 0 {
-			t.Fatalf("hybrid case built no B-Tree leaves; tighten the threshold")
-		}
-		assertPlanEquivalent(t, "hybrid/"+sk.String(), r, probes)
+	cfg := DefaultConfig(60)
+	cfg.HybridThreshold = 24
+	r := New(keys, cfg)
+	if r.NumHybrid() == 0 {
+		t.Fatalf("hybrid case built no B-Tree leaves; tighten the threshold")
 	}
+	assertPlanEquivalent(t, "hybrid", r, probesFor(keys))
 }
 
 func TestPlanEquivalenceMultiStage(t *testing.T) {
@@ -120,7 +112,7 @@ func TestPlanEquivalenceDecoded(t *testing.T) {
 	// A deserialized index must carry a working compiled plan (the
 	// "fast on first read" contract of the storage engine).
 	keys := data.LognormalPaper(15_000, 3)
-	cfg := Config{Top: TopMultivariate, StageSizes: []int{120}, Search: SearchQuaternary, HybridThreshold: 64, Seed: 1}
+	cfg := Config{Top: TopMultivariate, StageSizes: []int{120}, HybridThreshold: 64, Seed: 1}
 	r := New(keys, cfg)
 	enc, err := r.AppendBinary(nil)
 	if err != nil {
@@ -160,8 +152,8 @@ func TestPlanEmptyAndTiny(t *testing.T) {
 	}
 }
 
-// TestPlanQuickRandom mirrors the interpreted quick-check: random probes on
-// a random key set agree between plan and RMI (and thus the oracle).
+// TestPlanQuickRandom: random probes, most of them far outside the key
+// domain, batched over a non-multiple of the tile, answer the oracle.
 func TestPlanQuickRandom(t *testing.T) {
 	keys := data.Lognormal(10_000, 0, 2, 1_000_000_000, 5)
 	r := New(keys, DefaultConfig(64))
@@ -174,31 +166,27 @@ func TestPlanQuickRandom(t *testing.T) {
 	out := make([]int, len(batch))
 	p.LookupBatch(batch, out)
 	for i, k := range batch {
-		if want := r.Lookup(k); out[i] != want {
+		if want := oracle(keys, k); out[i] != want {
 			t.Fatalf("random batch: Plan[%d](%d) = %d, want %d", i, k, out[i], want)
 		}
 	}
 }
 
-// TestPlanRangeScan pins the scan-entry API: Plan.RangeScan agrees with
-// RMI.RangeScan and with sort.Search lower bounds on random ranges,
+// TestPlanRangeScan pins the scan-entry API: Plan.RangeScan and
+// RMI.RangeScan answer the sort.Search lower bounds on random ranges,
 // including empty, inverted, and out-of-domain ones.
 func TestPlanRangeScan(t *testing.T) {
 	keys := data.Lognormal(20_000, 0, 2, 1_000_000_000, 9)
 	r := New(keys, DefaultConfig(128))
 	p := r.Plan()
 	rng := rand.New(rand.NewSource(11))
-	lb := func(k uint64) int {
-		return sort.Search(len(keys), func(i int) bool { return keys[i] >= k })
-	}
 	check := func(lo, hi uint64) {
-		s, e := p.RangeScan(lo, hi)
-		rs, re := r.RangeScan(lo, hi)
-		if s != rs || e != re {
-			t.Fatalf("RangeScan(%d,%d): plan [%d,%d) vs rmi [%d,%d)", lo, hi, s, e, rs, re)
+		ws, we := oracle(keys, lo), oracle(keys, hi)
+		if s, e := p.RangeScan(lo, hi); s != ws || e != we {
+			t.Fatalf("Plan.RangeScan(%d,%d) = [%d,%d), want [%d,%d)", lo, hi, s, e, ws, we)
 		}
-		if ws, we := lb(lo), lb(hi); s != ws || e != we {
-			t.Fatalf("RangeScan(%d,%d) = [%d,%d), want [%d,%d)", lo, hi, s, e, ws, we)
+		if s, e := r.RangeScan(lo, hi); s != ws || e != we {
+			t.Fatalf("RMI.RangeScan(%d,%d) = [%d,%d), want [%d,%d)", lo, hi, s, e, ws, we)
 		}
 	}
 	check(0, ^uint64(0))

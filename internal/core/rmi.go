@@ -16,47 +16,11 @@ import (
 )
 
 // This file holds the RMI's configuration, its models and error
-// accumulators, and the interpreted read path. Training (Algorithm 1) is
-// in train_parallel.go: the top model and the zero Config's inner stage
-// fit on a sample, then every later stage is split into contiguous key
-// runs by bisection and fit run by run on a worker pool. The compiled read
-// path is plan.go.
-
-// SearchKind selects the interpreted path's last-mile search strategy
-// (§3.4): RMI.Lookup, LookupBatchSorted and the StringRMI run it. The
-// compiled Plan runs one branchless bisection whatever the kind, and
-// reports SearchBinary.
-type SearchKind int
-
-const (
-	// SearchModelBiased is the paper's default: binary search whose first
-	// middle point is the model prediction, restricted to the stored
-	// min/max error window.
-	SearchModelBiased SearchKind = iota
-	// SearchBinary is plain binary search over the error window.
-	SearchBinary
-	// SearchQuaternary is the biased quaternary search with initial probes
-	// at pos-σ, pos, pos+σ.
-	SearchQuaternary
-	// SearchExponential is exponential search outward from the prediction;
-	// it ignores the stored error bounds entirely.
-	SearchExponential
-)
-
-// String names the strategy for reports.
-func (s SearchKind) String() string {
-	switch s {
-	case SearchModelBiased:
-		return "model-biased"
-	case SearchBinary:
-		return "binary"
-	case SearchQuaternary:
-		return "quaternary"
-	case SearchExponential:
-		return "exponential"
-	}
-	return fmt.Sprintf("SearchKind(%d)", int(s))
-}
+// accumulators, and Predict, which runs the model tree as trained. Training
+// (Algorithm 1) is in train_parallel.go: the top model and the zero
+// Config's inner stage fit on a sample, then every later stage is split
+// into contiguous key runs by bisection and fit run by run on a worker
+// pool. Every lookup runs the compiled plan (plan.go).
 
 // TopKind selects the stage-1 model family (§3.3: "simple neural nets with
 // zero to two fully-connected hidden layers ... and a layer width of up to
@@ -100,10 +64,6 @@ type Config struct {
 	// count. Empty means sized by rule from the key count (innerCount,
 	// leafCount); the trained index reports what the rule chose.
 	StageSizes []int
-	// Search selects the interpreted path's last-mile strategy; the
-	// compiled Plan ignores it (see SearchKind). It is serialized with
-	// the model.
-	Search SearchKind
 	// HybridThreshold, when > 0, replaces leaf models whose max absolute
 	// error exceeds it with B-Trees (Algorithm 1 lines 11–14).
 	HybridThreshold int
@@ -119,12 +79,12 @@ type Config struct {
 	Seed int64
 }
 
-// DefaultConfig returns the paper's default 2-stage shape: linear top,
-// numLeaves linear leaf models, model-biased binary search. Like every
-// explicit StageSizes it trains exactly that shape; the zero Config is the
-// one that sizes itself (see innerCount and leafCount).
+// DefaultConfig returns the paper's default 2-stage shape: linear top and
+// numLeaves linear leaf models. Like every explicit StageSizes it trains
+// exactly that shape; the zero Config is the one that sizes itself (see
+// innerCount and leafCount).
 func DefaultConfig(numLeaves int) Config {
-	return Config{Top: TopLinear, StageSizes: []int{numLeaves}, Search: SearchModelBiased, Seed: 1}
+	return Config{Top: TopLinear, StageSizes: []int{numLeaves}, Seed: 1}
 }
 
 // linmod is a flattened linear model for inner and leaf stages; keeping it
@@ -240,7 +200,7 @@ type RMI struct {
 	nf     float64 // float64(len(keys))
 	// routeMul[s] is the precomputed ⌊M·f(x)/N⌋ routing multiplier
 	// float64(StageSizes[s])/nf, hoisted so neither training's stage loop
-	// nor the interpreted lookup path divides per routed key.
+	// nor Predict divides per routed key.
 	routeMul []float64
 	// plan is the compiled read path (see plan.go), built once after
 	// training or decoding.
@@ -502,8 +462,9 @@ func (ev *leafErrAcc) addRun(keys []uint64, lo, hi int, m linmod, g *globalErr) 
 	g.sum, g.max = gsum, gmax
 }
 
-// setErrors stores the accumulated error window, standard error (used by
-// biased quaternary search) and key count in lf.
+// setErrors stores the accumulated error window, standard error (§3.3's
+// leaf metadata, kept in the encoding; no uint64 search reads it) and key
+// count in lf.
 func (lf *leaf) setErrors(ev *leafErrAcc) {
 	lf.n = int32(ev.n)
 	if ev.n == 0 {
@@ -536,8 +497,11 @@ func (r *RMI) setGlobalErr(g globalErr) {
 
 // Predict runs only the model hierarchy (no search) and returns the
 // estimated position plus the leaf's error window [lo, hi) — the quantity
-// Figure 4's "Model (ns)" column times.
+// Figure 4's "Model (ns)" column times. An empty index predicts (0, 0, 0).
 func (r *RMI) Predict(key uint64) (pos, lo, hi int) {
+	if len(r.keys) == 0 {
+		return 0, 0, 0
+	}
 	x := float64(key)
 	idx := r.routeTo(x, len(r.cfg.StageSizes)-1)
 	lf := &r.leaves[idx]
@@ -553,78 +517,10 @@ func (r *RMI) Predict(key uint64) (pos, lo, hi int) {
 }
 
 // Lookup returns the lower-bound position of key: the index of the first
-// stored key >= key, or len(keys) if all are smaller. Correctness holds for
-// keys not in the stored set via search-window expansion (§3.4).
-func (r *RMI) Lookup(key uint64) int {
-	if len(r.keys) == 0 {
-		return 0
-	}
-	return r.lookupFrom(key, 0)
-}
-
-// LookupBatchSorted answers Lookup for every probe of an ascending batch,
-// writing lower-bound positions into out (which must have len(probes)).
-// Sorted probes buy two amortizations a per-key loop over an arbitrary
-// stream cannot have:
-//
-//   - Monotone results: each answer becomes a floor for the next search —
-//     a probe equal to its neighbor (or landing at the previous position)
-//     skips the model and search entirely, and every window is clipped
-//     from below by the previous result.
-//   - Locality: ascending probes touch the key array left-to-right, so
-//     the final searches hit warm cache lines instead of striding
-//     randomly across the array (measured ~6x per-lookup on 1M keys).
-//
-// Results are identical to calling Lookup per key.
-func (r *RMI) LookupBatchSorted(probes []uint64, out []int) {
-	n := len(r.keys)
-	floor := 0
-	for i, k := range probes {
-		if floor >= n {
-			out[i] = n // past the last key; so is the rest of the batch
-			continue
-		}
-		if r.keys[floor] >= k {
-			out[i] = floor // previous result already is the lower bound
-			continue
-		}
-		floor = r.lookupFrom(k, floor)
-		out[i] = floor
-	}
-}
-
-// lookupFrom is Lookup with a proven lower bound: the caller guarantees the
-// answer is >= floor, so the search window is clipped from below. floor=0
-// is the unconstrained case. len(r.keys) must be > 0.
-func (r *RMI) lookupFrom(key uint64, floor int) int {
-	n := len(r.keys)
-	x := float64(key)
-	idx := r.routeTo(x, len(r.cfg.StageSizes)-1)
-	lf := &r.leaves[idx]
-	if lf.btPos != nil {
-		return r.lookupHybrid(key, lf)
-	}
-	rawPred := int(lf.m.predict(x))
-	lo := rawPred + int(lf.minErr)
-	hi := rawPred + int(lf.maxErr) + 1
-	if lo < floor {
-		lo = floor
-	}
-	lo, hi = clampWindow(lo, hi, n)
-	pred := clampInt(rawPred, 0, n-1)
-	switch r.cfg.Search {
-	case SearchBinary:
-		return search.BoundedWithExpansion(r.keys, key, lo, hi)
-	case SearchQuaternary:
-		pos := search.BiasedQuaternary(r.keys, key, lo, hi, pred, int(lf.stdErr))
-		return verifyOrExpand(r.keys, key, pos, lo, hi)
-	case SearchExponential:
-		return search.Exponential(r.keys, key, n, pred)
-	default: // SearchModelBiased
-		pos := search.ModelBiasedBinary(r.keys, key, lo, hi, pred)
-		return verifyOrExpand(r.keys, key, pos, lo, hi)
-	}
-}
+// stored key >= key, or len(keys) if all are smaller. The compiled plan
+// answers it (see plan.go); keys not in the stored set are resolved by
+// search-window expansion (§3.4).
+func (r *RMI) Lookup(key uint64) int { return r.plan.Lookup(key) }
 
 // lookupHybrid answers a lookup routed to a B-Tree leaf; see hybridLookup.
 func (r *RMI) lookupHybrid(key uint64, lf *leaf) int {
@@ -674,8 +570,8 @@ func hybridLookup[K cmp.Ordered](keys []K, pos []int32, sep []K, pageSize int, k
 
 // verifyOrExpand checks whether a window-restricted result is globally
 // correct and re-searches with expansion when it sits incorrectly on the
-// window boundary (the §3.4 non-monotonic-model remedy). The interpreted
-// uint64 and string lookups share it.
+// window boundary (the §3.4 non-monotonic-model remedy). StringRMI runs it
+// after each of its window-restricted strategies.
 func verifyOrExpand[K cmp.Ordered](keys []K, key K, pos, lo, hi int) int {
 	n := len(keys)
 	if pos == lo && lo > 0 && keys[lo-1] >= key {
@@ -688,23 +584,18 @@ func verifyOrExpand[K cmp.Ordered](keys []K, key K, pos, lo, hi int) int {
 }
 
 // Contains reports whether key is stored.
-func (r *RMI) Contains(key uint64) bool {
-	p := r.Lookup(key)
-	return p < len(r.keys) && r.keys[p] == key
-}
+func (r *RMI) Contains(key uint64) bool { return r.plan.Contains(key) }
 
 // RangeScan returns the position range [start, end) of stored keys k with
 // loKey <= k < hiKey.
-func (r *RMI) RangeScan(loKey, hiKey uint64) (start, end int) {
-	return r.Lookup(loKey), r.Lookup(hiKey)
-}
+func (r *RMI) RangeScan(loKey, hiKey uint64) (start, end int) { return r.plan.RangeScan(loKey, hiKey) }
 
 // Keys returns the indexed array.
 func (r *RMI) Keys() []uint64 { return r.keys }
 
 // Plan returns the compiled read path: the flat inference plan built from
-// this index at training (or decode) time. Bit-identical results to Lookup
-// at a fraction of the dispatch cost; see plan.go.
+// this index at training (or decode) time, which Lookup, Contains and
+// RangeScan run; see plan.go.
 func (r *RMI) Plan() *Plan { return r.plan }
 
 // NumLeaves returns the last-stage model count.

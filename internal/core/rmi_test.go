@@ -41,16 +41,24 @@ func TestRMILookupMatchesOracleAllDatasets(t *testing.T) {
 	}
 }
 
+// TestRMIAllSearchStrategies checks the uint64 RMI's one last-mile
+// search: whatever the Config, the plan runs its branchless bisection
+// (reported as SearchBinary), and Lookup and Contains resolve the lower
+// bound through it for stored, missing and boundary probes.
 func TestRMIAllSearchStrategies(t *testing.T) {
 	keys := data.Lognormal(30_000, 0, 2, 1_000_000_000, 1)
-	for _, s := range []SearchKind{SearchModelBiased, SearchBinary, SearchQuaternary, SearchExponential} {
-		cfg := DefaultConfig(200)
-		cfg.Search = s
+	for name, cfg := range map[string]Config{"default": DefaultConfig(200), "zero": {}} {
 		r := New(keys, cfg)
+		if got := r.Plan().SearchKind(); got != SearchBinary {
+			t.Fatalf("%s: plan search = %v, want %v", name, got, SearchBinary)
+		}
 		for _, p := range probesFor(keys) {
 			want := oracle(keys, p)
 			if got := r.Lookup(p); got != want {
-				t.Fatalf("search=%v: Lookup(%d) = %d, want %d", s, p, got, want)
+				t.Fatalf("%s: Lookup(%d) = %d, want %d", name, p, got, want)
+			}
+			if got, want := r.Contains(p), want < len(keys) && keys[want] == p; got != want {
+				t.Fatalf("%s: Contains(%d) = %v, want %v", name, p, got, want)
 			}
 		}
 	}
@@ -152,11 +160,16 @@ func TestRMIErrorBoundsHoldForStoredKeys(t *testing.T) {
 }
 
 func TestRMIEmptyAndTiny(t *testing.T) {
-	r := New(nil, DefaultConfig(4))
-	if r.Lookup(5) != 0 {
-		t.Fatal("empty lookup")
+	for _, cfg := range []Config{DefaultConfig(16), {}} {
+		r := New(nil, cfg)
+		if r.Lookup(5) != 0 || r.Contains(5) {
+			t.Fatalf("empty lookup under %+v", cfg)
+		}
+		if pos, lo, hi := r.Predict(5); pos != 0 || lo != 0 || hi != 0 {
+			t.Fatalf("empty Predict under %+v = (%d, %d, %d), want (0, 0, 0)", cfg, pos, lo, hi)
+		}
 	}
-	r = New([]uint64{9}, DefaultConfig(4))
+	r := New([]uint64{9}, DefaultConfig(4))
 	if r.Lookup(3) != 0 || r.Lookup(9) != 0 || r.Lookup(100) != 1 {
 		t.Fatal("single-key lookups wrong")
 	}

@@ -42,7 +42,7 @@ func (r *RMI) AppendBinary(b []byte) ([]byte, error) {
 	for _, s := range r.cfg.StageSizes {
 		b = binenc.AppendUvarint(b, uint64(s))
 	}
-	b = binenc.AppendUvarint(b, uint64(r.cfg.Search))
+	b = binenc.AppendUvarint(b, 0) // retired search slot; see DecodeRMI
 	b = binenc.AppendVarint(b, int64(r.cfg.HybridThreshold))
 	b = binenc.AppendVarint(b, int64(r.cfg.HybridPageSize))
 	b = binenc.AppendVarint(b, int64(r.cfg.SubsampleTop))
@@ -130,7 +130,10 @@ func DecodeRMI(enc []byte, keys []uint64) (*RMI, error) {
 	for i := 0; i < ns; i++ {
 		r.cfg.StageSizes = append(r.cfg.StageSizes, int(rd.Uvarint()))
 	}
-	r.cfg.Search = SearchKind(rd.Uvarint())
+	// The retired search slot: encoders before the compiled plan became
+	// the only read path stored a per-index search strategy here. Any
+	// value decodes; the plan runs one search whatever it says.
+	_ = rd.Uvarint()
 	r.cfg.HybridThreshold = int(rd.Varint())
 	r.cfg.HybridPageSize = int(rd.Varint())
 	r.cfg.SubsampleTop = int(rd.Varint())
@@ -157,9 +160,11 @@ func DecodeRMI(enc []byte, keys []uint64) (*RMI, error) {
 	r.top = top
 
 	// Inner stages: counts must mirror StageSizes[:last] exactly — routeTo
-	// indexes r.stages[s-1][idx] with idx < StageSizes[s-1].
+	// indexes r.stages[s-1][idx] with idx < StageSizes[s-1] — except for
+	// the empty-index shape: New over zero keys trains no inner stage, even
+	// when the zero Config's rule recorded one, and nothing routes.
 	nInner := rd.Count(maxStages, 1)
-	if nInner != ns-1 {
+	if nInner != ns-1 && (len(keys) > 0 || nInner != 0) {
 		return nil, binenc.ErrCorrupt
 	}
 	for s := 0; s < nInner; s++ {
@@ -177,7 +182,7 @@ func DecodeRMI(enc []byte, keys []uint64) (*RMI, error) {
 
 	// Leaves: the count must match the last stage size, except for the
 	// empty-index shape (New over zero keys builds a single leaf regardless
-	// of StageSizes; Lookup then short-circuits before routing).
+	// of StageSizes; Lookup and Predict then short-circuit before routing).
 	nLeaves := rd.Count(len(enc), 16)
 	if len(keys) == 0 {
 		if nLeaves < 1 {

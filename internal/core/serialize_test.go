@@ -1,12 +1,15 @@
 package core
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
 
+	"learnedindex/internal/binenc"
 	"learnedindex/internal/data"
 )
 
@@ -67,10 +70,10 @@ func TestRMISerializeRoundTrip(t *testing.T) {
 
 	cases := map[string]Config{
 		"linear-default": DefaultConfig(400),
-		"multivariate":   {Top: TopMultivariate, StageSizes: []int{200}, Search: SearchQuaternary, Seed: 1},
-		"nn-top":         {Top: TopNN, Hidden: []int{8}, StageSizes: []int{100}, Search: SearchBinary, Seed: 1, SubsampleTop: 20_000},
-		"hybrid":         {Top: TopLinear, StageSizes: []int{50}, Search: SearchModelBiased, HybridThreshold: 8, HybridPageSize: 16, Seed: 1},
-		"multi-stage":    {Top: TopLinear, StageSizes: []int{8, 64, 400}, Search: SearchExponential, Seed: 1},
+		"multivariate":   {Top: TopMultivariate, StageSizes: []int{200}, Seed: 1},
+		"nn-top":         {Top: TopNN, Hidden: []int{8}, StageSizes: []int{100}, Seed: 1, SubsampleTop: 20_000},
+		"hybrid":         {Top: TopLinear, StageSizes: []int{50}, HybridThreshold: 8, HybridPageSize: 16, Seed: 1},
+		"multi-stage":    {Top: TopLinear, StageSizes: []int{8, 64, 400}, Seed: 1},
 	}
 	for name, cfg := range cases {
 		r := New(keys, cfg)
@@ -80,11 +83,54 @@ func TestRMISerializeRoundTrip(t *testing.T) {
 		assertIdentical(t, name, r, roundTrip(t, r), probes)
 	}
 
-	// Empty index: New(nil) has a degenerate one-leaf shape.
-	empty := New(nil, DefaultConfig(16))
-	dec := roundTrip(t, empty)
-	if dec.Lookup(42) != 0 || len(dec.Keys()) != 0 {
-		t.Fatal("empty index did not round-trip")
+	// Empty index: New(nil) has a degenerate one-leaf shape, and under the
+	// zero Config it records an inner stage it never trains.
+	for _, cfg := range []Config{{}, DefaultConfig(16)} {
+		empty := New(nil, cfg)
+		dec := roundTrip(t, empty)
+		if dec.Lookup(42) != 0 || len(dec.Keys()) != 0 {
+			t.Fatalf("empty index under %+v did not round-trip", cfg)
+		}
+		assertIdentical(t, "empty", empty, dec, []uint64{0, 42, ^uint64(0)})
+	}
+}
+
+// TestRMIRetiredSearchSlotDecodes pins compatibility with encodings that
+// stored a per-index search strategy: the slot right after the stage sizes
+// decodes whatever it holds, to the same index as slot 0.
+func TestRMIRetiredSearchSlotDecodes(t *testing.T) {
+	keys := data.LognormalPaper(20_000, 5)
+	cfg := Config{Top: TopLinear, StageSizes: []int{8, 200}, HybridThreshold: 16, Seed: 1}
+	r := New(keys, cfg)
+	enc, err := r.AppendBinary(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The header up to the slot: version, key count, top kind, hidden
+	// widths, stage sizes.
+	hdr := binenc.AppendUvarint(nil, rmiFormatVersion)
+	hdr = binenc.AppendUvarint(hdr, uint64(len(keys)))
+	hdr = binenc.AppendUvarint(hdr, uint64(cfg.Top))
+	hdr = binenc.AppendUvarint(hdr, 0)
+	hdr = binenc.AppendUvarint(hdr, uint64(len(cfg.StageSizes)))
+	for _, s := range cfg.StageSizes {
+		hdr = binenc.AppendUvarint(hdr, uint64(s))
+	}
+	slot := len(hdr)
+	if !bytes.Equal(enc[:slot], hdr) || enc[slot] != 0 {
+		t.Fatalf("encoding does not start with the expected header and a zero search slot")
+	}
+	probes := append(data.SampleExisting(keys, 1000, 6), data.SampleMissing(keys, 1000, 7)...)
+	probes = append(probes, 0, ^uint64(0))
+	base := roundTrip(t, r)
+	for _, v := range []byte{1, 2, 3} {
+		old := bytes.Clone(enc)
+		old[slot] = v
+		dec, err := DecodeRMI(old, keys)
+		if err != nil {
+			t.Fatalf("search slot %d: %v", v, err)
+		}
+		assertIdentical(t, fmt.Sprintf("search slot %d", v), base, dec, probes)
 	}
 }
 

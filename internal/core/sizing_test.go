@@ -116,7 +116,7 @@ const (
 // serving plane. For every key shape and size: the rule trains
 // [innerCount leafCount], a stored key's last-mile window meets the target
 // above, the plan costs at most 0.1 B/key from 64k keys up, the batch kernel
-// agrees with the interpreted path, and both trainers produce the same
+// answers the sort.Search lower bound, and both trainers produce the same
 // bytes.
 //
 // Two shapes do NOT meet the window target, and both are the shapes the
@@ -182,8 +182,8 @@ func TestZeroConfigSizingContract(t *testing.T) {
 				out := make([]int, len(probes))
 				r.Plan().LookupBatch(probes, out)
 				for i, k := range probes {
-					if want := r.Lookup(k); out[i] != want {
-						t.Fatalf("Plan.LookupBatch(%d) = %d, RMI.Lookup = %d", k, out[i], want)
+					if want := oracle(keys, k); out[i] != want {
+						t.Fatalf("Plan.LookupBatch(%d) = %d, lower bound %d", k, out[i], want)
 					}
 				}
 

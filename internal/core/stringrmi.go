@@ -1,11 +1,47 @@
 package core
 
 import (
+	"fmt"
 	"math"
 
 	"learnedindex/internal/ml"
 	"learnedindex/internal/search"
 )
+
+// SearchKind names a §3.4 last-mile search strategy. StringRMI runs the
+// one its StringConfig selects; the uint64 RMI's compiled Plan runs one
+// branchless bisection and reports SearchBinary.
+type SearchKind int
+
+const (
+	// SearchModelBiased is the paper's default: binary search whose first
+	// middle point is the model prediction, restricted to the stored
+	// min/max error window.
+	SearchModelBiased SearchKind = iota
+	// SearchBinary is plain binary search over the error window.
+	SearchBinary
+	// SearchQuaternary is the biased quaternary search with initial probes
+	// at pos-σ, pos, pos+σ.
+	SearchQuaternary
+	// SearchExponential is exponential search outward from the prediction;
+	// it ignores the stored error bounds entirely.
+	SearchExponential
+)
+
+// String names the strategy for reports.
+func (s SearchKind) String() string {
+	switch s {
+	case SearchModelBiased:
+		return "model-biased"
+	case SearchBinary:
+		return "binary"
+	case SearchQuaternary:
+		return "quaternary"
+	case SearchExponential:
+		return "exponential"
+	}
+	return fmt.Sprintf("SearchKind(%d)", int(s))
+}
 
 // StringConfig specifies a string RMI (§3.5, Figure 6).
 type StringConfig struct {

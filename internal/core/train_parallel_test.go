@@ -19,10 +19,10 @@ func TestParallelTrainerBitIdentical(t *testing.T) {
 	keys := data.LognormalPaper(60_000, 17)
 	cases := map[string]Config{
 		"linear-default": DefaultConfig(500),
-		"multivariate":   {Top: TopMultivariate, StageSizes: []int{300}, Search: SearchQuaternary, Seed: 1},
-		"nn-top":         {Top: TopNN, Hidden: []int{8}, StageSizes: []int{120}, Search: SearchBinary, Seed: 1, SubsampleTop: 20_000},
-		"hybrid":         {Top: TopLinear, StageSizes: []int{60}, Search: SearchModelBiased, HybridThreshold: 8, HybridPageSize: 16, Seed: 1},
-		"multi-stage":    {Top: TopLinear, StageSizes: []int{8, 64, 500}, Search: SearchExponential, Seed: 1},
+		"multivariate":   {Top: TopMultivariate, StageSizes: []int{300}, Seed: 1},
+		"nn-top":         {Top: TopNN, Hidden: []int{8}, StageSizes: []int{120}, Seed: 1, SubsampleTop: 20_000},
+		"hybrid":         {Top: TopLinear, StageSizes: []int{60}, HybridThreshold: 8, HybridPageSize: 16, Seed: 1},
+		"multi-stage":    {Top: TopLinear, StageSizes: []int{8, 64, 500}, Seed: 1},
 		"zero-config":    {},                    // sized by rule: the inner stage is fit on the top's sample
 		"zero-strided":   {SubsampleTop: 5_000}, // the same with a strided sample, as above 200k keys
 	}

@@ -184,10 +184,10 @@ func matchPerKey(t testing.TB, keys []uint64, cfg Config, workers int) *RMI {
 func TestRunTrainerMatchesPerKey(t *testing.T) {
 	configs := map[string]Config{ // TestParallelTrainerBitIdentical's table
 		"linear-default": DefaultConfig(500),
-		"multivariate":   {Top: TopMultivariate, StageSizes: []int{300}, Search: SearchQuaternary, Seed: 1},
-		"nn-top":         {Top: TopNN, Hidden: []int{8}, StageSizes: []int{120}, Search: SearchBinary, Seed: 1, SubsampleTop: 20_000},
-		"hybrid":         {Top: TopLinear, StageSizes: []int{60}, Search: SearchModelBiased, HybridThreshold: 8, HybridPageSize: 16, Seed: 1},
-		"multi-stage":    {Top: TopLinear, StageSizes: []int{8, 64, 500}, Search: SearchExponential, Seed: 1},
+		"multivariate":   {Top: TopMultivariate, StageSizes: []int{300}, Seed: 1},
+		"nn-top":         {Top: TopNN, Hidden: []int{8}, StageSizes: []int{120}, Seed: 1, SubsampleTop: 20_000},
+		"hybrid":         {Top: TopLinear, StageSizes: []int{60}, HybridThreshold: 8, HybridPageSize: 16, Seed: 1},
+		"multi-stage":    {Top: TopLinear, StageSizes: []int{8, 64, 500}, Seed: 1},
 		"zero-config":    {},
 		"zero-strided":   {SubsampleTop: 5_000},
 	}

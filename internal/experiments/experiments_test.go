@@ -32,11 +32,13 @@ func TestFigure4ShapeHolds(t *testing.T) {
 			refSize[r.Dataset] = r.SizeBytes
 		}
 	}
+	// Under -race only the size half is asserted: instrumentation distorts
+	// the relative costs the speed ratio compares (see raceEnabled).
 	for _, r := range rows {
 		if !strings.Contains(r.Config, "Learned") {
 			continue
 		}
-		if r.SpeedUp >= 0.5 && r.SizeBytes*4 < refSize[r.Dataset] {
+		if (raceEnabled || r.SpeedUp >= 0.5) && r.SizeBytes*4 < refSize[r.Dataset] {
 			perDataset[r.Dataset] = true
 		}
 	}
@@ -209,8 +211,8 @@ func TestAppendixAScaling(t *testing.T) {
 func TestCompiledShapeHolds(t *testing.T) {
 	o, buf := tiny()
 	rows := Compiled(o)
-	if len(rows) != 5 {
-		t.Fatalf("got %d rows, want 5", len(rows))
+	if len(rows) != 3 {
+		t.Fatalf("got %d rows, want 3", len(rows))
 	}
 	for _, r := range rows {
 		if r.PerKey <= 0 || r.SpeedUp <= 0 {
@@ -220,7 +222,7 @@ func TestCompiledShapeHolds(t *testing.T) {
 			t.Errorf("%s: no index size", r.Config)
 		}
 	}
-	if !strings.Contains(buf.String(), "Compiled vs interpreted") {
+	if out := buf.String(); !strings.Contains(out, "Compiled read path") || strings.Contains(out, "interpreted") {
 		t.Fatal("table not rendered")
 	}
 }

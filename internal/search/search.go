@@ -19,10 +19,12 @@
 //     stored error bounds ("assuming a normal distributed error", §3.4).
 //   - Interpolation: used inside the fixed-size B-Tree baseline (Figure 5).
 //
-// Binary, ModelBiasedBinary, BiasedQuaternary and BoundedWithExpansion are
-// generic over any ordered key, so the string RMI (§3.5) runs the same code
-// as the uint64 one; Go stencils them per key shape, so the uint64 compare
-// stays one instruction. Interpolation and Interpolated do arithmetic on
+// The compiled uint64 RMI runs BranchlessWithExpansion only; the string
+// RMI (§3.5) selects one of the paper's strategies per index, and the
+// experiments race them all on uint64 keys. Binary, ModelBiasedBinary,
+// BiasedQuaternary and BoundedWithExpansion are generic over any ordered
+// key, so both key shapes run the same code; Go stencils them per key
+// shape, so the uint64 compare stays one instruction. Interpolation and Interpolated do arithmetic on
 // key values, and Exponential and the branchless loops have only uint64
 // callers: those stay uint64-only.
 package search

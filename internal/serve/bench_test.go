@@ -42,16 +42,17 @@ func BenchmarkPerKeyLookup(b *testing.B) {
 	_ = sink
 }
 
-// BenchmarkRMIBatchSorted: the amortized batch primitive alone on a
+// BenchmarkRMIBatchSorted: the one-plan batch kernel alone on a
 // pre-sorted batch (no sharding, no sort, no result mapping).
 func BenchmarkRMIBatchSorted(b *testing.B) {
 	benchSetup()
 	sorted := append([]uint64(nil), bProbes[:512]...)
 	slices.Sort(sorted)
 	out := make([]int, len(sorted))
+	p := bRMI.Plan()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		bRMI.LookupBatchSorted(sorted, out)
+		p.LookupBatch(sorted, out)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(sorted)), "ns/key")
 }

@@ -58,17 +58,18 @@ type (
 	// models that predicts a key's position with per-leaf min/max error
 	// bounds, corrected by a local search.
 	RMI = core.RMI
-	// Plan is the compiled read path: the RMI's model tree lowered into a
-	// flat, devirtualized inference plan with one branchless last-mile
-	// search and a lockstep batch kernel. Built automatically by New and on deserialization;
-	// retrieve it with RMI.Plan(). Results are bit-identical to the
-	// interpreted RMI methods.
+	// Plan is the RMI's read path: the model tree lowered into a flat,
+	// devirtualized inference plan with one branchless last-mile search
+	// and a lockstep batch kernel. Built automatically by New and on
+	// deserialization; RMI.Lookup, Contains and RangeScan run it, and
+	// RMI.Plan() returns it for batch lookups.
 	Plan = core.Plan
-	// Config specifies an RMI: stage-1 model family, stage sizes, search
-	// strategy and hybrid threshold (Algorithm 1's inputs).
+	// Config specifies an RMI: stage-1 model family, stage sizes and
+	// hybrid threshold (Algorithm 1's inputs).
 	Config = core.Config
-	// SearchKind selects the interpreted RMI's last-mile search strategy
-	// (§3.4); the compiled Plan runs one branchless search for every kind.
+	// SearchKind names a §3.4 last-mile search strategy: StringConfig
+	// selects one for a StringRMI; the uint64 RMI's Plan runs one
+	// branchless search.
 	SearchKind = core.SearchKind
 	// TopKind selects the stage-1 model family (§3.3).
 	TopKind = core.TopKind
