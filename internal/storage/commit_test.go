@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -403,5 +404,156 @@ func TestCohortSyncOutlivesFreezeAndClose(t *testing.T) {
 	defer re.Close()
 	if got := re.Keys(); !slices.Equal(got, []uint64{1, 2}) {
 		t.Fatalf("reopen serves %v, want [1 2]", got)
+	}
+}
+
+// commitCohortAcrossReservation commits three batches as one cohort whose
+// frame crosses the end of the log's first reserved extent. A first commit's
+// fsync is held in the filesystem until the three have queued behind it, so
+// the next leader frames them together. It returns the engine, the first
+// commit's error, the three committers' errors, and how many log fsyncs and
+// reservations ran from the release of the held fsync on; with failSync
+// every one of those fsyncs fails.
+func commitCohortAcrossReservation(t *testing.T, dir string, failSync bool) (e *Engine, first error, errs []error, syncs, allocs int64) {
+	ffs := vfs.NewFaultFS(newCrashFS(t), vfs.FaultConfig{})
+	e = openT(t, dir, Options{FS: ffs, NoCompactor: true})
+	t.Cleanup(func() { e.Close() })
+	if err := e.Commit(1, 2, 3); err != nil {
+		t.Fatal(err)
+	}
+	var counting atomic.Bool
+	var nsync, nalloc atomic.Int64
+	at, gate := make(chan struct{}), make(chan struct{})
+	release := sync.OnceFunc(func() { counting.Store(true); close(gate) })
+	t.Cleanup(release)
+	var held atomic.Bool
+	ffs.SetHook(func(op vfs.Op, path string) error {
+		if !strings.HasPrefix(filepath.Base(path), "wal") {
+			return nil
+		}
+		switch {
+		case counting.Load() && op == vfs.OpAllocate:
+			nalloc.Add(1)
+		case counting.Load() && op == vfs.OpSync:
+			nsync.Add(1)
+			if failSync {
+				return fmt.Errorf("fsync lost to the page cache")
+			}
+		case op == vfs.OpSync && held.CompareAndSwap(false, true):
+			close(at)
+			<-gate
+		}
+		return nil
+	})
+	e.mu.Lock()
+	base := e.appendSeq
+	e.mu.Unlock()
+
+	firstErr := make(chan error, 1)
+	go func() { firstErr <- e.Commit(10) }()
+	select {
+	case <-at:
+	case <-time.After(30 * time.Second):
+		t.Fatal("the first commit's fsync never reached the filesystem")
+	}
+	// Three batches of 9-byte varints, together longer than one extent.
+	const perBatch = walExtent/24 + 1
+	cohortErrs := make(chan error, 3)
+	for b := 0; b < 3; b++ {
+		batch := make([]uint64, perBatch)
+		for i := range batch {
+			batch[i] = 1<<63 + uint64(b*perBatch+i)
+		}
+		go func() { cohortErrs <- e.CommitBatch(batch) }()
+	}
+	for deadline := time.Now().Add(30 * time.Second); ; {
+		e.mu.Lock()
+		queued := e.appendSeq - base
+		e.mu.Unlock()
+		if queued == 4 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of 4 commits queued", queued)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	release()
+	wait := func(ch <-chan error) error {
+		select {
+		case err := <-ch:
+			return err
+		case <-time.After(30 * time.Second):
+			t.Fatal("a commit never returned")
+			return nil
+		}
+	}
+	first = wait(firstErr)
+	for i := 0; i < 3; i++ {
+		errs = append(errs, wait(cohortErrs))
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.wal.size <= walExtent {
+		t.Fatalf("the cohort's frame ends at %d, inside the first %d-byte extent", e.wal.size, walExtent)
+	}
+	return e, first, errs, nsync.Load(), nalloc.Load()
+}
+
+// TestCommitAcrossReservationSyncsOnce: a cohort whose frame crosses the
+// log's reservation extends it, and the cohort's one fsync is still the only
+// one — the reservation adds no sync of its own; that fsync makes the
+// reserved zeros durable with the frame. Every committer is acknowledged
+// and every key survives a reopen.
+func TestCommitAcrossReservationSyncsOnce(t *testing.T) {
+	dir := t.TempDir()
+	e, first, errs, syncs, allocs := commitCohortAcrossReservation(t, dir, false)
+	if err := errors.Join(append(errs, first)...); err != nil {
+		t.Fatal(err)
+	}
+	if syncs != 1 || allocs != 1 {
+		t.Fatalf("the cohort ran %d log fsyncs and %d reservations, want 1 and 1", syncs, allocs)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re := openT(t, dir, Options{NoCompactor: true})
+	defer re.Close()
+	if want := 4 + 3*(walExtent/24+1); re.Len() != want {
+		t.Fatalf("reopen serves %d keys, want %d", re.Len(), want)
+	}
+}
+
+// TestCommitAcrossReservationSyncFailurePoisons: when the fsync of a cohort
+// whose frame crossed the reservation fails, every committer in the cohort
+// gets the failure and none is acknowledged, the engine poisons, and the
+// keys acknowledged before it survive a reopen.
+func TestCommitAcrossReservationSyncFailurePoisons(t *testing.T) {
+	dir := t.TempDir()
+	e, first, errs, syncs, allocs := commitCohortAcrossReservation(t, dir, true)
+	if first != nil {
+		t.Fatalf("the commit before the cohort: %v", first)
+	}
+	for _, err := range errs {
+		if !errors.Is(err, vfs.ErrInjected) || !errors.Is(err, ErrPoisoned) {
+			t.Fatalf("a committer of the failed cohort got %v, want the injected fsync failure, poisoned", err)
+		}
+	}
+	if syncs != 1 || allocs != 1 {
+		t.Fatalf("the cohort ran %d log fsyncs and %d reservations, want 1 and 1", syncs, allocs)
+	}
+	if h, cause := e.Health(); h != HealthFailed || !errors.Is(cause, ErrPoisoned) {
+		t.Fatalf("health = %v (%v), want failed/ErrPoisoned", h, cause)
+	}
+	if err := e.Commit(20); !errors.Is(err, ErrPoisoned) {
+		t.Fatalf("commit after the failed cohort = %v, want ErrPoisoned", err)
+	}
+	e.Close() // fails with the poison error; expected
+	re := openT(t, dir, Options{NoCompactor: true})
+	defer re.Close()
+	for _, k := range []uint64{1, 2, 3, 10} {
+		if !re.Contains(k) {
+			t.Fatalf("acked key %d lost across the failed cohort and a reopen", k)
+		}
 	}
 }

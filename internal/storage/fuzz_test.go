@@ -184,8 +184,8 @@ func FuzzWALReplay(f *testing.F) {
 			t.Fatal(err)
 		}
 		w.close()
-		// Past the writer's logical size the file holds only the reservation
-		// (nothing at all where the platform reserves nothing): zeros.
+		// Past the writer's logical size the file holds only the reservation:
+		// zeros.
 		if int64(len(image)) < w.size || len(bytes.TrimRight(image[w.size:], "\x00")) != 0 {
 			t.Fatalf("log file of %d bytes is not %d written bytes and a zero tail", len(image), w.size)
 		}

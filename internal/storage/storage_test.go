@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -435,8 +434,7 @@ func TestEngineQuarantinesCorruptSegment(t *testing.T) {
 // the file is a whole number of extents long while lix_storage_wal_bytes and
 // Stats.WALBytes keep reporting the frame bytes — a record that does not fit
 // the reservation extends it first, and a crash image of the file, reserved
-// zero tail and all, recovers every synced key. Off Linux nothing is
-// reserved and only the recovery half applies.
+// zero tail and all, recovers every synced key.
 func TestWALReservesExtents(t *testing.T) {
 	dir := t.TempDir()
 	e := openT(t, dir, Options{NoCompactor: true})
@@ -449,14 +447,13 @@ func TestWALReservesExtents(t *testing.T) {
 		}
 		return fi.Size()
 	}
-	reserves := runtime.GOOS == "linux"
-	if got := fileSize(); reserves && got != walExtent {
+	if got := fileSize(); got != walExtent {
 		t.Fatalf("fresh log is %d bytes, want one %d-byte extent", got, walExtent)
 	}
 	if err := e.Commit(1, 2, 3); err != nil {
 		t.Fatal(err)
 	}
-	if got := fileSize(); reserves && got != walExtent {
+	if got := fileSize(); got != walExtent {
 		t.Fatalf("log is %d bytes after a commit inside the extent, want %d", got, walExtent)
 	}
 	// One record of 9-byte varints, long enough to cross into a third extent.
@@ -474,7 +471,7 @@ func TestWALReservesExtents(t *testing.T) {
 	if frames <= 2*walExtent || frames != e.wal.size || float64(frames) != e.Metrics().Gauge("lix_storage_wal_bytes") {
 		t.Fatalf("WALBytes=%d, wal.size=%d, gauge=%v: want the frame bytes, past two extents", frames, e.wal.size, e.Metrics().Gauge("lix_storage_wal_bytes"))
 	}
-	if got := fileSize(); reserves && got != 3*walExtent {
+	if got := fileSize(); got != 3*walExtent {
 		t.Fatalf("log is %d bytes behind %d frame bytes, want three extents", got, frames)
 	}
 

@@ -37,12 +37,18 @@ import (
 // disk is replayed.
 //
 // The file is reserved ahead of the writes, one walExtent at a time
-// (vfs.File.Allocate), so the fsync of a record inside the reserved range
-// is a data write plus a device flush: no block allocation and no size
-// change ride along in the filesystem's journal. Records are still written
-// sequentially from offset 0, so a log may end in reserved bytes that were
-// never written. They read as zero, and an all-zero header is the clean end
-// of the log. Reserving is an optimisation only: a log whose reservation
+// (vfs.File.Allocate): zeros are written past the end of the file, without
+// a sync of their own, and the next commit's fsync makes them durable once
+// per extent. From then on the fsync of a record inside the reserved range
+// is a data write plus a device flush: it overwrites allocated, written
+// blocks, so no block allocation, size change or extent conversion rides
+// along in the filesystem's journal. A reservation by fallocate(2) would
+// not be enough: its blocks are unwritten extents, and ext4 journals the
+// conversion of each one on its first write, so every commit's fsync would
+// still wait on a journal commit. Records are still written sequentially
+// from offset 0, so a log may end in reserved bytes that were never
+// written. They read as zero, and an all-zero header is the clean end of
+// the log. Reserving is an optimisation only: a log whose reservation
 // failed, or one written before logs were reserved, is appended to and
 // replays exactly as before.
 //

@@ -28,13 +28,16 @@ type File interface {
 	io.ReaderAt
 	// Sync flushes OS-buffered writes to stable storage (fsync).
 	Sync() error
-	// Allocate reserves disk blocks for the first size bytes and extends the
-	// file to size if it is shorter; the new bytes read as zero and the
-	// write offset does not move. An fsync of a write inside the reserved
-	// range then has no block allocation or size change to journal. Where
-	// the platform or the filesystem cannot reserve it does nothing and
-	// returns nil; a real failure (ENOSPC) is returned and leaves the file
-	// usable.
+	// Allocate reserves the first size bytes by writing zeros from the end
+	// of the file up to size; a file already that long is left alone. The
+	// write offset does not move and nothing is synced: the next Sync makes
+	// the zeros durable with whatever else was written. Once it has, a
+	// write inside the range overwrites allocated, written blocks, so its
+	// fsync has no block allocation, size change or extent conversion to
+	// journal. fallocate(2) would not do: it leaves unwritten extents, and
+	// on ext4 the first write to each block converts its extent, which is a
+	// journal commit on that write's fsync. A failure (ENOSPC) is returned
+	// and leaves the file usable, at most longer by zeros.
 	Allocate(size int64) error
 	Close() error
 }
@@ -105,9 +108,27 @@ func (osFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
 	return osFile{f}, nil
 }
 
-// osFile is *os.File plus Allocate, which the os package does not offer
-// (alloc_linux.go, alloc_other.go).
+// osFile is *os.File plus Allocate, which the os package does not offer.
 type osFile struct{ *os.File }
+
+// zeros is what Allocate writes. It is shared and never written to, so a
+// reservation allocates no memory.
+var zeros [64 << 10]byte
+
+func (f osFile) Allocate(size int64) error {
+	fi, err := f.Stat()
+	if err != nil {
+		return err
+	}
+	for off := fi.Size(); off < size; {
+		n, err := f.WriteAt(zeros[:min(size-off, int64(len(zeros)))], off)
+		if err != nil {
+			return err
+		}
+		off += int64(n)
+	}
+	return nil
+}
 
 func (osFS) ReadFile(name string) ([]byte, error)         { return os.ReadFile(name) }
 func (osFS) Rename(oldpath, newpath string) error         { return os.Rename(oldpath, newpath) }

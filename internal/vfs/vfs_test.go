@@ -5,7 +5,6 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
-	"runtime"
 	"syscall"
 	"testing"
 )
@@ -60,11 +59,10 @@ func TestOSPassthrough(t *testing.T) {
 	}
 }
 
-// TestOSAllocate holds the passthrough's Allocate to its contract: on Linux
-// the file grows to the reserved size, what was written stays, the rest
-// reads as zero, and the next write lands where the last one ended — not at
-// the new end of the file; a smaller reservation never shrinks the file.
-// Everywhere else it succeeds and changes nothing.
+// TestOSAllocate holds the passthrough's Allocate to its contract: the file
+// grows to the reserved size, what was written stays, the rest reads as
+// zero, and the next write lands where the last one ended — not at the new
+// end of the file; a smaller reservation never shrinks the file.
 func TestOSAllocate(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "reserved")
 	f, err := OS.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
@@ -84,12 +82,18 @@ func TestOSAllocate(t *testing.T) {
 	if err := f.Allocate(16); err != nil {
 		t.Fatalf("Allocate(16) on a longer file: %v", err)
 	}
-	want := []byte("hello world!")
-	if runtime.GOOS == "linux" {
-		want = append(want, make([]byte, 64-len(want))...)
-	}
+	want := append([]byte("hello world!"), make([]byte, 64-len("hello world!"))...)
 	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want) {
 		t.Fatalf("after Allocate and a write the file holds %q (err %v), want %q", got, err, want)
+	}
+	// A reservation longer than the zero buffer is written in pieces.
+	big := 2*len(zeros) + 1
+	if err := f.Allocate(int64(big)); err != nil {
+		t.Fatalf("Allocate(%d): %v", big, err)
+	}
+	want = append(want, make([]byte, big-len(want))...)
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("after Allocate(%d) the file is %d bytes (err %v), want %d, zero past the write", big, len(got), err, len(want))
 	}
 }
 
