@@ -7,11 +7,11 @@
 // and its assumptions: fixed-length records, logical paging over a single
 // continuous sorted array (§2). Concretely, the index stores, per level, a
 // flat array of separator keys — the first key of every page — and inner
-// levels that take every fanout-th separator of the level below. Child
-// addresses are implicit offsets (i -> [i*fanout, (i+1)*fanout)), the
-// offset-not-pointer trick the paper attributes to modern in-memory trees
-// (§6), so a node never stores pointers and the whole index is a handful of
-// contiguous allocations.
+// levels that take every fanout-th separator of the level below, where the
+// fanout is the page size. Child addresses are implicit offsets
+// (i -> [i*fanout, (i+1)*fanout)), the offset-not-pointer trick the paper
+// attributes to modern in-memory trees (§6), so a node never stores pointers
+// and the whole index is a handful of contiguous allocations.
 //
 // Lookup cost is one binary search per level over at most `fanout` keys plus
 // one binary search inside the data page — exactly the log_fanout(N) node
@@ -29,40 +29,20 @@ import (
 // keys per page not the size in Bytes").
 type Index[K cmp.Ordered] struct {
 	keys     []K   // the indexed sorted array (not owned, not counted in SizeBytes)
-	pageSize int   // keys per data page
-	fanout   int   // separators per inner node
+	pageSize int   // keys per data page, and separators per inner node
 	levels   [][]K // levels[0] = first key of every page; levels[i+1] sparser
 }
 
-// Option configures index construction.
-type Option func(*config)
-
-type config struct {
-	fanout int
-}
-
-// WithFanout sets the number of separators per inner node (default: equal to
-// the page size, giving a uniform tree like stx::btree with identical inner
-// and leaf slots).
-func WithFanout(f int) Option {
-	return func(c *config) { c.fanout = f }
-}
-
 // New bulk-loads a B-Tree over keys (which must be sorted ascending) with
-// the given page size. The keys slice is retained, not copied: the tree
-// indexes the caller's array, as a database index references its table.
-func New[K cmp.Ordered](keys []K, pageSize int, opts ...Option) *Index[K] {
+// the given page size. The fanout equals the page size, giving a uniform
+// tree like stx::btree with identical inner and leaf slots. The keys slice
+// is retained, not copied: the tree indexes the caller's array, as a
+// database index references its table.
+func New[K cmp.Ordered](keys []K, pageSize int) *Index[K] {
 	if pageSize < 2 {
 		pageSize = 2
 	}
-	cfg := config{fanout: pageSize}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	if cfg.fanout < 2 {
-		cfg.fanout = 2
-	}
-	t := &Index[K]{keys: keys, pageSize: pageSize, fanout: cfg.fanout}
+	t := &Index[K]{keys: keys, pageSize: pageSize}
 	if len(keys) == 0 {
 		return t
 	}
@@ -74,12 +54,12 @@ func New[K cmp.Ordered](keys []K, pageSize int, opts ...Option) *Index[K] {
 	}
 	t.levels = append(t.levels, l0)
 	// Higher levels until the top fits in one node.
-	for len(t.levels[len(t.levels)-1]) > cfg.fanout {
+	for len(t.levels[len(t.levels)-1]) > pageSize {
 		below := t.levels[len(t.levels)-1]
-		n := (len(below) + cfg.fanout - 1) / cfg.fanout
+		n := (len(below) + pageSize - 1) / pageSize
 		lvl := make([]K, n)
 		for i := 0; i < n; i++ {
-			lvl[i] = below[i*cfg.fanout]
+			lvl[i] = below[i*pageSize]
 		}
 		t.levels = append(t.levels, lvl)
 	}
@@ -99,8 +79,8 @@ func (t *Index[K]) Lookup(key K) int {
 	slot := upperBoundMinus1(top, key, 0, len(top))
 	for li := len(t.levels) - 2; li >= 0; li-- {
 		lvl := t.levels[li]
-		lo := slot * t.fanout
-		hi := lo + t.fanout
+		lo := slot * t.pageSize
+		hi := lo + t.pageSize
 		if hi > len(lvl) {
 			hi = len(lvl)
 		}

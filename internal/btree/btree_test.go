@@ -88,17 +88,6 @@ func TestStringKeys(t *testing.T) {
 	}
 }
 
-func TestWithFanout(t *testing.T) {
-	keys := data.Uniform(50_000, 1<<40, 1)
-	tr := New([]uint64(keys), 16, WithFanout(256))
-	probes := data.SampleExisting(keys, 1000, 2)
-	for _, p := range probes {
-		if got, want := tr.Lookup(p), oracle(keys, p); got != want {
-			t.Fatalf("fanout variant Lookup(%d) = %d, want %d", p, got, want)
-		}
-	}
-}
-
 func TestQuickRandomSets(t *testing.T) {
 	f := func(raw []uint64, probe uint64, psRaw uint8) bool {
 		sort.Slice(raw, func(i, j int) bool { return raw[i] < raw[j] })

@@ -5,7 +5,8 @@
 // CDF F̂_N(x) and shows the expected squared error between them is
 // F(x)(1-F(x))/N, so the average *position* error (N·F vs N·F̂_N) grows as
 // O(√N) — sub-linear, versus the linear growth of a constant-sized B-Tree's
-// covered-keys-per-node. ErrScaling measures that rate empirically.
+// covered-keys-per-node. FitPowerLaw measures that rate from (N, error)
+// points.
 package cdfstat
 
 import (
@@ -49,38 +50,6 @@ func KolmogorovSmirnov(a, b *Empirical) float64 {
 	return max
 }
 
-// ErrStats summarizes position errors of a model over a key set.
-type ErrStats struct {
-	N       int
-	MeanAbs float64
-	RMS     float64
-	Max     int
-}
-
-// MeasureErrors evaluates predict over sorted keys against their true
-// positions.
-func MeasureErrors(keys []uint64, predict func(uint64) int) ErrStats {
-	st := ErrStats{N: len(keys)}
-	var sum, sumsq float64
-	for i, k := range keys {
-		d := predict(k) - i
-		if d < 0 {
-			d = -d
-		}
-		if d > st.Max {
-			st.Max = d
-		}
-		fd := float64(d)
-		sum += fd
-		sumsq += fd * fd
-	}
-	if st.N > 0 {
-		st.MeanAbs = sum / float64(st.N)
-		st.RMS = math.Sqrt(sumsq / float64(st.N))
-	}
-	return st
-}
-
 // ScalingPoint is one (N, error) measurement of the Appendix A experiment.
 type ScalingPoint struct {
 	N       int
@@ -119,9 +88,4 @@ func FitPowerLaw(pts []ScalingPoint) (alpha, c float64) {
 	alpha = (sxy - sx*sy/fn) / den
 	c = math.Exp((sy - alpha*sx) / fn)
 	return alpha, c
-}
-
-// TheoreticalVar returns F(x)(1-F(x))/N, Eq. (3) of Appendix A.
-func TheoreticalVar(f float64, n int) float64 {
-	return f * (1 - f) / float64(n)
 }

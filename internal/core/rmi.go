@@ -111,8 +111,9 @@ type leaf struct {
 	// 1 trains it "on tmp_records[M][j]") and, like the paper's
 	// offset-based in-memory trees (§6), stores no key copies: btPos holds
 	// the assigned keys' global positions, and btSep is a sparse separator
-	// level (every 64th assigned key) for the tree descent; the final page
-	// search reads the main array through the offsets.
+	// level (every HybridPageSize-th assigned key) for the tree descent; the
+	// final page search reads the main array through the offsets. StringRMI
+	// keeps its string separators beside its leaves and leaves btSep nil.
 	btPos []int32
 	btSep []uint64
 }

@@ -41,6 +41,18 @@ func TestRMILookupMatchesOracleAllDatasets(t *testing.T) {
 	}
 }
 
+// TestTopNNWiderThan32 trains an NN top wider than the network's stack
+// scratch: training routes every key through it and each lookup runs it.
+func TestTopNNWiderThan32(t *testing.T) {
+	keys := data.LognormalPaper(5_000, 1)
+	r := New(keys, Config{Top: TopNN, Hidden: []int{64}, StageSizes: []int{100}})
+	for _, p := range probesFor(keys) {
+		if got, want := r.Lookup(p), oracle(keys, p); got != want {
+			t.Fatalf("Lookup(%d) = %d, want %d", p, got, want)
+		}
+	}
+}
+
 // TestRMIAllSearchStrategies checks the uint64 RMI's one last-mile
 // search: whatever the Config, the plan runs its branchless bisection
 // (reported as SearchBinary), and Lookup and Contains resolve the lower

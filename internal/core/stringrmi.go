@@ -2,8 +2,8 @@ package core
 
 import (
 	"fmt"
-	"math"
 
+	"learnedindex/internal/keycodec"
 	"learnedindex/internal/ml"
 	"learnedindex/internal/search"
 )
@@ -73,25 +73,14 @@ func DefaultStringConfig(numLeaves int, hidden ...int) StringConfig {
 	return StringConfig{MaxLen: 16, Hidden: hidden, NumLeaves: numLeaves, Search: SearchModelBiased, Seed: 1}
 }
 
-// sleaf is a string-RMI leaf: a linear model over the key's 8-byte prefix
-// scalarization plus error metadata, optionally replaced by a B-Tree.
-type sleaf struct {
-	m      linmod
-	minErr int32
-	maxErr int32
-	stdErr float32
-	n      int32
-	// offset-based assigned-keys B-Tree replacement; see leaf in rmi.go.
-	btPos []int32
-	btSep []string
-}
-
 // StringRMI is a 2-stage recursive model index over sorted string keys.
 // The top stage is a feed-forward network over the ASCII feature vector
-// (§3.5); leaves are linear models over a monotonic 8-byte prefix
-// scalarization. Because the scalarization (and potentially the top model)
-// is only approximately monotone, lookups verify window boundaries and
-// expand when needed, so lower-bound semantics always hold.
+// (§3.5); the leaves are the RMI's leaf stage — linear models over the
+// keys' 8-byte big-endian prefixes (keycodec.Prefix), fit by runs with the
+// uint64 RMI's trainer, hybrid B-Trees included. Because the prefix (and
+// potentially the top model) is only approximately monotone, lookups verify
+// window boundaries and expand when needed, so lower-bound semantics always
+// hold.
 //
 // StringRMI keeps its own resident []string and is the model of the
 // paper's Figure 6, nothing more: the serving stack's string read path is
@@ -101,28 +90,17 @@ type sleaf struct {
 // decoded from a segment file or replayed on a follower, none of which
 // could carry a second copy of the keys for a model to search.
 type StringRMI struct {
-	keys      []string
-	cfg       StringConfig
-	top       *ml.NN
-	leaves    []sleaf
+	keys   []string
+	cfg    StringConfig
+	top    *ml.NN
+	leaves []leaf
+	// btSep[j] is hybrid leaf j's separator level over keys (see leaf);
+	// nil when no leaf was replaced.
+	btSep     [][]string
 	nf        float64
 	numHybrid int
 	maxAbsErr int
 	meanAbs   float64
-}
-
-// PrefixScalar packs the first 8 bytes of s big-endian into a uint64 and
-// converts to float64 — a cheap, order-preserving (up to 8-byte prefix
-// ties) scalarization used by the leaf models.
-func PrefixScalar(s string) float64 {
-	var v uint64
-	for i := 0; i < 8; i++ {
-		v <<= 8
-		if i < len(s) {
-			v |= uint64(s[i])
-		}
-	}
-	return float64(v)
 }
 
 // Vectorize writes the §3.5 tokenization of s into dst: dst[i] is the ASCII
@@ -157,11 +135,36 @@ func NewString(keys []string, cfg StringConfig) *StringRMI {
 	}
 	r := &StringRMI{keys: keys, cfg: cfg, nf: float64(len(keys))}
 	if len(keys) == 0 {
-		r.leaves = make([]sleaf, 1)
+		r.leaves = make([]leaf, 1)
 		return r
 	}
 	r.trainTop()
-	r.trainLeaves()
+	// The leaves are the RMI's leaf stage: route every key through the top
+	// network on the worker pool, then fit the runs with the RMI's leaf
+	// trainer over the keys' prefixes, which are training scratch only (a
+	// lookup computes its probe's prefix).
+	workers := TrainingWorkers(len(keys))
+	runs := routeEach(len(keys), workers, func() func(int) int {
+		vbuf := make([]float64, cfg.MaxLen)
+		return func(i int) int { return r.leafIndex(keys[i], vbuf) }
+	})
+	prefixes := make([]uint64, len(keys))
+	for i, k := range keys {
+		prefixes[i] = keycodec.Prefix(k)
+	}
+	leaves, ge := fitLeaves(prefixes, groupRuns(runs, cfg.NumLeaves), cfg.HybridThreshold, workers)
+	for j := range leaves {
+		if btPos := leaves[j].btPos; btPos != nil {
+			if r.btSep == nil {
+				r.btSep = make([][]string, len(leaves))
+			}
+			r.btSep[j] = hybridSeps(keys, btPos, cfg.HybridPageSize)
+			r.numHybrid++
+		}
+	}
+	r.leaves = leaves
+	r.meanAbs = float64(ge.sum) / r.nf
+	r.maxAbsErr = ge.max
 	return r
 }
 
@@ -188,127 +191,7 @@ func (r *StringRMI) trainTop() {
 
 func (r *StringRMI) leafIndex(key string, vbuf []float64) int {
 	Vectorize(key, vbuf)
-	p := r.top.PredictVecFast(vbuf)
-	return scaleToIndex(p, r.nf, r.cfg.NumLeaves)
-}
-
-func (r *StringRMI) trainLeaves() {
-	n := len(r.keys)
-	size := r.cfg.NumLeaves
-	accs := make([]regAcc, size)
-	route := make([]int32, n)
-	vbuf := make([]float64, r.cfg.MaxLen)
-	for i, k := range r.keys {
-		idx := r.leafIndex(k, vbuf)
-		route[i] = int32(idx)
-		accs[idx].add(PrefixScalar(k), float64(i), int32(i))
-	}
-	r.leaves = make([]sleaf, size)
-	models := make([]linmod, size)
-	for j := range models {
-		models[j] = accs[j].fit()
-	}
-	repairEmpty(models, accs)
-	for j := range r.leaves {
-		r.leaves[j].m = models[j]
-	}
-	// Error pass.
-	type e struct {
-		min, max   int
-		sum, sumsq float64
-		n          int
-	}
-	errs := make([]e, size)
-	for j := range errs {
-		errs[j].min = 1 << 30
-		errs[j].max = -(1 << 30)
-	}
-	var gsum float64
-	gmax := 0
-	for i, k := range r.keys {
-		j := route[i]
-		pred := int(r.leaves[j].m.predict(PrefixScalar(k)))
-		// actual-minus-predicted; see leafErrAcc.addRun.
-		d := i - pred
-		ev := &errs[j]
-		if d < ev.min {
-			ev.min = d
-		}
-		if d > ev.max {
-			ev.max = d
-		}
-		fd := float64(d)
-		ev.sum += fd
-		ev.sumsq += fd * fd
-		ev.n++
-		if d < 0 {
-			d = -d
-		}
-		gsum += float64(d)
-		if d > gmax {
-			gmax = d
-		}
-	}
-	for j := range r.leaves {
-		lf := &r.leaves[j]
-		ev := &errs[j]
-		lf.n = int32(ev.n)
-		if ev.n == 0 {
-			lf.minErr, lf.maxErr, lf.stdErr = -1, 1, 1
-			continue
-		}
-		lf.minErr, lf.maxErr = int32(ev.min), int32(ev.max)
-		mean := ev.sum / float64(ev.n)
-		v := ev.sumsq/float64(ev.n) - mean*mean
-		if v < 0 {
-			v = 0
-		}
-		lf.stdErr = sqrt32(v)
-	}
-	r.meanAbs = gsum / float64(n)
-	r.maxAbsErr = gmax
-	// Hybrid replacement (Figure 6's "Hybrid Index" rows): B-Trees over
-	// the keys assigned to each bad leaf, per Algorithm 1.
-	if r.cfg.HybridThreshold > 0 {
-		flagged := make(map[int32]*sleaf)
-		for j := range r.leaves {
-			lf := &r.leaves[j]
-			if lf.n == 0 {
-				continue
-			}
-			worst := int(lf.maxErr)
-			if -int(lf.minErr) > worst {
-				worst = -int(lf.minErr)
-			}
-			if worst <= r.cfg.HybridThreshold {
-				continue
-			}
-			flagged[int32(j)] = lf
-			lf.btPos = make([]int32, 0, lf.n)
-			r.numHybrid++
-		}
-		if len(flagged) > 0 {
-			for i := range r.keys {
-				if lf, ok := flagged[route[i]]; ok {
-					lf.btPos = append(lf.btPos, int32(i))
-				}
-			}
-			for _, lf := range flagged {
-				step := r.cfg.HybridPageSize
-				lf.btSep = make([]string, 0, len(lf.btPos)/step+1)
-				for i := 0; i < len(lf.btPos); i += step {
-					lf.btSep = append(lf.btSep, r.keys[lf.btPos[i]])
-				}
-			}
-		}
-	}
-}
-
-func sqrt32(v float64) float32 {
-	if v <= 0 {
-		return 0
-	}
-	return float32(math.Sqrt(v))
+	return scaleToIndex(r.top.PredictVec(vbuf), r.nf, r.cfg.NumLeaves)
 }
 
 // Predict runs only the model hierarchy and returns the estimated position
@@ -318,7 +201,7 @@ func (r *StringRMI) Predict(key string) (pos, lo, hi int) {
 	idx := r.leafIndex(key, vb[:r.cfg.MaxLen])
 	lf := &r.leaves[idx]
 	// Window anchored on the raw prediction; see RMI.Predict.
-	pred := int(lf.m.predict(PrefixScalar(key)))
+	pred := int(lf.m.predict(float64(keycodec.Prefix(key))))
 	lo = pred + int(lf.minErr)
 	hi = pred + int(lf.maxErr) + 1
 	lo, hi = clampWindow(lo, hi, len(r.keys))
@@ -336,9 +219,9 @@ func (r *StringRMI) Lookup(key string) int {
 	idx := r.leafIndex(key, vb[:r.cfg.MaxLen])
 	lf := &r.leaves[idx]
 	if lf.btPos != nil {
-		return hybridLookup(r.keys, lf.btPos, lf.btSep, r.cfg.HybridPageSize, key)
+		return hybridLookup(r.keys, lf.btPos, r.btSep[idx], r.cfg.HybridPageSize, key)
 	}
-	rawPred := int(lf.m.predict(PrefixScalar(key)))
+	rawPred := int(lf.m.predict(float64(keycodec.Prefix(key))))
 	lo := rawPred + int(lf.minErr)
 	hi := rawPred + int(lf.maxErr) + 1
 	lo, hi = clampWindow(lo, hi, n)
@@ -378,12 +261,13 @@ func (r *StringRMI) SizeBytes() int {
 		total += r.top.SizeBytes()
 	}
 	total += len(r.leaves) * (16 + 12)
+	// Hybrid B-Trees: 4-byte offsets per assigned key plus materialized
+	// separators per page — no key copies.
 	for j := range r.leaves {
-		// Hybrid B-Trees: 4-byte offsets per assigned key plus materialized
-		// separators per page — no key copies.
-		lf := &r.leaves[j]
-		total += len(lf.btPos) * 4
-		for _, sep := range lf.btSep {
+		total += len(r.leaves[j].btPos) * 4
+	}
+	for _, seps := range r.btSep {
+		for _, sep := range seps {
 			total += 16 + len(sep)
 		}
 	}

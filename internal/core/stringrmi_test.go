@@ -1,6 +1,11 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"fmt"
+	"math"
 	"sort"
 	"testing"
 
@@ -100,16 +105,6 @@ func TestStringRMIEmptyAndTiny(t *testing.T) {
 	}
 }
 
-func TestPrefixScalarMonotone(t *testing.T) {
-	keys := data.DocIDs(5000, 1)
-	for i := 1; i < len(keys); i++ {
-		a, b := PrefixScalar(keys[i-1]), PrefixScalar(keys[i])
-		if a > b {
-			t.Fatalf("prefix scalar not monotone: %q -> %v, %q -> %v", keys[i-1], a, keys[i], b)
-		}
-	}
-}
-
 func TestVectorize(t *testing.T) {
 	dst := make([]float64, 6)
 	Vectorize("AB", dst)
@@ -132,4 +127,53 @@ func TestStringRMISizeSmallerThanBTreeSeparators(t *testing.T) {
 	}
 	t.Logf("string RMI size: %d bytes, max err %d, mean err %.1f",
 		r.SizeBytes(), r.MaxAbsErr(), r.MeanAbsErr())
+}
+
+// figure6Golden pins the models Figure 6's six training shapes fit on 100k
+// DocIDs with 100 leaves: a SHA-256 over every leaf's model, error window,
+// standard error, key count and B-Tree positions, then the index-wide error
+// stats, hybrid count and size. 100k keys is enough for TrainingWorkers to
+// route and fit on more than one goroutine where GOMAXPROCS allows.
+var figure6Golden = map[string]string{
+	"hidden=[16] t=0":      "7177056dcccba1751b1cc38ccbe1c8c6809a5852578e8e88dec2f3290e2cccca",
+	"hidden=[16] t=128":    "91262ef0bf8ff8f6731f589702698e620740175c1efaf10a0ed6d176466bf407",
+	"hidden=[16] t=64":     "dce575ff4b88d9028047495ea0ce14f0c55609f04c46eb1f2c16b74c95d039be",
+	"hidden=[16 16] t=0":   "bb2b08910bbd68953d3f8098fe60b014c574c1ac49ba583f32bdad03f485510d",
+	"hidden=[16 16] t=128": "a8b13b5799d3d7ca5ee77ff7bb8eac92412bea815926b25d35847518d427e849",
+	"hidden=[16 16] t=64":  "6ee48e33d9a41e0e35041381255a10a4e666ab0099639ee16e824ecf5fcfdb98",
+}
+
+func TestFigure6ModelsPinned(t *testing.T) {
+	keys := data.DocIDs(100_000, 1)
+	for _, hidden := range [][]int{{16}, {16, 16}} {
+		for _, thresh := range []int{0, 128, 64} {
+			cfg := DefaultStringConfig(100, hidden...)
+			cfg.HybridThreshold = thresh
+			r := NewString(keys, cfg)
+			h := sha256.New()
+			put := func(v uint64) { h.Write(binary.LittleEndian.AppendUint64(nil, v)) }
+			for j := range r.leaves {
+				lf := &r.leaves[j]
+				put(math.Float64bits(lf.m.a))
+				put(math.Float64bits(lf.m.b))
+				put(uint64(lf.minErr))
+				put(uint64(lf.maxErr))
+				put(uint64(math.Float32bits(lf.stdErr)))
+				put(uint64(lf.n))
+				put(uint64(len(lf.btPos)))
+				for _, p := range lf.btPos {
+					put(uint64(p))
+				}
+			}
+			put(uint64(r.MaxAbsErr()))
+			put(math.Float64bits(r.MeanAbsErr()))
+			put(uint64(r.NumHybrid()))
+			put(uint64(r.SizeBytes()))
+			name := fmt.Sprintf("hidden=%v t=%d", hidden, thresh)
+			if got := hex.EncodeToString(h.Sum(nil)); got != figure6Golden[name] {
+				t.Errorf("%s: models drifted:\n got %s\nwant %s (hybrid %d, max err %d, mean err %v)",
+					name, got, figure6Golden[name], r.NumHybrid(), r.MaxAbsErr(), r.MeanAbsErr())
+			}
+		}
+	}
 }

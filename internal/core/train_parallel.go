@@ -28,9 +28,12 @@ import (
 //     runs: neighbouring inner models overlap, or leave models empty.
 //   - A stage is fit by grouping its runs by model, each model's runs in
 //     key order, and folding them into its least-squares sums. A leaf
-//     measures its §3.3 error window — and, for hybrid configs, builds its
-//     B-Tree — over the same runs right after its fit, while its keys are
-//     still in cache.
+//     measures its §3.3 error window — and, for hybrid configs, lists its
+//     B-Tree's key positions — over the same runs right after its fit,
+//     while its keys are still in cache.
+//
+// StringRMI's leaves are the same leaf stage: its character-level network
+// top routes per point, and the leaves fit over the keys' 8-byte prefixes.
 //
 // Fits run in parallel over model ranges that hold about equal numbers of
 // keys. Every model sees its keys in ascending order whichever worker owns
@@ -124,21 +127,39 @@ func (r *RMI) train(workers int) {
 		}
 		runs = next
 	}
-	r.fitLeaves(groupRuns(runs, r.cfg.StageSizes[last]), workers)
+	leaves, ge := fitLeaves(r.keys, groupRuns(runs, r.cfg.StageSizes[last]), r.cfg.HybridThreshold, workers)
+	for j := range leaves {
+		if lf := &leaves[j]; lf.btPos != nil {
+			lf.btSep = hybridSeps(r.keys, lf.btPos, r.cfg.HybridPageSize)
+			r.numHybrid++
+		}
+	}
+	r.leaves = leaves
+	r.setGlobalErr(ge)
 }
 
 // routeRuns routes ascending xs (the keys, or the top model's sample of
 // them) through the top model into runs, in order: a linear top by
-// bisection, any other per point on the worker pool, run-length encoded.
+// bisection, any other per point (routeEach).
 func routeRuns[X uint64 | float64](xs []X, top ml.Model, mul float64, size, workers int) []run {
 	if lin, ok := top.(ml.Linear); ok {
 		return splitRun(nil, xs, 0, len(xs), linmod{a: lin.A, b: lin.B}, mul, size)
 	}
+	return routeEach(len(xs), workers, func() func(int) int {
+		return func(i int) int { return scaleByMul(top.Predict(float64(xs[i])), mul, size) }
+	})
+}
+
+// routeEach routes points 0..n-1 one at a time on the worker pool and
+// run-length encodes the routes, in order. Each chunk asks newRoute for its
+// own route function, so a route may keep per-chunk scratch.
+func routeEach(n, workers int, newRoute func() func(i int) int) []run {
 	parts := make([][]run, workers)
-	parallelChunks(len(xs), workers, func(c, lo, hi int) {
+	parallelChunks(n, workers, func(c, lo, hi int) {
+		route := newRoute()
 		var rs []run
 		for i := lo; i < hi; i++ {
-			m := int32(scaleByMul(top.Predict(float64(xs[i])), mul, size))
+			m := int32(route(i))
 			if k := len(rs) - 1; k >= 0 && rs[k].m == m {
 				rs[k].hi++
 			} else {
@@ -244,31 +265,43 @@ func (r *RMI) fitStage(g modelRuns, workers int) []linmod {
 	return models
 }
 
-// fitLeaves fits the leaves over their runs and, right after each fit,
-// while the leaf's keys are in cache, measures its error window and, if
-// that is wider than the hybrid threshold, builds its B-Tree.
-func (r *RMI) fitLeaves(g modelRuns, workers int) {
+// fitLeaves fits the leaves over their runs of keys — the uint64 RMI's
+// keys, or StringRMI's keys' 8-byte prefixes — and, right after each fit,
+// while the leaf's keys are in cache, measures its error window. A leaf
+// whose window is wider than threshold (> 0) gets the positions of its keys
+// in btPos, and the caller adds the separator level over its own keys
+// (hybridSeps): Algorithm 1 (lines 11–14) swaps every leaf whose max
+// absolute error exceeds the threshold for a B-Tree ("index[M][j] = new
+// B-Tree trained on tmp_records[M][j]"), and "hybrid indexes allow us to
+// bound the worst case performance of learned indexes to the performance
+// of B-Trees" (§3.3).
+func fitLeaves(keys []uint64, g modelRuns, threshold, workers int) ([]leaf, globalErr) {
 	accs := make([]regAcc, g.size())
 	models := make([]linmod, g.size())
-	r.leaves = make([]leaf, g.size())
+	leaves := make([]leaf, g.size())
 	var mu sync.Mutex
 	var total globalErr
-	parallelRanges(g.chunks(len(r.keys), workers), func(_, jlo, jhi int) {
+	parallelRanges(g.chunks(len(keys), workers), func(_, jlo, jhi int) {
 		var ge globalErr
 		for j := jlo; j < jhi; j++ {
 			rs := g.of(j)
 			for _, rn := range rs {
-				accs[j].addRun(r.keys, int(rn.lo), int(rn.hi))
+				accs[j].addRun(keys, int(rn.lo), int(rn.hi))
 			}
 			models[j] = accs[j].fit()
 			ev := newLeafErrAcc()
 			for _, rn := range rs {
-				ev.addRun(r.keys, int(rn.lo), int(rn.hi), models[j], &ge)
+				ev.addRun(keys, int(rn.lo), int(rn.hi), models[j], &ge)
 			}
-			lf := &r.leaves[j]
+			lf := &leaves[j]
 			lf.setErrors(&ev)
-			if thr := r.cfg.HybridThreshold; thr > 0 && lf.n > 0 && max(int(lf.maxErr), -int(lf.minErr)) > thr {
-				r.setBTree(lf, rs)
+			if threshold > 0 && lf.n > 0 && max(int(lf.maxErr), -int(lf.minErr)) > threshold {
+				lf.btPos = make([]int32, 0, lf.n)
+				for _, rn := range rs {
+					for i := rn.lo; i < rn.hi; i++ {
+						lf.btPos = append(lf.btPos, i)
+					}
+				}
 			}
 		}
 		mu.Lock()
@@ -279,32 +312,18 @@ func (r *RMI) fitLeaves(g modelRuns, workers int) {
 	// Empty leaves have no keys to measure, so their repaired models can
 	// come after the error pass.
 	repairEmpty(models, accs)
-	for j := range r.leaves {
-		r.leaves[j].m = models[j]
-		if r.leaves[j].btPos != nil {
-			r.numHybrid++
-		}
+	for j := range leaves {
+		leaves[j].m = models[j]
 	}
-	r.setGlobalErr(total)
+	return leaves, total
 }
 
-// setBTree swaps lf's model for a B-Tree over the keys assigned to it, read
-// from its runs in key order: their positions, and a separator key every
-// HybridPageSize of them. Algorithm 1 (lines 11–14) does this for every
-// leaf whose max absolute error exceeds the threshold ("index[M][j] = new
-// B-Tree trained on tmp_records[M][j]"): "hybrid indexes allow us to bound
-// the worst case performance of learned indexes to the performance of
-// B-Trees" (§3.3).
-func (r *RMI) setBTree(lf *leaf, rs []run) {
-	lf.btPos = make([]int32, 0, lf.n)
-	for _, rn := range rs {
-		for i := rn.lo; i < rn.hi; i++ {
-			lf.btPos = append(lf.btPos, i)
-		}
+// hybridSeps is a B-Tree leaf's separator level: the key at every
+// pageSize-th of its assigned positions btPos, in the RMI's own key type.
+func hybridSeps[K any](keys []K, btPos []int32, pageSize int) []K {
+	sep := make([]K, 0, len(btPos)/pageSize+1)
+	for i := 0; i < len(btPos); i += pageSize {
+		sep = append(sep, keys[btPos[i]])
 	}
-	step := r.cfg.HybridPageSize
-	lf.btSep = make([]uint64, 0, len(lf.btPos)/step+1)
-	for i := 0; i < len(lf.btPos); i += step {
-		lf.btSep = append(lf.btSep, r.keys[lf.btPos[i]])
-	}
+	return sep
 }

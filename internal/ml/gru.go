@@ -54,11 +54,6 @@ type GRUConfig struct {
 	Seed      int64
 }
 
-// DefaultGRUConfig mirrors the paper's smallest model: W=16, E=32.
-func DefaultGRUConfig() GRUConfig {
-	return GRUConfig{Width: 16, Embedding: 32, MaxLen: 64, Epochs: 3, LR: 3e-3, Seed: 1}
-}
-
 // NewGRU creates an untrained GRU with random weights.
 func NewGRU(cfg GRUConfig) *GRU {
 	if cfg.Width <= 0 {

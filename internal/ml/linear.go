@@ -13,8 +13,9 @@
 //   - Multivariate: multivariate linear regression over engineered features
 //     (key, log key, key², √key) via normal equations (Figure 5's
 //     "Multivariate Learned Index").
-//   - NN: fully-connected ReLU networks with 0–2 hidden layers and width up
-//     to 32, trained by minibatch SGD with Adagrad.
+//   - NN: fully-connected ReLU networks (§3.3 uses 0–2 hidden layers of
+//     width up to 32), trained by minibatch SGD with Adagrad and run by one
+//     inference loop, PredictVec, for scalar and vector inputs of any width.
 //   - GRU: a character-level gated recurrent unit classifier for the
 //     learned Bloom filter (§5.2).
 //   - LogisticNGram: a hashed n-gram logistic regression, a cheap
@@ -65,20 +66,6 @@ func FitLinear(xs, ys []float64) Linear {
 	}
 	a := sxy / sxx
 	return Linear{A: a, B: my - a*mx}
-}
-
-// FitLinearEndpoints fits the line through the first and last point — the
-// spline-style fit used for perfectly sorted per-leaf data when least
-// squares is unnecessary. Exposed for the ablation benchmarks.
-func FitLinearEndpoints(xs, ys []float64) Linear {
-	if len(xs) == 0 {
-		return Linear{}
-	}
-	if len(xs) == 1 || xs[len(xs)-1] == xs[0] {
-		return Linear{A: 0, B: ys[0]}
-	}
-	a := (ys[len(ys)-1] - ys[0]) / (xs[len(xs)-1] - xs[0])
-	return Linear{A: a, B: ys[0] - a*xs[0]}
 }
 
 // Predict returns a·x + b.

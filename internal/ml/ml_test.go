@@ -47,13 +47,6 @@ func TestFitLinearDegenerate(t *testing.T) {
 	}
 }
 
-func TestFitLinearEndpoints(t *testing.T) {
-	m := FitLinearEndpoints([]float64{0, 5, 10}, []float64{0, 9, 20})
-	if math.Abs(m.Predict(0)) > 1e-9 || math.Abs(m.Predict(10)-20) > 1e-9 {
-		t.Fatal("endpoints not interpolated")
-	}
-}
-
 func TestQuickLinearResidualOrthogonality(t *testing.T) {
 	// Least squares property: residuals sum to ~0.
 	f := func(seed int64) bool {
@@ -189,23 +182,22 @@ func TestNNLearnsNonlinearCDF(t *testing.T) {
 	}
 }
 
-func TestNNPredictFastMatchesSlow(t *testing.T) {
+func TestNNPredictMatchesPredictVec(t *testing.T) {
+	// One inference loop for every width: Predict is PredictVec on a
+	// one-element vector, bit for bit, including layers wider than the
+	// stack scratch.
 	xs := make([]float64, 500)
 	ys := make([]float64, 500)
 	for i := range xs {
 		xs[i] = float64(i)
 		ys[i] = math.Sqrt(float64(i)) * 10
 	}
-	nn := TrainNN(xs, ys, DefaultNNConfig(8, 8))
-	for _, x := range []float64{0, 1, 250, 499, 1000} {
-		slow := nn.PredictVec([]float64{x})
-		fast := nn.Predict(x)
-		if math.Abs(slow-fast) > 1e-9 {
-			t.Fatalf("Predict (%v) != PredictVec (%v) at x=%v", fast, slow, x)
-		}
-		fastVec := nn.PredictVecFast([]float64{x})
-		if math.Abs(slow-fastVec) > 1e-9 {
-			t.Fatalf("PredictVecFast mismatch at x=%v", x)
+	for _, hidden := range [][]int{{8}, {32, 32}, {64}} {
+		nn := TrainNN(xs, ys, DefaultNNConfig(hidden...))
+		for _, x := range []float64{0, 1, 250, 499, 1000} {
+			if p, v := nn.Predict(x), nn.PredictVec([]float64{x}); p != v {
+				t.Fatalf("hidden=%v: Predict (%v) != PredictVec (%v) at x=%v", hidden, p, v, x)
+			}
 		}
 	}
 }
@@ -225,7 +217,7 @@ func TestNNVectorInput(t *testing.T) {
 	nn := TrainNNVec(xs, ys, cfg)
 	var rms float64
 	for i := range xs {
-		d := nn.PredictVecFast(xs[i]) - ys[i]
+		d := nn.PredictVec(xs[i]) - ys[i]
 		rms += d * d
 	}
 	rms = math.Sqrt(rms / float64(n))

@@ -271,86 +271,41 @@ func (n *NN) backward(x []float64, acts, deltas [][]float64, gradW, gradB [][]fl
 	}
 }
 
-// Predict evaluates the network on a scalar key. It is allocation-free for
-// widths up to 32 (the §3.3 architecture bound), keeping model execution in
-// the tens-of-nanoseconds regime the paper's generated C++ achieves.
+// Predict evaluates the network, of any width, on a scalar key: PredictVec
+// on a one-element vector.
 func (n *NN) Predict(x float64) float64 {
-	var a, b [32]float64
-	in := a[:1]
-	in[0] = (x - n.inLo[0]) * n.inScale[0]
-	cur, nxt := a[:], b[:]
-	curLen := 1
-	for l := range n.w {
-		d := len(n.b[l])
-		prev := curLen
-		for j := 0; j < d; j++ {
-			s := n.b[l][j]
-			row := n.w[l][j*prev : (j+1)*prev]
-			for k := 0; k < prev; k++ {
-				s += row[k] * cur[k]
-			}
-			if l < len(n.w)-1 && s < 0 {
-				s = 0
-			}
-			nxt[j] = s
-		}
-		cur, nxt = nxt, cur
-		curLen = d
-	}
-	return cur[0]*(n.outHi-n.outLo) + n.outLo
+	return n.PredictVec([]float64{x})
 }
 
-// PredictVecFast evaluates the network on a vector input without heap
-// allocation, for input dimension <= 64 and layer widths <= 32 (the §3.3
-// and §3.5 architecture bounds). Larger shapes fall back to PredictVec.
-func (n *NN) PredictVecFast(x []float64) float64 {
-	if n.inDim > 64 {
-		return n.PredictVec(x)
-	}
-	for _, w := range n.widths {
-		if w > 32 {
-			return n.PredictVec(x)
-		}
-	}
+// PredictVec evaluates the network on a vector input (a scalar key is a
+// one-element vector). Inputs up to 64 dimensions and layers up to 32 wide
+// (the §3.5 and §3.3 architecture bounds) run on stack scratch without heap
+// allocation, keeping model execution in the tens-of-nanoseconds regime the
+// paper's generated C++ achieves; any wider shape allocates its scratch.
+func (n *NN) PredictVec(x []float64) float64 {
 	var xb [64]float64
-	var a, b [32]float64
-	n.normalize(x, xb[:n.inDim])
-	cur := xb[:n.inDim]
-	bufs := [2][]float64{a[:], b[:]}
+	var ab, bb [32]float64
+	cur, a, b := xb[:], ab[:], bb[:]
+	if n.inDim > len(cur) {
+		cur = make([]float64, n.inDim)
+	}
+	width := 0
+	for _, w := range n.widths {
+		width = max(width, w)
+	}
+	if width > len(a) {
+		a, b = make([]float64, width), make([]float64, width)
+	}
+	cur = cur[:n.inDim]
+	n.normalize(x, cur)
 	for l := range n.w {
 		d := len(n.b[l])
 		prev := len(cur)
-		out := bufs[l&1][:d]
+		out := a[:d]
 		for j := 0; j < d; j++ {
 			s := n.b[l][j]
 			row := n.w[l][j*prev : (j+1)*prev]
-			for k := 0; k < prev; k++ {
-				s += row[k] * cur[k]
-			}
-			if l < len(n.w)-1 && s < 0 {
-				s = 0
-			}
-			out[j] = s
-		}
-		cur = out
-	}
-	return cur[0]*(n.outHi-n.outLo) + n.outLo
-}
-
-// PredictVec evaluates the network on a vector input.
-func (n *NN) PredictVec(x []float64) float64 {
-	xn := make([]float64, n.inDim)
-	n.normalize(x, xn)
-	in := xn
-	var out []float64
-	for l := range n.w {
-		d := len(n.b[l])
-		out = make([]float64, d)
-		prev := len(in)
-		for j := 0; j < d; j++ {
-			s := n.b[l][j]
-			row := n.w[l][j*prev : (j+1)*prev]
-			for k, v := range in {
+			for k, v := range cur {
 				s += row[k] * v
 			}
 			if l < len(n.w)-1 && s < 0 {
@@ -358,9 +313,9 @@ func (n *NN) PredictVec(x []float64) float64 {
 			}
 			out[j] = s
 		}
-		in = out
+		cur, a, b = out, b, a
 	}
-	return out[0]*(n.outHi-n.outLo) + n.outLo
+	return cur[0]*(n.outHi-n.outLo) + n.outLo
 }
 
 // NumParams returns the number of weights and biases.
