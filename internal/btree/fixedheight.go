@@ -84,7 +84,7 @@ func (t *FixedSize) Lookup(key uint64) int {
 	if hi > n {
 		hi = n
 	}
-	return search.Interpolation(t.keys, key, lo, hi)
+	return search.Interpolated(t.keys, key, lo, hi)
 }
 
 // Contains reports whether key is present.
@@ -108,7 +108,7 @@ func (t *FixedSize) PageSize() int { return t.pageSize }
 // interpUpperMinus1 returns the last slot s in [lo, hi) with lvl[s] <= key
 // using interpolation search (or lo if none).
 func interpUpperMinus1(lvl []uint64, key uint64, lo, hi int) int {
-	s := search.Interpolation(lvl, key, lo, hi) // first slot >= key
+	s := search.Interpolated(lvl, key, lo, hi) // first slot >= key
 	if s < hi && lvl[s] == key {
 		return s
 	}

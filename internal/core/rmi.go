@@ -569,21 +569,6 @@ func hybridLookup[K cmp.Ordered](keys []K, pos []int32, sep []K, pageSize int, k
 	}
 }
 
-// verifyOrExpand checks whether a window-restricted result is globally
-// correct and re-searches with expansion when it sits incorrectly on the
-// window boundary (the §3.4 non-monotonic-model remedy). StringRMI runs it
-// after each of its window-restricted strategies.
-func verifyOrExpand[K cmp.Ordered](keys []K, key K, pos, lo, hi int) int {
-	n := len(keys)
-	if pos == lo && lo > 0 && keys[lo-1] >= key {
-		return search.BoundedWithExpansion(keys, key, 0, lo+1)
-	}
-	if pos == hi && hi < n {
-		return search.BoundedWithExpansion(keys, key, hi-1, n)
-	}
-	return pos
-}
-
 // Contains reports whether key is stored.
 func (r *RMI) Contains(key uint64) bool { return r.plan.Contains(key) }
 

@@ -18,7 +18,8 @@ const (
 	// middle point is the model prediction, restricted to the stored
 	// min/max error window.
 	SearchModelBiased SearchKind = iota
-	// SearchBinary is plain binary search over the error window.
+	// SearchBinary is plain bisection over the error window, run as the
+	// compiled plan's branchless search (search.BranchlessWithExpansion).
 	SearchBinary
 	// SearchQuaternary is the biased quaternary search with initial probes
 	// at pos-σ, pos, pos+σ.
@@ -197,6 +198,9 @@ func (r *StringRMI) leafIndex(key string, vbuf []float64) int {
 // Predict runs only the model hierarchy and returns the estimated position
 // plus the error window.
 func (r *StringRMI) Predict(key string) (pos, lo, hi int) {
+	if len(r.keys) == 0 {
+		return 0, 0, 0
+	}
 	var vb [64]float64
 	idx := r.leafIndex(key, vb[:r.cfg.MaxLen])
 	lf := &r.leaves[idx]
@@ -228,13 +232,15 @@ func (r *StringRMI) Lookup(key string) int {
 	pred := clampInt(rawPred, 0, n-1)
 	switch r.cfg.Search {
 	case SearchBinary:
-		return search.BoundedWithExpansion(r.keys, key, lo, hi)
+		return search.BranchlessWithExpansion(r.keys, key, lo, hi)
 	case SearchQuaternary:
 		pos := search.BiasedQuaternary(r.keys, key, lo, hi, pred, int(lf.stdErr))
-		return verifyOrExpand(r.keys, key, pos, lo, hi)
+		return search.VerifyOrExpand(r.keys, key, pos, lo, hi)
+	case SearchExponential:
+		return search.Exponential(r.keys, key, n, pred)
 	default:
 		pos := search.ModelBiasedBinary(r.keys, key, lo, hi, pred)
-		return verifyOrExpand(r.keys, key, pos, lo, hi)
+		return search.VerifyOrExpand(r.keys, key, pos, lo, hi)
 	}
 }
 

@@ -41,7 +41,7 @@ func TestStringRMILookupMatchesOracle(t *testing.T) {
 
 func TestStringRMISearchStrategies(t *testing.T) {
 	keys := data.DocIDs(15_000, 1)
-	for _, s := range []SearchKind{SearchModelBiased, SearchBinary, SearchQuaternary} {
+	for _, s := range []SearchKind{SearchModelBiased, SearchBinary, SearchQuaternary, SearchExponential} {
 		cfg := DefaultStringConfig(150, 16)
 		cfg.Search = s
 		r := NewString(keys, cfg)
@@ -98,6 +98,9 @@ func TestStringRMIEmptyAndTiny(t *testing.T) {
 	r := NewString(nil, DefaultStringConfig(4))
 	if r.Lookup("x") != 0 {
 		t.Fatal("empty lookup")
+	}
+	if pos, lo, hi := r.Predict("x"); pos != 0 || lo != 0 || hi != 0 {
+		t.Fatalf("empty Predict = (%d, %d, %d), want (0, 0, 0)", pos, lo, hi)
 	}
 	r = NewString([]string{"m"}, DefaultStringConfig(4))
 	if r.Lookup("a") != 0 || r.Lookup("m") != 0 || r.Lookup("z") != 1 {

@@ -25,7 +25,9 @@ type ShootoutRow struct {
 // predicted window (lo, hi, pred) is precomputed, and each strategy then
 // resolves exactly the same windows. This isolates pure search cost from
 // model cost, which a full-lookup comparison (where each strategy
-// retrains) cannot do.
+// retrains) cannot do. Every window-restricted strategy is followed by
+// the same §3.4 window check (search.VerifyOrExpand), so all of them are
+// compared at equal, globally correct semantics.
 func SearchShootout(o Options) []ShootoutRow {
 	o = o.withDefaults()
 	keys := cachedKeys("lognormal", o.N, o.Seed, func() data.Keys { return data.LognormalPaper(o.N, o.Seed) })
@@ -47,22 +49,19 @@ func SearchShootout(o Options) []ShootoutRow {
 		fn   func(k uint64, w win) int
 	}{
 		{"binary", func(k uint64, w win) int {
-			return search.BoundedWithExpansion(keys, k, w.lo, w.hi)
+			return search.VerifyOrExpand(keys, k, search.Binary(keys, k, w.lo, w.hi), w.lo, w.hi)
 		}},
 		{"branchless", func(k uint64, w win) int {
 			return search.BranchlessWithExpansion(keys, k, w.lo, w.hi)
 		}},
 		{"model-biased", func(k uint64, w win) int {
-			pos := search.ModelBiasedBranchless(keys, k, w.lo, w.hi, w.pred)
-			return verifyShootout(keys, k, pos, w.lo, w.hi, n)
+			return search.VerifyOrExpand(keys, k, search.ModelBiasedBinary(keys, k, w.lo, w.hi, w.pred), w.lo, w.hi)
 		}},
 		{"interpolated", func(k uint64, w win) int {
-			pos := search.Interpolated(keys, k, w.lo, w.hi)
-			return verifyShootout(keys, k, pos, w.lo, w.hi, n)
+			return search.VerifyOrExpand(keys, k, search.Interpolated(keys, k, w.lo, w.hi), w.lo, w.hi)
 		}},
 		{"quaternary", func(k uint64, w win) int {
-			pos := search.BiasedQuaternary(keys, k, w.lo, w.hi, w.pred, w.sigma)
-			return verifyShootout(keys, k, pos, w.lo, w.hi, n)
+			return search.VerifyOrExpand(keys, k, search.BiasedQuaternary(keys, k, w.lo, w.hi, w.pred, w.sigma), w.lo, w.hi)
 		}},
 		{"exponential", func(k uint64, w win) int {
 			return search.Exponential(keys, k, n, w.pred)
@@ -102,19 +101,6 @@ func SearchShootout(o Options) []ShootoutRow {
 	}
 	render(o, t)
 	return rows
-}
-
-// verifyShootout mirrors core's window-boundary verification so the
-// window-restricted strategies are compared at equal (globally correct)
-// semantics.
-func verifyShootout(keys []uint64, key uint64, pos, lo, hi, n int) int {
-	if pos == lo && lo > 0 && keys[lo-1] >= key {
-		return search.BoundedWithExpansion(keys, key, 0, lo+1)
-	}
-	if pos == hi && hi < n {
-		return search.BoundedWithExpansion(keys, key, hi-1, n)
-	}
-	return pos
 }
 
 // win is one probe's precomputed search window.

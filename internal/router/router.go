@@ -28,6 +28,7 @@ import (
 	"time"
 
 	"learnedindex/internal/repl"
+	"learnedindex/internal/search"
 	"learnedindex/internal/server"
 )
 
@@ -362,19 +363,6 @@ func (e *endpoint) freshFollower() bool {
 
 // ---- batch splitting: bucket by fence, scatter, gather ----
 
-// owner returns the node owning key: the number of fences at or below it.
-func owner[K cmp.Ordered](fences []K, key K) int {
-	lo, hi := 0, len(fences)
-	for lo < hi {
-		if mid := int(uint(lo+hi) >> 1); fences[mid] <= key {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
 // buckets is a batch grouped by owner node — a stable counting scatter, so
 // nothing is sorted here: each server sorts only its own share. Node i's
 // keys are keys[start[i]:start[i+1]] in batch order, and idx maps each
@@ -394,7 +382,7 @@ func bucket[K cmp.Ordered](batch, fences []K) buckets[K] {
 	// ends, which is where node o+1's begins: start[o] is then node o's.
 	start := make([]int, len(fences)+3)
 	for i, k := range batch {
-		o := owner(fences, k)
+		o := search.UpperBound(fences, k)
 		own[i] = int32(o)
 		start[o+2]++
 	}

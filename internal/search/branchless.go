@@ -1,133 +1,57 @@
 package search
 
-// Branchless is a lower-bound search over keys[lo:hi) whose inner loop
-// carries no data-dependent branch: each iteration halves the candidate
-// length and conditionally advances the base with a compare that the
-// compiler lowers to a conditional move. With no branch to mispredict, the
-// loop's cost is a fixed ~log2(hi-lo) dependent loads — the shape the
-// compiled read path (core.Plan) wants, where the error window is already
-// tiny and a single mispredict would dominate it.
-//
-// Results are identical to Binary on every input (pinned by unit test and
-// FuzzLowerBoundSearch).
-func Branchless(keys []uint64, target uint64, lo, hi int) int {
-	base := lo
-	n := hi - lo
-	if n <= 0 {
-		return lo
-	}
-	for n > 1 {
-		half := n >> 1
-		// Compiled to CMOV: no branch on key data.
-		cur := base
-		if keys[cur+half-1] < target {
-			cur += half
+import "cmp"
+
+// Branchless is a lower-bound search over keys[lo:hi) whose loop carries
+// no data-dependent branch: each round tests the last key of the lower
+// half of the candidates and advances the base past that half by
+// arithmetic on the 0/1 outcome (the compiler materializes it with SETcc;
+// it will not emit a conditional move for a value that feeds the next
+// load's address). The trip count depends only on hi-lo, so the loop's
+// cost is a fixed ~log2(hi-lo) dependent loads — the shape the compiled
+// read path (core.Plan) wants, where the error window is already tiny and
+// a single mispredict would dominate it.
+func Branchless[K cmp.Ordered](keys []K, target K, lo, hi int) int {
+	base, n := lo, hi-lo
+	for n > 0 {
+		half := (n + 1) >> 1 // rounds up: the last round tests the last candidate
+		lt := 0
+		if keys[base+half-1] < target {
+			lt = 1
 		}
-		base = cur
+		base += half & -lt
 		n -= half
-	}
-	if keys[base] < target {
-		base++
 	}
 	return base
 }
 
-// ModelBiasedBranchless is ModelBiasedBinary with the post-probe refinement
-// done branchlessly: the first probe is the model prediction, then the
-// surviving half is resolved by Branchless. Identical results to
-// ModelBiasedBinary on every input.
-func ModelBiasedBranchless(keys []uint64, target uint64, lo, hi, pred int) int {
-	if pred < lo {
-		pred = lo
-	}
-	if pred >= hi {
-		pred = hi - 1
-	}
-	if lo >= hi {
-		return lo
-	}
-	if keys[pred] < target {
-		lo = pred + 1
-	} else {
-		hi = pred
-	}
-	return Branchless(keys, target, lo, hi)
+// BranchlessWithExpansion is the compiled plan's last-mile search: the
+// window [lo, hi) (clamped into keys) is searched by Branchless, and
+// VerifyOrExpand makes the result the global lower bound for any query
+// key, stored or not.
+func BranchlessWithExpansion[K cmp.Ordered](keys []K, target K, lo, hi int) int {
+	hi = min(max(hi, 0), len(keys))
+	lo = min(max(lo, 0), hi)
+	return VerifyOrExpand(keys, target, Branchless(keys, target, lo, hi), lo, hi)
 }
 
-// Interpolated is a lower-bound search over keys[lo:hi) that picks probe
-// points by linear interpolation between the window endpoints' key values
-// instead of bisecting: on locally smooth data (what a well-fit leaf model
-// implies about its window) each probe cuts the window by a large factor,
-// so the dependent cache-miss chain is 2–3 loads instead of log2(hi-lo).
-// When interpolation stops converging the remainder is finished by
-// Branchless. Results are identical to Binary on every input (pinned by
-// unit test and FuzzLowerBoundSearch).
-func Interpolated(keys []uint64, target uint64, lo, hi int) int {
-	const maxIter = 8 // interpolation beyond this means adversarial data
-	h := hi - 1
-	for iter := 0; lo < h && iter < maxIter; iter++ {
-		kl, kh := keys[lo], keys[h]
-		if target <= kl {
-			return lo
+// UpperBound returns the number of bounds <= key: the range partition
+// whose [bounds[i-1], bounds[i]) window contains key, for split keys
+// bounds in ascending order (repeats allowed). It is the one split-key
+// search, routing a key to its serving shard (internal/serve) and to its
+// cluster node (internal/router). Like Branchless its trip count depends
+// only on len(bounds) and its data-dependent step is SETcc arithmetic, so
+// a batch of uniform probes has no branch to mispredict on it.
+func UpperBound[K cmp.Ordered](bounds []K, key K) int {
+	base, n := 0, len(bounds)
+	for n > 0 {
+		half := (n + 1) >> 1
+		le := 0
+		if bounds[base+half-1] <= key {
+			le = 1
 		}
-		if target > kh {
-			return h + 1
-		}
-		// Position estimate by linear interpolation between endpoints,
-		// nudged off the endpoints so every probe shrinks the window.
-		span := float64(kh - kl)
-		mid := lo + int(float64(target-kl)/span*float64(h-lo))
-		if mid <= lo {
-			mid = lo + 1
-		}
-		if mid > h {
-			mid = h
-		}
-		if keys[mid] < target {
-			lo = mid + 1
-		} else if mid > lo && keys[mid-1] >= target {
-			h = mid - 1
-		} else {
-			return mid
-		}
+		base += half & -le
+		n -= half
 	}
-	return Branchless(keys, target, lo, h+1)
-}
-
-// BranchlessWithExpansion is BoundedWithExpansion with the per-window
-// search done by Branchless: globally correct lower-bound semantics for any
-// query key, expanding the window whenever the result sits incorrectly on
-// its boundary. Identical results to BoundedWithExpansion on every input.
-func BranchlessWithExpansion(keys []uint64, target uint64, lo, hi int) int {
-	n := len(keys)
-	clampWin := func() {
-		if lo < 0 {
-			lo = 0
-		}
-		if hi > n {
-			hi = n
-		}
-		if lo > hi {
-			lo = hi
-		}
-	}
-	clampWin()
-	for {
-		pos := Branchless(keys, target, lo, hi)
-		expanded := false
-		if pos == lo && lo > 0 && keys[lo-1] >= target {
-			width := hi - lo + 1
-			lo -= width * 2
-			expanded = true
-		}
-		if pos == hi && hi < n && (hi == 0 || keys[hi-1] < target) {
-			width := hi - lo + 1
-			hi += width * 2
-			expanded = true
-		}
-		if !expanded {
-			return pos
-		}
-		clampWin()
-	}
+	return base
 }

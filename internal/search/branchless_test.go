@@ -1,7 +1,9 @@
 package search
 
 import (
+	"cmp"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -68,11 +70,63 @@ func TestQuickBranchlessVariantsAgree(t *testing.T) {
 		want := refLowerBound(raw, target)
 		pred := int(predSeed) % len(raw)
 		return Branchless(raw, target, 0, len(raw)) == want &&
-			ModelBiasedBranchless(raw, target, 0, len(raw), pred) == want &&
 			BranchlessWithExpansion(raw, target, pred, pred+1) == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 3000}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestUpperBoundMatchesSortSearch pins the split-key search, for both key
+// kinds, against sort.Search over split keys built the way serve builds
+// its shard bounds: for split counts on both sides of every power of two,
+// far past the 16 a serve batch keeps on its stack, and past the key count
+// (where split keys repeat), at every split key and its neighbours.
+func TestUpperBoundMatchesSortSearch(t *testing.T) {
+	shardCounts := []int{1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 300}
+	for _, keys := range [][]uint64{sortedKeys(20_000, 21), sortedKeys(100, 23)} {
+		for _, nsh := range shardCounts {
+			bounds := splitKeys(keys, nsh)
+			probes := []uint64{0, 1, ^uint64(0)}
+			for _, b := range bounds {
+				probes = append(probes, b-1, b, b+1)
+			}
+			rng := rand.New(rand.NewSource(22))
+			for i := 0; i < 500; i++ {
+				probes = append(probes, rng.Uint64()%(keys[len(keys)-1]+1000))
+			}
+			checkUpperBound(t, nsh, bounds, probes)
+		}
+	}
+	for _, keys := range [][]string{stringSearchKeys(2_000, 24), stringSearchKeys(100, 25)} {
+		for _, nsh := range shardCounts {
+			bounds := splitKeys(keys, nsh)
+			probes := []string{"", "\x00", "\xff\xff\xff\xff\xff\xff\xff\xff\xff"}
+			for _, b := range bounds {
+				probes = append(probes, b, b+"\x00", b[:len(b)-1])
+			}
+			checkUpperBound(t, nsh, bounds, probes)
+		}
+	}
+}
+
+// splitKeys returns the nsh-1 split keys of nsh range partitions over
+// sorted, as serve's store picks its shard bounds.
+func splitKeys[K cmp.Ordered](sorted []K, nsh int) []K {
+	bounds := make([]K, 0, nsh-1)
+	for i := 1; i < nsh; i++ {
+		bounds = append(bounds, sorted[i*len(sorted)/nsh])
+	}
+	return bounds
+}
+
+func checkUpperBound[K cmp.Ordered](t *testing.T, nsh int, bounds, probes []K) {
+	t.Helper()
+	for _, k := range probes {
+		want := sort.Search(len(bounds), func(i int) bool { return k < bounds[i] })
+		if got := UpperBound(bounds, k); got != want {
+			t.Fatalf("shards=%d: UpperBound(%v) = %d, want %d", nsh, k, got, want)
+		}
 	}
 }
 

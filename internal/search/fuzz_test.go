@@ -13,20 +13,6 @@ func lowerBound(keys []uint64, target uint64, lo, hi int) int {
 	return lo + sort.Search(hi-lo, func(i int) bool { return keys[lo+i] >= target })
 }
 
-// verifyOrExpand mirrors core's window-boundary verification: a
-// window-restricted result is re-searched with expansion when it sits
-// incorrectly on the boundary, which turns any window-correct strategy
-// into a globally correct one.
-func verifyOrExpand[K cmp.Ordered](keys []K, target K, pos, lo, hi int) int {
-	if pos == lo && lo > 0 && keys[lo-1] >= target {
-		return BoundedWithExpansion(keys, target, 0, lo+1)
-	}
-	if pos == hi && hi < len(keys) {
-		return BoundedWithExpansion(keys, target, hi-1, len(keys))
-	}
-	return pos
-}
-
 // keysFromBytes derives a sorted (duplicates allowed) key array from raw
 // fuzz bytes: one key per 2-byte chunk, kept small so duplicate-adjacent
 // targets and boundary collisions are common.
@@ -49,13 +35,15 @@ func stringKey(k uint64) string {
 	return string([]byte{byte(k >> 8), byte(k)})
 }
 
-// FuzzLowerBoundSearch differentially fuzzes every last-mile strategy —
-// Branchless, Binary, ModelBiasedBinary/Branchless, Interpolated,
-// BiasedQuaternary (+verify), and Exponential — against sort.Search
-// lower-bound semantics, on random keys and windows, including empty
-// windows, duplicate-adjacent targets, and out-of-range probes. The
-// generic strategies also run their string instantiation over the keys
-// mapped by stringKey, which must answer what the uint64 one does.
+// FuzzLowerBoundSearch differentially fuzzes every function of the
+// package against sort.Search, on random keys and windows, including
+// empty windows, duplicate-adjacent targets, and out-of-range probes: the
+// window-restricted strategies (Binary, Branchless, ModelBiasedBinary,
+// BiasedQuaternary, Interpolated) against the windowed lower bound, each
+// of them followed by VerifyOrExpand, BranchlessWithExpansion and
+// Exponential against the global one, and UpperBound against the count of
+// keys <= target. The generic functions run in both key types: the string
+// keys mapped by stringKey must answer what the uint64 ones do.
 func FuzzLowerBoundSearch(f *testing.F) {
 	f.Add([]byte{1, 0, 1, 0, 2, 0, 9, 0}, uint64(2), uint(0), uint(4), uint(1), uint(1))
 	f.Add([]byte{}, uint64(5), uint(0), uint(0), uint(0), uint(0))                         // empty keys
@@ -75,72 +63,61 @@ func FuzzLowerBoundSearch(f *testing.F) {
 		pred := int(predRaw%uint(n+2)) - 1 // may fall outside [lo, hi)
 		sigma := int(sigmaRaw % 8)
 
-		global := lowerBound(keys, target, 0, n)
-		window := lowerBound(keys, target, lo, hi)
-
-		// Window-restricted strategies must agree with the windowed
-		// reference — and with each other.
-		if got := Binary(keys, target, lo, hi); got != window {
-			t.Fatalf("Binary(%v, %d, [%d,%d)) = %d, want %d", keys, target, lo, hi, got, window)
+		want := answers{
+			window: lowerBound(keys, target, lo, hi),
+			global: lowerBound(keys, target, 0, n),
+			upper:  sort.Search(n, func(i int) bool { return keys[i] > target }),
 		}
-		if got := Branchless(keys, target, lo, hi); got != window {
-			t.Fatalf("Branchless(%v, %d, [%d,%d)) = %d, want %d", keys, target, lo, hi, got, window)
+		checkAll(t, keys, target, lo, hi, pred, sigma, want)
+		if got := Interpolated(keys, target, lo, hi); got != want.window {
+			t.Fatalf("Interpolated(%v, %d, [%d,%d)) = %d, want %d", keys, target, lo, hi, got, want.window)
 		}
-		if got := ModelBiasedBinary(keys, target, lo, hi, pred); got != window {
-			t.Fatalf("ModelBiasedBinary(pred=%d) = %d, want %d", pred, got, window)
-		}
-		if got := ModelBiasedBranchless(keys, target, lo, hi, pred); got != window {
-			t.Fatalf("ModelBiasedBranchless(pred=%d) = %d, want %d", pred, got, window)
-		}
-		if got := Interpolated(keys, target, lo, hi); got != window {
-			t.Fatalf("Interpolated([%d,%d)) = %d, want %d", lo, hi, got, window)
-		}
-		if got := BiasedQuaternary(keys, target, lo, hi, pred, sigma); got != window {
-			t.Fatalf("BiasedQuaternary(pred=%d, sigma=%d) = %d, want %d", pred, sigma, got, window)
+		if got := VerifyOrExpand(keys, target, Interpolated(keys, target, lo, hi), lo, hi); got != want.global {
+			t.Fatalf("Interpolated+VerifyOrExpand(%v, %d, [%d,%d)) = %d, want %d", keys, target, lo, hi, got, want.global)
 		}
 
-		// Globally correct strategies must resolve the true lower bound
-		// from any window or prediction.
-		if got := BoundedWithExpansion(keys, target, lo, hi); got != global {
-			t.Fatalf("BoundedWithExpansion([%d,%d)) = %d, want %d", lo, hi, got, global)
-		}
-		if got := BranchlessWithExpansion(keys, target, lo, hi); got != global {
-			t.Fatalf("BranchlessWithExpansion([%d,%d)) = %d, want %d", lo, hi, got, global)
-		}
-		if got := verifyOrExpand(keys, target, BiasedQuaternary(keys, target, lo, hi, pred, sigma), lo, hi); got != global {
-			t.Fatalf("BiasedQuaternary+verify = %d, want %d", got, global)
-		}
-		if got := verifyOrExpand(keys, target, ModelBiasedBranchless(keys, target, lo, hi, pred), lo, hi); got != global {
-			t.Fatalf("ModelBiasedBranchless+verify = %d, want %d", got, global)
-		}
-		if n > 0 {
-			if got := Exponential(keys, target, n, pred); got != global {
-				t.Fatalf("Exponential(pred=%d) = %d, want %d", pred, got, global)
-			}
-		}
-
-		// The string instantiation of every generic strategy.
 		skeys := make([]string, n)
 		for i, k := range keys {
 			skeys[i] = stringKey(k)
 		}
 		st := stringKey(target)
-		if got := lo + sort.SearchStrings(skeys[lo:hi], st); got != window {
-			t.Fatalf("mapping broke order: sort.SearchStrings = %d, want %d", got, window)
+		if got := lo + sort.SearchStrings(skeys[lo:hi], st); got != want.window {
+			t.Fatalf("mapping broke order: sort.SearchStrings = %d, want %d", got, want.window)
 		}
-		for _, c := range []struct {
-			name      string
-			got, want int
-		}{
-			{"Binary", Binary(skeys, st, lo, hi), window},
-			{"ModelBiasedBinary", ModelBiasedBinary(skeys, st, lo, hi, pred), window},
-			{"BiasedQuaternary", BiasedQuaternary(skeys, st, lo, hi, pred, sigma), window},
-			{"BoundedWithExpansion", BoundedWithExpansion(skeys, st, lo, hi), global},
-			{"BiasedQuaternary+verify", verifyOrExpand(skeys, st, BiasedQuaternary(skeys, st, lo, hi, pred, sigma), lo, hi), global},
-		} {
-			if c.got != c.want {
-				t.Fatalf("string %s(%q, [%d,%d), pred=%d, sigma=%d) = %d, want %d", c.name, st, lo, hi, pred, sigma, c.got, c.want)
-			}
-		}
+		checkAll(t, skeys, st, lo, hi, pred, sigma, want)
 	})
+}
+
+// answers are the sort.Search references for one fuzz input.
+type answers struct{ window, global, upper int }
+
+// checkAll runs every generic function over one key type.
+func checkAll[K cmp.Ordered](t *testing.T, keys []K, target K, lo, hi, pred, sigma int, want answers) {
+	t.Helper()
+	windowed := []struct {
+		name string
+		got  int
+	}{
+		{"Binary", Binary(keys, target, lo, hi)},
+		{"Branchless", Branchless(keys, target, lo, hi)},
+		{"ModelBiasedBinary", ModelBiasedBinary(keys, target, lo, hi, pred)},
+		{"BiasedQuaternary", BiasedQuaternary(keys, target, lo, hi, pred, sigma)},
+	}
+	for _, c := range windowed {
+		if c.got != want.window {
+			t.Fatalf("%s(%v, %v, [%d,%d), pred=%d, sigma=%d) = %d, want %d", c.name, keys, target, lo, hi, pred, sigma, c.got, want.window)
+		}
+		if got := VerifyOrExpand(keys, target, c.got, lo, hi); got != want.global {
+			t.Fatalf("%s+VerifyOrExpand(%v, %v, [%d,%d)) = %d, want %d", c.name, keys, target, lo, hi, got, want.global)
+		}
+	}
+	if got := BranchlessWithExpansion(keys, target, lo, hi); got != want.global {
+		t.Fatalf("BranchlessWithExpansion(%v, %v, [%d,%d)) = %d, want %d", keys, target, lo, hi, got, want.global)
+	}
+	if got := Exponential(keys, target, len(keys), pred); got != want.global {
+		t.Fatalf("Exponential(%v, %v, pred=%d) = %d, want %d", keys, target, pred, got, want.global)
+	}
+	if got := UpperBound(keys, target); got != want.upper {
+		t.Fatalf("UpperBound(%v, %v) = %d, want %d", keys, target, got, want.upper)
+	}
 }

@@ -17,16 +17,21 @@
 //     position itself, not just a page.
 //   - Exponential: doubling search outward from the prediction; needs no
 //     stored error bounds ("assuming a normal distributed error", §3.4).
-//   - Interpolation: used inside the fixed-size B-Tree baseline (Figure 5).
+//   - Interpolated: interpolation search, the Figure 5 fixed-size B-Tree
+//     baseline's page search.
+//
+// Beside them: Branchless, the bisection every compiled uint64 plan runs;
+// VerifyOrExpand, the §3.4 window check that makes any window-restricted
+// result globally correct (BranchlessWithExpansion is Branchless followed
+// by it); and UpperBound, the split-key search that routes a key to its
+// range partition (a serving shard or a cluster node).
 //
 // The compiled uint64 RMI runs BranchlessWithExpansion only; the string
 // RMI (§3.5) selects one of the paper's strategies per index, and the
-// experiments race them all on uint64 keys. Binary, ModelBiasedBinary,
-// BiasedQuaternary and BoundedWithExpansion are generic over any ordered
-// key, so both key shapes run the same code; Go stencils them per key
-// shape, so the uint64 compare stays one instruction. Interpolation and Interpolated do arithmetic on
-// key values, and Exponential and the branchless loops have only uint64
-// callers: those stay uint64-only.
+// experiments race them all. Every function but Interpolated only compares
+// keys and is generic over any ordered key; Go stencils it per key shape,
+// so the uint64 compare stays one instruction. Interpolated does
+// arithmetic on key values and stays uint64-only.
 package search
 
 import "cmp"
@@ -116,10 +121,10 @@ func probe3[K cmp.Ordered](keys []K, target K, lo, hi, q1, q2, q3 int) (int, int
 	}
 }
 
-// Exponential searches outward from pred with doubling steps until the
-// target is bracketed, then finishes with binary search. It requires no
-// stored error bounds (§3.4).
-func Exponential(keys []uint64, target uint64, n, pred int) int {
+// Exponential searches keys[0:n) outward from pred with doubling steps
+// until the target is bracketed, then finishes with binary search. It
+// requires no stored error bounds (§3.4).
+func Exponential[K cmp.Ordered](keys []K, target K, n, pred int) int {
 	if pred < 0 {
 		pred = 0
 	}
@@ -164,22 +169,26 @@ func Exponential(keys []uint64, target uint64, n, pred int) int {
 	return Binary(keys, target, lo, hi+1)
 }
 
-// Interpolation performs interpolation search for the lower bound of target
-// in keys[lo:hi), falling back to binary search when the interpolation
-// stops converging. Used by the Figure 5 "fixed-size B-Tree with
-// interpolation search" baseline.
-func Interpolation(keys []uint64, target uint64, lo, hi int) int {
-	const maxIter = 32
+// Interpolated is a lower-bound search over keys[lo:hi) that picks probe
+// points by linear interpolation between the window endpoints' key values
+// instead of bisecting: on locally smooth data (what a well-fit leaf model
+// implies about its window, or a B-Tree page of uniform keys) each probe
+// cuts the window by a large factor, so the dependent cache-miss chain is
+// 2–3 loads instead of log2(hi-lo). When interpolation stops converging
+// the remainder is finished by Branchless.
+func Interpolated(keys []uint64, target uint64, lo, hi int) int {
+	const maxIter = 8 // interpolation beyond this means adversarial data
 	h := hi - 1
 	for iter := 0; lo < h && iter < maxIter; iter++ {
 		kl, kh := keys[lo], keys[h]
 		if target <= kl {
-			return Binary(keys, target, lo, h+1)
+			return lo
 		}
 		if target > kh {
 			return h + 1
 		}
-		// position estimate by linear interpolation between endpoints
+		// Position estimate by linear interpolation between endpoints,
+		// nudged off the endpoints so every probe shrinks the window.
 		span := float64(kh - kl)
 		mid := lo + int(float64(target-kl)/span*float64(h-lo))
 		if mid <= lo {
@@ -196,47 +205,35 @@ func Interpolation(keys []uint64, target uint64, lo, hi int) int {
 			return mid
 		}
 	}
-	return Binary(keys, target, lo, h+1)
+	return Branchless(keys, target, lo, h+1)
 }
 
-// BoundedWithExpansion searches for the lower bound of target in keys using
-// the model's error window [lo, hi], expanding the window when the result
-// lies on its boundary — the paper's remedy for non-monotonic models whose
-// error bounds only hold for stored keys (§3.4: "we incrementally adjust
-// the search area"). This guarantees correct lower-bound semantics for any
-// query key.
-func BoundedWithExpansion[K cmp.Ordered](keys []K, target K, lo, hi int) int {
+// VerifyOrExpand is the §3.4 window check: pos is the lower bound of
+// target within the window [lo, hi), as any window-restricted strategy
+// returns it, and the result is the lower bound over all of keys. A
+// model's error bounds only hold for stored keys (and a non-monotonic
+// model can route a key past its window), so when pos sits on a window
+// edge that the neighbouring key says is wrong, the window grows
+// geometrically towards the answer and is searched again ("we
+// incrementally adjust the search area").
+func VerifyOrExpand[K cmp.Ordered](keys []K, target K, pos, lo, hi int) int {
 	n := len(keys)
-	clampWin := func() {
-		if lo < 0 {
-			lo = 0
-		}
-		if hi > n {
-			hi = n
-		}
-		if lo > hi {
-			lo = hi
-		}
-	}
-	clampWin()
 	for {
-		pos := Binary(keys, target, lo, hi)
 		expanded := false
 		if pos == lo && lo > 0 && keys[lo-1] >= target {
 			// answer may lie left of the window
-			width := hi - lo + 1
-			lo -= width * 2
+			lo -= 2 * (hi - lo + 1)
 			expanded = true
 		}
 		if pos == hi && hi < n && (hi == 0 || keys[hi-1] < target) {
 			// answer may lie right of the window
-			width := hi - lo + 1
-			hi += width * 2
+			hi += 2 * (hi - lo + 1)
 			expanded = true
 		}
 		if !expanded {
 			return pos
 		}
-		clampWin()
+		lo, hi = max(lo, 0), min(hi, n)
+		pos = Branchless(keys, target, lo, hi)
 	}
 }

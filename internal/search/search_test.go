@@ -92,8 +92,8 @@ func TestInterpolationMatchesOracle(t *testing.T) {
 	keys := sortedKeys(5000, 8)
 	for _, target := range probeSet(keys, 8) {
 		want := refLowerBound(keys, target)
-		if got := Interpolation(keys, target, 0, len(keys)); got != want {
-			t.Fatalf("Interpolation(%d) = %d, want %d", target, got, want)
+		if got := Interpolated(keys, target, 0, len(keys)); got != want {
+			t.Fatalf("Interpolated(%d) = %d, want %d", target, got, want)
 		}
 	}
 }
@@ -108,13 +108,13 @@ func TestInterpolationSkewedData(t *testing.T) {
 	}
 	for _, target := range probeSet(keys, 9) {
 		want := refLowerBound(keys, target)
-		if got := Interpolation(keys, target, 0, len(keys)); got != want {
-			t.Fatalf("Interpolation(%d) = %d, want %d", target, got, want)
+		if got := Interpolated(keys, target, 0, len(keys)); got != want {
+			t.Fatalf("Interpolated(%d) = %d, want %d", target, got, want)
 		}
 	}
 }
 
-func TestBoundedWithExpansionCorrectEvenWithWrongWindow(t *testing.T) {
+func TestBranchlessWithExpansionCorrectEvenWithWrongWindow(t *testing.T) {
 	keys := sortedKeys(3000, 10)
 	rng := rand.New(rand.NewSource(11))
 	for _, target := range probeSet(keys, 10) {
@@ -123,8 +123,8 @@ func TestBoundedWithExpansionCorrectEvenWithWrongWindow(t *testing.T) {
 		for i := 0; i < 5; i++ {
 			lo := rng.Intn(len(keys))
 			hi := lo + rng.Intn(50)
-			if got := BoundedWithExpansion(keys, target, lo, hi); got != want {
-				t.Fatalf("BoundedWithExpansion(%d, [%d,%d)) = %d, want %d", target, lo, hi, got, want)
+			if got := BranchlessWithExpansion(keys, target, lo, hi); got != want {
+				t.Fatalf("BranchlessWithExpansion(%d, [%d,%d)) = %d, want %d", target, lo, hi, got, want)
 			}
 		}
 	}
@@ -143,11 +143,11 @@ func TestSearchEmptyAndSingle(t *testing.T) {
 		if got := Exponential(one, target, 1, 0); got != want {
 			t.Fatalf("Exponential single: got %d want %d", got, want)
 		}
-		if got := BoundedWithExpansion(one, target, 0, 1); got != want {
-			t.Fatalf("BoundedWithExpansion single: got %d want %d", got, want)
+		if got := BranchlessWithExpansion(one, target, 0, 1); got != want {
+			t.Fatalf("BranchlessWithExpansion single: got %d want %d", got, want)
 		}
-		if got := Interpolation(one, target, 0, 1); got != want {
-			t.Fatalf("Interpolation single: got %d want %d", got, want)
+		if got := Interpolated(one, target, 0, 1); got != want {
+			t.Fatalf("Interpolated single: got %d want %d", got, want)
 		}
 	}
 }
@@ -163,7 +163,7 @@ func TestDuplicateRuns(t *testing.T) {
 		{"biased", func(x uint64) int { return ModelBiasedBinary(keys, x, 0, len(keys), 3) }},
 		{"quaternary", func(x uint64) int { return BiasedQuaternary(keys, x, 0, len(keys), 3, 2) }},
 		{"exponential", func(x uint64) int { return Exponential(keys, x, len(keys), 3) }},
-		{"interpolation", func(x uint64) int { return Interpolation(keys, x, 0, len(keys)) }},
+		{"interpolated", func(x uint64) int { return Interpolated(keys, x, 0, len(keys)) }},
 	} {
 		if got := strat.fn(5); got != 1 {
 			t.Fatalf("%s: lower bound of 5 = %d, want 1", strat.name, got)
@@ -187,8 +187,8 @@ func TestQuickAllStrategiesAgree(t *testing.T) {
 			ModelBiasedBinary(raw, target, 0, len(raw), pred) == want &&
 			BiasedQuaternary(raw, target, 0, len(raw), pred, 1+int(predSeed)%7) == want &&
 			Exponential(raw, target, len(raw), pred) == want &&
-			Interpolation(raw, target, 0, len(raw)) == want &&
-			BoundedWithExpansion(raw, target, pred, pred+1) == want
+			Interpolated(raw, target, 0, len(raw)) == want &&
+			BranchlessWithExpansion(raw, target, pred, pred+1) == want
 	}
 	cfg := &quick.Config{MaxCount: 3000}
 	if err := quick.Check(f, cfg); err != nil {
@@ -214,8 +214,8 @@ func TestStringSearchMatchesOracle(t *testing.T) {
 			if got := BiasedQuaternary(keys, p, 0, len(keys), pred, 2); got != want {
 				t.Fatalf("BiasedQuaternary(%q, pred=%d) = %d, want %d", p, pred, got, want)
 			}
-			if got := BoundedWithExpansion(keys, p, pred, pred+1); got != want {
-				t.Fatalf("BoundedWithExpansion(%q, win=%d) = %d, want %d", p, pred, got, want)
+			if got := BranchlessWithExpansion(keys, p, pred, pred+1); got != want {
+				t.Fatalf("BranchlessWithExpansion(%q, win=%d) = %d, want %d", p, pred, got, want)
 			}
 		}
 	}

@@ -120,10 +120,10 @@ func TestStringBiasedQuaternaryDifferential(t *testing.T) {
 	}
 }
 
-// TestStringBoundedWithExpansionDifferential starts from windows that do
+// TestStringBranchlessWithExpansionDifferential starts from windows that do
 // NOT contain the answer — the expansion loop must still converge to the
 // global lower bound — including empty and fully out-of-range windows.
-func TestStringBoundedWithExpansionDifferential(t *testing.T) {
+func TestStringBranchlessWithExpansionDifferential(t *testing.T) {
 	keys := stringSearchKeys(1200, 7)
 	rng := rand.New(rand.NewSource(8))
 	for _, p := range probesFor(keys, rng, 300) {
@@ -139,8 +139,8 @@ func TestStringBoundedWithExpansionDifferential(t *testing.T) {
 			{-5, len(keys) + 5},                        // out-of-range bounds clamp
 		}
 		for _, w := range windows {
-			if got := BoundedWithExpansion(keys, p, w[0], w[1]); got != want {
-				t.Fatalf("BoundedWithExpansion(%q, [%d,%d))=%d, want %d", p, w[0], w[1], got, want)
+			if got := BranchlessWithExpansion(keys, p, w[0], w[1]); got != want {
+				t.Fatalf("BranchlessWithExpansion(%q, [%d,%d))=%d, want %d", p, w[0], w[1], got, want)
 			}
 		}
 	}
@@ -151,7 +151,7 @@ func TestStringSearchEmptyAndSingle(t *testing.T) {
 	if got := Binary([]string(nil), "x", 0, 0); got != 0 {
 		t.Fatalf("empty array: got %d", got)
 	}
-	if got := BoundedWithExpansion([]string(nil), "x", 0, 0); got != 0 {
+	if got := BranchlessWithExpansion([]string(nil), "x", 0, 0); got != 0 {
 		t.Fatalf("empty array expansion: got %d", got)
 	}
 	one := []string{"m"}
@@ -160,7 +160,7 @@ func TestStringSearchEmptyAndSingle(t *testing.T) {
 		if got := Binary(one, p, 0, 1); got != want {
 			t.Fatalf("single %q: got %d, want %d", p, got, want)
 		}
-		if got := BoundedWithExpansion(one, p, 0, 1); got != want {
+		if got := BranchlessWithExpansion(one, p, 0, 1); got != want {
 			t.Fatalf("single expansion %q: got %d, want %d", p, got, want)
 		}
 		if got := BiasedQuaternary(one, p, 0, 1, 0, 1); got != want {

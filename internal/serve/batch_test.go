@@ -12,26 +12,20 @@ import (
 	"learnedindex/internal/data"
 )
 
-// TestShardForMatchesSortSearch pins the one shard-select routine, for
-// both key kinds, against the sort.Search / sort.SearchStrings it
-// replaced: for shard counts on both sides of every power of two, far past
-// the 16 a batch keeps on its stack, and past the key count (where split
-// keys repeat), at every split key and its neighbours.
-func TestShardForMatchesSortSearch(t *testing.T) {
+// TestLookupBatchAcrossShardCounts routes batches through stores of both
+// key kinds with shard counts on both sides of every power of two, far
+// past the 16 a batch keeps on its stack, and past the key count (where
+// split keys repeat), probing every split key and its neighbours: each
+// answer must be the global lower bound. search.UpperBound, which picks
+// each probe's shard, has its own oracle test in internal/search.
+func TestLookupBatchAcrossShardCounts(t *testing.T) {
 	shardCounts := []int{1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 300}
 	for _, keys := range [][]uint64{data.LognormalPaper(20_000, 21), data.LognormalPaper(100, 23)} {
 		for _, nsh := range shardCounts {
 			st := New(keys, core.Config{}, Options{Shards: nsh})
-			bounds := st.u64().bounds
 			probes := append([]uint64{0, 1, ^uint64(0)}, data.Uniform(500, keys[len(keys)-1]+1000, 22)...)
-			for _, b := range bounds {
+			for _, b := range st.u64().bounds {
 				probes = append(probes, b-1, b, b+1)
-			}
-			for _, k := range probes {
-				want := sort.Search(len(bounds), func(i int) bool { return k < bounds[i] })
-				if got := shardFor(bounds, k); got != want {
-					t.Fatalf("shards=%d: shardFor(%d) = %d, want %d", nsh, k, got, want)
-				}
 			}
 			for i, p := range st.LookupBatch(probes) {
 				if want := oracle(keys, probes[i]); p != want {
@@ -46,24 +40,11 @@ func TestShardForMatchesSortSearch(t *testing.T) {
 		slices.Sort(sorted)
 		for _, nsh := range shardCounts {
 			st := NewString(keys, core.Config{}, Options{Shards: nsh})
-			bounds := st.str().bounds
 			probes := []string{"", "\x00", "\xff\xff\xff\xff\xff\xff\xff\xff\xff"}
-			for _, b := range bounds {
+			for _, b := range st.str().bounds {
 				probes = append(probes, b, b+"\x00")
 				if b != "" {
 					probes = append(probes, b[:len(b)-1])
-				}
-			}
-			for _, k := range probes {
-				// The shard is the number of split keys <= k: the lower bound
-				// sort.SearchStrings finds, stepped past the (repeated) equal
-				// ones.
-				want := sort.SearchStrings(bounds, k)
-				for want < len(bounds) && bounds[want] == k {
-					want++
-				}
-				if got := shardFor(bounds, k); got != want {
-					t.Fatalf("shards=%d: shardFor(%q) = %d, want %d", nsh, k, got, want)
 				}
 			}
 			for i, p := range st.LookupBatchString(probes) {

@@ -21,6 +21,7 @@ import (
 	"learnedindex/internal/core"
 	"learnedindex/internal/obs"
 	"learnedindex/internal/scan"
+	"learnedindex/internal/search"
 	"learnedindex/internal/slicepool"
 	"learnedindex/internal/storage"
 )
@@ -334,29 +335,6 @@ func newInMemory[K cmp.Ordered, S any](keys []K, ops *memOps[K, S], cfg core.Con
 	return s, nil
 }
 
-// shardFor routes a key to its range partition — the shard whose
-// [bounds[i-1], bounds[i]) window contains it, i.e. the number of split
-// keys <= key. It is the store's one shard-select routine, scalar and
-// batch, for both key kinds: a bisection whose trip count depends only on
-// the shard count and whose data-dependent step is arithmetic on a 0/1
-// flag (the compiler materializes le with SETcc; it will not emit a
-// conditional move for a value that feeds the next load's address), so a
-// batch of uniform probes has no branch to mispredict on it. Go stencils
-// it per key kind, so a uint64 compare stays one instruction.
-func shardFor[K cmp.Ordered](bounds []K, key K) int {
-	base, n := 0, len(bounds)
-	for n > 0 {
-		half := (n + 1) >> 1 // rounds up: the last round tests the last candidate
-		le := 0
-		if bounds[base+half-1] <= key {
-			le = 1
-		}
-		base += half & -le
-		n -= half
-	}
-	return base
-}
-
 // insert buffers a key for its shard and wakes the merger once the buffer
 // passes the threshold; on a persistent store it appends the key to the
 // WAL (an error is sticky in the engine and surfaces on Sync/Flush/Close).
@@ -372,7 +350,7 @@ func (p *memPlane[K, S]) insert(key K) {
 		}
 		return
 	}
-	i := shardFor(p.bounds, key)
+	i := search.UpperBound(p.bounds, key)
 	sh := p.shards[i]
 	sh.mu.Lock()
 	if sh.buf == nil {
@@ -582,7 +560,7 @@ func (p *memPlane[K, S]) lookupPos(key K) int {
 	if e := p.s.eng; e != nil {
 		return p.ops.engLookup(e, key)
 	}
-	i := shardFor(p.bounds, key)
+	i := search.UpperBound(p.bounds, key)
 	total := 0
 	for _, sh := range p.shards[:i] {
 		total += p.ops.size(sh.snap.Load())
@@ -595,7 +573,7 @@ func (p *memPlane[K, S]) has(key K) bool {
 	if e := p.s.eng; e != nil {
 		return p.ops.engContains(e, key)
 	}
-	return p.ops.contains(p.shards[shardFor(p.bounds, key)].snap.Load(), key)
+	return p.ops.contains(p.shards[search.UpperBound(p.bounds, key)].snap.Load(), key)
 }
 
 // lookupBatch is LookupBatch and LookupBatchString. Per-batch metrics: two
@@ -657,7 +635,7 @@ func (p *memPlane[K, S]) captureBatch(snaps []*S, sel []int32, probes []K) ([]*S
 	}
 	sel = sel[:len(probes)]
 	for i, k := range probes {
-		sel[i] = int32(shardFor(p.bounds, k))
+		sel[i] = int32(search.UpperBound(p.bounds, k))
 	}
 	return snaps, sel
 }

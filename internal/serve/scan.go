@@ -47,6 +47,7 @@ import (
 	"learnedindex/internal/core"
 	"learnedindex/internal/obs"
 	"learnedindex/internal/scan"
+	"learnedindex/internal/search"
 	"learnedindex/internal/storage"
 )
 
@@ -228,7 +229,7 @@ func (p *memPlane[K, S]) count(lo, hi K, bounded bool) int {
 		total += end - p.ops.lookup(x, lo)
 	}
 	for _, k := range st.delta { // already restricted to the range
-		if !p.ops.contains(st.snaps[shardFor(p.bounds, k)], k) {
+		if !p.ops.contains(st.snaps[search.UpperBound(p.bounds, k)], k) {
 			total++
 		}
 	}

@@ -95,7 +95,6 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"learnedindex/internal/core"
 	"learnedindex/internal/obs"
@@ -134,11 +133,6 @@ type Options struct {
 	// operation on (internal/vfs). Nil means the real OS; fault-injection
 	// tests swap in a vfs.FaultFS. Ignored when Dir is empty.
 	FS vfs.FS
-	// ScrubInterval, when > 0 on a persistent Store, starts the engine's
-	// background scrubber: segment files are re-checksummed on this period
-	// and rewritten from memory if they rotted on disk. Ignored when Dir
-	// is empty.
-	ScrubInterval time.Duration
 }
 
 // Store is the sharded serving layer. Create with New (or Open for a
@@ -383,7 +377,6 @@ func openEngine[K cmp.Ordered, S any](ops *memOps[K, S], cfg core.Config, opt Op
 		StringKeys:    ops.strKeys,
 		Reg:           reg,
 		FS:            opt.FS,
-		ScrubInterval: opt.ScrubInterval,
 	})
 	if err != nil {
 		return nil, err
@@ -655,7 +648,7 @@ func (s *Store) Health() (storage.Health, error) {
 // Scrub re-verifies every live segment file's checksum on a persistent
 // Store, rewriting any corrupt file from the in-memory image, and reports
 // how many segments were checked and healed. A no-op (0, 0, nil) on an
-// in-memory Store. See Options.ScrubInterval for the background version.
+// in-memory Store.
 func (s *Store) Scrub() (checked, healed int, err error) {
 	if s.eng == nil {
 		return 0, 0, nil

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"log"
 	"slices"
-	"time"
 
 	"learnedindex/internal/binenc"
 	"learnedindex/internal/frame"
@@ -14,8 +13,8 @@ import (
 
 // Self-healing scrub. Every live segment is fully materialized in memory
 // at open (keys, model, filter), so the in-memory image is a verified
-// good copy of the file for as long as the process lives. The scrubber
-// exploits that: it re-reads each segment file, re-verifies the magic and
+// good copy of the file for as long as the process lives. Scrub exploits
+// that: it re-reads each segment file, re-verifies the magic and
 // body checksum, and rewrites any file that has rotted underneath the
 // process from the in-memory image — temp file, fsync, atomic rename over
 // the corrupt original, directory fsync. The replace is atomic, so there
@@ -58,8 +57,7 @@ func encodeLiveSegment(s *segment) ([]byte, error) {
 // is passed over: the WAL holds its keys). It returns how many segments were
 // checked and healed; err reports the first heal that itself failed
 // (the segment keeps serving from memory either way). Safe to call
-// concurrently with everything; the background scrubber calls it on
-// Options.ScrubInterval.
+// concurrently with everything.
 func (e *Engine) Scrub() (checked, healed int, err error) {
 	for _, s := range *e.segs.Load() {
 		if s.resident() {
@@ -109,19 +107,4 @@ func (e *Engine) healLocked(s *segment, cause error) error {
 	}
 	e.m.scrubHeals.Inc()
 	return nil
-}
-
-// scrubber is the background goroutine behind Options.ScrubInterval.
-func (e *Engine) scrubber(interval time.Duration) {
-	defer e.wg.Done()
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-			e.Scrub()
-		case <-e.quit:
-			return
-		}
-	}
 }

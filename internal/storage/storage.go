@@ -108,11 +108,6 @@ type Options struct {
 	// (internal/vfs). Nil means the real OS; fault-injection tests swap in
 	// a vfs.FaultFS to drive the failure model deterministically.
 	FS vfs.FS
-	// ScrubInterval > 0 starts a background scrubber that re-verifies
-	// every live segment file's checksum on this period and rewrites any
-	// file that rotted on disk from the in-memory image (see scrub.go).
-	// Zero disables the goroutine; Scrub can still be called explicitly.
-	ScrubInterval time.Duration
 }
 
 func (o Options) withDefaults() Options {
@@ -360,10 +355,6 @@ func Open(dir string, opts Options) (*Engine, error) {
 		return nil, err
 	}
 	e.wal = w
-	if opts.ScrubInterval > 0 {
-		e.wg.Add(1)
-		go e.scrubber(opts.ScrubInterval)
-	}
 	if !opts.NoCompactor {
 		// Deliberately not kicked here: a cold open must train nothing
 		// (the "deserialized models only" contract above), so any tier
