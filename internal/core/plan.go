@@ -54,7 +54,7 @@ type Plan struct {
 	topBias  float64   // TopMultivariate: route = clamp(int(topBias + Σ topCoef·feat))
 	topFeat  []int     // standard-menu feature indexes
 	topCoef  []float64 // standardization and routing scale folded in
-	top      ml.Model  // fallback (TopNN, custom-menu multivariate)
+	top      ml.Model  // fallback (TopNN)
 	topScale float64   // fallback routing multiplier StageSizes[0]/N
 	topSize  int       // StageSizes[0]
 
@@ -137,14 +137,13 @@ func (r *RMI) compile() *Plan {
 		p.topA = 0
 		p.topB = m.C * scale0
 	case *ml.Multivariate:
-		if bias, feat, coef, ok := m.Folded(); ok {
-			p.topKind = TopMultivariate
-			p.topBias = bias * scale0
-			p.topFeat = feat
-			p.topCoef = coef
-			for i := range p.topCoef {
-				p.topCoef[i] *= scale0
-			}
+		bias, feat, coef := m.Folded()
+		p.topKind = TopMultivariate
+		p.topBias = bias * scale0
+		p.topFeat = feat
+		p.topCoef = coef
+		for i := range p.topCoef {
+			p.topCoef[i] *= scale0
 		}
 	}
 

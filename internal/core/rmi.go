@@ -357,7 +357,7 @@ func (r *RMI) trainTop() (xs, ys []float64) {
 	}
 	switch r.cfg.Top {
 	case TopMultivariate:
-		r.top = ml.FitMultivariate(xs, ys, nil)
+		r.top = ml.FitMultivariate(xs, ys)
 	case TopNN:
 		cfg := ml.DefaultNNConfig(r.cfg.Hidden...)
 		cfg.Seed = r.cfg.Seed

@@ -27,7 +27,8 @@ const (
 )
 
 // AppendBinary appends the RMI's encoding (keys excluded) to b. It fails
-// only when the top model is unencodable (a custom-menu Multivariate).
+// only on a top model ml.AppendModel cannot encode, which no trainer
+// builds.
 func (r *RMI) AppendBinary(b []byte) ([]byte, error) {
 	b = binenc.AppendUvarint(b, rmiFormatVersion)
 	b = binenc.AppendUvarint(b, uint64(len(r.keys)))

@@ -78,7 +78,7 @@ func TestMultivariateFitsQuadratic(t *testing.T) {
 		xs[i] = x
 		ys[i] = 0.5*x*x + 3*x + 7
 	}
-	m := FitMultivariate(xs, ys, nil)
+	m := FitMultivariate(xs, ys)
 	for _, x := range []float64{0, 100, 250, 499} {
 		want := 0.5*x*x + 3*x + 7
 		if d := math.Abs(m.Predict(x) - want); d > math.Max(1, want*1e-6) {
@@ -96,7 +96,7 @@ func TestMultivariateFitsLogCDF(t *testing.T) {
 		xs[i] = math.Exp(float64(i) / 100)
 		ys[i] = float64(i)
 	}
-	m := FitMultivariate(xs, ys, nil)
+	m := FitMultivariate(xs, ys)
 	var rms float64
 	for i := range xs {
 		d := m.Predict(xs[i]) - ys[i]
@@ -115,7 +115,7 @@ func TestMultivariateSelectsFewFeaturesForLine(t *testing.T) {
 		xs[i] = float64(i)
 		ys[i] = 2*float64(i) + 1
 	}
-	m := FitMultivariate(xs, ys, nil)
+	m := FitMultivariate(xs, ys)
 	if m.NumFeatures() == 0 {
 		t.Fatal("no features selected for a perfect line")
 	}
@@ -125,9 +125,9 @@ func TestMultivariateSelectsFewFeaturesForLine(t *testing.T) {
 }
 
 func TestMultivariateDegenerate(t *testing.T) {
-	m := FitMultivariate(nil, nil, nil)
+	m := FitMultivariate(nil, nil)
 	_ = m.Predict(5) // must not panic
-	m = FitMultivariate([]float64{1, 1, 1}, []float64{2, 2, 2}, nil)
+	m = FitMultivariate([]float64{1, 1, 1}, []float64{2, 2, 2})
 	if d := math.Abs(m.Predict(1) - 2); d > 1e-6 {
 		t.Fatalf("constant fit off by %v", d)
 	}

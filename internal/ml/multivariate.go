@@ -15,14 +15,10 @@ type Multivariate struct {
 	feats   []FeatureFunc
 	// per-feature standardization so the normal equations stay conditioned
 	mean, invStd []float64
-	// featIdx records which entries of the fitting menu survived selection
-	// (in selection order), and stdMenu whether that menu was
-	// StandardFeatures() — together they make the model serializable:
-	// closures cannot be encoded, but indexes into the fixed standard menu
-	// can. Models fit over a custom menu have stdMenu == false and refuse
-	// to encode.
+	// featIdx records which entries of StandardFeatures() survived
+	// selection (in selection order): closures cannot be encoded, but
+	// indexes into the fixed standard menu can.
 	featIdx []int
-	stdMenu bool
 }
 
 // FeatureFunc maps a key to one engineered feature.
@@ -39,14 +35,11 @@ func StandardFeatures() []FeatureFunc {
 }
 
 // FitMultivariate fits ridge-regularized multivariate regression of ys on
-// the given features of xs, selecting (by greedy forward selection on
+// the standard features of xs, selecting (by greedy forward selection on
 // training RMSE) the subset of features that helps — the paper's
 // "automatically creating and selecting features".
-func FitMultivariate(xs, ys []float64, feats []FeatureFunc) *Multivariate {
-	stdMenu := len(feats) == 0
-	if stdMenu {
-		feats = StandardFeatures()
-	}
+func FitMultivariate(xs, ys []float64) *Multivariate {
+	feats := StandardFeatures()
 	// Greedy forward selection over the feature menu.
 	selected := []int{}
 	remaining := make([]int, len(feats))
@@ -82,7 +75,6 @@ func FitMultivariate(xs, ys []float64, feats []FeatureFunc) *Multivariate {
 		// No feature helped (constant target); fit bias-only.
 		best = fitExact(xs, ys, nil)
 	}
-	best.stdMenu = stdMenu
 	return best
 }
 
@@ -230,12 +222,8 @@ func StandardFeature(fi int, x float64) float64 {
 // Folded returns the model collapsed to y = bias + Σ coefs[i] ·
 // StandardFeature(featIdx[i], x): the per-feature standardization (mean,
 // invStd) is folded into the coefficients so a compiled caller pays one
-// multiply-add per surviving feature and no closure calls. ok is false for
-// models fit over a custom feature menu, whose closures cannot be indexed.
-func (m *Multivariate) Folded() (bias float64, featIdx []int, coefs []float64, ok bool) {
-	if !m.stdMenu {
-		return 0, nil, nil, false
-	}
+// multiply-add per surviving feature and no closure calls.
+func (m *Multivariate) Folded() (bias float64, featIdx []int, coefs []float64) {
 	bias = m.weights[0]
 	featIdx = append([]int(nil), m.featIdx...)
 	coefs = make([]float64, len(m.featIdx))
@@ -244,7 +232,7 @@ func (m *Multivariate) Folded() (bias float64, featIdx []int, coefs []float64, o
 		coefs[j] = c
 		bias -= c * m.mean[j]
 	}
-	return bias, featIdx, coefs, true
+	return bias, featIdx, coefs
 }
 
 // SizeBytes returns the parameter footprint: weights plus per-feature

@@ -29,8 +29,7 @@ const (
 )
 
 // AppendModel appends the tagged encoding of m. Only models a trained RMI
-// can hold are supported; a Multivariate fit over a custom feature menu
-// cannot be encoded (closures have no serial form).
+// can hold are supported.
 func AppendModel(b []byte, m Model) ([]byte, error) {
 	switch t := m.(type) {
 	case Linear:
@@ -41,9 +40,6 @@ func AppendModel(b []byte, m Model) ([]byte, error) {
 		b = append(b, tagConstant)
 		return binenc.AppendF64(b, t.C), nil
 	case *Multivariate:
-		if !t.stdMenu {
-			return nil, fmt.Errorf("ml: cannot encode Multivariate over a custom feature menu")
-		}
 		b = append(b, tagMultivariate)
 		b = binenc.AppendUvarint(b, uint64(len(t.featIdx)))
 		for _, fi := range t.featIdx {
@@ -100,7 +96,6 @@ func DecodeModel(r *binenc.Reader) (Model, error) {
 		}
 		m := &Multivariate{
 			featIdx: idx,
-			stdMenu: true,
 			feats:   pick(menu, idx),
 			weights: r.F64s(len(menu) + 1),
 			mean:    r.F64s(len(menu)),

@@ -153,11 +153,10 @@ func runReplChaosTrial(t *testing.T, seed int64, strMode bool) {
 		ReconnectBase: 2 * time.Millisecond, ReconnectMax: 40 * time.Millisecond,
 		JitterSeed:       seed,
 		HeartbeatTimeout: time.Second,
-		FlushEvery:       300,
 		QueueDepth:       8,
 	}
 	openFollower := func() (*storage.Engine, *Follower) {
-		feng, err := storage.Open(fdir, storage.Options{CompactFanout: 3, StringKeys: strMode})
+		feng, err := storage.Open(fdir, storage.Options{CompactFanout: 3, DrainKeys: 300, StringKeys: strMode})
 		if err != nil {
 			t.Fatalf("follower open: %v", err)
 		}

@@ -16,7 +16,8 @@ import (
 	"learnedindex/internal/vfs"
 )
 
-// FollowerOptions tunes the replay side.
+// FollowerOptions tunes the replay side. When applied keys are served is
+// not among them: that is the follower engine's storage.Options.DrainKeys.
 type FollowerOptions struct {
 	// Addr is the primary's address in the transport's namespace.
 	Addr string
@@ -36,12 +37,6 @@ type FollowerOptions struct {
 	// nothing applies for this long; the redial loop takes over. Must
 	// comfortably exceed the primary's HeartbeatEvery. Default 2s.
 	HeartbeatTimeout time.Duration
-
-	// FlushEvery flushes the engine after this many keys applied from
-	// frames, turning replayed-durable keys into served ones at a bounded
-	// cadence. Default 8192. A snapshot does not count toward it: its keys
-	// are held until its end and then served at once, as one bulk load.
-	FlushEvery int
 
 	// QueueDepth bounds the decoded-frame apply queue. When the applier
 	// (fsync-bound) falls behind, the reader stops draining the socket and
@@ -63,9 +58,6 @@ func (o FollowerOptions) withDefaults() FollowerOptions {
 	if o.HeartbeatTimeout <= 0 {
 		o.HeartbeatTimeout = 2 * time.Second
 	}
-	if o.FlushEvery <= 0 {
-		o.FlushEvery = 8192
-	}
 	if o.QueueDepth <= 0 {
 		o.QueueDepth = 64
 	}
@@ -85,7 +77,9 @@ type FollowerStatus struct {
 // Follower replays a primary's durable frame stream into its own engine.
 // Every applied frame is group-committed (durable locally) before it is
 // acked, so a follower ack means exactly what a Commit return means on the
-// primary: the keys survive a crash of the follower. A snapshot is applied
+// primary: the keys survive a crash of the follower. When committed keys
+// are served is the engine's business, as on the primary: an engine opened
+// with storage.Options.DrainKeys drains them itself. A snapshot is applied
 // the way Open applies a preload: its chunks are held in memory and, at its
 // end, bulk-loaded as one segment file with no log, before its sequence is
 // adopted and acked. A session cut before the end leaves none of it; the
@@ -113,9 +107,12 @@ type Follower struct {
 	primaryDurable uint64
 	connected      bool
 	sessions       int64
-	pendingFlush   int  // applied keys since the last engine flush
 	conn           Conn // live session's conn, severed by Close/Retarget
 	closed         bool
+
+	// unsaved counts the keys applied from frames since the last saveState.
+	// Only a session's applier touches it, and sessions run one at a time.
+	unsaved int
 
 	rng  *rand.Rand // redial jitter; owned by the run loop goroutine
 	quit chan struct{}
@@ -364,8 +361,8 @@ func (f *Follower) session(c Conn) error {
 	f.setConnected(true, nil)
 
 	// Applier: drains the bounded queue, group-commits every frame into the
-	// local engine, acks, and flushes on cadence; it holds a snapshot's keys
-	// until the snapshot ends. On failure it severs the connection and
+	// local engine, acks, and saves state on cadence; it holds a snapshot's
+	// keys until the snapshot ends. On failure it severs the connection and
 	// drains the queue so the reader never deadlocks. A snapshot the session
 	// does not finish dies with it.
 	ch := make(chan msg, f.opts.QueueDepth)
@@ -511,10 +508,12 @@ func (f *Follower) apply(m *msg, snap *snapKeys, out *frame.Writer, wmu *sync.Mu
 // makes a preload so: one bulk load, which sorts, dedupes against what the
 // engine serves and writes one segment file without logging a key. A bulk
 // load needs every earlier key spilled, so keys frames left pending, and
-// the resident run drains built from them, are flushed to their own file
-// first; Flush does nothing on an engine that holds neither, such as a
-// fresh follower's. The primary's silence watchdog is fed meanwhile by the
-// reader's heartbeat acks.
+// the resident run the engine's drains built from them, are flushed to
+// their own file first; Flush does nothing on an engine that holds neither,
+// such as a fresh follower's. The applier is the engine's only writer, so
+// after the Flush the engine's drainer finds nothing pending to drain in
+// the bulk load's way. The primary's silence watchdog is fed meanwhile by
+// the reader's heartbeat acks.
 func (f *Follower) loadSnapshot(snap *snapKeys) error {
 	n := len(snap.keys) + len(snap.strs)
 	if n == 0 {
@@ -523,9 +522,6 @@ func (f *Follower) loadSnapshot(snap *snapKeys) error {
 	if err := f.eng.Flush(); err != nil {
 		return err
 	}
-	f.mu.Lock()
-	f.pendingFlush = 0
-	f.mu.Unlock()
 	var err error
 	if f.strMode {
 		err = f.eng.BulkLoadStrings(snap.strs)
@@ -539,7 +535,12 @@ func (f *Follower) loadSnapshot(snap *snapKeys) error {
 	return nil
 }
 
-// commitKeys group-commits a frame's keys and flushes on cadence.
+// stateSaveKeys is how many keys applied from frames the follower commits
+// between two saves of its repl-state. It bounds what a restarted follower
+// fetches again, not what it serves.
+const stateSaveKeys = 8192
+
+// commitKeys group-commits a frame's keys and saves state on cadence.
 func (f *Follower) commitKeys(m *msg) error {
 	var n int
 	var err error
@@ -554,17 +555,8 @@ func (f *Follower) commitKeys(m *msg) error {
 		return err
 	}
 	f.m.keysApplied.Add(int64(n))
-	f.mu.Lock()
-	f.pendingFlush += n
-	doFlush := f.pendingFlush >= f.opts.FlushEvery
-	if doFlush {
-		f.pendingFlush = 0
-	}
-	f.mu.Unlock()
-	if doFlush {
-		if err := f.eng.Flush(); err != nil {
-			return err
-		}
+	if f.unsaved += n; f.unsaved >= stateSaveKeys {
+		f.unsaved = 0
 		f.saveState()
 	}
 	return nil

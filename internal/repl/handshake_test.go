@@ -87,7 +87,7 @@ func TestFollowerAppliesFramePipelinedWithPrimaryHello(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ln.Close()
-	feng := openEngine(t, false)
+	feng := openFollowerEngine(t, false)
 	defer feng.Close()
 	fol, err := NewFollower(feng, fastFollowerOpts("prim", tr))
 	if err != nil {

@@ -33,7 +33,7 @@ func TestReplPrimaryRestartStreamReset(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	feng := openEngine(t, false)
+	feng := openFollowerEngine(t, false)
 	defer feng.Close()
 	fol, err := NewFollower(feng, fastFollowerOpts("prim", tr))
 	if err != nil {

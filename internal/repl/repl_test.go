@@ -31,6 +31,21 @@ func openEngine(t *testing.T, strMode bool) *storage.Engine {
 	return e
 }
 
+// followerDrainKeys is the drain threshold of the tests' follower engines,
+// where a follower store would pass its MergeThreshold.
+const followerDrainKeys = 500
+
+// openFollowerEngine is openEngine for a follower: the engine drains itself
+// at followerDrainKeys pending keys.
+func openFollowerEngine(t *testing.T, strMode bool) *storage.Engine {
+	t.Helper()
+	e, err := storage.Open(t.TempDir(), storage.Options{StringKeys: strMode, CompactFanout: 3, DrainKeys: followerDrainKeys})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
 func fastFollowerOpts(addr string, tr Transport) FollowerOptions {
 	return FollowerOptions{
 		Addr:             addr,
@@ -39,7 +54,6 @@ func fastFollowerOpts(addr string, tr Transport) FollowerOptions {
 		ReconnectMax:     50 * time.Millisecond,
 		JitterSeed:       1,
 		HeartbeatTimeout: 2 * time.Second,
-		FlushEvery:       500,
 	}
 }
 
@@ -80,7 +94,7 @@ func TestReplShipAndServe(t *testing.T) {
 			}
 			commit(500, 700)
 
-			feng := openEngine(t, mode.str)
+			feng := openFollowerEngine(t, mode.str)
 			defer feng.Close()
 			fol, err := NewFollower(feng, fastFollowerOpts("prim", tr))
 			if err != nil {
@@ -121,7 +135,7 @@ func TestReplFollowerNeverAheadOfDurable(t *testing.T) {
 	if err := p.Serve(tr, "prim"); err != nil {
 		t.Fatal(err)
 	}
-	feng := openEngine(t, false)
+	feng := openFollowerEngine(t, false)
 	defer feng.Close()
 	fol, err := NewFollower(feng, fastFollowerOpts("prim", tr))
 	if err != nil {
@@ -164,7 +178,7 @@ func TestReplFencing(t *testing.T) {
 	defer engA.Close()
 	engB := openEngine(t, false)
 	defer engB.Close()
-	feng := openEngine(t, false)
+	feng := openFollowerEngine(t, false)
 	defer feng.Close()
 
 	pA, err := NewPrimary(engA, fastPrimaryOpts(1))
@@ -246,7 +260,7 @@ func TestReplReconnectBackoff(t *testing.T) {
 	tr := NewMemTransport()
 	peng := openEngine(t, false)
 	defer peng.Close()
-	feng := openEngine(t, false)
+	feng := openFollowerEngine(t, false)
 	defer feng.Close()
 
 	fol, err := NewFollower(feng, fastFollowerOpts("prim", tr))
@@ -321,7 +335,7 @@ func TestReplColdCatchupAfterRestart(t *testing.T) {
 	}
 
 	fdir := t.TempDir()
-	feng, err := storage.Open(fdir, storage.Options{CompactFanout: 3})
+	feng, err := storage.Open(fdir, storage.Options{CompactFanout: 3, DrainKeys: followerDrainKeys})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +371,7 @@ func TestReplColdCatchupAfterRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	feng2, err := storage.Open(fdir, storage.Options{CompactFanout: 3})
+	feng2, err := storage.Open(fdir, storage.Options{CompactFanout: 3, DrainKeys: followerDrainKeys})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,7 +418,7 @@ func TestReplPrimaryNeverBlocksOnDeadFollower(t *testing.T) {
 	if err := p.Serve(fnet, "prim"); err != nil {
 		t.Fatal(err)
 	}
-	feng := openEngine(t, false)
+	feng := openFollowerEngine(t, false)
 	defer feng.Close()
 	fol, err := NewFollower(feng, fastFollowerOpts("prim", fnet))
 	if err != nil {

@@ -134,7 +134,7 @@ func TestReplSnapshotCutServesNone(t *testing.T) {
 		}
 
 		fdir := t.TempDir()
-		feng, err := storage.Open(fdir, storage.Options{StringKeys: str, CompactFanout: 3})
+		feng, err := storage.Open(fdir, storage.Options{StringKeys: str, CompactFanout: 3, DrainKeys: followerDrainKeys})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -164,7 +164,7 @@ func TestReplSnapshotCutServesNone(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		feng, err = storage.Open(fdir, storage.Options{StringKeys: str, CompactFanout: 3})
+		feng, err = storage.Open(fdir, storage.Options{StringKeys: str, CompactFanout: 3, DrainKeys: followerDrainKeys})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -205,9 +205,8 @@ func TestReplResnapshotServesUnion(t *testing.T) {
 		}
 		feng := openEngine(t, str)
 		defer feng.Close()
-		fopt := fastFollowerOpts("a", tr)
-		fopt.FlushEvery = 1 << 30 // frames stay pending until the test drains
-		fol, err := NewFollower(feng, fopt)
+		// No DrainKeys on feng: frames stay pending until the test drains.
+		fol, err := NewFollower(feng, fastFollowerOpts("a", tr))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -310,7 +309,7 @@ func TestReplSnapshotOutlastsReadTimeout(t *testing.T) {
 		}
 		return nil
 	})
-	feng, err := storage.Open(t.TempDir(), storage.Options{CompactFanout: 3, FS: slow})
+	feng, err := storage.Open(t.TempDir(), storage.Options{CompactFanout: 3, DrainKeys: followerDrainKeys, FS: slow})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -96,7 +96,7 @@ func TestFollowerStateRenameFault(t *testing.T) {
 
 	fdir := t.TempDir()
 	ffs := vfs.NewFaultFS(vfs.OS, vfs.FaultConfig{})
-	feng, err := storage.Open(fdir, storage.Options{FS: ffs})
+	feng, err := storage.Open(fdir, storage.Options{DrainKeys: followerDrainKeys, FS: ffs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestFollowerStateRenameFault(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	feng, err = storage.Open(fdir, storage.Options{})
+	feng, err = storage.Open(fdir, storage.Options{DrainKeys: followerDrainKeys})
 	if err != nil {
 		t.Fatal(err)
 	}

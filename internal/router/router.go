@@ -645,6 +645,12 @@ func (r *Router) CountRange(lo, hi uint64) (int, error) {
 	return countRange(r, lo, hi, true, r.opt.Fences)
 }
 
+// CountFrom counts every key >= lo, math.MaxUint64 included.
+func (r *Router) CountFrom(lo uint64) (int, error) {
+	r.mustU64()
+	return countRange(r, lo, 0, false, r.opt.Fences)
+}
+
 // CountRangeString is CountRange for a string-keyed router.
 func (r *Router) CountRangeString(lo, hi string) (int, error) {
 	r.mustStr()

@@ -2,6 +2,7 @@ package router
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -152,6 +153,51 @@ func TestRouterRepartitioning(t *testing.T) {
 	}
 	if after := rt.Stats().NodeRPCs[2]; after != before {
 		t.Fatalf("confined CountRange contacted node 2 (%d -> %d RPCs)", before, after)
+	}
+}
+
+// TestRouterOpenEndedReachesMaxKey: a routed uint64 count or scan of
+// [lo, ∞) reaches math.MaxUint64, which no [lo, hi) can hold, across node
+// fences and scan pages, and answers like the union store.
+func TestRouterOpenEndedReachesMaxKey(t *testing.T) {
+	keys := []uint64{5, 700, 1 << 40, math.MaxUint64 - 2, math.MaxUint64 - 1, math.MaxUint64}
+	for k := uint64(0); k < 50; k++ {
+		keys = append(keys, 1<<63+k*3)
+	}
+	fences := []uint64{1000, 1 << 63}
+	tr := repl.NewMemTransport()
+	cl := startCluster(t, tr, keys, fences)
+	rt, err := New(clusterNodes(3), Options{Transport: tr, Fences: fences, ScanPageKeys: 7})
+	if err != nil {
+		t.Fatalf("router: %v", err)
+	}
+	defer rt.Close()
+	for _, lo := range []uint64{0, 700, 1 << 63, math.MaxUint64 - 1, math.MaxUint64} {
+		n, err := rt.CountFrom(lo)
+		if err != nil {
+			t.Fatalf("CountFrom(%d): %v", lo, err)
+		}
+		if want := cl.oracle.CountFrom(lo); n != want {
+			t.Fatalf("CountFrom(%d) = %d, want %d", lo, n, want)
+		}
+		var got []uint64
+		s := rt.ScanFrom(lo)
+		for s.Next() {
+			got = append(got, s.Key())
+		}
+		s.Close()
+		if err := s.Err(); err != nil {
+			t.Fatalf("ScanFrom(%d): %v", lo, err)
+		}
+		var want []uint64
+		it := cl.oracle.ScanFrom(lo)
+		for it.Next() {
+			want = append(want, it.Key())
+		}
+		it.Close()
+		if !slices.Equal(got, want) || got[len(got)-1] != math.MaxUint64 {
+			t.Fatalf("ScanFrom(%d) = %v, want %v ending at the maximal key", lo, got, want)
+		}
 	}
 }
 
@@ -323,11 +369,11 @@ func TestRouterFollowerReads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fol, err := serve.OpenFollower(core.Config{}, serve.Options{Dir: t.TempDir()},
+	fol, err := serve.OpenFollower(core.Config{}, serve.Options{Dir: t.TempDir(), MergeThreshold: 100},
 		repl.FollowerOptions{
 			Addr: pr.Addr(), Transport: tr,
 			ReconnectBase: 2 * time.Millisecond, ReconnectMax: 50 * time.Millisecond,
-			JitterSeed: 1, FlushEvery: 100,
+			JitterSeed: 1,
 		})
 	if err != nil {
 		t.Fatal(err)

@@ -134,10 +134,18 @@ func rangeScan[K server.Key](r *Router, lo, hi K, bounded bool, fences []K, succ
 // cannot intersect [lo, hi) are pruned. Check Err after the stream ends.
 func (r *Router) Scan(lo, hi uint64) *RangeScan[uint64] {
 	r.mustU64()
-	return rangeScan(r, lo, hi, true, r.opt.Fences, func(k uint64) (uint64, bool) {
-		return k + 1, k != math.MaxUint64
-	})
+	return rangeScan(r, lo, hi, true, r.opt.Fences, u64Succ)
 }
+
+// ScanFrom streams every key >= lo, math.MaxUint64 included.
+func (r *Router) ScanFrom(lo uint64) *RangeScan[uint64] {
+	r.mustU64()
+	return rangeScan(r, lo, 0, false, r.opt.Fences, u64Succ)
+}
+
+// u64Succ is the uint64 successor a node's next page resumes at; the
+// maximal key has none.
+func u64Succ(k uint64) (uint64, bool) { return k + 1, k != math.MaxUint64 }
 
 // ScanBatch appends every key in [lo, hi) to dst in ascending order and
 // returns it, or the first node failure.

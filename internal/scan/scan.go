@@ -143,6 +143,38 @@ func AppendFrom[K cmp.Ordered](dst, src []K, lo K) []K {
 	return dst
 }
 
+// MergeRuns merges sorted runs into one fresh, deduplicated, sorted array
+// of exact size: the materializing twin of Iterator, for the layers that
+// build a new key array out of old ones — a storage drain or compaction,
+// an in-memory shard drain. A key held by several runs, or repeated within
+// one, appears once. It is a head-comparison merge (a compaction merges at
+// most twice its fanout and a drain two, so the linear head scan beats a
+// heap) instead of concatenate-and-sort: no O(total log total) sort and no
+// sort scratch. runs' entries are resliced as they are consumed.
+func MergeRuns[K cmp.Ordered](runs [][]K) []K {
+	total := 0
+	for _, r := range runs {
+		total += len(r)
+	}
+	out := make([]K, 0, total)
+	for {
+		best := -1
+		var k K
+		for i, r := range runs {
+			if len(r) > 0 && (best < 0 || r[0] < k) {
+				best, k = i, r[0]
+			}
+		}
+		if best < 0 {
+			return out
+		}
+		runs[best] = runs[best][1:]
+		if n := len(out); n == 0 || out[n-1] != k {
+			out = append(out, k)
+		}
+	}
+}
+
 // Iterator streams the deduplicated ascending union of its cursors over the
 // half-open key range [lo, hi) fixed at Start (or [lo, ∞) fixed at
 // StartFrom). Obtain one with Get, drive it with Next/NextBatch/Seek, and

@@ -239,3 +239,36 @@ func TestIteratorPoolSteadyStateAllocFree(t *testing.T) {
 		t.Fatalf("steady-state iterator allocates %.1f per scan, want 0", avg)
 	}
 }
+
+// TestMergeRunsMatchesSortCompact: MergeRuns equals sorting the runs'
+// concatenation and dropping duplicates, over random runs that overlap,
+// repeat keys within a run, or are empty, and into an array of exact size.
+func TestMergeRunsMatchesSortCompact(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 300; trial++ {
+		runs := make([][]uint64, rng.Intn(9))
+		var all []uint64
+		for i := range runs {
+			run := make([]uint64, rng.Intn(40)) // empty one time in forty
+			span := uint64(1 + rng.Intn(200))   // small spans overlap and repeat
+			for j := range run {
+				run[j] = uint64(rng.Int63n(int64(span)))
+			}
+			slices.Sort(run)
+			runs[i] = run
+			all = append(all, run...)
+		}
+		slices.Sort(all)
+		want := slices.Compact(all)
+		got := MergeRuns(runs)
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d: MergeRuns = %v, want %v", trial, got, want)
+		}
+	}
+	if got := MergeRuns[string](nil); len(got) != 0 {
+		t.Fatalf("MergeRuns(nil) = %v", got)
+	}
+	if got := MergeRuns([][]string{{"a", "c"}, {}, {"b", "c", "d"}}); !slices.Equal(got, []string{"a", "b", "c", "d"}) {
+		t.Fatalf("string runs merge to %v", got)
+	}
+}

@@ -50,11 +50,11 @@ func OpenFollowerString(cfg core.Config, opt Options, fopt repl.FollowerOptions)
 	return openFollower(&strOps, cfg, opt, fopt)
 }
 
-// openFollower is OpenFollower and OpenFollowerString. It starts no
-// background merger: the follower's applier flushes the keys frames bring
-// on its own cadence (FollowerOptions.FlushEvery) and bulk-loads each
-// snapshot as one segment at its end, and there are no local inserts to
-// drain. Flush/Close still drain synchronously via the engine.
+// openFollower is OpenFollower and OpenFollowerString. As on any
+// persistent store, the engine drains itself: the keys frames bring are
+// served once opt.MergeThreshold of them are pending, and the applier
+// bulk-loads each snapshot as one segment at its end. Flush and Close still
+// make every applied key served.
 func openFollower[K cmp.Ordered, S any](ops *memOps[K, S], cfg core.Config, opt Options, fopt repl.FollowerOptions) (*Store, error) {
 	if opt.Dir == "" {
 		return nil, fmt.Errorf("serve: a follower store needs Options.Dir (its replica is durable)")

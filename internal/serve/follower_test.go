@@ -29,7 +29,6 @@ func fastRepl(addr string, tr repl.Transport) repl.FollowerOptions {
 		ReconnectBase: 2 * time.Millisecond,
 		ReconnectMax:  50 * time.Millisecond,
 		JitterSeed:    1,
-		FlushEvery:    100,
 	}
 }
 
@@ -56,7 +55,7 @@ func TestFollowerStore(t *testing.T) {
 		t.Fatal("second ServeReplication on one store should fail")
 	}
 
-	fst, err := OpenFollower(core.Config{}, Options{Dir: t.TempDir()}, fastRepl(prim.Addr(), tr))
+	fst, err := OpenFollower(core.Config{}, Options{Dir: t.TempDir(), MergeThreshold: 100}, fastRepl(prim.Addr(), tr))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,6 +119,50 @@ func TestFollowerStore(t *testing.T) {
 	}
 }
 
+// TestFollowerStoreServesAtMergeThreshold: a caught-up follower store that
+// is never flushed serves every applied key but fewer than its
+// MergeThreshold — its engine drains frames' keys at that threshold, as a
+// primary's engine drains inserts — so a follower read is as stale as a
+// primary's point read, plus its lag.
+func TestFollowerStoreServesAtMergeThreshold(t *testing.T) {
+	const total, batch, thresh = 1000, 10, 64
+	tr := repl.NewMemTransport()
+	pst, err := Open(nil, core.Config{}, Options{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pst.Close()
+	prim, err := pst.ServeReplication(tr, "prim", repl.PrimaryOptions{
+		Epoch: 1, HeartbeatEvery: 10 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fst, err := OpenFollower(core.Config{}, Options{Dir: t.TempDir(), MergeThreshold: thresh}, fastRepl(prim.Addr(), tr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fst.Close()
+	for lo := uint64(0); lo < total; lo += batch {
+		keys := make([]uint64, 0, batch)
+		for k := lo; k < lo+batch; k++ {
+			keys = append(keys, k*5+2)
+		}
+		if err := pst.InsertDurable(keys...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFollower(t, "every key applied", func() bool {
+		st, _ := fst.FollowerStatus()
+		return st.LagFrames == 0 && fst.Metrics().Counter("lix_repl_follower_keys_applied_total") == total
+	})
+	// At rest fewer than thresh keys wait, or the engine would drain them.
+	waitFollower(t, "the follower's drains", func() bool { return fst.Len() > total-thresh })
+	if n, p := fst.Len(), fst.Pending(); n+p != total || p >= thresh {
+		t.Fatalf("caught-up follower serves %d keys with %d pending, want all %d but fewer than %d", n, p, total, thresh)
+	}
+}
+
 // TestFollowerStoreString is the codec twin: string keys end to end, plus
 // the mode handshake (a uint64 follower against a string primary is
 // refused and never applies a frame).
@@ -137,7 +180,7 @@ func TestFollowerStoreString(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	fst, err := OpenFollowerString(core.Config{}, Options{Dir: t.TempDir()}, fastRepl(prim.Addr(), tr))
+	fst, err := OpenFollowerString(core.Config{}, Options{Dir: t.TempDir(), MergeThreshold: 100}, fastRepl(prim.Addr(), tr))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +205,7 @@ func TestFollowerStoreString(t *testing.T) {
 
 	// Mode mismatch: a uint64 follower dialing this string primary must be
 	// rejected by the handshake and apply nothing.
-	wrong, err := OpenFollower(core.Config{}, Options{Dir: t.TempDir()}, fastRepl(prim.Addr(), tr))
+	wrong, err := OpenFollower(core.Config{}, Options{Dir: t.TempDir(), MergeThreshold: 100}, fastRepl(prim.Addr(), tr))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +246,7 @@ func TestFollowerBaselineIsOneSegmentFile(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fst, err := open(core.Config{}, Options{Dir: t.TempDir()}, fastRepl(prim.Addr(), tr))
+		fst, err := open(core.Config{}, Options{Dir: t.TempDir(), MergeThreshold: 100}, fastRepl(prim.Addr(), tr))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -345,9 +345,7 @@ func (p *memPlane[K, S]) insert(key K) {
 	}
 	s.m.inserts.Inc()
 	if s.eng != nil {
-		if p.ops.engAppend(s.eng, key) == nil {
-			s.wakeOnPending()
-		}
+		p.ops.engAppend(s.eng, key) // errors are sticky; surfaced by Sync/Flush/Close
 		return
 	}
 	i := search.UpperBound(p.bounds, key)
@@ -392,7 +390,6 @@ func (p *memPlane[K, S]) insertDurable(keys []K) error {
 	if obs.Enabled {
 		s.m.insertNs.ObserveDuration(time.Since(start))
 	}
-	s.wakeOnPending()
 	return nil
 }
 
@@ -489,7 +486,7 @@ func (p *memPlane[K, S]) drain(i int) {
 	// A string shard's keys become strings only for this merge: one run out
 	// of the dictionary's arena, let go once the new index has copied it.
 	cur := sh.snap.Load()
-	merged := mergeDedup(p.ops.keys(cur), deduped)
+	merged := scan.MergeRuns([][]K{p.ops.keys(cur), deduped})
 	if len(merged) == p.ops.size(cur) {
 		// Every buffered key was already present: the published snapshot
 		// covers them, so draining can clear without a swap.
@@ -652,28 +649,4 @@ func globalize[S any](snaps []*S, sel []int32, out []int, size func(*S) int) {
 	for i, si := range sel {
 		out[i] += offs[si]
 	}
-}
-
-// mergeDedup merges sorted base with sorted, deduped extra, skipping extra
-// keys already in base. The result is a fresh array (base stays immutable).
-func mergeDedup[K cmp.Ordered](base, extra []K) []K {
-	merged := make([]K, 0, len(base)+len(extra))
-	i, j := 0, 0
-	for i < len(base) && j < len(extra) {
-		switch {
-		case base[i] < extra[j]:
-			merged = append(merged, base[i])
-			i++
-		case base[i] > extra[j]:
-			merged = append(merged, extra[j])
-			j++
-		default:
-			merged = append(merged, base[i])
-			i++
-			j++
-		}
-	}
-	merged = append(merged, base[i:]...)
-	merged = append(merged, extra[j:]...)
-	return merged
 }

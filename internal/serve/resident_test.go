@@ -96,7 +96,7 @@ func TestResidentHeapStringStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	before = heapHeld()
-	fst, err := OpenFollowerString(core.Config{}, Options{Dir: t.TempDir()}, fastRepl(prim.Addr(), tr))
+	fst, err := OpenFollowerString(core.Config{}, Options{Dir: t.TempDir(), MergeThreshold: 100}, fastRepl(prim.Addr(), tr))
 	if err != nil {
 		t.Fatal(err)
 	}

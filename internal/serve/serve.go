@@ -74,12 +74,13 @@
 //
 // With Options.Dir set (use Open, which can fail), the Store is backed by
 // the disk engine of internal/storage instead of in-memory shard
-// snapshots: every Insert appends to a write-ahead log, Sync acknowledges
-// durability (fsync), background drains merge the pending keys into the
-// engine's resident run — readable at once, with the WAL as their durable
-// home — which the engine writes out as an immutable segment file, carrying
-// its serialized RMI and Bloom filter, every 64k keys and at Flush and
-// Close, trimming the WAL then; reads are served from the per-segment
+// snapshots, and starts no merger: every Insert appends to a write-ahead
+// log, Sync acknowledges durability (fsync), and the engine drains itself —
+// once MergeThreshold keys are pending (storage.Options.DrainKeys) it
+// merges them into its resident run, readable at once, with the WAL as
+// their durable home. It writes that run out as an immutable segment file,
+// carrying its serialized RMI and Bloom filter, every 64k keys and at Flush
+// and Close, trimming the WAL then; reads are served from the per-segment
 // models, consulting each segment's Bloom filter before any key block is
 // searched. The visibility contract is unchanged (inserts become readable
 // at the next drain or Flush); reopening after a crash serves exactly the
@@ -109,10 +110,11 @@ type Options struct {
 	// larger capture per global lookup. Ignored when Dir is set.
 	Shards int
 	// MergeThreshold is the per-shard buffered-insert count that wakes the
-	// background merger (default 4096). With Dir set it is the pending-key
-	// count that triggers a background engine drain: the keys become
-	// readable in the engine's resident run; when they become a segment
-	// file is the engine's business (storage.Engine.Drain).
+	// background merger (default 4096). With Dir set — follower stores
+	// included — it is the engine's drain threshold
+	// (storage.Options.DrainKeys): once that many keys are pending the
+	// engine drains them into its resident run, readable at once; when they
+	// become a segment file is the engine's business.
 	MergeThreshold int
 	// Dir, when non-empty, makes the Store persistent: a WAL plus learned
 	// segment files under this directory (created if absent). Empty keeps
@@ -221,7 +223,7 @@ func newStoreMetrics(reg *obs.Registry, nsh int) storeMetrics {
 }
 
 // initObs wires the store into its metrics registry (nsh in-memory shards;
-// 0 for a persistent store, whose drains are the engine's flushes and are
+// 0 for a persistent store, whose drains are the engine's and are
 // instrumented there) and starts the optional debug listener. Must run
 // before the background merger so no drain races the handle installation.
 func (s *Store) initObs(reg *obs.Registry, nsh int, addr string) error {
@@ -300,8 +302,8 @@ func New(keys []uint64, cfg core.Config, opt Options) *Store {
 // Open builds a Store like New, returning engine errors instead of
 // panicking. With opt.Dir set it opens (or recovers) the persistent
 // engine rooted there, re-serves everything durable from the deserialized
-// segment models, persists the provided initial keys (idempotently — keys
-// already on disk are deduplicated), and starts the background flusher.
+// segment models and persists the provided initial keys (idempotently —
+// keys already on disk are deduplicated).
 // The initial keys are a bulk load (storage.Engine.BulkLoad): written as
 // one segment file, never logged, and durable when Open returns — a crash
 // inside Open leaves all of them or none.
@@ -330,8 +332,7 @@ func OpenString(keys []string, cfg core.Config, opt Options) (*Store, error) {
 }
 
 // open is Open and OpenString: an in-memory store, or with opt.Dir the
-// engine in the key mode of ops, bulk-loaded with keys, behind a started
-// merger.
+// engine in the key mode of ops, bulk-loaded with keys.
 func open[K cmp.Ordered, S any](keys []K, ops *memOps[K, S], cfg core.Config, opt Options) (*Store, error) {
 	if opt.Dir == "" {
 		return newInMemory(keys, ops, cfg, opt)
@@ -345,8 +346,6 @@ func open[K cmp.Ordered, S any](keys []K, ops *memOps[K, S], cfg core.Config, op
 		s.eng.Close()
 		return nil, err
 	}
-	s.wg.Add(1)
-	go s.merger()
 	return s, nil
 }
 
@@ -367,13 +366,17 @@ func newStore(cfg core.Config, opt Options, mergeCap int) *Store {
 }
 
 // openEngine opens (or recovers) the engine rooted at opt.Dir in the key
-// mode of ops and returns the Store over it, metrics wired, no goroutine
-// started: the shared prologue of open and openFollower.
+// mode of ops and returns the Store over it, metrics wired: the shared
+// prologue of open and openFollower. The store starts no goroutine of its
+// own — the engine drains itself at the merge threshold — so nothing reads
+// its merge queue.
 func openEngine[K cmp.Ordered, S any](ops *memOps[K, S], cfg core.Config, opt Options) (*Store, error) {
+	s := newStore(cfg, opt, 0)
 	reg := obs.NewRegistry()
 	eng, err := storage.Open(opt.Dir, storage.Options{
 		Config:        cfg,
 		CompactFanout: opt.CompactFanout,
+		DrainKeys:     s.thresh,
 		StringKeys:    ops.strKeys,
 		Reg:           reg,
 		FS:            opt.FS,
@@ -381,7 +384,6 @@ func openEngine[K cmp.Ordered, S any](ops *memOps[K, S], cfg core.Config, opt Op
 	if err != nil {
 		return nil, err
 	}
-	s := newStore(cfg, opt, 1)
 	s.eng = eng
 	s.mem = &memPlane[K, S]{s: s, ops: ops}
 	if err := s.initObs(reg, 0, opt.MetricsAddr); err != nil {
@@ -402,8 +404,9 @@ func (s *Store) closeDebug() {
 // Insert buffers a key for its shard and wakes the merger once the buffer
 // passes the threshold. The key becomes visible to readers at the next
 // drain (background merge or Flush). On a persistent Store the key is
-// appended to the WAL first (durable at the next Sync); a write error is
-// sticky in the engine and surfaces on Sync/Flush/Close.
+// appended to the WAL instead (durable at the next Sync), and the engine
+// drains its pending keys itself; a write error is sticky in the engine
+// and surfaces on Sync/Flush/Close.
 func (s *Store) Insert(key uint64) { s.u64().insert(key) }
 
 // InsertString is Insert in the codec domain, with the same visibility
@@ -424,18 +427,6 @@ func (s *Store) InsertDurable(keys ...uint64) error { return s.u64().insertDurab
 // crash-durable, riding the engine's group-commit plane like
 // InsertDurable. On an in-memory store the keys are simply inserted.
 func (s *Store) InsertDurableString(keys ...string) error { return s.str().insertDurable(keys) }
-
-// wakeOnPending wakes the merger of a persistent Store once the engine's
-// pending keys reach the drain threshold. Non-blocking: a merger with work
-// queued already will drain them.
-func (s *Store) wakeOnPending() {
-	if s.eng.PendingLen() >= s.thresh {
-		select {
-		case s.mergeCh <- 0:
-		default:
-		}
-	}
-}
 
 // maxConcurrentRetrains bounds simultaneous shard retrains per Store.
 // Oversubscription is prevented by the per-retrain worker budget
@@ -458,50 +449,24 @@ func (s *Store) retrainWorkers() int {
 	return max(1, runtime.GOMAXPROCS(0)/slots)
 }
 
-// merger is the background goroutine: it *dispatches* a concurrent drain
-// for whichever shard crossed its threshold — independent shards retrain
-// in parallel, bounded by the retrain semaphore — and on shutdown waits
-// for in-flight drains, then drains everything so Close is a barrier. On
-// a persistent Store a drain is an engine drain: pending keys merge into
-// the engine's resident run, readable at once and a segment file later.
+// merger is an in-memory Store's background goroutine: it *dispatches* a
+// concurrent drain for whichever shard crossed its threshold — independent
+// shards retrain in parallel, bounded by the retrain semaphore — and on
+// shutdown waits for in-flight drains, then drains everything so Close is
+// a barrier. A persistent Store has none: its engine drains itself.
 func (s *Store) merger() {
 	defer s.wg.Done()
 	for {
 		select {
 		case i := <-s.mergeCh:
-			s.dispatchDrain(i)
-			s.sweep()
+			s.mem.dispatch(i)
+			s.mem.sweep()
 		case <-s.quit:
 			s.drainWG.Wait()
 			s.Flush()
 			return
 		}
 	}
-}
-
-// dispatchDrain answers a merge token: an engine drain on a persistent
-// Store, a background drain of shard i (memPlane.dispatch) in memory.
-func (s *Store) dispatchDrain(i int) {
-	if s.eng != nil {
-		// A merge token can outlive the drain it asked for (it was queued
-		// while that drain ran): re-check (lock-free), or each stale token
-		// retrains the resident run for a sliver of keys.
-		if s.eng.PendingLen() >= s.thresh {
-			s.eng.Drain() // errors are sticky; surfaced by Sync/Close
-		}
-		return
-	}
-	s.mem.dispatch(i)
-}
-
-// sweep re-dispatches every shard left over the threshold (see
-// memPlane.sweep); on a persistent Store it is one more engine drain check.
-func (s *Store) sweep() {
-	if s.eng != nil {
-		s.dispatchDrain(0)
-		return
-	}
-	s.mem.sweep()
 }
 
 // Flush synchronously drains every shard — concurrently, bounded by the

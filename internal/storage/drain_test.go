@@ -549,3 +549,91 @@ func checkSpilledFileIsOneStepWrite(t *testing.T) {
 		e.Close()
 	}
 }
+
+// TestEngineDrainsAtDrainKeys, in both key modes: on an engine opened with
+// DrainKeys, an append or a commit that leaves that many keys pending is
+// served with no Drain call; without DrainKeys the keys stay pending until
+// Drain; and Close, right after a wake, stops the drainer before its final
+// flush — a later Append is refused and a reopen serves every key.
+func TestEngineDrainsAtDrainKeys(t *testing.T) {
+	const drainKeys = 100
+	for _, strMode := range []bool{false, true} {
+		e := modeEngine{openT(t, t.TempDir(), Options{NoCompactor: true, StringKeys: strMode, DrainKeys: drainKeys}), strMode}
+		served := func(what string, keys []uint64) {
+			t.Helper()
+			deadline := time.Now().Add(10 * time.Second)
+			for e.PendingLen() > 0 || !e.has(keys[len(keys)-1]) {
+				if time.Now().After(deadline) {
+					t.Fatalf("str=%v: %s: %d keys pending, %d served after 10s", strMode, what, e.PendingLen(), e.Len())
+				}
+				time.Sleep(time.Millisecond)
+			}
+			for _, k := range keys {
+				if !e.has(k) {
+					t.Fatalf("str=%v: %s: key %d not served", strMode, what, k)
+				}
+			}
+		}
+		appended := seqKeys(0, drainKeys, 2)
+		if err := e.append(appended...); err != nil {
+			t.Fatal(err)
+		}
+		served("appends", appended)
+		committed := seqKeys(0, drainKeys, 3)
+		for i := range committed {
+			committed[i] = committed[i]*2 + 1
+		}
+		if err := e.commit(committed[:drainKeys/2]...); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.commit(committed[drainKeys/2:]...); err != nil {
+			t.Fatal(err)
+		}
+		served("commits", committed)
+		if st := e.Stats(); st.Keys != 2*drainKeys || st.Drains < 2 || st.Flushes != 0 {
+			t.Fatalf("str=%v after the drainer: %+v, want %d keys in a resident run, no file", strMode, st, 2*drainKeys)
+		}
+		if err := e.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		// Without DrainKeys there is no drainer: the keys wait for Drain.
+		bare := modeEngine{openT(t, t.TempDir(), Options{NoCompactor: true, StringKeys: strMode}), strMode}
+		if err := bare.append(appended...); err != nil {
+			t.Fatal(err)
+		}
+		if err := bare.commit(committed...); err != nil {
+			t.Fatal(err)
+		}
+		if n, p := bare.Len(), bare.PendingLen(); n != 0 || p != 2*drainKeys {
+			t.Fatalf("str=%v, no DrainKeys: %d served, %d pending, want 0 and %d", strMode, n, p, 2*drainKeys)
+		}
+		if err := bare.Drain(); err != nil {
+			t.Fatal(err)
+		}
+		if n := bare.Len(); n != 2*drainKeys {
+			t.Fatalf("str=%v, no DrainKeys: Drain served %d keys, want %d", strMode, n, 2*drainKeys)
+		}
+		if err := bare.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		// Close right after a wake.
+		dir := t.TempDir()
+		c := modeEngine{openT(t, dir, Options{NoCompactor: true, StringKeys: strMode, DrainKeys: drainKeys}), strMode}
+		if err := c.append(appended...); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.append(1); err == nil {
+			t.Fatalf("str=%v: Append after Close was accepted", strMode)
+		}
+		re := openT(t, dir, Options{NoCompactor: true, StringKeys: strMode})
+		if n := re.Len(); n != drainKeys {
+			t.Fatalf("str=%v: reopen after Close serves %d keys, want %d", strMode, n, drainKeys)
+		}
+		re.Close()
+	}
+}

@@ -33,8 +33,11 @@
 // trims the WAL; a Drain that finds spillKeys keys in the log (drained
 // since the last rotation plus pending, duplicates counted) is a Flush, so
 // the log and the replay a crash pays stay bounded whatever the run holds.
-// A drained key is durable before it is served (the drain waits out the
-// group-commit barrier). After a crash, recovery re-serves exactly the keys
+// When a Drain runs is decided here too: an engine opened with
+// Options.DrainKeys drains itself once that many keys are pending; one
+// opened without it drains only when its caller asks. A drained key is
+// durable before it is served (the drain waits out the group-commit
+// barrier). After a crash, recovery re-serves exactly the keys
 // that were durable: all segment files plus every intact WAL record.
 // Because drains and flushes drop pending keys already present in older
 // segments, live segments always hold disjoint key sets, which is what
@@ -75,6 +78,7 @@ import (
 
 	"learnedindex/internal/core"
 	"learnedindex/internal/obs"
+	"learnedindex/internal/scan"
 	"learnedindex/internal/vfs"
 )
 
@@ -91,6 +95,11 @@ type Options struct {
 	// NoCompactor disables the background compaction goroutine. Compact
 	// can still be called explicitly.
 	NoCompactor bool
+	// DrainKeys, when positive, makes the engine drain itself: an append or
+	// commit that leaves at least this many keys pending wakes a background
+	// drainer, which runs Drain. Zero leaves every drain to the caller
+	// (Drain, Flush, Close).
+	DrainKeys int
 	// StringKeys switches the engine to the string-keyed mode of the key
 	// codec (internal/keycodec): appends/commits take strings, segments are
 	// written in the version-2 format, and reads go through the prefix plan
@@ -162,8 +171,8 @@ type Engine struct {
 	// mode, fixed at Open (writeplane.go).
 	plane keyPlane
 	// pendingLen mirrors the pending list's length, stored wherever mu is
-	// held to change it, so PendingLen — the serving layer's per-insert
-	// threshold test — takes no lock, and reads of it under mu are exact.
+	// held to change it, so PendingLen — the drainer's threshold test —
+	// takes no lock, and reads of it under mu are exact.
 	pendingLen atomic.Int64
 	// err is the fail-stop poison latch: a commit-plane failure sets it
 	// (wrapped in ErrPoisoned) and every later durable operation returns
@@ -206,6 +215,7 @@ type Engine struct {
 
 	nextSeq   uint64
 	compactCh chan struct{}
+	drainCh   chan struct{}
 	quit      chan struct{}
 	wg        sync.WaitGroup
 	closed    atomic.Bool
@@ -299,6 +309,7 @@ func Open(dir string, opts Options) (*Engine, error) {
 		opts:      opts,
 		fs:        opts.FS,
 		compactCh: make(chan struct{}, 1),
+		drainCh:   make(chan struct{}, 1),
 		quit:      make(chan struct{}),
 	}
 	e.reg = opts.Reg
@@ -362,6 +373,10 @@ func Open(dir string, opts Options) (*Engine, error) {
 		// to trigger its merge.
 		e.wg.Add(1)
 		go e.compactor()
+	}
+	if opts.DrainKeys > 0 {
+		e.wg.Add(1)
+		go e.drainer()
 	}
 	return e, nil
 }
@@ -635,8 +650,8 @@ func (e *Engine) waitDurable(target uint64) error {
 // since the last rotation plus pending (duplicates counted — the log holds
 // them whether or not the run does) is a Flush. The test reads pending
 // before the freeze, so the log may pass the bound by what one freeze takes
-// beyond it — one drain threshold's worth under the serving layer — and the
-// next Drain spills. Picked from the measured curve in README "Persistent
+// beyond it — about DrainKeys keys under the drainer — and the next Drain
+// spills. Picked from the measured curve in README "Persistent
 // store": 16k keys leaves reads visiting twice the segments, 256k makes the
 // retrain every drain pays and the WAL a crash replays four times dearer
 // for ~1 µs of read_p50.
@@ -675,6 +690,38 @@ func (e *Engine) Drain() error {
 		return e.spill()
 	}
 	return e.drain()
+}
+
+// wakeDrainer wakes the drainer once DrainKeys keys are pending.
+// Non-blocking: a wake already queued covers these keys too, because the
+// drainer re-checks the pending count before it drains.
+func (e *Engine) wakeDrainer() {
+	if n := e.opts.DrainKeys; n > 0 && e.PendingLen() >= n {
+		select {
+		case e.drainCh <- struct{}{}:
+		default:
+		}
+	}
+}
+
+// drainer is the background goroutine of an engine opened with DrainKeys:
+// each wake drains the pending keys, and the Drain spills once the log
+// holds spillKeys keys.
+func (e *Engine) drainer() {
+	defer e.wg.Done()
+	for {
+		select {
+		case <-e.drainCh:
+			// A wake can outlive the drain it asked for (it was queued while
+			// that drain ran): re-check, or each stale wake retrains the
+			// resident run for a sliver of keys.
+			if e.PendingLen() >= e.opts.DrainKeys {
+				e.Drain() // errors are sticky; surfaced by Sync/Flush/Close
+			}
+		case <-e.quit:
+			return
+		}
+	}
 }
 
 // BulkLoad makes keys (any order, duplicates allowed) served and durable
@@ -905,7 +952,7 @@ func materialize[K cmp.Ordered](e *Engine, ops *keyOps[K], keys []K, res *segmen
 	switch {
 	case len(fresh) > 0:
 		if res != nil {
-			fresh = mergeKeys([][]K{ops.keys(res), fresh})
+			fresh = scan.MergeRuns([][]K{ops.keys(res), fresh})
 		}
 		var err error
 		if seg, err = ops.build(e, seq, seq, fresh); err != nil {
@@ -1416,41 +1463,11 @@ func (e *Engine) compactOnce() (bool, error) {
 	return true, nil
 }
 
-// mergeKeys merges sorted key runs into one fresh sorted array: a
-// head-comparison merge (a compaction's run count is capped at 2x the
-// fanout and a drain merges two, so the linear head scan beats a heap)
-// instead of concatenate-and-sort — no O(total log total) sort, no sort
-// scratch, just the exact-size output that the new segment retains.
-func mergeKeys[K cmp.Ordered](srcs [][]K) []K {
-	total := 0
-	for _, src := range srcs {
-		total += len(src)
-	}
-	out := make([]K, 0, total)
-	for {
-		best := -1
-		var k K
-		for s, src := range srcs {
-			if len(src) > 0 && (best < 0 || src[0] < k) {
-				best, k = s, src[0]
-			}
-		}
-		if best < 0 {
-			return out
-		}
-		srcs[best] = srcs[best][1:]
-		// Runs are disjoint by the segment invariant; the adjacency check
-		// keeps a violated invariant from ever minting duplicate keys.
-		if n := len(out); n == 0 || out[n-1] != k {
-			out = append(out, k)
-		}
-	}
-}
-
-// Close stops the compactor, flushes — pending keys and the resident run
-// land in a segment file, so the next open replays no log and trains
-// nothing — and closes the active WAL. The engine is unusable afterwards. Returns the sticky write error,
-// if any, so a failed ack surfaces at least once.
+// Close stops the compactor and the drainer, flushes — pending keys and
+// the resident run land in a segment file, so the next open replays no log
+// and trains nothing — and closes the active WAL. The engine is unusable
+// afterwards. Returns the sticky write error, if any, so a failed ack
+// surfaces at least once.
 func (e *Engine) Close() error {
 	if e.closed.Swap(true) {
 		return nil

@@ -6,6 +6,7 @@ import (
 
 	"learnedindex/internal/binenc"
 	"learnedindex/internal/obs"
+	"learnedindex/internal/scan"
 )
 
 // The write plane, written once for both key kinds. Its keys in flight —
@@ -119,6 +120,7 @@ func (p *writePlane[K]) append(keys []K) error {
 	}
 	e := p.e
 	e.maybeBackpressure()
+	defer e.wakeDrainer() // after the unlock: the drainer's first step takes mu
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if err := e.acceptLocked(); err != nil {
@@ -136,6 +138,7 @@ func (p *writePlane[K]) append(keys []K) error {
 func (p *writePlane[K]) commit(keys []K) error {
 	e := p.e
 	e.maybeBackpressure()
+	defer e.wakeDrainer() // after the unlock, as in append
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if len(keys) == 0 {
@@ -294,13 +297,15 @@ func (p *writePlane[K]) recoverLogs(paths []string) error {
 }
 
 // merge k-way merges the disjoint sorted key arrays of run into one fresh
-// array and builds the segment covering run's sequence range over it.
+// array (scan.MergeRuns, which would drop a key a violated disjointness
+// invariant duplicated) and builds the segment covering run's sequence
+// range over it.
 func (p *writePlane[K]) merge(run []*segment) (*segment, error) {
 	srcs := make([][]K, len(run))
 	for i, s := range run {
 		srcs[i] = p.ops.keys(s)
 	}
-	return p.ops.build(p.e, run[0].seqLo, run[len(run)-1].seqHi, mergeKeys(srcs))
+	return p.ops.build(p.e, run[0].seqLo, run[len(run)-1].seqHi, scan.MergeRuns(srcs))
 }
 
 // The pending pools (keyOps.pendingPool, one per key kind) recycle the
@@ -311,8 +316,8 @@ func (p *writePlane[K]) merge(run []*segment) (*segment, error) {
 // the process, and a buffer taken at a freeze is held until that engine's
 // next one, so only buffers of a few drain cycles' size go back: one large
 // Append's buffer, recycled, would be pinned by whichever engine froze next
-// for as long as that engine lives. The engine has no drain threshold of
-// its own to size the bound by — its owner decides when to drain, the
-// serving layer at 4096 pending keys by default — and re-growing a longer
-// buffer is noise beside training the segment it fed.
+// for as long as that engine lives. The bound is four freezes at the
+// serving layer's default DrainKeys (its MergeThreshold, 4096): the pool is
+// process-wide, so no one engine's DrainKeys can size it, and re-growing a
+// longer buffer is noise beside training the segment it fed.
 const maxPooledPending = 4 * 4096 // keys
