@@ -138,3 +138,24 @@ func BenchmarkStoreLookupBatchStringPersistent(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*64), "ns/key")
 }
+
+// BenchmarkStoreFlushBarrier is the in-memory drain path's local loop: an
+// 8-shard store over 1M uniform keys, 256k more keys buffered beside them
+// (the merge threshold out of reach, so no background drain runs), and one
+// timed Flush that sorts, merges and retrains every shard. Building the
+// store and buffering the keys are not timed.
+func BenchmarkStoreFlushBarrier(b *testing.B) {
+	keys := data.Uniform(1<<20, 1<<50, 1)
+	extra := data.Uniform(1<<18, 1<<50, 2)
+	b.StopTimer()
+	for i := 0; i < b.N; i++ {
+		st := New(keys, core.Config{}, Options{Shards: 8, MergeThreshold: 1 << 30})
+		for _, k := range extra {
+			st.Insert(k)
+		}
+		b.StartTimer()
+		st.Flush()
+		b.StopTimer()
+		st.Close()
+	}
+}

@@ -8,10 +8,10 @@ import (
 	"learnedindex/internal/data"
 )
 
-// TestConcurrentShardDrains loads every shard past its threshold from
-// many writer goroutines, then uses Flush as the concurrent-drain barrier:
-// all shards must retrain (in parallel, bounded by the retrain semaphore)
-// and the merged result must be exact — distinct committed keys, correct
+// TestConcurrentShardDrains loads every shard from many writer
+// goroutines, then uses Flush as the concurrent-drain barrier: all shards
+// must retrain (in parallel, on min(shards, GOMAXPROCS) drainers) and the
+// merged result must be exact — distinct committed keys, correct
 // membership, and per-shard snapshots that partition the key space.
 func TestConcurrentShardDrains(t *testing.T) {
 	const nsh = 8

@@ -3,8 +3,8 @@ package serve
 // The in-memory serving plane, written once for both key modes. A Store's
 // shards — their published snapshots, insert buffers and drain state — are
 // one memPlane[K, S], and everything that builds and splits the initial
-// keys, routes a key, buffers an insert, dispatches and runs a drain,
-// sweeps, flushes, and captures a batch or a scan runs once over it. The
+// keys, routes a key, buffers an insert, drains the shards on the merger's
+// wake and at Flush, and captures a batch or a scan runs once over it. The
 // key mode only chooses the memOps the plane carries: how a snapshot is
 // trained and read, which batch kernel runs over the captured snapshots,
 // which cursor streams one, and which typed engine method serves each call
@@ -13,6 +13,7 @@ package serve
 import (
 	"cmp"
 	"fmt"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -33,13 +34,10 @@ import (
 type shard[K cmp.Ordered, S any] struct {
 	snap atomic.Pointer[S]
 	// mergeMu serializes drains so at most one retrain per shard runs at a
-	// time (background merger and Flush may race to drain the same shard).
-	// Different shards' drains run concurrently, bounded only by the
-	// store's retrain semaphore.
+	// time (the merger's sweep and a Flush may race to drain the same
+	// shard). Different shards' drains run concurrently, one per drainer of
+	// a drainWhere call.
 	mergeMu sync.Mutex
-	// merging gates background drain dispatch: one in-flight background
-	// drain per shard, so a hot shard cannot pile up goroutines.
-	merging atomic.Bool
 	// mu protects buf, the unordered insert buffer, and draining.
 	mu  sync.Mutex
 	buf []K
@@ -59,14 +57,21 @@ func (sh *shard[K, S]) full(thresh int) bool {
 	return len(sh.buf) >= thresh
 }
 
-// memPlane is a Store's plane for keys of kind K: the split keys and the
-// shards of an in-memory store. A persistent store's plane has no shard —
-// it is the store's key mode, and its ops reach the engine's typed methods.
+// memPlane is a Store's plane for keys of kind K: the split keys, the
+// shards and the merger of an in-memory store. A persistent store's plane
+// has no shard and no merger — it is the store's key mode, and its ops
+// reach the engine's typed methods.
 type memPlane[K cmp.Ordered, S any] struct {
 	s      *Store
 	ops    *memOps[K, S]
 	bounds []K // len(shards)-1 split keys; shard i serves [bounds[i-1], bounds[i])
 	shards []*shard[K, S]
+	// wake is the merger's one-slot wake-up: an insert that fills its
+	// shard's buffer sends without blocking, and a wake already queued
+	// covers it, because the merger's sweep reads every buffer afresh.
+	wake chan struct{}
+	quit chan struct{}
+	wg   sync.WaitGroup
 }
 
 // The two planes a Store can hold.
@@ -84,9 +89,8 @@ type keyPlane interface {
 	// shardState returns shard i's queue depth (buffered plus draining
 	// keys) and its live plan.
 	shardState(i int) (queued int, plan *core.Plan)
-	dispatch(i int)
-	sweep()
 	flush()
+	stop()
 }
 
 // planeOf returns s's plane as the K-keyed plane it must be: every typed
@@ -303,8 +307,14 @@ func newInMemory[K cmp.Ordered, S any](keys []K, ops *memOps[K, S], cfg core.Con
 	slices.Sort(sorted)
 	sorted = slices.Compact(sorted)
 
-	s := newStore(cfg, opt, nsh)
-	p := &memPlane[K, S]{s: s, ops: ops, shards: make([]*shard[K, S], nsh)}
+	s := newStore(cfg, opt)
+	p := &memPlane[K, S]{
+		s:      s,
+		ops:    ops,
+		shards: make([]*shard[K, S], nsh),
+		wake:   make(chan struct{}, 1),
+		quit:   make(chan struct{}),
+	}
 	s.mem = p
 	n := len(sorted)
 	if n > 0 && nsh > 1 {
@@ -330,8 +340,8 @@ func newInMemory[K cmp.Ordered, S any](keys []K, ops *memOps[K, S], cfg core.Con
 	if err := s.initObs(obs.NewRegistry(), nsh, opt.MetricsAddr); err != nil {
 		return nil, err
 	}
-	s.wg.Add(1)
-	go s.merger()
+	p.wg.Add(1)
+	go p.merger()
 	return s, nil
 }
 
@@ -359,8 +369,8 @@ func (p *memPlane[K, S]) insert(key K) {
 	sh.mu.Unlock()
 	if full {
 		select {
-		case s.mergeCh <- i:
-		default: // merger already has work queued; a later insert re-notifies
+		case p.wake <- struct{}{}:
+		default: // a queued wake covers this shard too
 		}
 	}
 }
@@ -393,60 +403,71 @@ func (p *memPlane[K, S]) insertDurable(keys []K) error {
 	return nil
 }
 
-// dispatch starts a background drain of shard i unless one is already in
-// flight for it. After the drain, a buffer that refilled past the
-// threshold re-signals the merger, preserving bounded staleness for hot
-// shards.
-func (p *memPlane[K, S]) dispatch(i int) {
-	s, sh := p.s, p.shards[i]
-	if !sh.merging.CompareAndSwap(false, true) {
-		return // this shard's drain is already queued or running
+// merger is an in-memory store's background goroutine: each wake sweeps
+// the full shards and waits for the sweep to finish. It returns on quit
+// without draining; stop flushes once after it.
+func (p *memPlane[K, S]) merger() {
+	defer p.wg.Done()
+	for {
+		select {
+		case <-p.wake:
+			p.sweep()
+		case <-p.quit:
+			return
+		}
 	}
-	s.drainWG.Add(1)
-	go func() {
-		defer s.drainWG.Done()
-		p.drain(i)
-		sh.merging.Store(false)
-		if sh.full(s.thresh) {
-			select {
-			case s.mergeCh <- i:
-			default:
+}
+
+// stop ends the merger, then drains every shard: Close's barrier.
+func (p *memPlane[K, S]) stop() {
+	close(p.quit)
+	p.wg.Wait()
+	p.flush()
+}
+
+// sweep drains every shard whose buffer has reached the threshold.
+func (p *memPlane[K, S]) sweep() {
+	p.drainWhere(func(sh *shard[K, S]) bool { return sh.full(p.s.thresh) })
+}
+
+// flush drains every shard.
+func (p *memPlane[K, S]) flush() {
+	p.drainWhere(func(*shard[K, S]) bool { return true })
+}
+
+// drainWhere drains the shards want selects on min(shards, GOMAXPROCS)
+// drainers, the caller being one, and returns when all are done. Each
+// drainer takes the next shard index from a shared counter, and each
+// drain trains on its share of the cores.
+func (p *memPlane[K, S]) drainWhere(want func(*shard[K, S]) bool) {
+	procs := runtime.GOMAXPROCS(0)
+	drainers := min(len(p.shards), procs)
+	workers := procs / drainers
+	var next atomic.Int64
+	run := func() {
+		for i := int(next.Add(1) - 1); i < len(p.shards); i = int(next.Add(1) - 1) {
+			if want(p.shards[i]) {
+				p.drain(i, workers)
 			}
 		}
-	}()
-}
-
-// sweep dispatches a drain for every shard whose buffer crossed the
-// threshold while the merger was busy: a hot shard can fill mergeCh with
-// its own index, so a cold shard's single notification may have been
-// dropped. The post-signal sweep restores the bounded-staleness promise
-// for those shards.
-func (p *memPlane[K, S]) sweep() {
-	for i, sh := range p.shards {
-		if sh.full(p.s.thresh) {
-			p.dispatch(i)
-		}
 	}
-}
-
-// flush drains every shard concurrently, bounded by the retrain semaphore.
-func (p *memPlane[K, S]) flush() {
 	var wg sync.WaitGroup
-	for i := range p.shards {
-		wg.Add(1)
-		go func(i int) {
+	wg.Add(drainers - 1)
+	for d := 1; d < drainers; d++ {
+		go func() {
 			defer wg.Done()
-			p.drain(i)
-		}(i)
+			run()
+		}()
 	}
+	run()
 	wg.Wait()
 }
 
-// drain merges shard i's buffer into a fresh snapshot and publishes it.
-// Readers are never blocked: the retrain happens on a private copy and the
-// swap is a single atomic store. Same-shard drains serialize on mergeMu;
-// different shards proceed concurrently up to the retrain semaphore.
-func (p *memPlane[K, S]) drain(i int) {
+// drain merges shard i's buffer into a fresh snapshot, trained on workers
+// goroutines, and publishes it. Readers are never blocked: the retrain
+// happens on a private copy and the swap is a single atomic store.
+// Same-shard drains serialize on mergeMu.
+func (p *memPlane[K, S]) drain(i, workers int) {
 	s, sh := p.s, p.shards[i]
 	sh.mergeMu.Lock()
 	defer sh.mergeMu.Unlock()
@@ -473,8 +494,6 @@ func (p *memPlane[K, S]) drain(i int) {
 		p.ops.bufs.Put(buf)
 		p.ops.bufs.Put(work)
 	}
-	s.retrainSem <- struct{}{}
-	defer func() { <-s.retrainSem }()
 	var drainStart time.Time
 	if obs.Enabled {
 		drainStart = time.Now()
@@ -497,7 +516,7 @@ func (p *memPlane[K, S]) drain(i int) {
 	if obs.Enabled {
 		trainStart = time.Now()
 	}
-	snap := p.ops.build(merged, s.cfg, s.retrainWorkers())
+	snap := p.ops.build(merged, s.cfg, workers)
 	if obs.Enabled {
 		s.m.trainNs[i].ObserveDuration(time.Since(trainStart))
 	}

@@ -34,14 +34,12 @@
 // (probe, segment), and the same core kernel over the pairs that are left.
 //
 // Inserts append to a small per-shard buffer under a mutex; when the
-// buffer passes the merge threshold, the background merger dispatches a
-// drain: sort, dedup against the snapshot, merge into a fresh key array,
-// retrain the RMI off the hot path, and atomically publish the new
-// snapshot (classic read-copy-update). Drains of *different* shards run
-// concurrently — per-shard merge state plus a retrain semaphore bounded by
-// GOMAXPROCS — and each retrain itself fits on core's worker pool, so a
-// burst that fills many shards produces segments as fast as the cores
-// allow instead of queueing behind one serial merge loop.
+// buffer passes the merge threshold, the insert wakes the background
+// merger, which drains every full shard: sort, dedup against the snapshot,
+// merge into a fresh key array, retrain the RMI off the hot path, and
+// atomically publish the new snapshot (classic read-copy-update). A sweep
+// and a Flush run their drains on min(shards, GOMAXPROCS) goroutines, and
+// each retrain fits on that drainer's share of the cores.
 //
 // # Consistency model
 //
@@ -92,9 +90,7 @@ package serve
 import (
 	"cmp"
 	"fmt"
-	"runtime"
 	"strconv"
-	"sync"
 	"sync/atomic"
 
 	"learnedindex/internal/core"
@@ -144,27 +140,16 @@ type Store struct {
 	// store, and on either kind of store the mode itself — a typed method of
 	// the other mode panics (see planeOf), mirroring the storage engine's
 	// mode discipline.
-	mem     keyPlane
-	cfg     core.Config
-	thresh  int
-	mergeCh chan int
-	quit    chan struct{}
-	wg      sync.WaitGroup
-	closed  atomic.Bool
+	mem    keyPlane
+	cfg    core.Config
+	thresh int
+	closed atomic.Bool
 	// reg is the store's metrics plane (shared with the storage engine in
 	// persistent mode); m holds the pre-resolved handles the hot paths
 	// touch, and dbg the optional MetricsAddr debug listener.
 	reg *obs.Registry
 	m   storeMetrics
 	dbg *obs.DebugServer
-	// retrainSem bounds concurrent shard retrains: independent shards
-	// drain in parallel (each retrain itself fans out over the parallel
-	// trainer's worker pool), but the semaphore keeps a wide Flush from
-	// oversubscribing the machine with len(shards) simultaneous trainings.
-	retrainSem chan struct{}
-	// drainWG tracks in-flight background shard drains so Close's shutdown
-	// barrier covers them.
-	drainWG sync.WaitGroup
 	// eng, when non-nil, is the disk engine of a persistent Store, whose
 	// plane then holds no shard.
 	eng *storage.Engine
@@ -241,16 +226,15 @@ func (s *Store) initObs(reg *obs.Registry, nsh int, addr string) error {
 }
 
 // collect injects the serving layer's point-in-time series into a metrics
-// snapshot: shard/queue topology, retrain pressure, and per-shard model
-// health (sampled observed error and last-mile window vs the trained
-// bound, from each shard's live compiled plan). Per-shard queue depths
-// take each shard's buffer mutex briefly — snapshots are rare and the
-// buffer critical sections are appends, so a reader never stalls the
-// write path noticeably. Engine-backed stores skip the per-shard series:
+// snapshot: shard/queue topology and per-shard model health (sampled
+// observed error and last-mile window vs the trained bound, from each
+// shard's live compiled plan). Per-shard queue depths take each shard's
+// buffer mutex briefly — snapshots are rare and the buffer critical
+// sections are appends, so a reader never stalls the write path
+// noticeably. Engine-backed stores skip the per-shard series:
 // the engine's own collector publishes the lix_storage_*/lix_segment_*
 // equivalents.
 func (s *Store) collect(snap *obs.Snapshot) {
-	snap.SetGauge("lix_serve_retrains_inflight", float64(len(s.retrainSem)))
 	snap.SetGauge("lix_serve_shards", float64(s.NumShards()))
 	if s.eng != nil {
 		return // queue depth is the engine's lix_storage_pending_keys
@@ -349,29 +333,21 @@ func open[K cmp.Ordered, S any](keys []K, ops *memOps[K, S], cfg core.Config, op
 	return s, nil
 }
 
-// newStore returns a Store holding the fields every kind of store shares;
-// mergeCap sizes the merge queue.
-func newStore(cfg core.Config, opt Options, mergeCap int) *Store {
+// newStore returns a Store holding the fields every kind of store shares.
+func newStore(cfg core.Config, opt Options) *Store {
 	thresh := opt.MergeThreshold
 	if thresh <= 0 {
 		thresh = 4096
 	}
-	return &Store{
-		cfg:        cfg,
-		thresh:     thresh,
-		mergeCh:    make(chan int, mergeCap),
-		quit:       make(chan struct{}),
-		retrainSem: make(chan struct{}, maxConcurrentRetrains()),
-	}
+	return &Store{cfg: cfg, thresh: thresh}
 }
 
 // openEngine opens (or recovers) the engine rooted at opt.Dir in the key
 // mode of ops and returns the Store over it, metrics wired: the shared
 // prologue of open and openFollower. The store starts no goroutine of its
-// own — the engine drains itself at the merge threshold — so nothing reads
-// its merge queue.
+// own: the engine drains itself at the merge threshold.
 func openEngine[K cmp.Ordered, S any](ops *memOps[K, S], cfg core.Config, opt Options) (*Store, error) {
-	s := newStore(cfg, opt, 0)
+	s := newStore(cfg, opt)
 	reg := obs.NewRegistry()
 	eng, err := storage.Open(opt.Dir, storage.Options{
 		Config:        cfg,
@@ -428,49 +404,8 @@ func (s *Store) InsertDurable(keys ...uint64) error { return s.u64().insertDurab
 // InsertDurable. On an in-memory store the keys are simply inserted.
 func (s *Store) InsertDurableString(keys ...string) error { return s.str().insertDurable(keys) }
 
-// maxConcurrentRetrains bounds simultaneous shard retrains per Store.
-// Oversubscription is prevented by the per-retrain worker budget
-// (retrainWorkers), not by this cap alone: admitted retrains × workers
-// per retrain composes to ~GOMAXPROCS CPU-bound goroutines.
-func maxConcurrentRetrains() int {
-	if w := runtime.GOMAXPROCS(0); w > 1 {
-		return w
-	}
-	return 1
-}
-
-// retrainWorkers is a drain's training worker budget: the machine's
-// cores split across the retrains that can run at once (shard count or
-// semaphore capacity, whichever is smaller), floored at 1. An 8-shard
-// store on 16 cores trains 8 concurrent drains x 2 workers; a 2-shard
-// store 2 x 8 — full utilization either way, never a multiplied stack.
-func (s *Store) retrainWorkers() int {
-	slots := max(1, min(s.mem.numShards(), cap(s.retrainSem)))
-	return max(1, runtime.GOMAXPROCS(0)/slots)
-}
-
-// merger is an in-memory Store's background goroutine: it *dispatches* a
-// concurrent drain for whichever shard crossed its threshold — independent
-// shards retrain in parallel, bounded by the retrain semaphore — and on
-// shutdown waits for in-flight drains, then drains everything so Close is
-// a barrier. A persistent Store has none: its engine drains itself.
-func (s *Store) merger() {
-	defer s.wg.Done()
-	for {
-		select {
-		case i := <-s.mergeCh:
-			s.mem.dispatch(i)
-			s.mem.sweep()
-		case <-s.quit:
-			s.drainWG.Wait()
-			s.Flush()
-			return
-		}
-	}
-}
-
-// Flush synchronously drains every shard — concurrently, bounded by the
-// retrain semaphore — a visibility barrier making all previously returned
+// Flush synchronously drains every shard, on min(shards, GOMAXPROCS)
+// goroutines — a visibility barrier making all previously returned
 // Inserts readable. On a persistent Store it is an engine Flush: every
 // key inserted so far, the background drains' resident run included, lands
 // in one fsynced segment file and the WAL is trimmed.
@@ -498,26 +433,23 @@ func (s *Store) Sync() error {
 	return s.eng.Sync()
 }
 
-// Close stops the background merger after a final drain of every shard.
-// Safe to call more than once; an in-memory Store remains readable
-// afterwards, and Flush keeps working (drains run in the caller). An
-// Insert racing Close can land just after the shutdown drain — the
-// trailing Flush below publishes those; an Insert that starts after Close
-// returns stays buffered until the caller's next Flush. A persistent
-// Store flushes everything pending, releases the engine, and reports any
-// sticky write error; it must not be used afterwards.
+// Close stops the background merger, then drains every shard once. Safe
+// to call more than once; an in-memory Store remains readable afterwards,
+// and Flush keeps working (drains run in the caller). An Insert that
+// lands after Close's drain of its shard stays buffered until the
+// caller's next Flush. A persistent Store flushes everything pending,
+// releases the engine, and reports any sticky write error; it must not be
+// used afterwards.
 func (s *Store) Close() error {
 	if s.closed.Swap(true) {
 		return nil
 	}
 	s.closeDebug()
 	s.closeRepl()
-	close(s.quit)
-	s.wg.Wait()
 	if s.eng != nil {
 		return s.eng.Close()
 	}
-	s.Flush()
+	s.mem.stop()
 	return nil
 }
 

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"sync"
 	"testing"
+	"time"
 
 	"learnedindex/internal/core"
 	"learnedindex/internal/data"
@@ -117,25 +118,46 @@ func TestStoreInsertVisibilityAndSetSemantics(t *testing.T) {
 	}
 }
 
-// TestStoreBackgroundMerge: crossing the threshold must trigger the
-// background merger without any explicit Flush.
+// TestStoreBackgroundMerge: crossing the threshold must drain a shard in
+// the background, with no Flush or Close before the checks. A hot shard
+// takes many thresholds of keys; a cold shard takes exactly one, in the
+// middle of the hot stream, so its one wake can coincide with the hot
+// shard's. The store must come to rest with every shard below the
+// threshold and every key either served or pending.
 func TestStoreBackgroundMerge(t *testing.T) {
-	keys := data.Dense(4096, 0, 4)
-	st := New(keys, core.Config{}, Options{Shards: 2, MergeThreshold: 64})
+	const thresh, hot, cold = 64, 1000, 64
+	keys := data.Dense(4096, 0, 4) // two shards split at 8192
+	st := New(keys, core.Config{}, Options{Shards: 2, MergeThreshold: thresh})
 	defer st.Close()
-	for i := uint64(0); i < 1000; i++ {
+	coldKey := func(i uint64) uint64 { return 8192 + i*4 + 1 }
+	for i := uint64(0); i < hot; i++ {
 		st.Insert(i*4 + 1)
+		if i%8 == 0 && i/8 < cold {
+			st.Insert(coldKey(i / 8))
+		}
 	}
-	st.Close() // barrier: final drain of everything
-	if st.Merges() == 0 {
-		t.Fatal("background merger never ran")
+	resting := func() bool {
+		for i := 0; i < st.NumShards(); i++ {
+			if queued, _ := st.mem.shardState(i); queued >= thresh {
+				return false
+			}
+		}
+		return st.Len()+st.Pending() == len(keys)+hot+cold
 	}
-	if got, want := st.Len(), 4096+1000; got != want {
-		t.Fatalf("Len = %d, want %d", got, want)
+	for deadline := time.Now().Add(10 * time.Second); !resting(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("merger never came to rest: %d served, %d pending", st.Len(), st.Pending())
+		}
 	}
-	for i := uint64(0); i < 1000; i += 97 {
-		if !st.Contains(i*4 + 1) {
-			t.Fatalf("lost inserted key %d", i*4+1)
+	if queued, _ := st.mem.shardState(1); queued != 0 {
+		t.Fatalf("cold shard holds %d keys after one threshold's wake", queued)
+	}
+	if served := st.Len() - len(keys); served <= hot+cold-thresh {
+		t.Fatalf("%d of %d inserted keys served in the background", served, hot+cold)
+	}
+	for i := uint64(0); i < cold; i++ {
+		if !st.Contains(coldKey(i)) {
+			t.Fatalf("cold shard key %d not served", coldKey(i))
 		}
 	}
 }

@@ -94,8 +94,8 @@ type (
 type (
 	// Store is the thread-safe sharded serving layer: range-partitioned
 	// shards, lock-free RCU-style reads, buffered inserts merged and
-	// retrained concurrently across shards (bounded by a GOMAXPROCS
-	// retrain semaphore), and batched lookups that overlap a whole probe
+	// retrained concurrently across shards (on at most GOMAXPROCS
+	// drainers), and batched lookups that overlap a whole probe
 	// batch's cache misses in one lockstep search across every shard, in
 	// probe order. See the package comment of
 	// internal/serve for the consistency model. With StoreOptions.Dir set
