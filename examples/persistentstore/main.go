@@ -4,8 +4,8 @@
 // them through the persistent storage engine (internal/storage behind
 // learnedindex.OpenStore): every insert is framed into a write-ahead log,
 // Sync is the fsync durability barrier, flushes turn the pending keys into
-// immutable segment files that carry their trained RMI and Bloom filter in
-// serialized form, and background compaction folds small segments into
+// immutable segment files that carry their trained RMI in serialized
+// form, and background compaction folds small segments into
 // bigger ones. The payoff is the cold open: a restart deserializes the
 // per-segment models and serves lookups immediately — zero retraining —
 // and a simulated torn-WAL crash recovers exactly the acked keys.

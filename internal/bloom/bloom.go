@@ -13,36 +13,14 @@ import (
 	"learnedindex/internal/hashfn"
 )
 
-// Filter is a Bloom filter in one of two layouts:
-//
-//   - standard (§5): k probe positions scattered across the whole bit
-//     array — up to k cache lines touched per query;
-//   - register-blocked: the first hash selects ONE 512-bit block (a
-//     single cache line) and all k probe bits live inside it, so any
-//     query — hit or miss — touches exactly one line. The price is a
-//     slightly worse false-positive rate at equal m (per-block load
-//     variance), which NewBlocked offsets by spending ~20% more bits.
-//
-// The blocked layout is what the storage engine uses for per-segment
-// miss pruning: a multi-segment Contains probes every segment's filter,
-// so the filter walk is one memory touch per segment instead of k.
+// Filter is the standard Bloom filter of §5: k probe positions scattered
+// across the whole bit array.
 type Filter struct {
-	bits    []uint64
-	m       uint64 // number of bits
-	k       int    // number of hash functions
-	n       int    // inserted elements
-	blocked bool   // register-blocked layout
+	bits []uint64
+	m    uint64 // number of bits
+	k    int    // number of hash functions
+	n    int    // inserted elements
 }
-
-// Blocked layout constants: 512-bit (one cache line) blocks, probe bits
-// derived from disjoint 9-bit lanes of the second hash — which caps the
-// blocked k at 7 (7 lanes × 9 bits = 63 of the 64 hash bits).
-const (
-	blockBits    = 512
-	blockWords   = blockBits / 64
-	maxBlockedK  = 7
-	blockBitMask = blockBits - 1
-)
 
 // OptimalM returns the number of bits needed for n elements at target false
 // positive rate p: m = -n·ln(p)/(ln 2)², the classic sizing the paper uses
@@ -96,65 +74,16 @@ func NewWithSize(m uint64, k int) *Filter {
 	return &Filter{bits: make([]uint64, (m+63)/64), m: m, k: k}
 }
 
-// NewBlocked creates a register-blocked filter sized for n elements at a
-// target false-positive rate p: the standard sizing plus ~20% to offset
-// the blocked layout's per-block load variance, rounded up to whole
-// cache-line blocks, with k capped at the lane limit.
-func NewBlocked(n int, p float64) *Filter {
-	m := OptimalM(n, p)
-	m += m / 5
-	m = (m + blockBits - 1) / blockBits * blockBits
-	k := OptimalK(m, n)
-	if k > maxBlockedK {
-		k = maxBlockedK
-	}
-	return &Filter{bits: make([]uint64, m/64), m: m, k: k, blocked: true}
-}
-
-// blockBase derives the block's first word index from a key's first
-// hash; the k probe bits each take a disjoint 9-bit lane of the second
-// hash, so all k bits — and the one cache line holding them — are fixed
-// by two hash evaluations.
-func (f *Filter) blockBase(h1 uint64) uint64 {
-	return (h1 % (f.m / blockBits)) * blockWords
-}
-
-func (f *Filter) addBlocked(h1, h2 uint64) {
-	setBlock(f.bits, f.blockBase(h1), h2, f.k)
-	f.n++
-}
-
-// setBlock sets the k probe bits of h2 in the block of bits starting at
-// word base: the one place the blocked probe-bit layout is written.
-func setBlock(bits []uint64, base, h2 uint64, k int) {
-	for i := 0; i < k; i++ {
-		p := (h2 >> (9 * uint(i))) & blockBitMask
-		bits[base+p>>6] |= 1 << (p & 63)
-	}
-}
-
-func (f *Filter) mayContainBlocked(h1, h2 uint64) bool {
-	base := f.blockBase(h1)
-	for i := 0; i < f.k; i++ {
-		p := (h2 >> (9 * uint(i))) & blockBitMask
-		if f.bits[base+p>>6]&(1<<(p&63)) == 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // Double-hashing seeds: every key is reduced to one (h1, h2) pair, from
-// which both layouts derive all k probe positions.
+// which all k probe positions derive.
 const (
 	seed1 = 0x9e3779b97f4a7c15
 	seed2 = 0xc2b2ae3d27d4eb4f
 )
 
 // HashUint64 returns the hash pair of an integer key. The pair does not
-// depend on any filter, so a caller probing many filters with one key —
-// the storage engine walking its segment list — hashes once and probes
-// each filter with MayContainHash.
+// depend on any filter, so a caller probing many filters with one key
+// hashes once and probes each filter with MayContainHash.
 func HashUint64(key uint64) (h1, h2 uint64) {
 	return hashfn.Hash64(key, seed1), hashfn.Hash64(key, seed2) | 1
 }
@@ -166,10 +95,6 @@ func HashString(key string) (h1, h2 uint64) {
 
 // AddHash inserts the key whose hash pair is (h1, h2).
 func (f *Filter) AddHash(h1, h2 uint64) {
-	if f.blocked {
-		f.addBlocked(h1, h2)
-		return
-	}
 	for i := 0; i < f.k; i++ {
 		p := (h1 + uint64(i)*h2) % f.m
 		f.bits[p>>6] |= 1 << (p & 63)
@@ -180,9 +105,6 @@ func (f *Filter) AddHash(h1, h2 uint64) {
 // MayContainHash reports whether the key whose hash pair is (h1, h2) may
 // be in the set (false positives possible, false negatives impossible).
 func (f *Filter) MayContainHash(h1, h2 uint64) bool {
-	if f.blocked {
-		return f.mayContainBlocked(h1, h2)
-	}
 	for i := 0; i < f.k; i++ {
 		p := (h1 + uint64(i)*h2) % f.m
 		if f.bits[p>>6]&(1<<(p&63)) == 0 {
@@ -203,9 +125,6 @@ func (f *Filter) AddUint64(key uint64) { f.AddHash(HashUint64(key)) }
 
 // MayContainUint64 reports whether the integer key may be in the set.
 func (f *Filter) MayContainUint64(key uint64) bool { return f.MayContainHash(HashUint64(key)) }
-
-// Blocked reports whether the filter uses the register-blocked layout.
-func (f *Filter) Blocked() bool { return f.blocked }
 
 // SizeBytes returns the bit-array footprint.
 func (f *Filter) SizeBytes() int { return len(f.bits) * 8 }

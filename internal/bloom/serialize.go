@@ -7,25 +7,10 @@ import (
 )
 
 // Filter serialization: header fields (m, k, n) as varints followed by the
-// raw bit array, little-endian word by word. Stored per segment in the
-// persistent storage engine so a cold open can answer negative lookups
-// without touching the key block (§5's existence-index role, applied as
-// per-segment read pruning).
-//
-// Layout versioning is backward-compatible: a legacy (standard-layout)
-// filter's first varint is m, which NewWithSize and Decode both pin to
-// >= 64 — so the small value blockedFormatTag can never be a legacy m and
-// safely marks the register-blocked layout (tag, then m, k, n, words).
-// Old segment files keep decoding as standard filters bit-for-bit.
-
-// blockedFormatTag introduces a register-blocked filter encoding.
-const blockedFormatTag = 1
+// raw bit array, little-endian word by word.
 
 // AppendBinary appends the filter's encoding to b.
 func (f *Filter) AppendBinary(b []byte) []byte {
-	if f.blocked {
-		b = binenc.AppendUvarint(b, blockedFormatTag)
-	}
 	b = binenc.AppendUvarint(b, f.m)
 	b = binenc.AppendUvarint(b, uint64(f.k))
 	b = binenc.AppendUvarint(b, uint64(f.n))
@@ -39,22 +24,15 @@ func (f *Filter) AppendBinary(b []byte) []byte {
 // framing the filter as a length-prefixed block can size its buffer once
 // and encode in place.
 func (f *Filter) EncodedLen() int {
-	n := binenc.UvarintLen(f.m) + binenc.UvarintLen(uint64(f.k)) + binenc.UvarintLen(uint64(f.n)) + 8*len(f.bits)
-	if f.blocked {
-		n += binenc.UvarintLen(blockedFormatTag)
-	}
-	return n
+	return binenc.UvarintLen(f.m) + binenc.UvarintLen(uint64(f.k)) + binenc.UvarintLen(uint64(f.n)) + 8*len(f.bits)
 }
 
 // Decode reads one filter from r, validating that the bit array matches m
-// exactly; corrupt input yields an error, never a panic.
+// exactly; corrupt input yields an error, never a panic. The
+// register-blocked layout older segment files carry began with the small
+// tag 1 where m stands, so it is rejected as an m below 64.
 func Decode(r *binenc.Reader) (*Filter, error) {
 	m := r.Uvarint()
-	blocked := false
-	if m == blockedFormatTag {
-		blocked = true
-		m = r.Uvarint()
-	}
 	k := r.Uvarint()
 	n := r.Uvarint()
 	if r.Err() != nil {
@@ -68,16 +46,11 @@ func Decode(r *binenc.Reader) (*Filter, error) {
 	if m < 64 || m > 1<<48 || k < 1 || k > 1<<16 || n > 1<<40 {
 		return nil, binenc.ErrCorrupt
 	}
-	// A blocked filter's probe math requires whole cache-line blocks and
-	// the 9-bit-lane k cap; anything else would index past the block.
-	if blocked && (m%blockBits != 0 || k > maxBlockedK) {
-		return nil, binenc.ErrCorrupt
-	}
 	words := int((m + 63) / 64)
 	if r.Remaining() < words*8 {
 		return nil, binenc.ErrCorrupt
 	}
-	f := &Filter{bits: make([]uint64, words), m: m, k: int(k), n: int(n), blocked: blocked}
+	f := &Filter{bits: make([]uint64, words), m: m, k: int(k), n: int(n)}
 	for i := range f.bits {
 		f.bits[i] = r.U64()
 	}

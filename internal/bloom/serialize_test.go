@@ -91,3 +91,19 @@ func TestFilterDecodeCorrupt(t *testing.T) {
 		t.Error("m near 2^64 decoded without error")
 	}
 }
+
+// TestBlockedDecodeCorrupt: the register-blocked layout that segment files
+// written before segments dropped their filters carry — tag 1, then m, k,
+// n and the words — is not a standard filter, and Decode rejects it rather
+// than misreading it as one.
+func TestBlockedDecodeCorrupt(t *testing.T) {
+	const blockedTag = 1
+	enc := binenc.AppendUvarint(nil, blockedTag)
+	enc = binenc.AppendUvarint(enc, 512)
+	enc = binenc.AppendUvarint(enc, 7)
+	enc = binenc.AppendUvarint(enc, 1)
+	enc = append(enc, make([]byte, 64)...)
+	if _, err := Decode(binenc.NewReader(enc)); err == nil {
+		t.Fatal("a blocked-layout encoding decoded as a standard filter")
+	}
+}

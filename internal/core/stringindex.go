@@ -75,6 +75,14 @@ const stackIndexes = 16
 // probe lives in — and then each probe resolves inside its collision group
 // exactly as Lookup does.
 func LookupBatchStrings(indexes []*StringIndex, sel []int32, probes []string, out []int) {
+	FindBatchStrings(indexes, sel, probes, out, nil)
+}
+
+// FindBatchStrings is LookupBatchStrings that also reports, when found is
+// non-nil (len(found) == len(probes)), whether indexes[sel[i]] stores
+// probes[i]: the equality the collision-group search decides on its way to
+// the position, so membership costs no second key comparison.
+func FindBatchStrings(indexes []*StringIndex, sel []int32, probes []string, out []int, found []bool) {
 	var pbuf [stackIndexes]*Plan
 	plans := pbuf[:0]
 	for _, si := range indexes {
@@ -89,7 +97,11 @@ func LookupBatchStrings(indexes []*StringIndex, sel []int32, probes []string, ou
 		}
 		lookupTile(plans, ts, pfx[:len(tile)], pos)
 		for i, k := range tile {
-			pos[i], _ = indexes[ts[i]].dict.Find(k, pfx[i], pos[i])
+			var hit bool
+			pos[i], hit = indexes[ts[i]].dict.Find(k, pfx[i], pos[i])
+			if found != nil {
+				found[start+i] = hit
+			}
 		}
 	}
 }

@@ -152,7 +152,8 @@ func TestStringIndexEmpty(t *testing.T) {
 // groups, an assembled (never-trained) index, keys shorter than the prefix,
 // an empty index, probes sent to indexes that never stored them, the nil
 // selector, and batch sizes around the tile width — and to
-// sort.SearchStrings over each index's own keys.
+// sort.SearchStrings over each index's own keys; FindBatchStrings' found is
+// exactly "the key at that position is the probe".
 func TestLookupBatchStringsOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	mixed := stringIndexKeys(rng, 20000)
@@ -204,11 +205,16 @@ func TestLookupBatchStringsOracle(t *testing.T) {
 	}
 	check := func(name string, idx []*StringIndex, sel []int32, probes []string) {
 		t.Helper()
-		got := make([]int, len(probes))
+		got, gotFound := make([]int, len(probes)), make([]bool, len(probes))
 		for i := range got {
 			got[i] = -1
 		}
 		LookupBatchStrings(idx, sel, probes, got)
+		ranks := make([]int, len(probes))
+		FindBatchStrings(idx, sel, probes, ranks, gotFound)
+		if !slices.Equal(ranks, got) {
+			t.Fatalf("%s: FindBatchStrings ranks differ from LookupBatchStrings'", name)
+		}
 		for i, k := range probes {
 			si := idx[0]
 			if sel != nil {
@@ -217,8 +223,12 @@ func TestLookupBatchStringsOracle(t *testing.T) {
 			if want := si.Lookup(k); got[i] != want {
 				t.Fatalf("%s: probe %d (%q): batch = %d, Lookup = %d", name, i, k, got[i], want)
 			}
-			if want := sort.SearchStrings(keysOf[si], k); got[i] != want {
+			keys := keysOf[si]
+			if want := sort.SearchStrings(keys, k); got[i] != want {
 				t.Fatalf("%s: probe %d (%q): batch = %d, sort.SearchStrings = %d", name, i, k, got[i], want)
+			}
+			if want := got[i] < len(keys) && keys[got[i]] == k; gotFound[i] != want {
+				t.Fatalf("%s: probe %d (%q): found = %v, want %v", name, i, k, gotFound[i], want)
 			}
 		}
 	}

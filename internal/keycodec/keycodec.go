@@ -10,8 +10,8 @@
 //     big-endian (zero-padded) — which is order-preserving: for any keys
 //     a < b (bytes order), Prefix(a) <= Prefix(b), and Prefix(a) < Prefix(b)
 //     implies a < b. Every uint64-native layer (RMI training and compiled
-//     plans, shard range-splitting, segment fences, Bloom pre-filters,
-//     delta-varint key blocks) operates on prefixes unchanged;
+//     plans, shard range-splitting, segment fences, delta-varint key
+//     blocks) operates on prefixes unchanged;
 //
 //   - a per-segment suffix *dictionary* (Dict) holding the exact keys in
 //     sorted order, grouped by prefix, for disambiguation when prefixes

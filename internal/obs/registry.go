@@ -15,7 +15,7 @@ import (
 //
 // Metric names follow Prometheus conventions (lix_<subsystem>_<what>,
 // counters ending _total) and may carry a label suffix built with L:
-// `lix_segment_bloom_probes_total{segment="0003-0005"}`.
+// `lix_segment_model_err{segment="0003-0005"}`.
 type Registry struct {
 	mu         sync.Mutex
 	counters   map[string]*Counter

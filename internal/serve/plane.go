@@ -629,9 +629,8 @@ func (p *memPlane[K, S]) containsBatch(probes []K) []bool {
 	case len(probes) == 0:
 	case p.s.eng != nil:
 		// One captured segment list for the whole batch, walked segment by
-		// segment: the engine hashes each probe once and runs fence and
-		// Bloom filter for the whole batch per segment before any model
-		// runs.
+		// segment: the engine fences the whole batch per segment, and only
+		// the in-fence probes run a model, together.
 		p.ops.engContainsBatch(p.s.eng, probes, out)
 	default:
 		p.ops.memContainsBatch(p, probes, out)

@@ -77,10 +77,9 @@
 // once MergeThreshold keys are pending (storage.Options.DrainKeys) it
 // merges them into its resident run, readable at once, with the WAL as
 // their durable home. It writes that run out as an immutable segment file,
-// carrying its serialized RMI and Bloom filter, every 64k keys and at Flush
-// and Close, trimming the WAL then; reads are served from the per-segment
-// models, consulting each segment's Bloom filter before any key block is
-// searched. The visibility contract is unchanged (inserts become readable
+// carrying its serialized RMI, every 64k keys and at Flush and Close,
+// trimming the WAL then; reads are served from the per-segment models,
+// fenced by each segment's first and last key. The visibility contract is unchanged (inserts become readable
 // at the next drain or Flush); reopening after a crash serves exactly the
 // durable keys: all segment files plus the intact WAL tail. I/O errors
 // are sticky in the engine and surface on Sync, Flush-following-Sync, and
@@ -473,8 +472,8 @@ func (s *Store) Lookup(key uint64) int { return s.u64().lookup(key) }
 func (s *Store) LookupString(key string) int { return s.str().lookup(key) }
 
 // Contains reports whether key is committed. On a persistent Store each
-// segment's Bloom filter is consulted before its key block is searched,
-// so misses rarely touch a model.
+// segment whose fence holds key ranks it through its model, and the key at
+// that position answers.
 func (s *Store) Contains(key uint64) bool { return s.u64().has(key) }
 
 // ContainsString reports whether a string key is committed.
@@ -556,8 +555,8 @@ func (s *Store) Scrub() (checked, healed int, err error) {
 // Metrics returns a point-in-time snapshot of every metric the Store —
 // and, when persistent, its storage engine — publishes: traffic counters,
 // latency/size histograms, per-shard drain/retrain durations and queue
-// depths, and (persistent) WAL, flush, compaction, per-segment Bloom
-// funnel, and model-health series. Safe to call concurrently with any
+// depths, and (persistent) WAL, flush, compaction and model-health
+// series. Safe to call concurrently with any
 // other Store method; serialize with Snapshot.WritePrometheus or
 // Snapshot.WriteJSON.
 func (s *Store) Metrics() *obs.Snapshot { return s.reg.Snapshot() }

@@ -5,16 +5,12 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"runtime"
 	"slices"
 	"strings"
 	"syscall"
 	"testing"
 
-	"learnedindex/internal/bloom"
-	"learnedindex/internal/core"
 	"learnedindex/internal/data"
-	"learnedindex/internal/keycodec"
 	"learnedindex/internal/obs"
 	"learnedindex/internal/vfs"
 )
@@ -280,44 +276,4 @@ func TestEngineMetricsBulkLoad(t *testing.T) {
 			}
 		}
 	})
-}
-
-// TestSegmentBuildOverlapBitIdentical: a segment large enough for the
-// model fit and the filter build to run side by side (core.TrainingWorkers
-// > 1; GOMAXPROCS is raised to at least 2 for the test) encodes to the
-// same image as the fit followed by the per-key filter loop, in both key
-// kinds.
-func TestSegmentBuildOverlapBitIdentical(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
-	keys := dedupSorted(data.LognormalPaper(1<<17, 25))
-	if core.TrainingWorkers(len(keys)) < 2 {
-		t.Fatalf("%d keys on GOMAXPROCS=%d build sequentially", len(keys), runtime.GOMAXPROCS(0))
-	}
-	rmi := core.New(keys, core.Config{})
-	filter := bloom.NewBlocked(len(keys), 0.01)
-	for _, k := range keys {
-		filter.AddUint64(k)
-	}
-	want, _ := encodeSegment(keys, rmi, filter)
-	if got, err := encodeLiveSegment(buildSegment(0, 0, keys, core.Config{}, 0.01)); err != nil || !slices.Equal(got, want) {
-		t.Fatalf("uint64: the overlapped build encodes a different image (err %v)", err)
-	}
-
-	strs := strKeysOf(keys)
-	prefixes, dict, err := keycodec.BuildDict(strs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sfilter := bloom.NewBlocked(len(strs), 0.01)
-	for _, k := range strs {
-		sfilter.Add(k)
-	}
-	swant, _ := encodeStringSegment(core.AssembleStringIndex(core.New(prefixes, core.Config{}), dict), sfilter)
-	seg, err := buildStringSegment(0, 0, strs, core.Config{}, 0.01)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, err := encodeLiveSegment(seg); err != nil || !slices.Equal(got, swant) {
-		t.Fatalf("string: the overlapped build encodes a different image (err %v)", err)
-	}
 }

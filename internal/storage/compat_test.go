@@ -266,3 +266,100 @@ func TestParentWrittenDirectoryOpens(t *testing.T) {
 		e.Close()
 	}
 }
+
+// TestScrubHealsParentWrittenSegment: a segment file written while segments
+// carried Bloom filters (testdata/parent-*) that rots under an open engine
+// heals to the image this version writes — its filter slot empty — and the
+// directory then reopens with nothing quarantined and serves exactly the
+// keys listed in KEYS.
+func TestScrubHealsParentWrittenSegment(t *testing.T) {
+	for _, strMode := range []bool{false, true} {
+		name := map[bool]string{false: "parent-u64", true: "parent-str"}[strMode]
+		dir := t.TempDir()
+		ents, err := os.ReadDir(filepath.Join("testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []string
+		for _, ent := range ents {
+			b, err := os.ReadFile(filepath.Join("testdata", name, ent.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ent.Name() == "KEYS" {
+				want = strings.Split(strings.TrimSuffix(string(b), "\n"), "\n")
+				continue
+			}
+			if err := os.WriteFile(filepath.Join(dir, ent.Name()), b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		opts := Options{NoCompactor: true, StringKeys: strMode}
+		e := openT(t, dir, opts)
+		seg := (*e.segs.Load())[0]
+		img, err := os.ReadFile(seg.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(filterSlot(t, img)) == 0 {
+			t.Fatalf("%s: %s carries no filter", name, filepath.Base(seg.path))
+		}
+		img[len(img)/2] ^= 0x10
+		if err := os.WriteFile(seg.path, img, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		files := 0
+		for _, s := range *e.segs.Load() {
+			if !s.resident() {
+				files++
+			}
+		}
+		if checked, healed, err := e.Scrub(); err != nil || checked != files || healed != 1 {
+			t.Fatalf("%s: scrub checked %d, healed %d (err %v), want %d and 1", name, checked, healed, err, files)
+		}
+		healed, err := os.ReadFile(seg.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if current, _ := encodeLiveSegment(seg); !slices.Equal(healed, current) || len(filterSlot(t, healed)) != 0 {
+			t.Fatalf("%s: the heal did not write the current image with an empty filter slot", name)
+		}
+		if err := e.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		e = openT(t, dir, opts)
+		if q := e.Metrics().Gauge("lix_segments_quarantined"); q != 0 {
+			t.Fatalf("%s: %g segments quarantined after the heal", name, q)
+		}
+		var got []string
+		if strMode {
+			got = e.KeysStrings()
+		} else {
+			for _, k := range e.Keys() {
+				got = append(got, strconv.FormatUint(k, 10))
+			}
+			slices.Sort(got) // KEYS lists the decimal forms in string order
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: serves %d keys after the heal, KEYS lists %d", name, len(got), len(want))
+		}
+		e.Close()
+	}
+}
+
+// filterSlot returns the filter slot of a segment file image of either
+// version.
+func filterSlot(t *testing.T, img []byte) []byte {
+	t.Helper()
+	r, _, err := decodeKeyBlock(img, [8]byte(img[:8]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Bytes() // the model
+	slot := r.Bytes()
+	if r.Err() != nil {
+		t.Fatal(r.Err())
+	}
+	return slot
+}

@@ -5,29 +5,21 @@ import (
 	"sync"
 
 	"learnedindex/internal/binenc"
-	"learnedindex/internal/bloom"
 	"learnedindex/internal/core"
-	"learnedindex/internal/obs"
 	"learnedindex/internal/slicepool"
 )
 
 // keyOps is the key-kind seam of the segment planes that exist once for
-// both modes: how a uint64 or a string key hashes for the Bloom filters,
-// where a segment's fence sits, whether the key at a position is a given
-// key, how one segment ranks one key, how a set of segments ranks a run of
-// (probe, segment) pairs, and how
-// a sorted unique key run — a segment's own, for a merge — becomes a
-// built segment (commitSegment, which gives it its file, is the same for
-// both kinds). Membership has no entry of its own: it is rank plus one
-// equality test by position. The write plane (writeplane.go) asks three
-// things more: a WAL record's grammar, the bound a record's keys are
-// chunked against, and where a key run sits in a ReplFrame or a Snapshot.
+// both modes: where a segment's fence sits, how one segment ranks one key,
+// how a set of segments ranks a run of (probe, segment) pairs, and how a
+// sorted unique key run — a segment's own, for a merge — becomes a built
+// segment (commitSegment, which gives it its file, is the same for both
+// kinds). Membership has no entry of its own: it is rank plus one equality
+// test by position. The write plane (writeplane.go) asks three things more:
+// a WAL record's grammar, the bound a record's keys are chunked against,
+// and where a key run sits in a ReplFrame or a Snapshot.
 type keyOps[K cmp.Ordered] struct {
-	hash  func(K) (h1, h2 uint64)
 	fence func(*segment) (lo, hi K)
-	// at reports whether the segment's key at position pos (which may be
-	// the key count) is k.
-	at func(s *segment, pos int, k K) bool
 	// keys returns the segment's sorted keys for a merge to read: a uint64
 	// segment's own array, a string segment's run materialized for the call
 	// (one allocation for the bytes, one for the headers).
@@ -36,11 +28,12 @@ type keyOps[K cmp.Ordered] struct {
 	// through its plan or codec index: the scalar read of one probe.
 	lookup func(s *segment, k K) int
 	// rank writes pos[j] = the lower-bound position of probes[j] inside
-	// segs[sel[j]] (nil sel = segs[0]) through core's batch kernel: any
-	// probe order, any mix of segments, one lockstep search per tile.
-	rank func(segs []*segment, sel []int32, probes []K, pos []int)
-	// build trains the index and filter over sorted unique non-empty keys:
-	// a servable segment with no file.
+	// segs[sel[j]] through core's batch kernel: any probe order, any mix of
+	// segments, one lockstep search per tile. When found is non-nil it also
+	// sets found[j] to whether that segment stores probes[j].
+	rank func(segs []*segment, sel []int32, probes []K, pos []int, found []bool)
+	// build trains the index over sorted unique non-empty keys: a servable
+	// segment with no file.
 	build func(e *Engine, seqLo, seqHi uint64, keys []K) (*segment, error)
 	pool  *sync.Pool // of *readScratch[K]
 
@@ -69,21 +62,23 @@ const stackSegs = 16
 
 var (
 	u64Ops = keyOps[uint64]{
-		hash:   bloom.HashUint64,
 		fence:  func(s *segment) (uint64, uint64) { return s.minKey(), s.maxKey() },
-		at:     func(s *segment, pos int, k uint64) bool { return pos < len(s.keys) && s.keys[pos] == k },
 		keys:   func(s *segment) []uint64 { return s.keys },
 		lookup: func(s *segment, k uint64) int { return s.plan.Lookup(k) },
-		rank: func(segs []*segment, sel []int32, probes []uint64, pos []int) {
+		rank: func(segs []*segment, sel []int32, probes []uint64, pos []int, found []bool) {
 			var buf [stackSegs]*core.Plan
 			plans := buf[:0]
 			for _, s := range segs {
 				plans = append(plans, s.plan)
 			}
 			core.LookupBatch(plans, sel, probes, pos)
+			for j := range found {
+				keys := segs[sel[j]].keys
+				found[j] = pos[j] < len(keys) && keys[pos[j]] == probes[j]
+			}
 		},
 		build: func(e *Engine, seqLo, seqHi uint64, keys []uint64) (*segment, error) {
-			return buildSegment(seqLo, seqHi, keys, e.opts.Config, bloomFPR), nil
+			return buildSegment(seqLo, seqHi, keys, e.opts.Config), nil
 		},
 		pool: &sync.Pool{New: func() any { return new(readScratch[uint64]) }},
 
@@ -95,21 +90,19 @@ var (
 		delta:    func(sn *Snapshot) *[]uint64 { return &sn.keys },
 	}
 	strOps = keyOps[string]{
-		hash:   bloom.HashString,
 		fence:  func(s *segment) (string, string) { return s.minStr(), s.maxStr() },
-		at:     func(s *segment, pos int, k string) bool { return s.sindex.Dict().Equal(pos, k) },
 		keys:   func(s *segment) []string { return s.sindex.Dict().AppendKeys(nil, 0, s.numKeys()) },
 		lookup: func(s *segment, k string) int { return s.sindex.Lookup(k) },
-		rank: func(segs []*segment, sel []int32, probes []string, pos []int) {
+		rank: func(segs []*segment, sel []int32, probes []string, pos []int, found []bool) {
 			var buf [stackSegs]*core.StringIndex
 			idx := buf[:0]
 			for _, s := range segs {
 				idx = append(idx, s.sindex)
 			}
-			core.LookupBatchStrings(idx, sel, probes, pos)
+			core.FindBatchStrings(idx, sel, probes, pos, found)
 		},
 		build: func(e *Engine, seqLo, seqHi uint64, keys []string) (*segment, error) {
-			return buildStringSegment(seqLo, seqHi, keys, e.opts.Config, bloomFPR)
+			return buildStringSegment(seqLo, seqHi, keys, e.opts.Config)
 		},
 		pool: &sync.Pool{New: func() any { return new(readScratch[string]) }},
 
@@ -125,22 +118,24 @@ var (
 // containsChunk is how many probes the read kernels resolve at a time, and
 // how many (probe, segment) pairs they hand core's batch kernel in one
 // call: the scratch below is sized by it, so a batch of any length over
-// any number of segments costs a fixed 10–13 KB of pooled working memory.
+// any number of segments costs a fixed 8–11 KB of pooled working memory.
 const containsChunk = 256
 
 // readScratch is the pooled working memory of one read-kernel call.
 type readScratch[K cmp.Ordered] struct {
-	hash [containsChunk][2]uint64 // each probe's Bloom hash pair, computed once
-	live [containsChunk]uint16    // chunk indexes no segment has claimed yet
+	// A membership call's per-probe answers, and the ranks its walk sums
+	// and it does not read.
 	hit  [containsChunk]bool
+	rank [containsChunk]int
 
-	// The pair buffer: the probes one rank call resolves — a segment's
-	// Bloom passers, or a run of in-fence (probe, segment) pairs.
-	keys [containsChunk]K
-	sel  [containsChunk]int32  // the pair's segment
-	slot [containsChunk]uint16 // the pair's probe, as a chunk index
-	pos  [containsChunk]int
-	used int // high-water mark of keys, cleared on release
+	// The pair buffer: a run of in-fence (probe, segment) pairs that one
+	// rank call resolves.
+	keys  [containsChunk]K
+	sel   [containsChunk]int32  // the pair's segment
+	slot  [containsChunk]uint16 // the pair's probe, as a chunk index
+	pos   [containsChunk]int
+	found [containsChunk]bool
+	used  int // high-water mark of keys, cleared on release
 }
 
 // release returns sc to its pool. A pooled scratch must not pin the key
@@ -151,38 +146,85 @@ func (sc *readScratch[K]) release(pool *sync.Pool) {
 	pool.Put(sc)
 }
 
-// rankPairs resolves the first n buffered (probe, segment) pairs in one
-// kernel call and adds each pair's rank to its probe's slot of out.
-func (sc *readScratch[K]) rankPairs(segs []*segment, ops *keyOps[K], n int, out []int) {
+// walk is the one walk of both read kernels, over one chunk of at most
+// containsChunk probes: it adds to rank[i] the number of keys below
+// chunk[i] that segs serve and, when hit is non-nil, sets hit[i] when a
+// segment stores chunk[i] (hit and rank start cleared).
+//
+// The walk is segment-major. The fence is the skipping sketch: a probe
+// below a segment's minimum adds 0, one at it adds 0 and is stored there,
+// one above its maximum adds the segment's key count — two or three
+// comparisons, no model — and only what is left becomes a (probe, segment)
+// pair. The pairs run core's batch kernel together, the segments' plans as
+// the plan set and the segment index as the selector; because pairs are
+// emitted segment-major, a tile of the lockstep search is mostly one
+// segment, and the big base segment's misses are in flight together. A
+// pair adds its position to its probe's rank, and a membership walk takes
+// the kernel's equality test at that position (segments are disjoint, so a
+// probe is stored by at most one). A pair costs its plan's route plus one
+// lockstep round per halving of its leaf's error window. Under core's zero
+// Config the median pair takes ~6 rounds on a segment of 128k skewed
+// uint64 keys or more and 6–8 on a 4k–64k-key one, whose first and last
+// leaf take the p99 to 10–12 (8–9 at the median on base-36 string
+// prefixes, whose CDF is a staircase); a two-stage plan written before
+// that rule searches 2^8–2^14 keys on the same data, 8–14 rounds. The pair
+// buffer is fixed: it runs the kernel whenever it fills, whatever the
+// batch length or segment count.
+func (sc *readScratch[K]) walk(segs []*segment, ops *keyOps[K], chunk []K, rank []int, hit []bool) {
+	n := 0
+	for si, s := range segs {
+		lo, hi := ops.fence(s)
+		count := s.numKeys()
+		for i, k := range chunk {
+			switch {
+			case k <= lo:
+				if k == lo && hit != nil {
+					hit[i] = true
+				}
+			case k > hi:
+				rank[i] += count
+			default:
+				if n == containsChunk {
+					sc.resolve(segs, ops, n, rank, hit)
+					n = 0
+				}
+				sc.keys[n], sc.sel[n], sc.slot[n] = k, int32(si), uint16(i)
+				n++
+			}
+		}
+	}
+	sc.resolve(segs, ops, n, rank, hit)
+}
+
+// resolve ranks the first n buffered (probe, segment) pairs in one kernel
+// call, adds each pair's position to its probe's rank and, when hit is
+// non-nil, marks the probes the pairs' segments store.
+func (sc *readScratch[K]) resolve(segs []*segment, ops *keyOps[K], n int, rank []int, hit []bool) {
 	if n == 0 {
 		return
 	}
 	sc.used = max(sc.used, n)
-	ops.rank(segs, sc.sel[:n], sc.keys[:n], sc.pos[:n])
+	var found []bool
+	if hit != nil {
+		found = sc.found[:n]
+	}
+	ops.rank(segs, sc.sel[:n], sc.keys[:n], sc.pos[:n], found)
 	for j, p := range sc.pos[:n] {
-		out[sc.slot[j]] += p
+		rank[sc.slot[j]] += p
+	}
+	for j, f := range found {
+		if f {
+			hit[sc.slot[j]] = true
+		}
 	}
 }
 
-// containsBatchIn is the one membership kernel: every Contains of the
-// engine, batched or single, and the flush dedupe run through it. It
-// reports, per probe, whether some segment of segs serves it — into out
-// (len(out) == len(probes); nil when only the count matters) — and returns
-// the number of probes served.
-//
-// The walk is segment-major. Each probe is hashed once; then, newest
-// segment first (the most recently flushed runs are the hottest), one
-// tight loop takes every still-unresolved probe through the segment's
-// min/max fence and Bloom filter — independent loads, one cache line per
-// probe with the blocked layout — and only the passers run the segment's
-// model, together: one rank call, then one equality test each against the
-// segment's key at that position. A probe leaves the live list at its first
-// hit (segments are disjoint), so the walk ends early once a batch of hits
-// is resolved.
-//
-// The Bloom funnel (probe → pass → hit; pass−hit is the false positives
-// actually paid) is counted per segment per chunk, not per key. Compiled
-// out under -tags noobs.
+// containsBatchIn is the membership kernel: every Contains of the engine,
+// batched or single, and the flush dedupe run through it. It reports, per
+// probe, whether some segment of segs serves it — into out (len(out) ==
+// len(probes); nil when only the count matters) — and returns the number
+// of probes served. It is the rank walk plus one equality test per
+// in-fence pair.
 func containsBatchIn[K cmp.Ordered](segs []*segment, ops *keyOps[K], probes []K, out []bool) (hits int) {
 	if len(segs) == 0 {
 		clear(out)
@@ -191,53 +233,13 @@ func containsBatchIn[K cmp.Ordered](segs []*segment, ops *keyOps[K], probes []K,
 	sc := ops.pool.Get().(*readScratch[K])
 	for base := 0; base < len(probes); base += containsChunk {
 		chunk := probes[base:min(base+containsChunk, len(probes))]
-		hit, live := sc.hit[:len(chunk)], sc.live[:len(chunk)]
+		hit, rank := sc.hit[:len(chunk)], sc.rank[:len(chunk)]
 		clear(hit)
-		for i, k := range chunk {
-			sc.hash[i][0], sc.hash[i][1] = ops.hash(k)
-			live[i] = uint16(i)
-		}
-		for si := len(segs) - 1; si >= 0 && len(live) > 0; si-- {
-			s := segs[si]
-			lo, hi := ops.fence(s)
-			probed, passed, found := 0, 0, 0
-			for _, i := range live {
-				k := chunk[i]
-				if k < lo || k > hi {
-					continue
-				}
-				probed++
-				if s.filter.MayContainHash(sc.hash[i][0], sc.hash[i][1]) {
-					sc.keys[passed], sc.slot[passed] = k, i
-					passed++
-				}
-			}
-			if passed > 0 {
-				sc.used = max(sc.used, passed)
-				pass, pos := sc.keys[:passed], sc.pos[:passed]
-				ops.rank(segs[si:si+1], nil, pass, pos)
-				for j, p := range pos {
-					if ops.at(s, p, pass[j]) {
-						hit[sc.slot[j]] = true
-						found++
-					}
-				}
-			}
-			if obs.Enabled && probed > 0 {
-				s.bloomProbes.Add(uint64(probed))
-				s.bloomPass.Add(uint64(passed))
-				s.bloomHits.Add(uint64(found))
-			}
-			if found > 0 {
-				hits += found
-				w := 0
-				for _, i := range live {
-					if !hit[i] {
-						live[w] = i
-						w++
-					}
-				}
-				live = live[:w]
+		clear(rank)
+		sc.walk(segs, ops, chunk, rank, hit)
+		for _, h := range hit {
+			if h {
+				hits++
 			}
 		}
 		if out != nil {
@@ -248,27 +250,10 @@ func containsBatchIn[K cmp.Ordered](segs []*segment, ops *keyOps[K], probes []K,
 	return hits
 }
 
-// rankBatchIn is the one rank kernel: out[i] = the number of keys < probes[i]
+// rankBatchIn is the rank kernel: out[i] = the number of keys < probes[i]
 // served by segs, for probes in any order (len(out) == len(probes)). Live
 // segments hold disjoint key sets, so a global rank is the exact sum of
 // per-segment ranks.
-//
-// The walk is segment-major over one chunk of probes at a time. The fence
-// is the skipping sketch: a probe at or below a segment's minimum adds 0,
-// one above its maximum adds the segment's key count — two comparisons, no
-// model — and only what is left becomes a (probe, segment) pair. The pairs
-// run core's batch kernel together, the segments' plans as the plan set
-// and the segment index as the selector; because pairs are emitted
-// segment-major, a tile of the lockstep search is mostly one segment, and
-// the big base segment's misses are in flight together. A pair costs its
-// plan's route plus one lockstep round per halving of its leaf's error
-// window. Under core's zero Config the median pair takes ~6 rounds on a
-// segment of 128k skewed uint64 keys or more and 6–8 on a 4k–64k-key one,
-// whose first and last leaf take the p99 to 10–12 (8–9 at the median on
-// base-36 string prefixes, whose CDF is a staircase); a two-stage plan
-// written before that rule searches 2^8–2^14 keys on the same data, 8–14
-// rounds. The pair buffer is fixed: it runs the kernel whenever it fills,
-// whatever the batch length or segment count.
 func rankBatchIn[K cmp.Ordered](segs []*segment, ops *keyOps[K], probes []K, out []int) {
 	clear(out)
 	if len(segs) == 0 || len(probes) == 0 {
@@ -276,29 +261,8 @@ func rankBatchIn[K cmp.Ordered](segs []*segment, ops *keyOps[K], probes []K, out
 	}
 	sc := ops.pool.Get().(*readScratch[K])
 	for base := 0; base < len(probes); base += containsChunk {
-		chunk := probes[base:min(base+containsChunk, len(probes))]
-		cout := out[base : base+len(chunk)]
-		n := 0
-		for si, s := range segs {
-			lo, hi := ops.fence(s)
-			count := s.numKeys()
-			for i, k := range chunk {
-				switch {
-				case k <= lo:
-					// contributes 0
-				case k > hi:
-					cout[i] += count
-				default:
-					if n == containsChunk {
-						sc.rankPairs(segs, ops, n, cout)
-						n = 0
-					}
-					sc.keys[n], sc.sel[n], sc.slot[n] = k, int32(si), uint16(i)
-					n++
-				}
-			}
-		}
-		sc.rankPairs(segs, ops, n, cout)
+		end := min(base+containsChunk, len(probes))
+		sc.walk(segs, ops, probes[base:end], out[base:end], nil)
 	}
 	sc.release(ops.pool)
 }

@@ -12,7 +12,6 @@ import (
 	"learnedindex/internal/binenc"
 	"learnedindex/internal/core"
 	"learnedindex/internal/data"
-	"learnedindex/internal/obs"
 	"learnedindex/internal/vfs"
 )
 
@@ -144,48 +143,6 @@ func TestContainsBatchMatchesScalar(t *testing.T) {
 			t.Fatalf("str=%v: an engine with no segment claims keys", strMode)
 		}
 		empty.Close()
-	}
-}
-
-// TestContainsBatchFunnelCounts pins the meaning of the per-segment Bloom
-// funnel now that it is added once per segment per batch: a probe counts
-// against every segment whose fence it passes until the first hit, newest
-// segment first — exactly what the per-key walk counted.
-func TestContainsBatchFunnelCounts(t *testing.T) {
-	if !obs.Enabled {
-		t.Skip("funnel counters are compiled out")
-	}
-	e, all := kernelEngine(t, false)
-	probes := append(slices.Clone(all[:700]), all[:700]...)
-	for i := 700; i < len(probes); i++ {
-		probes[i]++ // misses inside the fences
-	}
-	segs := *e.segs.Load()
-	type funnel struct{ probes, pass, hits uint64 }
-	want := make([]funnel, len(segs))
-	for _, k := range probes {
-		for i := len(segs) - 1; i >= 0; i-- {
-			s := segs[i]
-			if k < s.minKey() || k > s.maxKey() {
-				continue
-			}
-			want[i].probes++
-			if !s.filter.MayContainUint64(k) {
-				continue
-			}
-			want[i].pass++
-			if s.plan.Contains(k) {
-				want[i].hits++
-				break
-			}
-		}
-	}
-	e.ContainsBatch(probes, make([]bool, len(probes)))
-	for i, s := range segs {
-		got := funnel{s.bloomProbes.Load(), s.bloomPass.Load(), s.bloomHits.Load()}
-		if got != want[i] {
-			t.Fatalf("segment %d funnel %+v, per-key walk counts %+v", i, got, want[i])
-		}
 	}
 }
 
@@ -356,16 +313,16 @@ func TestSegmentImageBytesUnchanged(t *testing.T) {
 	for _, n := range []int{1, 2, 100, 5000} {
 		dir := t.TempDir()
 		keys := dedupSorted(data.LognormalPaper(n, int64(n)))
-		seg, err := writeSegment(vfs.OS, nil, dir, 0, 0, keys, core.Config{}, 0.01)
+		seg, err := writeSegment(vfs.OS, nil, dir, 0, 0, keys, core.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		rb, _ := seg.rmi.AppendBinary(nil)
-		img, err := encodeSegment(keys, seg.rmi, seg.filter)
+		img, err := encodeSegment(keys, seg.rmi)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := reference(segMagic, keys, rb, seg.filter.AppendBinary(nil)); !slices.Equal(img, want) {
+		if want := reference(segMagic, keys, rb, nil); !slices.Equal(img, want) {
 			t.Fatalf("v1 image of %d keys differs from the reference encoding", n)
 		}
 		if len(img) != cap(img) {
@@ -373,16 +330,16 @@ func TestSegmentImageBytesUnchanged(t *testing.T) {
 		}
 
 		strs := stringTestKeys(n, int64(n))
-		sseg, err := writeStringSegment(vfs.OS, nil, dir, 1, 1, strs, core.Config{}, 0.01)
+		sseg, err := writeStringSegment(vfs.OS, nil, dir, 1, 1, strs, core.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		srb, _ := sseg.rmi.AppendBinary(nil)
-		simg, err := encodeStringSegment(sseg.sindex, sseg.filter)
+		simg, err := encodeStringSegment(sseg.sindex)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := reference(segMagic2, sseg.sindex.Prefixes(), srb, sseg.filter.AppendBinary(nil), sseg.sindex.Dict().AppendBinary(nil))
+		want := reference(segMagic2, sseg.sindex.Prefixes(), srb, nil, sseg.sindex.Dict().AppendBinary(nil))
 		if !slices.Equal(simg, want) {
 			t.Fatalf("v2 image of %d keys differs from the reference encoding", n)
 		}

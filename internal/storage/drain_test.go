@@ -18,14 +18,14 @@ import (
 
 // writeSegment is build + commit in one call, for tests that want a
 // segment file by hand.
-func writeSegment(fs vfs.FS, ignored func(string, error), dir string, seqLo, seqHi uint64, keys []uint64, cfg core.Config, fpr float64) (*segment, error) {
-	s := buildSegment(seqLo, seqHi, keys, cfg, fpr)
+func writeSegment(fs vfs.FS, ignored func(string, error), dir string, seqLo, seqHi uint64, keys []uint64, cfg core.Config) (*segment, error) {
+	s := buildSegment(seqLo, seqHi, keys, cfg)
 	return s, commitSegment(fs, ignored, dir, s)
 }
 
 // writeStringSegment is writeSegment for string keys.
-func writeStringSegment(fs vfs.FS, ignored func(string, error), dir string, seqLo, seqHi uint64, keys []string, cfg core.Config, fpr float64) (*segment, error) {
-	s, err := buildStringSegment(seqLo, seqHi, keys, cfg, fpr)
+func writeStringSegment(fs vfs.FS, ignored func(string, error), dir string, seqLo, seqHi uint64, keys []string, cfg core.Config) (*segment, error) {
+	s, err := buildStringSegment(seqLo, seqHi, keys, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -533,9 +533,9 @@ func checkSpilledFileIsOneStepWrite(t *testing.T) {
 		ref := t.TempDir()
 		var err error
 		if strMode {
-			_, err = writeStringSegment(vfs.OS, nil, ref, 0, 0, strKeysOf(all), e.opts.Config, bloomFPR)
+			_, err = writeStringSegment(vfs.OS, nil, ref, 0, 0, strKeysOf(all), e.opts.Config)
 		} else {
-			_, err = writeSegment(vfs.OS, nil, ref, 0, 0, all, e.opts.Config, bloomFPR)
+			_, err = writeSegment(vfs.OS, nil, ref, 0, 0, all, e.opts.Config)
 		}
 		if err != nil {
 			t.Fatal(err)

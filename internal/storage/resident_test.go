@@ -73,7 +73,7 @@ func TestOpenStringSegmentAllocs(t *testing.T) {
 		dir := t.TempDir()
 		keys := stringTestKeys(n, int64(n))
 		// A fixed model shape, so what could vary with n is the keys alone.
-		seg, err := writeStringSegment(vfs.OS, nil, dir, 0, 0, keys, core.DefaultConfig(16), 0.01)
+		seg, err := writeStringSegment(vfs.OS, nil, dir, 0, 0, keys, core.DefaultConfig(16))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -12,7 +12,7 @@ import (
 )
 
 // Self-healing scrub. Every live segment is fully materialized in memory
-// at open (keys, model, filter), so the in-memory image is a verified
+// at open (keys, model), so the in-memory image is a verified
 // good copy of the file for as long as the process lives. Scrub exploits
 // that: it re-reads each segment file, re-verifies the magic and
 // body checksum, and rewrites any file that has rotted underneath the
@@ -44,12 +44,14 @@ func verifySegmentImage(data []byte) error {
 }
 
 // encodeLiveSegment re-encodes a live segment's file image from its
-// in-memory state, byte-identical to what the original write produced.
+// in-memory state, byte-identical to what this version writes: a file
+// written while segments carried Bloom filters heals to that image, with an
+// empty filter slot.
 func encodeLiveSegment(s *segment) ([]byte, error) {
 	if s.isString() {
-		return encodeStringSegment(s.sindex, s.filter)
+		return encodeStringSegment(s.sindex)
 	}
-	return encodeSegment(s.keys, s.rmi, s.filter)
+	return encodeSegment(s.keys, s.rmi)
 }
 
 // Scrub re-verifies every live segment file's checksum and rewrites any

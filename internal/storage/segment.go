@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 
 	"learnedindex/internal/binenc"
-	"learnedindex/internal/bloom"
 	"learnedindex/internal/core"
 	"learnedindex/internal/frame"
 	"learnedindex/internal/keycodec"
@@ -21,7 +20,7 @@ import (
 //	  uvarint keyCount (>= 1)
 //	  uvarint firstKey, then keyCount-1 uvarint deltas (strictly positive)
 //	  length-prefixed serialized core.RMI   (trained over the key block)
-//	  length-prefixed serialized bloom.Filter
+//	  length-prefixed filter slot (written empty; skipped unread)
 //	crc32c(body) (4 bytes LE)
 //
 // Delta-varint coding exploits sortedness (a few bytes per key against the
@@ -43,15 +42,23 @@ import (
 //	body:
 //	  uvarint prefixCount (>= 1)
 //	  uvarint firstPrefix, then prefixCount-1 uvarint deltas (positive)
-//	  length-prefixed serialized core.RMI     (trained over the prefixes)
-//	  length-prefixed serialized bloom.Filter (over the exact string keys)
-//	  length-prefixed keycodec.Dict           (suffixes + collision dir)
+//	  length-prefixed serialized core.RMI (trained over the prefixes)
+//	  length-prefixed filter slot         (written empty; skipped unread)
+//	  length-prefixed keycodec.Dict       (suffixes + collision dir)
 //	crc32c(body) (4 bytes LE)
 //
 // The prefix block reuses the uint64 delta-varint coding over the sorted
 // *deduplicated* 8-byte prefixes; the dictionary reconstructs the exact
 // keys from the prefixes plus per-key length+suffix, so long keys never
 // store their first 8 bytes twice.
+//
+// The filter slot once held a Bloom filter over the segment's keys. The
+// model answers existence exactly (fence, plan, one equality test), so a
+// segment is written with an empty slot, and a decoder skips the slot
+// without reading it: a file written while segments still carried filters
+// opens, and its filter bytes never reach the heap. A binary that still
+// reads filters decodes the empty slot as a corrupt filter and quarantines
+// the file, so downgrading a directory is not supported.
 //
 // A resident key is stored once. The file image is dropped as soon as it is
 // decoded (or written): a v1 segment is its decoded key array, which point
@@ -79,10 +86,9 @@ type segment struct {
 	rmi  *core.RMI
 	// plan is rmi's compiled read path, captured when the segment is
 	// written or opened so cold-start reads execute the flat plan — the
-	// multi-segment read pipeline is fence check → Bloom filter → plan,
-	// pruning before any model runs.
+	// multi-segment read pipeline is fence check → plan, pruning before any
+	// model runs.
 	plan      *core.Plan
-	filter    *bloom.Filter
 	diskBytes int64
 
 	// sindex is the codec read path of a string-keyed (v2) segment: the
@@ -96,16 +102,6 @@ type segment struct {
 	// only so Stats-style readers could peek without the lock).
 	pins   atomic.Int32
 	zombie bool
-
-	// Bloom funnel (internal/obs): fence-passed probes, filter passes, and
-	// true hits. pass−hits is the false positives actually paid; the engine
-	// collector derives the observed FPR from the three counts. Plain
-	// atomics — the engine's hottest counters are global and sharded, but a
-	// funnel split per segment already spreads the contention — and the
-	// increments compile out under -tags noobs.
-	bloomProbes atomic.Uint64
-	bloomPass   atomic.Uint64
-	bloomHits   atomic.Uint64
 }
 
 // name is the segment's metric-label identity: its sequence range, the
@@ -177,18 +173,19 @@ func sealSegmentImage(img []byte) []byte {
 // blockLen is the size of an n-byte length-prefixed block.
 func blockLen(n int) int { return binenc.UvarintLen(uint64(n)) + n }
 
+// emptySlot is the encoding of the empty filter slot: a zero length.
+var emptySlot = binenc.AppendUvarint(nil, 0)
+
 // encodeSegment builds the full file image (magic + body + checksum) for
-// sorted unique non-empty keys with their trained index and filter.
-func encodeSegment(keys []uint64, rmi *core.RMI, filter *bloom.Filter) ([]byte, error) {
+// sorted unique non-empty keys with their trained index.
+func encodeSegment(keys []uint64, rmi *core.RMI) ([]byte, error) {
 	rb, err := rmi.AppendBinary(nil)
 	if err != nil {
 		return nil, err
 	}
-	fl := filter.EncodedLen()
-	img := newSegmentImage(segMagic, keys, blockLen(len(rb))+blockLen(fl))
+	img := newSegmentImage(segMagic, keys, blockLen(len(rb))+len(emptySlot))
 	img = binenc.AppendBytes(img, rb)
-	img = filter.AppendBinary(binenc.AppendUvarint(img, uint64(fl)))
-	return sealSegmentImage(img), nil
+	return sealSegmentImage(append(img, emptySlot...)), nil
 }
 
 // decodeKeyBlock opens a file image of the given version: magic, then the
@@ -237,65 +234,34 @@ func endOfBody(r *binenc.Reader) error {
 
 // decodeSegment parses a full v1 file image. All errors are reported, never
 // panicked, including on adversarial input: checksum first, then strictly
-// validated key deltas, then the model and filter decoders (which bind the
-// RMI to the decoded key block and cross-check its key count).
-func decodeSegment(data []byte) ([]uint64, *core.RMI, *bloom.Filter, error) {
+// validated key deltas, then the model decoder (which binds the RMI to the
+// decoded key block and cross-checks its key count). The filter slot is
+// skipped unread.
+func decodeSegment(data []byte) ([]uint64, *core.RMI, error) {
 	r, keys, err := decodeKeyBlock(data, segMagic)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	rmi, err := core.DecodeRMI(r.Bytes(), keys)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	filter, err := bloom.Decode(binenc.NewReader(r.Bytes()))
-	if err != nil {
-		return nil, nil, nil, err
-	}
+	r.Bytes() // the filter slot
 	if err := endOfBody(r); err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	return keys, rmi, filter, nil
+	return keys, rmi, nil
 }
 
-// bloomFPR is the false-positive rate every segment's Bloom filter is
-// built for.
-const bloomFPR = 0.01
-
-// buildSegment trains an RMI and Bloom filter over keys (sorted, unique,
-// non-empty) and returns the segment that serves them: complete in memory,
-// with no file yet (path == ""). commitSegment gives it one.
-func buildSegment(seqLo, seqHi uint64, keys []uint64, cfg core.Config, fpr float64) *segment {
-	var rmi *core.RMI
-	filter := fitBesideFilter(func() { rmi = core.New(keys, cfg) }, keys, fpr, bloom.HashUint64)
+// buildSegment trains an RMI over keys (sorted, unique, non-empty) and
+// returns the segment that serves them: complete in memory, with no file
+// yet (path == ""). commitSegment gives it one.
+func buildSegment(seqLo, seqHi uint64, keys []uint64, cfg core.Config) *segment {
+	rmi := core.New(keys, cfg)
 	return &segment{
 		seqLo: seqLo, seqHi: seqHi,
-		keys: keys, rmi: rmi, plan: rmi.Plan(), filter: filter,
+		keys: keys, rmi: rmi, plan: rmi.Plan(),
 	}
-}
-
-// fitBesideFilter runs fit — the segment's model training — and builds the
-// segment's Bloom filter over keys. The filter is register-blocked: a miss
-// probe walking the segment list costs one cache line per segment instead
-// of k scattered touches (old segments carrying standard-layout filters
-// keep decoding fine). Where core's trainer would run in parallel (its
-// TrainingWorkers rule: GOMAXPROCS >= 2 and enough keys) the two run side
-// by side, the filter on as many workers as BuildBlocked allows (two);
-// otherwise one after the other.
-func fitBesideFilter[K any](fit func(), keys []K, fpr float64, hash func(K) (h1, h2 uint64)) *bloom.Filter {
-	workers := core.TrainingWorkers(len(keys))
-	if workers < 2 {
-		fit()
-		return bloom.BuildBlocked(keys, fpr, hash, 1)
-	}
-	fitted := make(chan struct{})
-	go func() {
-		defer close(fitted)
-		fit()
-	}()
-	filter := bloom.BuildBlocked(keys, fpr, hash, workers)
-	<-fitted
-	return filter
 }
 
 // commitSegment encodes a built segment that no reader can reach yet and
@@ -322,7 +288,7 @@ func commitSegment(fs vfs.FS, ignored func(ctx string, err error), dir string, s
 func (s *segment) unpublished(seqLo, seqHi uint64) *segment {
 	return &segment{
 		seqLo: seqLo, seqHi: seqHi,
-		keys: s.keys, rmi: s.rmi, plan: s.plan, filter: s.filter, sindex: s.sindex,
+		keys: s.keys, rmi: s.rmi, plan: s.plan, sindex: s.sindex,
 	}
 }
 
@@ -335,40 +301,40 @@ func openSegmentFile(fs vfs.FS, path string, seqLo, seqHi uint64) (*segment, err
 		return nil, err
 	}
 	if len(data) >= len(segMagic2) && [8]byte(data[:8]) == segMagic2 {
-		si, filter, err := decodeStringSegment(data)
+		si, err := decodeStringSegment(data)
 		if err != nil {
 			return nil, fmt.Errorf("storage: segment %s: %w", filepath.Base(path), err)
 		}
 		return &segment{
 			seqLo: seqLo, seqHi: seqHi, path: path,
-			keys: si.Prefixes(), rmi: si.RMI(), plan: si.Plan(), filter: filter,
+			keys: si.Prefixes(), rmi: si.RMI(), plan: si.Plan(),
 			sindex: si, diskBytes: int64(len(data)),
 		}, nil
 	}
-	keys, rmi, filter, err := decodeSegment(data)
+	keys, rmi, err := decodeSegment(data)
 	if err != nil {
 		return nil, fmt.Errorf("storage: segment %s: %w", filepath.Base(path), err)
 	}
 	return &segment{
 		seqLo: seqLo, seqHi: seqHi, path: path,
-		keys: keys, rmi: rmi, plan: rmi.Plan(), filter: filter,
+		keys: keys, rmi: rmi, plan: rmi.Plan(),
 		diskBytes: int64(len(data)),
 	}, nil
 }
 
 // encodeStringSegment builds the v2 file image for a codec index over
-// sorted unique non-empty string keys plus a Bloom filter over those keys,
-// sized once and encoded in place like the v1 image.
-func encodeStringSegment(si *core.StringIndex, filter *bloom.Filter) ([]byte, error) {
+// sorted unique non-empty string keys, sized once and encoded in place like
+// the v1 image.
+func encodeStringSegment(si *core.StringIndex) ([]byte, error) {
 	rb, err := si.RMI().AppendBinary(nil)
 	if err != nil {
 		return nil, err
 	}
 	dict := si.Dict()
-	fl, dl := filter.EncodedLen(), dict.EncodedLen()
-	img := newSegmentImage(segMagic2, si.Prefixes(), blockLen(len(rb))+blockLen(fl)+blockLen(dl))
+	dl := dict.EncodedLen()
+	img := newSegmentImage(segMagic2, si.Prefixes(), blockLen(len(rb))+len(emptySlot)+blockLen(dl))
 	img = binenc.AppendBytes(img, rb)
-	img = filter.AppendBinary(binenc.AppendUvarint(img, uint64(fl)))
+	img = append(img, emptySlot...)
 	img = dict.AppendBinary(binenc.AppendUvarint(img, uint64(dl)))
 	return sealSegmentImage(img), nil
 }
@@ -376,45 +342,40 @@ func encodeStringSegment(si *core.StringIndex, filter *bloom.Filter) ([]byte, er
 // decodeStringSegment parses a v2 file image with decodeSegment's
 // guarantees; the dictionary decoder cross-checks every key's prefix and
 // ordering against the decoded prefix block.
-func decodeStringSegment(data []byte) (*core.StringIndex, *bloom.Filter, error) {
+func decodeStringSegment(data []byte) (*core.StringIndex, error) {
 	r, prefixes, err := decodeKeyBlock(data, segMagic2)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	rmi, err := core.DecodeRMI(r.Bytes(), prefixes)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	filter, err := bloom.Decode(binenc.NewReader(r.Bytes()))
-	if err != nil {
-		return nil, nil, err
-	}
+	r.Bytes() // the filter slot
 	dict, err := keycodec.DecodeDict(binenc.NewReader(r.Bytes()), prefixes)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if err := endOfBody(r); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return core.AssembleStringIndex(rmi, dict), filter, nil
+	return core.AssembleStringIndex(rmi, dict), nil
 }
 
 // buildStringSegment is buildSegment for string keys (sorted, unique,
-// non-empty): derive the codec pair, train the prefix RMI, build a Bloom
-// filter over the exact keys. The key bytes are copied into the
-// dictionary's arena; keys is not retained, and the segment is the same
-// structure a reopen decodes from the file commitSegment writes.
-func buildStringSegment(seqLo, seqHi uint64, keys []string, cfg core.Config, fpr float64) (*segment, error) {
+// non-empty): derive the codec pair and train the prefix RMI. The key bytes
+// are copied into the dictionary's arena; keys is not retained, and the
+// segment is the same structure a reopen decodes from the file
+// commitSegment writes.
+func buildStringSegment(seqLo, seqHi uint64, keys []string, cfg core.Config) (*segment, error) {
 	prefixes, dict, err := keycodec.BuildDict(keys)
 	if err != nil {
 		return nil, err
 	}
-	var rmi *core.RMI
-	filter := fitBesideFilter(func() { rmi = core.New(prefixes, cfg) }, keys, fpr, bloom.HashString)
-	si := core.AssembleStringIndex(rmi, dict)
+	si := core.AssembleStringIndex(core.New(prefixes, cfg), dict)
 	return &segment{
 		seqLo: seqLo, seqHi: seqHi,
-		keys: prefixes, rmi: rmi, plan: si.Plan(), filter: filter,
+		keys: prefixes, rmi: si.RMI(), plan: si.Plan(),
 		sindex: si,
 	}, nil
 }

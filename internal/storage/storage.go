@@ -5,9 +5,10 @@
 //   - a write-ahead log with length+checksum framing and a synchronous
 //     Sync acknowledgement (wal.go);
 //   - immutable sorted segment files, each carrying a delta-varint key
-//     block plus the serialized RMI (§3) trained over it and a serialized
-//     Bloom filter (§5) for negative-lookup pruning (segment.go), so a
-//     cold open deserializes models instead of retraining them;
+//     block plus the serialized RMI (§3) trained over it (segment.go), so
+//     a cold open deserializes models instead of retraining them; the
+//     model is the segment's existence index too (§5), so no segment
+//     carries a Bloom filter;
 //   - crash recovery that replays the intact WAL tail over the newest
 //     segments, truncates torn records, and garbage-collects segment
 //     files orphaned by a crashed compaction;
@@ -976,12 +977,8 @@ func materialize[K cmp.Ordered](e *Engine, ops *keyOps[K], keys []K, res *segmen
 	cur := *e.segs.Load()
 	if res != nil {
 		// Compactions may have spliced the list meanwhile; none touches the
-		// resident run, so it is still the tail. Its funnel counts carry
-		// over: to a metrics reader the run is one segment that grows.
+		// resident run, so it is still the tail.
 		cur = cur[:len(cur)-1]
-		seg.bloomProbes.Store(res.bloomProbes.Load())
-		seg.bloomPass.Store(res.bloomPass.Load())
-		seg.bloomHits.Store(res.bloomHits.Load())
 	}
 	next := append(slices.Clone(cur), seg)
 	e.segs.Store(&next)
@@ -1195,8 +1192,8 @@ func (e *Engine) Metrics() *obs.Snapshot { return e.reg.Snapshot() }
 
 // collect is the engine's registry collector: point-in-time gauges that
 // have no meaningful event stream (sizes, depths, debt) and the
-// per-segment series — Bloom funnel with observed FPR, and the compiled
-// plan's model-health histograms against its trained bound.
+// per-segment series: the compiled plan's model-health histograms against
+// its trained bound.
 func (e *Engine) collect(s *obs.Snapshot) {
 	segs := *e.segs.Load()
 	keys, disk := 0, int64(0)
@@ -1236,22 +1233,10 @@ func (e *Engine) collect(s *obs.Snapshot) {
 	var allErr, allLen obs.HistSnapshot
 	maxBound := 0
 	for _, sg := range segs {
-		name := sg.name()
-		probes := int64(sg.bloomProbes.Load())
-		pass := int64(sg.bloomPass.Load())
-		hits := int64(sg.bloomHits.Load())
-		s.AddCounter(obs.L("lix_segment_bloom_probes_total", "segment", name), probes)
-		s.AddCounter(obs.L("lix_segment_bloom_pass_total", "segment", name), pass)
-		s.AddCounter(obs.L("lix_segment_bloom_hits_total", "segment", name), hits)
-		// Observed FPR: of the probes the filter could have pruned (the
-		// true negatives), how many leaked through as false positives.
-		if negatives := probes - hits; negatives > 0 {
-			s.SetGauge(obs.L("lix_segment_bloom_fpr", "segment", name),
-				float64(pass-hits)/float64(negatives))
-		}
 		if sg.plan == nil {
 			continue // string segments: codec index, no uint64 plan
 		}
+		name := sg.name()
 		errH, lenH := sg.plan.ObsModelErr(), sg.plan.ObsSearchLen()
 		bound := sg.plan.TrainedErrBound()
 		s.AddHistogram(obs.L("lix_segment_model_err", "segment", name), errH)

@@ -256,7 +256,7 @@ func TestEngineCrashedCompactionRecovery(t *testing.T) {
 	// leaving the three inputs in place.
 	merged := append([]uint64(nil), keys...)
 	slices.Sort(merged)
-	if _, err := writeSegment(vfs.OS, nil, dir, 0, 2, dedupSorted(merged), core.Config{}, 0.01); err != nil {
+	if _, err := writeSegment(vfs.OS, nil, dir, 0, 2, dedupSorted(merged), core.Config{}); err != nil {
 		t.Fatal(err)
 	}
 	files, _ := filepath.Glob(filepath.Join(dir, "seg-*.seg"))

@@ -129,9 +129,8 @@ type (
 	// size histograms (with Quantile/Mean/Max accessors), per-shard drain
 	// and retrain durations, queue depths, and — on a persistent Store —
 	// WAL fsync latency, group-commit cohort sizes, flush/compaction
-	// durations, per-segment Bloom probe→pass→hit funnels with observed
-	// false-positive rates, and per-plan observed model error against the
-	// trained error bound. Serialize with WritePrometheus (text exposition
+	// durations, and per-plan observed model error against the trained
+	// error bound. Serialize with WritePrometheus (text exposition
 	// format) or WriteJSON; building the library with -tags noobs
 	// compiles the histogram plane out (counters stay real). See
 	// StoreOptions.MetricsAddr for the built-in debug HTTP listener.
