@@ -142,7 +142,7 @@ func TestPublicAPIInsertDurable(t *testing.T) {
 
 func TestPublicAPIStore(t *testing.T) {
 	keys := sortedKeys(50_000)
-	st := learnedindex.NewStore(keys, learnedindex.Config{}, learnedindex.StoreOptions{Shards: 8})
+	st := learnedindex.NewStore(keys, learnedindex.Config{}, learnedindex.StoreOptions{})
 	defer st.Close()
 	batch := []uint64{keys[40_000], keys[0], keys[123], keys[49_999] + 1}
 	got := st.LookupBatch(batch)
@@ -192,7 +192,7 @@ func TestRangeScanEquivalence(t *testing.T) {
 // store with both merged and still-buffered keys.
 func TestPublicAPIScan(t *testing.T) {
 	keys := sortedKeys(30_000)
-	st := learnedindex.NewStore(keys, learnedindex.Config{}, learnedindex.StoreOptions{Shards: 4})
+	st := learnedindex.NewStore(keys, learnedindex.Config{}, learnedindex.StoreOptions{})
 	defer st.Close()
 	extra := keys[29_999] + 13
 	st.Insert(extra) // buffered: scans must still see it
@@ -281,7 +281,7 @@ func TestPublicAPIStringStore(t *testing.T) {
 		"https://a.example/1", "https://a.example/2", "https://b.example/1",
 		"https://c.example/9", "k1", "k2",
 	}
-	st := learnedindex.NewStringStore(urls, learnedindex.Config{}, learnedindex.StoreOptions{Shards: 2})
+	st := learnedindex.NewStringStore(urls, learnedindex.Config{}, learnedindex.StoreOptions{})
 	st.InsertString("https://b.example/0")
 	st.Flush()
 	if !st.ContainsString("https://b.example/0") || st.ContainsString("nope") {

@@ -381,7 +381,7 @@ func BenchmarkTable1InPlaceChainedLearned(b *testing.B) {
 	_ = sink
 }
 
-// --- Serving layer: sharded concurrent batch lookups ---------------------
+// --- Serving layer: concurrent batch lookups -----------------------------
 
 // BenchmarkServeSingleThreadLookup is the baseline the serving layer is
 // measured against: per-key lookups on one goroutine over one RMI.
@@ -391,32 +391,28 @@ func BenchmarkServeSingleThreadLookup(b *testing.B) {
 	benchLookups(b, dProbes["Maps"], r.SizeBytes(), r.Lookup)
 }
 
-// BenchmarkServeLookupBatch sweeps shard counts for the batched lookup
-// path on a single goroutine (one op = one 512-probe batch).
+// BenchmarkServeLookupBatch prices the batched lookup path on a single
+// goroutine (one op = one 512-probe batch).
 func BenchmarkServeLookupBatch(b *testing.B) {
 	load()
-	for _, nsh := range []int{1, 4, 8, 16} {
-		st := learnedindex.NewStore(dMaps, learnedindex.Config{}, learnedindex.StoreOptions{Shards: nsh})
-		b.Run("shards"+itoa(nsh), func(b *testing.B) {
-			probes := dProbes["Maps"]
-			b.ResetTimer()
-			n := 0
-			for i := 0; i < b.N; i++ {
-				off := (n * 512) & (1<<16 - 1)
-				n++
-				st.LookupBatch(probes[off : off+512])
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*512), "ns/key")
-		})
-		st.Close()
+	st := learnedindex.NewStore(dMaps, learnedindex.Config{}, learnedindex.StoreOptions{})
+	defer st.Close()
+	probes := dProbes["Maps"]
+	b.ResetTimer()
+	n := 0
+	for i := 0; i < b.N; i++ {
+		off := (n * 512) & (1<<16 - 1)
+		n++
+		st.LookupBatch(probes[off : off+512])
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*512), "ns/key")
 }
 
 // BenchmarkServeLookupBatchParallel fans batches across GOMAXPROCS
 // goroutines; reads are lock-free so throughput scales with cores.
 func BenchmarkServeLookupBatchParallel(b *testing.B) {
 	load()
-	st := learnedindex.NewStore(dMaps, learnedindex.Config{}, learnedindex.StoreOptions{Shards: 8})
+	st := learnedindex.NewStore(dMaps, learnedindex.Config{}, learnedindex.StoreOptions{})
 	defer st.Close()
 	probes := dProbes["Maps"]
 	var cursor int64
@@ -428,11 +424,12 @@ func BenchmarkServeLookupBatchParallel(b *testing.B) {
 	})
 }
 
-// BenchmarkServeInsertThroughput measures buffered inserts (background
-// merges included) through the concurrent write path.
+// BenchmarkServeInsertThroughput measures inserts into an in-memory store
+// (the engine's background drains included) through the concurrent write
+// path.
 func BenchmarkServeInsertThroughput(b *testing.B) {
 	load()
-	st := learnedindex.NewStore(dMaps, learnedindex.Config{}, learnedindex.StoreOptions{Shards: 8})
+	st := learnedindex.NewStore(dMaps, learnedindex.Config{}, learnedindex.StoreOptions{})
 	defer st.Close()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -2,13 +2,14 @@
 //
 // The paper frames learned range indexes as read-heavy in-memory serving
 // structures (§3.1); this scenario runs one through the serving layer
-// (internal/serve, exported as learnedindex.Store): range-sharded,
-// lock-free RCU-style reads, buffered inserts merged and retrained by a
-// background goroutine, and batched lookups that run a whole probe batch,
-// in the order it arrived, through one lockstep search across all shards
-// so its cache misses overlap.
+// (internal/serve, exported as learnedindex.Store): the storage engine on a
+// filesystem that writes nowhere, lock-free RCU-style reads of its segment
+// list, pending inserts drained and retrained by a background goroutine,
+// and batched lookups that run a whole probe batch, in the order it
+// arrived, through one lockstep search across all segments so its cache
+// misses overlap.
 //
-// The run: 2M keys, 8 shards, reader goroutines issuing 512-probe batches
+// The run: 2M keys, reader goroutines issuing 512-probe batches
 // while writer goroutines stream fresh keys in, then a Flush barrier and a
 // final consistency audit against a flat oracle.
 package main
@@ -36,10 +37,9 @@ func main() {
 	)
 	keys := data.LognormalPaper(n, 42)
 	st := learnedindex.NewStore(keys, learnedindex.Config{},
-		learnedindex.StoreOptions{Shards: 8, MergeThreshold: 8192})
+		learnedindex.StoreOptions{MergeThreshold: 8192})
 	defer st.Close()
-	fmt.Printf("store: %d keys, %d shards, GOMAXPROCS %d\n",
-		st.Len(), st.NumShards(), runtime.GOMAXPROCS(0))
+	fmt.Printf("store: %d keys, GOMAXPROCS %d\n", st.Len(), runtime.GOMAXPROCS(0))
 
 	probes := data.SampleExisting(keys, 1<<16, 7)
 	var (
@@ -67,8 +67,8 @@ func main() {
 		}(g)
 	}
 
-	// Writers: buffered inserts; the background goroutine merges and
-	// retrains shard snapshots while the readers keep going.
+	// Writers: pending inserts; the engine's background drain merges and
+	// retrains its resident run while the readers keep going.
 	inserted := make([][]uint64, writers)
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
@@ -93,7 +93,7 @@ func main() {
 	el := time.Since(start)
 	fmt.Printf("\n%d reader goroutines: %.2fM batched lookups/s while %d writers inserted %d keys\n",
 		readers, float64(lookups.Load())/el.Seconds()/1e6, writers, writers*perW)
-	fmt.Printf("background merges so far: %d, pending buffered inserts: %d\n",
+	fmt.Printf("background merges so far: %d, pending inserts: %d\n",
 		st.Merges(), st.Pending())
 
 	// Flush is the visibility barrier: every insert that returned before it

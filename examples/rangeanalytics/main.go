@@ -4,14 +4,14 @@
 //
 // The scenario: a week of event timestamps (microseconds since epoch,
 // Poisson-ish arrivals) is served by the concurrent Store while fresh
-// events keep arriving into its insert buffers. Analytics run concurrently
+// events keep arriving into its pending list. Analytics run concurrently
 // with ingest and see every acked event:
 //
 //   - per-day traffic counts via Store.CountRange — exact, answered by two
-//     compiled-plan lookups per layer with a delta correction, zero
+//     compiled-plan lookups per segment with a delta correction, zero
 //     iteration no matter how wide the day is;
 //   - a drill-down into the busiest day via Store.Scan: a snapshot-
-//     consistent streaming merge (insert buffers + shard snapshots) entered
+//     consistent streaming merge (pending inserts + segments) entered
 //     at the model-predicted position, computing an aggregate (mean
 //     inter-arrival gap) the count alone cannot give;
 //   - a paged export of one hour via Iterator.NextBatch, the batched drain
@@ -47,12 +47,11 @@ func main() {
 		ts += uint64(rng.ExpFloat64()*mean) + 1
 		events = append(events, ts)
 	}
-	st := learnedindex.NewStore(events, learnedindex.Config{},
-		learnedindex.StoreOptions{Shards: 8})
+	st := learnedindex.NewStore(events, learnedindex.Config{}, learnedindex.StoreOptions{})
 	defer st.Close()
 	fmt.Printf("indexed %d events across 7 days\n\n", st.Len())
 
-	// Live ingest: today's events land in the insert buffers. No Flush —
+	// Live ingest: today's events land in the pending list. No Flush —
 	// scans and counts must (and do) see them anyway.
 	today := t0 + 7*day
 	live := 0
@@ -60,7 +59,7 @@ func main() {
 		ts += uint64(rng.ExpFloat64()*2_000_000) + 1
 		st.Insert(ts)
 	}
-	fmt.Printf("ingested %d live events (still buffered, pending=%d)\n\n", live, st.Pending())
+	fmt.Printf("ingested %d live events (%d of them still pending a drain)\n\n", live, st.Pending())
 
 	// Per-day counts: learned COUNT over each day window.
 	fmt.Println("events per day (CountRange, zero iteration):")

@@ -81,20 +81,8 @@ const (
 	seed2 = 0xc2b2ae3d27d4eb4f
 )
 
-// HashUint64 returns the hash pair of an integer key. The pair does not
-// depend on any filter, so a caller probing many filters with one key
-// hashes once and probes each filter with MayContainHash.
-func HashUint64(key uint64) (h1, h2 uint64) {
-	return hashfn.Hash64(key, seed1), hashfn.Hash64(key, seed2) | 1
-}
-
-// HashString is HashUint64 for a string key.
-func HashString(key string) (h1, h2 uint64) {
-	return hashfn.HashString(key, seed1), hashfn.HashString(key, seed2) | 1
-}
-
-// AddHash inserts the key whose hash pair is (h1, h2).
-func (f *Filter) AddHash(h1, h2 uint64) {
+// set inserts the key whose double-hash pair is (h1, h2).
+func (f *Filter) set(h1, h2 uint64) {
 	for i := 0; i < f.k; i++ {
 		p := (h1 + uint64(i)*h2) % f.m
 		f.bits[p>>6] |= 1 << (p & 63)
@@ -102,9 +90,9 @@ func (f *Filter) AddHash(h1, h2 uint64) {
 	f.n++
 }
 
-// MayContainHash reports whether the key whose hash pair is (h1, h2) may
-// be in the set (false positives possible, false negatives impossible).
-func (f *Filter) MayContainHash(h1, h2 uint64) bool {
+// test reports whether the key whose double-hash pair is (h1, h2) may be in
+// the set (false positives possible, false negatives impossible).
+func (f *Filter) test(h1, h2 uint64) bool {
 	for i := 0; i < f.k; i++ {
 		p := (h1 + uint64(i)*h2) % f.m
 		if f.bits[p>>6]&(1<<(p&63)) == 0 {
@@ -115,16 +103,24 @@ func (f *Filter) MayContainHash(h1, h2 uint64) bool {
 }
 
 // Add inserts key.
-func (f *Filter) Add(key string) { f.AddHash(HashString(key)) }
+func (f *Filter) Add(key string) {
+	f.set(hashfn.HashString(key, seed1), hashfn.HashString(key, seed2)|1)
+}
 
 // MayContain reports whether key may be in the set.
-func (f *Filter) MayContain(key string) bool { return f.MayContainHash(HashString(key)) }
+func (f *Filter) MayContain(key string) bool {
+	return f.test(hashfn.HashString(key, seed1), hashfn.HashString(key, seed2)|1)
+}
 
 // AddUint64 inserts an integer key.
-func (f *Filter) AddUint64(key uint64) { f.AddHash(HashUint64(key)) }
+func (f *Filter) AddUint64(key uint64) {
+	f.set(hashfn.Hash64(key, seed1), hashfn.Hash64(key, seed2)|1)
+}
 
 // MayContainUint64 reports whether the integer key may be in the set.
-func (f *Filter) MayContainUint64(key uint64) bool { return f.MayContainHash(HashUint64(key)) }
+func (f *Filter) MayContainUint64(key uint64) bool {
+	return f.test(hashfn.Hash64(key, seed1), hashfn.Hash64(key, seed2)|1)
+}
 
 // SizeBytes returns the bit-array footprint.
 func (f *Filter) SizeBytes() int { return len(f.bits) * 8 }

@@ -3,10 +3,8 @@ package bloom
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"testing"
 
-	"learnedindex/internal/binenc"
 	"learnedindex/internal/data"
 )
 
@@ -148,38 +146,3 @@ func BenchmarkMayContain(b *testing.B) {
 }
 
 var sink int
-
-// TestHashOnceEquivalence: hashing a key once and handing the pair to
-// AddHash/MayContainHash is the keyed API exactly — same bits set, same
-// answers for members and non-members, both key kinds — so a caller
-// walking many filters with one key may hash it once. EncodedLen is the
-// length of the encoding it sizes.
-func TestHashOnceEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	keyed, hashed := New(4000, 0.01), New(4000, 0.01)
-	for i := 0; i < 2000; i++ {
-		k := rng.Uint64()
-		keyed.AddUint64(k)
-		hashed.AddHash(HashUint64(k))
-		s := string(binenc.AppendUvarint([]byte("key/"), rng.Uint64()))
-		keyed.Add(s)
-		hashed.AddHash(HashString(s))
-	}
-	enc := keyed.AppendBinary(nil)
-	if string(enc) != string(hashed.AppendBinary(nil)) {
-		t.Fatal("AddHash built a different filter than Add/AddUint64")
-	}
-	if keyed.EncodedLen() != len(enc) {
-		t.Fatalf("EncodedLen %d, encoding is %d bytes", keyed.EncodedLen(), len(enc))
-	}
-	for i := 0; i < 20_000; i++ { // mostly non-members: false positives must agree too
-		k := rng.Uint64()
-		if keyed.MayContainUint64(k) != keyed.MayContainHash(HashUint64(k)) {
-			t.Fatalf("MayContainHash disagrees with MayContainUint64 on %d", k)
-		}
-		s := string(binenc.AppendUvarint([]byte("key/"), k))
-		if keyed.MayContain(s) != keyed.MayContainHash(HashString(s)) {
-			t.Fatalf("MayContainHash disagrees with MayContain on %q", s)
-		}
-	}
-}

@@ -9,7 +9,7 @@ import (
 // BenchmarkTrainZeroConfig trains the zero Config over lognormal keys and
 // reports what the sizing rule bought (mean_abs_err) for what (index B/key).
 // It guards the rule and the trainer's scratch (B/op) together, at two
-// sizes: 1M keys, the retrain a flush, compaction or shard merge pays on
+// sizes: 1M keys, the retrain a flush or compaction pays on
 // the worker pool, and 65535, the largest resident run a drain retrains (a
 // drain that reaches 64k keys is a flush), which trains on one goroutine.
 func BenchmarkTrainZeroConfig(b *testing.B) {

@@ -33,8 +33,8 @@ import (
 // 64-probe tile, then one lockstep branchless bisection across the tile —
 // whichever key array each probe lives in — so the tile's cache misses
 // overlap instead of queueing behind each other. The Plan methods
-// LookupBatch and ContainsBatch are its one-plan case; the serving layer
-// passes all its shards' plans at once.
+// LookupBatch and ContainsBatch are its one-plan case; the storage
+// engine's rank kernel passes every in-fence segment's plan at once.
 //
 // A Plan is immutable and safe for concurrent use. Every read returns the
 // true global lower bound (pinned against sort.Search by the equivalence

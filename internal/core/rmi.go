@@ -281,8 +281,8 @@ func (r *RMI) initRouteMul() {
 }
 
 // Stage sizing for the zero Config (empty StageSizes): the rule every
-// serving plane trains under, since in-memory shards, segment writers,
-// compactions, followers and the string prefix index all pass it.
+// serving plane trains under, since segment writers, drains, compactions,
+// followers and the string prefix index all pass it.
 //
 // Leaves: one per leafKeys keys (the paper's sweet spot is ~1k–20k keys per
 // leaf at 200M keys), at least minLeaves.

@@ -205,7 +205,7 @@ func TestZeroConfigSizingContract(t *testing.T) {
 
 // TestSharedConfigConcurrentTrain trains from one shared Config whose
 // StageSizes need clamping: the trainer must clone before it writes, or
-// concurrent flush/compaction/shard retrains race on the caller's slice.
+// concurrent flush/compaction/drain retrains race on the caller's slice.
 func TestSharedConfigConcurrentTrain(t *testing.T) {
 	shared := Config{StageSizes: []int{0, 64}}
 	keys := data.LognormalPaper(20_000, 5)

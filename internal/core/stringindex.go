@@ -30,21 +30,14 @@ type StringIndex struct {
 }
 
 // NewStringIndex builds a StringIndex over sorted unique keys. The key
-// bytes are copied into the index; keys is not retained.
-func NewStringIndex(keys []string, cfg Config) *StringIndex {
-	return NewStringIndexWorkers(keys, cfg, TrainingWorkers(len(keys)))
-}
-
-// NewStringIndexWorkers builds like NewStringIndex with an explicit
-// stage-training worker count for the prefix RMI (1 = sequential;
-// serialized results are bit-identical for every count). It panics on a
+// bytes are copied into the index; keys is not retained. It panics on a
 // key set too large for one dictionary (keycodec.BuildDict).
-func NewStringIndexWorkers(keys []string, cfg Config, workers int) *StringIndex {
+func NewStringIndex(keys []string, cfg Config) *StringIndex {
 	prefixes, dict, err := keycodec.BuildDict(keys)
 	if err != nil {
 		panic("core: " + err.Error())
 	}
-	return AssembleStringIndex(NewWithTrainWorkers(prefixes, cfg, workers), dict)
+	return AssembleStringIndex(New(prefixes, cfg), dict)
 }
 
 // AssembleStringIndex wires a StringIndex from a prefix RMI and the
@@ -62,26 +55,21 @@ func (si *StringIndex) Lookup(key string) int {
 	return pos
 }
 
-// stackIndexes is how many indexes LookupBatchStrings gathers prefix plans
+// stackIndexes is how many indexes FindBatchStrings gathers prefix plans
 // for on its own stack; a larger index set allocates the plan list.
 const stackIndexes = 16
 
-// LookupBatchStrings is the batch kernel for string keys: out[i] =
+// FindBatchStrings is the batch kernel for string keys: out[i] =
 // indexes[sel[i]].Lookup(probes[i]) for every probe, in probe order, with
-// bit-identical results. len(sel) and len(out) must equal len(probes); a nil
-// sel sends every probe to indexes[0]. Each probe is reduced to its prefix
-// once, a tile's prefixes run the uint64 kernel together over the indexes'
-// prefix plans — so the prefix arrays' misses overlap whichever index each
-// probe lives in — and then each probe resolves inside its collision group
-// exactly as Lookup does.
-func LookupBatchStrings(indexes []*StringIndex, sel []int32, probes []string, out []int) {
-	FindBatchStrings(indexes, sel, probes, out, nil)
-}
-
-// FindBatchStrings is LookupBatchStrings that also reports, when found is
-// non-nil (len(found) == len(probes)), whether indexes[sel[i]] stores
-// probes[i]: the equality the collision-group search decides on its way to
-// the position, so membership costs no second key comparison.
+// bit-identical results, and, when found is non-nil (len(found) ==
+// len(probes)), whether indexes[sel[i]] stores probes[i]: the equality the
+// collision-group search decides on its way to the position, so membership
+// costs no second key comparison. len(sel) and len(out) must equal
+// len(probes); a nil sel sends every probe to indexes[0]. Each probe is
+// reduced to its prefix once, a tile's prefixes run the uint64 kernel
+// together over the indexes' prefix plans — so the prefix arrays' misses
+// overlap whichever index each probe lives in — and then each probe
+// resolves inside its collision group exactly as Lookup does.
 func FindBatchStrings(indexes []*StringIndex, sel []int32, probes []string, out []int, found []bool) {
 	var pbuf [stackIndexes]*Plan
 	plans := pbuf[:0]

@@ -209,11 +209,11 @@ func TestLookupBatchStringsOracle(t *testing.T) {
 		for i := range got {
 			got[i] = -1
 		}
-		LookupBatchStrings(idx, sel, probes, got)
+		FindBatchStrings(idx, sel, probes, got, nil)
 		ranks := make([]int, len(probes))
 		FindBatchStrings(idx, sel, probes, ranks, gotFound)
 		if !slices.Equal(ranks, got) {
-			t.Fatalf("%s: FindBatchStrings ranks differ from LookupBatchStrings'", name)
+			t.Fatalf("%s: FindBatchStrings ranks differ with and without found", name)
 		}
 		for i, k := range probes {
 			si := idx[0]

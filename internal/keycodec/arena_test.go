@@ -105,7 +105,7 @@ func TestDictArenaGolden(t *testing.T) {
 	}
 }
 
-// TestDictFindOracle holds Find, Equal and AppendKeys to the []string
+// TestDictFindOracle holds Find and AppendKeys to the []string
 // they replaced: for stored keys, their neighbours in byte order, and
 // probes below, above and between the keys, Find given the prefix's lower
 // bound equals sort.SearchStrings, and every key and sub-run materializes
@@ -130,9 +130,6 @@ func TestDictFindOracle(t *testing.T) {
 			stored := want < len(keys) && keys[want] == p
 			if pos, found := d.Find(p, pfx, pi); pos != want || found != stored {
 				t.Fatalf("%s: Find(%q) = %d, %v; want %d, %v", name, p, pos, found, want, stored)
-			}
-			if d.Equal(want, p) != stored {
-				t.Fatalf("%s: Equal(%d, %q) = %v", name, want, p, !stored)
 			}
 		}
 		for i, k := range keys {

@@ -10,7 +10,7 @@
 //     big-endian (zero-padded) — which is order-preserving: for any keys
 //     a < b (bytes order), Prefix(a) <= Prefix(b), and Prefix(a) < Prefix(b)
 //     implies a < b. Every uint64-native layer (RMI training and compiled
-//     plans, shard range-splitting, segment fences, delta-varint key
+//     plans, node range-splitting, segment fences, delta-varint key
 //     blocks) operates on prefixes unchanged;
 //
 //   - a per-segment suffix *dictionary* (Dict) holding the exact keys in
@@ -144,8 +144,8 @@ func SplitComposite(key string) ([]string, error) {
 	return parts, nil
 }
 
-// Dict is the exact-key side of the codec: a segment's (or shard
-// snapshot's) sorted unique string keys plus a sparse collision directory
+// Dict is the exact-key side of the codec: a segment's sorted unique
+// string keys plus a sparse collision directory
 // mapping each *prefix rank* to its run of keys. Most prefixes own exactly
 // one key, so the directory records only the exceptions: the prefix indexes
 // whose group holds more than one key, with cumulative extras so rank
@@ -380,19 +380,6 @@ func (d *Dict) Find(key string, p uint64, pi int) (pos int, found bool) {
 		off = next
 	}
 	return s, false
-}
-
-// Equal reports whether key i (i may be Len()) is key.
-func (d *Dict) Equal(i int, key string) bool {
-	if i >= d.Len() {
-		return false
-	}
-	head, tail := split(key)
-	if h, sfx, _ := d.entry(d.at(i)); cmpEntry(h, sfx, head, tail) != 0 {
-		return false
-	}
-	pi, _ := d.groupOf(i)
-	return d.prefixes[pi] == Prefix(key)
 }
 
 // AppendKeys materializes keys [lo, hi) onto dst. The run's bytes are one

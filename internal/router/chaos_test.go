@@ -208,9 +208,9 @@ func runRouterChaosTrial(t *testing.T, seed int64, strMode bool) {
 
 	var oracle *serve.Store
 	if strMode {
-		oracle = serve.NewString(nil, core.Config{}, serve.Options{Shards: 4})
+		oracle = serve.NewString(nil, core.Config{}, serve.Options{})
 	} else {
-		oracle = serve.New(nil, core.Config{}, serve.Options{Shards: 4})
+		oracle = serve.New(nil, core.Config{}, serve.Options{})
 	}
 	defer oracle.Close()
 

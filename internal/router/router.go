@@ -1,6 +1,6 @@
 // Package router is the client half of the network serving plane: a
 // range-partitioned view over several lix-server nodes. It owns a key→node
-// range map (fence keys, exactly like serve.Store's shard bounds), buckets
+// range map (fence keys), buckets
 // each probe batch by owner node without sorting it (each server sorts only
 // its own share), scatters the per-node sub-batches over the wire — every
 // request is written before the first answer is awaited, all from the
@@ -50,8 +50,7 @@ type Options struct {
 	StringKeys bool
 	// Fences are the len(nodes)-1 ascending split keys of a uint64
 	// router: node i owns [Fences[i-1], Fences[i]), with the first node
-	// open below and the last open above — serve.Store's shard bounds,
-	// one level up.
+	// open below and the last open above.
 	Fences []uint64
 	// FencesStr are the split keys of a string router.
 	FencesStr []string
@@ -596,7 +595,7 @@ func (r *Router) mustStr() {
 // probe order, over the partitioned keyspace: each node reports positions
 // local to its partition plus its length, and the router adds the prefix
 // sum of preceding node lengths — the cross-node version of how a store
-// sums shard snapshot lengths. Every node is contacted (a probe-less node
+// sums its segments' lengths. Every node is contacted (a probe-less node
 // still contributes its length to the offsets).
 func (r *Router) LookupBatch(probes []uint64) ([]int, error) {
 	r.mustU64()

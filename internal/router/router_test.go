@@ -49,7 +49,7 @@ func startCluster(t *testing.T, tr repl.Transport, keys []uint64, fences []uint6
 	slices.Sort(sorted)
 	runs := splitRuns(sorted, fences)
 	for i, run := range runs {
-		st := serve.New(append([]uint64(nil), sorted[run[0]:run[1]]...), core.Config{}, serve.Options{Shards: 2})
+		st := serve.New(append([]uint64(nil), sorted[run[0]:run[1]]...), core.Config{}, serve.Options{})
 		cl.stores = append(cl.stores, st)
 		srv := server.NewServer(st, server.Options{})
 		if err := srv.Serve(tr, fmt.Sprintf("n%d", i)); err != nil {
@@ -57,7 +57,7 @@ func startCluster(t *testing.T, tr repl.Transport, keys []uint64, fences []uint6
 		}
 		cl.servers = append(cl.servers, srv)
 	}
-	cl.oracle = serve.New(sorted, core.Config{}, serve.Options{Shards: 4})
+	cl.oracle = serve.New(sorted, core.Config{}, serve.Options{})
 	return cl
 }
 
@@ -273,7 +273,7 @@ func TestRouterStringMode(t *testing.T) {
 	runs := splitRuns(keys, fencesStr)
 	var stores []*serve.Store
 	for i, run := range runs {
-		st := serve.NewString(append([]string(nil), keys[run[0]:run[1]]...), core.Config{}, serve.Options{Shards: 2})
+		st := serve.NewString(append([]string(nil), keys[run[0]:run[1]]...), core.Config{}, serve.Options{})
 		defer st.Close()
 		stores = append(stores, st)
 		srv := server.NewServer(st, server.Options{})
@@ -282,7 +282,7 @@ func TestRouterStringMode(t *testing.T) {
 		}
 		defer srv.Close()
 	}
-	oracle := serve.NewString(keys, core.Config{}, serve.Options{Shards: 4})
+	oracle := serve.NewString(keys, core.Config{}, serve.Options{})
 	defer oracle.Close()
 
 	rt, err := New(clusterNodes(3), Options{Transport: tr, StringKeys: true, FencesStr: fencesStr, ScanPageKeys: 101})

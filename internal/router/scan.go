@@ -9,7 +9,7 @@ import (
 )
 
 // remoteCursor adapts one node's paged Scan RPC to scan.Cursor, so the
-// same loser tree that merges shard snapshots inside a store merges node
+// same loser tree that merges segments inside a store merges node
 // streams across the wire. Each page fetch goes through the endpoint's
 // retrying do(), and the first unrecoverable error lands in errp — the
 // cursor then reports exhausted, and the scan surfaces the error via Err.

@@ -177,7 +177,7 @@ func testSplitPhase[K cmp.Ordered](
 	fences := []K{key(30000), key(60000)}
 	nodes := make([]Node, 3)
 	for i, run := range splitRuns(keys, fences) {
-		st := newStore(slices.Clone(keys[run[0]:run[1]]), core.Config{}, serve.Options{Shards: 2})
+		st := newStore(slices.Clone(keys[run[0]:run[1]]), core.Config{}, serve.Options{})
 		defer st.Close()
 		srv := server.NewServer(st, server.Options{})
 		if err := srv.Serve(tr, addr(i)); err != nil {
@@ -186,7 +186,7 @@ func testSplitPhase[K cmp.Ordered](
 		defer srv.Close()
 		nodes[i].Addr = srv.Addr()
 	}
-	oracle := newStore(keys, core.Config{}, serve.Options{Shards: 4})
+	oracle := newStore(keys, core.Config{}, serve.Options{})
 	defer oracle.Close()
 	opt := Options{Transport: tr}
 	setFences(&opt, fences)
@@ -363,7 +363,7 @@ func TestRouterAllocsPerCall(t *testing.T) {
 	skeys = slices.Compact(skeys)
 	sfences := []string{strKey(fences[0]), strKey(fences[1])}
 	for i, run := range splitRuns(skeys, sfences) {
-		st := serve.NewString(slices.Clone(skeys[run[0]:run[1]]), core.Config{}, serve.Options{Shards: 2})
+		st := serve.NewString(slices.Clone(skeys[run[0]:run[1]]), core.Config{}, serve.Options{})
 		defer st.Close()
 		srv := server.NewServer(st, server.Options{})
 		if err := srv.Serve(tr, fmt.Sprintf("s%d", i)); err != nil {

@@ -2,8 +2,8 @@
 // k-way merge over any number of sorted key sources. It is the paper's
 // headline range-index use case made end-to-end — the RMI predicts where a
 // range starts, and the system *scans* from there — generalized to the
-// layered store this repo has grown: an in-memory delta buffer, per-shard
-// base arrays, and on-disk learned segments all contribute one cursor each,
+// layered store this repo has grown: the pending delta and every learned
+// segment (the resident run included) contribute one cursor each,
 // and the merge streams the deduplicated union in ascending order without
 // ever materializing it.
 //
@@ -145,8 +145,8 @@ func AppendFrom[K cmp.Ordered](dst, src []K, lo K) []K {
 
 // MergeRuns merges sorted runs into one fresh, deduplicated, sorted array
 // of exact size: the materializing twin of Iterator, for the layers that
-// build a new key array out of old ones — a storage drain or compaction,
-// an in-memory shard drain. A key held by several runs, or repeated within
+// build a new key array out of old ones — a storage drain or compaction.
+// A key held by several runs, or repeated within
 // one, appears once. It is a head-comparison merge (a compaction merges at
 // most twice its fanout and a drain two, so the linear head scan beats a
 // heap) instead of concatenate-and-sort: no O(total log total) sort and no

@@ -38,8 +38,7 @@ func BranchlessWithExpansion[K cmp.Ordered](keys []K, target K, lo, hi int) int 
 // UpperBound returns the number of bounds <= key: the range partition
 // whose [bounds[i-1], bounds[i]) window contains key, for split keys
 // bounds in ascending order (repeats allowed). It is the one split-key
-// search, routing a key to its serving shard (internal/serve) and to its
-// cluster node (internal/router). Like Branchless its trip count depends
+// search, routing a key to its cluster node (internal/router). Like Branchless its trip count depends
 // only on len(bounds) and its data-dependent step is SETcc arithmetic, so
 // a batch of uniform probes has no branch to mispredict on it.
 func UpperBound[K cmp.Ordered](bounds []K, key K) int {

@@ -78,10 +78,10 @@ func TestQuickBranchlessVariantsAgree(t *testing.T) {
 }
 
 // TestUpperBoundMatchesSortSearch pins the split-key search, for both key
-// kinds, against sort.Search over split keys built the way serve builds
-// its shard bounds: for split counts on both sides of every power of two,
-// far past the 16 a serve batch keeps on its stack, and past the key count
-// (where split keys repeat), at every split key and its neighbours.
+// kinds, against sort.Search over evenly spaced split keys of a sorted key
+// set: for split counts on both sides of every power of two, far past 16,
+// and past the key count (where split keys repeat), at every split key and
+// its neighbours.
 func TestUpperBoundMatchesSortSearch(t *testing.T) {
 	shardCounts := []int{1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 300}
 	for _, keys := range [][]uint64{sortedKeys(20_000, 21), sortedKeys(100, 23)} {
@@ -110,8 +110,8 @@ func TestUpperBoundMatchesSortSearch(t *testing.T) {
 	}
 }
 
-// splitKeys returns the nsh-1 split keys of nsh range partitions over
-// sorted, as serve's store picks its shard bounds.
+// splitKeys returns the nsh-1 evenly spaced split keys of nsh range
+// partitions over sorted.
 func splitKeys[K cmp.Ordered](sorted []K, nsh int) []K {
 	bounds := make([]K, 0, nsh-1)
 	for i := 1; i < nsh; i++ {

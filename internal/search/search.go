@@ -24,7 +24,7 @@
 // VerifyOrExpand, the §3.4 window check that makes any window-restricted
 // result globally correct (BranchlessWithExpansion is Branchless followed
 // by it); and UpperBound, the split-key search that routes a key to its
-// range partition (a serving shard or a cluster node).
+// range partition (a cluster node).
 //
 // The compiled uint64 RMI runs BranchlessWithExpansion only; the string
 // RMI (§3.5) selects one of the paper's strategies per index, and the

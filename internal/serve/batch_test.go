@@ -3,59 +3,12 @@ package serve
 import (
 	"fmt"
 	"math/rand"
-	"slices"
-	"sort"
 	"sync"
 	"testing"
 
 	"learnedindex/internal/core"
 	"learnedindex/internal/data"
 )
-
-// TestLookupBatchAcrossShardCounts routes batches through stores of both
-// key kinds with shard counts on both sides of every power of two, far
-// past the 16 a batch keeps on its stack, and past the key count (where
-// split keys repeat), probing every split key and its neighbours: each
-// answer must be the global lower bound. search.UpperBound, which picks
-// each probe's shard, has its own oracle test in internal/search.
-func TestLookupBatchAcrossShardCounts(t *testing.T) {
-	shardCounts := []int{1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 300}
-	for _, keys := range [][]uint64{data.LognormalPaper(20_000, 21), data.LognormalPaper(100, 23)} {
-		for _, nsh := range shardCounts {
-			st := New(keys, core.Config{}, Options{Shards: nsh})
-			probes := append([]uint64{0, 1, ^uint64(0)}, data.Uniform(500, keys[len(keys)-1]+1000, 22)...)
-			for _, b := range st.u64().bounds {
-				probes = append(probes, b-1, b, b+1)
-			}
-			for i, p := range st.LookupBatch(probes) {
-				if want := oracle(keys, probes[i]); p != want {
-					t.Fatalf("shards=%d: LookupBatch(%d) = %d, want %d", nsh, probes[i], p, want)
-				}
-			}
-			st.Close()
-		}
-	}
-	for _, keys := range [][]string{strOracleKeys(5_000, 24), strOracleKeys(100, 25)} {
-		sorted := slices.Clone(keys)
-		slices.Sort(sorted)
-		for _, nsh := range shardCounts {
-			st := NewString(keys, core.Config{}, Options{Shards: nsh})
-			probes := []string{"", "\x00", "\xff\xff\xff\xff\xff\xff\xff\xff\xff"}
-			for _, b := range st.str().bounds {
-				probes = append(probes, b, b+"\x00")
-				if b != "" {
-					probes = append(probes, b[:len(b)-1])
-				}
-			}
-			for i, p := range st.LookupBatchString(probes) {
-				if want := sort.SearchStrings(sorted, probes[i]); p != want {
-					t.Fatalf("shards=%d: LookupBatchString(%q) = %d, want %d", nsh, probes[i], p, want)
-				}
-			}
-			st.Close()
-		}
-	}
-}
 
 // batchSurface is the read/insert surface of one store kind, over uint64
 // keys: the string kinds see each key through strKey, which preserves
@@ -108,8 +61,8 @@ func openBatchSurface(t testing.TB, strMode bool, base []uint64, opt Options) ba
 }
 
 // TestBatchEqualsScalarWhileDrainsPublish runs batch reads against scalar
-// reads while writers publish beneath them — shard drains in memory,
-// segment flushes and compactions on a persistent store — for both key
+// reads while writers publish beneath them — drains in memory, segment
+// flushes and compactions on a persistent store — for both key
 // kinds (the -race target for the batch paths). The store only ever gains
 // keys, so every position is non-decreasing in time: a batch answer must
 // lie between the scalar answers taken before and after it — which pins it
@@ -129,7 +82,7 @@ func TestBatchEqualsScalarWhileDrainsPublish(t *testing.T) {
 		{"persistent/string", true, true, 1500, 600},
 	} {
 		t.Run(kind.name, func(t *testing.T) {
-			opt := Options{Shards: 8, MergeThreshold: 128}
+			opt := Options{MergeThreshold: 128}
 			if kind.disk {
 				opt.Dir, opt.CompactFanout = t.TempDir(), 2
 			}

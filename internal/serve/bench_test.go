@@ -27,7 +27,7 @@ func benchSetup() {
 	bKeys = data.Maps(benchN, 1)
 	bProbes = data.SampleExisting(bKeys, 1<<16, 2)
 	bRMI = core.New(bKeys, core.DefaultConfig(len(bKeys)/2000))
-	bStore = New(bKeys, core.Config{}, Options{Shards: 8})
+	bStore = New(bKeys, core.Config{}, Options{})
 }
 
 // BenchmarkPerKeyLookup is the single-threaded baseline: per-key RMI
@@ -43,7 +43,7 @@ func BenchmarkPerKeyLookup(b *testing.B) {
 }
 
 // BenchmarkRMIBatchSorted: the one-plan batch kernel alone on a
-// pre-sorted batch (no sharding, no sort, no result mapping).
+// pre-sorted batch (no segment fences, no sort, no result mapping).
 func BenchmarkRMIBatchSorted(b *testing.B) {
 	benchSetup()
 	sorted := append([]uint64(nil), bProbes[:512]...)
@@ -57,10 +57,10 @@ func BenchmarkRMIBatchSorted(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(sorted)), "ns/key")
 }
 
-// BenchmarkStoreLookupBatch: the full serving path — sort, capture, shard
-// run-splitting, batch resolve, order mapping — over a rotating probe
-// stream (a fresh 512-probe window every call, so the key array is probed
-// at genuinely new positions).
+// BenchmarkStoreLookupBatch: the full serving path — segment-list capture,
+// fences, batch resolve — over a rotating probe stream (a fresh 512-probe
+// window every call, so the key array is probed at genuinely new
+// positions).
 func BenchmarkStoreLookupBatch(b *testing.B) {
 	benchSetup()
 	b.ResetTimer()
@@ -137,25 +137,4 @@ func BenchmarkStoreLookupBatchStringPersistent(b *testing.B) {
 		st.LookupBatchString(keys[off : off+64])
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*64), "ns/key")
-}
-
-// BenchmarkStoreFlushBarrier is the in-memory drain path's local loop: an
-// 8-shard store over 1M uniform keys, 256k more keys buffered beside them
-// (the merge threshold out of reach, so no background drain runs), and one
-// timed Flush that sorts, merges and retrains every shard. Building the
-// store and buffering the keys are not timed.
-func BenchmarkStoreFlushBarrier(b *testing.B) {
-	keys := data.Uniform(1<<20, 1<<50, 1)
-	extra := data.Uniform(1<<18, 1<<50, 2)
-	b.StopTimer()
-	for i := 0; i < b.N; i++ {
-		st := New(keys, core.Config{}, Options{Shards: 8, MergeThreshold: 1 << 30})
-		for _, k := range extra {
-			st.Insert(k)
-		}
-		b.StartTimer()
-		st.Flush()
-		b.StopTimer()
-		st.Close()
-	}
 }

@@ -8,58 +8,11 @@ import (
 	"learnedindex/internal/data"
 )
 
-// TestConcurrentShardDrains loads every shard from many writer
-// goroutines, then uses Flush as the concurrent-drain barrier: all shards
-// must retrain (in parallel, on min(shards, GOMAXPROCS) drainers) and the
-// merged result must be exact — distinct committed keys, correct
-// membership, and per-shard snapshots that partition the key space.
-func TestConcurrentShardDrains(t *testing.T) {
-	const nsh = 8
-	base := data.Uniform(8_000, 1_000_000_000, 91)
-	s := New(base, core.Config{}, Options{Shards: nsh, MergeThreshold: 1 << 30})
-	defer s.Close()
-
-	extra := data.Uniform(16_000, 1_000_000_000, 92)
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := g; i < len(extra); i += 4 {
-				s.Insert(extra[i])
-			}
-		}(g)
-	}
-	wg.Wait()
-	s.Flush() // every shard drains; drains run concurrently
-
-	distinct := map[uint64]bool{}
-	for _, k := range base {
-		distinct[k] = true
-	}
-	for _, k := range extra {
-		distinct[k] = true
-	}
-	if s.Len() != len(distinct) {
-		t.Fatalf("Len=%d, want %d distinct", s.Len(), len(distinct))
-	}
-	if s.Pending() != 0 {
-		t.Fatalf("Flush left %d pending inserts", s.Pending())
-	}
-	for k := range distinct {
-		if !s.Contains(k) {
-			t.Fatalf("lost key %d", k)
-		}
-	}
-	if s.Merges() == 0 {
-		t.Fatal("no shard retrained")
-	}
-}
-
 // TestInsertDurableInMemory checks the durable-insert entry point on an
-// in-memory Store: no durability to wait for, but the keys must land.
+// in-memory Store: its commits reach a filesystem that keeps nothing, but
+// the keys must land.
 func TestInsertDurableInMemory(t *testing.T) {
-	s := New(nil, core.Config{}, Options{Shards: 4})
+	s := New(nil, core.Config{}, Options{})
 	defer s.Close()
 	keys := data.Uniform(3_000, 1_000_000, 93)
 	var wg sync.WaitGroup

@@ -55,7 +55,7 @@ func OpenFollowerString(cfg core.Config, opt Options, fopt repl.FollowerOptions)
 // served once opt.MergeThreshold of them are pending, and the applier
 // bulk-loads each snapshot as one segment at its end. Flush and Close still
 // make every applied key served.
-func openFollower[K cmp.Ordered, S any](ops *memOps[K, S], cfg core.Config, opt Options, fopt repl.FollowerOptions) (*Store, error) {
+func openFollower[K cmp.Ordered](ops *keyOps[K], cfg core.Config, opt Options, fopt repl.FollowerOptions) (*Store, error) {
 	if opt.Dir == "" {
 		return nil, fmt.Errorf("serve: a follower store needs Options.Dir (its replica is durable)")
 	}
@@ -108,7 +108,7 @@ func (s *Store) RetargetPrimary(addr string) error {
 // store ships to followers and serves local traffic concurrently; a
 // follower store cannot also be a primary (no cascading replication).
 func (s *Store) ServeReplication(t repl.Transport, addr string, popt repl.PrimaryOptions) (*repl.Primary, error) {
-	if s.eng == nil {
+	if !s.persistent {
 		return nil, fmt.Errorf("serve: replication needs a persistent store (Options.Dir)")
 	}
 	if s.repl.follower != nil {

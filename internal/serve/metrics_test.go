@@ -22,7 +22,8 @@ func metricsKey(k uint64) string { return fmt.Sprintf("%08d", k) }
 // TestStoreMetrics drives the serving layer's surfaces through an
 // in-memory store of each key mode and asserts the metrics plane recorded
 // them: traffic counters exactly, sampled series within their sampling
-// contract, and the per-shard drain/retrain and queue series present.
+// contract, and the engine's flush, queue and per-segment model-health
+// series present.
 func TestStoreMetrics(t *testing.T) {
 	for _, strMode := range []bool{false, true} {
 		name := "uint64"
@@ -38,7 +39,7 @@ func checkStoreMetrics(t *testing.T, strMode bool) {
 	for i := range keys {
 		keys[i] = uint64(i) * 3
 	}
-	opt := Options{Shards: 4, MergeThreshold: 1 << 20}
+	opt := Options{MergeThreshold: 1 << 20}
 	var (
 		st          *Store
 		insert      func(uint64)
@@ -109,8 +110,9 @@ func checkStoreMetrics(t *testing.T, strMode bool) {
 	if got := s.Counter("lix_serve_inserts_total"); got != inserts {
 		t.Fatalf("inserts counter = %d, want %d", got, inserts)
 	}
-	if got := s.Counter("lix_serve_snapshot_swaps_total"); got != int64(st.Merges()) || got == 0 {
-		t.Fatalf("swaps counter = %d, Merges() = %d", got, st.Merges())
+	publications := s.Counter("lix_storage_flushes_total") + s.Counter("lix_storage_drains_total")
+	if publications != int64(st.Merges()) || publications < 2 { // the bulk load and the Flush
+		t.Fatalf("flush+drain counters = %d, Merges() = %d", publications, st.Merges())
 	}
 	if got := s.Counter("lix_serve_lookup_batches_total"); got != batches {
 		t.Fatalf("batches counter = %d, want %d", got, batches)
@@ -124,16 +126,18 @@ func checkStoreMetrics(t *testing.T, strMode bool) {
 	if got := s.Counter("lix_serve_lookups_total"); got == 0 || got%64 != 0 {
 		t.Fatalf("sampled lookups counter = %d, want a nonzero multiple of 64", got)
 	}
-	if got := s.Gauge("lix_serve_shards"); got != 4 {
-		t.Fatalf("shards gauge = %g", got)
+	if got := s.Gauge("lix_storage_pending_keys"); got != 0 {
+		t.Fatalf("%g keys pending after Flush", got)
 	}
-	if qs := s.Series("lix_serve_queue_depth"); len(qs) != 4 || s.Gauge("lix_serve_queued_keys") != 0 {
-		t.Fatalf("queue depth series = %v (%g queued after Flush), want one per shard", qs, s.Gauge("lix_serve_queued_keys"))
+	// Model health: every segment publishes its trained error bound (the
+	// collector reads it off the live plan in both builds), beside the
+	// engine-wide maximum.
+	segs := int(s.Gauge("lix_storage_segments"))
+	if bs := s.Series("lix_segment_trained_err_bound"); segs == 0 || len(bs) != segs {
+		t.Fatalf("trained-err-bound series = %v, want one per segment (%d)", bs, segs)
 	}
-	// Model health: every shard publishes its trained error bound (the
-	// collector reads it off the live plan in both builds).
-	if bs := s.Series("lix_serve_trained_err_bound"); len(bs) != 5 { // 4 shards + aggregate
-		t.Fatalf("trained-err-bound series = %v, want per-shard + aggregate", bs)
+	if _, ok := s.Gauges["lix_storage_trained_err_bound"]; !ok {
+		t.Fatal("engine-wide trained-err-bound gauge missing")
 	}
 
 	if !obs.Enabled {
@@ -141,10 +145,10 @@ func checkStoreMetrics(t *testing.T, strMode bool) {
 	}
 	// Sampled model-health histograms: the plans' own 1-in-64 key sampling
 	// (by the 8-byte prefix for strings) observed their error and window.
-	if h := s.Histogram("lix_serve_model_err"); h.Count == 0 {
+	if h := s.Histogram("lix_storage_model_err"); h.Count == 0 {
 		t.Fatalf("aggregate model-error histogram empty after sampled lookups")
 	}
-	if h := s.Histogram("lix_serve_search_window"); h.Count == 0 {
+	if h := s.Histogram("lix_storage_search_window"); h.Count == 0 {
 		t.Fatalf("aggregate search-window histogram empty after sampled lookups")
 	}
 	if h := s.Histogram("lix_serve_lookup_batch_probes"); h.Count != batches {
@@ -159,17 +163,10 @@ func checkStoreMetrics(t *testing.T, strMode bool) {
 	if h := s.Histogram("lix_serve_lookup_ns"); h.Count == 0 {
 		t.Fatalf("sampled lookup latency histogram empty after 2048 dense probes")
 	}
-	// The Flush drained at least one shard: its drain and retrain series
-	// must hold an observation.
-	var drains, trains uint64
-	for _, n := range s.Series("lix_serve_drain_ns") {
-		drains += s.Histogram(n).Count
-	}
-	for _, n := range s.Series("lix_serve_retrain_ns") {
-		trains += s.Histogram(n).Count
-	}
-	if drains == 0 || trains != drains {
-		t.Fatalf("drain/retrain histograms: %d drains, %d retrains", drains, trains)
+	// The bulk load and the Flush each wrote a segment: the flush duration
+	// series holds one observation per file.
+	if h := s.Histogram("lix_storage_flush_ns"); h.Count != uint64(s.Counter("lix_storage_flushes_total")) || h.Count == 0 {
+		t.Fatalf("flush histogram %d entries, %d flushes", h.Count, s.Counter("lix_storage_flushes_total"))
 	}
 }
 
@@ -177,7 +174,7 @@ func checkStoreMetrics(t *testing.T, strMode bool) {
 // ephemeral port and fetches both exposition formats over real HTTP.
 func TestStoreMetricsAddr(t *testing.T) {
 	keys := []uint64{1, 2, 3, 5, 8, 13}
-	st, err := Open(keys, core.Config{}, Options{Shards: 2, MetricsAddr: "127.0.0.1:0"})
+	st, err := Open(keys, core.Config{}, Options{MetricsAddr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +223,7 @@ func TestStoreMetricsRace(t *testing.T) {
 	for i := range keys {
 		keys[i] = uint64(i) * 5
 	}
-	st := New(keys, core.Config{}, Options{Shards: 4, MergeThreshold: 256})
+	st := New(keys, core.Config{}, Options{MergeThreshold: 256})
 	defer st.Close()
 
 	var wg sync.WaitGroup

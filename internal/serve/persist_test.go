@@ -189,8 +189,7 @@ func TestPersistentStoreInitialKeysIdempotent(t *testing.T) {
 // resident run for a sliver of keys, straight after a full one. k
 // thresholds of keys through InsertDurable must produce at most k
 // background drains, and — k thresholds being well under the engine's spill
-// size — no segment file: one resident run serves them all. The engine's
-// drainer is the only one: the store starts no merger of its own.
+// size — no segment file: one resident run serves them all.
 func TestStaleMergeSignalDoesNotFlush(t *testing.T) {
 	const thresh, k, batch = 1024, 12, 64
 	st, err := Open(nil, core.Config{}, Options{Dir: t.TempDir(), MergeThreshold: thresh, CompactFanout: 1 << 20})
@@ -198,9 +197,6 @@ func TestStaleMergeSignalDoesNotFlush(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	if p := st.u64(); p.wake != nil || p.quit != nil {
-		t.Fatal("a persistent store built the in-memory merger; its engine drains itself")
-	}
 	var wg sync.WaitGroup
 	for w := 0; w < 2; w++ {
 		wg.Add(1)

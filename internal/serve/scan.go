@@ -1,43 +1,39 @@
 package serve
 
-// Streaming range scans and learned counts over the serving layer: the
-// snapshot-consistent composition of every layer a key can live in,
-// written once for both key kinds.
+// Streaming range scans and learned counts over the serving layer, written
+// once for both key kinds: the snapshot-consistent composition of every
+// layer of the engine a key can live in.
 //
-// An in-memory Store's scan merges (a) one cursor over the combined
-// per-shard insert buffers — the delta layer, copied and sorted at open —
-// and (b) one cursor per shard snapshot whose fence overlaps the range,
-// entered at the position the shard's index predicts for the range start
-// (model-biased seek, not binary search). A persistent Store's scan merges
-// the engine's unflushed WAL delta with one cursor per on-disk segment,
-// pruned by min/max fences and pinned against compaction for the scan's
-// lifetime (storage.Snapshot). A uint64 layer's cursor walks its key array
-// through its plan; a string layer holds no strings, and its cursor
-// (core.StringCursor) materializes the keys it streams out of the layer's
-// dictionary a page at a time. A range is [lo, hi) or, unbounded above,
-// [lo, ∞) — its own entry point (ScanFrom, ScanStringFrom) rather than a
-// sentinel upper bound, in both key kinds: an exclusive uint64 bound can
-// never reach the maximal key.
+// A scan merges the engine's pending delta — the keys inserted but not yet
+// drained, copied and sorted at open — with one cursor per segment (the
+// resident run included) whose min/max fence overlaps the range, pinned
+// against compaction for the scan's lifetime (storage.Snapshot). A uint64
+// segment's cursor walks its key array entered at the position its plan
+// predicts for the range start (model-biased seek, not binary search); a
+// string segment holds no strings, and its cursor (core.StringCursor)
+// materializes the keys it streams out of the segment's dictionary a page
+// at a time. A range is [lo, hi) or, unbounded above, [lo, ∞) — its own
+// entry point (ScanFrom, ScanStringFrom) rather than a sentinel upper
+// bound, in both key kinds: an exclusive uint64 bound can never reach the
+// maximal key.
 //
 // # Consistency
 //
 // A scan (and CountRange) observes every Insert that returned before the
-// call — including still-buffered ones the point-read path won't serve
-// until the next drain — and nothing that starts after it: the capture
-// copies each shard's buffer AND its in-flight draining batch before
-// loading the shard snapshot (the engine equivalently copies
-// pending+flushing before the segment list), so a key mid-migration
-// between layers is seen in at least one, and the merge's newest-wins
-// dedup collapses a key seen in two. After the capture the scan is
-// isolated: concurrent inserts, drains, retrains, flushes, and compactions
-// never add to, remove from, or reorder an open scan's stream.
+// call — including still-pending ones the point-read path won't serve
+// until the next drain — and nothing that starts after it: the engine
+// copies its pending and in-flight keys before it loads the segment list,
+// so a key mid-migration between layers is seen in at least one, and the
+// merge's newest-wins dedup collapses a key seen in two. After the capture
+// the scan is isolated: concurrent inserts, drains, retrains, flushes, and
+// compactions never add to, remove from, or reorder an open scan's stream.
 //
 // # Allocation discipline
 //
-// All scan state — the iterator, its tournament arrays, cursors, delta
-// copies, and (persistent) the storage snapshot — recycles through pools;
-// a steady-state Scan→drain→Close cycle allocates nothing here (asserted
-// by TestScanAllocs).
+// All scan state — the iterator, its tournament arrays, cursors and the
+// storage snapshot — recycles through pools; a steady-state
+// Scan→drain→Close cycle allocates nothing here (asserted by
+// TestScanAllocs).
 
 import (
 	"cmp"
@@ -47,20 +43,16 @@ import (
 	"learnedindex/internal/core"
 	"learnedindex/internal/obs"
 	"learnedindex/internal/scan"
-	"learnedindex/internal/search"
 	"learnedindex/internal/storage"
 )
 
-// scanState is the pooled per-scan working set: the captured view (shard
-// snapshots + delta copy, or the pinned storage snapshot) plus the cursors
-// that stream it. It implements scan.Closer, so the iterator's Close
-// returns everything here to the pool.
-type scanState[K cmp.Ordered, S any] struct {
-	ops   *memOps[K, S]
-	snap  *storage.Snapshot
-	snaps []*S
-	delta []K
-	dc    scan.KeysCursor[K] // streams the delta layer
+// scanState is the pooled per-scan working set: the pinned storage
+// snapshot plus the cursors that stream it. It implements scan.Closer, so
+// the iterator's Close returns everything here to the pool.
+type scanState[K cmp.Ordered] struct {
+	ops  *keyOps[K]
+	snap *storage.Snapshot
+	dc   scan.KeysCursor[K] // streams the pending delta
 	// curs holds one cursor per captured index. A slot keeps its cursor
 	// across scans, so a string cursor's page keeps the capacity earlier
 	// scans grew.
@@ -69,7 +61,7 @@ type scanState[K cmp.Ordered, S any] struct {
 
 // slot extends curs by one and returns the new slot, holding whatever
 // cursor an earlier scan left there.
-func (st *scanState[K, S]) slot() *scan.Cursor[K] {
+func (st *scanState[K]) slot() *scan.Cursor[K] {
 	if len(st.curs) < cap(st.curs) {
 		st.curs = st.curs[:len(st.curs)+1]
 	} else {
@@ -100,64 +92,20 @@ func stringCursor(c *scan.Cursor[string], si *core.StringIndex) {
 	sc.Reset(si)
 }
 
-func (p *memPlane[K, S]) getScan() *scanState[K, S] {
-	if st, ok := p.ops.scans.Get().(*scanState[K, S]); ok {
+func (p *plane[K]) getScan() *scanState[K] {
+	if st, ok := p.ops.scans.Get().(*scanState[K]); ok {
 		return st
 	}
-	return &scanState[K, S]{ops: p.ops}
+	return &scanState[K]{ops: p.ops}
 }
 
-// CloseScan unpins the storage snapshot (persistent scans), drops snapshot
-// references, and recycles the state. Runs via Iterator.Close after every
-// cursor has been released.
-func (st *scanState[K, S]) CloseScan() {
-	if st.snap != nil {
-		st.snap.Release()
-		st.snap = nil
-	}
-	clear(st.snaps)
-	st.snaps = st.snaps[:0]
-	// Zero the delta: a pooled backing array must not pin key bytes from a
-	// finished scan.
-	clear(st.delta)
-	st.delta = st.delta[:0]
+// CloseScan unpins the storage snapshot and recycles the state. Runs via
+// Iterator.Close after every cursor has been released.
+func (st *scanState[K]) CloseScan() {
+	st.snap.Release()
+	st.snap = nil
 	st.curs = st.curs[:0] // cursor Release already dropped the index refs
 	st.ops.scans.Put(st)
-}
-
-// capture copies the delta layer (every shard's buffer plus any in-flight
-// draining batch, restricted to the range — [lo, hi) when bounded, keys >=
-// lo otherwise — so the sort cost scales with delta∩range rather than the
-// whole buffer) and THEN loads each shard's published snapshot. The order
-// is the loss-free invariant: a drain moves keys buffer → draining →
-// snapshot, clearing draining only after publication, so copying buffers
-// first can duplicate a migrating key (dedup absorbs it) but never miss
-// one.
-func (st *scanState[K, S]) capture(p *memPlane[K, S], lo, hi K, bounded bool) {
-	for _, sh := range p.shards {
-		sh.mu.Lock()
-		for _, src := range [2][]K{sh.buf, sh.draining} {
-			if bounded {
-				st.delta = scan.AppendInRange(st.delta, src, lo, hi)
-			} else {
-				st.delta = scan.AppendFrom(st.delta, src, lo)
-			}
-		}
-		sh.mu.Unlock()
-	}
-	slices.Sort(st.delta)
-	st.delta = slices.Compact(st.delta)
-	for _, sh := range p.shards {
-		st.snaps = append(st.snaps, sh.snap.Load())
-	}
-}
-
-// fenceOut reports whether snapshot x holds no key of the range: the
-// in-memory fence. Shards are range-disjoint, so it prunes all but the
-// covering ones.
-func (p *memPlane[K, S]) fenceOut(x *S, lo, hi K, bounded bool) bool {
-	first, last, ok := p.ops.fence(x)
-	return !ok || (bounded && first >= hi) || last < lo
 }
 
 // scan opens a streaming merge over every key of the range ([lo, hi) when
@@ -165,7 +113,7 @@ func (p *memPlane[K, S]) fenceOut(x *S, lo, hi K, bounded bool) bool {
 // stream, so the open (capture + seed seeks) is timed unconditionally when
 // metrics are built in; the per-key path stays untouched — the iterator
 // reports its emitted-key count once, at Close, into lix_serve_scan_keys.
-func (p *memPlane[K, S]) scan(lo, hi K, bounded bool) *scan.Iterator[K] {
+func (p *plane[K]) scan(lo, hi K, bounded bool) *scan.Iterator[K] {
 	s := p.s
 	s.m.scans.Inc()
 	var start time.Time
@@ -175,19 +123,7 @@ func (p *memPlane[K, S]) scan(lo, hi K, bounded bool) *scan.Iterator[K] {
 	it := scan.Get[K]()
 	it.SetObs(s.m.scanKeys)
 	st := p.getScan()
-	var delta []K
-	if s.eng != nil {
-		delta = p.ops.engScan(st, s.eng, lo, hi, bounded)
-	} else {
-		st.capture(p, lo, hi, bounded)
-		delta = st.delta
-		for _, x := range st.snaps {
-			if !p.fenceOut(x, lo, hi, bounded) {
-				p.ops.cursor(st.slot(), x)
-			}
-		}
-	}
-	if len(delta) > 0 {
+	if delta := p.ops.scan(st, s.eng, lo, hi, bounded); len(delta) > 0 {
 		st.dc.Reset(delta, nil)
 		it.Add(&st.dc) // delta first: the newest layer wins merge ties
 	}
@@ -208,33 +144,11 @@ func (p *memPlane[K, S]) scan(lo, hi K, bounded bool) *scan.Iterator[K] {
 // count is CountRange, CountFrom and their string forms: the exact
 // number of distinct keys of the range ([lo, hi) when bounded, keys >= lo
 // otherwise) over the view a scan at this instant would stream.
-func (p *memPlane[K, S]) count(lo, hi K, bounded bool) int {
+func (p *plane[K]) count(lo, hi K, bounded bool) int {
 	if bounded && hi <= lo {
 		return 0
 	}
-	if e := p.s.eng; e != nil {
-		return p.ops.engCount(e, lo, hi, bounded)
-	}
-	st := p.getScan()
-	st.capture(p, lo, hi, bounded)
-	total := 0
-	for _, x := range st.snaps {
-		if p.fenceOut(x, lo, hi, bounded) {
-			continue
-		}
-		end := p.ops.size(x)
-		if bounded {
-			end = p.ops.lookup(x, hi)
-		}
-		total += end - p.ops.lookup(x, lo)
-	}
-	for _, k := range st.delta { // already restricted to the range
-		if !p.ops.contains(st.snaps[search.UpperBound(p.bounds, k)], k) {
-			total++
-		}
-	}
-	st.CloseScan()
-	return total
+	return p.ops.count(p.s.eng, lo, hi, bounded)
 }
 
 // Scan opens a streaming merge over every key in [lo, hi): ascending,
@@ -291,15 +205,12 @@ func drainScan[K cmp.Ordered](it *scan.Iterator[K], dst []K) []K {
 
 // CountRange returns the exact number of distinct keys in [lo, hi) over
 // the same view a Scan at this instant would stream — without iterating.
-// Each shard (or on-disk segment) answers by position arithmetic: two
-// index lower-bound lookups, end minus start. The delta layer then
-// contributes an exact correction: every buffered key inside the range
-// counts only if its shard's snapshot (or the segment set) doesn't already
-// hold it. The capture copies only in-range buffered keys, so the cost is
-// O(total buffered + shards + (delta∩range)·log) with the sort and the
-// membership probes scaling with the in-range delta alone — independent
-// of the range width: counting a billion-key range is two model
-// inferences per layer plus the delta correction.
+// Each segment whose fence overlaps the range answers by position
+// arithmetic: two index lower-bound lookups, end minus start. The pending
+// delta then contributes an exact correction: every pending key inside the
+// range counts only if no segment already holds it. The cost is
+// independent of the range width: counting a billion-key range is two
+// model inferences per segment plus the delta correction.
 func (s *Store) CountRange(lo, hi uint64) int { return s.u64().count(lo, hi, true) }
 
 // CountFrom is CountRange without an upper bound: the number of distinct

@@ -48,7 +48,7 @@ func TestScanOracleRandom(t *testing.T) {
 	for _, k := range initial {
 		model[k] = true
 	}
-	s := New(initial, core.Config{}, Options{Shards: 5, MergeThreshold: 1 << 30}) // drains only via Flush
+	s := New(initial, core.Config{}, Options{MergeThreshold: 1 << 30}) // drains only via Flush
 	defer s.Close()
 
 	for step := 0; step < 60; step++ {
@@ -151,7 +151,7 @@ func TestScanOraclePersistent(t *testing.T) {
 // whose Insert returned is in the very next Scan and CountRange, before
 // any drain makes it visible to the point-read path.
 func TestScanSeesBufferedInserts(t *testing.T) {
-	s := New(nil, core.Config{}, Options{Shards: 4, MergeThreshold: 1 << 30})
+	s := New(nil, core.Config{}, Options{MergeThreshold: 1 << 30})
 	defer s.Close()
 	s.Insert(42)
 	s.Insert(7)
@@ -172,7 +172,7 @@ func TestScanSeesBufferedInserts(t *testing.T) {
 // inserted before always do.
 func TestScanIsolationFromConcurrentInserts(t *testing.T) {
 	initial := data.Uniform(10_000, 1_000_000, 21)
-	s := New(initial, core.Config{}, Options{Shards: 4, MergeThreshold: 512})
+	s := New(initial, core.Config{}, Options{MergeThreshold: 512})
 	defer s.Close()
 	it := s.Scan(0, ^uint64(0))
 	defer it.Close()
@@ -193,14 +193,15 @@ func TestScanIsolationFromConcurrentInserts(t *testing.T) {
 
 // TestScanStressConcurrentMergesAndCompaction is the -race stress: scanners
 // stream while writers insert and flush (persistent: segment flushes +
-// compactions; in-memory: shard drains + retrains). Every scan must be
+// compactions; in-memory: the same engine's drains, spills and
+// compactions on vfs.Discard). Every scan must be
 // sorted, distinct, in-range, and a superset of the pre-seeded committed
 // set — and never contain a key nobody inserted.
 func TestScanStressConcurrentMergesAndCompaction(t *testing.T) {
 	for _, mode := range []string{"inmemory", "persistent"} {
 		t.Run(mode, func(t *testing.T) {
 			seed := data.Uniform(30_000, 1_000_000, 33)
-			opt := Options{Shards: 4, MergeThreshold: 1_000}
+			opt := Options{MergeThreshold: 1_000}
 			if mode == "persistent" {
 				opt = Options{Dir: t.TempDir(), MergeThreshold: 1_000, CompactFanout: 2}
 			}
@@ -297,7 +298,7 @@ func TestScanAllocs(t *testing.T) {
 	keys := data.Uniform(50_000, 5_000_000, 77)
 	for _, mode := range []string{"inmemory", "persistent"} {
 		t.Run(mode, func(t *testing.T) {
-			opt := Options{Shards: 4, MergeThreshold: 1 << 30}
+			opt := Options{MergeThreshold: 1 << 30}
 			if mode == "persistent" {
 				opt = Options{Dir: t.TempDir()}
 			}
@@ -333,7 +334,7 @@ func TestCountRangeSteadyState(t *testing.T) {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	keys := data.Uniform(50_000, 5_000_000, 79)
-	s := New(keys, core.Config{}, Options{Shards: 4})
+	s := New(keys, core.Config{}, Options{})
 	defer s.Close()
 	var sink int
 	run := func() { sink += s.CountRange(1_000_000, 4_000_000) }
@@ -346,7 +347,7 @@ func TestCountRangeSteadyState(t *testing.T) {
 
 // TestScanSeek exercises repositioning against the composed store view.
 func TestScanSeek(t *testing.T) {
-	s := New([]uint64{10, 20, 30, 40, 50}, core.Config{}, Options{Shards: 2, MergeThreshold: 1 << 30})
+	s := New([]uint64{10, 20, 30, 40, 50}, core.Config{}, Options{MergeThreshold: 1 << 30})
 	defer s.Close()
 	s.Insert(25) // buffered: the delta layer participates in seeks
 	it := s.Scan(15, 45)

@@ -1,95 +1,88 @@
 // Package serve is the concurrent serving layer over the learned index: a
-// range-sharded, RCU-style store built for the read-heavy traffic the paper
-// targets (§3.1 frames learned range indexes as in-memory serving
-// structures; the ROADMAP's north star is sharding + batching + concurrency
-// on top of them).
+// store built for the read-heavy traffic the paper targets (§3.1 frames
+// learned range indexes as in-memory serving structures; the ROADMAP's
+// north star is sharding + batching + concurrency on top of them).
 //
 // # Architecture
 //
-// Keys are range-partitioned across N shards with boundaries picked from
-// the initial sorted key space, so every shard serves a contiguous key
-// range and a key finds its shard with one branchless search of the split
-// keys. Each shard holds an immutable snapshot — the compiled inference
-// plan (core.Plan) of the RMI trained over its sorted key array, or for
-// string keys a core.StringIndex, the same plan over the keys' 8-byte
-// prefixes plus the dictionary that holds the keys — behind an
-// atomic.Pointer. Readers load the pointer and never take a lock.
+// Every Store is the storage engine of internal/storage: learned segments —
+// each a sorted key array (for string keys a core.StringIndex, the same
+// plan over the keys' 8-byte prefixes plus the dictionary that holds the
+// keys) with its compiled inference plan (core.Plan) — published as one
+// atomically swapped list that readers load without a lock. A persistent
+// store (Options.Dir set) runs the engine on the real filesystem; an
+// in-memory store runs the same engine on vfs.Discard, a filesystem that
+// writes nowhere, so its log and segment files cost an encode and keep
+// nothing. One insert path, one drain, one rank kernel and one scan serve
+// both.
 //
-// The in-memory plane is written once for both key modes (plane.go): one
-// generic shard, drain, batch capture and scan capture, over a small table
-// of what differs (memOps). A store's key mode is fixed at construction;
-// calling a method of the other mode panics.
+// The plane is written once for both key modes (plane.go): one generic set
+// of entry points over a small table of what differs (keyOps). A store's
+// key mode is fixed at construction; calling a method of the other mode
+// panics.
 //
-// A batch read captures every shard's plan once and hands the whole batch,
-// in the order it arrived, to core's batch kernel (core.LookupBatch). The
-// batch is never sorted or cut into per-shard runs: the model has already
-// narrowed each probe to a window of a few cache lines, so what is left to
-// buy on a key array larger than cache is memory-level parallelism, and
-// one lockstep search across all 64 probes keeps eight times the misses in
-// flight that eight per-shard runs of 8 do. Answers land in probe order;
-// there is nothing to un-permute and no scratch to pool. String stores
-// batch the same way through core.LookupBatchStrings, and a persistent
-// store of either key kind hands the batch, still in arrival order, to the
-// storage engine's rank kernel: one captured segment list, a fence test per
-// (probe, segment), and the same core kernel over the pairs that are left.
+// A batch read hands the whole batch, in the order it arrived, to the
+// engine's rank kernel: one captured segment list, a fence test per
+// (probe, segment), and core's batch kernel over the pairs that are left.
+// The batch is never sorted or cut into per-segment runs: the model has
+// already narrowed each probe to a window of a few cache lines, so what is
+// left to buy on a key array larger than cache is memory-level
+// parallelism, and one lockstep search across all 64 probes keeps every
+// miss in flight together. Answers land in probe order; there is nothing
+// to un-permute and no scratch to pool.
 //
-// Inserts append to a small per-shard buffer under a mutex; when the
-// buffer passes the merge threshold, the insert wakes the background
-// merger, which drains every full shard: sort, dedup against the snapshot,
-// merge into a fresh key array, retrain the RMI off the hot path, and
-// atomically publish the new snapshot (classic read-copy-update). A sweep
-// and a Flush run their drains on min(shards, GOMAXPROCS) goroutines, and
-// each retrain fits on that drainer's share of the cores.
+// Inserts append to the engine's write-ahead log and its pending list.
+// Once MergeThreshold keys are pending the engine drains them — sort,
+// dedup against the served segments, merge into its resident run, retrain
+// off the hot path, and atomically publish the new segment list (classic
+// read-copy-update) — and writes the run out as a segment every 64k
+// logged keys, at Flush and at Close; background size-tiered compaction
+// keeps the list short.
 //
 // # Consistency model
 //
 //   - Reads (Lookup, Contains, LookupBatch, ContainsBatch, Len) are
-//     lock-free and see the latest *published* snapshot of each shard:
-//     per-shard snapshot isolation. A read never blocks on, nor is torn by,
-//     a concurrent merge.
-//   - Inserts are buffered and become visible only when their shard's
-//     buffer is drained — after the background merge (bounded staleness of
-//     one merge cycle) or a synchronous Flush, which acts as a visibility
+//     lock-free and see the latest *published* segment list. A read never
+//     blocks on, nor is torn by, a concurrent drain, flush or compaction.
+//   - Inserts become visible only when they are drained — after the
+//     engine's drain at MergeThreshold pending keys (bounded staleness of
+//     one drain) or a synchronous Flush, which acts as a visibility
 //     barrier for every insert that returned before it.
 //   - The store has set semantics: duplicate inserts and re-inserts of
-//     present keys are absorbed at merge time, so Len counts distinct
+//     present keys are absorbed at drain time, so Len counts distinct
 //     committed keys exactly.
 //   - Positions returned by Lookup/LookupBatch are global lower-bound
-//     positions over a point-in-time capture of all shard snapshots (one
-//     atomic load per shard, taken once per call). Concurrent merges may
-//     shift positions between calls, but within a single call every
-//     position is consistent with the captured view.
+//     positions over one captured segment list (segments hold disjoint key
+//     sets, so a position is an exact sum). Concurrent drains may shift
+//     positions between calls, but within a single call every position is
+//     consistent with the captured view.
 //   - Range queries (Scan, ScanBatch, CountRange — see scan.go) have a
 //     *stronger* visibility rule than point reads: they observe every
-//     Insert that returned before the call, including still-buffered ones,
-//     via a loss-free capture of the buffer + in-flight drain + snapshot
-//     layers; an open scan is then fully isolated from later mutations.
+//     Insert that returned before the call, including still-pending ones,
+//     via a loss-free capture of the pending and in-flight keys before the
+//     segment list; an open scan is then fully isolated from later
+//     mutations.
 //   - A single Store method may be called from any number of goroutines
 //     concurrently with any other, including Insert, Flush, and Close.
 //     This package is the supported concurrent entry point.
 //
 // # Persistence
 //
-// With Options.Dir set (use Open, which can fail), the Store is backed by
-// the disk engine of internal/storage instead of in-memory shard
-// snapshots, and starts no merger: every Insert appends to a write-ahead
-// log, Sync acknowledges durability (fsync), and the engine drains itself —
-// once MergeThreshold keys are pending (storage.Options.DrainKeys) it
-// merges them into its resident run, readable at once, with the WAL as
-// their durable home. It writes that run out as an immutable segment file,
-// carrying its serialized RMI, every 64k keys and at Flush and Close,
-// trimming the WAL then; reads are served from the per-segment models,
-// fenced by each segment's first and last key. The visibility contract is unchanged (inserts become readable
-// at the next drain or Flush); reopening after a crash serves exactly the
-// durable keys: all segment files plus the intact WAL tail. I/O errors
-// are sticky in the engine and surface on Sync, Flush-following-Sync, and
-// Close.
+// With Options.Dir set (use Open, which can fail) the engine's files live
+// under that directory: every Insert appends to the write-ahead log, Sync
+// acknowledges durability (fsync), a drained key is served from the
+// resident run with the WAL as its durable home, and each segment file
+// carries its serialized RMI, so reopening deserializes models instead of
+// retraining them. Reopening after a crash serves exactly the durable
+// keys: all segment files plus the intact WAL tail. I/O errors are sticky
+// in the engine and surface on Sync, Flush-following-Sync, and Close.
+// Without Dir nothing outlives the process: StorageStats reports false,
+// Scrub has no file to verify, and ServeReplication refuses to ship.
 package serve
 
 import (
 	"cmp"
 	"fmt"
-	"strconv"
 	"sync/atomic"
 
 	"learnedindex/internal/core"
@@ -100,24 +93,19 @@ import (
 
 // Options configures a Store.
 type Options struct {
-	// Shards is the number of range partitions (default 8). More shards
-	// mean smaller retrains and less merge interference, at the cost of a
-	// larger capture per global lookup. Ignored when Dir is set.
-	Shards int
-	// MergeThreshold is the per-shard buffered-insert count that wakes the
-	// background merger (default 4096). With Dir set — follower stores
-	// included — it is the engine's drain threshold
-	// (storage.Options.DrainKeys): once that many keys are pending the
-	// engine drains them into its resident run, readable at once; when they
-	// become a segment file is the engine's business.
+	// MergeThreshold is the engine's drain threshold
+	// (storage.Options.DrainKeys, default 4096): once that many inserted
+	// keys are pending the engine drains them into its resident run,
+	// readable at once; when they become a segment file is the engine's
+	// business.
 	MergeThreshold int
 	// Dir, when non-empty, makes the Store persistent: a WAL plus learned
 	// segment files under this directory (created if absent). Empty keeps
-	// today's purely in-memory behavior.
+	// the store in memory, on vfs.Discard.
 	Dir string
 	// CompactFanout is how many segments of one size class, contiguous but
-	// for smaller segments between them, trigger a background merge in a
-	// persistent Store (default 4). Ignored when Dir is empty.
+	// for smaller segments between them, trigger a background merge
+	// (default 4).
 	CompactFanout int
 	// MetricsAddr, when non-empty, starts a debug HTTP listener on that
 	// address serving the Store's metrics plane: /metrics (Prometheus
@@ -128,30 +116,29 @@ type Options struct {
 	MetricsAddr string
 	// FS is the filesystem a persistent Store performs every file
 	// operation on (internal/vfs). Nil means the real OS; fault-injection
-	// tests swap in a vfs.FaultFS. Ignored when Dir is empty.
+	// tests swap in a vfs.FaultFS. A store without Dir runs on vfs.Discard
+	// whatever FS says: it writes nowhere.
 	FS vfs.FS
 }
 
-// Store is the sharded serving layer. Create with New (or Open for a
-// persistent store), release with Close.
+// Store is the serving layer over one storage engine. Create with New (or
+// Open, which returns engine errors), release with Close.
 type Store struct {
-	// mem is the store's plane for its key mode: the shards of an in-memory
-	// store, and on either kind of store the mode itself — a typed method of
-	// the other mode panics (see planeOf), mirroring the storage engine's
-	// mode discipline.
-	mem    keyPlane
-	cfg    core.Config
-	thresh int
+	// mode is the store's plane for its key mode, a *plane[uint64] or a
+	// *plane[string]: a typed method of the other mode panics (see planeOf).
+	mode   any
+	eng    *storage.Engine
 	closed atomic.Bool
-	// reg is the store's metrics plane (shared with the storage engine in
-	// persistent mode); m holds the pre-resolved handles the hot paths
-	// touch, and dbg the optional MetricsAddr debug listener.
+	// persistent is set when the engine's files live under Options.Dir. It
+	// decides only the contracts that name persistence: StorageStats'
+	// bool, Scrub's no-op and ServeReplication's refusal.
+	persistent bool
+	// reg is the metrics registry the store shares with its engine; m holds
+	// the pre-resolved handles the hot paths touch, and dbg the optional
+	// MetricsAddr debug listener.
 	reg *obs.Registry
 	m   storeMetrics
 	dbg *obs.DebugServer
-	// eng, when non-nil, is the disk engine of a persistent Store, whose
-	// plane then holds no shard.
-	eng *storage.Engine
 	// repl holds the store's replication attachments: the shipper started
 	// by ServeReplication and/or the follower installed by OpenFollower
 	// (see follower.go; a follower store refuses every local write).
@@ -165,27 +152,24 @@ type Store struct {
 // more than the sampling decision itself: single-key lookups hash the key
 // (obs.SampleKey — multiply, shift, compare, no shared state) and batches
 // tick a sharded countdown (m.sampler), so an unsampled call's metrics
-// cost is ~1-2 atomic adds against microseconds of work.
+// cost is ~1-2 atomic adds against microseconds of work. Drains, flushes
+// and model health are the engine's lix_storage_*/lix_segment_* series.
 type storeMetrics struct {
-	swaps    *obs.Counter     // lix_serve_snapshot_swaps_total: RCU publications
-	lookups  *obs.Counter     // lix_serve_lookups_total: sampled estimate (+64 per sampled key)
-	inserts  *obs.Counter     // lix_serve_inserts_total
-	batches  *obs.Counter     // lix_serve_lookup_batches_total
-	scans    *obs.Counter     // lix_serve_scans_total
-	lookupNs *obs.Histogram   // lix_serve_lookup_ns: sampled single-key latency
-	insertNs *obs.Histogram   // lix_serve_durable_insert_ns: group-commit latency
-	batchNs  *obs.Histogram   // lix_serve_lookup_batch_ns: sampled batch latency
-	batchLen *obs.Histogram   // lix_serve_lookup_batch_probes: probes per batch
-	scanOpen *obs.Histogram   // lix_serve_scan_open_ns: capture+seek latency
-	scanKeys *obs.Histogram   // lix_serve_scan_keys: keys streamed per closed scan
-	drainNs  []*obs.Histogram // lix_serve_drain_ns{shard=i}: buffer-take → publish
-	trainNs  []*obs.Histogram // lix_serve_retrain_ns{shard=i}: model training alone
-	sampler  *obs.Sampler     // 1-in-64 admission for paths with no key to hash
+	lookups  *obs.Counter   // lix_serve_lookups_total: sampled estimate (+64 per sampled key)
+	inserts  *obs.Counter   // lix_serve_inserts_total
+	batches  *obs.Counter   // lix_serve_lookup_batches_total
+	scans    *obs.Counter   // lix_serve_scans_total
+	lookupNs *obs.Histogram // lix_serve_lookup_ns: sampled single-key latency
+	insertNs *obs.Histogram // lix_serve_durable_insert_ns: group-commit latency
+	batchNs  *obs.Histogram // lix_serve_lookup_batch_ns: sampled batch latency
+	batchLen *obs.Histogram // lix_serve_lookup_batch_probes: probes per batch
+	scanOpen *obs.Histogram // lix_serve_scan_open_ns: capture+seek latency
+	scanKeys *obs.Histogram // lix_serve_scan_keys: keys streamed per closed scan
+	sampler  *obs.Sampler   // 1-in-64 admission for paths with no key to hash
 }
 
-func newStoreMetrics(reg *obs.Registry, nsh int) storeMetrics {
-	m := storeMetrics{
-		swaps:    reg.Counter("lix_serve_snapshot_swaps_total"),
+func newStoreMetrics(reg *obs.Registry) storeMetrics {
+	return storeMetrics{
 		lookups:  reg.Counter("lix_serve_lookups_total"),
 		inserts:  reg.Counter("lix_serve_inserts_total"),
 		batches:  reg.Counter("lix_serve_lookup_batches_total"),
@@ -198,82 +182,17 @@ func newStoreMetrics(reg *obs.Registry, nsh int) storeMetrics {
 		scanKeys: reg.Histogram("lix_serve_scan_keys"),
 		sampler:  obs.NewSampler(64),
 	}
-	for i := 0; i < nsh; i++ {
-		sh := strconv.Itoa(i)
-		m.drainNs = append(m.drainNs, reg.Histogram(obs.L("lix_serve_drain_ns", "shard", sh)))
-		m.trainNs = append(m.trainNs, reg.Histogram(obs.L("lix_serve_retrain_ns", "shard", sh)))
-	}
-	return m
-}
-
-// initObs wires the store into its metrics registry (nsh in-memory shards;
-// 0 for a persistent store, whose drains are the engine's and are
-// instrumented there) and starts the optional debug listener. Must run
-// before the background merger so no drain races the handle installation.
-func (s *Store) initObs(reg *obs.Registry, nsh int, addr string) error {
-	s.reg = reg
-	s.m = newStoreMetrics(reg, nsh)
-	reg.RegisterCollector(s.collect)
-	if addr != "" {
-		dbg, err := obs.StartDebugServer(addr, reg.Snapshot)
-		if err != nil {
-			return err
-		}
-		s.dbg = dbg
-	}
-	return nil
-}
-
-// collect injects the serving layer's point-in-time series into a metrics
-// snapshot: shard/queue topology and per-shard model health (sampled
-// observed error and last-mile window vs the trained bound, from each
-// shard's live compiled plan). Per-shard queue depths take each shard's
-// buffer mutex briefly — snapshots are rare and the buffer critical
-// sections are appends, so a reader never stalls the write path
-// noticeably. Engine-backed stores skip the per-shard series:
-// the engine's own collector publishes the lix_storage_*/lix_segment_*
-// equivalents.
-func (s *Store) collect(snap *obs.Snapshot) {
-	snap.SetGauge("lix_serve_shards", float64(s.NumShards()))
-	if s.eng != nil {
-		return // queue depth is the engine's lix_storage_pending_keys
-	}
-	pending := 0
-	var allErr, allLen obs.HistSnapshot
-	maxBound := 0
-	for i := 0; i < s.mem.numShards(); i++ {
-		d, p := s.mem.shardState(i)
-		sh := strconv.Itoa(i)
-		snap.SetGauge(obs.L("lix_serve_queue_depth", "shard", sh), float64(d))
-		pending += d
-		if p == nil {
-			continue
-		}
-		errH, lenH := p.ObsModelErr(), p.ObsSearchLen()
-		snap.AddHistogram(obs.L("lix_serve_model_err", "shard", sh), errH)
-		snap.AddHistogram(obs.L("lix_serve_search_window", "shard", sh), lenH)
-		snap.SetGauge(obs.L("lix_serve_trained_err_bound", "shard", sh), float64(p.TrainedErrBound()))
-		allErr.Merge(errH)
-		allLen.Merge(lenH)
-		maxBound = max(maxBound, p.TrainedErrBound())
-	}
-	snap.SetGauge("lix_serve_queued_keys", float64(pending))
-	snap.AddHistogram("lix_serve_model_err", allErr)
-	snap.AddHistogram("lix_serve_search_window", allLen)
-	snap.SetGauge("lix_serve_trained_err_bound", float64(maxBound))
 }
 
 // New builds a Store over the initial keys (any order; duplicates are
-// dropped) and starts the background merger. cfg configures every shard's
-// RMI (and, with opt.Dir set, every segment's); leave cfg.StageSizes empty
+// dropped). cfg configures every segment's RMI; leave cfg.StageSizes empty
 // and every train sizes itself to its own key count — ~1k keys per leaf
 // behind one sampled inner stage, so on skewed keys a lookup's median
-// last-mile window is ~2^5 keys on a 1M-key shard and 2^6–2^8 on a
-// 4k–64k-key segment, whose edge leaves take its p99 to 2^10–2^12 (see
-// core's zero-Config sizing rule). Explicit StageSizes are shared by all
-// shards and all retrains, which is rarely what a growing shard wants.
-// With opt.Dir set New panics on an engine error; call Open to handle it
-// instead.
+// last-mile window is ~2^5 keys on a 1M-key segment and 2^6–2^8 on a
+// 4k–64k-key one, whose edge leaves take its p99 to 2^10–2^12 (see core's
+// zero-Config sizing rule). Explicit StageSizes are shared by all
+// segments and all retrains, which is rarely what a growing store wants.
+// New panics on an engine error; call Open to handle it instead.
 func New(keys []uint64, cfg core.Config, opt Options) *Store {
 	s, err := Open(keys, cfg, opt)
 	if err != nil {
@@ -283,20 +202,20 @@ func New(keys []uint64, cfg core.Config, opt Options) *Store {
 }
 
 // Open builds a Store like New, returning engine errors instead of
-// panicking. With opt.Dir set it opens (or recovers) the persistent
-// engine rooted there, re-serves everything durable from the deserialized
-// segment models and persists the provided initial keys (idempotently —
-// keys already on disk are deduplicated).
-// The initial keys are a bulk load (storage.Engine.BulkLoad): written as
-// one segment file, never logged, and durable when Open returns — a crash
-// inside Open leaves all of them or none.
+// panicking. It opens the engine — with opt.Dir set, opening (or
+// recovering) the persistent one rooted there and re-serving everything
+// durable from the deserialized segment models — and bulk-loads the
+// initial keys (storage.Engine.BulkLoad), deduplicated against what is
+// already served: written as one segment file, never logged, and durable
+// when Open returns on a persistent store — a crash inside Open leaves all
+// of them or none.
 func Open(keys []uint64, cfg core.Config, opt Options) (*Store, error) {
 	return open(keys, &u64Ops, cfg, opt)
 }
 
 // NewString builds a string-keyed Store over the initial keys (any order;
-// duplicates dropped), the codec twin of New. Panics on an engine error
-// when opt.Dir is set; use OpenString to handle it.
+// duplicates dropped), the codec twin of New. Panics on an engine error;
+// use OpenString to handle it.
 func NewString(keys []string, cfg core.Config, opt Options) *Store {
 	s, err := OpenString(keys, cfg, opt)
 	if err != nil {
@@ -306,25 +225,22 @@ func NewString(keys []string, cfg core.Config, opt Options) *Store {
 }
 
 // OpenString builds a string-keyed Store like NewString, returning engine
-// errors instead of panicking. With opt.Dir set it opens (or recovers) the
-// persistent engine in string mode — v2 segment files, string WAL —
-// re-serves everything durable from the deserialized codec indexes, and
-// bulk-loads the initial keys as one v2 segment file, as Open does.
+// errors instead of panicking: the engine in string mode — v2 segment
+// files, string WAL — re-serving, with opt.Dir set, everything durable
+// from the deserialized codec indexes, and the initial keys bulk-loaded as
+// one v2 segment, as Open does.
 func OpenString(keys []string, cfg core.Config, opt Options) (*Store, error) {
 	return open(keys, &strOps, cfg, opt)
 }
 
-// open is Open and OpenString: an in-memory store, or with opt.Dir the
-// engine in the key mode of ops, bulk-loaded with keys.
-func open[K cmp.Ordered, S any](keys []K, ops *memOps[K, S], cfg core.Config, opt Options) (*Store, error) {
-	if opt.Dir == "" {
-		return newInMemory(keys, ops, cfg, opt)
-	}
+// open is Open and OpenString: the engine in the key mode of ops,
+// bulk-loaded with keys.
+func open[K cmp.Ordered](keys []K, ops *keyOps[K], cfg core.Config, opt Options) (*Store, error) {
 	s, err := openEngine(ops, cfg, opt)
 	if err != nil {
 		return nil, err
 	}
-	if err := ops.engBulkLoad(s.eng, keys); err != nil {
+	if err := ops.bulkLoad(s.eng, keys); err != nil {
 		s.closeDebug()
 		s.eng.Close()
 		return nil, err
@@ -332,38 +248,41 @@ func open[K cmp.Ordered, S any](keys []K, ops *memOps[K, S], cfg core.Config, op
 	return s, nil
 }
 
-// newStore returns a Store holding the fields every kind of store shares.
-func newStore(cfg core.Config, opt Options) *Store {
+// openEngine opens (or recovers) the engine in the key mode of ops — rooted
+// at opt.Dir, or on vfs.Discard without it — and returns the Store over it,
+// metrics wired: the shared prologue of open and openFollower. The store
+// starts no goroutine of its own: the engine drains itself at the merge
+// threshold.
+func openEngine[K cmp.Ordered](ops *keyOps[K], cfg core.Config, opt Options) (*Store, error) {
 	thresh := opt.MergeThreshold
 	if thresh <= 0 {
 		thresh = 4096
 	}
-	return &Store{cfg: cfg, thresh: thresh}
-}
-
-// openEngine opens (or recovers) the engine rooted at opt.Dir in the key
-// mode of ops and returns the Store over it, metrics wired: the shared
-// prologue of open and openFollower. The store starts no goroutine of its
-// own: the engine drains itself at the merge threshold.
-func openEngine[K cmp.Ordered, S any](ops *memOps[K, S], cfg core.Config, opt Options) (*Store, error) {
-	s := newStore(cfg, opt)
+	fs := opt.FS
+	if opt.Dir == "" {
+		fs = vfs.Discard
+	}
 	reg := obs.NewRegistry()
 	eng, err := storage.Open(opt.Dir, storage.Options{
 		Config:        cfg,
 		CompactFanout: opt.CompactFanout,
-		DrainKeys:     s.thresh,
+		DrainKeys:     thresh,
 		StringKeys:    ops.strKeys,
 		Reg:           reg,
-		FS:            opt.FS,
+		FS:            fs,
 	})
 	if err != nil {
 		return nil, err
 	}
-	s.eng = eng
-	s.mem = &memPlane[K, S]{s: s, ops: ops}
-	if err := s.initObs(reg, 0, opt.MetricsAddr); err != nil {
-		eng.Close()
-		return nil, err
+	s := &Store{eng: eng, persistent: opt.Dir != "", reg: reg, m: newStoreMetrics(reg)}
+	s.mode = &plane[K]{s: s, ops: ops}
+	if opt.MetricsAddr != "" {
+		dbg, err := obs.StartDebugServer(opt.MetricsAddr, reg.Snapshot)
+		if err != nil {
+			eng.Close()
+			return nil, err
+		}
+		s.dbg = dbg
 	}
 	return s, nil
 }
@@ -376,12 +295,11 @@ func (s *Store) closeDebug() {
 	}
 }
 
-// Insert buffers a key for its shard and wakes the merger once the buffer
-// passes the threshold. The key becomes visible to readers at the next
-// drain (background merge or Flush). On a persistent Store the key is
-// appended to the WAL instead (durable at the next Sync), and the engine
-// drains its pending keys itself; a write error is sticky in the engine
-// and surfaces on Sync/Flush/Close.
+// Insert appends a key to the engine's WAL (durable at the next Sync on a
+// persistent Store) and its pending list. The key becomes visible to
+// readers at the next drain — the engine's own, once MergeThreshold keys
+// are pending, or Flush. A write error is sticky in the engine and
+// surfaces on Sync/Flush/Close.
 func (s *Store) Insert(key uint64) { s.u64().insert(key) }
 
 // InsertString is Insert in the codec domain, with the same visibility
@@ -389,74 +307,58 @@ func (s *Store) Insert(key uint64) { s.u64().insert(key) }
 // store at the next Sync).
 func (s *Store) InsertString(key string) { s.str().insert(key) }
 
-// InsertDurable inserts keys and returns once they are crash-durable: on
-// a persistent Store the batch rides the engine's group-commit plane (a
-// cohort of concurrent InsertDurable callers shares one WAL frame and one
-// fsync), equivalent to Insert-per-key followed by Sync but without each
-// caller paying its own disk flush. Like Insert, the keys become readable
-// at the next drain or Flush. On an in-memory Store there is no
-// durability to wait for; the keys are simply inserted.
+// InsertDurable inserts keys and returns once they are crash-durable: the
+// batch rides the engine's group-commit plane (a cohort of concurrent
+// InsertDurable callers shares one WAL frame and one fsync), equivalent to
+// Insert-per-key followed by Sync but without each caller paying its own
+// disk flush. Like Insert, the keys become readable at the next drain or
+// Flush. On an in-memory Store the commit reaches vfs.Discard: there is
+// nothing to wait for.
 func (s *Store) InsertDurable(keys ...uint64) error { return s.u64().insertDurable(keys) }
 
 // InsertDurableString inserts string keys and returns once they are
 // crash-durable, riding the engine's group-commit plane like
-// InsertDurable. On an in-memory store the keys are simply inserted.
+// InsertDurable.
 func (s *Store) InsertDurableString(keys ...string) error { return s.str().insertDurable(keys) }
 
-// Flush synchronously drains every shard, on min(shards, GOMAXPROCS)
-// goroutines — a visibility barrier making all previously returned
-// Inserts readable. On a persistent Store it is an engine Flush: every
-// key inserted so far, the background drains' resident run included, lands
-// in one fsynced segment file and the WAL is trimmed.
+// Flush is a visibility barrier making all previously returned Inserts
+// readable: an engine Flush, so every key inserted so far, the background
+// drains' resident run included, lands in one segment — on a persistent
+// Store an fsynced file, after which the WAL is trimmed.
 func (s *Store) Flush() {
-	if s.eng != nil {
-		s.eng.Flush() // errors are sticky; surfaced by Sync/Close
-		return
-	}
-	s.mem.flush()
+	s.eng.Flush() // errors are sticky; surfaced by Sync/Close
 }
 
 // Sync is the durability barrier of a persistent Store: when it returns
 // nil, every Insert that returned before the call survives a crash (WAL
 // fsync acknowledgement). It also surfaces any sticky engine write error.
-// On an in-memory Store it is a no-op. On a follower store it returns
-// ErrFollowerStore: there is nothing local to make durable, because every
-// local write was refused.
+// On an in-memory Store there is nothing to acknowledge. On a follower
+// store it returns ErrFollowerStore: there is nothing local to make
+// durable, because every local write was refused.
 func (s *Store) Sync() error {
 	if s.repl.follower != nil {
 		return ErrFollowerStore
 	}
-	if s.eng == nil {
-		return nil
-	}
 	return s.eng.Sync()
 }
 
-// Close stops the background merger, then drains every shard once. Safe
-// to call more than once; an in-memory Store remains readable afterwards,
-// and Flush keeps working (drains run in the caller). An Insert that
-// lands after Close's drain of its shard stays buffered until the
-// caller's next Flush. A persistent Store flushes everything pending,
-// releases the engine, and reports any sticky write error; it must not be
-// used afterwards.
+// Close severs replication, flushes everything pending, releases the
+// engine, and reports any sticky write error. Safe to call more than
+// once; reads keep answering from the last published segment list, but
+// the store takes no write afterwards.
 func (s *Store) Close() error {
 	if s.closed.Swap(true) {
 		return nil
 	}
 	s.closeDebug()
 	s.closeRepl()
-	if s.eng != nil {
-		return s.eng.Close()
-	}
-	s.mem.stop()
-	return nil
+	return s.eng.Close()
 }
 
 // Lookup returns the global lower-bound position of key over the committed
 // view: the index of the first committed key >= key. Allocation-free: it
-// captures only the snapshots it reads (one atomic load per shard). On a
-// persistent Store the position is the exact sum of per-segment model
-// lookups (segments hold disjoint key sets).
+// loads the segment list once, and the position is the exact sum of
+// per-segment model lookups (segments hold disjoint key sets).
 //
 // Metrics on this path are fully sampled: an unsampled call pays one
 // multiply (obs.SampleKey), a 1-in-64 sampled call additionally times
@@ -471,48 +373,26 @@ func (s *Store) Lookup(key uint64) int { return s.u64().lookup(key) }
 // an unsampled call pays one sharded atomic add.
 func (s *Store) LookupString(key string) int { return s.str().lookup(key) }
 
-// Contains reports whether key is committed. On a persistent Store each
-// segment whose fence holds key ranks it through its model, and the key at
-// that position answers.
+// Contains reports whether key is committed: each segment whose fence
+// holds key ranks it through its model, and the key at that position
+// answers.
 func (s *Store) Contains(key uint64) bool { return s.u64().has(key) }
 
 // ContainsString reports whether a string key is committed.
 func (s *Store) ContainsString(key string) bool { return s.str().has(key) }
 
 // Len returns the number of distinct committed keys.
-func (s *Store) Len() int {
-	if s.eng != nil {
-		return s.eng.Len()
-	}
-	return s.mem.len()
-}
+func (s *Store) Len() int { return s.eng.Len() }
 
-// Pending returns the number of buffered (not yet visible) inserts,
+// Pending returns the number of pending (not yet visible) inserts,
 // counting duplicates that a drain would absorb.
-func (s *Store) Pending() int {
-	if s.eng != nil {
-		return s.eng.PendingLen()
-	}
-	return s.mem.pending()
-}
+func (s *Store) Pending() int { return s.eng.PendingLen() }
 
-// Merges returns how many snapshot publications have happened (engine
-// drains and flushes on a persistent Store).
+// Merges returns how many segment-list publications have happened: engine
+// drains and flushes, the initial bulk load included.
 func (s *Store) Merges() int {
-	if s.eng != nil {
-		st := s.eng.Stats()
-		return st.Drains + st.Flushes
-	}
-	return int(s.m.swaps.Load())
-}
-
-// NumShards returns the partition count (1 on a persistent Store, whose
-// sharding is the segment list).
-func (s *Store) NumShards() int {
-	if s.eng != nil {
-		return 1
-	}
-	return s.mem.numShards()
+	st := s.eng.Stats()
+	return st.Drains + st.Flushes
 }
 
 // StorageStats returns the disk engine's statistics and true when the
@@ -522,7 +402,7 @@ func (s *Store) NumShards() int {
 // construction — and it is read consistently: a Stats racing a flush
 // never shows a segment before the flush that produced it.
 func (s *Store) StorageStats() (storage.Stats, bool) {
-	if s.eng == nil {
+	if !s.persistent {
 		return storage.Stats{}, false
 	}
 	return s.eng.Stats(), true
@@ -532,33 +412,27 @@ func (s *Store) StorageStats() (storage.Stats, bool) {
 // caused it: storage.HealthOK (nil error) on full service, HealthDegraded
 // when the segment plane failed and the store went read-only, and
 // HealthFailed when the commit plane failed and the engine is fail-stop
-// (see the storage package's failure model). A purely in-memory Store is
-// always HealthOK. Reads keep serving in every state.
-func (s *Store) Health() (storage.Health, error) {
-	if s.eng == nil {
-		return storage.HealthOK, nil
-	}
-	return s.eng.Health()
-}
+// (see the storage package's failure model). An in-memory Store's
+// filesystem never fails, so it stays HealthOK. Reads keep serving in
+// every state.
+func (s *Store) Health() (storage.Health, error) { return s.eng.Health() }
 
 // Scrub re-verifies every live segment file's checksum on a persistent
 // Store, rewriting any corrupt file from the in-memory image, and reports
 // how many segments were checked and healed. A no-op (0, 0, nil) on an
 // in-memory Store.
 func (s *Store) Scrub() (checked, healed int, err error) {
-	if s.eng == nil {
+	if !s.persistent {
 		return 0, 0, nil
 	}
 	return s.eng.Scrub()
 }
 
-// Metrics returns a point-in-time snapshot of every metric the Store —
-// and, when persistent, its storage engine — publishes: traffic counters,
-// latency/size histograms, per-shard drain/retrain durations and queue
-// depths, and (persistent) WAL, flush, compaction and model-health
-// series. Safe to call concurrently with any
-// other Store method; serialize with Snapshot.WritePrometheus or
-// Snapshot.WriteJSON.
+// Metrics returns a point-in-time snapshot of every metric the Store and
+// its storage engine publish: traffic counters, latency/size histograms,
+// and the engine's WAL, drain, flush, compaction and per-segment
+// model-health series. Safe to call concurrently with any other Store
+// method; serialize with Snapshot.WritePrometheus or Snapshot.WriteJSON.
 func (s *Store) Metrics() *obs.Snapshot { return s.reg.Snapshot() }
 
 // Registry exposes the Store's metrics registry so embedders can register
@@ -569,10 +443,7 @@ func (s *Store) Registry() *obs.Registry { return s.reg }
 // store (string methods valid), false for a uint64 store. Embedders that
 // front the store generically — the network server, for one — use it to
 // pick the right method family instead of guessing and panicking.
-func (s *Store) StringKeys() bool {
-	_, ok := s.mem.(*strPlane)
-	return ok
-}
+func (s *Store) StringKeys() bool { return s.eng.StringKeys() }
 
 // DebugAddr returns the bound address of the Options.MetricsAddr debug
 // listener ("host:port", useful with a ":0" request), or "" when none was
@@ -585,22 +456,18 @@ func (s *Store) DebugAddr() string {
 }
 
 // LookupBatch answers Lookup for every probe, in probe order, against one
-// consistent captured view. The batch is neither sorted nor split. In
-// memory each probe picks its shard with a branchless compare against the
-// split keys and the whole batch goes through core's batch kernel as it
-// arrived, so one lockstep search keeps the misses of every probe — across
-// all shards — in flight together. A persistent store hands the batch to
-// the engine's rank kernel, which fences every probe against every segment
-// of one captured list and runs only the in-fence (probe, segment) pairs
-// through the same core kernel. Either way the answers land in probe order
-// with nothing to un-permute.
+// consistent captured view. The batch is neither sorted nor split: the
+// engine's rank kernel fences every probe against every segment of one
+// captured list and runs the in-fence (probe, segment) pairs through core's
+// batch kernel together, so one lockstep search keeps the misses of every
+// probe in flight at once, and the answers land in probe order with
+// nothing to un-permute.
 func (s *Store) LookupBatch(probes []uint64) []int { return s.u64().lookupBatch(probes) }
 
 // LookupBatchString is LookupBatch for a string-keyed store: every probe,
-// in probe order, against one consistent captured view, through the same
-// kernels — core.LookupBatchStrings over every shard's codec index in
-// memory, the engine's rank kernel over one captured segment list on a
-// persistent store — and counted in the same batch metrics.
+// in probe order, against one consistent captured view, through the
+// engine's rank kernel over one captured segment list, counted in the same
+// batch metrics.
 func (s *Store) LookupBatchString(probes []string) []int { return s.str().lookupBatch(probes) }
 
 // ContainsBatch reports membership for every probe, in probe order,

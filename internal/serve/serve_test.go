@@ -16,28 +16,22 @@ func oracle(keys []uint64, k uint64) int {
 }
 
 // TestStoreLookupMatchesOracle: with no pending inserts, global positions
-// over the sharded store equal lower bounds over the flat sorted array, for
-// every shard count including degenerate ones.
+// over the store equal lower bounds over the flat sorted array.
 func TestStoreLookupMatchesOracle(t *testing.T) {
 	keys := data.LognormalPaper(60_000, 1)
 	probes := append(data.SampleExisting(keys, 3000, 2), data.SampleMissing(keys, 1000, 3)...)
-	for _, nsh := range []int{1, 3, 8, 16} {
-		st := New(keys, core.Config{}, Options{Shards: nsh})
-		if st.NumShards() != nsh {
-			t.Fatalf("shards = %d, want %d", st.NumShards(), nsh)
+	st := New(keys, core.Config{}, Options{})
+	defer st.Close()
+	if st.Len() != len(keys) {
+		t.Fatalf("Len = %d, want %d", st.Len(), len(keys))
+	}
+	for _, p := range probes {
+		if got, want := st.Lookup(p), oracle(keys, p); got != want {
+			t.Fatalf("Lookup(%d) = %d, want %d", p, got, want)
 		}
-		if st.Len() != len(keys) {
-			t.Fatalf("shards=%d: Len = %d, want %d", nsh, st.Len(), len(keys))
+		if got, want := st.Contains(p), keys.Contains(p); got != want {
+			t.Fatalf("Contains(%d) = %v, want %v", p, got, want)
 		}
-		for _, p := range probes {
-			if got, want := st.Lookup(p), oracle(keys, p); got != want {
-				t.Fatalf("shards=%d: Lookup(%d) = %d, want %d", nsh, p, got, want)
-			}
-			if got, want := st.Contains(p), keys.Contains(p); got != want {
-				t.Fatalf("shards=%d: Contains(%d) = %v, want %v", nsh, p, got, want)
-			}
-		}
-		st.Close()
 	}
 }
 
@@ -47,7 +41,7 @@ func TestStoreLookupMatchesOracle(t *testing.T) {
 func TestStoreBatchMatchesPerKey(t *testing.T) {
 	keys := data.LognormalPaper(60_000, 4)
 	maxKey := keys[len(keys)-1]
-	st := New(keys, core.Config{}, Options{Shards: 8})
+	st := New(keys, core.Config{}, Options{})
 	defer st.Close()
 
 	batches := map[string][]uint64{
@@ -83,7 +77,7 @@ func TestStoreBatchMatchesPerKey(t *testing.T) {
 // drain, Flush is a visibility barrier, and duplicates never inflate Len.
 func TestStoreInsertVisibilityAndSetSemantics(t *testing.T) {
 	keys := data.Dense(10_000, 0, 10) // 0, 10, 20, ...
-	st := New(keys, core.Config{}, Options{Shards: 4, MergeThreshold: 1 << 20})
+	st := New(keys, core.Config{}, Options{MergeThreshold: 1 << 20})
 	defer st.Close()
 
 	st.Insert(5)
@@ -118,47 +112,40 @@ func TestStoreInsertVisibilityAndSetSemantics(t *testing.T) {
 	}
 }
 
-// TestStoreBackgroundMerge: crossing the threshold must drain a shard in
-// the background, with no Flush or Close before the checks. A hot shard
-// takes many thresholds of keys; a cold shard takes exactly one, in the
-// middle of the hot stream, so its one wake can coincide with the hot
-// shard's. The store must come to rest with every shard below the
-// threshold and every key either served or pending.
+// TestStoreBackgroundMerge: keys that reach the merge threshold must be
+// served by the engine's own drain, with no Flush or Close before the
+// checks, in both key modes; the store must come to rest with fewer than
+// the threshold pending and every key served or pending.
 func TestStoreBackgroundMerge(t *testing.T) {
-	const thresh, hot, cold = 64, 1000, 64
-	keys := data.Dense(4096, 0, 4) // two shards split at 8192
-	st := New(keys, core.Config{}, Options{Shards: 2, MergeThreshold: thresh})
-	defer st.Close()
-	coldKey := func(i uint64) uint64 { return 8192 + i*4 + 1 }
-	for i := uint64(0); i < hot; i++ {
-		st.Insert(i*4 + 1)
-		if i%8 == 0 && i/8 < cold {
-			st.Insert(coldKey(i / 8))
+	const thresh, inserts = 64, 1000
+	keys := data.Dense(4096, 0, 4)
+	for _, strMode := range []bool{false, true} {
+		sf := openBatchSurface(t, strMode, keys, Options{MergeThreshold: thresh})
+		st := sf.st
+		for i := uint64(0); i < inserts; i++ {
+			sf.insert(i*4 + 1)
 		}
-	}
-	resting := func() bool {
-		for i := 0; i < st.NumShards(); i++ {
-			if queued, _ := st.mem.shardState(i); queued >= thresh {
-				return false
+		resting := func() bool {
+			return st.Pending() < thresh && st.Len()+st.Pending() == len(keys)+inserts
+		}
+		for deadline := time.Now().Add(10 * time.Second); !resting(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("str=%v: drains never came to rest: %d served, %d pending", strMode, st.Len(), st.Pending())
 			}
 		}
-		return st.Len()+st.Pending() == len(keys)+hot+cold
-	}
-	for deadline := time.Now().Add(10 * time.Second); !resting(); time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatalf("merger never came to rest: %d served, %d pending", st.Len(), st.Pending())
+		served := st.Len() - len(keys)
+		if served < inserts-thresh+1 {
+			t.Fatalf("str=%v: %d of %d inserted keys served in the background", strMode, served, inserts)
 		}
-	}
-	if queued, _ := st.mem.shardState(1); queued != 0 {
-		t.Fatalf("cold shard holds %d keys after one threshold's wake", queued)
-	}
-	if served := st.Len() - len(keys); served <= hot+cold-thresh {
-		t.Fatalf("%d of %d inserted keys served in the background", served, hot+cold)
-	}
-	for i := uint64(0); i < cold; i++ {
-		if !st.Contains(coldKey(i)) {
-			t.Fatalf("cold shard key %d not served", coldKey(i))
+		for i := uint64(0); i < uint64(served); i++ { // drains keep insertion order's prefix
+			if !sf.contains(i*4 + 1) {
+				t.Fatalf("str=%v: drained key %d not served", strMode, i*4+1)
+			}
 		}
+		if st.Merges() < 2 {
+			t.Fatalf("str=%v: %d publications, want the bulk load and a drain", strMode, st.Merges())
+		}
+		st.Close()
 	}
 }
 
@@ -168,7 +155,7 @@ func TestStoreBackgroundMerge(t *testing.T) {
 // invariants during the storm; exactness is checked after the barrier.
 func TestStoreConcurrent(t *testing.T) {
 	base := data.LognormalPaper(30_000, 11)
-	st := New(base, core.Config{}, Options{Shards: 8, MergeThreshold: 256})
+	st := New(base, core.Config{}, Options{MergeThreshold: 256})
 	defer st.Close()
 
 	const (

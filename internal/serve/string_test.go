@@ -109,12 +109,12 @@ func checkStringStoreOracle(t *testing.T, s *Store, oracle []string, rng *rand.R
 }
 
 // TestStringStoreOracleInMemory seeds an in-memory string store, inserts a
-// second wave (hitting buffers, drains, and retrains), and checks the full
+// second wave (hitting the pending list, drains, and retrains), and checks the full
 // oracle before and after a Flush barrier.
 func TestStringStoreOracleInMemory(t *testing.T) {
 	keys := strOracleKeys(30_000, 1)
 	initial, extra := keys[:20_000], keys[20_000:]
-	s := NewString(initial, core.Config{}, Options{Shards: 5, MergeThreshold: 512})
+	s := NewString(initial, core.Config{}, Options{MergeThreshold: 512})
 	defer s.Close()
 	for _, k := range extra {
 		s.InsertString(k)
@@ -123,16 +123,13 @@ func TestStringStoreOracleInMemory(t *testing.T) {
 	oracle := slices.Clone(keys)
 	slices.Sort(oracle)
 	checkStringStoreOracle(t, s, oracle, rand.New(rand.NewSource(2)))
-	if s.NumShards() != 5 {
-		t.Fatalf("NumShards=%d", s.NumShards())
-	}
 }
 
 // TestStringStoreScanSeesBuffered locks in the scan visibility rule:
-// still-buffered string inserts are streamed (and counted) before any
+// still-pending string inserts are streamed (and counted) before any
 // drain publishes them.
 func TestStringStoreScanSeesBuffered(t *testing.T) {
-	s := NewString([]string{"b", "d", "f"}, core.Config{}, Options{Shards: 2, MergeThreshold: 1 << 20})
+	s := NewString([]string{"b", "d", "f"}, core.Config{}, Options{MergeThreshold: 1 << 20})
 	defer s.Close()
 	s.InsertString("a")
 	s.InsertString("e")
@@ -197,12 +194,12 @@ func TestStringStoreEndToEndPersistent(t *testing.T) {
 }
 
 // TestStringStoreConcurrent hammers a string store from concurrent
-// inserters, readers, and scanners while background drains retrain shards
+// inserters, readers, and scanners while background drains retrain the resident run
 // — the -race stress for the string mode.
 func TestStringStoreConcurrent(t *testing.T) {
 	keys := strOracleKeys(12_000, 20)
 	initial, inserts := keys[:8_000], keys[8_000:]
-	s := NewString(initial, core.Config{}, Options{Shards: 4, MergeThreshold: 256})
+	s := NewString(initial, core.Config{}, Options{MergeThreshold: 256})
 	defer s.Close()
 
 	var writers, readers sync.WaitGroup
@@ -259,7 +256,7 @@ func TestStringStoreConcurrent(t *testing.T) {
 // (an empty range included).
 func TestStringStoreModePanics(t *testing.T) {
 	for _, disk := range []bool{false, true} {
-		opt := Options{Shards: 2}
+		opt := Options{}
 		if disk {
 			opt = Options{Dir: t.TempDir()}
 		}

@@ -31,7 +31,7 @@ func TestServerRoundTripUint64(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		keys = append(keys, uint64(i)*10)
 	}
-	st := serve.New(keys, core.Config{}, serve.Options{Shards: 4})
+	st := serve.New(keys, core.Config{}, serve.Options{})
 	defer st.Close()
 	_, tr := startServer(t, st, Options{})
 
@@ -122,7 +122,7 @@ func TestServerRoundTripString(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		keys = append(keys, fmt.Sprintf("k%05d", i*7))
 	}
-	st := serve.NewString(keys, core.Config{}, serve.Options{Shards: 4})
+	st := serve.NewString(keys, core.Config{}, serve.Options{})
 	defer st.Close()
 	_, tr := startServer(t, st, Options{})
 
@@ -205,7 +205,7 @@ func TestServerRoundTripString(t *testing.T) {
 }
 
 func TestServerModeMismatchHandshake(t *testing.T) {
-	st := serve.New([]uint64{1, 2, 3}, core.Config{}, serve.Options{Shards: 1})
+	st := serve.New([]uint64{1, 2, 3}, core.Config{}, serve.Options{})
 	defer st.Close()
 	_, tr := startServer(t, st, Options{})
 
@@ -220,7 +220,7 @@ func TestServerModeMismatchHandshake(t *testing.T) {
 }
 
 func TestServerModeGuards(t *testing.T) {
-	st := serve.New([]uint64{1}, core.Config{}, serve.Options{Shards: 1})
+	st := serve.New([]uint64{1}, core.Config{}, serve.Options{})
 	defer st.Close()
 	_, tr := startServer(t, st, Options{})
 	c, err := Dial(tr, "node0", false, ClientOptions{})
@@ -239,7 +239,7 @@ func TestServerModeGuards(t *testing.T) {
 // TestServerGracefulDrain: Close must let an in-flight request finish and
 // flush its response before the connection dies.
 func TestServerGracefulDrain(t *testing.T) {
-	st := serve.New([]uint64{1, 2, 3}, core.Config{}, serve.Options{Shards: 1})
+	st := serve.New([]uint64{1, 2, 3}, core.Config{}, serve.Options{})
 	defer st.Close()
 	srv, tr := startServer(t, st, Options{DrainTimeout: 2 * time.Second})
 
@@ -289,7 +289,7 @@ func TestServerInflightBound(t *testing.T) {
 	for i := range keys {
 		keys[i] = uint64(i)
 	}
-	st := serve.New(keys, core.Config{}, serve.Options{Shards: 2})
+	st := serve.New(keys, core.Config{}, serve.Options{})
 	defer st.Close()
 	_, tr := startServer(t, st, Options{MaxInflight: 2})
 
@@ -343,7 +343,7 @@ func TestServerOpenEndedRangeSeesBuffered(t *testing.T) {
 			name = "persistent"
 		}
 		opt := func(t *testing.T) serve.Options {
-			o := serve.Options{Shards: 2, MergeThreshold: 1 << 30} // drains only on Flush
+			o := serve.Options{MergeThreshold: 1 << 30} // drains only on Flush
 			if persistent {
 				o.Dir = t.TempDir()
 			}

@@ -72,7 +72,7 @@ func timeouts(st *serve.Store) int64 { return st.Metrics().Counter("lix_server_t
 // the close once.
 func TestServerIdleTimeout(t *testing.T) {
 	const idle = 120 * time.Millisecond
-	st := serve.New([]uint64{1, 2, 3}, core.Config{}, serve.Options{Shards: 1})
+	st := serve.New([]uint64{1, 2, 3}, core.Config{}, serve.Options{})
 	defer st.Close()
 	_, tr := startServer(t, st, Options{IdleTimeout: idle})
 
@@ -109,7 +109,7 @@ func TestServerWriteTimeout(t *testing.T) {
 	for i := range keys {
 		keys[i] = 1<<62 + uint64(i) // 9 wire bytes per key: a page is ~590 KB
 	}
-	st := serve.New(keys, core.Config{}, serve.Options{Shards: 2})
+	st := serve.New(keys, core.Config{}, serve.Options{})
 	defer st.Close()
 	_, tr := startServer(t, st, Options{WriteTimeout: writeTO, IdleTimeout: 10 * time.Second})
 
@@ -189,7 +189,7 @@ func TestClientTimeout(t *testing.T) {
 		t.Fatalf("RPC against a mute server: err %v after %v, Timeout is %v", err, took, timeout)
 	}
 
-	st := serve.New([]uint64{1, 2, 3}, core.Config{}, serve.Options{Shards: 1})
+	st := serve.New([]uint64{1, 2, 3}, core.Config{}, serve.Options{})
 	defer st.Close()
 	srv := NewServer(st, Options{})
 	if err := srv.Serve(tr, "node0"); err != nil {
@@ -217,7 +217,7 @@ func TestClientResultsSurviveNextRPC(t *testing.T) {
 		keys[i] = uint64(i) * 2
 		strs[i] = fmt.Sprintf("k%04d", i*2)
 	}
-	st := serve.New(keys, core.Config{}, serve.Options{Shards: 2})
+	st := serve.New(keys, core.Config{}, serve.Options{})
 	defer st.Close()
 	_, tr := startServer(t, st, Options{})
 	c, err := Dial(tr, "node0", false, ClientOptions{})
@@ -253,7 +253,7 @@ func TestClientResultsSurviveNextRPC(t *testing.T) {
 		t.Fatalf("results changed under the next RPC: %v %v %v, were %v %v %v", bs, pos, page, wantBs, wantPos, wantPage)
 	}
 
-	sst := serve.NewString(strs, core.Config{}, serve.Options{Shards: 2})
+	sst := serve.NewString(strs, core.Config{}, serve.Options{})
 	defer sst.Close()
 	ssrv := NewServer(sst, Options{})
 	if err := ssrv.Serve(tr, "node1"); err != nil {
@@ -283,7 +283,7 @@ func TestClientResultsSurviveNextRPC(t *testing.T) {
 // finished, a Finish result views the client's buffer until the next Start,
 // and Start/Finish out of turn is an error, not a mis-paired answer.
 func TestClientSplitPhase(t *testing.T) {
-	st := serve.New([]uint64{10, 20, 30}, core.Config{}, serve.Options{Shards: 1})
+	st := serve.New([]uint64{10, 20, 30}, core.Config{}, serve.Options{})
 	defer st.Close()
 	_, tr := startServer(t, st, Options{})
 	a, err := Dial(tr, "node0", false, ClientOptions{})

@@ -1,7 +1,6 @@
 // Package slicepool is the one shared implementation of the pooled-slice
-// pattern the write path leans on: WAL record encode buffers, the storage
-// engine's pending-key buffers, and the serving layer's drained shard
-// buffers all recycle through a Pool so sustained ingest stops re-growing
+// pattern the write path leans on: WAL record encode buffers and the
+// storage engine's pending-key buffers recycle through a Pool so sustained ingest stops re-growing
 // hot-path slices (and a future change to the retention discipline lands
 // in exactly one place).
 package slicepool

@@ -251,7 +251,7 @@ func TestBulkLoadRefusesUnspilledKeys(t *testing.T) {
 
 // TestEngineMetricsBulkLoad: a bulk load writes a segment file, so it counts
 // as a flush — lix_storage_flushes_total and lix_storage_flush_ns — trains
-// one model and leaves the log empty.
+// one model, publishes its model-health series and leaves the log empty.
 func TestEngineMetricsBulkLoad(t *testing.T) {
 	modes(t, func(t *testing.T, str bool) {
 		reg := obs.NewRegistry()
@@ -269,6 +269,13 @@ func TestEngineMetricsBulkLoad(t *testing.T) {
 		}
 		if st.ModelsTrained != 1 || st.Segments != 1 || st.DiskBytes == 0 {
 			t.Fatalf("%d models trained, %d segments, %d bytes on disk", st.ModelsTrained, st.Segments, st.DiskBytes)
+		}
+		// Model health is published per segment in both key modes: a string
+		// segment's prefix plan is a plan like any other.
+		for _, base := range []string{"lix_segment_model_err", "lix_segment_search_window", "lix_segment_trained_err_bound"} {
+			if got := s.Series(base); len(got) != st.Segments {
+				t.Fatalf("%s series %v, want one per segment (%d)", base, got, st.Segments)
+			}
 		}
 		if obs.Enabled {
 			if h := s.Histogram("lix_storage_flush_ns"); h.Count != 1 {

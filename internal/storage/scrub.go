@@ -2,6 +2,7 @@ package storage
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"log"
 	"slices"
@@ -54,18 +55,40 @@ func encodeLiveSegment(s *segment) ([]byte, error) {
 	return encodeSegment(s.keys, s.rmi)
 }
 
+// liveImageLen is len(encodeLiveSegment(s)), measured without encoding.
+func liveImageLen(s *segment) (int, error) {
+	rb, err := s.rmi.AppendBinary(nil)
+	if err != nil {
+		return 0, err
+	}
+	rest := blockLen(len(rb)) + len(emptySlot)
+	if s.isString() {
+		rest += blockLen(s.sindex.Dict().EncodedLen())
+	}
+	return imageLen(s.keys, rest), nil
+}
+
 // Scrub re-verifies every live segment file's checksum and rewrites any
 // corrupt one from the in-memory image (the resident run has no file and
 // is passed over: the WAL holds its keys). It returns how many segments were
-// checked and healed; err reports the first heal that itself failed
-// (the segment keeps serving from memory either way). Safe to call
-// concurrently with everything.
+// checked and healed; err reports the first heal that itself failed (the
+// segment keeps serving from memory either way) or, on a filesystem that
+// keeps nothing, the first file it could not read back (wrapping
+// vfs.ErrDiscarded; such a segment is neither checked nor healed). Safe to
+// call concurrently with everything.
 func (e *Engine) Scrub() (checked, healed int, err error) {
 	for _, s := range *e.segs.Load() {
 		if s.resident() {
 			continue
 		}
 		data, rerr := e.fs.ReadFile(s.path)
+		if errors.Is(rerr, vfs.ErrDiscarded) {
+			// The filesystem kept no file to verify or heal (vfs.Discard).
+			if err == nil {
+				err = fmt.Errorf("storage: scrub %s: %w", s.name(), rerr)
+			}
+			continue
+		}
 		verr := rerr
 		if rerr == nil {
 			verr = verifySegmentImage(data)

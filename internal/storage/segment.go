@@ -150,11 +150,7 @@ func parseSegmentFileName(name string) (seqLo, seqHi uint64, ok bool) {
 // rest more body bytes, checksum — and encodes the key block in place. The
 // caller appends exactly rest bytes of sections and seals the image.
 func newSegmentImage(magic [8]byte, keys []uint64, rest int) []byte {
-	block := binenc.UvarintLen(keys[0])
-	for i := 1; i < len(keys); i++ {
-		block += binenc.UvarintLen(keys[i] - keys[i-1])
-	}
-	img := make([]byte, 0, len(magic)+binenc.UvarintLen(uint64(len(keys)))+block+rest+4)
+	img := make([]byte, 0, imageLen(keys, rest))
 	img = append(img, magic[:]...)
 	img = binenc.AppendUvarint(img, uint64(len(keys)))
 	img = binenc.AppendUvarint(img, keys[0])
@@ -162,6 +158,17 @@ func newSegmentImage(magic [8]byte, keys []uint64, rest int) []byte {
 		img = binenc.AppendUvarint(img, keys[i]-keys[i-1])
 	}
 	return img
+}
+
+// imageLen is the size of a file image over keys with rest more body
+// bytes: magic, the count-prefixed delta-varint key block, the rest, the
+// checksum.
+func imageLen(keys []uint64, rest int) int {
+	block := binenc.UvarintLen(keys[0])
+	for i := 1; i < len(keys); i++ {
+		block += binenc.UvarintLen(keys[i] - keys[i-1])
+	}
+	return len(segMagic) + binenc.UvarintLen(uint64(len(keys))) + block + rest + 4
 }
 
 // sealSegmentImage appends the checksum of the body (everything after the
@@ -268,12 +275,24 @@ func buildSegment(seqLo, seqHi uint64, keys []uint64, cfg core.Config) *segment 
 // commits the image to dir crash-safely under the name of its sequence
 // range (vfs.CommitFile; ignored errors go to ignored). Only then does the
 // segment carry a path and a size on disk.
+//
+// On vfs.Discard, which keeps no byte of it, the image is measured instead
+// of encoded: the encode is most of a bulk load there (an 8M-key segment's
+// ~100 ms against its fit), and the size is what compaction tiers by.
 func commitSegment(fs vfs.FS, ignored func(ctx string, err error), dir string, s *segment) error {
+	final := filepath.Join(dir, segmentFileName(s.seqLo, s.seqHi))
+	if fs == vfs.Discard {
+		n, err := liveImageLen(s)
+		if err != nil {
+			return err
+		}
+		s.path, s.diskBytes = final, int64(n)
+		return nil
+	}
 	img, err := encodeLiveSegment(s)
 	if err != nil {
 		return err
 	}
-	final := filepath.Join(dir, segmentFileName(s.seqLo, s.seqHi))
 	if err := vfs.CommitFile(fs, final, img, ignored); err != nil {
 		return err
 	}

@@ -1233,9 +1233,6 @@ func (e *Engine) collect(s *obs.Snapshot) {
 	var allErr, allLen obs.HistSnapshot
 	maxBound := 0
 	for _, sg := range segs {
-		if sg.plan == nil {
-			continue // string segments: codec index, no uint64 plan
-		}
 		name := sg.name()
 		errH, lenH := sg.plan.ObsModelErr(), sg.plan.ObsSearchLen()
 		bound := sg.plan.TrainedErrBound()

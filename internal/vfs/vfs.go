@@ -1,8 +1,9 @@
 // Package vfs is the storage engine's filesystem seam: a small interface
 // covering exactly the operations the durability layer performs — open,
 // read, rename, remove, list, the two fsync flavors (file and directory)
-// and block reservation — with a passthrough OS implementation and a
-// deterministic seeded fault injector (fault.go).
+// and block reservation — with a passthrough OS implementation, Discard (a
+// filesystem that writes nowhere: the ground an in-memory store runs the
+// engine on) and a deterministic seeded fault injector (fault.go).
 //
 // The seam exists so the failure model of internal/storage is *testable*:
 // every fsync error, short write, ENOSPC, torn rename, and read corruption
@@ -14,6 +15,7 @@
 package vfs
 
 import (
+	"errors"
 	"io"
 	"os"
 	"path/filepath"
@@ -148,3 +150,37 @@ func (osFS) SyncDir(dir string) error {
 	}
 	return cerr
 }
+
+// ErrDiscarded is what every read on Discard fails with: the filesystem
+// kept none of the bytes written to it, so a read back can serve neither
+// stale nor empty data.
+var ErrDiscarded = errors.New("vfs: read back from a filesystem that keeps nothing")
+
+// Discard is the filesystem that writes nowhere: opening, writing,
+// reserving, syncing, closing, renaming, removing and creating directories
+// all succeed and keep nothing, a directory lists empty, and every read
+// back (ReadFile, ReadAt) fails with ErrDiscarded. An engine opened on it
+// finds nothing to recover and serves from memory alone.
+var Discard FS = discardFS{}
+
+type discardFS struct{}
+
+func (discardFS) OpenFile(string, int, os.FileMode) (File, error) { return discardFile{}, nil }
+
+func (discardFS) ReadFile(name string) ([]byte, error) {
+	return nil, &os.PathError{Op: "read", Path: name, Err: ErrDiscarded}
+}
+
+func (discardFS) Rename(string, string) error           { return nil }
+func (discardFS) Remove(string) error                   { return nil }
+func (discardFS) ReadDir(string) ([]os.DirEntry, error) { return nil, nil }
+func (discardFS) MkdirAll(string, os.FileMode) error    { return nil }
+func (discardFS) SyncDir(string) error                  { return nil }
+
+type discardFile struct{}
+
+func (discardFile) Write(p []byte) (int, error)       { return len(p), nil }
+func (discardFile) ReadAt([]byte, int64) (int, error) { return 0, ErrDiscarded }
+func (discardFile) Sync() error                       { return nil }
+func (discardFile) Allocate(int64) error              { return nil }
+func (discardFile) Close() error                      { return nil }

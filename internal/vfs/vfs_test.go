@@ -287,3 +287,50 @@ func TestReadCorruptFlipsOneBit(t *testing.T) {
 		t.Fatal("ReadCorrupt modified the file on disk")
 	}
 }
+
+// TestDiscard drives every FS method of Discard: the write side succeeds
+// and keeps nothing, and every read back fails with ErrDiscarded rather
+// than serve stale or empty bytes.
+func TestDiscard(t *testing.T) {
+	if err := Discard.MkdirAll("d", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	f, err := Discard.OpenFile("d/f.tmp", os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := f.Write([]byte("hello")); n != 5 || err != nil {
+		t.Fatalf("Write = %d, %v", n, err)
+	}
+	if err := f.Allocate(1 << 20); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.ReadAt(make([]byte, 5), 0); !errors.Is(err, ErrDiscarded) {
+		t.Fatalf("ReadAt err = %v, want ErrDiscarded", err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := Discard.Rename("d/f.tmp", "d/f.dat"); err != nil {
+		t.Fatal(err)
+	}
+	if err := Discard.SyncDir("d"); err != nil {
+		t.Fatal(err)
+	}
+	if ents, err := Discard.ReadDir("d"); err != nil || len(ents) != 0 {
+		t.Fatalf("ReadDir = %v, %v; want empty", ents, err)
+	}
+	if data, err := Discard.ReadFile("d/f.dat"); !errors.Is(err, ErrDiscarded) || data != nil {
+		t.Fatalf("ReadFile = %q, %v; want ErrDiscarded", data, err)
+	}
+	if err := Discard.Remove("d/f.dat"); err != nil {
+		t.Fatal(err)
+	}
+	// CommitFile, a segment publication, runs to completion.
+	if err := CommitFile(Discard, "d/seg", []byte("image"), nil); err != nil {
+		t.Fatal(err)
+	}
+}

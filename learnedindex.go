@@ -14,8 +14,8 @@
 //	// the keys themselves are sortedKeys[lo:hi] — position arithmetic only
 //
 // The concurrent Store adds the streaming range-query surface on top: Scan
-// merges every layer a key can live in (insert buffers, shard snapshots,
-// on-disk segments) into one ascending deduplicated stream, entered at the
+// merges every layer a key can live in (pending inserts, the resident
+// run, segments) into one ascending deduplicated stream, entered at the
 // model-predicted position, and CountRange answers a learned COUNT by pure
 // position arithmetic:
 //
@@ -92,25 +92,27 @@ type (
 
 // Serving layer: the concurrent entry point (internal/serve).
 type (
-	// Store is the thread-safe sharded serving layer: range-partitioned
-	// shards, lock-free RCU-style reads, buffered inserts merged and
-	// retrained concurrently across shards (on at most GOMAXPROCS
-	// drainers), and batched lookups that overlap a whole probe
-	// batch's cache misses in one lockstep search across every shard, in
-	// probe order. See the package comment of
-	// internal/serve for the consistency model. With StoreOptions.Dir set
+	// Store is the thread-safe serving layer over the storage engine:
+	// lock-free RCU-style reads of a published segment list, inserts
+	// drained and retrained in the background once MergeThreshold are
+	// pending, background compaction, and batched lookups that overlap a
+	// whole probe batch's cache misses in one lockstep search across every
+	// segment, in probe order. See the package comment of internal/serve
+	// for the consistency model. Without StoreOptions.Dir the engine runs
+	// on a filesystem that writes nowhere (an in-memory store); with it
 	// (open with OpenStore) the Store is persistent: WAL-backed inserts
 	// with a Sync durability barrier and a group-committed InsertDurable
 	// (concurrent durable writers share one WAL frame and one fsync),
-	// learned segment files, crash recovery, and background compaction.
+	// learned segment files, and crash recovery.
 	// Scan/ScanBatch stream any key range [lo, hi) snapshot-consistently
 	// (see Iterator) and CountRange answers exact range counts by position
-	// arithmetic — two compiled-plan lookups per layer, zero iteration.
+	// arithmetic — two compiled-plan lookups per segment, zero iteration.
 	// ScanFrom and CountFrom are their open-ended [lo, ∞) forms, the only
 	// ones that reach the maximal key.
 	Store = serve.Store
-	// StoreOptions sets the shard count and per-shard merge threshold,
-	// and — via Dir — switches the Store to the persistent storage engine.
+	// StoreOptions sets the drain threshold and compaction fanout, and —
+	// via Dir — roots the Store's engine in a directory, making it
+	// persistent.
 	StoreOptions = serve.Options
 	// StorageStats reports a persistent Store's disk state: segments,
 	// bytes, WAL size, and how many models were deserialized vs trained.
@@ -126,11 +128,10 @@ type (
 
 	// Metrics is a point-in-time snapshot of a Store's always-on metrics
 	// plane, returned by Store.Metrics(): traffic counters, latency and
-	// size histograms (with Quantile/Mean/Max accessors), per-shard drain
-	// and retrain durations, queue depths, and — on a persistent Store —
-	// WAL fsync latency, group-commit cohort sizes, flush/compaction
-	// durations, and per-plan observed model error against the trained
-	// error bound. Serialize with WritePrometheus (text exposition
+	// size histograms (with Quantile/Mean/Max accessors), and the engine's
+	// WAL fsync latency, group-commit cohort sizes, drain/flush/compaction
+	// durations, pending keys, and per-segment observed model error
+	// against the trained error bound. Serialize with WritePrometheus (text exposition
 	// format) or WriteJSON; building the library with -tags noobs
 	// compiles the histogram plane out (counters stay real). See
 	// StoreOptions.MetricsAddr for the built-in debug HTTP listener.
@@ -144,12 +145,12 @@ type (
 	HistogramSnapshot = obs.HistSnapshot
 
 	// Iterator streams a Store.Scan: the snapshot-consistent ascending
-	// deduplicated union of every layer (insert buffers, shard snapshots,
-	// on-disk segments) over [lo, hi), merged by a k-way loser tree with
+	// deduplicated union of every layer (pending inserts, the resident run,
+	// segments) over [lo, hi), merged by a k-way loser tree with
 	// each source entered at its model-predicted position. Drive it with
 	// Next/Key (or NextBatch), reposition with Seek, and always Close it —
-	// Close releases pooled state and, on a persistent Store, unpins the
-	// storage snapshot so compaction can reclaim superseded segment files.
+	// Close releases pooled state and unpins the storage snapshot so
+	// compaction can reclaim superseded segments.
 	Iterator = scan.Iterator[uint64]
 	// StringIterator is Iterator for a string-keyed Store's ScanString /
 	// ScanStringFrom: the same loser-tree merge instantiated over strings,
@@ -227,9 +228,9 @@ var (
 	NewString = core.NewString
 	// DefaultStringConfig mirrors Figure 6's learned-index rows.
 	DefaultStringConfig = core.DefaultStringConfig
-	// NewStore builds the concurrent sharded serving layer and starts its
-	// background merger; Close it when done. Panics on a storage error
-	// when StoreOptions.Dir is set — prefer OpenStore for persistence.
+	// NewStore builds the concurrent serving layer, bulk-loading keys into
+	// its engine; Close it when done. Panics on a storage error — prefer
+	// OpenStore for persistence.
 	NewStore = serve.New
 	// OpenStore builds the serving layer like NewStore but returns engine
 	// errors instead of panicking; with StoreOptions.Dir set it opens (or
@@ -238,8 +239,8 @@ var (
 	OpenStore = serve.Open
 	// NewStringStore builds a string-keyed Store over the key codec:
 	// InsertString/LookupString/ContainsString/ScanString and friends, with
-	// the same consistency model as NewStore. Panics on a storage error
-	// when StoreOptions.Dir is set — prefer OpenStringStore then.
+	// the same consistency model as NewStore. Panics on a storage error —
+	// prefer OpenStringStore for persistence.
 	NewStringStore = serve.NewString
 	// OpenStringStore is NewStringStore returning engine errors; with
 	// StoreOptions.Dir set the store persists string keys in version-2

@@ -10,7 +10,7 @@ import (
 )
 
 // Scan-subsystem benchmarks: the streaming loser-tree merge over the
-// sharded store (with a live buffered-delta layer), across range widths,
+// store (with a live pending-delta layer), across range widths,
 // plus the learned COUNT against iterate-and-count. CI runs these at
 // -benchtime=100x as a smoke test; the benchmark module's scan.* ladder
 // rungs carry the measured numbers.
@@ -18,7 +18,7 @@ import (
 func scanStore(b *testing.B) (*learnedindex.Store, data.Keys) {
 	load()
 	st := learnedindex.NewStore(dLogn, learnedindex.Config{},
-		learnedindex.StoreOptions{Shards: 8, MergeThreshold: 1 << 30})
+		learnedindex.StoreOptions{MergeThreshold: 1 << 30})
 	b.Cleanup(func() { st.Close() })
 	// A buffered delta layer the merge must carry.
 	for _, k := range dProbes["Lognormal"][:4096] {
@@ -60,7 +60,7 @@ func BenchmarkStoreScanString(b *testing.B) {
 	for _, persistent := range []bool{false, true} {
 		for _, width := range []int{100, 4_000} {
 			b.Run(fmt.Sprintf("persistent=%v/width=%d", persistent, width), func(b *testing.B) {
-				opt := learnedindex.StoreOptions{Shards: 8, MergeThreshold: 1 << 30}
+				opt := learnedindex.StoreOptions{MergeThreshold: 1 << 30}
 				if persistent {
 					opt = learnedindex.StoreOptions{Dir: b.TempDir()}
 				}
