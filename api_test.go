@@ -40,9 +40,8 @@ func TestPublicAPIRangeIndex(t *testing.T) {
 func TestPublicAPICustomConfig(t *testing.T) {
 	keys := sortedKeys(20_000)
 	cfg := learnedindex.Config{
-		Top:             learnedindex.TopMultivariate,
-		StageSizes:      []int{200},
-		HybridThreshold: 64,
+		Top:        learnedindex.TopMultivariate,
+		StageSizes: []int{200},
 	}
 	idx := learnedindex.New(keys, cfg)
 	for _, k := range []uint64{keys[5], keys[19_000]} {

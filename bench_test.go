@@ -1,7 +1,7 @@
 // Root benchmark suite: one testing.B benchmark per paper table/figure,
-// plus ablations of the RMI's design choices (search strategy, error
-// bounds, top model, hybrid threshold). The heavyweight table generators
-// live in internal/experiments (shared with cmd/lix-bench); these benches
+// plus ablations of the RMI's design choices (error bounds, top model).
+// The heavyweight table generators live in internal/experiments (shared
+// with cmd/lix-bench); these benches
 // measure the individual contenders under the Go benchmark harness so
 // `go test -bench=. -benchmem` reproduces every comparison.
 //
@@ -526,20 +526,6 @@ func BenchmarkAblationTopModel(b *testing.B) {
 			b.ReportMetric(float64(r.MaxAbsErr()), "max-err")
 			b.ReportMetric(r.MeanAbsErr(), "mean-err")
 			benchLookups(b, dProbes["Lognormal"], r.SizeBytes(), r.Lookup)
-		})
-	}
-}
-
-// BenchmarkAblationHybridThreshold sweeps the hybrid replacement threshold.
-func BenchmarkAblationHybridThreshold(b *testing.B) {
-	load()
-	for _, thr := range []int{0, 512, 128, 32} {
-		cfg := core.DefaultConfig(benchN / 2000)
-		cfg.HybridThreshold = thr
-		r := core.New(dWeb, cfg)
-		b.Run("t"+itoa(thr), func(b *testing.B) {
-			b.ReportMetric(float64(r.NumHybrid()), "hybrid-leaves")
-			benchLookups(b, dProbes["Web"], r.SizeBytes(), r.Lookup)
 		})
 	}
 }

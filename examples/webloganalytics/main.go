@@ -1,8 +1,8 @@
 // Weblog analytics: the paper's §2 motivating scenario — a read-only
 // in-memory analytics index over web-server request timestamps, answering
 // time-window queries ("requests in a certain time frame"). Compares a
-// learned index against the B-Tree it replaces, including the hybrid
-// fallback for this "almost worst-case" distribution.
+// learned index against the B-Tree it replaces on this "almost
+// worst-case" distribution.
 package main
 
 import (
@@ -27,15 +27,9 @@ func main() {
 	cfg.Hidden = []int{16, 16}
 	rmi := core.New(keys, cfg)
 
-	hybridCfg := cfg
-	hybridCfg.HybridThreshold = 256
-	hybrid := core.New(keys, hybridCfg)
-
 	fmt.Printf("%-28s %10s %12s\n", "index", "size (B)", "max err")
 	fmt.Printf("%-28s %10d %12s\n", "B-Tree page 128", bt.SizeBytes(), "-")
 	fmt.Printf("%-28s %10d %12d\n", "learned (NN top, 1k leaves)", rmi.SizeBytes(), rmi.MaxAbsErr())
-	fmt.Printf("%-28s %10d %12d (%d leaves -> B-Trees)\n",
-		"hybrid t=256", hybrid.SizeBytes(), hybrid.MaxAbsErr(), hybrid.NumHybrid())
 
 	// Analytics queries: request counts per (scaled) day over a week.
 	day := span / (4 * 365)

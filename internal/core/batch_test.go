@@ -69,17 +69,19 @@ func kernelProbes(rng *rand.Rand, keysets [][]uint64, n int) (probes []uint64, s
 }
 
 // TestBatchKernelOracle is the batch kernel's contract: for any set of
-// plans — every TopKind on every dataset, hybrid leaves, a multi-stage
-// plan, the self-sized zero Config, an empty plan, tiny plans — any
+// plans — every TopKind on every dataset, leaves with wide windows, a
+// multi-stage plan, the self-sized zero Config, an empty plan, tiny plans — any
 // selector and any probe order, LookupBatch and ContainsBatch answer
 // exactly what per-key Plan.Lookup and Plan.Contains answer, and the lower
 // bound, at every batch size around the tile width.
 func TestBatchKernelOracle(t *testing.T) {
 	var plans []*Plan
 	var keysets [][]uint64
-	add := func(keys []uint64, cfg Config) {
-		plans = append(plans, New(keys, cfg).Plan())
+	add := func(keys []uint64, cfg Config) *RMI {
+		r := New(keys, cfg)
+		plans = append(plans, r.Plan())
 		keysets = append(keysets, keys)
+		return r
 	}
 	datasets := allDatasets(6_000)
 	for _, name := range []string{"maps", "weblogs", "lognormal"} {
@@ -92,19 +94,14 @@ func TestBatchKernelOracle(t *testing.T) {
 			add(datasets[name], cfg)
 		}
 	}
-	hybrid := DefaultConfig(60)
-	hybrid.HybridThreshold = 24
-	add(data.Weblogs(20_000, 1), hybrid)
-	if r := plans[len(plans)-1].src; r.NumHybrid() == 0 {
-		t.Fatal("hybrid case built no B-Tree leaves; tighten the threshold")
-	}
+	// Weblogs over few leaves: every window is wider than 24 keys.
+	add(data.Weblogs(20_000, 1), DefaultConfig(60))
 	staged := DefaultConfig(0)
 	staged.StageSizes = []int{8, 80, 800}
 	add(data.Lognormal(25_000, 0, 2, 1_000_000_000, 1), staged)
 	// The zero Config, which sizes itself: a sampled inner stage in front
 	// of the leaves, down to empty and one-key sets.
-	add(data.Lognormal(25_000, 0, 2, 1_000_000_000, 2), Config{})
-	if ss := plans[len(plans)-1].src.Config().StageSizes; len(ss) != 2 {
+	if ss := add(data.Lognormal(25_000, 0, 2, 1_000_000_000, 2), Config{}).Config().StageSizes; len(ss) != 2 {
 		t.Fatalf("zero Config over lognormal keys trained stages %v, want an inner stage", ss)
 	}
 	add(data.Uniform(25_000, 1<<40, 3), Config{})
@@ -143,15 +140,13 @@ func TestBatchKernelOracle(t *testing.T) {
 // Plan.Lookup and against sort.Search: the raw bytes become up to three
 // sorted unique key arrays (each its own plan — one of them possibly
 // empty), the probe bytes become probes and selectors, and every answer
-// must be the selected plan's true lower bound. A non-zero hybrid byte
-// trains with a HybridThreshold of 1–4, so leaves that fit worse become
-// B-Trees and the kernel's hybrid epilogue runs too. It sits in core, not
+// must be the selected plan's true lower bound. It sits in core, not
 // beside search.FuzzLowerBoundSearch, because search cannot import core.
 func FuzzBatchKernel(f *testing.F) {
-	f.Add([]byte{1, 0, 1, 0, 2, 0, 9, 0, 4, 1, 7, 3}, []byte{2, 0, 0, 9, 0, 1, 255, 255, 2}, uint8(2), uint8(0))
-	f.Add([]byte{}, []byte{5, 0, 0}, uint8(0), uint8(1))                                   // every plan empty
-	f.Add([]byte{7, 0, 7, 0, 7, 0}, []byte{7, 0, 1, 6, 0, 2, 8, 0, 0}, uint8(1), uint8(2)) // duplicates collapse
-	f.Add(make([]byte, 400), make([]byte, 3*70), uint8(3), uint8(3))                       // more than one tile
+	f.Add([]byte{1, 0, 1, 0, 2, 0, 9, 0, 4, 1, 7, 3}, []byte{2, 0, 0, 9, 0, 1, 255, 255, 2}, uint8(2))
+	f.Add([]byte{}, []byte{5, 0, 0}, uint8(0))                                   // every plan empty
+	f.Add([]byte{7, 0, 7, 0, 7, 0}, []byte{7, 0, 1, 6, 0, 2, 8, 0, 0}, uint8(1)) // duplicates collapse
+	f.Add(make([]byte, 400), make([]byte, 3*70), uint8(3))                       // more than one tile
 	// Every probe above every plan's maximum key (keys ≤ 200, probes ≥
 	// 0xff00), over more than one tile: each cursor ends on its array's
 	// last key and the epilogue answers len(keys).
@@ -159,10 +154,11 @@ func FuzzBatchKernel(f *testing.F) {
 	for j := 0; j < 70; j++ {
 		above = append(above, byte(j), 0xff, byte(j))
 	}
-	f.Add([]byte{1, 0, 5, 0, 2, 0, 9, 0, 3, 0, 200, 0}, above, uint8(2), uint8(0))
-	// Hybrid leaves: every plan's keys are two clusters at opposite ends of
-	// the domain, which the one leaf fits with an error far above the
-	// threshold, so it becomes a B-Tree; the probes sweep the domain.
+	f.Add([]byte{1, 0, 5, 0, 2, 0, 9, 0, 3, 0, 200, 0}, above, uint8(2))
+	// One wide leaf: every plan's keys are two clusters at opposite ends of
+	// the domain, which the one leaf fits with an error window about as
+	// wide as the plan; the probes sweep the domain, the gap between the
+	// clusters included.
 	var skew, sweep []byte
 	for part := 0; part < 3; part++ {
 		for j := 0; j < 20; j++ {
@@ -173,16 +169,13 @@ func FuzzBatchKernel(f *testing.F) {
 	for j := 0; j < 70; j++ {
 		sweep = append(binary.LittleEndian.AppendUint16(sweep, uint16(j*900)), byte(j))
 	}
-	f.Add(skew, sweep, uint8(0), uint8(1))
+	f.Add(skew, sweep, uint8(0))
 
-	f.Fuzz(func(t *testing.T, raw, probeRaw []byte, leaves, hybrid uint8) {
+	f.Fuzz(func(t *testing.T, raw, probeRaw []byte, leaves uint8) {
 		if len(raw) > 1<<12 || len(probeRaw) > 1<<11 {
 			t.Skip("keep training cheap")
 		}
 		cfg := DefaultConfig(int(leaves%16) + 1)
-		if hybrid != 0 {
-			cfg.HybridThreshold = int(hybrid%4) + 1
-		}
 		var plans []*Plan
 		var keysets [][]uint64
 		for part := 0; part < 3; part++ {

@@ -12,9 +12,7 @@ import (
 // `go test -race` to make this meaningful).
 func TestRMIConcurrentReaders(t *testing.T) {
 	keys := data.LognormalPaper(30_000, 1)
-	cfg := DefaultConfig(300)
-	cfg.HybridThreshold = 64 // exercise the hybrid path concurrently too
-	r := New(keys, cfg)
+	r := New(keys, DefaultConfig(300))
 	probes := append(data.SampleExisting(keys, 2000, 2), data.SampleMissing(keys, 500, 3)...)
 	want := make([]int, len(probes))
 	for i, p := range probes {
@@ -67,27 +65,5 @@ func TestStringRMIConcurrentReaders(t *testing.T) {
 	wg.Wait()
 	if bad {
 		t.Fatal("concurrent string lookup lost a key")
-	}
-}
-
-// TestHybridSizeAccountingOffsets: the offset-based hybrid must charge 4
-// bytes per assigned key plus sparse separators — never key copies.
-func TestHybridSizeAccountingOffsets(t *testing.T) {
-	keys := data.Weblogs(20_000, 1)
-	base := New(keys, DefaultConfig(100))
-	cfg := DefaultConfig(100)
-	cfg.HybridThreshold = 1 // force (nearly) everything hybrid
-	hyb := New(keys, cfg)
-	if hyb.NumHybrid() == 0 {
-		t.Skip("nothing hybrid on this seed")
-	}
-	// Upper bound: base index + 4B/key offsets + separators (8B per
-	// HybridPageSize keys) + slack. Read the page size back from the
-	// trained index (New fills in the default).
-	ps := hyb.Config().HybridPageSize
-	maxExtra := len(keys)*4 + (len(keys)/ps+hyb.NumHybrid())*8
-	if hyb.SizeBytes() > base.SizeBytes()+maxExtra {
-		t.Fatalf("hybrid size %d exceeds offset-accounting bound %d",
-			hyb.SizeBytes(), base.SizeBytes()+maxExtra)
 	}
 }

@@ -13,7 +13,7 @@ import (
 // Walking the tree as trained would pay Go interface dispatch on the top
 // model and pointer-chase [][]linmod at every lookup; the paper's §3.2
 // claim is that an RMI lookup is nothing but a handful of multiply-adds
-// plus a tiny bounded search. Compile recovers that cost model:
+// plus a tiny bounded search. compile recovers that cost model:
 //
 //   - Top stage devirtualized: monomorphic fast paths for TopLinear and
 //     TopMultivariate (closure-free folded coefficients); only TopNN falls
@@ -66,15 +66,10 @@ type Plan struct {
 	innerClamp []int32 // model count of the stage being routed into
 
 	// Leaves (last stage): one flat slice of packed 32-byte records, so a
-	// lookup's entire leaf state — coefficients, error window, σ, hybrid
-	// flag — arrives in a single cache line fetch. Coefficients are raw:
-	// leaf predictions are positions, not routes, so nothing is folded.
+	// lookup's entire leaf state — coefficients and error window — arrives
+	// in a single cache line fetch. Coefficients are raw: leaf predictions
+	// are positions, not routes, so nothing is folded.
 	leaves []planLeaf
-
-	// hybrid is non-nil only when B-Tree replacement leaves exist; entry
-	// idx points at the replaced leaf, nil for model leaves.
-	hybrid []*leaf
-	src    *RMI // hybrid descent and interface-model fallback
 
 	// Model-health instrumentation (§3.3's error bounds, observed live):
 	// deterministically sampled lookups record the model's actual
@@ -93,21 +88,15 @@ type Plan struct {
 type planLeaf struct {
 	a, b           float64
 	minErr, maxErr int32
-	flags          int32 // leafHybrid when a B-Tree replaced this leaf
+	_              int32 // pads the record to 32 bytes
 }
 
-const leafHybrid = 1
-
-// Compile lowers the trained (or decoded) model tree into a Plan. It is
-// called once by New and DecodeRMI; Plan() returns the cached result, and
-// calling Compile again just rebuilds an equivalent plan.
-func (r *RMI) Compile() *Plan { return r.compile() }
-
+// compile lowers the trained (or decoded) model tree into a Plan. New and
+// DecodeRMI call it once; Plan() returns the result.
 func (r *RMI) compile() *Plan {
 	p := &Plan{
 		keys:    r.keys,
 		n:       len(r.keys),
-		src:     r,
 		topSize: len(r.leaves),
 		obsErr:  obs.NewHistogram(),
 		obsLen:  obs.NewHistogram(),
@@ -169,26 +158,15 @@ func (r *RMI) compile() *Plan {
 	// Leaves: one packed record per leaf, raw coefficients. Packing is
 	// element-wise and order-free, so large leaf arrays are chunked across
 	// the training worker pool (a retrain's compile rides the same cores
-	// as its fit passes); the hybrid table is sized up front to keep the
-	// parallel writers allocation-free.
+	// as its fit passes).
 	nl := len(r.leaves)
 	p.leaves = make([]planLeaf, nl)
-	for j := range r.leaves {
-		if r.leaves[j].btPos != nil {
-			p.hybrid = make([]*leaf, nl)
-			break
-		}
-	}
 	parallelChunks(nl, TrainingWorkers(nl/compileLeafCost), func(_, jlo, jhi int) {
 		for j := jlo; j < jhi; j++ {
 			lf := &r.leaves[j]
 			p.leaves[j] = planLeaf{
 				a: lf.m.a, b: lf.m.b,
 				minErr: lf.minErr, maxErr: lf.maxErr,
-			}
-			if lf.btPos != nil {
-				p.hybrid[j] = lf
-				p.leaves[j].flags = leafHybrid
 			}
 		}
 	})
@@ -254,12 +232,7 @@ func (p *Plan) Lookup(key uint64) int {
 		return 0
 	}
 	x := float64(key)
-	idx := p.route(x)
-	lf := &p.leaves[idx]
-	if lf.flags&leafHybrid != 0 {
-		return p.src.lookupHybrid(key, p.hybrid[idx])
-	}
-	rawPred, lo, hi := p.window(lf, x)
+	rawPred, lo, hi := p.window(&p.leaves[p.route(x)], x)
 	pos := search.BranchlessWithExpansion(p.keys, key, lo, hi)
 	if obs.Enabled && obs.SampleKey(key) {
 		p.observe(pos, rawPred, hi-lo)
@@ -378,21 +351,19 @@ func ContainsBatch(plans []*Plan, sel []int32, probes []uint64, out []bool) {
 // object, which the GC must not see). A probe above every key ends on
 // n−1, and the epilogue's expansion answers it with n. The epilogue is per
 // probe: certificate or §3.4 expansion (rare: absent probes whose window
-// missed), the hybrid-leaf descent, and at most one model-health sample.
+// missed), and at most one model-health sample.
 func lookupTile(plans []*Plan, sel []int32, probes []uint64, out []int) {
 	g := len(probes)
 	var (
-		cur  [batchTile]unsafe.Pointer // &keys[window start], then the search's cursor
-		cnt  [batchTile]int            // window length still unresolved
-		leaf [batchTile]int32
+		cur [batchTile]unsafe.Pointer // &keys[window start], then the search's cursor
+		cnt [batchTile]int            // window length still unresolved
 	)
-	// off marks probes the search does not answer — hybrid leaves, whose
-	// B-Tree descent is its own pipeline, and empty plans — and leaves
-	// their cnt at 0, so the rounds skip them.
+	// off marks probes of empty plans, which the search does not answer,
+	// and leaves their cnt at 0, so the rounds skip them.
 	off := uint64(0)
 	// The sampled slot is picked by key hash, so it is unbiased in key
 	// order whatever order the probes arrive in.
-	sample := -1
+	sample, sampleLeaf := -1, 0
 	for i := 0; i < g; i++ {
 		p := plans[sel[i]]
 		if p.n == 0 {
@@ -401,16 +372,10 @@ func lookupTile(plans []*Plan, sel []int32, probes []uint64, out []int) {
 		}
 		x := float64(probes[i])
 		idx := p.route(x)
-		lf := &p.leaves[idx]
-		leaf[i] = int32(idx)
 		if obs.Enabled && obs.SampleKey(probes[i]) {
-			sample = i
+			sample, sampleLeaf = i, idx
 		}
-		if lf.flags&leafHybrid != 0 {
-			off |= 1 << i
-			continue
-		}
-		_, lo, hi := p.window(lf, x)
+		_, lo, hi := p.window(&p.leaves[idx], x)
 		lo, hi = min(lo, p.n-1), min(hi, p.n-1)
 		cur[i], cnt[i] = unsafe.Add(unsafe.Pointer(unsafe.SliceData(p.keys)), lo*8), hi-lo
 	}
@@ -439,22 +404,19 @@ func lookupTile(plans []*Plan, sel []int32, probes []uint64, out []int) {
 		}
 	}
 	for i := 0; i < g; i++ {
-		p := plans[sel[i]]
 		if off&(1<<i) != 0 {
 			out[i] = 0
-			if p.n != 0 {
-				out[i] = p.src.lookupHybrid(probes[i], p.hybrid[leaf[i]])
-			}
 			continue
 		}
+		p := plans[sel[i]]
 		pos := int((uintptr(cur[i]) - uintptr(unsafe.Pointer(unsafe.SliceData(p.keys)))) / 8)
 		out[i] = p.resolveBoundary(probes[i], pos)
 	}
 	// Model health: the bisection consumed the window, so the sampled
 	// probe's is recomputed — one packed-record load on a sampled tile.
-	if obs.Enabled && sample >= 0 && off&(1<<sample) == 0 {
+	if obs.Enabled && sample >= 0 {
 		p := plans[sel[sample]]
-		rawPred, lo, hi := p.window(&p.leaves[leaf[sample]], float64(probes[sample]))
+		rawPred, lo, hi := p.window(&p.leaves[sampleLeaf], float64(probes[sample]))
 		p.observe(out[sample], rawPred, hi-lo)
 	}
 }

@@ -87,19 +87,6 @@ func TestPlanEquivalenceOracle(t *testing.T) {
 	}
 }
 
-// TestPlanEquivalenceHybrid: probes routed to B-Tree leaves fall back to
-// the hybrid descent and still answer the lower bound.
-func TestPlanEquivalenceHybrid(t *testing.T) {
-	keys := data.Weblogs(20_000, 1)
-	cfg := DefaultConfig(60)
-	cfg.HybridThreshold = 24
-	r := New(keys, cfg)
-	if r.NumHybrid() == 0 {
-		t.Fatalf("hybrid case built no B-Tree leaves; tighten the threshold")
-	}
-	assertPlanEquivalent(t, "hybrid", r, probesFor(keys))
-}
-
 func TestPlanEquivalenceMultiStage(t *testing.T) {
 	keys := data.Lognormal(25_000, 0, 2, 1_000_000_000, 1)
 	cfg := DefaultConfig(0)
@@ -112,7 +99,7 @@ func TestPlanEquivalenceDecoded(t *testing.T) {
 	// A deserialized index must carry a working compiled plan (the
 	// "fast on first read" contract of the storage engine).
 	keys := data.LognormalPaper(15_000, 3)
-	cfg := Config{Top: TopMultivariate, StageSizes: []int{120}, HybridThreshold: 64, Seed: 1}
+	cfg := Config{Top: TopMultivariate, StageSizes: []int{120}, Seed: 1}
 	r := New(keys, cfg)
 	enc, err := r.AppendBinary(nil)
 	if err != nil {

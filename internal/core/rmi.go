@@ -1,18 +1,16 @@
 // Package core implements the paper's primary contribution: the Recursive
 // Model Index (RMI, §3) and the learned structures built from CDF models —
-// hybrid indexes (§3.3), learned hash functions (§4), and learned Bloom
-// filters (§5) — plus the Learning Index Framework (LIF, §3.1) that
-// auto-tunes configurations.
+// the string RMI with its hybrid B-Tree leaves (§3.3, §3.5), learned hash
+// functions (§4), and learned Bloom filters (§5) — plus the Learning Index
+// Framework (LIF, §3.1) that auto-tunes configurations.
 package core
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"slices"
 
 	"learnedindex/internal/ml"
-	"learnedindex/internal/search"
 )
 
 // This file holds the RMI's configuration, its models and error
@@ -64,11 +62,6 @@ type Config struct {
 	// count. Empty means sized by rule from the key count (innerCount,
 	// leafCount); the trained index reports what the rule chose.
 	StageSizes []int
-	// HybridThreshold, when > 0, replaces leaf models whose max absolute
-	// error exceeds it with B-Trees (Algorithm 1 lines 11–14).
-	HybridThreshold int
-	// HybridPageSize is the page size of replacement B-Trees (default 32).
-	HybridPageSize int
 	// SubsampleTop sets the stride of the stage-1 model's training sample
 	// (§3.6: top models converge before one full scan); 0 means 200k. It
 	// is not a cap: up to 2·SubsampleTop−1 keys every key is sampled, and
@@ -106,16 +99,6 @@ type leaf struct {
 	maxErr int32 // most positive (actual - pred)
 	stdErr float32
 	n      int32 // assigned keys
-	// hybrid replacement (nil unless the leaf was swapped for a B-Tree).
-	// The B-Tree is built over the keys *assigned* to this leaf (Algorithm
-	// 1 trains it "on tmp_records[M][j]") and, like the paper's
-	// offset-based in-memory trees (§6), stores no key copies: btPos holds
-	// the assigned keys' global positions, and btSep is a sparse separator
-	// level (every HybridPageSize-th assigned key) for the tree descent; the
-	// final page search reads the main array through the offsets. StringRMI
-	// keeps its string separators beside its leaves and leaves btSep nil.
-	btPos []int32
-	btSep []uint64
 }
 
 // regAcc accumulates centered least-squares sums plus position coverage for
@@ -209,13 +192,12 @@ type RMI struct {
 	// global error stats for reporting
 	meanAbsErr float64
 	maxAbsErr  int
-	numHybrid  int
 }
 
 // New trains an RMI over keys (sorted ascending, unique) with cfg,
 // following Algorithm 1: train the top model, partition keys through the
 // stages, fit each stage's models on the keys routed to them, and compute
-// per-leaf min/max errors (optionally swapping bad leaves for B-Trees).
+// per-leaf min/max errors.
 // Stages are partitioned into contiguous key runs and fit on a worker pool
 // sized to GOMAXPROCS (see train_parallel.go).
 func New(keys []uint64, cfg Config) *RMI {
@@ -257,9 +239,6 @@ func newUntrained(keys []uint64, cfg Config) (r *RMI, byRule bool) {
 				cfg.StageSizes[i] = 1
 			}
 		}
-	}
-	if cfg.HybridPageSize <= 0 {
-		cfg.HybridPageSize = 32
 	}
 	r = &RMI{keys: keys, cfg: cfg, nf: float64(len(keys))}
 	if len(keys) == 0 {
@@ -523,52 +502,6 @@ func (r *RMI) Predict(key uint64) (pos, lo, hi int) {
 // search-window expansion (§3.4).
 func (r *RMI) Lookup(key uint64) int { return r.plan.Lookup(key) }
 
-// lookupHybrid answers a lookup routed to a B-Tree leaf; see hybridLookup.
-func (r *RMI) lookupHybrid(key uint64, lf *leaf) int {
-	return hybridLookup(r.keys, lf.btPos, lf.btSep, r.cfg.HybridPageSize, key)
-}
-
-// hybridLookup answers a lookup routed to a B-Tree leaf of the uint64 or
-// the string RMI: descend the sparse separator level sep, binary-search
-// the page of assigned offsets pos, and resolve the (usually tiny) gap
-// between assigned positions against the main array. Covers keys never
-// assigned here as well.
-func hybridLookup[K cmp.Ordered](keys []K, pos []int32, sep []K, pageSize int, key K) int {
-	n := len(keys)
-	if len(pos) == 0 {
-		return search.Binary(keys, key, 0, n)
-	}
-	// Separator descent: last separator <= key marks the page.
-	s := search.Binary(sep, key, 0, len(sep)) // first sep >= key
-	lo := 0
-	if s > 0 {
-		lo = (s - 1) * pageSize
-	}
-	hi := min(lo+pageSize, len(pos))
-	// Page search over the offsets (reading keys through them).
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if keys[pos[mid]] < key {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	p := lo
-	switch {
-	case p == 0:
-		// key <= first assigned key: bound is in [0, pos[0]].
-		return search.Binary(keys, key, 0, int(pos[0])+1)
-	case p == len(pos):
-		// all assigned keys are smaller: bound is after the last one.
-		return search.Binary(keys, key, int(pos[p-1])+1, n)
-	default:
-		// assigned[p-1] < key <= assigned[p]: the global bound lies in
-		// (pos[p-1], pos[p]].
-		return search.Binary(keys, key, int(pos[p-1])+1, int(pos[p])+1)
-	}
-}
-
 // Contains reports whether key is stored.
 func (r *RMI) Contains(key uint64) bool { return r.plan.Contains(key) }
 
@@ -587,9 +520,6 @@ func (r *RMI) Plan() *Plan { return r.plan }
 // NumLeaves returns the last-stage model count.
 func (r *RMI) NumLeaves() int { return len(r.leaves) }
 
-// NumHybrid returns how many leaves were replaced by B-Trees.
-func (r *RMI) NumHybrid() int { return r.numHybrid }
-
 // MeanAbsErr returns the average absolute position error over stored keys.
 func (r *RMI) MeanAbsErr() float64 { return r.meanAbsErr }
 
@@ -601,20 +531,13 @@ func (r *RMI) Config() Config { return r.cfg }
 
 // SizeBytes returns the index footprint: top model, inner stage models (16
 // bytes each), and leaves (16-byte model + 12 bytes of error metadata),
-// matching the paper's convention of excluding the data array. Hybrid
-// B-Trees are charged in full.
+// matching the paper's convention of excluding the data array.
 func (r *RMI) SizeBytes() int {
 	total := r.top.SizeBytes()
 	for _, st := range r.stages {
 		total += len(st) * 16
 	}
-	total += len(r.leaves) * (16 + 12)
-	for j := range r.leaves {
-		// Hybrid B-Trees: 4-byte offsets per assigned key plus 8-byte
-		// separators per page — no key copies.
-		total += len(r.leaves[j].btPos)*4 + len(r.leaves[j].btSep)*8
-	}
-	return total
+	return total + len(r.leaves)*(16+12)
 }
 
 func clampInt(v, lo, hi int) int {

@@ -233,57 +233,6 @@ func TestRMIQuickRandomKeySets(t *testing.T) {
 	}
 }
 
-func TestHybridReplacesBadLeaves(t *testing.T) {
-	// Weblogs with few leaves has large per-leaf errors; a tight threshold
-	// must force B-Tree replacement.
-	keys := data.Weblogs(30_000, 1)
-	cfg := DefaultConfig(50)
-	cfg.HybridThreshold = 32
-	r := New(keys, cfg)
-	if r.NumHybrid() == 0 {
-		t.Fatal("expected some hybrid leaves on weblogs with threshold 32")
-	}
-	for _, p := range probesFor(keys) {
-		want := oracle(keys, p)
-		if got := r.Lookup(p); got != want {
-			t.Fatalf("hybrid Lookup(%d) = %d, want %d", p, got, want)
-		}
-	}
-}
-
-func TestHybridAllBTreesWorstCase(t *testing.T) {
-	// Threshold 0 is disabled; threshold 1 on a hard dataset approaches
-	// the "virtually an entire B-Tree" degenerate case of §3.3 and must
-	// remain correct.
-	keys := data.Weblogs(10_000, 2)
-	cfg := DefaultConfig(20)
-	cfg.HybridThreshold = 1
-	r := New(keys, cfg)
-	if r.NumHybrid() < 15 {
-		t.Fatalf("threshold=1 should replace nearly all leaves, got %d/20", r.NumHybrid())
-	}
-	for _, p := range probesFor(keys) {
-		want := oracle(keys, p)
-		if got := r.Lookup(p); got != want {
-			t.Fatalf("all-btree Lookup(%d) = %d, want %d", p, got, want)
-		}
-	}
-}
-
-func TestHybridThresholdSweepMonotone(t *testing.T) {
-	keys := data.Weblogs(20_000, 1)
-	prev := -1
-	for _, thr := range []int{512, 128, 64, 16} {
-		cfg := DefaultConfig(100)
-		cfg.HybridThreshold = thr
-		r := New(keys, cfg)
-		if prev >= 0 && r.NumHybrid() < prev {
-			t.Fatalf("tighter threshold %d produced fewer hybrids (%d < %d)", thr, r.NumHybrid(), prev)
-		}
-		prev = r.NumHybrid()
-	}
-}
-
 func TestDuplicateRunsLowerBound(t *testing.T) {
 	// The RMI is documented for unique keys, but lower-bound semantics on
 	// runs must still point at the first duplicate.

@@ -8,12 +8,18 @@ import (
 )
 
 // RMI serialization. The encoding holds everything a trained index knows
-// except the key array itself — config, top model, inner stage models,
-// leaves with their error windows, and hybrid B-Tree offsets — so a
-// segment file stores keys once and the model binds to them at decode
-// time. This is the storage engine's "no retraining on cold open"
-// contract: DecodeRMI rebuilds a serving-ready index from bytes plus the
-// externally stored sorted keys.
+// except the key array itself — config, top model, inner stage models and
+// leaves with their error windows — so a segment file stores keys once and
+// the model binds to them at decode time. This is the storage engine's "no
+// retraining on cold open" contract: DecodeRMI rebuilds a serving-ready
+// index from bytes plus the externally stored sorted keys.
+//
+// The layout keeps slots for settings the RMI no longer has: a per-index
+// search strategy, and the hybrid B-Tree leaves (a threshold, a page size,
+// a block per leaf and a count) that only StringRMI builds now. The
+// encoder writes what an index without them always wrote — 0, 0, 32, an
+// empty block, 0 — and the decoder reads past whatever an older encoder
+// stored there (see DecodeRMI).
 //
 // Bump rmiFormatVersion on any layout change; the segment magic in
 // internal/storage should move with it so old files fail cleanly.
@@ -43,9 +49,9 @@ func (r *RMI) AppendBinary(b []byte) ([]byte, error) {
 	for _, s := range r.cfg.StageSizes {
 		b = binenc.AppendUvarint(b, uint64(s))
 	}
-	b = binenc.AppendUvarint(b, 0) // retired search slot; see DecodeRMI
-	b = binenc.AppendVarint(b, int64(r.cfg.HybridThreshold))
-	b = binenc.AppendVarint(b, int64(r.cfg.HybridPageSize))
+	b = binenc.AppendUvarint(b, 0) // retired search slot
+	b = binenc.AppendVarint(b, 0)  // retired hybrid threshold slot
+	b = binenc.AppendVarint(b, 32) // retired hybrid page-size slot
 	b = binenc.AppendVarint(b, int64(r.cfg.SubsampleTop))
 	b = binenc.AppendVarint(b, r.cfg.Seed)
 
@@ -76,28 +82,13 @@ func (r *RMI) AppendBinary(b []byte) ([]byte, error) {
 		b = binenc.AppendVarint(b, int64(lf.maxErr))
 		b = binenc.AppendF64(b, float64(lf.stdErr))
 		b = binenc.AppendVarint(b, int64(lf.n))
-		// Hybrid replacement: 0 = none; otherwise 1+len(btPos) so an empty
-		// (but present) B-Tree is distinguishable from no B-Tree.
-		if lf.btPos == nil {
-			b = binenc.AppendUvarint(b, 0)
-			continue
-		}
-		b = binenc.AppendUvarint(b, uint64(1+len(lf.btPos)))
-		prev := int64(0)
-		for _, p := range lf.btPos {
-			b = binenc.AppendVarint(b, int64(p)-prev) // ascending: small deltas
-			prev = int64(p)
-		}
-		b = binenc.AppendUvarint(b, uint64(len(lf.btSep)))
-		for _, s := range lf.btSep {
-			b = binenc.AppendUvarint(b, s)
-		}
+		b = binenc.AppendUvarint(b, 0) // retired hybrid block: none
 	}
 
 	// Reporting stats.
 	b = binenc.AppendF64(b, r.meanAbsErr)
 	b = binenc.AppendVarint(b, int64(r.maxAbsErr))
-	b = binenc.AppendVarint(b, int64(r.numHybrid))
+	b = binenc.AppendVarint(b, 0) // retired hybrid count slot
 	return b, nil
 }
 
@@ -133,16 +124,18 @@ func DecodeRMI(enc []byte, keys []uint64) (*RMI, error) {
 	}
 	// The retired search slot: encoders before the compiled plan became
 	// the only read path stored a per-index search strategy here. Any
-	// value decodes; the plan runs one search whatever it says.
+	// value decodes; the plan runs one search whatever it says. The hybrid
+	// threshold slot likewise decodes whatever it holds; the page size
+	// was always at least 1.
 	_ = rd.Uvarint()
-	r.cfg.HybridThreshold = int(rd.Varint())
-	r.cfg.HybridPageSize = int(rd.Varint())
+	_ = rd.Varint()
+	pageSize := rd.Varint()
 	r.cfg.SubsampleTop = int(rd.Varint())
 	r.cfg.Seed = rd.Varint()
 	if rd.Err() != nil {
 		return nil, rd.Err()
 	}
-	if ns == 0 || r.cfg.HybridPageSize < 1 {
+	if ns == 0 || pageSize < 1 {
 		return nil, binenc.ErrCorrupt
 	}
 	for _, s := range r.cfg.StageSizes {
@@ -201,41 +194,26 @@ func DecodeRMI(enc []byte, keys []uint64) (*RMI, error) {
 		lf.maxErr = int32(rd.Varint())
 		lf.stdErr = float32(rd.F64())
 		lf.n = int32(rd.Varint())
-		nb := rd.Count(len(keys)+1, 1)
+		// A retired hybrid block — 0, or 1 + its offset count, the offsets,
+		// a separator count and the separators — is skipped: the leaf
+		// serves through its error window, which the trainer measured for
+		// B-Tree leaves too, and §3.4 expansion backs the window up.
+		if nb := rd.Count(len(keys)+1, 1); nb > 0 {
+			for j := 1; j < nb; j++ {
+				_ = rd.Varint()
+			}
+			for j, nsep := 0, rd.Count(len(keys)+1, 1); j < nsep; j++ {
+				_ = rd.Uvarint()
+			}
+		}
 		if rd.Err() != nil {
 			return nil, rd.Err()
-		}
-		if nb == 0 {
-			continue
-		}
-		np := nb - 1
-		lf.btPos = make([]int32, np)
-		prev := int64(0)
-		for j := range lf.btPos {
-			prev += rd.Varint()
-			// Offsets index the bound key array; lookupHybrid reads
-			// keys[btPos[j]] unchecked, and relies on ascending order.
-			if prev < 0 || prev >= int64(len(keys)) {
-				return nil, binenc.ErrCorrupt
-			}
-			lf.btPos[j] = int32(prev)
-		}
-		nsep := rd.Count(len(keys)+1, 1)
-		// lookupHybrid derives the page window from the separator index, so
-		// the separator count must be exactly ceil(np / pageSize).
-		want := (np + r.cfg.HybridPageSize - 1) / r.cfg.HybridPageSize
-		if rd.Err() != nil || nsep != want {
-			return nil, binenc.ErrCorrupt
-		}
-		lf.btSep = make([]uint64, nsep)
-		for j := range lf.btSep {
-			lf.btSep[j] = rd.Uvarint()
 		}
 	}
 
 	r.meanAbsErr = rd.F64()
 	r.maxAbsErr = int(rd.Varint())
-	r.numHybrid = int(rd.Varint())
+	_ = rd.Varint() // retired hybrid count slot
 	if rd.Err() != nil {
 		return nil, rd.Err()
 	}

@@ -6,6 +6,8 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -41,7 +43,7 @@ func assertIdentical(t *testing.T, name string, r, dec *RMI, probes []uint64) {
 	if !reflect.DeepEqual(r.Config(), dec.Config()) {
 		t.Fatalf("%s: config drifted: %+v vs %+v", name, r.Config(), dec.Config())
 	}
-	if r.SizeBytes() != dec.SizeBytes() || r.NumLeaves() != dec.NumLeaves() || r.NumHybrid() != dec.NumHybrid() {
+	if r.SizeBytes() != dec.SizeBytes() || r.NumLeaves() != dec.NumLeaves() {
 		t.Fatalf("%s: shape drifted", name)
 	}
 	if r.MeanAbsErr() != dec.MeanAbsErr() || r.MaxAbsErr() != dec.MaxAbsErr() {
@@ -72,14 +74,10 @@ func TestRMISerializeRoundTrip(t *testing.T) {
 		"linear-default": DefaultConfig(400),
 		"multivariate":   {Top: TopMultivariate, StageSizes: []int{200}, Seed: 1},
 		"nn-top":         {Top: TopNN, Hidden: []int{8}, StageSizes: []int{100}, Seed: 1, SubsampleTop: 20_000},
-		"hybrid":         {Top: TopLinear, StageSizes: []int{50}, HybridThreshold: 8, HybridPageSize: 16, Seed: 1},
 		"multi-stage":    {Top: TopLinear, StageSizes: []int{8, 64, 400}, Seed: 1},
 	}
 	for name, cfg := range cases {
 		r := New(keys, cfg)
-		if name == "hybrid" && r.NumHybrid() == 0 {
-			t.Fatalf("hybrid case built no B-Tree leaves; tighten the threshold")
-		}
 		assertIdentical(t, name, r, roundTrip(t, r), probes)
 	}
 
@@ -100,7 +98,7 @@ func TestRMISerializeRoundTrip(t *testing.T) {
 // decodes whatever it holds, to the same index as slot 0.
 func TestRMIRetiredSearchSlotDecodes(t *testing.T) {
 	keys := data.LognormalPaper(20_000, 5)
-	cfg := Config{Top: TopLinear, StageSizes: []int{8, 200}, HybridThreshold: 16, Seed: 1}
+	cfg := Config{Top: TopLinear, StageSizes: []int{8, 200}, Seed: 1}
 	r := New(keys, cfg)
 	enc, err := r.AppendBinary(nil)
 	if err != nil {
@@ -134,6 +132,37 @@ func TestRMIRetiredSearchSlotDecodes(t *testing.T) {
 	}
 }
 
+// TestRMIRetiredHybridBlocksDecode pins compatibility with encodings that
+// carry uint64 B-Tree leaves: testdata/parent-hybrid.rmi (README.md there
+// has its generator) has every one of its 60 leaves replaced. Its blocks
+// are skipped, every leaf serves through its stored error window, and
+// every answer, scalar and batched, is still the lower bound.
+func TestRMIRetiredHybridBlocksDecode(t *testing.T) {
+	enc, err := os.ReadFile(filepath.Join("testdata", "parent-hybrid.rmi"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := data.Weblogs(20_000, 1)
+	r, err := DecodeRMI(enc, keys)
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	probes := append(data.SampleExisting(keys, 5000, 2), data.SampleMissing(keys, 5000, 3)...)
+	probes = append(probes, 0, ^uint64(0))
+	out := make([]int, len(probes))
+	r.Plan().LookupBatch(probes, out)
+	for i, k := range probes {
+		want := oracle(keys, k)
+		if got := r.Lookup(k); got != want {
+			t.Fatalf("Lookup(%d) = %d, want %d", k, got, want)
+		}
+		if out[i] != want {
+			t.Fatalf("LookupBatch[%d] (key %d) = %d, want %d", i, k, out[i], want)
+		}
+	}
+	assertRejectsCorrupt(t, enc, keys, 2000)
+}
+
 func TestRMIGoldenFormat(t *testing.T) {
 	keys := data.Dense(10_000, 1_000, 7) // fully deterministic key set
 	r := New(keys, DefaultConfig(64))
@@ -150,7 +179,7 @@ func TestRMIGoldenFormat(t *testing.T) {
 
 func TestRMIDecodeRejectsCorrupt(t *testing.T) {
 	keys := data.Dense(5_000, 10, 3)
-	r := New(keys, Config{Top: TopLinear, StageSizes: []int{4, 50}, HybridThreshold: 4, Seed: 1})
+	r := New(keys, Config{Top: TopLinear, StageSizes: []int{4, 50}, Seed: 1})
 	enc, err := r.AppendBinary(nil)
 	if err != nil {
 		t.Fatalf("encode: %v", err)
@@ -158,24 +187,33 @@ func TestRMIDecodeRejectsCorrupt(t *testing.T) {
 	if _, err := DecodeRMI(enc, keys[:100]); err == nil {
 		t.Error("decode against wrong key count succeeded")
 	}
+	assertRejectsCorrupt(t, enc, keys, 500)
+}
+
+// assertRejectsCorrupt checks that truncations of enc fail to decode
+// against keys, and that flips seeded bit flips either fail decode or at
+// minimum never panic on decode+lookup (structural invariants are
+// validated; model floats are free to change predictions).
+func assertRejectsCorrupt(t *testing.T, enc []byte, keys []uint64, flips int) {
+	t.Helper()
 	for _, trunc := range []int{0, 1, 3, len(enc) / 4, len(enc) / 2, len(enc) - 1} {
 		if _, err := DecodeRMI(enc[:trunc], keys); err == nil {
 			t.Errorf("truncation at %d decoded without error", trunc)
 		}
 	}
-	// Bit flips must either fail decode or at minimum never panic on
-	// decode+lookup (structural invariants are validated; model floats are
-	// free to change predictions).
 	rng := rand.New(rand.NewSource(99))
-	for i := 0; i < 500; i++ {
+	probes := []uint64{0, keys[17], keys[len(keys)-1], ^uint64(0)}
+	out := make([]int, len(probes))
+	for i := 0; i < flips; i++ {
 		bad := append([]byte(nil), enc...)
 		bad[rng.Intn(len(bad))] ^= 1 << uint(rng.Intn(8))
 		dec, err := DecodeRMI(bad, keys)
 		if err != nil {
 			continue
 		}
-		for _, k := range []uint64{0, keys[17], keys[len(keys)-1], ^uint64(0)} {
+		for _, k := range probes {
 			_ = dec.Lookup(k) // must not panic
 		}
+		dec.Plan().LookupBatch(probes, out)
 	}
 }

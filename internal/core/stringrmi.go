@@ -59,7 +59,8 @@ type StringConfig struct {
 	// QS") uses SearchQuaternary.
 	Search SearchKind
 	// HybridThreshold, when > 0, replaces leaves with max absolute error
-	// above it with B-Trees (Figure 6 evaluates t=128 and t=64).
+	// above it with B-Trees (Algorithm 1 lines 11–14; Figure 6 evaluates
+	// t=128 and t=64).
 	HybridThreshold int
 	// HybridPageSize is the replacement B-Trees' page size (default 32).
 	HybridPageSize int
@@ -78,7 +79,8 @@ func DefaultStringConfig(numLeaves int, hidden ...int) StringConfig {
 // The top stage is a feed-forward network over the ASCII feature vector
 // (§3.5); the leaves are the RMI's leaf stage — linear models over the
 // keys' 8-byte big-endian prefixes (keycodec.Prefix), fit by runs with the
-// uint64 RMI's trainer, hybrid B-Trees included. Because the prefix (and
+// uint64 RMI's trainer — plus, under a HybridThreshold, the paper's hybrid
+// B-Tree leaves, which only this index builds. Because the prefix (and
 // potentially the top model) is only approximately monotone, lookups verify
 // window boundaries and expand when needed, so lower-bound semantics always
 // hold.
@@ -95,8 +97,15 @@ type StringRMI struct {
 	cfg    StringConfig
 	top    *ml.NN
 	leaves []leaf
-	// btSep[j] is hybrid leaf j's separator level over keys (see leaf);
-	// nil when no leaf was replaced.
+	// Hybrid B-Tree leaves (nil without a HybridThreshold; entry j nil
+	// unless leaf j was replaced). A B-Tree is built over the keys
+	// *assigned* to its leaf (Algorithm 1 trains it "on
+	// tmp_records[M][j]") and, like the paper's offset-based in-memory
+	// trees (§6), stores no key copies: btPos[j] holds the assigned keys'
+	// positions, and btSep[j] is a sparse separator level (every
+	// HybridPageSize-th assigned key) for the tree descent; the final page
+	// search reads the main array through the offsets.
+	btPos     [][]int32
 	btSep     [][]string
 	nf        float64
 	numHybrid int
@@ -153,20 +162,44 @@ func NewString(keys []string, cfg StringConfig) *StringRMI {
 	for i, k := range keys {
 		prefixes[i] = keycodec.Prefix(k)
 	}
-	leaves, ge := fitLeaves(prefixes, groupRuns(runs, cfg.NumLeaves), cfg.HybridThreshold, workers)
-	for j := range leaves {
-		if btPos := leaves[j].btPos; btPos != nil {
-			if r.btSep == nil {
-				r.btSep = make([][]string, len(leaves))
-			}
-			r.btSep[j] = hybridSeps(keys, btPos, cfg.HybridPageSize)
-			r.numHybrid++
-		}
-	}
+	g := groupRuns(runs, cfg.NumLeaves)
+	leaves, ge := fitLeaves(prefixes, g, workers)
 	r.leaves = leaves
 	r.meanAbs = float64(ge.sum) / r.nf
 	r.maxAbsErr = ge.max
+	if cfg.HybridThreshold > 0 {
+		r.buildHybrid(g)
+	}
 	return r
+}
+
+// buildHybrid swaps every leaf whose max absolute error exceeds the
+// threshold for a B-Tree over its runs g.of(j) (Algorithm 1 lines 11–14:
+// "index[M][j] = new B-Tree trained on tmp_records[M][j]"): "hybrid
+// indexes allow us to bound the worst case performance of learned indexes
+// to the performance of B-Trees" (§3.3).
+func (r *StringRMI) buildHybrid(g modelRuns) {
+	ps := r.cfg.HybridPageSize
+	r.btPos = make([][]int32, len(r.leaves))
+	r.btSep = make([][]string, len(r.leaves))
+	for j := range r.leaves {
+		lf := &r.leaves[j]
+		if lf.n == 0 || max(int(lf.maxErr), -int(lf.minErr)) <= r.cfg.HybridThreshold {
+			continue
+		}
+		pos := make([]int32, 0, lf.n)
+		for _, rn := range g.of(j) {
+			for i := rn.lo; i < rn.hi; i++ {
+				pos = append(pos, i)
+			}
+		}
+		sep := make([]string, 0, len(pos)/ps+1)
+		for i := 0; i < len(pos); i += ps {
+			sep = append(sep, r.keys[pos[i]])
+		}
+		r.btPos[j], r.btSep[j] = pos, sep
+		r.numHybrid++
+	}
 }
 
 func (r *StringRMI) trainTop() {
@@ -221,10 +254,10 @@ func (r *StringRMI) Lookup(key string) int {
 	}
 	var vb [64]float64
 	idx := r.leafIndex(key, vb[:r.cfg.MaxLen])
-	lf := &r.leaves[idx]
-	if lf.btPos != nil {
-		return hybridLookup(r.keys, lf.btPos, r.btSep[idx], r.cfg.HybridPageSize, key)
+	if r.btPos != nil && r.btPos[idx] != nil {
+		return r.hybridLookup(idx, key)
 	}
+	lf := &r.leaves[idx]
 	rawPred := int(lf.m.predict(float64(keycodec.Prefix(key))))
 	lo := rawPred + int(lf.minErr)
 	hi := rawPred + int(lf.maxErr) + 1
@@ -241,6 +274,43 @@ func (r *StringRMI) Lookup(key string) int {
 	default:
 		pos := search.ModelBiasedBinary(r.keys, key, lo, hi, pred)
 		return search.VerifyOrExpand(r.keys, key, pos, lo, hi)
+	}
+}
+
+// hybridLookup answers a lookup routed to B-Tree leaf j: descend its
+// sparse separator level, binary-search the page of assigned offsets, and
+// resolve the (usually tiny) gap between assigned positions against the
+// main array. Covers keys never assigned to the leaf as well. A B-Tree
+// leaf always has keys, so the offsets are never empty.
+func (r *StringRMI) hybridLookup(j int, key string) int {
+	keys, pos, ps := r.keys, r.btPos[j], r.cfg.HybridPageSize
+	// Separator descent: last separator <= key marks the page.
+	s := search.Binary(r.btSep[j], key, 0, len(r.btSep[j])) // first sep >= key
+	lo := 0
+	if s > 0 {
+		lo = (s - 1) * ps
+	}
+	hi := min(lo+ps, len(pos))
+	// Page search over the offsets (reading keys through them).
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if keys[pos[mid]] < key {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	switch p := lo; {
+	case p == 0:
+		// key <= first assigned key: bound is in [0, pos[0]].
+		return search.Binary(keys, key, 0, int(pos[0])+1)
+	case p == len(pos):
+		// all assigned keys are smaller: bound is after the last one.
+		return search.Binary(keys, key, int(pos[p-1])+1, len(keys))
+	default:
+		// assigned[p-1] < key <= assigned[p]: the global bound lies in
+		// (pos[p-1], pos[p]].
+		return search.Binary(keys, key, int(pos[p-1])+1, int(pos[p])+1)
 	}
 }
 
@@ -269,8 +339,8 @@ func (r *StringRMI) SizeBytes() int {
 	total += len(r.leaves) * (16 + 12)
 	// Hybrid B-Trees: 4-byte offsets per assigned key plus materialized
 	// separators per page — no key copies.
-	for j := range r.leaves {
-		total += len(r.leaves[j].btPos) * 4
+	for _, pos := range r.btPos {
+		total += len(pos) * 4
 	}
 	for _, seps := range r.btSep {
 		for _, sep := range seps {

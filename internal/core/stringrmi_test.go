@@ -163,8 +163,12 @@ func TestFigure6ModelsPinned(t *testing.T) {
 				put(uint64(lf.maxErr))
 				put(uint64(math.Float32bits(lf.stdErr)))
 				put(uint64(lf.n))
-				put(uint64(len(lf.btPos)))
-				for _, p := range lf.btPos {
+				var pos []int32
+				if r.btPos != nil {
+					pos = r.btPos[j]
+				}
+				put(uint64(len(pos)))
+				for _, p := range pos {
 					put(uint64(p))
 				}
 			}

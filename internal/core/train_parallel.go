@@ -28,12 +28,12 @@ import (
 //     runs: neighbouring inner models overlap, or leave models empty.
 //   - A stage is fit by grouping its runs by model, each model's runs in
 //     key order, and folding them into its least-squares sums. A leaf
-//     measures its §3.3 error window — and, for hybrid configs, lists its
-//     B-Tree's key positions — over the same runs right after its fit,
-//     while its keys are still in cache.
+//     measures its §3.3 error window over the same runs right after its
+//     fit, while its keys are still in cache.
 //
 // StringRMI's leaves are the same leaf stage: its character-level network
 // top routes per point, and the leaves fit over the keys' 8-byte prefixes.
+// It picks its hybrid B-Tree leaves from the measured windows itself.
 //
 // Fits run in parallel over model ranges that hold about equal numbers of
 // keys. Every model sees its keys in ascending order whichever worker owns
@@ -127,13 +127,7 @@ func (r *RMI) train(workers int) {
 		}
 		runs = next
 	}
-	leaves, ge := fitLeaves(r.keys, groupRuns(runs, r.cfg.StageSizes[last]), r.cfg.HybridThreshold, workers)
-	for j := range leaves {
-		if lf := &leaves[j]; lf.btPos != nil {
-			lf.btSep = hybridSeps(r.keys, lf.btPos, r.cfg.HybridPageSize)
-			r.numHybrid++
-		}
-	}
+	leaves, ge := fitLeaves(r.keys, groupRuns(runs, r.cfg.StageSizes[last]), workers)
 	r.leaves = leaves
 	r.setGlobalErr(ge)
 }
@@ -267,15 +261,8 @@ func (r *RMI) fitStage(g modelRuns, workers int) []linmod {
 
 // fitLeaves fits the leaves over their runs of keys — the uint64 RMI's
 // keys, or StringRMI's keys' 8-byte prefixes — and, right after each fit,
-// while the leaf's keys are in cache, measures its error window. A leaf
-// whose window is wider than threshold (> 0) gets the positions of its keys
-// in btPos, and the caller adds the separator level over its own keys
-// (hybridSeps): Algorithm 1 (lines 11–14) swaps every leaf whose max
-// absolute error exceeds the threshold for a B-Tree ("index[M][j] = new
-// B-Tree trained on tmp_records[M][j]"), and "hybrid indexes allow us to
-// bound the worst case performance of learned indexes to the performance
-// of B-Trees" (§3.3).
-func fitLeaves(keys []uint64, g modelRuns, threshold, workers int) ([]leaf, globalErr) {
+// while the leaf's keys are in cache, measures its error window.
+func fitLeaves(keys []uint64, g modelRuns, workers int) ([]leaf, globalErr) {
 	accs := make([]regAcc, g.size())
 	models := make([]linmod, g.size())
 	leaves := make([]leaf, g.size())
@@ -293,16 +280,7 @@ func fitLeaves(keys []uint64, g modelRuns, threshold, workers int) ([]leaf, glob
 			for _, rn := range rs {
 				ev.addRun(keys, int(rn.lo), int(rn.hi), models[j], &ge)
 			}
-			lf := &leaves[j]
-			lf.setErrors(&ev)
-			if threshold > 0 && lf.n > 0 && max(int(lf.maxErr), -int(lf.minErr)) > threshold {
-				lf.btPos = make([]int32, 0, lf.n)
-				for _, rn := range rs {
-					for i := rn.lo; i < rn.hi; i++ {
-						lf.btPos = append(lf.btPos, i)
-					}
-				}
-			}
+			leaves[j].setErrors(&ev)
 		}
 		mu.Lock()
 		total.sum += ge.sum
@@ -316,14 +294,4 @@ func fitLeaves(keys []uint64, g modelRuns, threshold, workers int) ([]leaf, glob
 		leaves[j].m = models[j]
 	}
 	return leaves, total
-}
-
-// hybridSeps is a B-Tree leaf's separator level: the key at every
-// pageSize-th of its assigned positions btPos, in the RMI's own key type.
-func hybridSeps[K any](keys []K, btPos []int32, pageSize int) []K {
-	sep := make([]K, 0, len(btPos)/pageSize+1)
-	for i := 0; i < len(btPos); i += pageSize {
-		sep = append(sep, keys[btPos[i]])
-	}
-	return sep
 }

@@ -13,7 +13,7 @@ import (
 // The per-key trainer that training by runs replaced, kept as its oracle:
 // every stage routes each key through the whole trained prefix into a
 // 4 B/key route array and folds it into its model's sums, and the leaves'
-// error pass and hybrid B-Trees read the same array back.
+// error pass reads the same array back.
 
 // trainPerKey trains keys under cfg with the per-key trainer.
 func trainPerKey(keys []uint64, cfg Config) *RMI {
@@ -64,9 +64,6 @@ func (r *RMI) trainStagesPerKey() {
 			r.leaves[j].m = models[j]
 		}
 		r.computeLeafErrorsPerKey(route)
-		if r.cfg.HybridThreshold > 0 {
-			r.applyHybridPerKey(route)
-		}
 	}
 }
 
@@ -111,42 +108,6 @@ func (g *globalErr) add(d int) {
 	}
 }
 
-func (r *RMI) applyHybridPerKey(route []int32) {
-	thr := r.cfg.HybridThreshold
-	flagged := make(map[int32]*leaf)
-	for j := range r.leaves {
-		lf := &r.leaves[j]
-		if lf.n == 0 {
-			continue
-		}
-		worst := int(lf.maxErr)
-		if -int(lf.minErr) > worst {
-			worst = -int(lf.minErr)
-		}
-		if worst <= thr {
-			continue
-		}
-		flagged[int32(j)] = lf
-		lf.btPos = make([]int32, 0, lf.n)
-		r.numHybrid++
-	}
-	if len(flagged) == 0 {
-		return
-	}
-	for i := range r.keys {
-		if lf, ok := flagged[route[i]]; ok {
-			lf.btPos = append(lf.btPos, int32(i))
-		}
-	}
-	for _, lf := range flagged {
-		step := r.cfg.HybridPageSize
-		lf.btSep = make([]uint64, 0, len(lf.btPos)/step+1)
-		for i := 0; i < len(lf.btPos); i += step {
-			lf.btSep = append(lf.btSep, r.keys[lf.btPos[i]])
-		}
-	}
-}
-
 // matchPerKey trains keys under cfg on `workers` workers and fails unless
 // the serialized bytes and error stats equal the per-key trainer's. It
 // returns the per-key twin.
@@ -186,7 +147,7 @@ func TestRunTrainerMatchesPerKey(t *testing.T) {
 		"linear-default": DefaultConfig(500),
 		"multivariate":   {Top: TopMultivariate, StageSizes: []int{300}, Seed: 1},
 		"nn-top":         {Top: TopNN, Hidden: []int{8}, StageSizes: []int{120}, Seed: 1, SubsampleTop: 20_000},
-		"hybrid":         {Top: TopLinear, StageSizes: []int{60}, HybridThreshold: 8, HybridPageSize: 16, Seed: 1},
+		"hybrid":         {Top: TopLinear, StageSizes: []int{60}, Seed: 1},
 		"multi-stage":    {Top: TopLinear, StageSizes: []int{8, 64, 500}, Seed: 1},
 		"zero-config":    {},
 		"zero-strided":   {SubsampleTop: 5_000},

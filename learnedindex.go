@@ -64,8 +64,8 @@ type (
 	// deserialization; RMI.Lookup, Contains and RangeScan run it, and
 	// RMI.Plan() returns it for batch lookups.
 	Plan = core.Plan
-	// Config specifies an RMI: stage-1 model family, stage sizes and
-	// hybrid threshold (Algorithm 1's inputs).
+	// Config specifies an RMI: stage-1 model family and stage sizes
+	// (Algorithm 1's inputs; its hybrid threshold is StringConfig's).
 	Config = core.Config
 	// SearchKind names a §3.4 last-mile search strategy: StringConfig
 	// selects one for a StringRMI; the uint64 RMI's Plan runs one
