@@ -25,6 +25,7 @@ import (
 
 	"learnedindex/internal/cli"
 	"learnedindex/internal/core"
+	"learnedindex/internal/obs"
 	"learnedindex/internal/repl"
 	"learnedindex/internal/serve"
 )
@@ -58,11 +59,18 @@ func main() {
 }
 
 func runPrimary(dir, addr string, epoch uint64, rate int, seed int64, status time.Duration, metrics string, stop <-chan struct{}) {
-	st, err := serve.Open(nil, core.Config{}, serve.Options{Dir: dir, MetricsAddr: metrics})
+	st, err := serve.Open(nil, core.Config{}, serve.Options{Dir: dir})
 	if err != nil {
 		fatal(err)
 	}
 	defer st.Close()
+	if metrics != "" {
+		dbg, err := obs.StartDebugServer(metrics, st.Metrics)
+		if err != nil {
+			fatal(err)
+		}
+		defer dbg.Close()
+	}
 	prim, err := st.ServeReplication(repl.TCP, addr, repl.PrimaryOptions{Epoch: epoch})
 	if err != nil {
 		fatal(err)
@@ -108,12 +116,18 @@ func runPrimary(dir, addr string, epoch uint64, rate int, seed int64, status tim
 }
 
 func runFollower(dir, addr string, status time.Duration, metrics string, stop <-chan struct{}) {
-	st, err := serve.OpenFollower(core.Config{}, serve.Options{Dir: dir, MetricsAddr: metrics},
-		repl.FollowerOptions{Addr: addr})
+	st, err := serve.OpenFollower(core.Config{}, serve.Options{Dir: dir}, repl.FollowerOptions{Addr: addr})
 	if err != nil {
 		fatal(err)
 	}
 	defer st.Close()
+	if metrics != "" {
+		dbg, err := obs.StartDebugServer(metrics, st.Metrics)
+		if err != nil {
+			fatal(err)
+		}
+		defer dbg.Close()
+	}
 	fmt.Printf("follower: replicating %s from %s (%d keys already durable)\n", dir, addr, st.Len())
 
 	tick := time.NewTicker(status)

@@ -25,6 +25,7 @@ import (
 
 	"learnedindex/internal/cli"
 	"learnedindex/internal/core"
+	"learnedindex/internal/obs"
 	"learnedindex/internal/repl"
 	"learnedindex/internal/serve"
 	"learnedindex/internal/server"
@@ -40,11 +41,18 @@ func main() {
 	inflight := flag.Int("max-inflight", 0, "max concurrent requests (0 = default)")
 	flag.Parse()
 
-	st, err := openStore(*dir, *strKeys, *primary, *metrics)
+	st, err := openStore(*dir, *strKeys, *primary)
 	if err != nil {
 		fatal(err)
 	}
 	defer st.Close()
+	if *metrics != "" {
+		dbg, err := obs.StartDebugServer(*metrics, st.Metrics)
+		if err != nil {
+			fatal(err)
+		}
+		defer dbg.Close()
+	}
 
 	srv := server.NewServer(st, server.Options{MaxInflight: *inflight})
 	if err := srv.Serve(repl.TCP, *addr); err != nil {
@@ -72,8 +80,8 @@ func main() {
 	}
 }
 
-func openStore(dir string, strKeys bool, primary, metrics string) (*serve.Store, error) {
-	opt := serve.Options{Dir: dir, MetricsAddr: metrics}
+func openStore(dir string, strKeys bool, primary string) (*serve.Store, error) {
+	opt := serve.Options{Dir: dir}
 	fopt := repl.FollowerOptions{Addr: primary}
 	switch {
 	case primary != "" && dir == "":

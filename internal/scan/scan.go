@@ -37,8 +37,8 @@
 //
 // Iterators and their tree state recycle through a pool: Get → Add cursors
 // → Start → Next/NextBatch → Close returns everything. A steady-state scan
-// performs no allocations in this package; the serving layer composes its
-// own pooled cursor and snapshot state on top (see internal/serve) so a
+// performs no allocations in this package; the storage engine composes its
+// own pooled cursor and snapshot state on top (see internal/storage) so a
 // whole Store.Scan stays within its documented allocation budget.
 package scan
 
@@ -74,7 +74,7 @@ type Cursor[K cmp.Ordered] interface {
 }
 
 // Closer is the scan-owner hook run by Iterator.Close after every cursor is
-// released: the serving layer uses it to unpin storage snapshots and return
+// released: the storage engine uses it to unpin its snapshots and return
 // its pooled capture state.
 type Closer interface {
 	CloseScan()

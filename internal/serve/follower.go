@@ -10,7 +10,6 @@ package serve
 // primary. Writes go to the primary; the follower converges to it.
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"sync"
@@ -41,13 +40,13 @@ type replState struct {
 // primary is unreachable. All write methods are refused (see
 // ErrFollowerStore). Close stops replication, then closes the engine.
 func OpenFollower(cfg core.Config, opt Options, fopt repl.FollowerOptions) (*Store, error) {
-	return openFollower(&u64Ops, cfg, opt, fopt)
+	return openFollower(false, cfg, opt, fopt)
 }
 
 // OpenFollowerString is OpenFollower in the string key mode; the primary
 // must be string-keyed too (the replication handshake enforces it).
 func OpenFollowerString(cfg core.Config, opt Options, fopt repl.FollowerOptions) (*Store, error) {
-	return openFollower(&strOps, cfg, opt, fopt)
+	return openFollower(true, cfg, opt, fopt)
 }
 
 // openFollower is OpenFollower and OpenFollowerString. As on any
@@ -55,17 +54,16 @@ func OpenFollowerString(cfg core.Config, opt Options, fopt repl.FollowerOptions)
 // served once opt.MergeThreshold of them are pending, and the applier
 // bulk-loads each snapshot as one segment at its end. Flush and Close still
 // make every applied key served.
-func openFollower[K cmp.Ordered](ops *keyOps[K], cfg core.Config, opt Options, fopt repl.FollowerOptions) (*Store, error) {
+func openFollower(strKeys bool, cfg core.Config, opt Options, fopt repl.FollowerOptions) (*Store, error) {
 	if opt.Dir == "" {
 		return nil, fmt.Errorf("serve: a follower store needs Options.Dir (its replica is durable)")
 	}
-	s, err := openEngine(ops, cfg, opt)
+	s, err := openEngine(strKeys, cfg, opt)
 	if err != nil {
 		return nil, err
 	}
 	fol, err := repl.NewFollower(s.eng, fopt)
 	if err != nil {
-		s.closeDebug()
 		s.eng.Close()
 		return nil, err
 	}

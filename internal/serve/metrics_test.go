@@ -170,19 +170,18 @@ func checkStoreMetrics(t *testing.T, strMode bool) {
 	}
 }
 
-// TestStoreMetricsAddr boots the Options.MetricsAddr debug listener on an
-// ephemeral port and fetches both exposition formats over real HTTP.
+// TestStoreMetricsAddr serves a Store's Metrics through the debug listener
+// the lix-* binaries start for a -metrics address, on an ephemeral port,
+// and fetches both exposition formats over real HTTP.
 func TestStoreMetricsAddr(t *testing.T) {
-	keys := []uint64{1, 2, 3, 5, 8, 13}
-	st, err := Open(keys, core.Config{}, Options{MetricsAddr: "127.0.0.1:0"})
+	st := New([]uint64{1, 2, 3, 5, 8, 13}, core.Config{}, Options{})
+	defer st.Close()
+	dbg, err := obs.StartDebugServer("127.0.0.1:0", st.Metrics)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer st.Close()
-	addr := st.DebugAddr()
-	if addr == "" {
-		t.Fatal("DebugAddr is empty with MetricsAddr set")
-	}
+	defer dbg.Close()
+	addr := dbg.Addr()
 	st.Insert(21)
 	st.Flush()
 

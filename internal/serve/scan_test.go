@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"cmp"
 	"math/rand"
 	"slices"
 	"sync"
@@ -9,6 +10,7 @@ import (
 
 	"learnedindex/internal/core"
 	"learnedindex/internal/data"
+	"learnedindex/internal/scan"
 )
 
 // scanAll drains Store.Scan into a slice.
@@ -287,48 +289,89 @@ func sortedDistinct(keys []uint64) []uint64 {
 	return slices.Compact(s)
 }
 
-// TestScanAllocs asserts the steady-state allocation budget: an open →
-// drain → close cycle on a warm store stays within 2 allocations for both
-// store kinds (the pools make it 0 in practice; 2 is the documented
-// ceiling).
+// TestScanAllocs asserts the steady-state allocation budget of an open →
+// drain → close cycle on a warm store of each key mode, in memory and
+// persistent: within 2 allocations for a uint64 scan (the pools make it 0
+// in practice; 2 is the documented ceiling), and for a string scan within
+// one per page its segment's cursor materializes plus the same 2.
 func TestScanAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	keys := data.Uniform(50_000, 5_000_000, 77)
+	strs := make([]string, len(keys))
+	for i, k := range keys {
+		strs[i] = metricsKey(k)
+	}
 	for _, mode := range []string{"inmemory", "persistent"} {
-		t.Run(mode, func(t *testing.T) {
-			opt := Options{MergeThreshold: 1 << 30}
+		opt := func(t *testing.T) Options {
 			if mode == "persistent" {
-				opt = Options{Dir: t.TempDir()}
+				return Options{Dir: t.TempDir()}
 			}
-			s, err := Open(keys, core.Config{}, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer s.Close()
-			s.Flush()
-			for i := 0; i < 200; i++ {
-				s.Insert(uint64(6_000_000 + i)) // a live delta layer
-			}
-			var sink uint64
-			run := func() {
-				it := s.Scan(1_000_000, 1_200_000)
-				for it.Next() {
-					sink += it.Key()
+			return Options{MergeThreshold: 1 << 30}
+		}
+		t.Run(mode, func(t *testing.T) {
+			t.Run("uint64", func(t *testing.T) {
+				s, err := Open(keys, core.Config{}, opt(t))
+				if err != nil {
+					t.Fatal(err)
 				}
-				it.Close()
-			}
-			run() // warm every pool
-			if avg := testing.AllocsPerRun(100, run); avg > 2 {
-				t.Fatalf("steady-state Scan allocates %.1f per cycle, want <= 2", avg)
-			}
-			_ = sink
+				defer s.Close()
+				s.Flush()
+				for i := 0; i < 200; i++ {
+					s.Insert(uint64(6_000_000 + i)) // a live delta layer
+				}
+				checkScanAllocs(t, func() *scan.Iterator[uint64] { return s.Scan(1_000_000, 1_200_000) },
+					func(int) int { return 2 })
+			})
+			t.Run("string", func(t *testing.T) {
+				s, err := OpenString(strs, core.Config{}, opt(t))
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer s.Close()
+				s.Flush()
+				for i := uint64(0); i < 200; i++ {
+					s.InsertString(metricsKey(6_000_000 + i)) // a live delta layer
+				}
+				lo, hi := metricsKey(1_000_000), metricsKey(1_200_000)
+				checkScanAllocs(t, func() *scan.Iterator[string] { return s.ScanString(lo, hi) },
+					func(n int) int { return stringPages(n) + 2 })
+			})
 		})
 	}
 }
 
-// TestCountRangeAllocFree: the learned COUNT path is pooled too.
+// checkScanAllocs drains the scans open returns, once to warm every pool,
+// then asserts a cycle's average allocations stay within budget(n) for the
+// n keys it streams.
+func checkScanAllocs[K cmp.Ordered](t *testing.T, open func() *scan.Iterator[K], budget func(n int) int) {
+	t.Helper()
+	n := 0
+	run := func() {
+		it := open()
+		for n = 0; it.Next(); n++ {
+		}
+		it.Close()
+	}
+	run()
+	if avg, want := testing.AllocsPerRun(100, run), budget(n); n == 0 || avg > float64(want) {
+		t.Fatalf("steady-state scan of %d keys allocates %.1f per cycle, want <= %d", n, avg, want)
+	}
+}
+
+// stringPages is how many pages a core.StringCursor materializes to
+// stream n keys: the first holds 16, and each next one doubles, up to 256.
+func stringPages(n int) int {
+	pages := 0
+	for size := 16; n > 0; size = min(2*size, 256) {
+		n -= size
+		pages++
+	}
+	return pages
+}
+
+// TestCountRangeSteadyState: the learned COUNT path is pooled too.
 func TestCountRangeSteadyState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")

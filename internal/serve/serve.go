@@ -16,10 +16,9 @@
 // nothing. One insert path, one drain, one rank kernel and one scan serve
 // both.
 //
-// The plane is written once for both key modes (plane.go): one generic set
-// of entry points over a small table of what differs (keyOps). A store's
-// key mode is fixed at construction; calling a method of the other mode
-// panics.
+// A store's key mode is fixed at construction, and the engine is its one
+// key-mode seam: each typed Store method calls the engine method of its
+// mode, and one of the other mode panics there.
 //
 // A batch read hands the whole batch, in the order it arrived, to the
 // engine's rank kernel: one captured segment list, a fence test per
@@ -81,9 +80,9 @@
 package serve
 
 import (
-	"cmp"
 	"fmt"
 	"sync/atomic"
+	"time"
 
 	"learnedindex/internal/core"
 	"learnedindex/internal/obs"
@@ -107,13 +106,6 @@ type Options struct {
 	// for smaller segments between them, trigger a background merge
 	// (default 4).
 	CompactFanout int
-	// MetricsAddr, when non-empty, starts a debug HTTP listener on that
-	// address serving the Store's metrics plane: /metrics (Prometheus
-	// text), /metrics.json, and /debug/pprof. The endpoints carry no
-	// authentication — bind loopback (e.g. "127.0.0.1:0") unless the
-	// network perimeter already restricts access. The bound address is
-	// reported by DebugAddr; the listener closes with the Store.
-	MetricsAddr string
 	// FS is the filesystem a persistent Store performs every file
 	// operation on (internal/vfs). Nil means the real OS; fault-injection
 	// tests swap in a vfs.FaultFS. A store without Dir runs on vfs.Discard
@@ -124,9 +116,6 @@ type Options struct {
 // Store is the serving layer over one storage engine. Create with New (or
 // Open, which returns engine errors), release with Close.
 type Store struct {
-	// mode is the store's plane for its key mode, a *plane[uint64] or a
-	// *plane[string]: a typed method of the other mode panics (see planeOf).
-	mode   any
 	eng    *storage.Engine
 	closed atomic.Bool
 	// persistent is set when the engine's files live under Options.Dir. It
@@ -134,11 +123,9 @@ type Store struct {
 	// bool, Scrub's no-op and ServeReplication's refusal.
 	persistent bool
 	// reg is the metrics registry the store shares with its engine; m holds
-	// the pre-resolved handles the hot paths touch, and dbg the optional
-	// MetricsAddr debug listener.
+	// the pre-resolved handles the hot paths touch.
 	reg *obs.Registry
 	m   storeMetrics
-	dbg *obs.DebugServer
 	// repl holds the store's replication attachments: the shipper started
 	// by ServeReplication and/or the follower installed by OpenFollower
 	// (see follower.go; a follower store refuses every local write).
@@ -210,7 +197,7 @@ func New(keys []uint64, cfg core.Config, opt Options) *Store {
 // when Open returns on a persistent store — a crash inside Open leaves all
 // of them or none.
 func Open(keys []uint64, cfg core.Config, opt Options) (*Store, error) {
-	return open(keys, &u64Ops, cfg, opt)
+	return open(keys, (*storage.Engine).BulkLoad, false, cfg, opt)
 }
 
 // NewString builds a string-keyed Store over the initial keys (any order;
@@ -230,30 +217,29 @@ func NewString(keys []string, cfg core.Config, opt Options) *Store {
 // from the deserialized codec indexes, and the initial keys bulk-loaded as
 // one v2 segment, as Open does.
 func OpenString(keys []string, cfg core.Config, opt Options) (*Store, error) {
-	return open(keys, &strOps, cfg, opt)
+	return open(keys, (*storage.Engine).BulkLoadStrings, true, cfg, opt)
 }
 
-// open is Open and OpenString: the engine in the key mode of ops,
+// open is Open and OpenString: the engine in the key mode strKeys names,
 // bulk-loaded with keys.
-func open[K cmp.Ordered](keys []K, ops *keyOps[K], cfg core.Config, opt Options) (*Store, error) {
-	s, err := openEngine(ops, cfg, opt)
+func open[K any](keys []K, bulkLoad func(*storage.Engine, []K) error, strKeys bool, cfg core.Config, opt Options) (*Store, error) {
+	s, err := openEngine(strKeys, cfg, opt)
 	if err != nil {
 		return nil, err
 	}
-	if err := ops.bulkLoad(s.eng, keys); err != nil {
-		s.closeDebug()
+	if err := bulkLoad(s.eng, keys); err != nil {
 		s.eng.Close()
 		return nil, err
 	}
 	return s, nil
 }
 
-// openEngine opens (or recovers) the engine in the key mode of ops — rooted
-// at opt.Dir, or on vfs.Discard without it — and returns the Store over it,
-// metrics wired: the shared prologue of open and openFollower. The store
-// starts no goroutine of its own: the engine drains itself at the merge
-// threshold.
-func openEngine[K cmp.Ordered](ops *keyOps[K], cfg core.Config, opt Options) (*Store, error) {
+// openEngine opens (or recovers) the engine in the key mode strKeys names —
+// rooted at opt.Dir, or on vfs.Discard without it — and returns the Store
+// over it, metrics wired: the shared prologue of open and openFollower.
+// The store starts no goroutine of its own: the engine drains itself at
+// the merge threshold.
+func openEngine(strKeys bool, cfg core.Config, opt Options) (*Store, error) {
 	thresh := opt.MergeThreshold
 	if thresh <= 0 {
 		thresh = 4096
@@ -267,32 +253,23 @@ func openEngine[K cmp.Ordered](ops *keyOps[K], cfg core.Config, opt Options) (*S
 		Config:        cfg,
 		CompactFanout: opt.CompactFanout,
 		DrainKeys:     thresh,
-		StringKeys:    ops.strKeys,
+		StringKeys:    strKeys,
 		Reg:           reg,
 		FS:            fs,
 	})
 	if err != nil {
 		return nil, err
 	}
-	s := &Store{eng: eng, persistent: opt.Dir != "", reg: reg, m: newStoreMetrics(reg)}
-	s.mode = &plane[K]{s: s, ops: ops}
-	if opt.MetricsAddr != "" {
-		dbg, err := obs.StartDebugServer(opt.MetricsAddr, reg.Snapshot)
-		if err != nil {
-			eng.Close()
-			return nil, err
-		}
-		s.dbg = dbg
-	}
-	return s, nil
+	return &Store{eng: eng, persistent: opt.Dir != "", reg: reg, m: newStoreMetrics(reg)}, nil
 }
 
-// closeDebug shuts the MetricsAddr listener down, if one was started.
-func (s *Store) closeDebug() {
-	if s.dbg != nil {
-		s.dbg.Close()
-		s.dbg = nil
+// admitInsert counts one Insert or InsertString; a follower store refuses
+// it.
+func (s *Store) admitInsert() {
+	if s.repl.follower != nil {
+		panic("serve: insert on a follower store (writes go to the primary)")
 	}
+	s.m.inserts.Inc()
 }
 
 // Insert appends a key to the engine's WAL (durable at the next Sync on a
@@ -300,12 +277,18 @@ func (s *Store) closeDebug() {
 // readers at the next drain — the engine's own, once MergeThreshold keys
 // are pending, or Flush. A write error is sticky in the engine and
 // surfaces on Sync/Flush/Close.
-func (s *Store) Insert(key uint64) { s.u64().insert(key) }
+func (s *Store) Insert(key uint64) {
+	s.admitInsert()
+	s.eng.Append(key) // errors are sticky; surfaced by Sync/Flush/Close
+}
 
 // InsertString is Insert in the codec domain, with the same visibility
 // contract (readable at the next drain or Flush; durable on a persistent
 // store at the next Sync).
-func (s *Store) InsertString(key string) { s.str().insert(key) }
+func (s *Store) InsertString(key string) {
+	s.admitInsert()
+	s.eng.AppendString(key) // errors are sticky; surfaced by Sync/Flush/Close
+}
 
 // InsertDurable inserts keys and returns once they are crash-durable: the
 // batch rides the engine's group-commit plane (a cohort of concurrent
@@ -314,12 +297,37 @@ func (s *Store) InsertString(key string) { s.str().insert(key) }
 // disk flush. Like Insert, the keys become readable at the next drain or
 // Flush. On an in-memory Store the commit reaches vfs.Discard: there is
 // nothing to wait for.
-func (s *Store) InsertDurable(keys ...uint64) error { return s.u64().insertDurable(keys) }
+func (s *Store) InsertDurable(keys ...uint64) error {
+	return insertDurable(s, (*storage.Engine).CommitBatch, keys)
+}
 
 // InsertDurableString inserts string keys and returns once they are
 // crash-durable, riding the engine's group-commit plane like
 // InsertDurable.
-func (s *Store) InsertDurableString(keys ...string) error { return s.str().insertDurable(keys) }
+func (s *Store) InsertDurableString(keys ...string) error {
+	return insertDurable(s, (*storage.Engine).CommitStringBatch, keys)
+}
+
+// insertDurable is InsertDurable and InsertDurableString: keys through the
+// engine's group-commit plane by the method expression commit, timed into
+// lix_serve_durable_insert_ns.
+func insertDurable[K any](s *Store, commit func(*storage.Engine, []K) error, keys []K) error {
+	if s.repl.follower != nil {
+		return ErrFollowerStore
+	}
+	s.m.inserts.Add(int64(len(keys)))
+	var start time.Time
+	if obs.Enabled {
+		start = time.Now()
+	}
+	if err := commit(s.eng, keys); err != nil {
+		return err
+	}
+	if obs.Enabled {
+		s.m.insertNs.ObserveDuration(time.Since(start))
+	}
+	return nil
+}
 
 // Flush is a visibility barrier making all previously returned Inserts
 // readable: an engine Flush, so every key inserted so far, the background
@@ -350,7 +358,6 @@ func (s *Store) Close() error {
 	if s.closed.Swap(true) {
 		return nil
 	}
-	s.closeDebug()
 	s.closeRepl()
 	return s.eng.Close()
 }
@@ -364,22 +371,46 @@ func (s *Store) Close() error {
 // multiply (obs.SampleKey), a 1-in-64 sampled call additionally times
 // itself into lix_serve_lookup_ns and bumps lix_serve_lookups_total by 64
 // — the counter is a sampled estimate, not an exact call count.
-func (s *Store) Lookup(key uint64) int { return s.u64().lookup(key) }
+func (s *Store) Lookup(key uint64) int {
+	if obs.SampleKey(key) {
+		return lookupSampled(s, (*storage.Engine).Lookup, key)
+	}
+	return s.eng.Lookup(key)
+}
 
 // LookupString returns the global lower-bound position of key over the
 // committed view in codec (byte) order: the index of the first committed
 // key >= key. Metrics are 1-in-64 sampled like Lookup, but through the
 // store's shared Sampler — a string key has no cheap hash to slice — so
 // an unsampled call pays one sharded atomic add.
-func (s *Store) LookupString(key string) int { return s.str().lookup(key) }
+func (s *Store) LookupString(key string) int {
+	if s.m.sampler.Tick() {
+		return lookupSampled(s, (*storage.Engine).LookupString, key)
+	}
+	return s.eng.LookupString(key)
+}
+
+// lookupSampled is a sampled Lookup or LookupString: it bumps
+// lix_serve_lookups_total by 64 and times the engine's lookup into
+// lix_serve_lookup_ns.
+func lookupSampled[K any](s *Store, lookup func(*storage.Engine, K) int, key K) int {
+	s.m.lookups.Add(64)
+	if obs.Enabled {
+		start := time.Now()
+		pos := lookup(s.eng, key)
+		s.m.lookupNs.ObserveDuration(time.Since(start))
+		return pos
+	}
+	return lookup(s.eng, key)
+}
 
 // Contains reports whether key is committed: each segment whose fence
 // holds key ranks it through its model, and the key at that position
 // answers.
-func (s *Store) Contains(key uint64) bool { return s.u64().has(key) }
+func (s *Store) Contains(key uint64) bool { return s.eng.Contains(key) }
 
 // ContainsString reports whether a string key is committed.
-func (s *Store) ContainsString(key string) bool { return s.str().has(key) }
+func (s *Store) ContainsString(key string) bool { return s.eng.ContainsString(key) }
 
 // Len returns the number of distinct committed keys.
 func (s *Store) Len() int { return s.eng.Len() }
@@ -445,16 +476,6 @@ func (s *Store) Registry() *obs.Registry { return s.reg }
 // pick the right method family instead of guessing and panicking.
 func (s *Store) StringKeys() bool { return s.eng.StringKeys() }
 
-// DebugAddr returns the bound address of the Options.MetricsAddr debug
-// listener ("host:port", useful with a ":0" request), or "" when none was
-// started.
-func (s *Store) DebugAddr() string {
-	if s.dbg == nil {
-		return ""
-	}
-	return s.dbg.Addr()
-}
-
 // LookupBatch answers Lookup for every probe, in probe order, against one
 // consistent captured view. The batch is neither sorted nor split: the
 // engine's rank kernel fences every probe against every segment of one
@@ -462,20 +483,51 @@ func (s *Store) DebugAddr() string {
 // batch kernel together, so one lockstep search keeps the misses of every
 // probe in flight at once, and the answers land in probe order with
 // nothing to un-permute.
-func (s *Store) LookupBatch(probes []uint64) []int { return s.u64().lookupBatch(probes) }
+func (s *Store) LookupBatch(probes []uint64) []int {
+	return lookupBatch(s, (*storage.Engine).LookupBatch, probes)
+}
 
 // LookupBatchString is LookupBatch for a string-keyed store: every probe,
 // in probe order, against one consistent captured view, through the
 // engine's rank kernel over one captured segment list, counted in the same
 // batch metrics.
-func (s *Store) LookupBatchString(probes []string) []int { return s.str().lookupBatch(probes) }
+func (s *Store) LookupBatchString(probes []string) []int {
+	return lookupBatch(s, (*storage.Engine).LookupBatchString, probes)
+}
+
+// lookupBatch is LookupBatch and LookupBatchString, through the method
+// expression rank. Per-batch metrics: two sharded atomic adds (batch count
+// + sampler tick) plus one histogram add — amortized over the whole batch,
+// which is what keeps the instrumented build within the <3% overhead gate.
+// Latency is timed only on 1-in-64 sampled batches.
+func lookupBatch[K any](s *Store, rank func(*storage.Engine, []K, []int), probes []K) []int {
+	s.m.batches.Inc()
+	s.m.batchLen.Observe(uint64(len(probes)))
+	sampled := obs.Enabled && s.m.sampler.Tick()
+	var start time.Time
+	if sampled {
+		start = time.Now()
+	}
+	out := make([]int, len(probes))
+	rank(s.eng, probes, out)
+	if sampled {
+		s.m.batchNs.ObserveDuration(time.Since(start))
+	}
+	return out
+}
 
 // ContainsBatch reports membership for every probe, in probe order,
 // against one consistent captured view.
-func (s *Store) ContainsBatch(probes []uint64) []bool { return s.u64().containsBatch(probes) }
+func (s *Store) ContainsBatch(probes []uint64) []bool {
+	out := make([]bool, len(probes))
+	s.eng.ContainsBatch(probes, out)
+	return out
+}
 
 // ContainsBatchString reports membership for every probe, in probe order,
 // against one consistent captured view, like ContainsBatch.
 func (s *Store) ContainsBatchString(probes []string) []bool {
-	return s.str().containsBatch(probes)
+	out := make([]bool, len(probes))
+	s.eng.ContainsBatchString(probes, out)
+	return out
 }

@@ -6,6 +6,7 @@ import (
 
 	"learnedindex/internal/binenc"
 	"learnedindex/internal/core"
+	"learnedindex/internal/scan"
 	"learnedindex/internal/slicepool"
 )
 
@@ -15,9 +16,10 @@ import (
 // sorted unique key run — a segment's own, for a merge — becomes a built
 // segment (commitSegment, which gives it its file, is the same for both
 // kinds). Membership has no entry of its own: it is rank plus one equality
-// test by position. The write plane (writeplane.go) asks three things more:
-// a WAL record's grammar, the bound a record's keys are chunked against,
-// and where a key run sits in a ReplFrame or a Snapshot.
+// test by position. A scan (snapshot.go) asks how a segment streams; the
+// write plane (writeplane.go) asks three things more: a WAL record's
+// grammar, the bound a record's keys are chunked against, and where a key
+// run sits in a ReplFrame or a snapshot.
 type keyOps[K cmp.Ordered] struct {
 	fence func(*segment) (lo, hi K)
 	// keys returns the segment's sorted keys for a merge to read: a uint64
@@ -37,6 +39,13 @@ type keyOps[K cmp.Ordered] struct {
 	build func(e *Engine, seqLo, seqHi uint64, keys []K) (*segment, error)
 	pool  *sync.Pool // of *readScratch[K]
 
+	// cursor points the scan cursor in slot c at segment s, reusing the
+	// cursor a pooled scan state left there: a KeysCursor over the key
+	// array entered through the plan, or a core.StringCursor over the
+	// codec index.
+	cursor func(c *scan.Cursor[K], s *segment)
+	scans  *sync.Pool // of *scanState[K]
+
 	// record appends the WAL payload of batches, framed as one record, to
 	// dst (binenc's key payload); decode reads one back.
 	record func(dst []byte, batches ...[]K) []byte
@@ -46,10 +55,10 @@ type keyOps[K cmp.Ordered] struct {
 	// to (at most maxStringChunkBytes).
 	weight func(batch []K) int
 	limit  int
-	// replKeys and delta point at the ReplFrame and Snapshot fields that
+	// replKeys and delta point at the ReplFrame and snapshot fields that
 	// hold keys of this kind.
 	replKeys func(*ReplFrame) *[]K
-	delta    func(*Snapshot) *[]K
+	delta    func(*snapshot) *[]K
 	// pendingPool recycles the write plane's pending buffers (see
 	// maxPooledPending).
 	pendingPool slicepool.Pool[K]
@@ -81,13 +90,22 @@ var (
 			return buildSegment(seqLo, seqHi, keys, e.opts.Config), nil
 		},
 		pool: &sync.Pool{New: func() any { return new(readScratch[uint64]) }},
+		cursor: func(c *scan.Cursor[uint64], s *segment) {
+			kc, ok := (*c).(*scan.KeysCursor[uint64])
+			if !ok {
+				kc = new(scan.KeysCursor[uint64])
+				*c = kc
+			}
+			kc.Reset(s.keys, s.plan)
+		},
+		scans: &sync.Pool{New: func() any { return new(scanState[uint64]) }},
 
 		record:   binenc.AppendUvarints,
 		decode:   (*binenc.Reader).Uvarints,
 		weight:   func(batch []uint64) int { return len(batch) },
 		limit:    maxAppendChunk,
 		replKeys: func(f *ReplFrame) *[]uint64 { return &f.Keys },
-		delta:    func(sn *Snapshot) *[]uint64 { return &sn.keys },
+		delta:    func(sn *snapshot) *[]uint64 { return &sn.keys },
 	}
 	strOps = keyOps[string]{
 		fence:  func(s *segment) (string, string) { return s.minStr(), s.maxStr() },
@@ -105,13 +123,22 @@ var (
 			return buildStringSegment(seqLo, seqHi, keys, e.opts.Config)
 		},
 		pool: &sync.Pool{New: func() any { return new(readScratch[string]) }},
+		cursor: func(c *scan.Cursor[string], s *segment) {
+			sc, ok := (*c).(*core.StringCursor)
+			if !ok {
+				sc = new(core.StringCursor)
+				*c = sc
+			}
+			sc.Reset(s.sindex)
+		},
+		scans: &sync.Pool{New: func() any { return new(scanState[string]) }},
 
 		record:   binenc.AppendStrings,
 		decode:   (*binenc.Reader).Strings,
 		weight:   encodedStringsSize,
 		limit:    maxStringChunkBytes,
 		replKeys: func(f *ReplFrame) *[]string { return &f.Strs },
-		delta:    func(sn *Snapshot) *[]string { return &sn.strs },
+		delta:    func(sn *snapshot) *[]string { return &sn.strs },
 	}
 )
 

@@ -131,14 +131,14 @@ func TestENOSPCDegradesToReadOnly(t *testing.T) {
 	if got := e.CountRange(0, ^uint64(0), true); got != len(keys) {
 		t.Fatalf("degraded engine serves %d keys on the scan plane, want %d", got, len(keys))
 	}
-	sn := e.AcquireSnapshot()
+	sn := pinAll[uint64](e)
 	for _, k := range keys {
-		if !sn.Contains(k) && !slices.Contains(sn.Pending(), k) {
-			sn.Release()
+		if containsBatchIn(sn.segs, &u64Ops, []uint64{k}, nil) == 0 && !slices.Contains(sn.keys, k) {
+			sn.release()
 			t.Fatalf("degraded engine dropped acked key %d", k)
 		}
 	}
-	sn.Release()
+	sn.release()
 
 	ffs.SetHook(nil) // space freed
 	e.Close()        // close's flush is still refused (degradation is sticky)

@@ -422,7 +422,7 @@ func TestSnapshotOfResidentRunReleasesWithoutFilesystem(t *testing.T) {
 		}
 	}
 	drain(0)
-	sn := e.AcquireSnapshot()
+	sn := pinAll[uint64](e)
 	pinned := residentOf(sn.segs)
 	if pinned == nil || pinned.pins.Load() != 1 {
 		t.Fatalf("snapshot did not pin the resident run: %+v", pinned)
@@ -434,12 +434,12 @@ func TestSnapshotOfResidentRunReleasesWithoutFilesystem(t *testing.T) {
 	if cur := residentOf(*e.segs.Load()); cur == pinned || cur.numKeys() != 4000 {
 		t.Fatalf("three drains left the resident run at %d keys", cur.numKeys())
 	}
-	if got := drainSnapshot(sn, 0, ^uint64(0), true); !slices.Equal(got, want) {
+	if got := drainSnapshot(sn, &u64Ops, 0, ^uint64(0), true); !slices.Equal(got, want) {
 		t.Fatalf("pinned view streams %d keys, captured %d", len(got), len(want))
 	}
 	var ops atomic.Int32
 	ffs.SetHook(func(vfs.Op, string) error { ops.Add(1); return nil })
-	sn.Release()
+	sn.release()
 	ffs.SetHook(nil)
 	if ops.Load() != 0 || pinned.pins.Load() != 0 || pinned.zombie || e.m.zombies.Load() != 0 {
 		t.Fatalf("release of a replaced resident run: %d file operations, pins=%d zombie=%v zombies=%d",

@@ -8,57 +8,20 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"learnedindex/internal/core"
 	"learnedindex/internal/data"
-	"learnedindex/internal/scan"
 )
 
-// drainSnapshot merges a snapshot's delta + segment cursors through the
-// scan iterator, exactly as the serving layer composes them: [lo, hi) when
-// bounded, keys >= lo otherwise.
-func drainSnapshot(sn *Snapshot, lo, hi uint64, bounded bool) []uint64 {
-	it := scan.Get[uint64]()
-	if p := sn.Pending(); len(p) > 0 {
-		c := new(scan.KeysCursor[uint64])
-		c.Reset(p, nil)
-		it.Add(c) // newest layer first
-	}
-	for i := 0; i < sn.NumSegments(); i++ {
-		if ks, plan := sn.SegmentKeys(i, lo, hi, bounded); ks != nil {
-			c := new(scan.KeysCursor[uint64])
-			c.Reset(ks, plan)
-			it.Add(c)
-		}
-	}
-	return drainIterator(it, lo, hi, bounded)
+// pinAll acquires a snapshot of e's whole view.
+func pinAll[K cmp.Ordered](e *Engine) *snapshot {
+	var zero K
+	return acquireSnapshot(planeOf[K](e), zero, zero, false)
 }
 
-// drainSnapshotStr is drainSnapshot for a string-keyed engine, each
-// segment streamed through a core.StringCursor over its codec index.
-func drainSnapshotStr(sn *Snapshot, lo, hi string, bounded bool) []string {
-	it := scan.Get[string]()
-	if p := sn.PendingStrings(); len(p) > 0 {
-		c := new(scan.KeysCursor[string])
-		c.Reset(p, nil)
-		it.Add(c) // newest layer first
-	}
-	for i := 0; i < sn.NumSegments(); i++ {
-		if si := sn.SegmentStrings(i, lo, hi, bounded); si != nil {
-			c := new(core.StringCursor)
-			c.Reset(si)
-			it.Add(c)
-		}
-	}
-	return drainIterator(it, lo, hi, bounded)
-}
-
-// drainIterator starts it over the range and collects what it streams.
-func drainIterator[K cmp.Ordered](it *scan.Iterator[K], lo, hi K, bounded bool) []K {
-	if bounded {
-		it.Start(lo, hi, nil)
-	} else {
-		it.StartFrom(lo, nil)
-	}
+// drainSnapshot collects what the engine's scan composition streams out of
+// sn, which the caller keeps holding: [lo, hi) when bounded, keys >= lo
+// otherwise.
+func drainSnapshot[K cmp.Ordered](sn *snapshot, ops *keyOps[K], lo, hi K, bounded bool) []K {
+	it := scanSnapshot(sn, ops, lo, hi, bounded, false)
 	defer it.Close()
 	var out []K
 	for it.Next() {
@@ -88,19 +51,15 @@ type oracleMode[K cmp.Ordered] struct {
 	batch  func(round int) []K         // the keys one round appends
 	bounds func(rng *rand.Rand) (K, K) // a random scan range, lo <= hi
 	append func(e *Engine, keys []K) error
-	// acquire pins the whole view; scan and count read [lo, hi) from it
-	// when bounded, keys >= lo otherwise.
-	acquire func(e *Engine) *Snapshot
-	scan    func(sn *Snapshot, lo, hi K, bounded bool) []K
-	count   func(sn *Snapshot, lo, hi K, bounded bool) int
+	ops    *keyOps[K]
 }
 
 // TestSnapshotScanOracle drives the engine, in each key mode, through
 // appends, drains, flushes, and compactions, checking after every step that
-// a snapshot scan streams exactly the sorted deduplicated union of segments
-// (the resident run among them) + unflushed delta for random ranges, and
-// that the learned count — CountRange, CountRangeStr bounded and
-// open-ended — agrees with the streamed count.
+// the engine's scan composition (scanSnapshot) streams exactly the sorted
+// deduplicated union of segments (the resident run among them) + unflushed
+// delta for random ranges, and that the learned count (countRange, bounded
+// and open-ended) agrees with the streamed count.
 func TestSnapshotScanOracle(t *testing.T) {
 	t.Run("uint64", func(t *testing.T) {
 		snapshotScanOracle(t, oracleMode[uint64]{
@@ -114,10 +73,8 @@ func TestSnapshotScanOracle(t *testing.T) {
 				lo := rng.Uint64() % 1_200_000
 				return lo, lo + rng.Uint64()%400_000
 			},
-			append:  func(e *Engine, keys []uint64) error { return e.AppendBatch(keys) },
-			acquire: (*Engine).AcquireSnapshot,
-			scan:    drainSnapshot,
-			count:   (*Snapshot).CountRange,
+			append: func(e *Engine, keys []uint64) error { return e.AppendBatch(keys) },
+			ops:    &u64Ops,
 		})
 	})
 	t.Run("string", func(t *testing.T) {
@@ -131,11 +88,7 @@ func TestSnapshotScanOracle(t *testing.T) {
 				return min(a, b), max(a, b)
 			},
 			append: func(e *Engine, keys []string) error { return e.AppendStringBatch(keys) },
-			acquire: func(e *Engine) *Snapshot {
-				return e.AcquireSnapshotRangeStr("", "", false)
-			},
-			scan:  drainSnapshotStr,
-			count: (*Snapshot).CountRangeStr,
+			ops:    &strOps,
 		})
 	})
 }
@@ -149,24 +102,24 @@ func snapshotScanOracle[K cmp.Ordered](t *testing.T, m oracleMode[K]) {
 
 	check := func(step string) {
 		t.Helper()
-		sn := m.acquire(e)
-		defer sn.Release()
+		sn := pinAll[K](e)
+		defer sn.release()
 		for trial := 0; trial < 5; trial++ {
 			lo, hi := m.bounds(rng)
 			for _, bounded := range []bool{true, false} {
-				got := m.scan(sn, lo, hi, bounded)
+				got := drainSnapshot(sn, m.ops, lo, hi, bounded)
 				want := refRange(all, lo, hi, bounded)
 				if !slices.Equal(got, want) {
 					t.Fatalf("%s: scan [%v,%v) bounded=%v got %d keys, want %d", step, lo, hi, bounded, len(got), len(want))
 				}
-				if c := m.count(sn, lo, hi, bounded); c != len(want) {
+				if c := countRange(sn, m.ops, lo, hi, bounded); c != len(want) {
 					t.Fatalf("%s: count [%v,%v) bounded=%v = %d, want %d", step, lo, hi, bounded, c, len(want))
 				}
 			}
 		}
 		// Full-range scan too.
 		var zero K
-		if got, want := m.scan(sn, zero, zero, false), refRange(all, zero, zero, false); !slices.Equal(got, want) {
+		if got, want := drainSnapshot(sn, m.ops, zero, zero, false), refRange(all, zero, zero, false); !slices.Equal(got, want) {
 			t.Fatalf("%s: full scan %d keys, want %d", step, len(got), len(want))
 		}
 	}
@@ -209,7 +162,7 @@ func TestSnapshotPinsCompactionInputs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	sn := e.AcquireSnapshot()
+	sn := pinAll[uint64](e)
 	var pinnedPaths []string
 	for _, s := range sn.segs {
 		pinnedPaths = append(pinnedPaths, s.path)
@@ -229,10 +182,10 @@ func TestSnapshotPinsCompactionInputs(t *testing.T) {
 		}
 	}
 	// The pinned view still serves the pre-compaction state.
-	if got, want := drainSnapshot(sn, 0, ^uint64(0), true), refRange(e.Keys(), 0, ^uint64(0), true); !slices.Equal(got, want) {
+	if got, want := drainSnapshot(sn, &u64Ops, 0, ^uint64(0), true), refRange(e.Keys(), 0, ^uint64(0), true); !slices.Equal(got, want) {
 		t.Fatalf("pinned scan diverged: %d vs %d keys", len(got), len(want))
 	}
-	sn.Release()
+	sn.release()
 	deleted := 0
 	for _, p := range pinnedPaths {
 		if _, err := os.Stat(p); os.IsNotExist(err) {

@@ -5,16 +5,15 @@ import (
 	"slices"
 	"sync"
 
-	"learnedindex/internal/core"
 	"learnedindex/internal/scan"
 	"learnedindex/internal/search"
 )
 
-// Snapshot is a pinned point-in-time view of the engine for range scans
+// snapshot is a pinned point-in-time view of the engine for range scans
 // and learned counts: the segment list as of acquisition plus a sorted,
 // deduplicated copy of every key that was appended/committed but not yet
 // served (the WAL-backed delta, including keys frozen by an in-progress
-// Drain or Flush). While a Snapshot is held, compaction may replace segments
+// Drain or Flush). While a snapshot is held, compaction may replace segments
 // in the live list but will not delete a pinned segment's file — deletion is
 // deferred until the last pin releases — so the on-disk state backing the
 // view outlives the scan no matter how many merges land mid-stream. A pinned
@@ -25,10 +24,9 @@ import (
 // — the write plane's pending and flushing keys, copied by one capture for
 // both key modes — is taken BEFORE the segment list is loaded, so a key
 // migrating from the WAL into a segment mid-acquisition appears in at least
-// one of the two (and dedup handles both). A Snapshot is immutable and safe
-// for concurrent readers; Release it exactly once. Its typed methods panic
-// on a snapshot of the other key mode's engine, like the Engine's.
-type Snapshot struct {
+// one of the two (and dedup handles both). A snapshot is immutable and safe
+// for concurrent readers; release it exactly once.
+type snapshot struct {
 	eng  *Engine
 	segs []*segment
 	// keys or strs, per the engine's key mode, is the sorted, deduplicated
@@ -37,37 +35,17 @@ type Snapshot struct {
 	strs []string
 }
 
-var snapshotPool = sync.Pool{New: func() any { return new(Snapshot) }}
+var snapshotPool = sync.Pool{New: func() any { return new(snapshot) }}
 
-// AcquireSnapshot pins the current served state plus the whole unflushed
-// delta: AcquireSnapshotRange unbounded from the smallest key. Pair every
-// acquisition with exactly one Release.
-func (e *Engine) AcquireSnapshot() *Snapshot {
-	return e.AcquireSnapshotRange(0, 0, false)
-}
-
-// AcquireSnapshotRange is AcquireSnapshot restricted to the scan range —
-// [lo, hi) when bounded, keys >= lo otherwise (hi is ignored): the
-// unflushed delta copy keeps only in-range keys, so the capture's sort
-// cost scales with delta∩range instead of the whole buffer (the segment
-// list is shared pointers either way). Keys outside the range are
-// invisible to the snapshot's delta — the scan iterator's bounds, applied
-// at capture.
-func (e *Engine) AcquireSnapshotRange(lo, hi uint64, bounded bool) *Snapshot {
-	return acquireSnapshot(planeOf[uint64](e), lo, hi, bounded)
-}
-
-// AcquireSnapshotRangeStr is AcquireSnapshotRange for a string-keyed
-// engine.
-func (e *Engine) AcquireSnapshotRangeStr(lo, hi string, bounded bool) *Snapshot {
-	return acquireSnapshot(planeOf[string](e), lo, hi, bounded)
-}
-
-// acquireSnapshot captures the plane's unflushed delta in range — [lo, hi)
-// when bounded, keys >= lo otherwise — then pins the segment list.
-func acquireSnapshot[K cmp.Ordered](p *writePlane[K], lo, hi K, bounded bool) *Snapshot {
+// acquireSnapshot pins the plane's unflushed delta in the scan range —
+// [lo, hi) when bounded, keys >= lo otherwise (hi is ignored) — then the
+// segment list. The delta copy keeps only in-range keys, so the capture's
+// sort cost scales with delta∩range instead of the whole buffer (the
+// segment list is shared pointers either way). Pair every acquisition with
+// exactly one release.
+func acquireSnapshot[K cmp.Ordered](p *writePlane[K], lo, hi K, bounded bool) *snapshot {
 	e := p.e
-	sn := snapshotPool.Get().(*Snapshot)
+	sn := snapshotPool.Get().(*snapshot)
 	sn.eng = e
 	d := p.ops.delta(sn)
 	// Delta first (see the type comment for why this order is loss-free).
@@ -89,7 +67,7 @@ func acquireSnapshot[K cmp.Ordered](p *writePlane[K], lo, hi K, bounded bool) *S
 // pinSegments captures and pins the live segment list. Pinning happens
 // under segMu: publication and retirement both hold it, so a segment cannot
 // be retired between the list load and its pin.
-func (sn *Snapshot) pinSegments() {
+func (sn *snapshot) pinSegments() {
 	e := sn.eng
 	e.segMu.Lock()
 	segs := *e.segs.Load()
@@ -100,11 +78,11 @@ func (sn *Snapshot) pinSegments() {
 	e.segMu.Unlock()
 }
 
-// Release unpins the snapshot's segments — deleting any compacted-away
+// release unpins the snapshot's segments — deleting any compacted-away
 // segment file whose last pin this was — and recycles the snapshot. The
 // unlink syscalls run outside segMu so releases never stall concurrent
 // snapshot acquisitions on filesystem latency.
-func (sn *Snapshot) Release() {
+func (sn *snapshot) release() {
 	e := sn.eng
 	if e == nil {
 		return // already released
@@ -150,70 +128,6 @@ func (e *Engine) retireLocked(s *segment) string {
 	return ""
 }
 
-// Pending returns the snapshot's sorted, deduplicated unflushed keys (the
-// WAL-backed delta layer of a scan). Shared, read-only.
-func (sn *Snapshot) Pending() []uint64 {
-	planeOf[uint64](sn.eng) // the mode check
-	return sn.keys
-}
-
-// NumSegments returns how many segments the snapshot pinned.
-func (sn *Snapshot) NumSegments() int { return len(sn.segs) }
-
-// SegmentKeys returns segment i's sorted key array plus its compiled plan
-// as the learned entry positioner when the segment's [min, max] key fence
-// overlaps the scan range ([lo, hi) when bounded, keys >= lo otherwise),
-// and (nil, nil) otherwise — the fence check is the scan subsystem's data
-// skipping: a pruned segment contributes nothing and costs two
-// comparisons. The array is the one point reads search; the scan layer
-// wraps the pair in a scan.KeysCursor. Shared, read-only.
-func (sn *Snapshot) SegmentKeys(i int, lo, hi uint64, bounded bool) ([]uint64, scan.Positioner[uint64]) {
-	planeOf[uint64](sn.eng) // the mode check
-	s := sn.segs[i]
-	if (bounded && hi <= s.minKey()) || lo > s.maxKey() {
-		return nil, nil
-	}
-	return s.keys, s.plan
-}
-
-// PendingStrings returns the snapshot's sorted, deduplicated unflushed
-// string keys. Shared, read-only.
-func (sn *Snapshot) PendingStrings() []string {
-	planeOf[string](sn.eng) // the mode check
-	return sn.strs
-}
-
-// SegmentStrings returns segment i's codec index when the segment's
-// [min, max] fence overlaps the scan range ([lo, hi) when bounded, keys >=
-// lo otherwise), and nil when the fence prunes it. A string segment holds
-// no strings: the scan layer points a core.StringCursor at the index, which
-// materializes the keys it streams a page at a time.
-func (sn *Snapshot) SegmentStrings(i int, lo, hi string, bounded bool) *core.StringIndex {
-	planeOf[string](sn.eng) // the mode check
-	s := sn.segs[i]
-	if (bounded && hi <= s.minStr()) || lo > s.maxStr() {
-		return nil
-	}
-	return s.sindex
-}
-
-// Contains reports whether key is in one of the snapshot's segments. The
-// pending delta is NOT consulted.
-func (sn *Snapshot) Contains(key uint64) bool {
-	return containsBatchIn(sn.segs, planeOf[uint64](sn.eng).ops, []uint64{key}, nil) > 0
-}
-
-// CountRange returns the exact number of distinct keys k in [lo, hi)
-// across the snapshot when bounded, keys >= lo otherwise. See countRange.
-func (sn *Snapshot) CountRange(lo, hi uint64, bounded bool) int {
-	return countRange(sn, planeOf[uint64](sn.eng).ops, lo, hi, bounded)
-}
-
-// CountRangeStr is CountRange for string keys.
-func (sn *Snapshot) CountRangeStr(lo, hi string, bounded bool) int {
-	return countRange(sn, planeOf[string](sn.eng).ops, lo, hi, bounded)
-}
-
 // countRange is the one learned COUNT over a snapshot, [lo, hi) when
 // bounded and keys >= lo otherwise: segments answer by pure position
 // arithmetic — at most two scalar lookups each, zero iteration, with the
@@ -221,7 +135,7 @@ func (sn *Snapshot) CountRangeStr(lo, hi string, bounded bool) int {
 // the unflushed delta contributes an exact correction (each in-range delta
 // key counts only if no segment already serves it). Segments hold disjoint
 // key sets, so the per-segment sums compose exactly.
-func countRange[K cmp.Ordered](sn *Snapshot, ops *keyOps[K], lo, hi K, bounded bool) int {
+func countRange[K cmp.Ordered](sn *snapshot, ops *keyOps[K], lo, hi K, bounded bool) int {
 	if bounded && hi <= lo {
 		return 0
 	}
@@ -249,9 +163,8 @@ func countRange[K cmp.Ordered](sn *Snapshot, ops *keyOps[K], lo, hi K, bounded b
 	return total + len(p) - containsBatchIn(sn.segs, ops, p, nil)
 }
 
-// CountRange is Snapshot.CountRange over a throwaway range-restricted
-// snapshot: the engine-level learned COUNT for callers that don't hold a
-// scan open.
+// CountRange is the learned COUNT over a throwaway range-restricted
+// snapshot: [lo, hi) when bounded, keys >= lo otherwise. See countRange.
 func (e *Engine) CountRange(lo, hi uint64, bounded bool) int {
 	return countFresh(planeOf[uint64](e), lo, hi, bounded)
 }
@@ -268,6 +181,104 @@ func countFresh[K cmp.Ordered](p *writePlane[K], lo, hi K, bounded bool) int {
 		return 0
 	}
 	sn := acquireSnapshot(p, lo, hi, bounded)
-	defer sn.Release()
+	defer sn.release()
 	return countRange(sn, p.ops, lo, hi, bounded)
+}
+
+// Scan opens a streaming merge over every key of the range — [lo, hi)
+// when bounded, keys >= lo otherwise (hi is ignored) — on a snapshot it
+// acquires for the range and releases when the iterator closes: ascending,
+// deduplicated, and isolated from every later append, drain, flush and
+// compaction. See scanSnapshot.
+func (e *Engine) Scan(lo, hi uint64, bounded bool) *scan.Iterator[uint64] {
+	return scanFresh(planeOf[uint64](e), lo, hi, bounded)
+}
+
+// ScanString is Scan for a string-keyed engine, in codec (byte) order.
+func (e *Engine) ScanString(lo, hi string, bounded bool) *scan.Iterator[string] {
+	return scanFresh(planeOf[string](e), lo, hi, bounded)
+}
+
+func scanFresh[K cmp.Ordered](p *writePlane[K], lo, hi K, bounded bool) *scan.Iterator[K] {
+	return scanSnapshot(acquireSnapshot(p, lo, hi, bounded), p.ops, lo, hi, bounded, true)
+}
+
+// scanState is the pooled per-scan working set: the snapshot the scan
+// releases at Close, if it owns one, plus the cursors that stream it. It
+// implements scan.Closer, so the iterator's Close returns everything here
+// to the pool.
+type scanState[K cmp.Ordered] struct {
+	ops  *keyOps[K]
+	snap *snapshot
+	dc   scan.KeysCursor[K] // streams the pending delta
+	// curs holds one cursor per segment the range overlaps. A slot keeps
+	// its cursor across scans, so a string cursor's page keeps the capacity
+	// earlier scans grew.
+	curs []scan.Cursor[K]
+}
+
+// slot extends curs by one and returns the new slot, holding whatever
+// cursor an earlier scan left there.
+func (st *scanState[K]) slot() *scan.Cursor[K] {
+	if len(st.curs) < cap(st.curs) {
+		st.curs = st.curs[:len(st.curs)+1]
+	} else {
+		st.curs = append(st.curs, nil)
+	}
+	return &st.curs[len(st.curs)-1]
+}
+
+// CloseScan releases the owned snapshot and recycles the state. Runs via
+// Iterator.Close after every cursor has been released.
+func (st *scanState[K]) CloseScan() {
+	if st.snap != nil {
+		st.snap.release()
+		st.snap = nil
+	}
+	st.curs = st.curs[:0] // cursor Release already dropped the index refs
+	st.ops.scans.Put(st)
+}
+
+// scanSnapshot is the one scan composition: a merge of sn's pending delta
+// with one cursor per segment whose min/max fence overlaps the range —
+// [lo, hi) when bounded, keys >= lo otherwise — started over the range.
+// The fence is the scan's data skipping: a pruned segment contributes
+// nothing and costs two comparisons. A uint64 segment's cursor walks its
+// key array entered at the position its plan predicts for the range start
+// (model-biased seek, not binary search); a string segment holds no
+// strings, and its cursor (core.StringCursor) materializes the keys it
+// streams out of the segment's dictionary a page at a time. The delta is
+// added first, so the newest layer wins the merge's ties, and a key seen
+// in two layers — mid-migration at capture — streams once. With release
+// set, closing the iterator releases sn.
+//
+// All scan state — the iterator, its tournament arrays, the cursors and
+// the snapshot — recycles through pools: a steady-state uint64
+// Scan→drain→Close cycle allocates nothing, and a string scan one
+// allocation per page its cursors materialize.
+func scanSnapshot[K cmp.Ordered](sn *snapshot, ops *keyOps[K], lo, hi K, bounded, release bool) *scan.Iterator[K] {
+	st := ops.scans.Get().(*scanState[K])
+	st.ops = ops
+	if release {
+		st.snap = sn
+	}
+	it := scan.Get[K]()
+	if d := *ops.delta(sn); len(d) > 0 {
+		st.dc.Reset(d, nil)
+		it.Add(&st.dc)
+	}
+	for _, s := range sn.segs {
+		if first, last := ops.fence(s); (bounded && hi <= first) || lo > last {
+			continue
+		}
+		c := st.slot()
+		ops.cursor(c, s)
+		it.Add(*c)
+	}
+	if bounded {
+		it.Start(lo, hi, st)
+	} else {
+		it.StartFrom(lo, st)
+	}
+	return it
 }

@@ -52,11 +52,13 @@
 // dedupe share one, every batched rank read the other — probes in any
 // order, fenced per segment, and only the in-fence (probe, segment) pairs
 // run a model, together through core's batch kernel. Lookup, LookupString
-// and the learned counts (CountRange and its string twin, over a Snapshot
-// or the engine) run one per-key loop, also written once (rankIn,
-// countRange): the same fence, then one scalar plan or codec-index lookup
-// per in-fence segment. rankIn is the reference the oracles compare the
-// batched rank against. Writes (Append, Sync, Drain, Flush) are serialized by an
+// and the learned counts (CountRange and its string twin, over a pinned
+// snapshot) run one per-key loop, also written once (rankIn, countRange):
+// the same fence, then one scalar plan or codec-index lookup per in-fence
+// segment. rankIn is the reference the oracles compare the batched rank
+// against. Scan and ScanString stream a range out of a pinned snapshot
+// through one merge of its delta and a cursor per in-fence segment
+// (scanSnapshot), isolated from every later write. Writes (Append, Sync, Drain, Flush) are serialized by an
 // internal mutex and may be called concurrently with reads and with
 // background compaction. I/O errors latch: once a write fails, the error
 // is sticky and returned by every subsequent Append/Sync/Flush/Close so an

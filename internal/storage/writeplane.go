@@ -15,7 +15,7 @@ import (
 // frames a cohort, freezes, serves a freeze, thaws, recovers the logs and
 // captures a replication frame or a scan delta runs once over it. The key
 // kind only chooses the keyOps the plane carries: a record's grammar, the
-// bound records are chunked against, and which ReplFrame and Snapshot field
+// bound records are chunked against, and which ReplFrame and snapshot field
 // a key run lands in.
 
 // writePlane is an engine's write plane for keys of kind K. Open builds

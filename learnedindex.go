@@ -133,8 +133,9 @@ type (
 	// durations, pending keys, and per-segment observed model error
 	// against the trained error bound. Serialize with WritePrometheus (text exposition
 	// format) or WriteJSON; building the library with -tags noobs
-	// compiles the histogram plane out (counters stay real). See
-	// StoreOptions.MetricsAddr for the built-in debug HTTP listener.
+	// compiles the histogram plane out (counters stay real). Serve it over
+	// HTTP by calling Store.Metrics per request; the lix-server and
+	// lix-repl binaries' -metrics flag starts a built-in debug listener.
 	Metrics = obs.Snapshot
 	// MetricsRegistry is the registry behind a Store's metrics plane
 	// (Store.Registry()): embedders can hang their own counters, gauges,
