@@ -24,7 +24,6 @@ import (
 	"learnedindex/internal/fast"
 	"learnedindex/internal/hashmap"
 	"learnedindex/internal/lookuptable"
-	"learnedindex/internal/ml"
 	"learnedindex/internal/search"
 )
 
@@ -202,9 +201,9 @@ func BenchmarkFigure8Conflicts(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			slots := len(keys)
 			hcfg := core.DefaultConfig(len(keys) / 20)
-			lh := core.NewLearnedHashFromRMI(core.New(keys, hcfg), slots)
-			model := core.MeasureConflicts(keys, slots, lh.Hash)
-			random := core.MeasureConflicts(keys, slots, core.RandomHashFunc(slots))
+			lh := hashmap.NewLearnedHashFromRMI(core.New(keys, hcfg), slots)
+			model := hashmap.MeasureConflicts(keys, slots, lh.Hash)
+			random := hashmap.MeasureConflicts(keys, slots, hashmap.RandomHashFunc(slots))
 			b.ReportMetric(model.ConflictRate()*100, "model-conflict-%")
 			b.ReportMetric(random.ConflictRate()*100, "random-conflict-%")
 			b.ReportMetric((1-model.ConflictRate()/random.ConflictRate())*100, "reduction-%")
@@ -226,13 +225,13 @@ func benchProbeName(name string) string { return name }
 
 func BenchmarkFigure10LearnedBloom(b *testing.B) {
 	corpus := data.URLs(20_000, 40_000, 1)
-	lcfg := ml.DefaultLogisticConfig()
+	lcfg := bloom.DefaultLogisticConfig()
 	lcfg.Bits = 11
-	m := ml.NewLogisticNGram(lcfg)
+	m := bloom.NewLogisticNGram(lcfg)
 	m.Train(corpus.Keys, corpus.TrainNeg, lcfg)
 	for _, target := range []float64{0.01, 0.001} {
 		std := bloom.New(len(corpus.Keys), target)
-		lb := core.NewLearnedBloom(m, corpus.Keys, corpus.ValidNeg, target)
+		lb := bloom.NewLearnedBloom(m, corpus.Keys, corpus.ValidNeg, target)
 		b.Run("fpr"+ftoa(target), func(b *testing.B) {
 			b.ReportMetric(float64(std.SizeBytes()), "bloom-bytes")
 			b.ReportMetric(float64(lb.SizeBytesQuantized()), "learned-bytes")
@@ -251,11 +250,11 @@ func BenchmarkFigure10LearnedBloom(b *testing.B) {
 
 func BenchmarkAppendixEModelHashBloom(b *testing.B) {
 	corpus := data.URLs(20_000, 40_000, 1)
-	lcfg := ml.DefaultLogisticConfig()
+	lcfg := bloom.DefaultLogisticConfig()
 	lcfg.Bits = 11
-	m := ml.NewLogisticNGram(lcfg)
+	m := bloom.NewLogisticNGram(lcfg)
 	m.Train(corpus.Keys, corpus.TrainNeg, lcfg)
-	mh := core.NewModelHashBloom(m, corpus.Keys, corpus.ValidNeg, 1<<18, 0.01)
+	mh := bloom.NewModelHashBloom(m, corpus.Keys, corpus.ValidNeg, 1<<18, 0.01)
 	b.ReportMetric(float64(mh.SizeBytesQuantized()), "bytes")
 	b.ReportMetric(mh.MeasureFPR(corpus.TestNeg)*100, "test-fpr-%")
 	b.ResetTimer()
@@ -281,8 +280,8 @@ func BenchmarkFigure11ChainedMap(b *testing.B) {
 			name string
 			fn   hashmap.HashFunc
 		}{
-			{"model", core.NewLearnedHashFromRMI(hrmi, slots).Hash},
-			{"random", hashmap.HashFunc(core.RandomHashFunc(slots))},
+			{"model", hashmap.NewLearnedHashFromRMI(hrmi, slots).Hash},
+			{"random", hashmap.HashFunc(hashmap.RandomHashFunc(slots))},
 		} {
 			m := hashmap.NewChained(slots, hs.fn)
 			for i, k := range keys {
@@ -364,7 +363,7 @@ func BenchmarkTable1InPlaceChainedLearned(b *testing.B) {
 	// this synthetic lognormal.
 	slots := len(keys)
 	hcfg := core.DefaultConfig(len(keys) / 20)
-	hash := core.NewLearnedHashFromRMI(core.New(keys, hcfg), slots).Hash
+	hash := hashmap.NewLearnedHashFromRMI(core.New(keys, hcfg), slots).Hash
 	recs := make([]hashmap.Record, len(keys))
 	for i, k := range keys {
 		recs[i] = hashmap.Record{Key: k, Payload: k, Meta: uint32(i)}

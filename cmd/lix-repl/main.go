@@ -70,6 +70,7 @@ func runPrimary(dir, addr string, epoch uint64, rate int, seed int64, status tim
 			fatal(err)
 		}
 		defer dbg.Close()
+		fmt.Printf("primary: metrics on http://%s/metrics\n", dbg.Addr())
 	}
 	prim, err := st.ServeReplication(repl.TCP, addr, repl.PrimaryOptions{Epoch: epoch})
 	if err != nil {
@@ -127,6 +128,7 @@ func runFollower(dir, addr string, status time.Duration, metrics string, stop <-
 			fatal(err)
 		}
 		defer dbg.Close()
+		fmt.Printf("follower: metrics on http://%s/metrics\n", dbg.Addr())
 	}
 	fmt.Printf("follower: replicating %s from %s (%d keys already durable)\n", dir, addr, st.Len())
 

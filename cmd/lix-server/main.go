@@ -52,6 +52,7 @@ func main() {
 			fatal(err)
 		}
 		defer dbg.Close()
+		fmt.Printf("lix-server: metrics on http://%s/metrics\n", dbg.Addr())
 	}
 
 	srv := server.NewServer(st, server.Options{MaxInflight: *inflight})

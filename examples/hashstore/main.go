@@ -26,13 +26,13 @@ func main() {
 	fmt.Printf("%-6s %-12s %10s %12s %10s\n", "slots", "hash", "empty", "overflow", "size (MB)")
 	for _, pct := range []int{75, 100, 125} {
 		slots := n * pct / 100
-		lh := core.NewLearnedHashFromRMI(cdf, slots)
+		lh := hashmap.NewLearnedHashFromRMI(cdf, slots)
 		for _, h := range []struct {
 			name string
 			fn   hashmap.HashFunc
 		}{
 			{"learned", lh.Hash},
-			{"random", hashmap.HashFunc(core.RandomHashFunc(slots))},
+			{"random", hashmap.HashFunc(hashmap.RandomHashFunc(slots))},
 		} {
 			m := hashmap.NewChained(slots, h.fn)
 			for i, k := range keys {
@@ -46,7 +46,7 @@ func main() {
 
 	// Spot-check correctness through the store API.
 	slots := n
-	lh := core.NewLearnedHashFromRMI(cdf, slots)
+	lh := hashmap.NewLearnedHashFromRMI(cdf, slots)
 	store := hashmap.NewChained(slots, lh.Hash)
 	for i, k := range keys {
 		store.Insert(hashmap.Record{Key: k, Payload: k * 2, Meta: uint32(i)})

@@ -20,9 +20,7 @@ import (
 	"learnedindex"
 
 	"learnedindex/internal/bloom"
-	"learnedindex/internal/core"
 	"learnedindex/internal/data"
-	"learnedindex/internal/ml"
 )
 
 func main() {
@@ -33,9 +31,9 @@ func main() {
 	// The classifier: hashed character 3-grams + logistic regression — the
 	// cheap end of the §5.2 design space (the paper's GRU plugs into the
 	// same Classifier interface; see lix-bench figure10 -gru).
-	cfg := ml.DefaultLogisticConfig()
+	cfg := bloom.DefaultLogisticConfig()
 	cfg.Bits = 11
-	model := ml.NewLogisticNGram(cfg)
+	model := bloom.NewLogisticNGram(cfg)
 	model.Train(corpus.Keys, corpus.TrainNeg, cfg)
 
 	fmt.Printf("%-28s %12s %12s %8s\n", "filter", "memory (KB)", "test FPR", "FNR")
@@ -44,8 +42,8 @@ func main() {
 		for _, k := range corpus.Keys {
 			std.Add(k)
 		}
-		lb := core.NewLearnedBloom(model, corpus.Keys, corpus.ValidNeg, target)
-		mh := core.NewModelHashBloom(model, corpus.Keys, corpus.ValidNeg, 1<<18, target)
+		lb := bloom.NewLearnedBloom(model, corpus.Keys, corpus.ValidNeg, target)
+		mh := bloom.NewModelHashBloom(model, corpus.Keys, corpus.ValidNeg, 1<<18, target)
 
 		measure := func(f func(string) bool) float64 {
 			fp := 0
@@ -85,7 +83,7 @@ func main() {
 
 	fmt.Printf("\nexact tier: string-keyed store over %d listed URLs\n", st.Len())
 	exact, falsePos := 0, 0
-	lb := core.NewLearnedBloom(model, corpus.Keys, corpus.ValidNeg, 0.01)
+	lb := bloom.NewLearnedBloom(model, corpus.Keys, corpus.ValidNeg, 0.01)
 	for _, s := range corpus.TestNeg {
 		if lb.MayContain(s) { // filter says maybe — resolve exactly
 			falsePos++

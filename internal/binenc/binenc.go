@@ -187,20 +187,6 @@ func (r *Reader) F64() float64 {
 	return math.Float64frombits(v)
 }
 
-// U64 reads 8 little-endian bytes as a uint64.
-func (r *Reader) U64() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	if r.Remaining() < 8 {
-		r.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(r.b[r.off:])
-	r.off += 8
-	return v
-}
-
 // F64s reads a count-prefixed float64 slice (nil when empty).
 func (r *Reader) F64s(max int) []float64 {
 	n := r.Count(max, 8)

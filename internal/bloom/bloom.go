@@ -1,6 +1,10 @@
-// Package bloom implements the standard Bloom filter of §5: a bit array of
-// size m and k hash functions, the existence-index baseline and the
-// overflow structure inside learned Bloom filters.
+// Package bloom holds the existence indexes of §5: the standard Bloom
+// filter, a bit array of size m and k hash functions, and the learned
+// filters that replace it — the classifier with an overflow filter
+// (LearnedBloom, §5.1.1) and the model-hash bitmap (ModelHashBloom, §5.1.2,
+// Appendix E) — with the string classifiers they take: a character GRU
+// (§5.2) and a hashed n-gram logistic model. No store uses this package;
+// segments carry no filter.
 //
 // The k probe positions are derived with double hashing (Kirsch &
 // Mitzenmacher): h_i = h1 + i*h2 mod m, which matches the false-positive
@@ -130,9 +134,6 @@ func (f *Filter) Bits() uint64 { return f.m }
 
 // K returns the number of hash functions.
 func (f *Filter) K() int { return f.k }
-
-// Count returns the number of inserted elements.
-func (f *Filter) Count() int { return f.n }
 
 // EstimatedFPR returns the analytic false-positive rate for the current
 // fill: (1 - e^{-kn/m})^k.

@@ -1,4 +1,4 @@
-package ml
+package bloom
 
 import (
 	"math"

@@ -1,7 +1,8 @@
-package ml
+package bloom
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -80,29 +81,6 @@ func TestGRUGradientCheck(t *testing.T) {
 	}
 }
 
-// TestNNGradientDescentDecreasesLoss: training on a fixed tiny set must
-// monotonically (or near-monotonically) reduce MSE across epochs.
-func TestNNGradientDescentDecreasesLoss(t *testing.T) {
-	xs := []float64{0, 1, 2, 3, 4, 5, 6, 7}
-	ys := []float64{0, 1, 4, 9, 16, 25, 36, 49}
-	mse := func(nn *NN) float64 {
-		var s float64
-		for i := range xs {
-			d := nn.Predict(xs[i]) - ys[i]
-			s += d * d
-		}
-		return s / float64(len(xs))
-	}
-	cfg := DefaultNNConfig(8)
-	cfg.Epochs = 2
-	short := TrainNN(xs, ys, cfg)
-	cfg.Epochs = 60
-	long := TrainNN(xs, ys, cfg)
-	if mse(long) >= mse(short) {
-		t.Fatalf("more training increased loss: %.3f -> %.3f", mse(short), mse(long))
-	}
-}
-
 // TestGRUDeterministicTraining: same seed, same data => identical model.
 func TestGRUDeterministicTraining(t *testing.T) {
 	cfg := GRUConfig{Width: 4, Embedding: 4, MaxLen: 8, Epochs: 1, Seed: 3}
@@ -116,5 +94,59 @@ func TestGRUDeterministicTraining(t *testing.T) {
 		if a.Predict(s) != b.Predict(s) {
 			t.Fatal("training not deterministic")
 		}
+	}
+}
+
+func TestGRULearnsSeparableTask(t *testing.T) {
+	// Keys contain "xx", non-keys don't: a trivially learnable motif.
+	rng := rand.New(rand.NewSource(1))
+	mk := func(motif bool) string {
+		b := make([]byte, 12)
+		for i := range b {
+			b[i] = byte('a' + rng.Intn(4))
+		}
+		if motif {
+			p := rng.Intn(10)
+			b[p], b[p+1] = 'x', 'x'
+		}
+		return string(b)
+	}
+	var pos, neg []string
+	for i := 0; i < 400; i++ {
+		pos = append(pos, mk(true))
+		neg = append(neg, mk(false))
+	}
+	cfg := GRUConfig{Width: 8, Embedding: 8, MaxLen: 16, Epochs: 6, LR: 5e-3, Seed: 1}
+	g := NewGRU(cfg)
+	g.Train(pos, neg, cfg)
+	correct := 0
+	for i := 0; i < 100; i++ {
+		if g.Predict(mk(true)) > 0.5 {
+			correct++
+		}
+		if g.Predict(mk(false)) < 0.5 {
+			correct++
+		}
+	}
+	if correct < 170 {
+		t.Fatalf("GRU accuracy %d/200 on separable task", correct)
+	}
+}
+
+func TestGRUSizeBytes(t *testing.T) {
+	g := NewGRU(GRUConfig{Width: 16, Embedding: 32, MaxLen: 64})
+	// emb 97*32=3104; 3 gates * 16*(48)=2304; 3 biases *16=48; wo 16; bo 1.
+	want := 3104 + 3*768 + 48 + 16 + 1
+	if g.NumParams() != want {
+		t.Fatalf("NumParams = %d, want %d", g.NumParams(), want)
+	}
+	if g.SizeBytesQuantized() != want*4 {
+		t.Fatal("quantized size wrong")
+	}
+	// The paper's W=16/E=32 model is 0.0259MB ≈ 27KB; ours should be the
+	// same order of magnitude at float32.
+	kb := float64(g.SizeBytesQuantized()) / 1024
+	if kb < 10 || kb > 60 {
+		t.Fatalf("W=16/E=32 model = %.1f KB, want ~20-30KB", kb)
 	}
 }

@@ -1,14 +1,12 @@
-package core
+package bloom
 
 import (
 	"math"
 	"sort"
-
-	"learnedindex/internal/bloom"
 )
 
 // Classifier is a model f(x) → [0,1] read as the probability that x is a
-// key (§5.1.1). Implementations: ml.GRU, ml.LogisticNGram.
+// key (§5.1.1). Implementations: GRU, LogisticNGram.
 type Classifier interface {
 	Predict(s string) float64
 	SizeBytes() int
@@ -25,7 +23,7 @@ type Classifier interface {
 type LearnedBloom struct {
 	model    Classifier
 	tau      float64
-	overflow *bloom.Filter
+	overflow *Filter
 	numFN    int
 	fprTau   float64 // measured on the validation non-keys
 }
@@ -45,7 +43,7 @@ func NewLearnedBloom(model Classifier, keys, validNeg []string, targetFPR float6
 	}
 	lb.numFN = len(fns)
 	if len(fns) > 0 {
-		lb.overflow = bloom.New(len(fns), half)
+		lb.overflow = New(len(fns), half)
 		for _, k := range fns {
 			lb.overflow.Add(k)
 		}
@@ -142,12 +140,4 @@ func (lb *LearnedBloom) FNR(numKeys int) float64 {
 		return 0
 	}
 	return float64(lb.numFN) / float64(numKeys)
-}
-
-// OverflowSizeBytes returns the overflow filter's footprint alone.
-func (lb *LearnedBloom) OverflowSizeBytes() int {
-	if lb.overflow == nil {
-		return 0
-	}
-	return lb.overflow.SizeBytes()
 }

@@ -1,21 +1,19 @@
-package core
+package bloom
 
 import (
 	"testing"
 
-	"learnedindex/internal/bloom"
 	"learnedindex/internal/data"
-	"learnedindex/internal/ml"
 )
 
-func trainedLogistic(t *testing.T, c *data.URLCorpus) *ml.LogisticNGram {
+func trainedLogistic(t *testing.T, c *data.URLCorpus) *LogisticNGram {
 	t.Helper()
-	cfg := ml.DefaultLogisticConfig()
+	cfg := DefaultLogisticConfig()
 	// Small hashed feature space: the learned-filter win requires the model
 	// to be a small fraction of the filter budget (the paper's GRU is
 	// 0.0259MB against 2MB filters). 2^9 dims = 2KB at float32.
 	cfg.Bits = 9
-	m := ml.NewLogisticNGram(cfg)
+	m := NewLogisticNGram(cfg)
 	m.Train(c.Keys, c.TrainNeg, cfg)
 	return m
 }
@@ -51,7 +49,7 @@ func TestLearnedBloomSmallerThanStandard(t *testing.T) {
 	m := trainedLogistic(t, c)
 	const target = 0.01
 	lb := NewLearnedBloom(m, c.Keys, c.ValidNeg, target)
-	std := bloom.New(len(c.Keys), target)
+	std := New(len(c.Keys), target)
 	if lb.SizeBytesQuantized() >= std.SizeBytes() {
 		t.Fatalf("learned %.1fKB >= standard %.1fKB (FNR %.2f)",
 			float64(lb.SizeBytesQuantized())/1024, float64(std.SizeBytes())/1024,
@@ -114,8 +112,8 @@ func TestLearnedBloomGRU(t *testing.T) {
 		t.Skip("GRU training is slow")
 	}
 	c := data.URLs(800, 1600, 1)
-	cfg := ml.GRUConfig{Width: 8, Embedding: 8, MaxLen: 48, Epochs: 2, LR: 5e-3, Seed: 1}
-	g := ml.NewGRU(cfg)
+	cfg := GRUConfig{Width: 8, Embedding: 8, MaxLen: 48, Epochs: 2, LR: 5e-3, Seed: 1}
+	g := NewGRU(cfg)
 	g.Train(c.Keys, c.TrainNeg, cfg)
 	lb := NewLearnedBloom(g, c.Keys, c.ValidNeg, 0.02)
 	for _, k := range c.Keys {
@@ -160,7 +158,7 @@ func TestModelHashBloomBeatsClassifierVariantSometimes(t *testing.T) {
 	c := data.URLs(5000, 10_000, 1)
 	m := trainedLogistic(t, c)
 	const target = 0.01
-	std := bloom.New(len(c.Keys), target).SizeBytes()
+	std := New(len(c.Keys), target).SizeBytes()
 	lb := NewLearnedBloom(m, c.Keys, c.ValidNeg, target).SizeBytesQuantized()
 	mh := NewModelHashBloom(m, c.Keys, c.ValidNeg, 1<<17, target).SizeBytesQuantized()
 	if lb >= std && mh >= std {

@@ -1,8 +1,4 @@
-package core
-
-import (
-	"learnedindex/internal/bloom"
-)
+package bloom
 
 // ModelHashBloom is the §5.1.2 / Appendix E alternative: the classifier
 // output is discretized into a bitmap probe, d(x) = ⌊f(x)·m⌋, acting as one
@@ -18,7 +14,7 @@ type ModelHashBloom struct {
 	model  Classifier
 	bitmap []uint64
 	m      int
-	backup *bloom.Filter
+	backup *Filter
 	fprM   float64
 }
 
@@ -56,7 +52,7 @@ func NewModelHashBloom(model Classifier, keys, validNeg []string, m int, targetF
 		// backup so the no-false-negative path stays uniform.
 		fprB = 0.5
 	}
-	mh.backup = bloom.New(len(keys), fprB)
+	mh.backup = New(len(keys), fprB)
 	for _, k := range keys {
 		mh.backup.Add(k)
 	}

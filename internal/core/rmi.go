@@ -1,8 +1,12 @@
-// Package core implements the paper's primary contribution: the Recursive
-// Model Index (RMI, §3) and the learned structures built from CDF models —
-// the string RMI with its hybrid B-Tree leaves (§3.3, §3.5), learned hash
-// functions (§4), and learned Bloom filters (§5) — plus the Learning Index
-// Framework (LIF, §3.1) that auto-tunes configurations.
+// Package core implements the paper's primary contribution, the Recursive
+// Model Index (RMI, §3): the uint64 RMI with its compiled plan and its
+// encoding, and the string index over the key codec, which is what a
+// store serves. Three paper items stay beside it: the NN-topped string RMI
+// with its hybrid B-Tree leaves (§3.3, §3.5), which shares the RMI's leaf
+// trainer; the Learning Index Framework (LIF, §3.1) that auto-tunes
+// configurations; and the §2.3 naive index, whose graph reads the NN's
+// weights. The learned hash (§4) lives in internal/hashmap and the learned
+// Bloom filters (§5) in internal/bloom; both import core, never the reverse.
 package core
 
 import (

@@ -5,9 +5,7 @@ import (
 
 	"learnedindex/internal/bench"
 	"learnedindex/internal/bloom"
-	"learnedindex/internal/core"
 	"learnedindex/internal/data"
-	"learnedindex/internal/ml"
 )
 
 // Figure10Point is one (FPR, memory) point of one model series.
@@ -53,20 +51,20 @@ func Figure10(o Options, trainGRUs bool) []Figure10Point {
 
 	type series struct {
 		name  string
-		model core.Classifier
+		model bloom.Classifier
 	}
 	var models []series
 
-	lcfg := ml.DefaultLogisticConfig()
+	lcfg := bloom.DefaultLogisticConfig()
 	lcfg.Bits = 10 // keep the model a small fraction of the filter budget
-	lgm := ml.NewLogisticNGram(lcfg)
+	lgm := bloom.NewLogisticNGram(lcfg)
 	lgm.Train(corpus.Keys, corpus.TrainNeg, lcfg)
 	models = append(models, series{"Logistic 3-gram", lgm})
 
 	if trainGRUs {
 		for _, w := range []int{16, 32, 128} {
-			cfg := ml.GRUConfig{Width: w, Embedding: 32, MaxLen: 64, Epochs: 2, LR: 3e-3, Seed: o.Seed}
-			g := ml.NewGRU(cfg)
+			cfg := bloom.GRUConfig{Width: w, Embedding: 32, MaxLen: 64, Epochs: 2, LR: 3e-3, Seed: o.Seed}
+			g := bloom.NewGRU(cfg)
 			g.Train(corpus.Keys, corpus.TrainNeg, cfg)
 			models = append(models, series{fmt.Sprintf("GRU W=%d,E=32", w), g})
 		}
@@ -74,7 +72,7 @@ func Figure10(o Options, trainGRUs bool) []Figure10Point {
 
 	for _, m := range models {
 		for _, p := range targets {
-			lb := core.NewLearnedBloom(m.model, corpus.Keys, corpus.ValidNeg, p)
+			lb := bloom.NewLearnedBloom(m.model, corpus.Keys, corpus.ValidNeg, p)
 			pts = append(pts, Figure10Point{
 				Series:    m.name,
 				TargetFPR: p,
@@ -108,9 +106,9 @@ func Figure10(o Options, trainGRUs bool) []Figure10Point {
 func AppendixE(o Options) {
 	o = o.withDefaults()
 	corpus := data.URLs(o.NUrl, o.NUrl*2, o.Seed)
-	lcfg := ml.DefaultLogisticConfig()
+	lcfg := bloom.DefaultLogisticConfig()
 	lcfg.Bits = 12
-	m := ml.NewLogisticNGram(lcfg)
+	m := bloom.NewLogisticNGram(lcfg)
 	m.Train(corpus.Keys, corpus.TrainNeg, lcfg)
 
 	t := &bench.Table{
@@ -128,7 +126,7 @@ func AppendixE(o Options) {
 				stdFP++
 			}
 		}
-		lb := core.NewLearnedBloom(m, corpus.Keys, corpus.ValidNeg, p)
+		lb := bloom.NewLearnedBloom(m, corpus.Keys, corpus.ValidNeg, p)
 		t.Add(fmt.Sprintf("%.2f%%", p*100), "standard Bloom",
 			fmt.Sprintf("%.1f", float64(std.SizeBytes())/1024),
 			fmt.Sprintf("%.3f%%", float64(stdFP)/float64(len(corpus.TestNeg))*100), "(1.00x)")
@@ -137,7 +135,7 @@ func AppendixE(o Options) {
 			fmt.Sprintf("%.3f%%", lb.MeasureFPR(corpus.TestNeg)*100),
 			bench.Factor(float64(lb.SizeBytesQuantized())/float64(std.SizeBytes())))
 		for _, mbits := range []int{1 << 16, 1 << 18, 1 << 20} {
-			mh := core.NewModelHashBloom(m, corpus.Keys, corpus.ValidNeg, mbits, p)
+			mh := bloom.NewModelHashBloom(m, corpus.Keys, corpus.ValidNeg, mbits, p)
 			t.Add("", fmt.Sprintf("model-hash m=%d (5.1.2)", mbits),
 				fmt.Sprintf("%.1f", float64(mh.SizeBytesQuantized())/1024),
 				fmt.Sprintf("%.3f%%", mh.MeasureFPR(corpus.TestNeg)*100),

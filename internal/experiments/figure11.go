@@ -40,7 +40,7 @@ func Figure11(o Options) []Figure11Row {
 		hrmi := core.New(keys, hcfg)
 		for _, pct := range []int{75, 100, 125} {
 			slots := len(keys) * pct / 100
-			lh := core.NewLearnedHashFromRMI(hrmi, slots)
+			lh := hashmap.NewLearnedHashFromRMI(hrmi, slots)
 
 			var emptyRnd int
 			for _, h := range []struct {
@@ -48,7 +48,7 @@ func Figure11(o Options) []Figure11Row {
 				fn   hashmap.HashFunc
 			}{
 				{"Model Hash", lh.Hash},
-				{"Random Hash", hashmap.HashFunc(core.RandomHashFunc(slots))},
+				{"Random Hash", hashmap.HashFunc(hashmap.RandomHashFunc(slots))},
 			} {
 				m := hashmap.NewChained(slots, h.fn)
 				for i, k := range keys {

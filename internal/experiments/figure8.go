@@ -5,6 +5,7 @@ import (
 
 	"learnedindex/internal/bench"
 	"learnedindex/internal/core"
+	"learnedindex/internal/hashmap"
 )
 
 // Figure8Row is one dataset's conflict measurement.
@@ -37,9 +38,9 @@ func Figure8(o Options) []Figure8Row {
 		}
 		hcfg := core.DefaultConfig(leaves)
 		hcfg.Seed = o.Seed
-		lh := core.NewLearnedHashFromRMI(core.New(keys, hcfg), slots)
-		model := core.MeasureConflicts(keys, slots, lh.Hash)
-		random := core.MeasureConflicts(keys, slots, core.RandomHashFunc(slots))
+		lh := hashmap.NewLearnedHashFromRMI(core.New(keys, hcfg), slots)
+		model := hashmap.MeasureConflicts(keys, slots, lh.Hash)
+		random := hashmap.MeasureConflicts(keys, slots, hashmap.RandomHashFunc(slots))
 		rows = append(rows, Figure8Row{
 			Dataset:        ds.Name,
 			RandomConflict: random.ConflictRate(),

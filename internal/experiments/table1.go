@@ -68,7 +68,7 @@ func Table1(o Options) []Table1Row {
 	}
 	hcfg := core.DefaultConfig(leaves)
 	hcfg.Seed = o.Seed
-	lh := core.NewLearnedHashFromRMI(core.New(keys, hcfg), slots)
+	lh := hashmap.NewLearnedHashFromRMI(core.New(keys, hcfg), slots)
 	inplace := hashmap.BuildInPlaceChained(recs, slots, lh.Hash)
 
 	measure("AVX Cuckoo, 32-bit value", avx32.Lookup, avx32.Utilization())

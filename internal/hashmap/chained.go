@@ -1,5 +1,7 @@
-// Package hashmap implements the Hash-map architectures evaluated in §4 and
-// Appendices B–C: a separate-chaining map (Appendix B), an in-place
+// Package hashmap holds the point indexes of §4: the learned hash function
+// (LearnedHash, an RMI's CDF scaled to the table size, §4.1) with its
+// Figure 8 conflict measure, and the Hash-map architectures evaluated in §4
+// and Appendices B–C: a separate-chaining map (Appendix B), an in-place
 // two-pass chained map with 100% utilization (Appendix C), and a
 // bucketized cuckoo map (Appendix C), all over the paper's 20-byte records
 // (64-bit key, 64-bit payload, 32-bit meta-data field).
@@ -7,12 +9,12 @@
 // Every map is parameterized by the hash function, so a learned CDF model
 // and a Murmur-style randomized hash plug into identical architectures —
 // the paper's point that "the hash-function is orthogonal to the actual
-// Hash-map architecture" (§4.1).
+// Hash-map architecture" (§4.1). No store uses this package.
 package hashmap
 
 // HashFunc maps a key to a slot in [0, slots). Implementations include
-// randomized hashing (hashfn.Hash64 reduced) and learned CDF models
-// (core.LearnedHash).
+// randomized hashing (RandomHashFunc) and learned CDF models
+// (LearnedHash.Hash).
 type HashFunc func(key uint64) int
 
 // Record is the paper's 20-byte record: "a 64bit key, 64bit payload, and a

@@ -4,12 +4,7 @@ import (
 	"testing"
 
 	"learnedindex/internal/data"
-	"learnedindex/internal/hashfn"
 )
-
-func randomHash(slots int) HashFunc {
-	return func(k uint64) int { return hashfn.Reduce(hashfn.Mix64(k), slots) }
-}
 
 func records(keys []uint64) []Record {
 	recs := make([]Record, len(keys))
@@ -21,7 +16,7 @@ func records(keys []uint64) []Record {
 
 func TestChainedInsertLookup(t *testing.T) {
 	keys := data.Uniform(20_000, 1<<40, 1)
-	m := NewChained(len(keys), randomHash(len(keys)))
+	m := NewChained(len(keys), RandomHashFunc(len(keys)))
 	for _, r := range records(keys) {
 		m.Insert(r)
 	}
@@ -43,7 +38,7 @@ func TestChainedInsertLookup(t *testing.T) {
 
 func TestChainedAccounting(t *testing.T) {
 	keys := data.Uniform(10_000, 1<<40, 1)
-	m := NewChained(len(keys), randomHash(len(keys)))
+	m := NewChained(len(keys), RandomHashFunc(len(keys)))
 	for _, r := range records(keys) {
 		m.Insert(r)
 	}
@@ -83,7 +78,7 @@ func TestChainedPerfectHashNoOverflow(t *testing.T) {
 func TestChainedUndersized(t *testing.T) {
 	// 75% slots (Figure 11's hardest row): must still find everything.
 	keys := data.Uniform(8000, 1<<40, 3)
-	m := NewChained(6000, randomHash(6000))
+	m := NewChained(6000, RandomHashFunc(6000))
 	for _, r := range records(keys) {
 		m.Insert(r)
 	}
@@ -96,7 +91,7 @@ func TestChainedUndersized(t *testing.T) {
 
 func TestInPlaceChained100Utilization(t *testing.T) {
 	keys := data.Uniform(10_000, 1<<40, 1)
-	m := BuildInPlaceChained(records(keys), len(keys), randomHash(len(keys)))
+	m := BuildInPlaceChained(records(keys), len(keys), RandomHashFunc(len(keys)))
 	if u := m.Utilization(); u != 1.0 {
 		t.Fatalf("utilization %.3f, want 1.0", u)
 	}
@@ -107,7 +102,7 @@ func TestInPlaceChained100Utilization(t *testing.T) {
 
 func TestInPlaceChainedLookup(t *testing.T) {
 	keys := data.Uniform(20_000, 1<<40, 2)
-	m := BuildInPlaceChained(records(keys), len(keys), randomHash(len(keys)))
+	m := BuildInPlaceChained(records(keys), len(keys), RandomHashFunc(len(keys)))
 	for i, k := range keys {
 		r, ok := m.Lookup(k)
 		if !ok {
@@ -236,7 +231,7 @@ func TestCuckooSizeCharging(t *testing.T) {
 
 func BenchmarkChainedLookup(b *testing.B) {
 	keys := data.Lognormal(1_000_000, 0, 2, 1_000_000_000, 1)
-	m := NewChained(len(keys), randomHash(len(keys)))
+	m := NewChained(len(keys), RandomHashFunc(len(keys)))
 	for _, r := range records(keys) {
 		m.Insert(r)
 	}

@@ -1,6 +1,7 @@
-package core
+package hashmap
 
 import (
+	"learnedindex/internal/core"
 	"learnedindex/internal/hashfn"
 )
 
@@ -13,7 +14,7 @@ import (
 // previous section with 100k models on the 2nd stage and without any hidden
 // layers", §4.2).
 type LearnedHash struct {
-	rmi   *RMI
+	rmi   *core.RMI
 	slots int
 	scale float64 // slots / N
 }
@@ -22,13 +23,13 @@ type LearnedHash struct {
 // of the given slot count. numLeaves controls the RMI's second stage; the
 // paper's ratio is one leaf per ~2k keys (100k leaves for 200M keys).
 func NewLearnedHash(keys []uint64, slots, numLeaves int) *LearnedHash {
-	cfg := DefaultConfig(numLeaves)
-	r := New(keys, cfg)
+	cfg := core.DefaultConfig(numLeaves)
+	r := core.New(keys, cfg)
 	return &LearnedHash{rmi: r, slots: slots, scale: float64(slots) / float64(len(keys))}
 }
 
 // NewLearnedHashFromRMI reuses an existing trained RMI as the CDF model.
-func NewLearnedHashFromRMI(r *RMI, slots int) *LearnedHash {
+func NewLearnedHashFromRMI(r *core.RMI, slots int) *LearnedHash {
 	return &LearnedHash{rmi: r, slots: slots, scale: float64(slots) / float64(len(r.Keys()))}
 }
 
@@ -44,9 +45,6 @@ func (h *LearnedHash) Hash(key uint64) int {
 	}
 	return s
 }
-
-// Func returns the hash as a plain function for hashmap constructors.
-func (h *LearnedHash) Func() func(uint64) int { return h.Hash }
 
 // Slots returns the target table size.
 func (h *LearnedHash) Slots() int { return h.slots }

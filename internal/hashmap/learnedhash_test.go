@@ -1,10 +1,10 @@
-package core
+package hashmap
 
 import (
 	"testing"
 
+	"learnedindex/internal/core"
 	"learnedindex/internal/data"
-	"learnedindex/internal/hashmap"
 )
 
 func TestLearnedHashRange(t *testing.T) {
@@ -22,6 +22,15 @@ func TestLearnedHashRange(t *testing.T) {
 		if s < 0 || s >= h.Slots() {
 			t.Fatalf("hash out of range for missing key: %d", s)
 		}
+	}
+}
+
+// allDatasets returns the three §3.7.1 integer distributions at test scale.
+func allDatasets(n int) map[string]data.Keys {
+	return map[string]data.Keys{
+		"maps":      data.Maps(n, 1),
+		"weblogs":   data.Weblogs(n, 1),
+		"lognormal": data.LognormalPaper(n, 1),
 	}
 }
 
@@ -87,15 +96,15 @@ func TestLearnedHashWithChainedMap(t *testing.T) {
 	keys := data.Maps(30_000, 1)
 	lh := NewLearnedHash(keys, len(keys), 3000)
 
-	build := func(h hashmap.HashFunc) *hashmap.Chained {
-		m := hashmap.NewChained(len(keys), h)
+	build := func(h HashFunc) *Chained {
+		m := NewChained(len(keys), h)
 		for i, k := range keys {
-			m.Insert(hashmap.Record{Key: k, Payload: k, Meta: uint32(i)})
+			m.Insert(Record{Key: k, Payload: k, Meta: uint32(i)})
 		}
 		return m
 	}
 	learned := build(lh.Hash)
-	random := build(hashmap.HashFunc(RandomHashFunc(len(keys))))
+	random := build(HashFunc(RandomHashFunc(len(keys))))
 	for _, k := range keys[:1000] {
 		if _, ok := learned.Lookup(k); !ok {
 			t.Fatalf("learned-hash map lost key %d", k)
@@ -108,7 +117,7 @@ func TestLearnedHashWithChainedMap(t *testing.T) {
 
 func TestNewLearnedHashFromRMI(t *testing.T) {
 	keys := data.Lognormal(10_000, 0, 2, 1_000_000_000, 1)
-	r := New(keys, DefaultConfig(100))
+	r := core.New(keys, core.DefaultConfig(100))
 	h := NewLearnedHashFromRMI(r, 5000)
 	if h.Slots() != 5000 {
 		t.Fatal("slots not set")

@@ -16,10 +16,9 @@
 //   - NN: fully-connected ReLU networks (§3.3 uses 0–2 hidden layers of
 //     width up to 32), trained by minibatch SGD with Adagrad and run by one
 //     inference loop, PredictVec, for scalar and vector inputs of any width.
-//   - GRU: a character-level gated recurrent unit classifier for the
-//     learned Bloom filter (§5.2).
-//   - LogisticNGram: a hashed n-gram logistic regression, a cheap
-//     alternative existence-index classifier.
+//
+// These are the models an RMI stage can hold. The §5 string classifiers
+// (GRU, LogisticNGram) live with the learned Bloom filter in internal/bloom.
 package ml
 
 // Model predicts a scalar target from a scalar key. Predictions are in the

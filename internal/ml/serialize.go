@@ -10,8 +10,7 @@ import (
 // parameters. This is what lets a trained RMI be written into a segment
 // file and served again after a cold open without retraining — the on-disk
 // analogue of the paper's "extract the weights into generated code" step
-// (§3.1). GRU and LogisticNGram classifiers are not Model implementations
-// and are out of scope here.
+// (§3.1).
 const (
 	tagLinear       = 1
 	tagConstant     = 2

@@ -44,7 +44,9 @@
 package learnedindex
 
 import (
+	"learnedindex/internal/bloom"
 	"learnedindex/internal/core"
+	"learnedindex/internal/hashmap"
 	"learnedindex/internal/keycodec"
 	"learnedindex/internal/obs"
 	"learnedindex/internal/scan"
@@ -177,22 +179,25 @@ var (
 	ErrStoreDegraded = storage.ErrDegraded
 )
 
-// Point index (§4): learned hash functions.
+// Point index (§4): learned hash functions. They live beside the hash maps
+// they plug into; no Store uses them.
 type (
-	// LearnedHash scales a CDF model into a hash function h(K) = F(K)·M.
-	LearnedHash = core.LearnedHash
+	// LearnedHash scales an RMI's CDF into a hash function h(K) = F(K)·M.
+	LearnedHash = hashmap.LearnedHash
 	// ConflictStats reports slot occupancy under a hash function (Figure 8).
-	ConflictStats = core.ConflictStats
+	ConflictStats = hashmap.ConflictStats
 )
 
-// Existence index (§5): learned Bloom filters.
+// Existence index (§5): learned Bloom filters. They live beside the
+// standard filter they replace, with their classifiers (a GRU and a hashed
+// n-gram logistic model); no Store uses them.
 type (
 	// Classifier is a probabilistic model f(x) ∈ [0,1] over string keys.
-	Classifier = core.Classifier
+	Classifier = bloom.Classifier
 	// LearnedBloom is the classifier + overflow-filter construction (§5.1.1).
-	LearnedBloom = core.LearnedBloom
+	LearnedBloom = bloom.LearnedBloom
 	// ModelHashBloom is the discretized model-hash construction (§5.1.2).
-	ModelHashBloom = core.ModelHashBloom
+	ModelHashBloom = bloom.ModelHashBloom
 )
 
 // Search strategies (§3.4).
@@ -261,17 +266,17 @@ var (
 	// SplitCompositeKey inverts CompositeKey, validating the encoding.
 	SplitCompositeKey = keycodec.SplitComposite
 	// NewLearnedHash trains a CDF hash targeting a slot count (§4.1).
-	NewLearnedHash = core.NewLearnedHash
+	NewLearnedHash = hashmap.NewLearnedHash
 	// NewLearnedHashFromRMI reuses a trained RMI as the CDF model.
-	NewLearnedHashFromRMI = core.NewLearnedHashFromRMI
+	NewLearnedHashFromRMI = hashmap.NewLearnedHashFromRMI
 	// RandomHashFunc is the Murmur-style baseline hash.
-	RandomHashFunc = core.RandomHashFunc
+	RandomHashFunc = hashmap.RandomHashFunc
 	// MeasureConflicts fills a virtual table and reports occupancy.
-	MeasureConflicts = core.MeasureConflicts
+	MeasureConflicts = hashmap.MeasureConflicts
 	// NewLearnedBloom builds the §5.1.1 filter (tunes τ, sizes overflow).
-	NewLearnedBloom = core.NewLearnedBloom
+	NewLearnedBloom = bloom.NewLearnedBloom
 	// NewModelHashBloom builds the §5.1.2 filter.
-	NewModelHashBloom = core.NewModelHashBloom
+	NewModelHashBloom = bloom.NewModelHashBloom
 	// GridSearch is the LIF auto-tuner (§3.1): trains every candidate and
 	// ranks by the objective.
 	GridSearch = core.GridSearch
